@@ -16,16 +16,17 @@ namespace {
 /// randomness from `rng`; returns the number of exact pattern matches.
 /// Each worker stream runs this once.
 ///
-/// Trials execute through the batch engine (RunAppend) over one response
-/// buffer reused for the worker's whole slice, so every ν draw flows
-/// through the block samplers' vectorized vecmath kernels instead of
-/// per-draw scalar calls — this loop was the last scalar-sampling hot loop
-/// outside the mechanisms. Each trial processes its full pattern window
-/// (the batch engine does not stop at a mismatch the way the old scalar
-/// loop broke early), so for specs that draw from the base stream at
-/// positives the stream position after a trial is a function of the trial
-/// alone, never of where a mismatch occurred; per-trial outcomes are
-/// unchanged (the ν substream is re-derived every Reset()).
+/// Trials execute through RunAppend over one response buffer reused for
+/// the worker's whole slice. Windows shorter than
+/// BatchRunner::kStreamingCutover run the streaming Process() loop (the
+/// scalar vecmath kernels), since the batch engine's fixed per-call cost
+/// dominates a 2-6-query trial; longer windows run the engine's block
+/// kernels. Each trial processes its full pattern window (RunAppend does
+/// not stop at a mismatch the way the old scalar loop broke early), so for
+/// specs that draw from the base stream at positives the stream position
+/// after a trial is a function of the trial alone, never of where a
+/// mismatch occurred; per-trial outcomes are unchanged (the ν substream is
+/// re-derived every Reset()).
 int64_t CountPatternHits(const VariantSpec& spec,
                          std::span<const double> query_answers,
                          double threshold, std::string_view pattern,

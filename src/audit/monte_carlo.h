@@ -12,10 +12,13 @@
 // (rng state, num_workers) the hit counts are bitwise-reproducible no
 // matter how the OS schedules the threads.
 //
-// Each worker executes its trials through the batch engine over one reused
-// response buffer, so all ν sampling runs the vectorized vecmath block
-// kernels; a trial always consumes the RNG for its full pattern window
-// (match checking happens after, not by breaking the query loop early).
+// Each worker executes its trials through RunAppend over one reused
+// response buffer. A window shorter than BatchRunner::kStreamingCutover —
+// every Fig. 2 counterexample — runs the streaming Process() loop, which
+// draws ν with the scalar vecmath kernels; longer windows run the batch
+// engine's block kernels. Either way a trial consumes the RNG exactly as
+// the Process() loop over its full pattern window does (match checking
+// happens after, not by breaking the query loop early).
 
 #ifndef SPARSEVEC_AUDIT_MONTE_CARLO_H_
 #define SPARSEVEC_AUDIT_MONTE_CARLO_H_

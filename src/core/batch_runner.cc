@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <new>
 #include <string_view>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/distributions.h"
@@ -83,6 +85,21 @@ size_t WordsPerVariate(NoiseKind kind) {
   return kind == NoiseKind::kExponential ? 1 : 2;
 }
 
+// Kernel scratch that is written before it is read. The element types
+// carry default member initializers, so a plain array would be zeroed on
+// every declaration; raw storage skips that, and the elements (aggregates,
+// hence implicit-lifetime types) come into being as the kernels write them.
+template <typename T, size_t N>
+class UninitArray {
+ public:
+  static_assert(std::is_aggregate_v<T> && std::is_trivially_copyable_v<T>);
+  T* data() { return std::launder(reinterpret_cast<T*>(bytes_)); }
+  T& operator[](size_t i) { return data()[i]; }
+
+ private:
+  alignas(T) unsigned char bytes_[sizeof(T) * N];
+};
+
 }  // namespace
 
 BatchKernelMode ActiveBatchKernelMode() {
@@ -92,6 +109,30 @@ BatchKernelMode ActiveBatchKernelMode() {
 
 void SetBatchKernelMode(BatchKernelMode mode) {
   KernelModeVar().store(static_cast<int>(mode), std::memory_order_relaxed);
+}
+
+void BatchRunner::CheckArgs(std::span<const double> answers,
+                            const BoundPrefilter* prefilter) {
+  if (prefilter != nullptr) {
+    SVT_CHECK(prefilter->size() == answers.size())
+        << "BoundPrefilter size " << prefilter->size()
+        << " does not match answers size " << answers.size()
+        << "; a prefilter may only attach to the arrays it was built over";
+  }
+}
+
+void BatchRunner::CheckArgs(std::span<const double> answers,
+                            std::span<const double> thresholds,
+                            const BoundPrefilter* prefilter) {
+  SVT_CHECK(answers.size() == thresholds.size())
+      << "answers/thresholds size mismatch: " << answers.size() << " vs "
+      << thresholds.size();
+  CheckArgs(answers, prefilter);
+  if (prefilter != nullptr) {
+    SVT_CHECK(prefilter->has_thresholds())
+        << "per-query-threshold runs need a prefilter built with the "
+           "two-array Build(answers, thresholds)";
+  }
 }
 
 BatchRunner::BatchRunner(const VariantSpec& spec, Rng* base_rng,
@@ -167,12 +208,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
 size_t BatchRunner::Run(std::span<const double> answers, double threshold,
                         const BoundPrefilter* prefilter,
                         std::vector<Response>* out) {
-  if (prefilter != nullptr) {
-    SVT_CHECK(prefilter->size() == answers.size())
-        << "BoundPrefilter size " << prefilter->size()
-        << " does not match answers size " << answers.size()
-        << "; a prefilter may only attach to the arrays it was built over";
-  }
+  CheckArgs(answers, prefilter);
   const size_t start = out->size();
   if (state_->exhausted || answers.empty()) return 0;
   const size_t total = answers.size();
@@ -193,6 +229,11 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
   // precision otherwise.
   BoundPipeline pipe(has_nu ? prefilter : nullptr, spec_.nu_scale, kBoundSpan,
                      &state_->batch);
+  // Megakernel-arm scratch: span-entry checkpoints and the fused pass's
+  // recorded hits, written by the pass before the walk reads them.
+  constexpr size_t kMaxChunkHits = kChunkSize / 16;
+  UninitArray<BlockRng::State, kChunkSize / kBoundSpan> span_states;
+  UninitArray<vec::FusedScanHit, kMaxChunkHits> hits;
 
   size_t done = 0;
   while (done < total) {
@@ -227,7 +268,6 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       const size_t wpv = WordsPerVariate(spec_.nu_kind);
       const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
       uint64_t span_min[kChunkSize / kBoundSpan];
-      BlockRng::State span_states[kChunkSize / kBoundSpan];
 
       pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
       const double nu_scale = spec_.nu_scale;
@@ -242,23 +282,22 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       // generate-and-bound alone plus the checkpoint walk handles that
       // regime better, so the scan only rides along when it is cheap.
       const bool fused_scan = chunk_skip < vec::kMegaNeverSkipWord;
-      constexpr size_t kMaxChunkHits = kChunkSize / 16;
-      vec::FusedScanHit hits[kMaxChunkHits];
       size_t found = 0;
       uint64_t w_min_unused;
       BlockRng::State end_state = state_->nu_rng.state();
       if (fused_scan) {
         found = exp_nu ? vec::MegaExpFillMinScanSpans(
                              &end_state, nu_scale, {a, n}, bar0, chunk_skip,
-                             kBoundSpan, span_min, span_states, hits,
-                             kMaxChunkHits, &w_min_unused)
+                             kBoundSpan, span_min, span_states.data(),
+                             hits.data(), kMaxChunkHits, &w_min_unused)
                        : vec::MegaLaplaceFillMinScanSpans(
                              &end_state, 0.0, nu_scale, {a, n}, bar0,
-                             chunk_skip, kBoundSpan, span_min, span_states,
-                             hits, kMaxChunkHits, &w_min_unused);
+                             chunk_skip, kBoundSpan, span_min,
+                             span_states.data(), hits.data(), kMaxChunkHits,
+                             &w_min_unused);
       } else {
         vec::MegaFillMinSpans(&end_state, n, wpv, kBoundSpan, span_min,
-                              span_states);
+                              span_states.data());
       }
       state_->nu_rng.RestoreState(end_state);
 
@@ -511,18 +550,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
                         std::span<const double> thresholds,
                         const BoundPrefilter* prefilter,
                         std::vector<Response>* out) {
-  SVT_CHECK(answers.size() == thresholds.size())
-      << "answers/thresholds size mismatch: " << answers.size() << " vs "
-      << thresholds.size();
-  if (prefilter != nullptr) {
-    SVT_CHECK(prefilter->size() == answers.size())
-        << "BoundPrefilter size " << prefilter->size()
-        << " does not match answers size " << answers.size()
-        << "; a prefilter may only attach to the arrays it was built over";
-    SVT_CHECK(prefilter->has_thresholds())
-        << "per-query-threshold runs need a prefilter built with the "
-           "two-array Build(answers, thresholds)";
-  }
+  CheckArgs(answers, thresholds, prefilter);
   const size_t start = out->size();
   if (state_->exhausted || answers.empty()) return 0;
   const size_t total = answers.size();
@@ -546,6 +574,10 @@ size_t BatchRunner::Run(std::span<const double> answers,
   // all and scanned every element.
   BoundPipeline pipe(has_nu ? prefilter : nullptr, spec_.nu_scale, kBoundSpan,
                      &state_->batch);
+  // Megakernel-arm scratch, as in the common-threshold Run.
+  constexpr size_t kMaxSubHits = kFusedSubBlock / 16;
+  UninitArray<BlockRng::State, kFusedSubBlock / kBoundSpan> span_states;
+  UninitArray<vec::FusedScanHit, kMaxSubHits> hits;
 
   size_t done = 0;
   while (done < total) {
@@ -608,7 +640,6 @@ size_t BatchRunner::Run(std::span<const double> answers,
           // positives a cutoff may never need, so only generate-and-
           // bound runs — mirroring the common arm's fused_scan gate, and
           // the composition's zero skipped-word count.
-          BlockRng::State span_states[kFusedSubBlock / kBoundSpan];
           const double rho0 = state_->rho;
           uint64_t skip_words[kFusedSubBlock / kBoundSpan];
           bool any_skip = false;
@@ -616,8 +647,6 @@ size_t BatchRunner::Run(std::span<const double> answers,
             skip_words[k] = pipe.SpanSkipWordPerQuery(first_span + k, rho0);
             any_skip = any_skip || skip_words[k] < vec::kMegaNeverSkipWord;
           }
-          constexpr size_t kMaxSubHits = kFusedSubBlock / 16;
-          vec::FusedScanHit hits[kMaxSubHits];
           size_t found = 0;
           uint64_t skipped = 0;
           BlockRng::State end_state = state_->nu_rng.state();
@@ -625,16 +654,17 @@ size_t BatchRunner::Run(std::span<const double> answers,
             found = exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
                                  &end_state, nu_scale, {a_sub, m}, {t_sub, m},
                                  rho0, skip_words, kBoundSpan, span_min,
-                                 span_states, hits, kMaxSubHits, &skipped)
+                                 span_states.data(), hits.data(), kMaxSubHits,
+                                 &skipped)
                            : vec::MegaLaplaceFillMinScanSpansPairwise(
                                  &end_state, 0.0, nu_scale, {a_sub, m},
                                  {t_sub, m}, rho0, skip_words, kBoundSpan,
-                                 span_min, span_states, hits, kMaxSubHits,
-                                 &skipped);
+                                 span_min, span_states.data(), hits.data(),
+                                 kMaxSubHits, &skipped);
             stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
           } else {
             vec::MegaFillMinSpans(&end_state, m, wpv, kBoundSpan, span_min,
-                                  span_states);
+                                  span_states.data());
           }
           state_->nu_rng.RestoreState(end_state);
           pipe.SetSpanNoiseMinima(span_min, first_span, sub_nspans);

@@ -54,6 +54,20 @@
 // SpecDrivenSvt::batch_stats()) so tests and capacity planning can verify
 // a workload actually exercises the tier they target.
 //
+// Short calls never reach the runner. SpecDrivenSvt::RunAppend sends every
+// call shorter than kStreamingCutover queries through the streaming
+// reference loop (SvtMechanism::RunAppend) and counts them in
+// BatchRunStats::streamed_queries. Below that length the runner's fixed
+// per-call cost — the chunk set-up, a generate-and-bound pass over whole
+// lockstep groups, the bound pipeline — outweighs the handful of scalar
+// draws it replaces. The loop emits the identical Responses and leaves both
+// streams where the runner would (draw-order contract, core/svt.h), so the
+// rule is a size test, not a second implementation. bench_call_crossover
+// sweeps Reset + one call over lengths 1-64 for Laplace and exponential ν
+// on ⊥-heavy, near-bar and ρ-resampling specs; the constant is the length
+// from which the runner wins on the geometric mean of those rows (see
+// kStreamingCutover).
+//
 // Under the draw-order contract documented on SpecDrivenSvt (core/svt.h)
 // the emitted Response sequence is bit-for-bit the one the streaming
 // Process() loop would produce for the same seed — at every vecmath
@@ -116,6 +130,28 @@ class BatchRunner {
   /// structure stays because the knob is host-dependent — a machine with
   /// a smaller L1d or slower L2 wants it below the chunk size.
   static constexpr size_t kFusedSubBlock = kChunkSize;
+
+  /// Calls shorter than this many queries run the streaming loop instead
+  /// of the runner (header comment). bench_call_crossover put the
+  /// crossover at 7, 8 and 7 in three sweeps on a 4-vCPU 2.0 GHz Xeon with
+  /// AVX-512: at n = 4 the runner costs 240-430 ns per Reset + call against
+  /// 170-360 ns streaming, at n = 8 it costs 270-380 ns against 280-600.
+  /// 8 is also one AVX-512 group of variates, the length at which the
+  /// runner's cost drops. Hit-dense calls (a positive every few queries)
+  /// stream faster at every length up to 64, since each positive restarts
+  /// the runner's scan; the rule does not chase them.
+  static constexpr size_t kStreamingCutover = 8;
+
+  /// Aborts unless the arguments of a run agree: per-query thresholds
+  /// match the answers in size, and an attached `prefilter` (may be null)
+  /// was built over arrays of this size — with bar-side codes for a
+  /// per-query run. Every Run applies it, and SpecDrivenSvt applies it
+  /// before its short-call branch, so short calls are checked alike.
+  static void CheckArgs(std::span<const double> answers,
+                        const BoundPrefilter* prefilter);
+  static void CheckArgs(std::span<const double> answers,
+                        std::span<const double> thresholds,
+                        const BoundPrefilter* prefilter);
 
   /// Runs over the state of a live mechanism; all three must outlive the
   /// runner. `state` is mutated exactly as the streaming path would.

@@ -157,6 +157,14 @@ size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
                                 std::span<const double> thresholds,
                                 const BoundPrefilter* prefilter,
                                 std::vector<Response>* out) {
+  BatchRunner::CheckArgs(answers, thresholds, prefilter);
+  if (answers.size() < BatchRunner::kStreamingCutover) {
+    // Short-call rule (core/batch_runner.h): the streaming loop is cheaper
+    // here and emits the identical sequence.
+    const size_t n = SvtMechanism::RunAppend(answers, thresholds, out);
+    state_.batch.streamed_queries += static_cast<int64_t>(n);
+    return n;
+  }
   return BatchRunner(spec_, rng_, &state_)
       .Run(answers, thresholds, prefilter, out);
 }
@@ -165,6 +173,12 @@ size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
                                 double threshold,
                                 const BoundPrefilter* prefilter,
                                 std::vector<Response>* out) {
+  BatchRunner::CheckArgs(answers, prefilter);
+  if (answers.size() < BatchRunner::kStreamingCutover) {
+    const size_t n = SvtMechanism::RunAppend(answers, threshold, out);
+    state_.batch.streamed_queries += static_cast<int64_t>(n);
+    return n;
+  }
   return BatchRunner(spec_, rng_, &state_)
       .Run(answers, threshold, prefilter, out);
 }

@@ -78,6 +78,13 @@ class SvtMechanism {
   /// reference streaming loop; SpecDrivenSvt overrides it with the chunked
   /// batch engine, emitting the identical sequence.
   ///
+  /// Short-call rule: SpecDrivenSvt still runs this base loop for calls
+  /// shorter than BatchRunner::kStreamingCutover queries (8), after the
+  /// same argument checks as a long call. Below that length the engine's
+  /// fixed per-call cost exceeds the scalar draws it saves — the
+  /// Monte-Carlo auditor's 2-6-query trial windows are the case in point.
+  /// bench_call_crossover measures the crossover (core/batch_runner.h).
+  ///
   /// Buffer-reuse contract (the serving layer depends on it): RunAppend
   /// only appends — it never clears, shrinks, or reorders the elements
   /// already in *out, and between calls the vector is an ordinary
@@ -158,6 +165,10 @@ struct BatchRunStats {
   /// the checkpoint walk. Counted centrally at the resume site, so
   /// dispatch- and kernel-mode-independent.
   int64_t replay_rederivations = 0;
+  /// Queries answered by the short-call path: RunAppend calls shorter than
+  /// BatchRunner::kStreamingCutover run the streaming Process() loop and
+  /// never enter the engine, so none of the counters above move for them.
+  int64_t streamed_queries = 0;
 };
 
 /// Mutable per-run state shared by the streaming Process() path and the
@@ -281,6 +292,10 @@ class SpecDrivenSvt : public SvtMechanism {
   /// tier-1 bound skipped vs how many ran the tier-2 transform scan.
   /// Diagnostics only — outputs never depend on the tier taken.
   const BatchRunStats& batch_stats() const { return state_.batch; }
+
+  /// Position of the ν substream (contract step 2), so equivalence tests
+  /// can check a batch run left it where the Process() loop does.
+  Rng::State nu_stream_state() const { return state_.nu_rng.state(); }
 
  protected:
   SpecDrivenSvt(VariantSpec spec, Rng* rng);

@@ -1,5 +1,6 @@
 #include "data/bound_prefilter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -78,6 +79,23 @@ double SafeScale(double lo, double hi, double normal_span) {
   return s;
 }
 
+// The 16-bit affine map of one side: `offset` is the ideal anchor (the
+// score side's lo, the bar side's lo - scale) and `top` the highest code
+// that dequantizes. When the map stays finite from code 0 to `top` it is
+// kept as is. Otherwise — a range reaching toward ±DBL_MAX, where lo -
+// scale or offset + scale * top overflows and -inf + inf would dequant to
+// NaN — it is replaced by the widest map that cannot overflow: the scale
+// that puts scale * 65535 just under DBL_MAX (an exact power-of-two
+// division), and the ideal anchor clamped so offset + scale * top stays
+// at or under DBL_MAX. The build-time fixups keep every code conservative
+// under either map; the wide one merely bounds coarsely.
+void FiniteAffineMap(double* scale, double* offset, double top) {
+  if (std::isfinite(*offset) && std::isfinite(*offset + *scale * top)) return;
+  constexpr double kMax = std::numeric_limits<double>::max();
+  *scale = kMax / 65536.0;
+  *offset = std::clamp(*offset, -kMax, kMax - *scale * top);
+}
+
 // Score side: codes 0..sentinel-1 affine, top code = +inf sentinel.
 // Invariant established per element: Dequant(code_i) >= v_i for non-NaN
 // v_i (NaN needs no bound — it can never fire — and gets code 0).
@@ -137,16 +155,22 @@ void QuantizeDown(std::span<const double> values, double scale, double offset,
   }
 }
 
+// Span queries. A non-finite dequant value (impossible under the finite
+// maps Build installs; guarded anyway, since a NaN bound would silently
+// read as "can fire") is replaced by the side's sentinel, which is always
+// sound.
 template <typename Code>
 double DequantScoreUpper(double scale, double offset, Code span_max) {
-  return span_max == std::numeric_limits<Code>::max()
-             ? kInf
-             : Dequant(scale, offset, span_max);
+  if (span_max == std::numeric_limits<Code>::max()) return kInf;
+  const double up = Dequant(scale, offset, span_max);
+  return std::isfinite(up) ? up : kInf;
 }
 
 template <typename Code>
 double DequantBarLower(double scale, double offset, Code span_min) {
-  return span_min == 0 ? -kInf : Dequant(scale, offset, span_min);
+  if (span_min == 0) return -kInf;
+  const double dn = Dequant(scale, offset, span_min);
+  return std::isfinite(dn) ? dn : -kInf;
 }
 
 }  // namespace
@@ -173,6 +197,7 @@ BoundPrefilter BoundPrefilter::Build(std::span<const double> answers) {
   } else {
     pf.score_scale_ = SafeScale(r.lo, r.hi, 65534.0);
     pf.score_offset_ = r.lo;
+    FiniteAffineMap(&pf.score_scale_, &pf.score_offset_, 65534.0);
     QuantizeUp(answers, pf.score_scale_, pf.score_offset_, &pf.score16_);
   }
   return pf;
@@ -193,6 +218,7 @@ BoundPrefilter BoundPrefilter::Build(std::span<const double> answers,
   } else {
     pf.bar_scale_ = SafeScale(r.lo, r.hi, 65534.0);
     pf.bar_offset_ = r.lo - pf.bar_scale_;
+    FiniteAffineMap(&pf.bar_scale_, &pf.bar_offset_, 65535.0);
     QuantizeDown(thresholds, pf.bar_scale_, pf.bar_offset_, &pf.bar16_);
   }
   return pf;

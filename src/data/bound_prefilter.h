@@ -39,6 +39,13 @@
 // side of the conservativeness proof; the bound chain it feeds is proved
 // in core/bound_pipeline.h.
 //
+// The affine map is finite at every code. A value range reaching toward
+// ±DBL_MAX would overflow the natural map (offset lo - scale → -inf, or
+// scale * code → +inf, so -inf + inf dequantizes to NaN); such a side
+// falls back to the widest map that cannot overflow, and a non-finite
+// dequant is read as the side's sentinel besides. Ranges whose natural
+// map is finite keep it, so their codes are unchanged.
+//
 // Quantized codes are BOUND-ONLY: they feed skip decisions and skip-word
 // derivation, never a draw, a transform, or an emitted value (core/svt.h
 // draw-order contract note), so final output is bit-identical with the

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/counterexamples.h"
 #include "common/rng.h"
 #include "core/svt_variants.h"
 #include "core/variant_spec.h"
@@ -123,6 +124,49 @@ TEST(McParallelTest, HardwareWorkerAutoSelection) {
       EstimateOutputProbability(spec, answers, 0.0, "T", rng, Opts(10000, 0));
   EXPECT_EQ(est.trials, 10000);
   EXPECT_NEAR(est.p_hat, 0.5, 0.05);
+}
+
+std::string IndicatorPattern(const NeighborInstance& instance) {
+  std::string p;
+  for (const OutputEvent& e : instance.pattern) {
+    p += e.is_positive() ? 'T' : '_';
+  }
+  return p;
+}
+
+TEST(McParallelTest, Fig2InstancesReproduceGoldenHits) {
+  // Pinned hit counts for two Fig. 2 counterexamples (Alg. 3, GPTT) on D
+  // and D', at 1 and 4 workers. Recorded when every trial ran through the
+  // batch engine; trials shorter than the short-call cutover now stream,
+  // and the draw-order contract says that must not move a single hit.
+  struct Case {
+    const char* name;
+    VariantSpec spec;
+    NeighborInstance instance;
+    int64_t hits[2][2];  // [side][1 worker, 4 workers]
+  };
+  const Case cases[] = {
+      {"alg3", MakeAlg3Spec(1.0, 1.0, 1), Alg3Counterexample(4),
+       {{1024, 1070}, {284, 251}}},
+      {"gptt", MakeGpttSpec(0.5, 0.5, 1.0), GpttCounterexample(2),
+       {{1316, 1359}, {275, 273}}},
+  };
+  for (const Case& c : cases) {
+    const std::string pattern = IndicatorPattern(c.instance);
+    for (int side = 0; side < 2; ++side) {
+      const std::vector<double>& answers =
+          side == 0 ? c.instance.answers_d : c.instance.answers_dprime;
+      for (int w = 0; w < 2; ++w) {
+        const int workers = w == 0 ? 1 : 4;
+        Rng rng(2017);
+        const McEstimate est =
+            EstimateOutputProbability(c.spec, answers, c.instance.threshold,
+                                      pattern, rng, Opts(20000, workers));
+        EXPECT_EQ(est.hits, c.hits[side][w])
+            << c.name << " side=" << side << " workers=" << workers;
+      }
+    }
+  }
 }
 
 TEST(McParallelTest, StringViewPatternBinding) {

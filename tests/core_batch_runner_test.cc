@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/vecmath.h"
 #include "core/budget.h"
@@ -24,6 +25,7 @@
 #include "core/svt.h"
 #include "core/svt_variants.h"
 #include "core/variant_spec.h"
+#include "data/bound_prefilter.h"
 #include "dispatch_test_util.h"
 
 namespace svt {
@@ -402,7 +404,9 @@ TEST(BatchRunnerTest, PerQueryThresholdNearThresholdAcrossDispatchLevels) {
       thresholds[i] = (gen.NextDouble() - 0.5) * nu_scale;
     }
     // A bar pattern that ties exactly at a chunk boundary answer.
-    thresholds[BatchRunner::kChunkSize] = answers[BatchRunner::kChunkSize];
+    if (n > BatchRunner::kChunkSize) {
+      thresholds[BatchRunner::kChunkSize] = answers[BatchRunner::kChunkSize];
+    }
 
     // Scalar streaming is the reference for every (level, path) pair.
     ASSERT_TRUE(vec::SetDispatchLevel(vec::DispatchLevel::kScalar));
@@ -1075,7 +1079,10 @@ TEST(BatchRunnerTest, ResamplingHitOverflowAgreesAcrossModes) {
 TEST(BatchRunnerTest, TinyAndOddSizedBatchesMatchStreaming) {
   // Engine-level odd-tail regression for the fused paths: batches shorter
   // than one SIMD width, shorter than one bound span, and one past each
-  // boundary — common and per-query — must equal streaming exactly.
+  // boundary — common and per-query — must equal streaming exactly. Calls
+  // shorter than kStreamingCutover stream instead of entering the engine,
+  // so the engine's own sub-SIMD tails are reached as the tail chunk of a
+  // longer call: kChunkSize + {1, 3, 7}.
   SvtOptions o;
   o.epsilon = 0.1;
   o.cutoff = 50;
@@ -1086,7 +1093,8 @@ TEST(BatchRunnerTest, TinyAndOddSizedBatchesMatchStreaming) {
 
   for (size_t n : {size_t{1}, size_t{3}, size_t{7}, size_t{9},
                    BatchRunner::kBoundSpan - 1, BatchRunner::kBoundSpan + 1,
-                   BatchRunner::kChunkSize + 3}) {
+                   BatchRunner::kChunkSize + 1, BatchRunner::kChunkSize + 3,
+                   BatchRunner::kChunkSize + 7}) {
     std::vector<double> answers(n), bars(n);
     Rng gen(n + 1);
     for (size_t i = 0; i < n; ++i) {
@@ -1112,6 +1120,139 @@ TEST(BatchRunnerTest, TinyAndOddSizedBatchesMatchStreaming) {
                               (per_query ? " per-query" : " common"));
     }
   }
+}
+
+bool SameState(const Rng::State& a, const Rng::State& b) {
+  return a.words == b.words && a.phase == b.phase;
+}
+
+// One of the ten variants with its ν drawn from `nu_kind`: the variant's
+// own class when that is its native kind, else a CustomSvt over its spec
+// (every SpecDrivenSvt class is fully described by its spec).
+std::unique_ptr<SpecDrivenSvt> MakeWithNuKind(VariantId id, NoiseKind nu_kind,
+                                              int cutoff, Rng* rng) {
+  VariantSpec spec = MakeSpec(id, 1.0, 1.0, cutoff);
+  if (spec.nu_kind != nu_kind) {
+    spec.nu_kind = nu_kind;
+    return std::make_unique<CustomSvt>(std::move(spec), rng);
+  }
+  std::unique_ptr<SvtMechanism> mech =
+      MakeVariantMechanism(id, 1.0, 1.0, cutoff, rng).value();
+  auto* spec_driven = dynamic_cast<SpecDrivenSvt*>(mech.get());
+  SVT_CHECK(spec_driven != nullptr);
+  mech.release();
+  return std::unique_ptr<SpecDrivenSvt>(spec_driven);
+}
+
+TEST(BatchRunnerTest, ShortCallCutoverMatchesStreamingAtEveryLength) {
+  // Every call length on both sides of the short-call cutover, for all ten
+  // variants × both ν kinds × common and per-query bars (odd lengths with
+  // a prefilter attached): the responses, the base stream afterwards, and
+  // — unless the cutoff exhausted the run — the ν substream must match the
+  // Process() loop, and streamed_queries must say which path ran.
+  constexpr int kCutoff = 2;
+  const VariantId ids[] = {VariantId::kAlg1,     VariantId::kAlg2,
+                           VariantId::kAlg3,     VariantId::kAlg4,
+                           VariantId::kAlg5,     VariantId::kAlg6,
+                           VariantId::kGptt,     VariantId::kStandard,
+                           VariantId::kExpNoise, VariantId::kRevisited};
+  int exhausted_runs = 0, open_runs = 0;
+  for (VariantId id : ids) {
+    for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
+      for (size_t n = 1; n <= BatchRunner::kStreamingCutover + 2; ++n) {
+        for (const bool per_query : {false, true}) {
+          for (uint64_t seed : {1u, 2u, 3u}) {
+            Rng rng_batch(seed), rng_stream(seed);
+            auto batch = MakeWithNuKind(id, nu_kind, kCutoff, &rng_batch);
+            auto stream = MakeWithNuKind(id, nu_kind, kCutoff, &rng_stream);
+            const VariantSpec& spec = batch->spec();
+            // Answers around the bar, so runs fire and some exhaust.
+            const double scale = std::max(spec.nu_scale, spec.rho_scale);
+            std::vector<double> answers(n), bars(n, 0.0);
+            Rng gen(seed * 131 + n);
+            for (size_t i = 0; i < n; ++i) {
+              answers[i] = (gen.NextDouble() - 0.7) * 3.0 * scale;
+              if (per_query) bars[i] = (gen.NextDouble() - 0.5) * scale;
+            }
+            const bool with_pf = n % 2 == 1;
+            const BoundPrefilter pf = per_query
+                                          ? BoundPrefilter::Build(answers, bars)
+                                          : BoundPrefilter::Build(answers);
+            std::vector<Response> got, ref;
+            if (per_query) {
+              batch->RunAppend(answers, bars, with_pf ? &pf : nullptr, &got);
+            } else {
+              batch->RunAppend(answers, 0.0, with_pf ? &pf : nullptr, &got);
+            }
+            for (size_t i = 0; i < n && !stream->exhausted(); ++i) {
+              ref.push_back(stream->Process(answers[i], bars[i]));
+            }
+
+            const std::string ctx =
+                std::string(VariantIdToString(id)) +
+                (nu_kind == NoiseKind::kLaplace ? " lap" : " exp") +
+                " n=" + std::to_string(n) +
+                (per_query ? " per-query" : " common") +
+                " seed=" + std::to_string(seed);
+            ExpectSameResponses(got, ref, ctx);
+            EXPECT_EQ(batch->exhausted(), stream->exhausted()) << ctx;
+            EXPECT_EQ(batch->positives_emitted(), stream->positives_emitted())
+                << ctx;
+            EXPECT_EQ(batch->queries_processed(), stream->queries_processed())
+                << ctx;
+            EXPECT_TRUE(SameState(rng_batch.state(), rng_stream.state()))
+                << ctx;
+            if (batch->exhausted()) {
+              ++exhausted_runs;
+            } else {
+              ++open_runs;
+              EXPECT_TRUE(SameState(batch->nu_stream_state(),
+                                    stream->nu_stream_state()))
+                  << ctx;
+            }
+            const int64_t streamed =
+                n < BatchRunner::kStreamingCutover
+                    ? static_cast<int64_t>(got.size())
+                    : 0;
+            EXPECT_EQ(batch->batch_stats().streamed_queries, streamed) << ctx;
+          }
+        }
+      }
+    }
+  }
+  // Both the exhausting and the open case were actually exercised.
+  EXPECT_GT(exhausted_runs, 0);
+  EXPECT_GT(open_runs, 0);
+}
+
+TEST(BatchRunnerTest, StreamedQueriesClearedOnReset) {
+  Rng rng(12);
+  SvtOptions o;
+  o.cutoff = 1000;
+  auto mech = SparseVector::Create(o, &rng).value();
+  const std::vector<double> answers(BatchRunner::kStreamingCutover - 1,
+                                    -50.0);
+  std::vector<Response> out;
+  mech->RunAppend(answers, 0.0, &out);
+  EXPECT_EQ(mech->batch_stats().streamed_queries,
+            static_cast<int64_t>(answers.size()));
+  mech->Reset();
+  EXPECT_EQ(mech->batch_stats().streamed_queries, 0);
+}
+
+TEST(BatchRunnerDeathTest, ShortCallsKeepTheArgumentChecks) {
+  // A call short enough to stream is checked exactly like a long one.
+  Rng rng(13);
+  auto mech = SparseVector::Create(SvtOptions{}, &rng).value();
+  const std::vector<double> answers(3, 0.0), bars(3, 0.0), two_bars(2, 0.0);
+  const BoundPrefilter wrong_size =
+      BoundPrefilter::Build(std::vector<double>(5, 0.0));
+  const BoundPrefilter no_bars = BoundPrefilter::Build(answers);
+  std::vector<Response> out;
+  EXPECT_DEATH(mech->RunAppend(answers, two_bars, &out), "size mismatch");
+  EXPECT_DEATH(mech->RunAppend(answers, 0.0, &wrong_size, &out),
+               "does not match");
+  EXPECT_DEATH(mech->RunAppend(answers, bars, &no_bars, &out), "two-array");
 }
 
 }  // namespace
