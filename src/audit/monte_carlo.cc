@@ -16,38 +16,49 @@ namespace {
 /// randomness from `rng`; returns the number of exact pattern matches.
 /// Each worker stream runs this once.
 ///
-/// Trials execute through RunAppend over one response buffer reused for
-/// the worker's whole slice. Windows shorter than
-/// BatchRunner::kStreamingCutover run the streaming Process() loop (the
-/// scalar vecmath kernels), since the batch engine's fixed per-call cost
-/// dominates a 2-6-query trial; longer windows run the engine's block
-/// kernels. Each trial processes its full pattern window (RunAppend does
-/// not stop at a mismatch the way the old scalar loop broke early), so for
-/// specs that draw from the base stream at positives the stream position
-/// after a trial is a function of the trial alone, never of where a
-/// mismatch occurred; per-trial outcomes are unchanged (the ν substream is
-/// re-derived every Reset()).
+/// Trials execute through SpecDrivenSvt::RunTrials, kTrialsPerCall at a
+/// time, over response and count buffers reused for the worker's whole
+/// slice. RunTrials batches the short windows of specs that draw nothing
+/// from the base stream at a positive — one dispatched ρ transform and one
+/// ν transform per block of trials — and runs every other trial as Reset()
+/// + RunAppend. Each trial processes its full pattern window (RunAppend
+/// does not stop at a mismatch the way the old scalar loop broke early),
+/// so for specs that draw from the base stream at positives the stream
+/// position after a trial is a function of the trial alone, never of where
+/// a mismatch occurred; per-trial outcomes are unchanged (the ν substream
+/// is re-derived every Reset()).
 int64_t CountPatternHits(const VariantSpec& spec,
                          std::span<const double> query_answers,
                          double threshold, std::string_view pattern,
                          int64_t trials, Rng* rng) {
+  // Trials per RunTrials call: enough to fill a couple of the batched
+  // path's blocks, few enough that the buffers stay a few tens of KiB.
+  constexpr int64_t kTrialsPerCall = 256;
   CustomSvt mech(spec, rng);
   const std::span<const double> window =
       query_answers.first(pattern.size());
   std::vector<Response> responses;
-  responses.reserve(pattern.size());
+  std::vector<size_t> counts;
+  responses.reserve(kTrialsPerCall * pattern.size());
+  counts.reserve(kTrialsPerCall);
   int64_t hits = 0;
-  for (int64_t trial = 0; trial < trials; ++trial) {
-    mech.Reset();
+  for (int64_t done = 0; done < trials; done += kTrialsPerCall) {
     responses.clear();
-    // Fewer responses than pattern positions means the cutoff exhausted
-    // the run before the pattern window completed: no match.
-    bool match = mech.RunAppend(window, threshold, &responses) ==
-                 pattern.size();
-    for (size_t i = 0; match && i < pattern.size(); ++i) {
-      match = responses[i].is_positive() == (pattern[i] == 'T');
+    counts.clear();
+    mech.RunTrials(window, threshold,
+                   std::min(kTrialsPerCall, trials - done), &responses,
+                   &counts);
+    const Response* run = responses.data();
+    for (size_t count : counts) {
+      // Fewer responses than pattern positions means the cutoff exhausted
+      // the run before the pattern window completed: no match.
+      bool match = count == pattern.size();
+      for (size_t i = 0; match && i < count; ++i) {
+        match = run[i].is_positive() == (pattern[i] == 'T');
+      }
+      if (match) ++hits;
+      run += count;
     }
-    if (match) ++hits;
   }
   return hits;
 }
@@ -62,6 +73,10 @@ McEstimate EstimateOutputProbability(const VariantSpec& spec,
   SVT_CHECK(pattern.size() <= query_answers.size())
       << "pattern longer than the answer stream";
   SVT_CHECK(options.trials > 0);
+  // BinomialUpperBound would reject a bad confidence too, but only after
+  // every trial has run.
+  SVT_CHECK(options.confidence > 0.5 && options.confidence < 1.0)
+      << "confidence must lie in (0.5, 1), got " << options.confidence;
   for (char c : pattern) {
     SVT_CHECK(c == '_' || c == 'T') << "invalid pattern char '" << c << "'";
   }

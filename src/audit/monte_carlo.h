@@ -12,13 +12,16 @@
 // (rng state, num_workers) the hit counts are bitwise-reproducible no
 // matter how the OS schedules the threads.
 //
-// Each worker executes its trials through RunAppend over one reused
-// response buffer. A window shorter than BatchRunner::kStreamingCutover —
-// every Fig. 2 counterexample — runs the streaming Process() loop, which
-// draws ν with the scalar vecmath kernels; longer windows run the batch
-// engine's block kernels. Either way a trial consumes the RNG exactly as
-// the Process() loop over its full pattern window does (match checking
-// happens after, not by breaking the query loop early).
+// Each worker executes its trials through SpecDrivenSvt::RunTrials over
+// reused response and count buffers. A window shorter than
+// BatchRunner::kStreamingCutover — every Fig. 2 counterexample — is
+// batched across trials when the spec draws nothing from the base stream
+// at a positive: each block of trials takes one dispatched ρ transform and
+// one dispatched ν transform. Alg. 2 (ρ resampling) and ε₃ specs run
+// Reset() + RunAppend per trial, which streams such windows, and longer
+// windows run the batch engine. Either way a trial consumes the RNG
+// exactly as the Process() loop over its full pattern window does (match
+// checking happens after, not by breaking the query loop early).
 
 #ifndef SPARSEVEC_AUDIT_MONTE_CARLO_H_
 #define SPARSEVEC_AUDIT_MONTE_CARLO_H_

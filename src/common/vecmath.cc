@@ -135,12 +135,8 @@ DispatchLevel EnvDispatchCap() {
 }
 
 DispatchLevel DetectDispatchLevel() {
-  const char* force = std::getenv("SVT_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' &&
-      !(force[0] == '0' && force[1] == '\0')) {
-    return DispatchLevel::kScalar;
-  }
-  // DispatchLevelSupported embeds the SVT_MAX_DISPATCH cap.
+  // DispatchLevelSupported embeds the SVT_MAX_DISPATCH cap, so
+  // SVT_MAX_DISPATCH=scalar pins the scalar lane.
   DispatchLevel best = DispatchLevel::kScalar;
   if (DispatchLevelSupported(DispatchLevel::kAvx2)) {
     best = DispatchLevel::kAvx2;

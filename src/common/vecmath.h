@@ -36,13 +36,13 @@
 // libm, which is why switching the samplers onto this layer was a one-time
 // golden re-record (see README "Performance").
 //
-// Dispatch: resolved once per process from CPUID; the SVT_FORCE_SCALAR
-// environment variable (set to anything but "0"/"") pins the scalar lane,
-// SVT_MAX_DISPATCH ("scalar"/"avx2"/"avx512", or the enum value 0/1/2)
-// caps the available levels — a capped level reads as unsupported
-// everywhere, for auto-detection AND SetDispatchLevel(), so e.g.
-// SVT_MAX_DISPATCH=avx2 on an AVX-512 host exercises the AVX2 lane even
-// through tests that flip levels themselves — and SetDispatchLevel()
+// Dispatch: resolved once per process from CPUID; the SVT_MAX_DISPATCH
+// environment variable ("scalar"/"avx2"/"avx512", or the enum value
+// 0/1/2) caps the available levels — a capped level reads as unsupported
+// everywhere, for auto-detection AND SetDispatchLevel(), so
+// SVT_MAX_DISPATCH=scalar pins the scalar lane and SVT_MAX_DISPATCH=avx2
+// on an AVX-512 host exercises the AVX2 lane even through tests that flip
+// levels themselves — and SetDispatchLevel()
 // lets tests and benches flip levels at runtime to assert cross-dispatch
 // equality in one binary. Compiling with -DSVT_DISABLE_AVX2 removes every
 // SIMD lane (for -mno-avx2 CI legs and non-x86 hosts); -DSVT_DISABLE_AVX512
@@ -81,8 +81,8 @@ const char* DispatchLevelName(DispatchLevel level);
 bool DispatchLevelSupported(DispatchLevel level);
 
 /// The level the Block kernels currently run at. Resolved on first use:
-/// the widest supported level, unless SVT_FORCE_SCALAR is set in the
-/// environment (then kScalar) or SVT_MAX_DISPATCH caps it lower.
+/// the widest supported level, unless SVT_MAX_DISPATCH in the environment
+/// caps it lower.
 DispatchLevel ActiveDispatchLevel();
 
 /// Parses an SVT_MAX_DISPATCH value ("scalar"/"avx2"/"avx512" or "0"/"1"/

@@ -81,9 +81,10 @@ class SvtMechanism {
   /// Short-call rule: SpecDrivenSvt still runs this base loop for calls
   /// shorter than BatchRunner::kStreamingCutover queries (8), after the
   /// same argument checks as a long call. Below that length the engine's
-  /// fixed per-call cost exceeds the scalar draws it saves — the
-  /// Monte-Carlo auditor's 2-6-query trial windows are the case in point.
+  /// fixed per-call cost exceeds the scalar draws it saves.
   /// bench_call_crossover measures the crossover (core/batch_runner.h).
+  /// Many short runs in a row batch across runs instead: see
+  /// SpecDrivenSvt::RunTrials.
   ///
   /// Buffer-reuse contract (the serving layer depends on it): RunAppend
   /// only appends — it never clears, shrinks, or reorders the elements
@@ -258,6 +259,37 @@ struct SvtRunState {
 /// so it prunes a subset of what full precision would); they remain
 /// dispatch- and kernel-mode-independent within either setting.
 ///
+/// Trial batching is draw-order-neutral: SpecDrivenSvt::RunTrials runs many
+/// Reset() + short-call rounds as blocks of runs (core/batch_runner.h), but
+/// only for specs that draw nothing from the base stream at a positive, so
+/// each run's base words are exactly its step-1 draws — one ρ variate,
+/// then one seed word — and a block's runs sit back to back in the stream.
+/// One FillUint64 of those words, one dispatched ρ transform over them,
+/// each run's ν substream seeded from its own word and filled from its
+/// start, and one dispatched ν transform over the block consume the words
+/// of steps 1, 2 and 5 through the kernels of step 4 that the streaming
+/// loop would, draw for draw. Steps 1-5 are unchanged and no golden
+/// re-record accompanied it; tests/core_batch_runner_test.cc diffs
+/// RunTrials against the Reset() + RunAppend loop, streams and state
+/// included, and tests/audit_mc_parallel_test.cc pins the auditor's hits.
+///
+/// Non-finite answers and thresholds (a written contract, which every path
+/// — Process(), the batch engine and RunTrials — follows): query i fires
+/// exactly when `answer + ν_i >= threshold + ρ` holds in IEEE-754 double
+/// arithmetic, evaluated in that form. ν and ρ are always finite (the
+/// word→variate map of step 4 never yields ±inf or NaN), so when an
+/// answer or a threshold is not finite the outcome is fixed:
+///   * a NaN answer or a NaN threshold never fires (every NaN comparison
+///     is false) — and still consumes its ν draw like any query;
+///   * otherwise a +inf answer always fires, even against a +inf
+///     threshold (+inf >= +inf);
+///   * otherwise a -inf threshold always fires, even for a -inf answer;
+///   * otherwise (a -inf answer, or a +inf threshold) it never fires.
+/// A positive emits the same expression as for finite operands, so Alg.
+/// 3's q + ν and an ε₃ answer q + Lap are ±inf whenever q is. For finite
+/// operands the sums round like any IEEE addition, and the comparison of
+/// the rounded sums is the whole rule.
+///
 /// Hence the k-th emitted Response is the same whether queries arrive one
 /// at a time through Process() or in bulk through Run() — and, by (4) and
 /// (5), whether the host dispatches scalar, AVX2 or AVX-512 kernels: the
@@ -288,6 +320,19 @@ class SpecDrivenSvt : public SvtMechanism {
                    const BoundPrefilter* prefilter,
                    std::vector<Response>* out) override;
 
+  /// Runs `trials` fresh runs over `window` against a common `threshold`:
+  /// exactly `for (t) { Reset(); counts->push_back(RunAppend(window,
+  /// threshold, out)); }`, bit for bit — the responses appended back to
+  /// back to *out, each run's response count appended to *counts, the base
+  /// and ν streams, and the run state and batch_stats() of the last run
+  /// afterwards. Returns the number of responses appended. Short windows
+  /// of specs that draw nothing from the base stream at a positive are
+  /// batched across runs (core/batch_runner.h); everything else takes that
+  /// loop. This is the Monte-Carlo auditor's trial loop.
+  size_t RunTrials(std::span<const double> window, double threshold,
+                   int64_t trials, std::vector<Response>* out,
+                   std::vector<size_t>* counts);
+
   /// Batch-engine tier counters since the last Reset(): how many chunks the
   /// tier-1 bound skipped vs how many ran the tier-2 transform scan.
   /// Diagnostics only — outputs never depend on the tier taken.
@@ -296,6 +341,11 @@ class SpecDrivenSvt : public SvtMechanism {
   /// Position of the ν substream (contract step 2), so equivalence tests
   /// can check a batch run left it where the Process() loop does.
   Rng::State nu_stream_state() const { return state_.nu_rng.state(); }
+
+  /// The current threshold noise ρ, so equivalence tests can check a
+  /// batched path left it where the Process() loop does. Releasing it
+  /// voids the privacy guarantee.
+  double threshold_noise() const { return state_.rho; }
 
  protected:
   SpecDrivenSvt(VariantSpec spec, Rng* rng);

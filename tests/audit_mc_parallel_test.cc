@@ -135,21 +135,36 @@ std::string IndicatorPattern(const NeighborInstance& instance) {
 }
 
 TEST(McParallelTest, Fig2InstancesReproduceGoldenHits) {
-  // Pinned hit counts for two Fig. 2 counterexamples (Alg. 3, GPTT) on D
-  // and D', at 1 and 4 workers. Recorded when every trial ran through the
-  // batch engine; trials shorter than the short-call cutover now stream,
-  // and the draw-order contract says that must not move a single hit.
+  // Pinned hit counts for every Fig. 2 instance the benchmark audits, on D
+  // and D', at 1 and 4 workers. The Alg. 3 and GPTT rows were recorded
+  // when every trial ran through the batch engine, the rest when trials
+  // streamed one by one; trials are now batched across runs (Alg. 2 keeps
+  // the per-trial loop, Alg. 5 has no ν), and the draw-order contract says
+  // none of that may move a single hit.
   struct Case {
     const char* name;
     VariantSpec spec;
     NeighborInstance instance;
     int64_t hits[2][2];  // [side][1 worker, 4 workers]
   };
+  const NeighborInstance shift = ShiftInstance(4, "_T__");
   const Case cases[] = {
       {"alg3", MakeAlg3Spec(1.0, 1.0, 1), Alg3Counterexample(4),
        {{1024, 1070}, {284, 251}}},
       {"gptt", MakeGpttSpec(0.5, 0.5, 1.0), GpttCounterexample(2),
        {{1316, 1359}, {275, 273}}},
+      {"alg5", MakeAlg5Spec(1.0, 1.0), Alg5Counterexample(),
+       {{3970, 3926}, {0, 0}}},
+      {"alg6", MakeAlg6Spec(1.0, 1.0), Alg6Counterexample(2),
+       {{639, 665}, {116, 111}}},
+      {"alg4", MakeAlg4Spec(1.0, 1.0, 2), Alg4StressInstance(2, 4, 2.0),
+       {{2, 4}, {0, 0}}},
+      {"alg1", MakeSpec(VariantId::kAlg1, 1.0, 1.0, 2), shift,
+       {{1247, 1233}, {1032, 1001}}},
+      {"alg2", MakeSpec(VariantId::kAlg2, 1.0, 1.0, 2), shift,
+       {{1212, 1199}, {1053, 1087}}},
+      {"standard", MakeSpec(VariantId::kStandard, 1.0, 1.0, 2), shift,
+       {{1247, 1233}, {1032, 1001}}},
   };
   for (const Case& c : cases) {
     const std::string pattern = IndicatorPattern(c.instance);

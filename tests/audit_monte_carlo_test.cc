@@ -178,6 +178,22 @@ TEST(McEstimateTest, RejectsBadPattern) {
       "invalid pattern");
 }
 
+TEST(McEstimateTest, RejectsBadConfidenceBeforeRunningTrials) {
+  // Checked up front: a billion trials would take minutes before the
+  // interval computation noticed.
+  Rng rng(11);
+  const VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 1);
+  const std::vector<double> one = {0.0};
+  McOptions options;
+  options.trials = 1'000'000'000;
+  for (double confidence : {0.5, 1.0, 0.2, 1.5}) {
+    options.confidence = confidence;
+    EXPECT_DEATH(
+        EstimateOutputProbability(spec, one, 0.0, "T", rng, options),
+        "confidence must lie in");
+  }
+}
+
 TEST(McEpsilonBoundTest, CertifiesAlg6ViolationBlackBox) {
   // Black-box certification: without any closed-form analysis, the MC
   // bound must certify that Alg. 6 is not eps-DP at its claimed eps = 1 on
