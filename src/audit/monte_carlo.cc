@@ -14,7 +14,11 @@ namespace {
 
 /// Runs `trials` simulations of `spec` against `pattern` drawing all
 /// randomness from `rng`; returns the number of exact pattern matches.
-/// Each worker stream runs this once.
+/// Each worker stream runs this once, on a copy of the stream in its own
+/// stack frame that is written back at the end: the parallel workers'
+/// streams sit side by side in one vector, and stepping them in place would
+/// make every Reset and every ρ redraw write cache lines the neighbouring
+/// workers write too.
 ///
 /// Trials execute through SpecDrivenSvt::RunTrials, kTrialsPerCall at a
 /// time, over response and count buffers reused for the worker's whole
@@ -34,7 +38,8 @@ int64_t CountPatternHits(const VariantSpec& spec,
   // Trials per RunTrials call: enough to fill a couple of the batched
   // path's blocks, few enough that the buffers stay a few tens of KiB.
   constexpr int64_t kTrialsPerCall = 256;
-  CustomSvt mech(spec, rng);
+  Rng local = *rng;
+  CustomSvt mech(spec, &local);
   const std::span<const double> window =
       query_answers.first(pattern.size());
   std::vector<Response> responses;
@@ -60,6 +65,7 @@ int64_t CountPatternHits(const VariantSpec& spec,
       run += count;
     }
   }
+  *rng = local;
   return hits;
 }
 

@@ -445,7 +445,7 @@ inline uint64_t MegaNextWord(BlockRng::State* st) {
   return r;
 }
 
-// Scalar reference lanes of the four megakernel scans. Each starts at
+// Scalar reference lanes of the two megakernel scans. Each starts at
 // element `from` with `st` positioned at that element's first word (0 for
 // the dispatch entry points; the SIMD lanes delegate their sub-width
 // tails here after spilling their registers). The transform and the
@@ -465,19 +465,6 @@ FusedScanHit MegaScanSumGeScalar(BlockRng::State* st, double mu, double b,
   return {n, 0.0};
 }
 
-FusedScanHit MegaScanSumGePairwiseScalar(BlockRng::State* st, double mu,
-                                         double b, const double* a,
-                                         const double* bars, double rho,
-                                         size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const uint64_t w_mag = MegaNextWord(st);
-    const uint64_t w_sign = MegaNextWord(st);
-    const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
 FusedScanHit MegaExpScanSumGeScalar(BlockRng::State* st, double b,
                                     const double* a, double bar, size_t n,
                                     size_t from) {
@@ -488,85 +475,18 @@ FusedScanHit MegaExpScanSumGeScalar(BlockRng::State* st, double b,
   return {n, 0.0};
 }
 
-FusedScanHit MegaExpScanSumGePairwiseScalar(BlockRng::State* st, double b,
-                                            const double* a,
-                                            const double* bars, double rho,
-                                            size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(MegaNextWord(st), b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-// Scalar reference lanes of the bounded megakernel scans. An element
-// whose magnitude word's top 53 bits reach skip_word is provably unable
-// to fire the computed positive test (MegaSkipWordThreshold contract),
-// so its transform is skipped; the stream advance is unchanged, and
-// since skipped elements cannot hit, results and end states are
-// bit-identical to the unbounded walkers above.
-
-FusedScanHit MegaScanSumGeBoundedScalar(BlockRng::State* st, double mu,
-                                        double b, const double* a, double bar,
-                                        uint64_t skip_word, size_t n,
-                                        size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const uint64_t w_mag = MegaNextWord(st);
-    const uint64_t w_sign = MegaNextWord(st);
-    if ((w_mag >> 11) >= skip_word) continue;
-    const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit MegaExpScanSumGeBoundedScalar(BlockRng::State* st, double b,
-                                           const double* a, double bar,
-                                           uint64_t skip_word, size_t n,
-                                           size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const uint64_t word = MegaNextWord(st);
-    if ((word >> 11) >= skip_word) continue;
-    const double nu = ExpNuScalar(word, b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-// Scalar lane of the generate-and-bound pass.
-uint64_t MegaFillMinSpansScalar(BlockRng::State* st, size_t count, size_t wpv,
-                                size_t span_elems, uint64_t* span_min,
-                                BlockRng::State* span_states) {
-  uint64_t total = UINT64_MAX;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) span_states[span] = *st;
-    uint64_t m = UINT64_MAX;
-    for (; e < span_end; ++e) {
-      const uint64_t mag = MegaNextWord(st);
-      for (size_t w = 1; w < wpv; ++w) MegaNextWord(st);
-      m = std::min(m, mag);
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  return total;
-}
-
-// Scalar lanes of the fused generate-bound-and-scan pass: the
-// generate-and-bound walk above plus the bounded positive test inline,
-// recording every firing element instead of stopping at the first.
-// Consumes the full count regardless of hits, so the end state is the
-// generate-and-bound end state.
+// Scalar lanes of the fused generate-bound-and-scan pass: a walk over
+// the stream that keeps each span's minimum magnitude word and runs the
+// positive test inline, skipping the transform of every element whose
+// magnitude word's top 53 bits reach skip_word (it provably cannot fire —
+// MegaSkipWordThreshold contract) and recording every firing element
+// instead of stopping at the first. Consumes the full count regardless of
+// hits.
 
 size_t MegaLaplaceFillMinScanSpansScalar(BlockRng::State* st, double mu,
                                          double b, const double* a, double bar,
                                          uint64_t skip_word, size_t count,
                                          size_t span_elems, uint64_t* span_min,
-                                         BlockRng::State* span_states,
                                          FusedScanHit* hits, size_t max_hits,
                                          uint64_t* min_out) {
   uint64_t total = UINT64_MAX;
@@ -575,7 +495,6 @@ size_t MegaLaplaceFillMinScanSpansScalar(BlockRng::State* st, double mu,
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) span_states[span] = *st;
     uint64_t m = UINT64_MAX;
     for (; e < span_end; ++e) {
       const uint64_t w_mag = MegaNextWord(st);
@@ -600,7 +519,6 @@ size_t MegaExpFillMinScanSpansScalar(BlockRng::State* st, double b,
                                      const double* a, double bar,
                                      uint64_t skip_word, size_t count,
                                      size_t span_elems, uint64_t* span_min,
-                                     BlockRng::State* span_states,
                                      FusedScanHit* hits, size_t max_hits,
                                      uint64_t* min_out) {
   uint64_t total = UINT64_MAX;
@@ -609,7 +527,6 @@ size_t MegaExpFillMinScanSpansScalar(BlockRng::State* st, double b,
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) span_states[span] = *st;
     uint64_t m = UINT64_MAX;
     for (; e < span_end; ++e) {
       const uint64_t word = MegaNextWord(st);
@@ -629,44 +546,8 @@ size_t MegaExpFillMinScanSpansScalar(BlockRng::State* st, double b,
   return found;
 }
 
-// Scalar reference lanes of the pairwise bounded scans: the pairwise
-// walkers with the skip-word discharge inline. Stream advance unchanged,
-// and skipped elements provably cannot fire any pairwise test covered by
-// the skip word, so results and end states are bit-identical to the
-// unbounded pairwise walkers.
-
-FusedScanHit MegaScanSumGePairwiseBoundedScalar(BlockRng::State* st, double mu,
-                                                double b, const double* a,
-                                                const double* bars, double rho,
-                                                uint64_t skip_word, size_t n,
-                                                size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const uint64_t w_mag = MegaNextWord(st);
-    const uint64_t w_sign = MegaNextWord(st);
-    if ((w_mag >> 11) >= skip_word) continue;
-    const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit MegaExpScanSumGePairwiseBoundedScalar(BlockRng::State* st,
-                                                   double b, const double* a,
-                                                   const double* bars,
-                                                   double rho,
-                                                   uint64_t skip_word,
-                                                   size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const uint64_t word = MegaNextWord(st);
-    if ((word >> 11) >= skip_word) continue;
-    const double nu = ExpNuScalar(word, b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
 // Scalar lanes of the per-query fused generate-bound-and-scan pass: the
-// generate-and-bound walk with the pairwise bounded test riding along,
+// same walk with the pairwise positive test,
 // the skip threshold reloaded from the per-span vector at every span
 // boundary, and the skipped-element count accumulated per element (a
 // pure function of words and vector — dispatch-level-independent).
@@ -674,8 +555,8 @@ FusedScanHit MegaExpScanSumGePairwiseBoundedScalar(BlockRng::State* st,
 size_t MegaLaplaceFillMinScanSpansPairwiseScalar(
     BlockRng::State* st, double mu, double b, const double* a,
     const double* bars, double rho, const uint64_t* skip_words, size_t count,
-    size_t span_elems, uint64_t* span_min, BlockRng::State* span_states,
-    FusedScanHit* hits, size_t max_hits, uint64_t* skipped_out) {
+    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   uint64_t skipped = 0;
   size_t found = 0;
   size_t e = 0;
@@ -683,7 +564,6 @@ size_t MegaLaplaceFillMinScanSpansPairwiseScalar(
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
     const uint64_t skip_word = skip_words[span];
-    if (span_states != nullptr) span_states[span] = *st;
     uint64_t m = UINT64_MAX;
     for (; e < span_end; ++e) {
       const uint64_t w_mag = MegaNextWord(st);
@@ -709,8 +589,8 @@ size_t MegaLaplaceFillMinScanSpansPairwiseScalar(
 size_t MegaExpFillMinScanSpansPairwiseScalar(
     BlockRng::State* st, double b, const double* a, const double* bars,
     double rho, const uint64_t* skip_words, size_t count, size_t span_elems,
-    uint64_t* span_min, BlockRng::State* span_states, FusedScanHit* hits,
-    size_t max_hits, uint64_t* skipped_out) {
+    uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   uint64_t skipped = 0;
   size_t found = 0;
   size_t e = 0;
@@ -718,7 +598,6 @@ size_t MegaExpFillMinScanSpansPairwiseScalar(
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
     const uint64_t skip_word = skip_words[span];
-    if (span_states != nullptr) span_states[span] = *st;
     uint64_t m = UINT64_MAX;
     for (; e < span_end; ++e) {
       const uint64_t word = MegaNextWord(st);
@@ -811,6 +690,13 @@ __attribute__((target("avx2"))) inline __m256d Log4Normal(__m256d x) {
                        _mm256_sub_pd(_mm256_sub_pd(hfsq, inner), f));
 }
 
+// Every SIMD kernel clears the upper vector state (_mm256_zeroupper) before
+// its scalar tail or scalar delegation. The tails call the out-of-line
+// scalar Log, which is SSE-encoded, and SSE code that runs while the upper
+// halves are dirty pays a transition penalty on every instruction: on a
+// 4-vCPU AVX-512 Xeon a 9-element Laplace transform took 530 ns against
+// 44 ns for 8 elements. vzeroupper leaves the low 128 bits alone, so the
+// tails compute the same values.
 __attribute__((target("avx2"))) void LogBlockAvx2(const double* in,
                                                   double* out, size_t n) {
   const __m256d min_normal = _mm256_set1_pd(0x1p-1022);
@@ -834,6 +720,7 @@ __attribute__((target("avx2"))) void LogBlockAvx2(const double* in,
       _mm256_storeu_pd(out + i, _mm256_load_pd(tmp));
     }
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) out[i] = Log(in[i]);
 }
 
@@ -880,6 +767,7 @@ __attribute__((target("avx2"))) void NegLogUnitPositiveAvx2(
     const __m256d u = _mm256_mul_pd(_mm256_add_pd(d, one), lattice);
     _mm256_storeu_pd(out + i, _mm256_xor_pd(Log4Normal(u), neg));
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) {
     out[i] = -Log(Rng::ToUnitDoublePositive(words[i * stride]));
   }
@@ -917,6 +805,7 @@ __attribute__((target("avx2"))) void LaplaceTransformAvx2(
     _mm256_storeu_pd(out + i,
                      _mm256_add_pd(vmu, _mm256_xor_pd(be, flip)));
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) {
     const double e = -Log(Rng::ToUnitDoublePositive(words[2 * i]));
     const double be = b * e;
@@ -1189,6 +1078,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanGeAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, vbar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanGeScalar(words, mu, b, bar, n, i);
 }
 
@@ -1205,6 +1095,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanSumGeAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanSumGeScalar(words, mu, b, a, bar, n, i);
 }
 
@@ -1221,6 +1112,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanGePairwiseAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, bar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanGePairwiseScalar(words, mu, b, bars, rho, n, i);
 }
 
@@ -1238,6 +1130,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanSumGePairwiseAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanSumGePairwiseScalar(words, mu, b, a, bars, rho, n, i);
 }
 
@@ -1269,6 +1162,7 @@ __attribute__((target("avx2"))) void ExponentialTransformAvx2(
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, ExpNu4Avx2(words + i, vnb));
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
@@ -1282,6 +1176,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedExpScanGeAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, vbar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanGeScalar(words, b, bar, n, i);
 }
 
@@ -1296,6 +1191,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedExpScanSumGeAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanSumGeScalar(words, b, a, bar, n, i);
 }
 
@@ -1311,6 +1207,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedExpScanGePairwiseAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, bar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanGePairwiseScalar(words, b, bars, rho, n, i);
 }
 
@@ -1327,6 +1224,7 @@ __attribute__((target("avx2"))) FusedScanHit FusedExpScanSumGePairwiseAvx2(
     const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
     if (mask != 0) return FusedHitAvx2(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanSumGePairwiseScalar(words, b, a, bars, rho, n, i);
 }
 
@@ -1415,7 +1313,7 @@ __attribute__((target("avx2"))) void ExpBlockAvx2(const double* in,
 
 // --- megakernels: AVX2 lanes ----------------------------------------------
 //
-// Structure shared by all four scans: the four xoshiro lanes live in
+// Structure shared by both scans: the four xoshiro lanes live in
 // registers (one lockstep::Step4Avx2 call advances all four and yields the
 // next four stream words), each group of 4 elements consumes wpv steps,
 // and the freshly stepped words feed the same Reg transform bodies the
@@ -1471,33 +1369,8 @@ __attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGeAvx2(
     if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 2, c0, c1, c2, c3);
   }
   MegaStoreAvx2(st, s0, s1, s2, s3);
+  _mm256_zeroupper();
   return MegaScanSumGeScalar(st, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGePairwiseAvx2(
-    BlockRng::State* st, double mu, double b, const double* a,
-    const double* bars, double rho, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256d nu = LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGePairwiseScalar(st, mu, b, a, bars, rho, n, i);
 }
 
 __attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGeAvx2(
@@ -1519,31 +1392,8 @@ __attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGeAvx2(
     if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 1, c0, c1, c2, c3);
   }
   MegaStoreAvx2(st, s0, s1, s2, s3);
+  _mm256_zeroupper();
   return MegaExpScanSumGeScalar(st, b, a, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGePairwiseAvx2(
-    BlockRng::State* st, double b, const double* a, const double* bars,
-    double rho, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256d nu = ExpNu4Avx2Reg(v, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGePairwiseScalar(st, b, a, bars, rho, n, i);
 }
 
 __attribute__((target("avx2"))) inline __m256i MinU64Avx2(__m256i a,
@@ -1557,139 +1407,23 @@ __attribute__((target("avx2"))) inline __m256i MinU64Avx2(__m256i a,
   return _mm256_blendv_epi8(a, b, gt);
 }
 
-__attribute__((target("avx2"))) uint64_t MegaFillMinSpansAvx2(
-    BlockRng::State* st, size_t count, size_t wpv, size_t span_elems,
-    uint64_t* span_min, BlockRng::State* span_states) {
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t total = UINT64_MAX;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
-    __m256i acc = _mm256_set1_epi64x(-1);
-    for (; e + 4 <= span_end; e += 4) {
-      if (wpv == 2) {
-        const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-        const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-        // The magnitude words are the even-indexed stream words; min is
-        // order-free, so the unpack need not restore index order.
-        acc = MinU64Avx2(acc, _mm256_unpacklo_epi64(v0, v1));
-      } else {
-        acc = MinU64Avx2(acc, lockstep::Step4Avx2(s0, s1, s2, s3));
-      }
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    uint64_t m = std::min(std::min(lanes[0], lanes[1]),
-                          std::min(lanes[2], lanes[3]));
-    if (e < span_end) {
-      // Sub-group span tail: only the final span can be short (the
-      // dispatch entry point guarantees span_elems is a group multiple
-      // whenever there is more than one span), so spilling to the scalar
-      // walker here ends the call.
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      for (; e < span_end; ++e) {
-        const uint64_t mag = MegaNextWord(st);
-        for (size_t k = 1; k < wpv; ++k) MegaNextWord(st);
-        m = std::min(m, mag);
-      }
-      span_min[span] = m;
-      return std::min(total, m);
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return total;
-}
-
-// Bounded scan lanes: identical to the unbounded lanes except that each
-// group's magnitude words are tested against the skip threshold first —
-// one shift, one compare, one movemask — and the whole transform-and-test
-// body is bypassed when no word is below it. The threshold never exceeds
-// 2^53 + 1 (MegaSkipWordThreshold contract) and the shifted words are at
-// most 2^53 - 1, so both sides are non-negative as signed 64-bit values
-// and cmpgt_epi64 is an unsigned compare. Mixed groups run the full
-// body: above-threshold lanes provably cannot satisfy the computed
-// positive test, so the group result matches the unbounded lane bit for
-// bit.
-
-__attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGeBoundedAvx2(
-    BlockRng::State* st, double mu, double b, const double* a, double bar,
-    uint64_t skip_word, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    // Magnitude words (order-free for the any-live test), top 53 bits.
-    const __m256i mag53 = _mm256_srli_epi64(_mm256_unpacklo_epi64(v0, v1), 11);
-    const __m256i live = _mm256_cmpgt_epi64(vskip, mag53);
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(live)) == 0) continue;
-    const __m256d nu = LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGeBoundedScalar(st, mu, b, a, bar, skip_word, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGeBoundedAvx2(
-    BlockRng::State* st, double b, const double* a, double bar,
-    uint64_t skip_word, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256i mag53 = _mm256_srli_epi64(v, 11);
-    const __m256i live = _mm256_cmpgt_epi64(vskip, mag53);
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(live)) == 0) continue;
-    const __m256d nu = ExpNu4Avx2Reg(v, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGeBoundedScalar(st, b, a, bar, skip_word, n, i);
-}
-
-// Fused generate-bound-and-scan lanes: MegaFillMinSpansAvx2's walk with
-// the bounded positive test riding along. No checkpoint/rewind is needed
-// — every hit lane's ν is already in the group's nu vector, and the walk
-// never stops early, so the stream advance is exactly the
-// generate-and-bound pass's.
+// Fused generate-bound-and-scan lanes: the scan lanes' register walk,
+// keeping each span's minimum magnitude word, with the positive test
+// behind a group skip test. Each group's magnitude words are tested
+// against the skip threshold first — one shift, one compare, one movemask
+// — and the whole transform-and-test body is bypassed when no word is
+// below it. The threshold never exceeds 2^53 + 1 (MegaSkipWordThreshold
+// contract) and the shifted words are at most 2^53 - 1, so both sides are
+// non-negative as signed 64-bit values and cmpgt_epi64 is an unsigned
+// compare. Mixed groups run the full body: above-threshold lanes provably
+// cannot satisfy the computed positive test. No checkpoint/rewind is
+// needed — every hit lane's ν is already in the group's nu vector, and
+// the walk never stops early, so it consumes exactly count * wpv words.
 
 __attribute__((target("avx2"))) size_t MegaLaplaceFillMinScanSpansAvx2(
     BlockRng::State* st, double mu, double b, const double* a, double bar,
     uint64_t skip_word, size_t count, size_t span_elems, uint64_t* span_min,
-    BlockRng::State* span_states, FusedScanHit* hits, size_t max_hits,
-    uint64_t* min_out) {
+    FusedScanHit* hits, size_t max_hits, uint64_t* min_out) {
   const __m256d vmu = _mm256_set1_pd(mu);
   const __m256d vnb = _mm256_set1_pd(-b);
   const __m256d vbar = _mm256_set1_pd(bar);
@@ -1705,9 +1439,6 @@ __attribute__((target("avx2"))) size_t MegaLaplaceFillMinScanSpansAvx2(
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m256i acc = _mm256_set1_epi64x(-1);
     for (; e + 4 <= span_end; e += 4) {
       const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
@@ -1742,6 +1473,7 @@ __attribute__((target("avx2"))) size_t MegaLaplaceFillMinScanSpansAvx2(
       // Sub-group span tail: only the final span can be short (dispatch
       // entry point guarantee), so spilling to scalar ends the call.
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t w_mag = MegaNextWord(st);
         const uint64_t w_sign = MegaNextWord(st);
@@ -1769,8 +1501,7 @@ __attribute__((target("avx2"))) size_t MegaLaplaceFillMinScanSpansAvx2(
 __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansAvx2(
     BlockRng::State* st, double b, const double* a, double bar,
     uint64_t skip_word, size_t count, size_t span_elems, uint64_t* span_min,
-    BlockRng::State* span_states, FusedScanHit* hits, size_t max_hits,
-    uint64_t* min_out) {
+    FusedScanHit* hits, size_t max_hits, uint64_t* min_out) {
   const __m256d vnb = _mm256_set1_pd(-b);
   const __m256d vbar = _mm256_set1_pd(bar);
   const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
@@ -1785,9 +1516,6 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansAvx2(
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m256i acc = _mm256_set1_epi64x(-1);
     for (; e + 4 <= span_end; e += 4) {
       const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
@@ -1816,6 +1544,7 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansAvx2(
                           std::min(lanes[2], lanes[3]));
     if (e < span_end) {
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t word = MegaNextWord(st);
         m = std::min(m, word);
@@ -1839,76 +1568,9 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansAvx2(
   return found;
 }
 
-// Pairwise bounded scan lanes: the pairwise scan bodies with the bounded
-// lanes' group skip test in front (per-group shift/compare/movemask; a
-// dead group bypasses the whole transform-and-test body). Same signed-
-// compare validity argument as the common-bar bounded lanes.
-
-__attribute__((target("avx2"))) FusedScanHit
-MegaLaplaceScanSumGePairwiseBoundedAvx2(BlockRng::State* st, double mu,
-                                        double b, const double* a,
-                                        const double* bars, double rho,
-                                        uint64_t skip_word, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    // Magnitude words (order-free for the any-live test), top 53 bits.
-    const __m256i mag53 = _mm256_srli_epi64(_mm256_unpacklo_epi64(v0, v1), 11);
-    const __m256i live = _mm256_cmpgt_epi64(vskip, mag53);
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(live)) == 0) continue;
-    const __m256d nu = LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGePairwiseBoundedScalar(st, mu, b, a, bars, rho, skip_word,
-                                            n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit
-MegaExpScanSumGePairwiseBoundedAvx2(BlockRng::State* st, double b,
-                                    const double* a, const double* bars,
-                                    double rho, uint64_t skip_word, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256i live = _mm256_cmpgt_epi64(vskip, _mm256_srli_epi64(v, 11));
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(live)) == 0) continue;
-    const __m256d nu = ExpNu4Avx2Reg(v, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGePairwiseBoundedScalar(st, b, a, bars, rho, skip_word,
-                                               n, i);
-}
-
 // Per-query fused generate-bound-and-scan lanes: the FillMinScanSpans
-// walk with the pairwise bounded test, the skip threshold reloaded from
+// walk with the pairwise positive test (same group skip test and signed-
+// compare validity argument), the skip threshold reloaded from
 // the per-span vector at each span entry, and the skipped-element count
 // accumulated from the group live masks (element-granular — the count is
 // what the scalar lane's per-element test produces, whatever the lane
@@ -1918,8 +1580,8 @@ __attribute__((target("avx2"))) size_t
 MegaLaplaceFillMinScanSpansPairwiseAvx2(
     BlockRng::State* st, double mu, double b, const double* a,
     const double* bars, double rho, const uint64_t* skip_words, size_t count,
-    size_t span_elems, uint64_t* span_min, BlockRng::State* span_states,
-    FusedScanHit* hits, size_t max_hits, uint64_t* skipped_out) {
+    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   const __m256d vmu = _mm256_set1_pd(mu);
   const __m256d vnb = _mm256_set1_pd(-b);
   const __m256d vrho = _mm256_set1_pd(rho);
@@ -1936,9 +1598,6 @@ MegaLaplaceFillMinScanSpansPairwiseAvx2(
     const size_t span_end = std::min(count, e + span_elems);
     const uint64_t skip_word = skip_words[span];
     const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m256i acc = _mm256_set1_epi64x(-1);
     for (; e + 4 <= span_end; e += 4) {
       const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
@@ -1977,6 +1636,7 @@ MegaLaplaceFillMinScanSpansPairwiseAvx2(
       // Sub-group span tail: only the final span can be short (dispatch
       // entry point guarantee), so spilling to scalar ends the call.
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t w_mag = MegaNextWord(st);
         const uint64_t w_sign = MegaNextWord(st);
@@ -2006,8 +1666,8 @@ MegaLaplaceFillMinScanSpansPairwiseAvx2(
 __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
     BlockRng::State* st, double b, const double* a, const double* bars,
     double rho, const uint64_t* skip_words, size_t count, size_t span_elems,
-    uint64_t* span_min, BlockRng::State* span_states, FusedScanHit* hits,
-    size_t max_hits, uint64_t* skipped_out) {
+    uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   const __m256d vnb = _mm256_set1_pd(-b);
   const __m256d vrho = _mm256_set1_pd(rho);
   uint64_t* w = st->words.data();
@@ -2023,9 +1683,6 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
     const size_t span_end = std::min(count, e + span_elems);
     const uint64_t skip_word = skip_words[span];
     const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m256i acc = _mm256_set1_epi64x(-1);
     for (; e + 4 <= span_end; e += 4) {
       const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
@@ -2058,6 +1715,7 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
                           std::min(lanes[2], lanes[3]));
     if (e < span_end) {
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t word = MegaNextWord(st);
         m = std::min(m, word);
@@ -2223,6 +1881,7 @@ __attribute__((target("avx512f,avx512dq"))) void LogBlockAvx512(
       _mm512_storeu_pd(out + i, _mm512_load_pd(tmp));
     }
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) out[i] = Log(in[i]);
 }
 
@@ -2256,6 +1915,7 @@ __attribute__((target("avx512f,avx512dq"))) void NegLogUnitPositiveAvx512(
     const __m512d u = _mm512_mul_pd(_mm512_add_pd(d, one), lattice);
     _mm512_storeu_pd(out + i, _mm512_xor_pd(Log8Normal(u), neg));
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) {
     out[i] = -Log(Rng::ToUnitDoublePositive(words[i * stride]));
   }
@@ -2287,6 +1947,7 @@ __attribute__((target("avx512f,avx512dq"))) void LaplaceTransformAvx512(
     _mm512_storeu_pd(out + i,
                      _mm512_add_pd(vmu, _mm512_xor_pd(be, flip)));
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) {
     const double e = -Log(Rng::ToUnitDoublePositive(words[2 * i]));
     const double be = b * e;
@@ -2471,6 +2132,7 @@ FusedLaplaceScanGeAvx512(const uint64_t* words, double mu, double b,
     const __mmask8 mask = _mm512_cmp_pd_mask(nu, vbar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanGeScalar(words, mu, b, bar, n, i);
 }
 
@@ -2491,6 +2153,7 @@ FusedLaplaceScanSumGeAvx512(const uint64_t* words, double mu, double b,
     const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanSumGeScalar(words, mu, b, a, bar, n, i);
 }
 
@@ -2507,6 +2170,7 @@ FusedLaplaceScanGePairwiseAvx512(const uint64_t* words, double mu, double b,
     const __mmask8 mask = _mm512_cmp_pd_mask(nu, bar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanGePairwiseScalar(words, mu, b, bars, rho, n, i);
 }
 
@@ -2527,6 +2191,7 @@ FusedLaplaceScanSumGePairwiseAvx512(const uint64_t* words, double mu,
     const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedScanSumGePairwiseScalar(words, mu, b, a, bars, rho, n, i);
 }
 
@@ -2553,6 +2218,7 @@ __attribute__((target("avx512f,avx512dq"))) void ExponentialTransformAvx512(
   for (; i + 8 <= n; i += 8) {
     _mm512_storeu_pd(out + i, ExpNu8Avx512(words + i, vnb));
   }
+  _mm256_zeroupper();
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
@@ -2566,6 +2232,7 @@ __attribute__((target("avx512f,avx512dq"))) FusedScanHit FusedExpScanGeAvx512(
     const __mmask8 mask = _mm512_cmp_pd_mask(nu, vbar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanGeScalar(words, b, bar, n, i);
 }
 
@@ -2582,6 +2249,7 @@ FusedExpScanSumGeAvx512(const uint64_t* words, double b, const double* a,
     const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanSumGeScalar(words, b, a, bar, n, i);
 }
 
@@ -2597,6 +2265,7 @@ FusedExpScanGePairwiseAvx512(const uint64_t* words, double b,
     const __mmask8 mask = _mm512_cmp_pd_mask(nu, bar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanGePairwiseScalar(words, b, bars, rho, n, i);
 }
 
@@ -2615,6 +2284,7 @@ FusedExpScanSumGePairwiseAvx512(const uint64_t* words, double b,
     const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
     if (mask != 0) return FusedHitAvx512(i, mask, nu);
   }
+  _mm256_zeroupper();
   return FusedExpScanSumGePairwiseScalar(words, b, a, bars, rho, n, i);
 }
 
@@ -2748,40 +2418,8 @@ MegaLaplaceScanSumGeAvx512(BlockRng::State* st, double mu, double b,
     if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 2, c0, c1, c2, c3);
   }
   MegaStoreAvx2(st, s0, s1, s2, s3);
+  _mm256_zeroupper();
   return MegaScanSumGeScalar(st, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaLaplaceScanSumGePairwiseAvx512(BlockRng::State* st, double mu, double b,
-                                   const double* a, const double* bars,
-                                   double rho, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v0 =
-        _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512i v1 =
-        _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-    const __m512d nu = LaplaceNu8Avx512Reg(v0, v1, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGePairwiseScalar(st, mu, b, a, bars, rho, n, i);
 }
 
 __attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
@@ -2806,178 +2444,22 @@ MegaExpScanSumGeAvx512(BlockRng::State* st, double b, const double* a,
     if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 1, c0, c1, c2, c3);
   }
   MegaStoreAvx2(st, s0, s1, s2, s3);
+  _mm256_zeroupper();
   return MegaExpScanSumGeScalar(st, b, a, bar, n, i);
 }
 
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaExpScanSumGePairwiseAvx512(BlockRng::State* st, double b, const double* a,
-                               const double* bars, double rho, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512d nu = ExpNu8Avx512Reg(v, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGePairwiseScalar(st, b, a, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) uint64_t
-MegaFillMinSpansAvx512(BlockRng::State* st, size_t count, size_t wpv,
-                       size_t span_elems, uint64_t* span_min,
-                       BlockRng::State* span_states) {
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t total = UINT64_MAX;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
-    __m512i acc = _mm512_set1_epi64(-1);
-    for (; e + 8 <= span_end; e += 8) {
-      if (wpv == 2) {
-        const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-        const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-        const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-        const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
-        const __m512i v0 =
-            _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-        const __m512i v1 =
-            _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-        // The magnitude words are the even-indexed stream words; min is
-        // order-free, so the unpack need not restore index order.
-        acc = _mm512_min_epu64(acc, _mm512_unpacklo_epi64(v0, v1));
-      } else {
-        const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-        const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-        acc = _mm512_min_epu64(
-            acc, _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1));
-      }
-    }
-    alignas(64) uint64_t lanes[8];
-    _mm512_store_si512(lanes, acc);
-    uint64_t m = lanes[0];
-    for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
-    if (e < span_end) {
-      // Sub-group span tail: only the final span can be short (dispatch
-      // entry point guarantee), so spilling to the scalar walker ends
-      // the call.
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      for (; e < span_end; ++e) {
-        const uint64_t mag = MegaNextWord(st);
-        for (size_t k = 1; k < wpv; ++k) MegaNextWord(st);
-        m = std::min(m, mag);
-      }
-      span_min[span] = m;
-      return std::min(total, m);
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return total;
-}
-
-// Bounded scan lanes: the AVX2 bounded lanes' group-skip test at 8-wide —
-// top 53 bits of the group's magnitude words against the skip threshold
-// with one unsigned compare mask; a zero mask bypasses the whole
-// transform-and-test body. Mixed groups run the full body and match the
-// unbounded lane bit for bit (above-threshold lanes provably cannot
-// fire the computed positive test).
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaLaplaceScanSumGeBoundedAvx512(BlockRng::State* st, double mu, double b,
-                                  const double* a, double bar,
-                                  uint64_t skip_word, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v0 = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512i v1 = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-    // Magnitude words (order-free for the any-live test), top 53 bits.
-    const __m512i mag53 = _mm512_srli_epi64(_mm512_unpacklo_epi64(v0, v1), 11);
-    if (_mm512_cmplt_epu64_mask(mag53, vskip) == 0) continue;
-    const __m512d nu = LaplaceNu8Avx512Reg(v0, v1, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGeBoundedScalar(st, mu, b, a, bar, skip_word, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaExpScanSumGeBoundedAvx512(BlockRng::State* st, double b, const double* a,
-                              double bar, uint64_t skip_word, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512i mag53 = _mm512_srli_epi64(v, 11);
-    if (_mm512_cmplt_epu64_mask(mag53, vskip) == 0) continue;
-    const __m512d nu = ExpNu8Avx512Reg(v, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGeBoundedScalar(st, b, a, bar, skip_word, n, i);
-}
-
-// Fused generate-bound-and-scan lanes at 8-wide: MegaFillMinSpansAvx512's
-// walk with the bounded positive test riding along; hit lanes' ν values
-// come straight out of the group's nu vector, and the walk never stops
-// early, so the stream advance is exactly the generate-and-bound pass's.
+// Fused generate-bound-and-scan lanes at 8-wide: the AVX2 lanes' walk,
+// with the group skip test as one unsigned compare mask over the top 53
+// bits of the group's magnitude words; a zero mask bypasses the whole
+// transform-and-test body. Hit lanes' ν values come straight out of the
+// group's nu vector, and the walk never stops early, so it consumes
+// exactly count * wpv words.
 
 __attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
 MegaLaplaceFillMinScanSpansAvx512(BlockRng::State* st, double mu, double b,
                                   const double* a, double bar,
                                   uint64_t skip_word, size_t count,
                                   size_t span_elems, uint64_t* span_min,
-                                  BlockRng::State* span_states,
                                   FusedScanHit* hits, size_t max_hits,
                                   uint64_t* min_out) {
   const __m512d vmu = _mm512_set1_pd(mu);
@@ -2995,9 +2477,6 @@ MegaLaplaceFillMinScanSpansAvx512(BlockRng::State* st, double mu, double b,
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m512i acc = _mm512_set1_epi64(-1);
     for (; e + 8 <= span_end; e += 8) {
       const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
@@ -3036,6 +2515,7 @@ MegaLaplaceFillMinScanSpansAvx512(BlockRng::State* st, double mu, double b,
       // Sub-group span tail: only the final span can be short (dispatch
       // entry point guarantee), so spilling to scalar ends the call.
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t w_mag = MegaNextWord(st);
         const uint64_t w_sign = MegaNextWord(st);
@@ -3064,8 +2544,8 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
 MegaExpFillMinScanSpansAvx512(BlockRng::State* st, double b, const double* a,
                               double bar, uint64_t skip_word, size_t count,
                               size_t span_elems, uint64_t* span_min,
-                              BlockRng::State* span_states, FusedScanHit* hits,
-                              size_t max_hits, uint64_t* min_out) {
+                              FusedScanHit* hits, size_t max_hits,
+                              uint64_t* min_out) {
   const __m512d vnb = _mm512_set1_pd(-b);
   const __m512d vbar = _mm512_set1_pd(bar);
   const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
@@ -3080,9 +2560,6 @@ MegaExpFillMinScanSpansAvx512(BlockRng::State* st, double b, const double* a,
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m512i acc = _mm512_set1_epi64(-1);
     for (; e + 8 <= span_end; e += 8) {
       const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
@@ -3114,6 +2591,7 @@ MegaExpFillMinScanSpansAvx512(BlockRng::State* st, double b, const double* a,
     for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
     if (e < span_end) {
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t word = MegaNextWord(st);
         m = std::min(m, word);
@@ -3137,79 +2615,6 @@ MegaExpFillMinScanSpansAvx512(BlockRng::State* st, double b, const double* a,
   return found;
 }
 
-// Pairwise bounded scan lanes at 8-wide: the pairwise scan bodies with
-// the bounded lanes' group skip test in front.
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaLaplaceScanSumGePairwiseBoundedAvx512(BlockRng::State* st, double mu,
-                                          double b, const double* a,
-                                          const double* bars, double rho,
-                                          uint64_t skip_word, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v0 = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512i v1 = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-    // Magnitude words (order-free for the any-live test), top 53 bits.
-    const __m512i mag53 = _mm512_srli_epi64(_mm512_unpacklo_epi64(v0, v1), 11);
-    if (_mm512_cmplt_epu64_mask(mag53, vskip) == 0) continue;
-    const __m512d nu = LaplaceNu8Avx512Reg(v0, v1, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGePairwiseBoundedScalar(st, mu, b, a, bars, rho, skip_word,
-                                            n, i);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaExpScanSumGePairwiseBoundedAvx512(BlockRng::State* st, double b,
-                                      const double* a, const double* bars,
-                                      double rho, uint64_t skip_word,
-                                      size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    if (_mm512_cmplt_epu64_mask(_mm512_srli_epi64(v, 11), vskip) == 0) {
-      continue;
-    }
-    const __m512d nu = ExpNu8Avx512Reg(v, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGePairwiseBoundedScalar(st, b, a, bars, rho, skip_word,
-                                               n, i);
-}
-
 // Per-query fused generate-bound-and-scan lanes at 8-wide: the span skip
 // threshold reloads from the per-span vector at each span entry and the
 // group live masks feed the element-granular skipped count.
@@ -3218,8 +2623,8 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
 MegaLaplaceFillMinScanSpansPairwiseAvx512(
     BlockRng::State* st, double mu, double b, const double* a,
     const double* bars, double rho, const uint64_t* skip_words, size_t count,
-    size_t span_elems, uint64_t* span_min, BlockRng::State* span_states,
-    FusedScanHit* hits, size_t max_hits, uint64_t* skipped_out) {
+    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   const __m512d vmu = _mm512_set1_pd(mu);
   const __m512d vnb = _mm512_set1_pd(-b);
   const __m512d vrho = _mm512_set1_pd(rho);
@@ -3236,9 +2641,6 @@ MegaLaplaceFillMinScanSpansPairwiseAvx512(
     const size_t span_end = std::min(count, e + span_elems);
     const uint64_t skip_word = skip_words[span];
     const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m512i acc = _mm512_set1_epi64(-1);
     for (; e + 8 <= span_end; e += 8) {
       const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
@@ -3280,6 +2682,7 @@ MegaLaplaceFillMinScanSpansPairwiseAvx512(
       // Sub-group span tail: only the final span can be short (dispatch
       // entry point guarantee), so spilling to scalar ends the call.
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t w_mag = MegaNextWord(st);
         const uint64_t w_sign = MegaNextWord(st);
@@ -3310,8 +2713,8 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
 MegaExpFillMinScanSpansPairwiseAvx512(
     BlockRng::State* st, double b, const double* a, const double* bars,
     double rho, const uint64_t* skip_words, size_t count, size_t span_elems,
-    uint64_t* span_min, BlockRng::State* span_states, FusedScanHit* hits,
-    size_t max_hits, uint64_t* skipped_out) {
+    uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   const __m512d vnb = _mm512_set1_pd(-b);
   const __m512d vrho = _mm512_set1_pd(rho);
   uint64_t* w = st->words.data();
@@ -3327,9 +2730,6 @@ MegaExpFillMinScanSpansPairwiseAvx512(
     const size_t span_end = std::min(count, e + span_elems);
     const uint64_t skip_word = skip_words[span];
     const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-    if (span_states != nullptr) {
-      MegaStoreAvx2(&span_states[span], s0, s1, s2, s3);
-    }
     __m512i acc = _mm512_set1_epi64(-1);
     for (; e + 8 <= span_end; e += 8) {
       const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
@@ -3364,6 +2764,7 @@ MegaExpFillMinScanSpansPairwiseAvx512(
     for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
     if (e < span_end) {
       MegaStoreAvx2(st, s0, s1, s2, s3);
+      _mm256_zeroupper();
       for (; e < span_end; ++e) {
         const uint64_t word = MegaNextWord(st);
         m = std::min(m, word);
@@ -3896,17 +3297,12 @@ FusedScanHit FusedExpScanSumGePairwise(std::span<const uint64_t> words,
 // --- megakernel dispatch entry points -------------------------------------
 //
 // The SIMD megakernel lanes step whole lockstep groups in registers, so
-// they require a lane-aligned entry position (phase == 0). Unaligned
-// entries are common in resume segments — a Laplace hit at an odd span
-// offset leaves the stream two words into a lockstep step — so each
-// entry point realigns with a short scalar prologue (at most three
-// elements) and hands the rest to the SIMD lane, rather than demoting
-// the whole call to the scalar walker. A wpv == 2 stream entered at an
-// odd phase can never realign; only that corner (which no engine path
-// produces) runs fully scalar. MegaFillMinSpans additionally needs every
-// span start group-aligned to keep its span states lane-aligned; with
-// one span there is no interior boundary, so only the multi-span case is
-// gated on span_elems.
+// they require a lane-aligned entry position (phase == 0). A scan resumed
+// after a hit at an odd offset enters two words into a lockstep step, so
+// each scan entry point realigns with a short scalar prologue (at most
+// three elements) and hands the rest to the SIMD lane, rather than
+// demoting the whole call to the scalar walker. A wpv == 2 stream entered
+// at an odd phase can never realign; only that corner runs fully scalar.
 
 namespace {
 
@@ -3921,50 +3317,6 @@ inline size_t MegaRealignElems(uint32_t phase, size_t wpv) {
 }
 
 }  // namespace
-
-uint64_t MegaFillMinSpans(BlockRng::State* state, size_t count, size_t wpv,
-                          size_t span_elems, uint64_t* span_min,
-                          BlockRng::State* span_states) {
-  SVT_CHECK(wpv == 1 || wpv == 2)
-      << "MegaFillMinSpans words-per-variate must be 1 or 2, got " << wpv;
-  SVT_CHECK(span_elems > 0) << "MegaFillMinSpans requires span_elems > 0";
-  if (state->phase != 0 && count <= span_elems &&
-      ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    // One-span unaligned entry (a post-positive shifted span): realign
-    // scalar, then bound the remainder on the SIMD lane. The span-entry
-    // state is the pre-prologue state — the span starts at element 0.
-    const size_t p = MegaRealignElems(state->phase, wpv);
-    if (p < count) {
-      if (span_states != nullptr) *span_states = *state;
-      uint64_t m = UINT64_MAX;
-      for (size_t i = 0; i < p; ++i) {
-        const uint64_t mag = MegaNextWord(state);
-        for (size_t k = 1; k < wpv; ++k) MegaNextWord(state);
-        m = std::min(m, mag);
-      }
-      uint64_t rest_min;
-      MegaFillMinSpans(state, count - p, wpv, count - p, &rest_min, nullptr);
-      span_min[0] = std::min(m, rest_min);
-      return span_min[0];
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0 &&
-      (span_elems % 8 == 0 || count <= span_elems)) {
-    return MegaFillMinSpansAvx512(state, count, wpv, span_elems, span_min,
-                                  span_states);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0 &&
-      (span_elems % 4 == 0 || count <= span_elems)) {
-    return MegaFillMinSpansAvx2(state, count, wpv, span_elems, span_min,
-                                span_states);
-  }
-#endif
-  return MegaFillMinSpansScalar(state, count, wpv, span_elems, span_min,
-                                span_states);
-}
 
 FusedScanHit MegaLaplaceScanSumGe(BlockRng::State* state, double mu, double b,
                                   std::span<const double> a, double bar) {
@@ -3992,40 +3344,6 @@ FusedScanHit MegaLaplaceScanSumGe(BlockRng::State* state, double mu, double b,
   return MegaScanSumGeScalar(state, mu, b, a.data(), bar, a.size(), 0);
 }
 
-FusedScanHit MegaLaplaceScanSumGePairwise(BlockRng::State* state, double mu,
-                                          double b, std::span<const double> a,
-                                          std::span<const double> bars,
-                                          double rho) {
-  SVT_CHECK(a.size() == bars.size())
-      << "MegaLaplaceScanSumGePairwise size mismatch: " << a.size() << " vs "
-      << bars.size();
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 2);
-    if (p < a.size()) {
-      const FusedScanHit pre = MegaScanSumGePairwiseScalar(
-          state, mu, b, a.data(), bars.data(), rho, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit = MegaLaplaceScanSumGePairwise(
-          state, mu, b, a.subspan(p), bars.subspan(p), rho);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaLaplaceScanSumGePairwiseAvx512(state, mu, b, a.data(),
-                                              bars.data(), rho, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaLaplaceScanSumGePairwiseAvx2(state, mu, b, a.data(),
-                                            bars.data(), rho, a.size());
-  }
-#endif
-  return MegaScanSumGePairwiseScalar(state, mu, b, a.data(), bars.data(), rho,
-                                     a.size(), 0);
-}
-
 FusedScanHit MegaExpScanSumGe(BlockRng::State* state, double b,
                               std::span<const double> a, double bar) {
   if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
@@ -4049,40 +3367,6 @@ FusedScanHit MegaExpScanSumGe(BlockRng::State* state, double b,
   }
 #endif
   return MegaExpScanSumGeScalar(state, b, a.data(), bar, a.size(), 0);
-}
-
-FusedScanHit MegaExpScanSumGePairwise(BlockRng::State* state, double b,
-                                      std::span<const double> a,
-                                      std::span<const double> bars,
-                                      double rho) {
-  SVT_CHECK(a.size() == bars.size())
-      << "MegaExpScanSumGePairwise size mismatch: " << a.size() << " vs "
-      << bars.size();
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 1);
-    if (p < a.size()) {
-      const FusedScanHit pre = MegaExpScanSumGePairwiseScalar(
-          state, b, a.data(), bars.data(), rho, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit = MegaExpScanSumGePairwise(
-          state, b, a.subspan(p), bars.subspan(p), rho);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaExpScanSumGePairwiseAvx512(state, b, a.data(), bars.data(),
-                                          rho, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaExpScanSumGePairwiseAvx2(state, b, a.data(), bars.data(), rho,
-                                        a.size());
-  }
-#endif
-  return MegaExpScanSumGePairwiseScalar(state, b, a.data(), bars.data(), rho,
-                                        a.size(), 0);
 }
 
 namespace {
@@ -4142,69 +3426,6 @@ uint64_t MegaSkipWordThreshold(double a_max, double bar, double b) {
   return kMegaNeverSkip;
 }
 
-FusedScanHit MegaLaplaceScanSumGeBounded(BlockRng::State* state, double mu,
-                                         double b, std::span<const double> a,
-                                         double bar, uint64_t skip_word) {
-  SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 2);
-    if (p < a.size()) {
-      const FusedScanHit pre = MegaScanSumGeBoundedScalar(
-          state, mu, b, a.data(), bar, skip_word, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit =
-          MegaLaplaceScanSumGeBounded(state, mu, b, a.subspan(p), bar,
-                                      skip_word);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaLaplaceScanSumGeBoundedAvx512(state, mu, b, a.data(), bar,
-                                             skip_word, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaLaplaceScanSumGeBoundedAvx2(state, mu, b, a.data(), bar,
-                                           skip_word, a.size());
-  }
-#endif
-  return MegaScanSumGeBoundedScalar(state, mu, b, a.data(), bar, skip_word,
-                                    a.size(), 0);
-}
-
-FusedScanHit MegaExpScanSumGeBounded(BlockRng::State* state, double b,
-                                     std::span<const double> a, double bar,
-                                     uint64_t skip_word) {
-  SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 1);
-    if (p < a.size()) {
-      const FusedScanHit pre = MegaExpScanSumGeBoundedScalar(
-          state, b, a.data(), bar, skip_word, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit =
-          MegaExpScanSumGeBounded(state, b, a.subspan(p), bar, skip_word);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaExpScanSumGeBoundedAvx512(state, b, a.data(), bar, skip_word,
-                                         a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaExpScanSumGeBoundedAvx2(state, b, a.data(), bar, skip_word,
-                                       a.size());
-  }
-#endif
-  return MegaExpScanSumGeBoundedScalar(state, b, a.data(), bar, skip_word,
-                                       a.size(), 0);
-}
-
 // Fused generate-bound-and-scan entries. These run whole chunks from the
 // chunk-entry stream position, which is always lane-aligned (chunks
 // consume lane-multiple word counts), so an unaligned entry only needs
@@ -4214,10 +3435,8 @@ FusedScanHit MegaExpScanSumGeBounded(BlockRng::State* state, double b,
 size_t MegaLaplaceFillMinScanSpans(BlockRng::State* state, double mu, double b,
                                    std::span<const double> a, double bar,
                                    uint64_t skip_word, size_t span_elems,
-                                   uint64_t* span_min,
-                                   BlockRng::State* span_states,
-                                   FusedScanHit* hits, size_t max_hits,
-                                   uint64_t* min_out) {
+                                   uint64_t* span_min, FusedScanHit* hits,
+                                   size_t max_hits, uint64_t* min_out) {
   SVT_CHECK(span_elems > 0)
       << "MegaLaplaceFillMinScanSpans requires span_elems > 0";
   SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
@@ -4227,8 +3446,8 @@ size_t MegaLaplaceFillMinScanSpans(BlockRng::State* state, double mu, double b,
       (span_elems % 8 == 0 || n <= span_elems)) {
     return MegaLaplaceFillMinScanSpansAvx512(state, mu, b, a.data(), bar,
                                              skip_word, n, span_elems,
-                                             span_min, span_states, hits,
-                                             max_hits, min_out);
+                                             span_min, hits, max_hits,
+                                             min_out);
   }
 #endif
 #if SVT_VECMATH_HAVE_AVX2
@@ -4236,22 +3455,19 @@ size_t MegaLaplaceFillMinScanSpans(BlockRng::State* state, double mu, double b,
       (span_elems % 4 == 0 || n <= span_elems)) {
     return MegaLaplaceFillMinScanSpansAvx2(state, mu, b, a.data(), bar,
                                            skip_word, n, span_elems, span_min,
-                                           span_states, hits, max_hits,
-                                           min_out);
+                                           hits, max_hits, min_out);
   }
 #endif
   return MegaLaplaceFillMinScanSpansScalar(state, mu, b, a.data(), bar,
                                            skip_word, n, span_elems, span_min,
-                                           span_states, hits, max_hits,
-                                           min_out);
+                                           hits, max_hits, min_out);
 }
 
 size_t MegaExpFillMinScanSpans(BlockRng::State* state, double b,
                                std::span<const double> a, double bar,
                                uint64_t skip_word, size_t span_elems,
-                               uint64_t* span_min, BlockRng::State* span_states,
-                               FusedScanHit* hits, size_t max_hits,
-                               uint64_t* min_out) {
+                               uint64_t* span_min, FusedScanHit* hits,
+                               size_t max_hits, uint64_t* min_out) {
   SVT_CHECK(span_elems > 0)
       << "MegaExpFillMinScanSpans requires span_elems > 0";
   SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
@@ -4260,103 +3476,28 @@ size_t MegaExpFillMinScanSpans(BlockRng::State* state, double b,
   if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0 &&
       (span_elems % 8 == 0 || n <= span_elems)) {
     return MegaExpFillMinScanSpansAvx512(state, b, a.data(), bar, skip_word, n,
-                                         span_elems, span_min, span_states,
-                                         hits, max_hits, min_out);
+                                         span_elems, span_min, hits, max_hits,
+                                         min_out);
   }
 #endif
 #if SVT_VECMATH_HAVE_AVX2
   if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0 &&
       (span_elems % 4 == 0 || n <= span_elems)) {
     return MegaExpFillMinScanSpansAvx2(state, b, a.data(), bar, skip_word, n,
-                                       span_elems, span_min, span_states, hits,
-                                       max_hits, min_out);
+                                       span_elems, span_min, hits, max_hits,
+                                       min_out);
   }
 #endif
   return MegaExpFillMinScanSpansScalar(state, b, a.data(), bar, skip_word, n,
-                                       span_elems, span_min, span_states, hits,
-                                       max_hits, min_out);
-}
-
-// Per-query (pairwise) bounded entries. The scan entries realign like
-// their unbounded pairwise counterparts (resume segments enter
-// mid-group); the realignment prologue reuses the span's skip word —
-// sound, since the word bound is positional-context-free.
-
-FusedScanHit MegaLaplaceScanSumGePairwiseBounded(
-    BlockRng::State* state, double mu, double b, std::span<const double> a,
-    std::span<const double> bars, double rho, uint64_t skip_word) {
-  SVT_CHECK(a.size() == bars.size())
-      << "MegaLaplaceScanSumGePairwiseBounded size mismatch: " << a.size()
-      << " vs " << bars.size();
-  SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 2);
-    if (p < a.size()) {
-      const FusedScanHit pre = MegaScanSumGePairwiseBoundedScalar(
-          state, mu, b, a.data(), bars.data(), rho, skip_word, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit = MegaLaplaceScanSumGePairwiseBounded(
-          state, mu, b, a.subspan(p), bars.subspan(p), rho, skip_word);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaLaplaceScanSumGePairwiseBoundedAvx512(
-        state, mu, b, a.data(), bars.data(), rho, skip_word, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaLaplaceScanSumGePairwiseBoundedAvx2(
-        state, mu, b, a.data(), bars.data(), rho, skip_word, a.size());
-  }
-#endif
-  return MegaScanSumGePairwiseBoundedScalar(state, mu, b, a.data(),
-                                            bars.data(), rho, skip_word,
-                                            a.size(), 0);
-}
-
-FusedScanHit MegaExpScanSumGePairwiseBounded(BlockRng::State* state, double b,
-                                             std::span<const double> a,
-                                             std::span<const double> bars,
-                                             double rho, uint64_t skip_word) {
-  SVT_CHECK(a.size() == bars.size())
-      << "MegaExpScanSumGePairwiseBounded size mismatch: " << a.size()
-      << " vs " << bars.size();
-  SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 1);
-    if (p < a.size()) {
-      const FusedScanHit pre = MegaExpScanSumGePairwiseBoundedScalar(
-          state, b, a.data(), bars.data(), rho, skip_word, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit = MegaExpScanSumGePairwiseBounded(
-          state, b, a.subspan(p), bars.subspan(p), rho, skip_word);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaExpScanSumGePairwiseBoundedAvx512(
-        state, b, a.data(), bars.data(), rho, skip_word, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaExpScanSumGePairwiseBoundedAvx2(state, b, a.data(), bars.data(),
-                                               rho, skip_word, a.size());
-  }
-#endif
-  return MegaExpScanSumGePairwiseBoundedScalar(state, b, a.data(), bars.data(),
-                                               rho, skip_word, a.size(), 0);
+                                       span_elems, span_min, hits, max_hits,
+                                       min_out);
 }
 
 size_t MegaLaplaceFillMinScanSpansPairwise(
     BlockRng::State* state, double mu, double b, std::span<const double> a,
     std::span<const double> bars, double rho, const uint64_t* skip_words,
-    size_t span_elems, uint64_t* span_min, BlockRng::State* span_states,
-    FusedScanHit* hits, size_t max_hits, uint64_t* skipped_out) {
+    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   SVT_CHECK(a.size() == bars.size())
       << "MegaLaplaceFillMinScanSpansPairwise size mismatch: " << a.size()
       << " vs " << bars.size();
@@ -4368,7 +3509,7 @@ size_t MegaLaplaceFillMinScanSpansPairwise(
       (span_elems % 8 == 0 || n <= span_elems)) {
     return MegaLaplaceFillMinScanSpansPairwiseAvx512(
         state, mu, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-        span_min, span_states, hits, max_hits, skipped_out);
+        span_min, hits, max_hits, skipped_out);
   }
 #endif
 #if SVT_VECMATH_HAVE_AVX2
@@ -4376,19 +3517,19 @@ size_t MegaLaplaceFillMinScanSpansPairwise(
       (span_elems % 4 == 0 || n <= span_elems)) {
     return MegaLaplaceFillMinScanSpansPairwiseAvx2(
         state, mu, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-        span_min, span_states, hits, max_hits, skipped_out);
+        span_min, hits, max_hits, skipped_out);
   }
 #endif
   return MegaLaplaceFillMinScanSpansPairwiseScalar(
       state, mu, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-      span_min, span_states, hits, max_hits, skipped_out);
+      span_min, hits, max_hits, skipped_out);
 }
 
 size_t MegaExpFillMinScanSpansPairwise(
     BlockRng::State* state, double b, std::span<const double> a,
     std::span<const double> bars, double rho, const uint64_t* skip_words,
-    size_t span_elems, uint64_t* span_min, BlockRng::State* span_states,
-    FusedScanHit* hits, size_t max_hits, uint64_t* skipped_out) {
+    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
+    uint64_t* skipped_out) {
   SVT_CHECK(a.size() == bars.size())
       << "MegaExpFillMinScanSpansPairwise size mismatch: " << a.size()
       << " vs " << bars.size();
@@ -4400,7 +3541,7 @@ size_t MegaExpFillMinScanSpansPairwise(
       (span_elems % 8 == 0 || n <= span_elems)) {
     return MegaExpFillMinScanSpansPairwiseAvx512(
         state, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-        span_min, span_states, hits, max_hits, skipped_out);
+        span_min, hits, max_hits, skipped_out);
   }
 #endif
 #if SVT_VECMATH_HAVE_AVX2
@@ -4408,12 +3549,12 @@ size_t MegaExpFillMinScanSpansPairwise(
       (span_elems % 4 == 0 || n <= span_elems)) {
     return MegaExpFillMinScanSpansPairwiseAvx2(
         state, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-        span_min, span_states, hits, max_hits, skipped_out);
+        span_min, hits, max_hits, skipped_out);
   }
 #endif
   return MegaExpFillMinScanSpansPairwiseScalar(
       state, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-      span_min, span_states, hits, max_hits, skipped_out);
+      span_min, hits, max_hits, skipped_out);
 }
 
 size_t SkipWordCountBlock(std::span<const std::uint64_t> words, size_t wpv,

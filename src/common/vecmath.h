@@ -345,26 +345,8 @@ FusedScanHit FusedExpScanSumGePairwise(std::span<const std::uint64_t> words,
 // a miss (hit.index == n) has consumed n * wpv. The caller resumes a
 // mid-chunk scan by calling again with the same State — the stream
 // position carries the progress. SIMD lanes require a lane-aligned entry
-// (state->phase == 0) and delegate the whole call to the scalar lane
-// otherwise; the hot paths always enter aligned (chunk and span word
-// counts are multiples of the lane count).
-
-/// Generate-and-bound pass: consumes count * wpv words from `state`,
-/// recording for each span of `span_elems` elements the minimum of its
-/// magnitude words (the words at element positions — every wpv-th word,
-/// starting at the first) into span_min[j], and the State at the span's
-/// first word into span_states[j] (skipped when null). Returns the
-/// minimum over all magnitude words. Spans partition [0, count) in order;
-/// the last may be short; span_min must hold ceil(count / span_elems)
-/// entries. This is the megakernel replacement for FillUint64 +
-/// MinWordBlock: the tier-1/tier-2 bound hierarchy gets its per-span and
-/// per-chunk minima (bit-identical — unsigned min is association-free)
-/// while the words are generated, and the recorded span states let the
-/// scan phase regenerate exactly the spans the bound could not discharge.
-std::uint64_t MegaFillMinSpans(BlockRng::State* state, std::size_t count,
-                               std::size_t wpv, std::size_t span_elems,
-                               std::uint64_t* span_min,
-                               BlockRng::State* span_states);
+// (state->phase == 0); the scans realign an unaligned entry with a short
+// scalar prologue, the fused passes delegate it to the scalar lane.
 
 /// The common-threshold tier-2 positive test as a megakernel: smallest i
 /// in [0, n) with a[i] + ν_i >= bar, where ν_i is the Laplace(mu, b)
@@ -374,45 +356,28 @@ std::uint64_t MegaFillMinSpans(BlockRng::State* state, std::size_t count,
 FusedScanHit MegaLaplaceScanSumGe(BlockRng::State* state, double mu, double b,
                                   std::span<const double> a, double bar);
 
-/// The per-query-threshold tier-2 positive test as a megakernel: smallest
-/// i with a[i] + ν_i >= bars[i] + rho. a.size() must equal bars.size().
-FusedScanHit MegaLaplaceScanSumGePairwise(BlockRng::State* state, double mu,
-                                          double b, std::span<const double> a,
-                                          std::span<const double> bars,
-                                          double rho);
-
 /// Exponential-noise megakernel (wpv = 1): smallest i with
 /// a[i] + ν_i >= bar, ν_i = b * -Log(ToUnitDoublePositive(word_i)).
 FusedScanHit MegaExpScanSumGe(BlockRng::State* state, double b,
                               std::span<const double> a, double bar);
 
-/// Exponential-noise per-query megakernel: smallest i with
-/// a[i] + ν_i >= bars[i] + rho. a.size() must equal bars.size().
-FusedScanHit MegaExpScanSumGePairwise(BlockRng::State* state, double b,
-                                      std::span<const double> a,
-                                      std::span<const double> bars,
-                                      double rho);
-
-// --- bounded megakernel scans ---------------------------------------------
+// --- fused generate-bound-and-scan passes ----------------------------------
 //
-// A surviving tier-2 span fails its *span-max* bound, but almost all of
-// its elements would still individually pass one: in a near-threshold
-// chunk a span survives because of one or two large-|ν| candidates, and
-// the log transform for everything else is wasted work. The bounded
-// scans push the span bound down to word granularity: the caller derives
-// a conservative integer threshold on the top 53 bits of the magnitude
-// word (the bits ToUnitDoublePositive keeps — the unit double is strictly
-// monotone in them), and any element at or above it is provably unable
-// to fire the computed positive test, so the kernel skips its transform.
-// SIMD lanes test a whole group with one shift and one compare and fall
-// through to the full transform only when some lane is below the
-// threshold. The raw stream advance is unchanged — skipped elements'
-// words are still generated and consumed in registers — and skipped
-// elements cannot hit, so hit indices, ν payloads, and end states are
-// bit-identical to the unbounded megakernels (and therefore to the
-// FillUint64 + fused-scan composition).
+// The batch engine's megakernel arm walks each chunk's ν words once, in
+// registers, for two purposes at once: the per-span minimum magnitude word
+// the tier-1/tier-2 bounds need, and every element whose positive test
+// fires. Most elements of a near-threshold chunk provably cannot fire, so
+// the pass pushes the bound down to word granularity: the caller derives a
+// conservative integer threshold on the top 53 bits of the magnitude word
+// (the bits ToUnitDoublePositive keeps — the unit double is strictly
+// monotone in them), and any element at or above it skips its transform.
+// SIMD lanes test a whole group with one shift and one compare and run the
+// transform only when some lane is below the threshold. Skipped elements'
+// words are still generated and consumed, and skipped elements cannot hit,
+// so the recorded hits are bit-identical to the fused scans' over the
+// FillUint64 words.
 
-/// Conservative skip threshold for the bounded scans: the largest W such
+/// Conservative skip threshold for the fused passes: the largest W such
 /// that every element whose magnitude word w has (w >> 11) >= W provably
 /// fails the computed test fl(a[i] + ν_i) >= bar whenever a[i] <= a_max.
 /// Soundness is *verified*, not assumed: the candidate (inverted from
@@ -425,49 +390,34 @@ FusedScanHit MegaExpScanSumGePairwise(BlockRng::State* state, double b,
 /// lane relies on for its signed 64-bit compare.
 std::uint64_t MegaSkipWordThreshold(double a_max, double bar, double b);
 
-/// MegaLaplaceScanSumGe with transform skipping: bit-identical result
-/// and end state, evaluating the log transform only for lockstep groups
-/// holding a magnitude word below skip_word. skip_word must come from
-/// MegaSkipWordThreshold(a_max, bar, b) with a_max >= max(a[i]).
-FusedScanHit MegaLaplaceScanSumGeBounded(BlockRng::State* state, double mu,
-                                         double b, std::span<const double> a,
-                                         double bar, std::uint64_t skip_word);
-
-/// MegaExpScanSumGe with transform skipping; same contract as the
-/// Laplace variant (wpv = 1: every word is a magnitude word).
-FusedScanHit MegaExpScanSumGeBounded(BlockRng::State* state, double b,
-                                     std::span<const double> a, double bar,
-                                     std::uint64_t skip_word);
-
-/// Never-skip sentinel for the bounded scans and the fused
-/// generate-bound-and-scan pass: (w >> 11) peaks at 2^53 - 1, so no
-/// element is ever skipped at this threshold. MegaSkipWordThreshold
+/// Never-skip sentinel for the fused passes: (w >> 11) peaks at 2^53 - 1,
+/// so no element is ever skipped at this threshold. MegaSkipWordThreshold
 /// returns it whenever no sound skipping threshold exists, which callers
-/// can use to pick a strategy (a never-skip fused pass degenerates into
-/// a full per-element transform).
+/// can use to pick a strategy (a never-skip fused pass degenerates into a
+/// full per-element transform).
 inline constexpr std::uint64_t kMegaNeverSkipWord = std::uint64_t{1} << 53;
 
-/// Single-pass generate, bound, and scan: MegaFillMinSpans and a bounded
-/// whole-chunk scan fused into one walk over the stream. Consumes
-/// exactly a.size() * wpv words (no early exit), fills span_min /
-/// span_states / the chunk minimum exactly as MegaFillMinSpans would,
-/// and additionally records every element whose computed positive test
-/// fires — fl(a[i] + ν_i) >= bar — in index order. Only lockstep groups
-/// holding a magnitude word below skip_word run the ν transform
-/// (MegaSkipWordThreshold contract: elements at or above it provably
-/// cannot fire), so for near-threshold chunks the scan rides along at
-/// ~the generate-and-bound pass's cost and surviving spans never need
-/// regenerating. Returns the total number of positives found; only the
+/// Single-pass generate, bound, and scan: consumes exactly a.size() * wpv
+/// words (no early exit) and records, for each span of `span_elems`
+/// elements, the minimum of its magnitude words (every wpv-th word,
+/// starting at the first) into span_min[j] — bit-identical to
+/// FillUint64 + MinWordBlock per span, since unsigned min is
+/// association-free — and the minimum over all of them into *min_out.
+/// Spans partition [0, a.size()) in order; the last may be short;
+/// span_min must hold ceil(a.size() / span_elems) entries. It also records
+/// every element whose computed positive test fires — fl(a[i] + ν_i) >=
+/// bar — in index order, transforming only lockstep groups holding a
+/// magnitude word below skip_word (MegaSkipWordThreshold contract). For
+/// near-threshold chunks the scan rides along at about the cost of the
+/// generation alone. Returns the total number of positives found; only the
 /// first max_hits are stored in hits (a larger return value signals the
-/// record is incomplete and the tail must be rescanned, e.g. with the
-/// bounded scans from the recorded span checkpoints). Hit indices and ν
-/// payloads are bit-identical to the unbounded scan kernels' — and so to
+/// record is incomplete). Hit indices and ν payloads are bit-identical to
 /// the FillUint64 + fused-scan composition.
 std::size_t MegaLaplaceFillMinScanSpans(
     BlockRng::State* state, double mu, double b, std::span<const double> a,
     double bar, std::uint64_t skip_word, std::size_t span_elems,
-    std::uint64_t* span_min, BlockRng::State* span_states, FusedScanHit* hits,
-    std::size_t max_hits, std::uint64_t* min_out);
+    std::uint64_t* span_min, FusedScanHit* hits, std::size_t max_hits,
+    std::uint64_t* min_out);
 
 /// Exponential-noise fused generate-bound-and-scan pass (wpv = 1); same
 /// contract as the Laplace variant.
@@ -476,68 +426,43 @@ std::size_t MegaExpFillMinScanSpans(BlockRng::State* state, double b,
                                     std::uint64_t skip_word,
                                     std::size_t span_elems,
                                     std::uint64_t* span_min,
-                                    BlockRng::State* span_states,
                                     FusedScanHit* hits, std::size_t max_hits,
                                     std::uint64_t* min_out);
 
-// --- per-query (pairwise) bounded megakernels ------------------------------
-//
-// The per-query-threshold path has no single chunk bar, so the bounded
-// scans above cannot serve it: element i's bar is fl(t_i + rho). A span's
-// conservative skip word instead pairs the span's answer UPPER bound with
-// its bar LOWER bound (BoundPipeline::SpanSkipWordPerQuery): fl(dn + rho)
-// <= fl(t_i + rho) for every t_i in the span (monotone rounded add), so
+// The per-query-threshold path has no single chunk bar: element i's bar is
+// fl(t_i + rho). A span's conservative skip word instead pairs the span's
+// answer UPPER bound with its bar LOWER bound
+// (BoundPipeline::SpanSkipWordPerQuery): fl(dn + rho) <= fl(t_i + rho) for
+// every t_i in the span (monotone rounded add), so
 // MegaSkipWordThreshold(up, fl(dn + rho), b) skips only elements that
 // provably fail every computed pairwise test in the span. The skip
-// threshold is therefore a per-span VECTOR, not a chunk scalar — the
-// fill-min-scan forms below reload it at every span boundary. Skipped
-// elements' words are still generated and consumed (stream-neutral), so
-// hit indices, ν payloads, and end states stay bit-identical to the
-// unbounded pairwise kernels and the FillUint64 + fused composition.
+// threshold is therefore a per-span VECTOR, reloaded at every span
+// boundary.
 
-/// MegaLaplaceScanSumGePairwise with transform skipping: bit-identical
-/// result and end state, evaluating the transform only for lockstep
-/// groups holding a magnitude word below skip_word. skip_word must be
-/// sound for every element of the call (e.g. one span's
-/// SpanSkipWordPerQuery when the call covers a single bound span).
-FusedScanHit MegaLaplaceScanSumGePairwiseBounded(
-    BlockRng::State* state, double mu, double b, std::span<const double> a,
-    std::span<const double> bars, double rho, std::uint64_t skip_word);
-
-/// Exponential-noise pairwise bounded scan (wpv = 1); same contract.
-FusedScanHit MegaExpScanSumGePairwiseBounded(BlockRng::State* state, double b,
-                                             std::span<const double> a,
-                                             std::span<const double> bars,
-                                             double rho,
-                                             std::uint64_t skip_word);
-
-/// Per-query fused generate-bound-and-scan: MegaFillMinSpans plus the
-/// bounded pairwise positive test riding along, driven by a per-span
-/// skip-word vector. skip_words[j] governs span j (kMegaNeverSkipWord
-/// entries simply never skip); `hits` records every element with
-/// fl(a[i] + ν_i) >= fl(bars[i] + rho) in index order, and the walk
-/// never stops early — exactly a.size() * wpv words are consumed, so the
-/// end state is the generate-and-bound pass's. *skipped_out gets the
+/// Per-query fused generate-bound-and-scan: the same walk with the
+/// pairwise positive test, driven by a per-span skip-word vector.
+/// skip_words[j] governs span j (kMegaNeverSkipWord entries simply never
+/// skip); `hits` records every element with fl(a[i] + ν_i) >=
+/// fl(bars[i] + rho) in index order, and the walk never stops early —
+/// exactly a.size() * wpv words are consumed. *skipped_out gets the
 /// number of elements whose magnitude word's top 53 bits reached their
-/// span's skip word — a pure function of the words and the vector, so
-/// the count is dispatch-level-independent (unlike the group-granular
+/// span's skip word — a pure function of the words and the vector, so the
+/// count is dispatch-level-independent (unlike the group-granular
 /// transform elisions, which vary with lane width). Returns the total
 /// number of positives; only the first max_hits are stored. No chunk-min
 /// output: the per-query path has no tier-1 bound to feed.
 std::size_t MegaLaplaceFillMinScanSpansPairwise(
     BlockRng::State* state, double mu, double b, std::span<const double> a,
     std::span<const double> bars, double rho, const std::uint64_t* skip_words,
-    std::size_t span_elems, std::uint64_t* span_min,
-    BlockRng::State* span_states, FusedScanHit* hits, std::size_t max_hits,
-    std::uint64_t* skipped_out);
+    std::size_t span_elems, std::uint64_t* span_min, FusedScanHit* hits,
+    std::size_t max_hits, std::uint64_t* skipped_out);
 
 /// Exponential-noise per-query fused pass (wpv = 1); same contract.
 std::size_t MegaExpFillMinScanSpansPairwise(
     BlockRng::State* state, double b, std::span<const double> a,
     std::span<const double> bars, double rho, const std::uint64_t* skip_words,
-    std::size_t span_elems, std::uint64_t* span_min,
-    BlockRng::State* span_states, FusedScanHit* hits, std::size_t max_hits,
-    std::uint64_t* skipped_out);
+    std::size_t span_elems, std::uint64_t* span_min, FusedScanHit* hits,
+    std::size_t max_hits, std::uint64_t* skipped_out);
 
 /// Scratch-buffer counterpart of the fused passes' skipped-element count,
 /// for the composition kernel mode: the number of element magnitude words

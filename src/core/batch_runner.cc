@@ -114,6 +114,89 @@ class UninitArray {
   alignas(T) unsigned char bytes_[sizeof(T) * N];
 };
 
+// Makes room for `count` more responses and returns where they start. The
+// reserve grows the vector the way one resize by `count` would, to the
+// larger of the need and twice the size (an exact reserve would make
+// repeated appends quadratic); the caller then resizes chunk by chunk, so
+// the ⊥ zero-fill of each chunk lands just before the chunk is scanned.
+Response* ReserveAppend(std::vector<Response>* out, size_t count) {
+  const size_t need = out->size() + count;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->size()));
+  }
+  return out->data() + out->size();
+}
+
+// The megakernel walk's per-chunk ν block: span j's ν are transformed from
+// the chunk's words the first time a resume walk needs the span, and every
+// later resume in the chunk, under whatever bar ρ has moved to, only
+// compares. The transform is the streaming sampler's, so the ν are the ones
+// a Process() loop draws from the same words (core/svt.h, contract
+// step 4).
+class SpanNuBlock {
+ public:
+  SpanNuBlock(NoiseKind kind, double scale, const uint64_t* words)
+      : kind_(kind), scale_(scale), words_(words) {}
+
+  // Starts a chunk (or per-query sub-block) of n elements: no span filled.
+  void Reset(size_t n) {
+    n_ = n;
+    filled_ = 0;
+  }
+
+  // Returns the block, indexed by chunk element, with span j filled.
+  const double* Fill(size_t j) {
+    if ((filled_ >> j & 1) == 0) {
+      const size_t s = j * BatchRunner::kBoundSpan;
+      const size_t m = std::min(BatchRunner::kBoundSpan, n_ - s);
+      const size_t wpv = WordsPerVariate(kind_);
+      TransformNoise(kind_, {words_ + wpv * s, wpv * m}, scale_, {nu_ + s, m});
+      filled_ |= uint32_t{1} << j;
+    }
+    return nu_;
+  }
+
+ private:
+  static_assert(BatchRunner::kChunkSize / BatchRunner::kBoundSpan <= 32,
+                "one mask bit per span");
+  const NoiseKind kind_;
+  const double scale_;
+  const uint64_t* const words_;
+  size_t n_ = 0;
+  uint32_t filled_ = 0;
+  alignas(64) double nu_[BatchRunner::kChunkSize];
+};
+
+// The tier-2 resume walk of every arm, from element `from` of an n-element
+// chunk (or sub-block). A resume lands mid-span only after a positive in
+// that span, which passed its bound to fire at all; the span's remainder
+// is scanned without a new test, and the walk re-anchors on the span grid.
+// Each whole span is scanned only when can_fire(j), the pipeline's span
+// test (which counts the skips). Every scanned segment counts one
+// tier2_fused_segments. scan(lo, hi) returns the first positive in
+// [lo, hi), or index hi when there is none.
+template <typename CanFire, typename Scan>
+vec::FusedScanHit WalkSpans(size_t from, size_t n, BatchRunStats* stats,
+                            CanFire can_fire, Scan scan) {
+  constexpr size_t kSpan = BatchRunner::kBoundSpan;
+  size_t s = from;
+  if (s % kSpan != 0 && s < n) {
+    const size_t e = std::min(s - s % kSpan + kSpan, n);
+    ++stats->tier2_fused_segments;
+    const vec::FusedScanHit hit = scan(s, e);
+    if (hit.index < e) return hit;
+    s = e;
+  }
+  for (; s < n; s += kSpan) {
+    if (!can_fire(s / kSpan)) continue;
+    const size_t e = std::min(s + kSpan, n);
+    ++stats->tier2_fused_segments;
+    const vec::FusedScanHit hit = scan(s, e);
+    if (hit.index < e) return hit;
+  }
+  return {n, 0.0};
+}
+
 }  // namespace
 
 BatchKernelMode ActiveBatchKernelMode() {
@@ -194,8 +277,8 @@ size_t BatchRunner::ScanChunk(const double* answers, size_t n,
   size_t i = 0;
   while (i < n) {
     // Resume under a resampled ρ: whatever find_next does about it —
-    // cached-hit revalidation or a checkpoint rescan — counts here, once,
-    // so the counter is kernel-mode- and dispatch-independent.
+    // cached-hit revalidation or a compare over the ν block — counts here,
+    // once, so the counter is kernel-mode- and dispatch-independent.
     if (i > 0 && state_->rho != rho0) ++state_->batch.replay_rederivations;
     const vec::FusedScanHit hit = find_next(i, state_->rho);
     state_->processed += static_cast<int64_t>(hit.index - i);
@@ -226,12 +309,13 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
   const size_t start = out->size();
   if (state_->exhausted || answers.empty()) return 0;
   const size_t total = answers.size();
-  // Zero-initializing resize writes the whole output as ⊥ in one memset;
-  // only positives are assigned afterwards. Shrunk again on early abort.
-  out->resize(start + total);
-  Response* const res = out->data() + start;
+  Response* const res = ReserveAppend(out, total);
 
   const bool has_nu = spec_.nu_scale > 0.0;
+  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
+  const size_t wpv = WordsPerVariate(spec_.nu_kind);
+  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
+  const double nu_scale = spec_.nu_scale;
   // Cache-line-aligned so the 512-bit loads of the bound-pipeline word
   // reduction and the fused scan kernels never split lines.
   alignas(64) uint64_t words[2 * kChunkSize];
@@ -241,18 +325,20 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
   // comes out of this pipeline (core/bound_pipeline.h), at the quantized
   // level when a prefilter is attached and the gate is on, at full
   // precision otherwise.
-  BoundPipeline pipe(has_nu ? prefilter : nullptr, spec_.nu_scale, kBoundSpan,
+  BoundPipeline pipe(has_nu ? prefilter : nullptr, nu_scale, kBoundSpan,
                      &state_->batch);
-  // Megakernel-arm scratch: span-entry checkpoints and the fused pass's
-  // recorded hits, written by the pass before the walk reads them.
+  // Megakernel scratch: the fused pass's recorded hits and the ν block,
+  // each written before it is read.
   constexpr size_t kMaxChunkHits = kChunkSize / 16;
-  UninitArray<BlockRng::State, kChunkSize / kBoundSpan> span_states;
   UninitArray<vec::FusedScanHit, kMaxChunkHits> hits;
+  SpanNuBlock nu_block(spec_.nu_kind, nu_scale, words);
+  BatchRunStats* const stats = &state_->batch;
 
   size_t done = 0;
   while (done < total) {
     const size_t n = std::min(kChunkSize, total - done);
     const double* const a = answers.data() + done;
+    out->resize(start + done + n);  // the chunk's responses, all ⊥
     size_t chunk_processed = n;
     if (!has_nu) {
       const auto find_next = [a, n, threshold](size_t from, double rho) {
@@ -261,60 +347,62 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
             0.0};
       };
       chunk_processed = ScanChunk(a, n, find_next, res + done);
-    } else if (ActiveBatchKernelMode() == BatchKernelMode::kMegakernel) {
-      // Lane-resident path: one generate-bound-and-scan megakernel pass
-      // replaces the chunk prefetch — the raw ν words are produced,
-      // reduced, tested, and discarded without ever touching memory. The
-      // fused pass steps the ν substream's four xoshiro lanes in
-      // registers and returns the chunk-wide magnitude minimum (the
-      // tier-1 input), the tier-2 hierarchy's per-span minima, a
-      // BlockRng::State checkpoint at every span entry, and — when the
-      // chunk's word threshold can discharge skipping at all — every
-      // element whose positive test fires under the chunk-entry bar, in
-      // index order. The substream is then restored to the chunk-end
-      // position, exactly where the composition's whole-chunk FillUint64
-      // leaves it, positives or not. Every bound-chain input is the same
-      // word the composition reads (unsigned min is association-free)
-      // and the recorded hits are the same computed tests the
-      // composition's scans apply, so skip decisions, tier counters, and
-      // emitted responses agree between the modes bit for bit —
-      // equivalence-tested in core_batch_runner_test.cc.
-      const size_t wpv = WordsPerVariate(spec_.nu_kind);
-      const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
-      uint64_t span_min[kChunkSize / kBoundSpan];
-
+    } else {
       pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
-      const double nu_scale = spec_.nu_scale;
       const double bar0 = threshold + state_->rho;
-      // Any upper bound on the chunk's answers is a sound skip-word input
-      // (vec::MegaSkipWordThreshold contract), so the pipeline's chunk
-      // upper — quantized or exact — feeds it directly.
-      const uint64_t chunk_skip = pipe.ChunkSkipWord(bar0);
-      // When no sound chunk-wide word threshold exists (some answer is at
-      // or above the bar), the fused scan would degenerate into a full
-      // per-element transform of draws a hit-dense chunk may never need;
-      // generate-and-bound alone plus the checkpoint walk handles that
-      // regime better, so the scan only rides along when it is cheap.
+      // The megakernel arm's fused pass generates the chunk's ν words in
+      // registers (the lane-resident xoshiro step), reduces them to the
+      // per-span minima the bounds need and records every element that
+      // fires under bar0, transforming only the lockstep groups the chunk
+      // skip word cannot discharge; the words never touch memory. It runs
+      // only where that record stays valid and cheap: the bar never moves
+      // (a spec that resamples ρ leaves bar0 at its first positive), and
+      // a sound skip word exists (without one — some answer at or above
+      // the bar — it would transform every word of a chunk a cutoff may
+      // never need). Any upper bound on the answers is a sound skip-word
+      // input (vec::MegaSkipWordThreshold), so the pipeline's chunk upper,
+      // quantized or exact, feeds it directly.
+      const uint64_t chunk_skip = mega && !spec_.resample_rho_after_positive
+                                      ? pipe.ChunkSkipWord(bar0)
+                                      : vec::kMegaNeverSkipWord;
       const bool fused_scan = chunk_skip < vec::kMegaNeverSkipWord;
+      const BlockRng::State entry = state_->nu_rng.state();
+      uint64_t span_min[kChunkSize / kBoundSpan];
       size_t found = 0;
-      uint64_t w_min_unused;
-      BlockRng::State end_state = state_->nu_rng.state();
       if (fused_scan) {
+        BlockRng::State end_state = entry;
+        uint64_t w_min_unused;
         found = exp_nu ? vec::MegaExpFillMinScanSpans(
                              &end_state, nu_scale, {a, n}, bar0, chunk_skip,
-                             kBoundSpan, span_min, span_states.data(),
-                             hits.data(), kMaxChunkHits, &w_min_unused)
+                             kBoundSpan, span_min, hits.data(), kMaxChunkHits,
+                             &w_min_unused)
                        : vec::MegaLaplaceFillMinScanSpans(
                              &end_state, 0.0, nu_scale, {a, n}, bar0,
-                             chunk_skip, kBoundSpan, span_min,
-                             span_states.data(), hits.data(), kMaxChunkHits,
-                             &w_min_unused);
+                             chunk_skip, kBoundSpan, span_min, hits.data(),
+                             kMaxChunkHits, &w_min_unused);
+        // The pass consumed the chunk's words: the substream stands where
+        // the fill below would leave it.
+        state_->nu_rng.RestoreState(end_state);
       } else {
-        vec::MegaFillMinSpans(&end_state, n, wpv, kBoundSpan, span_min,
-                              span_states.data());
+        // Fetch the chunk's raw ν words — the substream advances exactly
+        // as if each ν_i had been drawn scalar-style (Laplace variates are
+        // (magnitude, sign) pairs, exponential variates one magnitude
+        // word) — and reduce each span's magnitude words to its minimum.
+        state_->nu_rng.FillUint64({words, wpv * n});
+        for (size_t s = 0; s < n; s += kBoundSpan) {
+          const size_t m = std::min(kBoundSpan, n - s);
+          span_min[s / kBoundSpan] =
+              vec::MinWordBlock({words + wpv * s, wpv * m}, wpv);
+        }
       }
-      state_->nu_rng.RestoreState(end_state);
-
+      // The pipeline reduces the span minima to the chunk minimum
+      // (unsigned min is association-free, so both ways give the same
+      // word) and owns the bound chain from here: the tier-1 all-⊥
+      // shortcut and the per-span tier-2 tests, each a monotone rounded
+      // chain over these minima and the chunk's score uppers — provably
+      // conservative, so a skip emits exactly what the exact comparison
+      // would (proof in core/bound_pipeline.h). Identical inputs give
+      // identical skip decisions and counters in both kernel modes.
       pipe.SetNoiseMinima(span_min);
       if (!pipe.ChunkCanFire(bar0)) {
         // The tier-1 bound dominates every computed positive test, so a
@@ -323,229 +411,64 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
         state_->processed += static_cast<int64_t>(n);  // res already ⊥
         ++state_->batch.tier1_chunks_skipped;
       } else {
-        // Tier-2. When the fused pass scanned, the chunk's positives
-        // under the chunk-entry bar are already in hand and complete, so
-        // as long as the bar has not *dropped* — always for non-resampling
-        // variants, and for every upward resample otherwise — a resume
-        // only replays the walk's span decisions on the pipeline's cached
-        // per-span bounds (one float compare per span, no words touched)
-        // and returns the next recorded hit, re-validated against the
-        // moved bar with the exact computed test when ρ was resampled.
-        // Only when the bar dropped below the chunk-entry bar (a negative
-        // resample draw — elements the fused pass rejected could now
-        // fire) or the hit record overflowed does the walk fall back to
-        // the checkpoint form: a skipped span costs one float compare —
-        // its words are never regenerated — and a surviving span
-        // re-enters the bounded scan megakernel from its pass-1
-        // checkpoint, regenerating its words once, in registers, and
-        // transforming only the lockstep groups its word threshold cannot
-        // discharge. After a positive the fallback scans the firing
-        // span's remainder exactly from the stream cursor the hit left
-        // behind, then re-anchors on the pass-1 grid, so no off-grid
-        // words are ever re-bounded. The pipeline's ν bounds per span are
-        // rho-free, so they are computed once per chunk and survive ρ
-        // resampling.
+        // Tier-2: the chunk-level bound failed, but the same conservative
+        // argument re-applies per kBoundSpan span, where the max |ν| over
+        // far fewer draws is much smaller — in near-threshold workloads
+        // most spans still prove all-⊥ and are never transformed. The
+        // span bounds are ρ-free, so they survive ρ resampling. A span
+        // that survives is scanned in one of three ways:
+        //   * composition mode: the fused kernel transforms the span's
+        //     words and tests the positive condition in one register pass;
+        //   * megakernel, complete fused record (the bar is still bar0):
+        //     the span's positives are already in hand — an unrecorded
+        //     element failed its computed test or was word-skipped under a
+        //     threshold sound for bar0, and a recorded hit carries the
+        //     bit-identical ν a rescan would compute;
+        //   * megakernel otherwise (ρ resampled, no skip word, or the
+        //     record overflowed): a compare over the chunk's ν block,
+        //     whose span is transformed the first time the walk needs it,
+        //     so every later resume in the chunk only compares. An
+        //     overflowed chunk first regenerates its words, once, from the
+        //     chunk-entry state.
+        // A span holding a positive always passes its bound (the bound
+        // chain dominates every computed test), so the counters do not
+        // depend on which way a span was scanned.
         ++state_->batch.tier2_chunks_scanned;
-        BatchRunStats* const stats = &state_->batch;
         const bool cache_complete = fused_scan && found <= kMaxChunkHits;
-        BlockRng::State cur;       // fallback stream cursor, at element
-        size_t cur_pos = SIZE_MAX; // cur_pos once established
-        const auto find_next = [&](size_t from,
-                                   double rho) -> vec::FusedScanHit {
+        bool have_words = !fused_scan;
+        nu_block.Reset(n);
+        size_t next = 0;  // first recorded hit not behind the walk
+        const auto find_next = [&](size_t from, double rho) {
           const double bar = threshold + rho;
-          if (cache_complete && bar >= bar0) {
-            // Cached walk, sound for every bar >= the fused pass's bar0:
-            // an unrecorded element either failed its computed test at
-            // bar0 (the rounded add is monotone, so it fails at any
-            // higher bar too) or was word-skipped under a threshold
-            // sound for bar0 and hence for bar; a recorded hit carries
-            // the bit-identical ν a rescan would recompute, so testing
-            // `a + ν >= bar` here IS the rescan's computed test. The
-            // span decisions replay the fallback's on the pipeline's
-            // cached bounds (a span holding a surviving hit always
-            // passes its bound — the bound chain dominates every
-            // computed test, quantized or exact — so the counters stay
-            // mode-equal).
-            const auto next_hit =
-                [&](size_t lo, size_t hi) -> const vec::FusedScanHit* {
-              for (size_t k = 0; k < found; ++k) {
-                if (hits[k].index < lo) continue;
-                if (hits[k].index >= hi) break;
-                if (bar == bar0 || a[hits[k].index] + hits[k].nu >= bar) {
-                  return &hits[k];
-                }
-              }
-              return nullptr;
-            };
-            size_t s = from;
-            if (s % kBoundSpan != 0 && s < n) {
-              ++stats->tier2_fused_segments;
-              const size_t m = std::min(kBoundSpan - s % kBoundSpan, n - s);
-              if (const vec::FusedScanHit* h = next_hit(s, s + m)) return *h;
-              s += m;
+          const auto can_fire = [&](size_t j) {
+            return pipe.SpanCanFire(j, bar);
+          };
+          const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
+            const size_t m = hi - lo;
+            if (!mega) {
+              const vec::FusedScanHit hit =
+                  exp_nu ? vec::FusedExpScanSumGe({words + lo, m}, nu_scale,
+                                                  {a + lo, m}, bar)
+                         : vec::FusedLaplaceScanSumGe(
+                               {words + 2 * lo, 2 * m}, 0.0, nu_scale,
+                               {a + lo, m}, bar);
+              return {lo + hit.index, hit.nu};
             }
-            while (s < n) {
-              const size_t j = s / kBoundSpan;
-              const size_t m = std::min(kBoundSpan, n - s);
-              if (pipe.SpanCanFire(j, bar)) {
-                ++stats->tier2_fused_segments;
-                if (const vec::FusedScanHit* h = next_hit(s, s + m)) {
-                  return *h;
-                }
-              }
-              s += m;
+            if (cache_complete) {
+              while (next < found && hits[next].index < lo) ++next;
+              if (next < found && hits[next].index < hi) return hits[next];
+              return {hi, 0.0};
             }
-            return {n, 0.0};
-          }
-          if (cur_pos != from) {
-            // First fallback resume after cached returns (or after an
-            // overflowed record): rebuild the stream cursor at `from`
-            // from the enclosing span's checkpoint.
-            const size_t j = from / kBoundSpan;
-            cur = span_states[j];
-            const size_t p = from - j * kBoundSpan;
-            if (p > 0) {
-              uint64_t scratch;
-              vec::MegaFillMinSpans(&cur, p, wpv, p, &scratch, nullptr);
+            if (!have_words) {
+              BlockRng(entry).Fill({words, wpv * n});
+              have_words = true;
             }
-            cur_pos = from;
-          }
-          size_t s = from;
-          if (s % kBoundSpan != 0 && s < n) {
-            const size_t m = std::min(kBoundSpan - s % kBoundSpan, n - s);
-            ++stats->tier2_fused_segments;
-            const uint64_t skip_word = vec::MegaSkipWordThreshold(
-                pipe.SubrangeScoreUpper(s, m), bar, nu_scale);
-            BlockRng::State scan_st = cur;
-            const vec::FusedScanHit hit =
-                exp_nu ? vec::MegaExpScanSumGeBounded(&scan_st, nu_scale,
-                                                      {a + s, m}, bar,
-                                                      skip_word)
-                       : vec::MegaLaplaceScanSumGeBounded(&scan_st, 0.0,
-                                                          nu_scale, {a + s, m},
-                                                          bar, skip_word);
-            if (hit.index < m) {
-              cur = scan_st;  // at element s + hit.index + 1
-              cur_pos = s + hit.index + 1;
-              return {s + hit.index, hit.nu};
-            }
-            s += m;
-          }
-          while (s < n) {
-            const size_t j = s / kBoundSpan;
-            const size_t m = std::min(kBoundSpan, n - s);
-            if (!pipe.SpanCanFire(j, bar)) {
-              s += m;
-              continue;
-            }
-            ++stats->tier2_fused_segments;
-            // Typically only one or two elements keep a surviving span
-            // alive; the bounded scan reuses the span's score upper to
-            // skip the log transform for every lockstep group that
-            // provably cannot fire — bit-identical to the unbounded scan
-            // by the MegaSkipWordThreshold contract.
-            const uint64_t skip_word = pipe.SpanSkipWord(j, bar);
-            BlockRng::State scan_st = span_states[j];
-            const vec::FusedScanHit hit =
-                exp_nu ? vec::MegaExpScanSumGeBounded(&scan_st, nu_scale,
-                                                      {a + s, m}, bar,
-                                                      skip_word)
-                       : vec::MegaLaplaceScanSumGeBounded(&scan_st, 0.0,
-                                                          nu_scale, {a + s, m},
-                                                          bar, skip_word);
-            if (hit.index < m) {
-              cur = scan_st;  // at element s + hit.index + 1
-              cur_pos = s + hit.index + 1;
-              return {s + hit.index, hit.nu};
-            }
-            s += m;
-          }
-          cur_pos = n;
-          return {n, 0.0};
-        };
-        chunk_processed = ScanChunk(a, n, find_next, res + done);
-      }
-    } else {
-      // Pre-fetch the chunk's raw ν words — the substream advances exactly
-      // as if each ν_i had been drawn scalar-style. Word count and layout
-      // follow the spec's ν kind: Laplace variates are (magnitude, sign)
-      // pairs, exponential variates a single magnitude word each.
-      const size_t wpv = WordsPerVariate(spec_.nu_kind);
-      const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
-      state_->nu_rng.FillUint64({words, wpv * n});
-
-      // Per-span magnitude-word minima up front; the pipeline reduces them
-      // to the chunk minimum (unsigned min is association-free, so this is
-      // bit-for-bit the whole-chunk reduction) and owns the whole bound
-      // chain from here: the tier-1 all-⊥ shortcut and the per-span tier-2
-      // tests, each a monotone rounded chain over these minima and the
-      // chunk's score uppers — provably conservative, so the shortcut
-      // emits exactly what the exact comparison would (proof in
-      // core/bound_pipeline.h). Shared bound inputs with the megakernel
-      // arm keep the two modes' skip decisions and counters equal bit for
-      // bit.
-      pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
-      const size_t nspans = (n + kBoundSpan - 1) / kBoundSpan;
-      uint64_t span_min[kChunkSize / kBoundSpan];
-      for (size_t j = 0; j < nspans; ++j) {
-        const size_t s = j * kBoundSpan;
-        const size_t m = std::min(kBoundSpan, n - s);
-        span_min[j] = vec::MinWordBlock({words + wpv * s, wpv * m}, wpv);
-      }
-      pipe.SetNoiseMinima(span_min);
-      if (!pipe.ChunkCanFire(threshold + state_->rho)) {
-        state_->processed += static_cast<int64_t>(n);  // res already ⊥
-        ++state_->batch.tier1_chunks_skipped;
-      } else {
-        // Tier-2, single pass and hierarchical: the chunk-level bound
-        // failed, but the same conservative max-|ν| argument re-applies
-        // per kBoundSpan sub-span, where the max over far fewer draws is
-        // much smaller — in near-threshold workloads (answers a few ν
-        // scales under the bar) most sub-spans still prove all-⊥ from two
-        // integer/float reductions and skip their transform outright.
-        // Surviving sub-spans run the fused kernel, which transforms the
-        // raw word pairs and tests the positive condition in the same
-        // register pass — no ν block round-trip. After a positive the
-        // walk scans the firing sub-span's remainder exactly (it survived
-        // its bound to fire at all, and ρ may have been resampled) and
-        // then re-anchors on the sub-span grid, mirroring the megakernel
-        // arm span for span so the two modes' counters stay equal.
-        ++state_->batch.tier2_chunks_scanned;
-        const double nu_scale = spec_.nu_scale;
-        const uint64_t* const w = words;
-        BatchRunStats* const stats = &state_->batch;
-        const auto find_next = [&](size_t from,
-                                   double rho) -> vec::FusedScanHit {
-          const double bar = threshold + rho;
-          size_t s = from;
-          if (s % kBoundSpan != 0 && s < n) {
-            const size_t m = std::min(kBoundSpan - s % kBoundSpan, n - s);
-            ++stats->tier2_fused_segments;
-            const vec::FusedScanHit hit =
-                exp_nu ? vec::FusedExpScanSumGe({w + s, m}, nu_scale,
-                                                {a + s, m}, bar)
-                       : vec::FusedLaplaceScanSumGe({w + 2 * s, 2 * m}, 0.0,
-                                                    nu_scale, {a + s, m}, bar);
-            if (hit.index < m) return {s + hit.index, hit.nu};
-            s += m;
-          }
-          while (s < n) {
-            const size_t j = s / kBoundSpan;
-            const size_t m = std::min(kBoundSpan, n - s);
-            if (!pipe.SpanCanFire(j, bar)) {
-              s += m;
-              continue;
-            }
-            ++stats->tier2_fused_segments;
-            const vec::FusedScanHit hit =
-                exp_nu ? vec::FusedExpScanSumGe({w + s, m}, nu_scale,
-                                                {a + s, m}, bar)
-                       : vec::FusedLaplaceScanSumGe({w + 2 * s, 2 * m}, 0.0,
-                                                    nu_scale, {a + s, m}, bar);
-            if (hit.index < m) return {s + hit.index, hit.nu};
-            s += m;
-          }
-          return {n, 0.0};
+            const double* nu = nu_block.Fill(lo / kBoundSpan);
+            const size_t i =
+                lo + vec::FindFirstSumGe({a + lo, m}, {nu + lo, m}, bar);
+            return {i, i < hi ? nu[i] : 0.0};
+          };
+          return WalkSpans(from, n, stats, can_fire, scan);
         };
         chunk_processed = ScanChunk(a, n, find_next, res + done);
       }
@@ -568,10 +491,13 @@ size_t BatchRunner::Run(std::span<const double> answers,
   const size_t start = out->size();
   if (state_->exhausted || answers.empty()) return 0;
   const size_t total = answers.size();
-  out->resize(start + total);
-  Response* const res = out->data() + start;
+  Response* const res = ReserveAppend(out, total);
 
   const bool has_nu = spec_.nu_scale > 0.0;
+  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
+  const size_t wpv = WordsPerVariate(spec_.nu_kind);
+  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
+  const double nu_scale = spec_.nu_scale;
   // Per-query scratch: one sub-block of raw ν words, cache-line-aligned.
   // There is no tier-1 chunk bound to feed (a single common bar does not
   // exist), so nothing forces a whole-chunk prefetch — the words are
@@ -586,18 +512,20 @@ size_t BatchRunner::Run(std::span<const double> answers,
   // the bar lower bounds every bar in the span (proof in
   // core/bound_pipeline.h). Before the pipeline this path had no bound at
   // all and scanned every element.
-  BoundPipeline pipe(has_nu ? prefilter : nullptr, spec_.nu_scale, kBoundSpan,
+  BoundPipeline pipe(has_nu ? prefilter : nullptr, nu_scale, kBoundSpan,
                      &state_->batch);
-  // Megakernel-arm scratch, as in the common-threshold Run.
+  // Megakernel scratch, as in the common-threshold Run.
   constexpr size_t kMaxSubHits = kFusedSubBlock / 16;
-  UninitArray<BlockRng::State, kFusedSubBlock / kBoundSpan> span_states;
   UninitArray<vec::FusedScanHit, kMaxSubHits> hits;
+  SpanNuBlock nu_block(spec_.nu_kind, nu_scale, words);
+  BatchRunStats* const stats = &state_->batch;
 
   size_t done = 0;
   while (done < total) {
     const size_t n = std::min(kChunkSize, total - done);
     const double* const a = answers.data() + done;
     const double* const t = thresholds.data() + done;
+    out->resize(start + done + n);  // the chunk's responses, all ⊥
     size_t chunk_processed = n;
     if (!has_nu) {
       // ν-free per-query scan (Alg. 5): no noise words — nothing to fuse;
@@ -611,18 +539,12 @@ size_t BatchRunner::Run(std::span<const double> answers,
       };
       chunk_processed = ScanChunk(a, n, find_next, res + done);
     } else {
-      // Fused per-query tier-2: bounded fills (or lane-resident prepasses)
-      // pull the chunk's substream words sub-block by sub-block — the same
-      // words in the same order a scalar draw loop consumes, so a
-      // completed chunk leaves the substream at the identical position.
+      // Fused per-query tier-2: the chunk's substream words are consumed
+      // sub-block by sub-block — the same words in the same order a
+      // scalar draw loop consumes, so a completed chunk leaves the
+      // substream at the identical position.
       ++state_->batch.tier2_chunks_scanned;
       pipe.BeginChunk(a, t, done, n);
-      const double nu_scale = spec_.nu_scale;
-      const size_t wpv = WordsPerVariate(spec_.nu_kind);
-      const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
-      BatchRunStats* const stats = &state_->batch;
-      const bool use_mega =
-          ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
       size_t sub = 0;
       while (sub < n) {
         const size_t m = std::min(kFusedSubBlock, n - sub);
@@ -631,257 +553,122 @@ size_t BatchRunner::Run(std::span<const double> answers,
         const double* const t_sub = t + sub;
         const size_t first_span = sub / kBoundSpan;
         const size_t sub_nspans = (m + kBoundSpan - 1) / kBoundSpan;
+        // The pipeline's span plan (each span's answer-max paired with its
+        // bar-min, quantized or exact) yields a per-span skip-word vector
+        // at the sub-block-entry ρ, derivable before any words are drawn.
+        const double rho0 = state_->rho;
+        uint64_t skip_words[kFusedSubBlock / kBoundSpan];
+        bool any_skip = false;
+        for (size_t k = 0; k < sub_nspans; ++k) {
+          skip_words[k] = pipe.SpanSkipWordPerQuery(first_span + k, rho0);
+          any_skip = any_skip || skip_words[k] < vec::kMegaNeverSkipWord;
+        }
+        // When some span's word threshold can discharge at all, the
+        // megakernel prepass is the fused pairwise generate-bound-and-scan:
+        // one pass steps the lanes through the sub-block, records the
+        // per-span magnitude minima (the pipeline's ν-bound inputs) AND
+        // every element whose pairwise positive test fires at ρ0, skipping
+        // the transform for every word its span's threshold discharges
+        // (counted element-granular in mega_words_skipped_q). When no span
+        // has a finite skip word (hit-dense sub-block), the fused scan
+        // would transform everything for positives a cutoff may never
+        // need, so the words are fetched as the composition does.
+        const bool fused_scan = mega && any_skip;
+        const BlockRng::State entry = state_->nu_rng.state();
         uint64_t span_min[kFusedSubBlock / kBoundSpan];
-        size_t sub_processed;
-        if (use_mega) {
-          // Lane-resident sub-block. The pipeline's span plan (each
-          // span's answer-max paired with its bar-min, quantized or
-          // exact) yields a per-span skip-word *vector* at the sub-block
-          // entry ρ — derivable before any words are drawn. When any
-          // span's word threshold can discharge at all, the prepass is
-          // the fused pairwise generate-bound-and-scan: one pass steps
-          // the lanes through the sub-block, records the per-span
-          // magnitude minima (the pipeline's ν-bound inputs), a
-          // checkpoint at every span entry, AND every element whose
-          // pairwise positive test fires at the entry ρ — skipping the
-          // transform for every word its span's threshold discharges
-          // (counted element-granular in mega_words_skipped_q). The
-          // substream is then restored to the sub-block end: the prepass
-          // consumes exactly m·wpv words, so the stream position matches
-          // the composition's upfront fill whatever the walk later
-          // skips. When no span has a finite skip word (hit-dense
-          // sub-block), the fused scan would transform everything for
-          // positives a cutoff may never need, so only generate-and-
-          // bound runs — mirroring the common arm's fused_scan gate, and
-          // the composition's zero skipped-word count.
-          const double rho0 = state_->rho;
-          uint64_t skip_words[kFusedSubBlock / kBoundSpan];
-          bool any_skip = false;
-          for (size_t k = 0; k < sub_nspans; ++k) {
-            skip_words[k] = pipe.SpanSkipWordPerQuery(first_span + k, rho0);
-            any_skip = any_skip || skip_words[k] < vec::kMegaNeverSkipWord;
-          }
-          size_t found = 0;
+        size_t found = 0;
+        if (fused_scan) {
+          BlockRng::State end_state = entry;
           uint64_t skipped = 0;
-          BlockRng::State end_state = state_->nu_rng.state();
-          if (any_skip) {
-            found = exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
-                                 &end_state, nu_scale, {a_sub, m}, {t_sub, m},
-                                 rho0, skip_words, kBoundSpan, span_min,
-                                 span_states.data(), hits.data(), kMaxSubHits,
-                                 &skipped)
-                           : vec::MegaLaplaceFillMinScanSpansPairwise(
-                                 &end_state, 0.0, nu_scale, {a_sub, m},
-                                 {t_sub, m}, rho0, skip_words, kBoundSpan,
-                                 span_min, span_states.data(), hits.data(),
-                                 kMaxSubHits, &skipped);
-            stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
-          } else {
-            vec::MegaFillMinSpans(&end_state, m, wpv, kBoundSpan, span_min,
-                                  span_states.data());
-          }
+          found = exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
+                               &end_state, nu_scale, {a_sub, m}, {t_sub, m},
+                               rho0, skip_words, kBoundSpan, span_min,
+                               hits.data(), kMaxSubHits, &skipped)
+                         : vec::MegaLaplaceFillMinScanSpansPairwise(
+                               &end_state, 0.0, nu_scale, {a_sub, m},
+                               {t_sub, m}, rho0, skip_words, kBoundSpan,
+                               span_min, hits.data(), kMaxSubHits, &skipped);
+          stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
+          // The prepass consumed exactly m·wpv words, so the substream
+          // stands at the sub-block end whatever the walk later skips.
           state_->nu_rng.RestoreState(end_state);
-          pipe.SetSpanNoiseMinima(span_min, first_span, sub_nspans);
-          const bool cache_complete = any_skip && found <= kMaxSubHits;
-
-          BlockRng::State cur;        // resume cursor, at element cur_pos
-          size_t cur_pos = SIZE_MAX;  // once established
-          const auto find_next = [&](size_t from,
-                                     double rho) -> vec::FusedScanHit {
-            if (cache_complete && rho >= rho0) {
-              // Cached walk, sound for every ρ >= the prepass's ρ0:
-              // fl(t_i + ρ) is monotone in ρ, so an element that failed
-              // its computed test at ρ0 fails at ρ, and a span skip word
-              // derived against fl(bar_min + ρ0) stays sound (see
-              // SpanSkipWordPerQuery); a recorded hit carries the
-              // bit-identical ν a rescan would recompute, so re-testing
-              // it against fl(t_i + ρ) IS the rescan's computed test.
-              // Span decisions replay the fallback's on the pipeline's
-              // cached bounds: a span holding a surviving hit always
-              // passes its bound (the bound chain dominates every
-              // computed test), so the counters stay mode-equal.
-              const auto next_hit =
-                  [&](size_t lo, size_t hi) -> const vec::FusedScanHit* {
-                for (size_t k = 0; k < found; ++k) {
-                  if (hits[k].index < lo) continue;
-                  if (hits[k].index >= hi) break;
-                  if (rho == rho0 ||
-                      a_sub[hits[k].index] + hits[k].nu >=
-                          t_sub[hits[k].index] + rho) {
-                    return &hits[k];
-                  }
-                }
-                return nullptr;
-              };
-              size_t s = from;
-              if (s % kBoundSpan != 0 && s < m) {
-                ++stats->tier2_fused_segments;
-                const size_t mh =
-                    std::min(kBoundSpan - s % kBoundSpan, m - s);
-                if (const vec::FusedScanHit* h = next_hit(s, s + mh)) {
-                  return *h;
-                }
-                s += mh;
-              }
-              while (s < m) {
-                const size_t j = s / kBoundSpan;
-                const size_t mm = std::min(kBoundSpan, m - s);
-                if (pipe.SpanCanFirePerQuery(first_span + j, rho)) {
-                  ++stats->tier2_fused_segments;
-                  if (const vec::FusedScanHit* h = next_hit(s, s + mm)) {
-                    return *h;
-                  }
-                }
-                s += mm;
-              }
-              return {m, 0.0};
-            }
-            // Checkpoint fallback: ρ dropped below ρ0 (elements the
-            // prepass rejected could now fire), the hit record
-            // overflowed, or no span had a finite skip word. Span skip
-            // words are re-derived from the pipeline at the *current* ρ
-            // per visit, so surviving spans still transform only the
-            // lockstep groups their thresholds cannot discharge.
-            size_t s = from;
-            if (s % kBoundSpan != 0 && s < m) {
-              // Off-grid resume after a positive: scan the firing span's
-              // remainder exactly from the cursor the hit left behind
-              // (heads are never bound-checked), then re-anchor on the
-              // prepass grid.
-              const size_t mh = std::min(kBoundSpan - s % kBoundSpan, m - s);
-              ++stats->tier2_fused_segments;
-              if (cur_pos != s) {
-                const size_t j = s / kBoundSpan;
-                cur = span_states[j];
-                const size_t p = s - j * kBoundSpan;
-                if (p > 0) {
-                  uint64_t scratch;
-                  vec::MegaFillMinSpans(&cur, p, wpv, p, &scratch, nullptr);
-                }
-                cur_pos = s;
-              }
-              BlockRng::State scan_st = cur;
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::MegaExpScanSumGePairwise(
-                               &scan_st, nu_scale, {a_sub + s, mh},
-                               {t_sub + s, mh}, rho)
-                         : vec::MegaLaplaceScanSumGePairwise(
-                               &scan_st, 0.0, nu_scale, {a_sub + s, mh},
-                               {t_sub + s, mh}, rho);
-              if (hit.index < mh) {
-                cur = scan_st;  // at element s + hit.index + 1
-                cur_pos = s + hit.index + 1;
-                return {s + hit.index, hit.nu};
-              }
-              s += mh;
-            }
-            while (s < m) {
-              const size_t j = s / kBoundSpan;
-              const size_t mm = std::min(kBoundSpan, m - s);
-              if (!pipe.SpanCanFirePerQuery(first_span + j, rho)) {
-                s += mm;
-                continue;
-              }
-              ++stats->tier2_fused_segments;
-              const uint64_t skip_word =
-                  pipe.SpanSkipWordPerQuery(first_span + j, rho);
-              BlockRng::State scan_st = span_states[j];
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::MegaExpScanSumGePairwiseBounded(
-                               &scan_st, nu_scale, {a_sub + s, mm},
-                               {t_sub + s, mm}, rho, skip_word)
-                         : vec::MegaLaplaceScanSumGePairwiseBounded(
-                               &scan_st, 0.0, nu_scale, {a_sub + s, mm},
-                               {t_sub + s, mm}, rho, skip_word);
-              if (hit.index < mm) {
-                cur = scan_st;  // at element s + hit.index + 1
-                cur_pos = s + hit.index + 1;
-                return {s + hit.index, hit.nu};
-              }
-              s += mm;
-            }
-            cur_pos = m;
-            return {m, 0.0};
-          };
-          sub_processed = ScanChunk(a_sub, m, find_next, res + done + sub);
-          // The prepass already left the substream at the sub-block end —
-          // nothing to advance, even on a cutoff exit mid-block.
         } else {
           size_t filled = 0;
           while (filled < wpv * m) {
             filled += state_->nu_rng.FillUint64Bounded(
                 {words + filled, wpv * m - filled});
           }
-          const uint64_t* const w = words;
           // Same per-span minima as the prepass records (same words, and
           // unsigned min is association-free) — skip decisions and
-          // counters stay equal between the modes bit for bit.
+          // counters stay equal between the modes bit for bit. The
+          // skipped-word count mirrors the prepass's over the same words
+          // and skip words (never-skip spans contribute zero, as inside
+          // the fused lanes), so the counter is kernel-mode-independent.
+          uint64_t skipped = 0;
           for (size_t k = 0; k < sub_nspans; ++k) {
             const size_t s = k * kBoundSpan;
-            const size_t mm = std::min(kBoundSpan, m - s);
-            span_min[k] = vec::MinWordBlock({w + wpv * s, wpv * mm}, wpv);
+            const std::span<const uint64_t> span_words{
+                words + wpv * s, wpv * std::min(kBoundSpan, m - s)};
+            span_min[k] = vec::MinWordBlock(span_words, wpv);
+            skipped += vec::SkipWordCountBlock(span_words, wpv, skip_words[k]);
           }
-          pipe.SetSpanNoiseMinima(span_min, first_span, sub_nspans);
-          // Mirror the megakernel prepass's element-granular skipped-word
-          // count over the scratch words: the same per-span skip words at
-          // the same sub-block-entry ρ over the same magnitude words give
-          // the same count (never-skip spans contribute zero, exactly as
-          // they do inside the fused lanes), keeping the counter
-          // kernel-mode-independent without slowing this arm's scans — a
-          // vectorized compare-count per span, only where a finite skip
-          // word exists.
-          {
-            uint64_t skipped = 0;
-            for (size_t k = 0; k < sub_nspans; ++k) {
-              const uint64_t sw =
-                  pipe.SpanSkipWordPerQuery(first_span + k, state_->rho);
-              if (sw < vec::kMegaNeverSkipWord) {
-                const size_t s = k * kBoundSpan;
-                const size_t mm = std::min(kBoundSpan, m - s);
-                skipped +=
-                    vec::SkipWordCountBlock({w + wpv * s, wpv * mm}, wpv, sw);
-              }
-            }
-            stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
-          }
-          const auto find_next = [&](size_t from,
-                                     double rho) -> vec::FusedScanHit {
-            size_t s = from;
-            if (s % kBoundSpan != 0 && s < m) {
-              const size_t mh = std::min(kBoundSpan - s % kBoundSpan, m - s);
-              ++stats->tier2_fused_segments;
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::FusedExpScanSumGePairwise(
-                               {w + s, mh}, nu_scale, {a_sub + s, mh},
-                               {t_sub + s, mh}, rho)
-                         : vec::FusedLaplaceScanSumGePairwise(
-                               {w + 2 * s, 2 * mh}, 0.0, nu_scale,
-                               {a_sub + s, mh}, {t_sub + s, mh}, rho);
-              if (hit.index < mh) return {s + hit.index, hit.nu};
-              s += mh;
-            }
-            while (s < m) {
-              const size_t j = s / kBoundSpan;
-              const size_t mm = std::min(kBoundSpan, m - s);
-              if (!pipe.SpanCanFirePerQuery(first_span + j, rho)) {
-                s += mm;
-                continue;
-              }
-              ++stats->tier2_fused_segments;
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::FusedExpScanSumGePairwise(
-                               {w + s, mm}, nu_scale, {a_sub + s, mm},
-                               {t_sub + s, mm}, rho)
-                         : vec::FusedLaplaceScanSumGePairwise(
-                               {w + 2 * s, 2 * mm}, 0.0, nu_scale,
-                               {a_sub + s, mm}, {t_sub + s, mm}, rho);
-              if (hit.index < mm) return {s + hit.index, hit.nu};
-              s += mm;
-            }
-            return {m, 0.0};
-          };
-          sub_processed = ScanChunk(a_sub, m, find_next, res + done + sub);
+          stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
         }
+        pipe.SetSpanNoiseMinima(span_min, first_span, sub_nspans);
+
+        // Surviving spans scan as in the common arm, with one difference:
+        // the recorded hits stay usable while ρ >= ρ0. fl(t_i + ρ) is
+        // monotone in ρ, so an element that failed its computed test at
+        // ρ0 fails at ρ, and a span skip word derived against
+        // fl(bar_min + ρ0) stays sound (see SpanSkipWordPerQuery); a
+        // recorded hit carries the bit-identical ν a rescan would
+        // compute, so re-testing it against fl(t_i + ρ) IS the rescan's
+        // computed test.
+        const bool cache_complete = fused_scan && found <= kMaxSubHits;
+        bool have_words = !fused_scan;
+        nu_block.Reset(m);
+        size_t next = 0;  // first recorded hit not behind the walk
+        const auto find_next = [&](size_t from, double rho) {
+          const auto can_fire = [&](size_t j) {
+            return pipe.SpanCanFirePerQuery(first_span + j, rho);
+          };
+          const bool cached = cache_complete && rho >= rho0;
+          const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
+            const size_t mm = hi - lo;
+            if (!mega) {
+              const vec::FusedScanHit hit =
+                  exp_nu ? vec::FusedExpScanSumGePairwise(
+                               {words + lo, mm}, nu_scale, {a_sub + lo, mm},
+                               {t_sub + lo, mm}, rho)
+                         : vec::FusedLaplaceScanSumGePairwise(
+                               {words + 2 * lo, 2 * mm}, 0.0, nu_scale,
+                               {a_sub + lo, mm}, {t_sub + lo, mm}, rho);
+              return {lo + hit.index, hit.nu};
+            }
+            if (cached) {
+              while (next < found && hits[next].index < lo) ++next;
+              for (size_t k = next; k < found && hits[k].index < hi; ++k) {
+                const size_t i = hits[k].index;
+                if (rho == rho0 || a_sub[i] + hits[k].nu >= t_sub[i] + rho) {
+                  return hits[k];
+                }
+              }
+              return {hi, 0.0};
+            }
+            if (!have_words) {
+              BlockRng(entry).Fill({words, wpv * m});
+              have_words = true;
+            }
+            const double* nu = nu_block.Fill(lo / kBoundSpan);
+            const size_t i = lo + vec::FindFirstSumGePairwise(
+                                      {a_sub + lo, mm}, {nu + lo, mm},
+                                      {t_sub + lo, mm}, rho);
+            return {i, i < hi ? nu[i] : 0.0};
+          };
+          return WalkSpans(from, m, stats, can_fire, scan);
+        };
+        const size_t sub_processed =
+            ScanChunk(a_sub, m, find_next, res + done + sub);
         if (state_->exhausted) {
           chunk_processed = sub + sub_processed;
           break;

@@ -28,20 +28,24 @@
 //     resampling, Alg. 3's q+ν output and ε₃ numeric answers.
 //
 // On top of the fused structure sits a kernel-mode axis
-// (BatchKernelMode below). In the default kMegakernel mode the raw words
-// never touch memory at all: the tier-2 paths drive vecmath's
-// lane-resident Mega* kernels, which step the four lockstep xoshiro lanes
-// inside the scan loop and checkpoint/restore the generator state through
-// BlockRng::State. The common-threshold chunk becomes one
-// generate-and-bound pass (chunk minimum for tier 1, per-span minima plus
-// span-entry state checkpoints for tier 2) and surviving spans are
-// *regenerated* from their checkpoints instead of re-read — in ⊥-heavy
-// workloads most spans are discharged from the pass-1 minima and their
-// words exist only in registers, once. kComposition keeps the
-// FillUint64-into-scratch pipeline above; both modes emit bit-identical
-// responses, statistics, and stream positions (the megakernels are
-// stream-neutral by the vecmath equivalence contract), so the toggle is
-// purely a performance axis — and the A/B seam the paired benchmarks use.
+// (BatchKernelMode below). In the default kMegakernel mode a chunk whose
+// bar cannot move and whose answers admit a sound skip word never writes
+// its raw words to memory: one lane-resident pass (vecmath's Mega* family
+// steps the four lockstep xoshiro lanes in registers) generates them,
+// reduces them to the per-span minima the bounds need, and records every
+// element that fires under the chunk-entry bar, transforming only the
+// lockstep groups the skip word cannot discharge. Resumes then replay the
+// record, touching no word. Every other chunk — one whose spec resamples
+// ρ, one with an answer at or above the bar, or one whose record
+// overflowed — scans its surviving spans by comparing against a ν block:
+// each span's ν are transformed once, from the chunk's words, the first
+// time the walk needs the span, and every later resume in the chunk, under
+// whatever bar ρ has moved to, only compares. Hit-dense calls are where
+// this matters: a resume costs a compare, not a regeneration.
+// kComposition keeps the FillUint64-into-scratch pipeline with fused scans
+// for every surviving span; both modes emit bit-identical responses,
+// statistics, and stream positions (core/svt.h), so the toggle is purely a
+// performance axis — and the A/B seam the paired benchmarks use.
 //
 // Every conservative skip decision above — tier-1 chunk tests, tier-2
 // span tests (common and per-query), and the megakernels' skip-word
@@ -150,8 +154,10 @@ class BatchRunner {
   /// 170-360 ns streaming, at n = 8 it costs 270-380 ns against 280-600.
   /// 8 is also one AVX-512 group of variates, the length at which the
   /// runner's cost drops. Hit-dense calls (a positive every few queries)
-  /// stream faster at every length up to 64, since each positive restarts
-  /// the runner's scan; the rule does not chase them.
+  /// cross at 8-16: each resume after a positive compares against the
+  /// chunk's ν block instead of regenerating words, so at n = 64 the runner
+  /// takes 1.1-2.2 µs against 3.0-4.2 µs streaming. The rule does not
+  /// chase them.
   static constexpr size_t kStreamingCutover = 8;
 
   /// Runs per RunTrials block: one base-stream fill, one ρ transform and

@@ -119,19 +119,8 @@ void BoundPipeline::EnsureSpanNuBounds() {
   span_nu_ready_ = true;
 }
 
-double BoundPipeline::SubrangeScoreUpper(size_t s, size_t m) const {
-  SVT_DCHECK(m >= 1 && s + m <= n_);
-  if (quant_) return prefilter_->ScoreUpper(offset_ + s, m);
-  return vec::MaxBlock({a_ + s, m});
-}
-
 std::uint64_t BoundPipeline::ChunkSkipWord(double bar) const {
   return vec::MegaSkipWordThreshold(chunk_upper_, bar, nu_scale_);
-}
-
-std::uint64_t BoundPipeline::SpanSkipWord(size_t j, double bar) const {
-  SVT_DCHECK(j < nspans_);
-  return vec::MegaSkipWordThreshold(span_upper_[j], bar, nu_scale_);
 }
 
 std::uint64_t BoundPipeline::SpanSkipWordPerQuery(size_t j, double rho) const {

@@ -98,8 +98,8 @@ class BoundPipeline {
 
   size_t num_spans() const { return nspans_; }
 
-  /// Installs the chunk's per-span minimum magnitude words (from
-  /// vec::MegaFillMinSpans or vec::MinWordBlock — bit-identical by the
+  /// Installs the chunk's per-span minimum magnitude words (from a
+  /// megakernel fused pass or vec::MinWordBlock — bit-identical by the
   /// stream contract) and derives the padded chunk noise bound; per-span
   /// bounds are derived lazily on first span query so a chunk the tier-1
   /// test discharges pays exactly one log. Call after BeginChunk, before
@@ -112,21 +112,11 @@ class BoundPipeline {
   void SetSpanNoiseMinima(const std::uint64_t* span_min, size_t first_span,
                           size_t count);
 
-  /// Score upper bounds for skip-word derivation
-  /// (vec::MegaSkipWordThreshold needs any value >= the range's max).
-  double ChunkScoreUpper() const { return chunk_upper_; }
-  double SpanScoreUpper(size_t j) const { return span_upper_[j]; }
-  /// Upper bound over an arbitrary chunk subrange [s, s+m) — resume heads
-  /// after positives are not span-aligned. Not charged to
-  /// bound_bytes_touched (heads are positive-frequency rare).
-  double SubrangeScoreUpper(size_t s, size_t m) const;
-
   /// Megakernel skip words, derived inside the pipeline so both kernel
   /// modes (and the quantized level, when attached) feed identical
   /// answer-max / bar pairs into vec::MegaSkipWordThreshold. Valid after
   /// BeginChunk; they need no noise minima.
   std::uint64_t ChunkSkipWord(double bar) const;
-  std::uint64_t SpanSkipWord(size_t j, double bar) const;
   /// Per-query form: the span's bar-min folded with ρ. fl(dn + ρ) is a
   /// lower bound on every computed fl(t_i + ρ) in the span (monotone
   /// rounded add), so a word the threshold discharges at this bar cannot

@@ -160,11 +160,10 @@ struct BatchRunStats {
   /// vec::SkipWordCountBlock over its scratch buffer).
   int64_t mega_words_skipped_q = 0;
   /// Resume scans entered under a ρ that differs from the ρ the chunk
-  /// (or per-query sub-block) was entered with — the resamples the
-  /// megakernel's cached-hit replay re-validates its recorded positives
-  /// (and re-derives span skip words) against instead of falling back to
-  /// the checkpoint walk. Counted centrally at the resume site, so
-  /// dispatch- and kernel-mode-independent.
+  /// (or per-query sub-block) was entered with: the resumes that compare
+  /// against the chunk's ν block under a moved bar, or, per query, re-test
+  /// recorded positives against a raised ρ. Counted centrally at the
+  /// resume site, so dispatch- and kernel-mode-independent.
   int64_t replay_rederivations = 0;
   /// Queries answered by the short-call path: RunAppend calls shorter than
   /// BatchRunner::kStreamingCutover run the streaming Process() loop and
@@ -237,11 +236,22 @@ struct SvtRunState {
 /// word through the identical word→variate lattice of step (4). A chunk
 /// consumes exactly n · words-per-variate words whether it scans, skips,
 /// or records hits, so the stream position after any chunk is the same as
-/// the composition's — checkpoint/restore of BlockRng::State moves the
+/// the composition's — restoring the kernel's BlockRng::State moves the
 /// cursor, never the stream. SVT_BATCH_KERNELS=composition forces the
 /// FillUint64 + fused-scan composition path; both modes emit identical
 /// Responses (tests/core_batch_runner_test.cc diffs them per dispatch
 /// level) and no golden re-record accompanied the megakernels.
+///
+/// Filling the ν block is draw-order-neutral: where the megakernel walk
+/// resumes under a moved bar (or without a complete hit record), it
+/// compares against a per-chunk block of ν instead of rescanning, each
+/// span transformed once, the first time the walk reaches it. The block
+/// is transformed from the chunk's own words — the ones the chunk fill
+/// consumed, or, when the fused pass consumed them in registers, the same
+/// words regenerated from the chunk-entry BlockRng::State — through the
+/// block kernels of step (4). The stream position after the chunk is the
+/// fused pass's or the fill's either way, so steps 1-5 are unchanged and
+/// no golden re-record accompanied it.
 ///
 /// Quantized bound representations are BOUND-ONLY: the BoundPipeline's
 /// quantized prefilter level (core/bound_pipeline.h,

@@ -1054,15 +1054,11 @@ void WalkMegaVsComposition(uint64_t seed, size_t n, size_t wpv,
 TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
   ScopedDispatchLevel restore;
   const size_t n = 1003;  // odd: exercises every lane tail
-  std::vector<double> a(n), bars(n);
+  std::vector<double> a(n);
   Rng setup(555);
   setup.FillDouble(a);
-  setup.FillDouble(bars);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = (a[i] - 0.5) * 8.0;     // straddle the ν scale
-    bars[i] = (bars[i] - 0.5) * 4.0;
-  }
-  const double mu = 0.25, b = 1.75, rho = 0.125;
+  for (double& x : a) x = (x - 0.5) * 8.0;  // straddle the ν scale
+  const double mu = 0.25, b = 1.75;
   const double bar = mu + b;  // plenty of hits, plenty of gaps
 
   for (DispatchLevel level : kAllDispatchLevels) {
@@ -1084,19 +1080,6 @@ TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
           ctx + " laplace", &hits);
       EXPECT_GT(hits, 2u) << ctx << " workload must contain several hits";
       WalkMegaVsComposition(
-          17, n, 2, pre,
-          [&](BlockRng::State* st, size_t from) {
-            return MegaLaplaceScanSumGePairwise(
-                st, mu, b, {a.data() + from, n - from},
-                {bars.data() + from, n - from}, rho);
-          },
-          [&](std::span<const uint64_t> w, size_t from) {
-            return FusedLaplaceScanSumGePairwise(
-                w, mu, b, {a.data() + from, n - from},
-                {bars.data() + from, n - from}, rho);
-          },
-          ctx + " laplace-pairwise");
-      WalkMegaVsComposition(
           17, n, 1, pre,
           [&](BlockRng::State* st, size_t from) {
             return MegaExpScanSumGe(st, b, {a.data() + from, n - from}, bar);
@@ -1106,19 +1089,6 @@ TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
           },
           ctx + " exp", &hits);
       EXPECT_GT(hits, 2u) << ctx << " workload must contain several hits";
-      WalkMegaVsComposition(
-          17, n, 1, pre,
-          [&](BlockRng::State* st, size_t from) {
-            return MegaExpScanSumGePairwise(st, b, {a.data() + from, n - from},
-                                            {bars.data() + from, n - from},
-                                            rho);
-          },
-          [&](std::span<const uint64_t> w, size_t from) {
-            return FusedExpScanSumGePairwise(w, b, {a.data() + from, n - from},
-                                             {bars.data() + from, n - from},
-                                             rho);
-          },
-          ctx + " exp-pairwise");
     }
   }
 }
@@ -1170,79 +1140,14 @@ TEST(VecmathMegaScanTest, OddTailsEmptySpansAndEdgeBars) {
   }
 }
 
-TEST(VecmathMegaFillMinSpansTest, MatchesFillAndMinAtEveryLevel) {
-  // MegaFillMinSpans is defined as FillUint64 + per-span minimum over the
-  // magnitude words (every wpv-th word). Check, at every level and for
-  // both word widths: every span minimum, the recorded span-entry States
-  // (each must equal a shadow Rng advanced to the span's first word), the
-  // returned total, and the final stream position — across aligned spans,
-  // a short final span, single-span calls, and unaligned entry.
-  ScopedDispatchLevel restore;
-  std::vector<uint64_t> scratch;
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    for (size_t wpv : {size_t{1}, size_t{2}}) {
-      for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{64},
-                           size_t{96}, size_t{257}}) {
-        for (size_t span : {size_t{8}, size_t{16}, size_t{32}, size_t{512}}) {
-          for (uint32_t pre : {0u, 1u}) {
-            const std::string ctx =
-                std::string(DispatchLevelName(level)) + " wpv=" +
-                std::to_string(wpv) + " count=" + std::to_string(count) +
-                " span=" + std::to_string(span) + " pre=" +
-                std::to_string(pre);
-            Rng comp_rng(33), mega_rng(33), shadow(33);
-            for (uint32_t i = 0; i < pre; ++i) {
-              comp_rng.NextUint64();
-              mega_rng.NextUint64();
-              shadow.NextUint64();
-            }
-            std::vector<uint64_t> words(wpv * count);
-            comp_rng.FillUint64(words);
-            const size_t nspans = (count + span - 1) / span;
-            std::vector<uint64_t> smin(nspans + 1, 0xdecafbadull);
-            std::vector<BlockRng::State> sstates(nspans + 1);
-            BlockRng::State st = mega_rng.state();
-            const uint64_t total = MegaFillMinSpans(&st, count, wpv, span,
-                                                    smin.data(),
-                                                    sstates.data());
-            uint64_t want_total = ~0ull;
-            for (size_t s = 0; s < nspans; ++s) {
-              ASSERT_TRUE(StatesEqual(sstates[s], shadow.state()))
-                  << ctx << " span-entry state, span " << s;
-              const size_t lo = s * span;
-              const size_t hi = std::min(count, lo + span);
-              scratch.resize(wpv * (hi - lo));
-              shadow.FillUint64(scratch);
-              uint64_t m = ~0ull;
-              for (size_t i = lo; i < hi; ++i) {
-                m = std::min(m, words[wpv * i]);
-              }
-              ASSERT_EQ(smin[s], m) << ctx << " span " << s;
-              want_total = std::min(want_total, m);
-            }
-            EXPECT_EQ(total, want_total) << ctx;
-            EXPECT_EQ(smin[nspans], 0xdecafbadull)
-                << ctx << " wrote past the last span";
-            ASSERT_TRUE(StatesEqual(st, shadow.state()))
-                << ctx << " final stream position";
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(VecmathMegaScanTest, BitIdenticalAcrossDispatchLevels) {
   // Megakernel hit sequences (index AND ν payload) and final stream
   // positions must not depend on the lane.
   ScopedDispatchLevel restore;
   const size_t n = 531;
-  std::vector<double> a(n), bars(n);
+  std::vector<double> a(n);
   Rng setup(99);
   setup.FillDouble(a);
-  setup.FillDouble(bars);
 
   ASSERT_TRUE(SetDispatchLevel(DispatchLevel::kScalar));
   std::vector<FusedScanHit> ref;
@@ -1251,9 +1156,8 @@ TEST(VecmathMegaScanTest, BitIdenticalAcrossDispatchLevels) {
     Rng rng(99);
     BlockRng::State st = rng.state();
     for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = MegaLaplaceScanSumGePairwise(
-          &st, 0.0, 2.0, {a.data() + from, n - from},
-          {bars.data() + from, n - from}, 0.5);
+      const FusedScanHit hit = MegaLaplaceScanSumGe(
+          &st, 0.0, 2.0, {a.data() + from, n - from}, 1.5);
       ref.push_back(hit);
       if (from + hit.index >= n) break;
       from += hit.index + 1;
@@ -1268,9 +1172,8 @@ TEST(VecmathMegaScanTest, BitIdenticalAcrossDispatchLevels) {
     BlockRng::State st = rng.state();
     size_t k = 0;
     for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = MegaLaplaceScanSumGePairwise(
-          &st, 0.0, 2.0, {a.data() + from, n - from},
-          {bars.data() + from, n - from}, 0.5);
+      const FusedScanHit hit = MegaLaplaceScanSumGe(
+          &st, 0.0, 2.0, {a.data() + from, n - from}, 1.5);
       ASSERT_LT(k, ref.size());
       ASSERT_EQ(hit.index, ref[k].index) << DispatchLevelName(level);
       ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
@@ -1304,169 +1207,117 @@ TEST(VecmathMegaBoundedTest, SkipWordThresholdShape) {
   EXPECT_LT(MegaSkipWordThreshold(0.0, 40.0, 1.0), uint64_t{1} << 11);
 }
 
-TEST(VecmathMegaBoundedTest, BoundedScanMatchesUnboundedAtEveryLevel) {
-  // The bounded scans must be bit-identical to the unbounded megakernels
-  // — same hit indices, same ν payloads, same end states — at every
-  // dispatch level, both with the production word threshold (near-bar
-  // answers keep boundary pressure on its soundness) and with the
-  // never-skip sentinel (pure pass-through).
-  ScopedDispatchLevel restore;
-  const size_t n = 1003;
-  std::vector<double> a(n);
-  Rng setup(321);
-  setup.FillDouble(a);
-  const double b = 1.75;
-  const double bar = 1.0;
-  double a_max = a[0];
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = bar - 12.0 * a[i];  // gaps in (bar - 12, bar]: rare hits
-    a_max = std::max(a_max, a[i]);
-  }
-  const uint64_t tight = MegaSkipWordThreshold(a_max, bar, b);
-  ASSERT_LT(tight, kMegaNeverSkipWord) << "workload must allow skipping";
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    for (uint32_t pre : {0u, 1u, 3u}) {
-      for (uint64_t skip : {tight, kMegaNeverSkipWord}) {
-        const std::string ctx = std::string(DispatchLevelName(level)) +
-                                " pre=" + std::to_string(pre) +
-                                " skip=" + std::to_string(skip);
-        size_t hits = 0;
-        WalkMegaVsComposition(
-            41, n, 2, pre,
-            [&](BlockRng::State* st, size_t from) {
-              return MegaLaplaceScanSumGeBounded(
-                  st, 0.0, b, {a.data() + from, n - from}, bar, skip);
-            },
-            [&](std::span<const uint64_t> w, size_t from) {
-              return FusedLaplaceScanSumGe(w, 0.0, b,
-                                           {a.data() + from, n - from}, bar);
-            },
-            ctx + " laplace", &hits);
-        EXPECT_GT(hits, 1u) << ctx << " workload must contain hits";
-        WalkMegaVsComposition(
-            41, n, 1, pre,
-            [&](BlockRng::State* st, size_t from) {
-              return MegaExpScanSumGeBounded(st, b, {a.data() + from, n - from},
-                                             bar, skip);
-            },
-            [&](std::span<const uint64_t> w, size_t from) {
-              return FusedExpScanSumGe(w, b, {a.data() + from, n - from}, bar);
-            },
-            ctx + " exp", &hits);
-        EXPECT_GT(hits, 1u) << ctx << " workload must contain hits";
-      }
-    }
-  }
-}
-
 TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
-  // The fused generate-bound-and-scan pass is defined as MegaFillMinSpans
-  // (identical minima, span states, end state) plus the complete set of
-  // positives a bounded-scan walk from the same origin finds — indices
-  // and ν payloads bit for bit, in order. Also pins the overflow
-  // contract: with a tiny max_hits the return value still counts every
-  // positive and the stored prefix is unchanged.
+  // The fused generate-bound-and-scan pass is defined by the composition
+  // it replaces: FillUint64 of the same words, the minimum magnitude word
+  // per span, and the complete set of positives a fused-scan walk over
+  // those words finds — indices and ν payloads bit for bit, in order —
+  // with the stream left where the fill leaves it. Covers aligned and
+  // unaligned entry, short final spans and spans narrower than a chunk.
+  // Also pins the overflow contract: with a tiny max_hits the return value
+  // still counts every positive and the stored prefix is unchanged.
   ScopedDispatchLevel restore;
   const double b = 2.25;
   const double bar = 0.5;
-  std::vector<uint64_t> scratch;
 
   for (DispatchLevel level : kAllDispatchLevels) {
     if (!SetDispatchLevel(level)) continue;
     for (size_t n : {size_t{37}, size_t{128}, size_t{1000}, size_t{2048}}) {
-      for (int exp_nu = 0; exp_nu <= 1; ++exp_nu) {
-        const std::string ctx = std::string(DispatchLevelName(level)) +
-                                " n=" + std::to_string(n) +
-                                " exp=" + std::to_string(exp_nu);
-        const size_t wpv = exp_nu ? 1 : 2;
-        std::vector<double> a(n);
-        Rng setup(n * 7 + exp_nu);
-        setup.FillDouble(a);
-        double a_max = -1e300;
-        for (size_t i = 0; i < n; ++i) {
-          a[i] = bar - 10.0 * a[i];
-          a_max = std::max(a_max, a[i]);
-        }
-        const uint64_t skip = MegaSkipWordThreshold(a_max, bar, b);
-        ASSERT_LT(skip, kMegaNeverSkipWord) << ctx;
-        const size_t span = 128;
-        const size_t nspans = (n + span - 1) / span;
+      for (size_t span : {size_t{8}, size_t{128}}) {
+        for (uint32_t pre : {0u, 1u}) {
+          for (int exp_nu = 0; exp_nu <= 1; ++exp_nu) {
+            const std::string ctx =
+                std::string(DispatchLevelName(level)) + " n=" +
+                std::to_string(n) + " span=" + std::to_string(span) +
+                " pre=" + std::to_string(pre) +
+                " exp=" + std::to_string(exp_nu);
+            const size_t wpv = exp_nu ? 1 : 2;
+            std::vector<double> a(n);
+            Rng setup(n * 7 + exp_nu);
+            setup.FillDouble(a);
+            double a_max = -1e300;
+            for (size_t i = 0; i < n; ++i) {
+              a[i] = bar - 10.0 * a[i];
+              a_max = std::max(a_max, a[i]);
+            }
+            const uint64_t skip = MegaSkipWordThreshold(a_max, bar, b);
+            ASSERT_LT(skip, kMegaNeverSkipWord) << ctx;
+            const size_t nspans = (n + span - 1) / span;
 
-        Rng ref_rng(77), fused_rng(77);
-        const BlockRng::State s0 = ref_rng.state();
+            Rng ref_rng(77);
+            for (uint32_t i = 0; i < pre; ++i) ref_rng.NextUint64();
+            const BlockRng::State s0 = ref_rng.state();
 
-        // Reference: generate-and-bound pass, then a bounded-scan walk
-        // from the same origin for the hit list.
-        BlockRng::State ref_st = s0;
-        std::vector<uint64_t> ref_min(nspans);
-        std::vector<BlockRng::State> ref_states(nspans);
-        const uint64_t ref_total = MegaFillMinSpans(
-            &ref_st, n, wpv, span, ref_min.data(), ref_states.data());
-        std::vector<FusedScanHit> ref_hits;
-        {
-          BlockRng::State sc = s0;
-          size_t from = 0;
-          while (from < n) {
-            const FusedScanHit h =
-                exp_nu ? MegaExpScanSumGeBounded(
-                             &sc, b, {a.data() + from, n - from}, bar, skip)
-                       : MegaLaplaceScanSumGeBounded(
-                             &sc, 0.0, b, {a.data() + from, n - from}, bar,
-                             skip);
-            if (h.index >= n - from) break;
-            ref_hits.push_back({from + h.index, h.nu});
-            from += h.index + 1;
+            // Reference: the composition over the filled words.
+            std::vector<uint64_t> words(wpv * n);
+            ref_rng.FillUint64(words);
+            std::vector<uint64_t> ref_min(nspans, ~0ull);
+            for (size_t i = 0; i < n; ++i) {
+              ref_min[i / span] = std::min(ref_min[i / span], words[wpv * i]);
+            }
+            const uint64_t ref_total =
+                *std::min_element(ref_min.begin(), ref_min.end());
+            std::vector<FusedScanHit> ref_hits;
+            for (size_t from = 0; from < n;) {
+              const std::span<const double> rest{a.data() + from, n - from};
+              const std::span<const uint64_t> w{words.data() + wpv * from,
+                                                wpv * (n - from)};
+              const FusedScanHit h =
+                  exp_nu ? FusedExpScanSumGe(w, b, rest, bar)
+                         : FusedLaplaceScanSumGe(w, 0.0, b, rest, bar);
+              if (h.index >= n - from) break;
+              ref_hits.push_back({from + h.index, h.nu});
+              from += h.index + 1;
+            }
+            ASSERT_GT(ref_hits.size(), 1u)
+                << ctx << " workload must contain hits";
+
+            BlockRng::State st = s0;
+            std::vector<uint64_t> smin(nspans + 1, 0xdecafbadull);
+            std::vector<FusedScanHit> hits(n);
+            uint64_t total = 0;
+            const size_t found =
+                exp_nu ? MegaExpFillMinScanSpans(&st, b, a, bar, skip, span,
+                                                 smin.data(), hits.data(), n,
+                                                 &total)
+                       : MegaLaplaceFillMinScanSpans(&st, 0.0, b, a, bar, skip,
+                                                     span, smin.data(),
+                                                     hits.data(), n, &total);
+            EXPECT_EQ(total, ref_total) << ctx;
+            ASSERT_EQ(found, ref_hits.size()) << ctx;
+            for (size_t k = 0; k < found; ++k) {
+              ASSERT_EQ(hits[k].index, ref_hits[k].index) << ctx << " k=" << k;
+              ASSERT_EQ(std::bit_cast<uint64_t>(hits[k].nu),
+                        std::bit_cast<uint64_t>(ref_hits[k].nu))
+                  << ctx << " k=" << k;
+            }
+            for (size_t j = 0; j < nspans; ++j) {
+              ASSERT_EQ(smin[j], ref_min[j]) << ctx << " span " << j;
+            }
+            EXPECT_EQ(smin[nspans], 0xdecafbadull)
+                << ctx << " wrote past the last span";
+            ASSERT_TRUE(StatesEqual(st, ref_rng.state()))
+                << ctx << " end state";
+
+            // Overflow: max_hits = 1 stores only the first hit but still
+            // counts them all and leaves the reductions and state unchanged.
+            BlockRng::State st2 = s0;
+            FusedScanHit first{};
+            uint64_t total2 = 0;
+            const size_t found2 =
+                exp_nu ? MegaExpFillMinScanSpans(&st2, b, a, bar, skip, span,
+                                                 smin.data(), &first, 1,
+                                                 &total2)
+                       : MegaLaplaceFillMinScanSpans(&st2, 0.0, b, a, bar,
+                                                     skip, span, smin.data(),
+                                                     &first, 1, &total2);
+            EXPECT_EQ(found2, found) << ctx;
+            EXPECT_EQ(total2, ref_total) << ctx;
+            EXPECT_EQ(first.index, ref_hits[0].index) << ctx;
+            ASSERT_TRUE(StatesEqual(st2, ref_rng.state()))
+                << ctx << " overflow end state";
           }
         }
-        ASSERT_GT(ref_hits.size(), 1u) << ctx << " workload must contain hits";
-
-        BlockRng::State st = s0;
-        std::vector<uint64_t> smin(nspans);
-        std::vector<BlockRng::State> sstates(nspans);
-        std::vector<FusedScanHit> hits(n);
-        uint64_t total = 0;
-        const size_t found =
-            exp_nu ? MegaExpFillMinScanSpans(&st, b, a, bar, skip, span,
-                                             smin.data(), sstates.data(),
-                                             hits.data(), n, &total)
-                   : MegaLaplaceFillMinScanSpans(&st, 0.0, b, a, bar, skip,
-                                                 span, smin.data(),
-                                                 sstates.data(), hits.data(),
-                                                 n, &total);
-        EXPECT_EQ(total, ref_total) << ctx;
-        ASSERT_EQ(found, ref_hits.size()) << ctx;
-        for (size_t k = 0; k < found; ++k) {
-          ASSERT_EQ(hits[k].index, ref_hits[k].index) << ctx << " k=" << k;
-          ASSERT_EQ(std::bit_cast<uint64_t>(hits[k].nu),
-                    std::bit_cast<uint64_t>(ref_hits[k].nu))
-              << ctx << " k=" << k;
-        }
-        for (size_t j = 0; j < nspans; ++j) {
-          ASSERT_EQ(smin[j], ref_min[j]) << ctx << " span " << j;
-          ASSERT_TRUE(StatesEqual(sstates[j], ref_states[j]))
-              << ctx << " span state " << j;
-        }
-        ASSERT_TRUE(StatesEqual(st, ref_st)) << ctx << " end state";
-
-        // Overflow: max_hits = 1 stores only the first hit but still
-        // counts them all and leaves reductions and states unchanged.
-        BlockRng::State st2 = s0;
-        FusedScanHit first{};
-        uint64_t total2 = 0;
-        const size_t found2 =
-            exp_nu ? MegaExpFillMinScanSpans(&st2, b, a, bar, skip, span,
-                                             smin.data(), sstates.data(),
-                                             &first, 1, &total2)
-                   : MegaLaplaceFillMinScanSpans(&st2, 0.0, b, a, bar, skip,
-                                                 span, smin.data(),
-                                                 sstates.data(), &first, 1,
-                                                 &total2);
-        EXPECT_EQ(found2, found) << ctx;
-        EXPECT_EQ(total2, ref_total) << ctx;
-        EXPECT_EQ(first.index, ref_hits[0].index) << ctx;
-        ASSERT_TRUE(StatesEqual(st2, ref_st)) << ctx << " overflow end state";
       }
     }
   }

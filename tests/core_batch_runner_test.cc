@@ -1404,6 +1404,191 @@ TEST(BatchRunnerTest, StreamedQueriesClearedOnReset) {
   EXPECT_EQ(mech->batch_stats().streamed_queries, 0);
 }
 
+TEST(BatchRunnerTest, ResumeWalkMatchesStreamingAndComposition) {
+  // A megakernel arm scans a surviving span from its fused pass's hit
+  // record while the bar stays at the chunk-entry bar, and otherwise by
+  // comparing against the chunk's ν block, each span transformed once.
+  // Every scenario below reaches the ν block: ρ resampled densely (the
+  // bar drops below the entry bar many times per chunk), a record that
+  // overflows, chunks with no sound skip word, and a cutoff that exhausts
+  // the run inside a span. Each runs as several calls that cross chunk
+  // boundaries, for both arms, both ν kinds, the prefilter on and off, at
+  // every dispatch level. Batch must equal streaming and megakernel must
+  // equal composition: responses, both streams and the span counters.
+  ScopedDispatchLevel restore_level;
+  ScopedBatchKernelMode restore_mode(ActiveBatchKernelMode());
+  ScopedPrefilterGate restore_gate;
+  constexpr size_t kChunk = BatchRunner::kChunkSize;
+  constexpr size_t kSpan = BatchRunner::kBoundSpan;
+  constexpr int kNoCutoff = 1 << 20;
+  struct Scenario {
+    const char* name;
+    bool resample;
+    int cutoff;
+    double lo, hi;       // answers lo..hi ν scales from their bar
+    size_t spike_every;  // 0, or every k-th answer 3 ν scales above it
+    std::vector<size_t> calls;
+  };
+  const Scenario scenarios[] = {
+      {"resample-dense", true, kNoCutoff, -4.0, -1.0, 0,
+       {2 * kChunk + 300, kChunk - 5, 3 * kSpan + 1}},
+      // Close enough under the bar that more than kChunkSize / 16
+      // elements per chunk fire, far enough that the skip word is finite.
+      {"overflow", false, kNoCutoff, -1.6, -1.4, 0, {kChunk + 517, kChunk + 9}},
+      // An answer above the bar in every span: no sound skip word.
+      {"no-skip-word", false, kNoCutoff, -1.0, 0.0, kSpan - 31,
+       {2 * kChunk + 77, 700}},
+      {"cutoff", false, 301, -1.5, -0.5, 0, {3 * kChunk}},
+      {"cutoff-resample", true, 157, -3.0, -1.0, 0, {kChunk + 700, kChunk}},
+  };
+
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    for (const Scenario& sc : scenarios) {
+      for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
+        for (const bool per_query : {false, true}) {
+          for (const bool prefilter_on : {true, false}) {
+            SetBoundPrefilterEnabled(prefilter_on);
+            VariantSpec spec =
+                MakeSpec(sc.resample ? VariantId::kAlg2 : VariantId::kAlg1,
+                         1.0, 1.0, sc.cutoff);
+            spec.nu_kind = nu_kind;
+            const double s = spec.nu_scale;
+            Rng rng_mega(7), rng_comp(7), rng_stream(7), gen(11);
+            CustomSvt mega(spec, &rng_mega), comp(spec, &rng_comp),
+                stream(spec, &rng_stream);
+            std::vector<Response> got_mega, got_comp, want;
+            for (size_t len : sc.calls) {
+              // Bars placed against the current ρ, so the entry bar sits
+              // where the scenario wants it.
+              const double rho = stream.threshold_noise();
+              std::vector<double> answers(len), bars(len, -rho);
+              for (size_t i = 0; i < len; ++i) {
+                if (per_query) bars[i] += 0.25 * s * (gen.NextDouble() - 0.5);
+                const bool spike =
+                    sc.spike_every != 0 && i % sc.spike_every == 0;
+                const double off =
+                    spike ? 3.0 : sc.lo + (sc.hi - sc.lo) * gen.NextDouble();
+                answers[i] = bars[i] + off * s;
+              }
+              const BoundPrefilter pf =
+                  per_query ? BoundPrefilter::Build(answers, bars)
+                            : BoundPrefilter::Build(answers);
+              const auto run = [&](CustomSvt& mech, BatchKernelMode mode,
+                                   std::vector<Response>* out) {
+                SetBatchKernelMode(mode);
+                if (per_query) {
+                  mech.RunAppend(answers, bars, &pf, out);
+                } else {
+                  mech.RunAppend(answers, -rho, &pf, out);
+                }
+              };
+              run(mega, BatchKernelMode::kMegakernel, &got_mega);
+              run(comp, BatchKernelMode::kComposition, &got_comp);
+              for (size_t i = 0; i < len && !stream.exhausted(); ++i) {
+                want.push_back(stream.Process(answers[i], bars[i]));
+              }
+            }
+
+            const std::string ctx =
+                std::string(sc.name) +
+                (nu_kind == NoiseKind::kLaplace ? " lap" : " exp") +
+                (per_query ? " per-query" : " common") +
+                (prefilter_on ? " prefilter" : " no-prefilter") + " " +
+                vec::DispatchLevelName(level);
+            ExpectSameResponses(got_mega, want, ctx + " megakernel");
+            ExpectSameResponses(got_comp, want, ctx + " composition");
+            EXPECT_TRUE(SameState(rng_mega.state(), rng_stream.state()))
+                << ctx;
+            EXPECT_TRUE(SameState(rng_comp.state(), rng_stream.state()))
+                << ctx;
+            EXPECT_TRUE(
+                SameState(mega.nu_stream_state(), comp.nu_stream_state()))
+                << ctx;
+            if (!stream.exhausted()) {
+              EXPECT_TRUE(
+                  SameState(mega.nu_stream_state(), stream.nu_stream_state()))
+                  << ctx;
+            }
+            const BatchRunStats& ms = mega.batch_stats();
+            const BatchRunStats& cs = comp.batch_stats();
+            EXPECT_EQ(ms.tier2_fused_segments, cs.tier2_fused_segments) << ctx;
+            EXPECT_EQ(ms.tier2_spans_skipped, cs.tier2_spans_skipped) << ctx;
+            EXPECT_EQ(ms.replay_rederivations, cs.replay_rederivations)
+                << ctx;
+
+            // Each scenario reaches the regime it names.
+            if (sc.resample) {
+              EXPECT_GT(ms.replay_rederivations, 10) << ctx;
+            }
+            if (sc.cutoff != kNoCutoff) {
+              EXPECT_TRUE(mega.exhausted()) << ctx;
+              EXPECT_NE(want.size() % kSpan, 0u)
+                  << ctx << " exhausted on a span boundary";
+            }
+            if (std::string(sc.name) == "overflow") {
+              const auto fired = std::count_if(
+                  want.begin(), want.begin() + kChunk,
+                  [](const Response& r) { return r.is_positive(); });
+              EXPECT_GT(fired, static_cast<std::ptrdiff_t>(kChunk / 16))
+                  << ctx;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchRunnerTest, RepeatedEngineCallsGrowTheOutputGeometrically) {
+  // 1000 engine-sized calls appended to one vector emit what one call over
+  // all the answers does, and the vector reallocates only logarithmically
+  // often: the engine reserves with the vector's geometric growth before
+  // it zero-fills chunk by chunk, never an exact size per call.
+  constexpr size_t kCall = 64;
+  constexpr size_t kCalls = 1000;
+  static_assert(kCall >= BatchRunner::kStreamingCutover);
+  std::vector<double> answers(kCall * kCalls), bars(kCall * kCalls);
+  Rng gen(91);
+  for (size_t i = 0; i < answers.size(); ++i) {
+    answers[i] = (gen.NextDouble() - 0.8) * 6.0;
+    bars[i] = gen.NextDouble() - 0.5;
+  }
+  SvtOptions o;
+  o.epsilon = 0.5;
+  o.cutoff = 1 << 20;
+  for (const bool per_query : {false, true}) {
+    Rng rng_calls(5), rng_one(5);
+    auto calls = SparseVector::Create(o, &rng_calls).value();
+    auto one = SparseVector::Create(o, &rng_one).value();
+    std::vector<Response> got, want;
+    int reallocations = 0;
+    for (size_t c = 0; c < kCalls; ++c) {
+      const std::span<const double> a{answers.data() + c * kCall, kCall};
+      const size_t capacity = got.capacity();
+      if (per_query) {
+        calls->RunAppend(a, {bars.data() + c * kCall, kCall}, &got);
+      } else {
+        calls->RunAppend(a, 0.0, &got);
+      }
+      reallocations += got.capacity() != capacity;
+    }
+    if (per_query) {
+      one->RunAppend(answers, bars, &want);
+    } else {
+      one->RunAppend(answers, 0.0, &want);
+    }
+    const std::string ctx = per_query ? "per-query" : "common";
+    ExpectSameResponses(got, want, ctx);
+    EXPECT_GT(std::count_if(got.begin(), got.end(),
+                            [](const Response& r) { return r.is_positive(); }),
+              100)
+        << ctx;
+    // ceil(log2(64000)) = 16 doublings from empty.
+    EXPECT_LE(reallocations, 17) << ctx;
+  }
+}
+
 TEST(BatchRunnerDeathTest, ShortCallsKeepTheArgumentChecks) {
   // A call short enough to stream is checked exactly like a long one.
   Rng rng(13);

@@ -39,16 +39,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// Restores the prefilter gate on scope exit, mirroring ScopedDispatchLevel.
-class ScopedPrefilterGate {
- public:
-  ScopedPrefilterGate() : saved_(BoundPrefilterEnabled()) {}
-  ~ScopedPrefilterGate() { SetBoundPrefilterEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 // Adversarial value pools. `Boundary` values are spliced into otherwise
 // random vectors so every span mixes regimes.
 std::vector<double> BoundaryValues(double center) {

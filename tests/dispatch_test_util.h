@@ -1,13 +1,14 @@
-// Shared RAII guard for cross-dispatch tests: restores the vecmath
-// dispatch level on scope exit, so tests compose and a fatal ASSERT inside
-// one test body cannot leak a pinned level into every later test of the
-// binary (gtest's ASSERT_* return unwinds the stack, so the destructor
-// still runs).
+// Shared RAII guards for cross-dispatch tests: restore the vecmath
+// dispatch level (and the bound-prefilter gate) on scope exit, so tests
+// compose and a fatal ASSERT inside one test body cannot leak a pinned
+// level into every later test of the binary (gtest's ASSERT_* return
+// unwinds the stack, so the destructor still runs).
 
 #ifndef SPARSEVEC_TESTS_DISPATCH_TEST_UTIL_H_
 #define SPARSEVEC_TESTS_DISPATCH_TEST_UTIL_H_
 
 #include "common/vecmath.h"
+#include "data/bound_prefilter.h"
 
 namespace svt {
 
@@ -21,6 +22,18 @@ class ScopedDispatchLevel {
 
  private:
   vec::DispatchLevel saved_;
+};
+
+class ScopedPrefilterGate {
+ public:
+  ScopedPrefilterGate() : saved_(BoundPrefilterEnabled()) {}
+  ~ScopedPrefilterGate() { SetBoundPrefilterEnabled(saved_); }
+
+  ScopedPrefilterGate(const ScopedPrefilterGate&) = delete;
+  ScopedPrefilterGate& operator=(const ScopedPrefilterGate&) = delete;
+
+ private:
+  bool saved_;
 };
 
 }  // namespace svt
