@@ -1,6 +1,8 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <array>
+#include <bitset>
 
 #include "common/check.h"
 #include "common/rng_lockstep.h"
@@ -188,6 +190,101 @@ void FillLockstep(uint64_t* s, uint64_t* p, size_t steps) {
   FillLockstepScalar(s, p, steps);
 }
 
+// Jump-ahead over GF(2). A polynomial of degree < 256 is four words, bit b
+// of word i the coefficient of x^(64i + b) — the layout of the reference
+// xoshiro256 jump constants.
+using Poly256 = std::array<uint64_t, 4>;
+
+bool Coefficient(const Poly256& a, size_t i) {
+  return (a[i / 64] >> (i % 64) & 1) != 0;
+}
+
+// The characteristic polynomial p of one lane's state transition, stored
+// without its x^256 term, and x^(2^i) mod p for every i a 64-bit step
+// count can set.
+struct JumpTables {
+  Poly256 low{};
+  std::array<Poly256, 64> x_pow2{};
+};
+
+// r · x mod p.
+void MulX(const JumpTables& t, Poly256& r) {
+  const uint64_t carry = r[3] >> 63;
+  r[3] = r[3] << 1 | r[2] >> 63;
+  r[2] = r[2] << 1 | r[1] >> 63;
+  r[1] = r[1] << 1 | r[0] >> 63;
+  r[0] <<= 1;
+  if (carry != 0) {
+    for (size_t w = 0; w < 4; ++w) r[w] ^= t.low[w];
+  }
+}
+
+// a · b mod p, by Horner's rule over a's coefficients.
+Poly256 MulMod(const JumpTables& t, const Poly256& a, const Poly256& b) {
+  Poly256 r{};
+  for (size_t i = 256; i-- > 0;) {
+    MulX(t, r);
+    if (Coefficient(a, i)) {
+      for (size_t w = 0; w < 4; ++w) r[w] ^= b[w];
+    }
+  }
+  return r;
+}
+
+// Berlekamp–Massey over the bit sequence y_N = bit 0 of state word 0 after
+// N transitions of a fixed nonzero lane state. The sequence's minimal
+// polynomial divides p; p is primitive (xoshiro256's period is 2^256 - 1),
+// hence irreducible, so the minimal polynomial is p itself and 512 terms
+// determine it.
+JumpTables BuildJumpTables() {
+  constexpr size_t kDegree = 256;
+  constexpr size_t kTerms = 2 * kDegree;
+  std::array<uint64_t, 16> s{};
+  for (size_t w = 0; w < 4; ++w) s[w * 4] = 0x9e3779b97f4a7c15ULL * (w + 1);
+  // Connection polynomial c(x) = 1 + c_1 x + ... + c_L x^L with
+  // y_N = c_1 y_(N-1) + ... + c_L y_(N-L) for every N >= L; c has no
+  // terms above x^L, so the discrepancy at N is the parity of c AND the
+  // window whose bit i is y_(N-i).
+  std::bitset<kTerms + 1> c, b, window;
+  c[0] = b[0] = true;
+  size_t len = 0, shift = 1;
+  for (size_t n = 0; n < kTerms; ++n) {
+    window <<= 1;
+    window[0] = s[0] & 1;
+    lockstep::StepLaneSoA(s.data(), 0);
+    const bool d = (c & window).count() % 2 != 0;
+    if (!d) {
+      ++shift;
+    } else if (2 * len <= n) {
+      const std::bitset<kTerms + 1> prev = c;
+      c ^= b << shift;
+      len = n + 1 - len;
+      b = prev;
+      shift = 1;
+    } else {
+      c ^= b << shift;
+      ++shift;
+    }
+  }
+  SVT_CHECK(len == kDegree) << "xoshiro256 minimal polynomial has degree "
+                            << len << ", not 256";
+  // p(x) = x^256 c(1/x): the coefficient of x^k is c_(256-k).
+  JumpTables t;
+  for (size_t k = 0; k < kDegree; ++k) {
+    if (c[kDegree - k]) t.low[k / 64] |= uint64_t{1} << (k % 64);
+  }
+  t.x_pow2[0] = {2, 0, 0, 0};
+  for (size_t i = 1; i < t.x_pow2.size(); ++i) {
+    t.x_pow2[i] = MulMod(t, t.x_pow2[i - 1], t.x_pow2[i - 1]);
+  }
+  return t;
+}
+
+const JumpTables& Jumps() {
+  static const JumpTables tables = BuildJumpTables();
+  return tables;
+}
+
 }  // namespace
 
 uint64_t SplitMix64Next(uint64_t& state) {
@@ -238,12 +335,13 @@ uint64_t BlockRng::Next() {
   return result;
 }
 
-size_t BlockRng::FillAlignedPrefix(std::span<uint64_t> out) {
-  // The stream-walking core shared by Fill and FillBounded: scalar until
-  // the next output is lane 0's (a lane-aligned stream position), then
-  // lockstep whole steps — never a partial step. Lives exactly once so
-  // the "one identical stream at every level" contract has one
-  // implementation to audit.
+void BlockRng::Fill(std::span<uint64_t> out) {
+  // Scalar until the next output is lane 0's (a lane-aligned stream
+  // position), then whole lockstep steps, then a scalar tail for the
+  // trailing partial step. Lives exactly once so the "one identical stream
+  // at every level" contract has one implementation to audit. An empty
+  // span may carry a null data(); bail before the pointer arithmetic.
+  if (out.empty()) return;
   uint64_t* p = out.data();
   uint64_t* const end = p + out.size();
   while (phase_ != 0 && p < end) *p++ = Next();
@@ -252,27 +350,51 @@ size_t BlockRng::FillAlignedPrefix(std::span<uint64_t> out) {
     FillLockstep(&s_[0][0], p, steps);
     p += steps * kLanes;
   }
-  return static_cast<size_t>(p - out.data());
-}
-
-void BlockRng::Fill(std::span<uint64_t> out) {
-  // An empty span may carry a null data(); bail before the pointer
-  // arithmetic below.
-  if (out.empty()) return;
-  // Aligned prefix, then a scalar tail for the trailing partial step.
-  uint64_t* p = out.data() + FillAlignedPrefix(out);
-  uint64_t* const end = out.data() + out.size();
   while (p < end) *p++ = Next();
 }
 
-size_t BlockRng::FillBounded(std::span<uint64_t> out) {
-  if (out.empty()) return 0;
-  const size_t filled = FillAlignedPrefix(out);
-  if (filled > 0) return filled;
-  // The span is smaller than one step at an aligned position: fill it all
-  // scalar so a caller looping toward a fixed word count terminates.
-  for (uint64_t& w : out) w = Next();
-  return out.size();
+void BlockRng::StepAllLanes(uint64_t steps) {
+  // Below a few hundred steps, stepping beats the 256-step jump.
+  constexpr uint64_t kStepOutright = 512;
+  if (steps <= kStepOutright) {
+    for (uint64_t k = 0; k < steps; ++k) {
+      for (size_t lane = 0; lane < kLanes; ++lane) StepLane(lane);
+    }
+    return;
+  }
+  // T^steps = r(T), r = x^steps mod p, the product of the tabled powers
+  // x^(2^i) over the set bits of `steps`.
+  const JumpTables& t = Jumps();
+  Poly256 r{1, 0, 0, 0};
+  for (size_t i = 0; i < t.x_pow2.size(); ++i) {
+    if ((steps >> i & 1) != 0) r = MulMod(t, r, t.x_pow2[i]);
+  }
+  // r(T) s = sum over the coefficients of r of T^i s, for every lane at
+  // once: the SoA state steps in lockstep while the sum accumulates.
+  std::array<std::array<uint64_t, kLanes>, 4> acc{};
+  for (size_t i = 0; i < 256; ++i) {
+    if (Coefficient(r, i)) {
+      for (size_t w = 0; w < 4; ++w) {
+        for (size_t lane = 0; lane < kLanes; ++lane) {
+          acc[w][lane] ^= s_[w][lane];
+        }
+      }
+    }
+    for (size_t lane = 0; lane < kLanes; ++lane) StepLane(lane);
+  }
+  s_ = acc;
+}
+
+void BlockRng::Advance(uint64_t words) {
+  // Scalar up to a lane-aligned position, whole lockstep steps of all four
+  // lanes, then the remaining lanes one output each — the stream walk of
+  // Fill, with the middle jumped instead of generated.
+  while (phase_ != 0 && words > 0) {
+    Next();
+    --words;
+  }
+  StepAllLanes(words / kLanes);
+  for (uint64_t k = 0; k < words % kLanes; ++k) Next();
 }
 
 void BlockRng::FillSeeded(std::span<const uint64_t> seeds,
@@ -321,10 +443,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
 }
 
 void Rng::FillUint64(std::span<uint64_t> out) { core_.Fill(out); }
-
-size_t Rng::FillUint64Bounded(std::span<uint64_t> out) {
-  return core_.FillBounded(out);
-}
 
 namespace {
 

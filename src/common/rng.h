@@ -81,16 +81,16 @@ class BlockRng {
   /// at every dispatch level.
   void Fill(std::span<uint64_t> out);
 
-  /// Bounded fill for fused single-pass consumers (the batch engine's
-  /// sub-block loop): fills the largest prefix of `out` that leaves the
-  /// stream at a lane-aligned position — any phase catch-up words followed
-  /// by whole lockstep steps — so repeated bounded fills always execute
-  /// the SIMD lockstep kernel and never strand the generator mid-step.
-  /// Returns the number of words written; they are exactly the next k
-  /// outputs of Next(). When the rule would write nothing (out smaller
-  /// than one step at an aligned position) the whole span is filled
-  /// scalar instead, so callers looping to a byte budget always progress.
-  size_t FillBounded(std::span<uint64_t> out);
+  /// Moves the stream `words` outputs ahead: afterwards the generator is
+  /// exactly where `words` Next() calls would have left it. Each lane's
+  /// xoshiro256 state transition T is linear over GF(2), so k steps are
+  /// T^k = r(T) with r(x) = x^k mod p(x), p the transition's degree-256
+  /// characteristic polynomial (found once per process by
+  /// Berlekamp–Massey). A long jump costs a few 256-bit polynomial
+  /// products plus 256 lockstep steps, whatever the distance; this is how
+  /// the batch engine's workers start a group of chunks at its exact ν
+  /// stream position without generating the words before it.
+  void Advance(uint64_t words);
 
   /// Snapshot for serialization and tests. Together with Restore() this is
   /// the checkpoint seam the lane-resident megakernels (vecmath's Mega*
@@ -117,10 +117,8 @@ class BlockRng {
  private:
   uint64_t StepLane(size_t lane);
 
-  /// Shared core of Fill/FillBounded: phase catch-up words, then whole
-  /// lockstep steps; returns how many words were written (stops at the
-  /// last lane-aligned position within `out`).
-  size_t FillAlignedPrefix(std::span<uint64_t> out);
+  /// Advances every lane by `steps` state transitions.
+  void StepAllLanes(uint64_t steps);
 
   // Structure-of-arrays across lanes: s_[w][lane] is state word w of lane
   // `lane`, so the SIMD kernels load state word w of all lanes with one
@@ -179,12 +177,6 @@ class Rng {
   /// lane-aligned (see BlockRng::Fill). The sequence is identical to
   /// calling NextUint64() out.size() times, at every dispatch level.
   void FillUint64(std::span<uint64_t> out);
-
-  /// Bounded variant (BlockRng::FillBounded): fills a lane-aligned prefix
-  /// of `out` and returns its length — the hook the batch engine's fused
-  /// scan paths pull L1-resident word sub-blocks through. Looping until a
-  /// target count is reached consumes exactly the FillUint64 stream.
-  size_t FillUint64Bounded(std::span<uint64_t> out);
 
   /// Fills `out` with the next out.size() NextDouble() outputs.
   void FillDouble(std::span<double> out);

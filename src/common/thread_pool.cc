@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -8,10 +10,22 @@
 namespace svt {
 
 namespace {
-// Set for the lifetime of every pool worker thread. ParallelFor and
-// WaitIdle consult it: blocking on pool progress from a pool worker can
-// deadlock once the pool is saturated with blocked tasks.
+// Set for the lifetime of every pool worker thread. WaitIdle consults it,
+// and ParallelFor through InParallelRegion(): blocking on pool progress
+// from a pool worker can deadlock once the pool is saturated with blocked
+// tasks.
 thread_local bool tls_on_pool_worker = false;
+// ParallelFor calls the thread is inside of (slice 0 and the inline paths
+// run on the calling thread).
+thread_local int tls_parallel_for_depth = 0;
+
+class ParallelForScope {
+ public:
+  ParallelForScope() { ++tls_parallel_for_depth; }
+  ~ParallelForScope() { --tls_parallel_for_depth; }
+  ParallelForScope(const ParallelForScope&) = delete;
+  ParallelForScope& operator=(const ParallelForScope&) = delete;
+};
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -49,6 +63,10 @@ void ThreadPool::WaitIdle() {
 
 bool ThreadPool::OnWorkerThread() { return tls_on_pool_worker; }
 
+bool ThreadPool::InParallelRegion() {
+  return tls_on_pool_worker || tls_parallel_for_depth > 0;
+}
+
 void ThreadPool::WorkerLoop() {
   tls_on_pool_worker = true;
   for (;;) {
@@ -76,6 +94,11 @@ ThreadPool& ThreadPool::Global() {
 }
 
 int ThreadPool::HardwareThreads() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    return std::max(1, CPU_COUNT(&cpus));
+  }
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
@@ -85,11 +108,14 @@ void ParallelFor(int64_t n, int num_slices,
   SVT_CHECK(n >= 0);
   const int slices =
       num_slices <= 0 ? ThreadPool::HardwareThreads() : num_slices;
-  if (slices == 1 || n == 0 || ThreadPool::OnWorkerThread()) {
-    // Degenerate cases — and nested calls from a pool task, where waiting
-    // on pool-scheduled slices could deadlock a saturated pool — run every
-    // slice inline. Slice boundaries and indices are identical to the
-    // scheduled path, so per-slice RNG streams line up bitwise.
+  const bool nested = ThreadPool::InParallelRegion();
+  const ParallelForScope scope;
+  if (slices == 1 || n == 0 || nested) {
+    // Degenerate cases — and nested calls from a pool task or another
+    // slice, where waiting on pool-scheduled slices could deadlock a
+    // saturated pool — run every slice inline. Slice boundaries and
+    // indices are identical to the scheduled path, so per-slice RNG
+    // streams line up bitwise.
     for (int s = 0; s < slices; ++s) {
       body(s * n / slices, (s + 1) * n / slices, s);
     }

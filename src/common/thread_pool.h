@@ -45,16 +45,25 @@ class ThreadPool {
   /// may not be waited for; quiesce submitters first for a strict drain.
   void WaitIdle();
 
-  /// True when the calling thread is a worker of *any* ThreadPool. Blocking
-  /// operations that need pool progress (ParallelFor's barrier, WaitIdle)
-  /// use this to avoid deadlocking on a saturated pool.
+  /// True when the calling thread is a worker of *any* ThreadPool. WaitIdle
+  /// uses this to refuse waiting for itself.
   static bool OnWorkerThread();
 
-  /// Process-wide pool sized to the hardware concurrency, created on first
-  /// use. ParallelFor schedules on this pool.
+  /// True on a pool worker, and on any thread while it is inside a
+  /// ParallelFor call — every slice counts: slice 0 on the calling thread
+  /// and the single-slice and inline paths too. Work that could fan out
+  /// onto the pool from here (a nested ParallelFor, the batch engine's
+  /// noise stage) runs inline instead: the other slices already hold the
+  /// pool, and on a saturated pool a nested wait could deadlock.
+  static bool InParallelRegion();
+
+  /// Process-wide pool sized to HardwareThreads(), created on first use.
+  /// ParallelFor schedules on this pool.
   static ThreadPool& Global();
 
-  /// max(1, std::thread::hardware_concurrency()).
+  /// CPUs this process may run on (its sched_getaffinity mask, so a pinned
+  /// or cpuset-limited process starts no more workers than it has cores),
+  /// falling back to std::thread::hardware_concurrency(); at least 1.
   static int HardwareThreads();
 
  private:
@@ -77,11 +86,13 @@ class ThreadPool {
 /// so per-slice state stays aligned with the slice index.
 ///
 /// Correct (and deterministic) even when the pool has fewer threads than
-/// slices — excess slices just queue. Safe to call from inside a pool task:
-/// nested calls detect the worker thread and run every slice inline on the
-/// caller, with identical slice boundaries and indices, so per-slice RNG
-/// streams and results are bitwise-unchanged (only the parallelism is
-/// given up; scheduling nested slices to a saturated pool would deadlock).
+/// slices — excess slices just queue. Safe to call from inside a pool task
+/// or another ParallelFor's slice: nested calls (InParallelRegion()) run
+/// every slice inline on the caller, with identical slice boundaries and
+/// indices, so per-slice RNG streams and results are bitwise-unchanged
+/// (only the parallelism is given up; scheduling nested slices to a
+/// saturated pool would deadlock). The calling thread counts as inside
+/// the region for the whole call, whichever path runs the slices.
 void ParallelFor(int64_t n, int num_slices,
                  const std::function<void(int64_t begin, int64_t end,
                                           int slice)>& body);

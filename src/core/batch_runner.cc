@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <mutex>
 #include <new>
 #include <optional>
 #include <string_view>
@@ -13,6 +17,7 @@
 
 #include "common/check.h"
 #include "common/distributions.h"
+#include "common/thread_pool.h"
 #include "common/vecmath.h"
 #include "core/bound_pipeline.h"
 #include "data/bound_prefilter.h"
@@ -59,10 +64,6 @@ static_assert(Response{}.outcome == Outcome::kBelow,
 static_assert(BatchRunner::kChunkSize / BatchRunner::kBoundSpan <=
                   BoundPipeline::kMaxSpans,
               "BoundPipeline's static span plan must cover a full chunk");
-static_assert(BatchRunner::kFusedSubBlock % BatchRunner::kBoundSpan == 0,
-              "per-query sub-blocks must align on bound-span boundaries so "
-              "sub-block span indices map onto the chunk's BoundPipeline "
-              "plan");
 
 // Streaming-identical single draw of a role's noise kind (the batch slow
 // path at positives must consume the base stream exactly as Process()
@@ -117,8 +118,9 @@ class UninitArray {
 // Makes room for `count` more responses and returns where they start. The
 // reserve grows the vector the way one resize by `count` would, to the
 // larger of the need and twice the size (an exact reserve would make
-// repeated appends quadratic); the caller then resizes chunk by chunk, so
-// the ⊥ zero-fill of each chunk lands just before the chunk is scanned.
+// repeated appends quadratic); the caller then appends chunk by chunk
+// (AppendBelow), so the ⊥ fill of each chunk lands just before the chunk
+// is scanned.
 Response* ReserveAppend(std::vector<Response>* out, size_t count) {
   const size_t need = out->size() + count;
   if (need > out->capacity()) {
@@ -127,54 +129,29 @@ Response* ReserveAppend(std::vector<Response>* out, size_t count) {
   return out->data() + out->size();
 }
 
-// The megakernel walk's per-chunk ν block: span j's ν are transformed from
-// the chunk's words the first time a resume walk needs the span, and every
-// later resume in the chunk, under whatever bar ρ has moved to, only
-// compares. The transform is the streaming sampler's, so the ν are the ones
-// a Process() loop draws from the same words (core/svt.h, contract
-// step 4).
-class SpanNuBlock {
- public:
-  SpanNuBlock(NoiseKind kind, double scale, const uint64_t* words)
-      : kind_(kind), scale_(scale), words_(words) {}
+// Appends n <= kChunkSize ⊥ responses. Copying them from a block of ⊥ is
+// a memmove; resize's value-initialization is a loop of 16-byte stores,
+// and at ~1 ns per response this fill is most of what a walk whose stage
+// runs ahead has left to do.
+void AppendBelow(std::vector<Response>* out, size_t n) {
+  alignas(64) static constexpr Response kBelow[BatchRunner::kChunkSize] = {};
+  out->insert(out->end(), kBelow, kBelow + n);
+}
 
-  // Starts a chunk (or per-query sub-block) of n elements: no span filled.
-  void Reset(size_t n) {
-    n_ = n;
-    filled_ = 0;
-  }
-
-  // Returns the block, indexed by chunk element, with span j filled.
-  const double* Fill(size_t j) {
-    if ((filled_ >> j & 1) == 0) {
-      const size_t s = j * BatchRunner::kBoundSpan;
-      const size_t m = std::min(BatchRunner::kBoundSpan, n_ - s);
-      const size_t wpv = WordsPerVariate(kind_);
-      TransformNoise(kind_, {words_ + wpv * s, wpv * m}, scale_, {nu_ + s, m});
-      filled_ |= uint32_t{1} << j;
-    }
-    return nu_;
-  }
-
- private:
-  static_assert(BatchRunner::kChunkSize / BatchRunner::kBoundSpan <= 32,
-                "one mask bit per span");
-  const NoiseKind kind_;
-  const double scale_;
-  const uint64_t* const words_;
-  size_t n_ = 0;
-  uint32_t filled_ = 0;
-  alignas(64) double nu_[BatchRunner::kChunkSize];
-};
+// Ends a run the cutoff exhausted after `emitted` of its responses.
+size_t Truncate(std::vector<Response>* out, size_t start, size_t emitted) {
+  out->resize(start + emitted);
+  return emitted;
+}
 
 // The tier-2 resume walk of every arm, from element `from` of an n-element
-// chunk (or sub-block). A resume lands mid-span only after a positive in
-// that span, which passed its bound to fire at all; the span's remainder
-// is scanned without a new test, and the walk re-anchors on the span grid.
-// Each whole span is scanned only when can_fire(j), the pipeline's span
-// test (which counts the skips). Every scanned segment counts one
-// tier2_fused_segments. scan(lo, hi) returns the first positive in
-// [lo, hi), or index hi when there is none.
+// chunk. A resume lands mid-span only after a positive in that span, which
+// passed its bound to fire at all; the span's remainder is scanned without
+// a new test, and the walk re-anchors on the span grid. Each whole span is
+// scanned only when can_fire(j), the pipeline's span test (which counts
+// the skips). Every scanned segment counts one tier2_fused_segments.
+// scan(lo, hi) returns the first positive in [lo, hi), or index hi when
+// there is none.
 template <typename CanFire, typename Scan>
 vec::FusedScanHit WalkSpans(size_t from, size_t n, BatchRunStats* stats,
                             CanFire can_fire, Scan scan) {
@@ -196,6 +173,554 @@ vec::FusedScanHit WalkSpans(size_t from, size_t n, BatchRunStats* stats,
   }
   return {n, 0.0};
 }
+
+constexpr size_t kChunkSpans =
+    BatchRunner::kChunkSize / BatchRunner::kBoundSpan;
+static_assert(kChunkSpans <= 32, "one ν-block mask bit per span");
+// Hits a fused pass records per chunk before its record counts as
+// overflowed.
+constexpr size_t kMaxChunkHits = BatchRunner::kChunkSize / 16;
+
+// One chunk's noise-stage record: everything the serial walk needs from
+// the chunk's ν words, and nothing that depends on the walk. Either the
+// fused pass's record (span minima, recorded hits, end state) or the
+// chunk's words (plus, when the stage ran ahead, their transformed ν
+// block). The bound plan lives here too, with the counters it charges.
+struct ChunkNoise {
+  // User-provided, so that value-initialization (optional::emplace(),
+  // make_unique) leaves the 50 KiB of scratch below unwritten.
+  ChunkNoise() {}
+  ChunkNoise(const ChunkNoise&) = delete;
+  ChunkNoise& operator=(const ChunkNoise&) = delete;
+
+  // Readies the record for a call's chunks.
+  void Prepare(const VariantSpec& spec, const BoundPrefilter* prefilter) {
+    kind = spec.nu_kind;
+    wpv = WordsPerVariate(kind);
+    scale = spec.nu_scale;
+    pipe.emplace(prefilter, scale, BatchRunner::kBoundSpan, &stats);
+  }
+
+  bool complete() const { return fused && found <= kMaxChunkHits; }
+
+  // The chunk's words, regenerated once from the entry state when the
+  // fused pass consumed them in registers (a record that overflowed).
+  void EnsureWords() {
+    if (!have_words) {
+      BlockRng(entry).Fill({words, wpv * n});
+      have_words = true;
+    }
+  }
+
+  // The chunk's ν block with span j transformed. A span is transformed the
+  // first time the walk needs it (or all at once by FillNu), and every
+  // later resume in the chunk, under whatever bar ρ has moved to, only
+  // compares. The transform is the streaming sampler's, so the ν are the
+  // ones a Process() loop draws from the same words (core/svt.h, contract
+  // step 4).
+  const double* Nu(size_t j) {
+    if ((nu_filled >> j & 1) == 0) {
+      EnsureWords();
+      const size_t s = j * BatchRunner::kBoundSpan;
+      const size_t m = std::min(BatchRunner::kBoundSpan, n - s);
+      TransformNoise(kind, {words + wpv * s, wpv * m}, scale, {nu + s, m});
+      nu_filled |= uint32_t{1} << j;
+    }
+    return nu;
+  }
+
+  // Transforms the whole ν block in one dispatched call.
+  void FillNu() {
+    EnsureWords();
+    TransformNoise(kind, {words, wpv * n}, scale, {nu, n});
+    nu_filled = ~uint32_t{0};
+  }
+
+  NoiseKind kind = NoiseKind::kLaplace;
+  size_t wpv = 0;  // words per ν variate
+  double scale = 0.0;
+  // Counters of the stage and of the walk's span tests over this chunk,
+  // added to the run's once the walk is done with it.
+  BatchRunStats stats;
+  std::optional<BoundPipeline> pipe;
+  size_t n = 0;           // queries in the chunk
+  BlockRng::State entry;  // the ν stream at the chunk's first word
+  BlockRng::State end;    // and after its last
+  // The ρ the stage derived skip words at, when it knew it.
+  std::optional<double> rho;
+  bool fused = false;       // `hits` holds the fused pass's record
+  size_t found = 0;         // hits the pass found (may exceed kMaxChunkHits)
+  bool have_words = false;  // `words` holds the chunk's words
+  uint32_t nu_filled = 0;   // bit j: span j of `nu` is transformed
+  uint64_t span_min[kChunkSpans];
+  UninitArray<vec::FusedScanHit, kMaxChunkHits> hits;
+  // Cache-line-aligned so the 512-bit loads of the word reductions and the
+  // scan kernels never split lines.
+  alignas(64) uint64_t words[2 * BatchRunner::kChunkSize];
+  alignas(64) double nu[BatchRunner::kChunkSize];
+};
+
+// The per-chunk noise stage of both arms: a pure function of the chunk's
+// ν entry state, its answers (and thresholds) and, when the bar cannot
+// move, ρ — so it may run on any thread, ahead of the walk, and produce
+// bit for bit what it would inline.
+struct NoiseStage {
+  const VariantSpec& spec;
+  std::span<const double> answers;
+  const double* thresholds;  // null in the common arm
+  double threshold;          // the common arm's bar, before ρ
+  bool mega;
+  // Transform a chunk's whole ν block up front, for chunks the walk may
+  // resume under a moved bar: right when the stage runs on a worker,
+  // wasted work on the walk's own thread.
+  bool eager_nu;
+
+  // Fills *rec for the n-element chunk at `offset` whose ν words start at
+  // `entry`; `rho` is the ρ the walk will enter the chunk with, when known.
+  void Run(size_t offset, size_t n, const BlockRng::State& entry,
+           std::optional<double> rho, ChunkNoise* rec) const {
+    const size_t wpv = WordsPerVariate(spec.nu_kind);
+    const bool exp_nu = spec.nu_kind == NoiseKind::kExponential;
+    const double b = spec.nu_scale;
+    const double* const a = answers.data() + offset;
+    const double* const t =
+        thresholds == nullptr ? nullptr : thresholds + offset;
+    rec->stats = BatchRunStats{};
+    rec->n = n;
+    rec->entry = entry;
+    rec->rho = rho;
+    rec->nu_filled = 0;
+    BoundPipeline& pipe = *rec->pipe;
+    pipe.BeginChunk(a, t, offset, n);
+    const size_t nspans = pipe.num_spans();
+
+    // The megakernel fused pass generates the chunk's ν words in registers
+    // (the lane-resident xoshiro step), reduces them to the per-span minima
+    // the bounds need and records every element that fires at the entry
+    // bar, transforming only the lockstep groups the skip words cannot
+    // discharge; the words never touch memory. It runs only where that
+    // record is valid and cheap: the bar is known (common arm: a spec
+    // that resamples ρ leaves the entry bar at its first positive; per
+    // query, a record stays valid while ρ does not fall below the entry
+    // ρ), and a sound skip word exists (without one — some answer at or
+    // above the bar — it would transform every word of a chunk a cutoff
+    // may never need). Any upper bound on the answers is a sound skip-word
+    // input (vec::MegaSkipWordThreshold), so the pipeline's uppers,
+    // quantized or exact, feed it directly; per query, each span pairs its
+    // answer upper with its bar lower at the entry ρ.
+    uint64_t skip_words[kChunkSpans];
+    uint64_t chunk_skip = vec::kMegaNeverSkipWord;
+    if (t != nullptr) {
+      for (size_t k = 0; k < nspans; ++k) {
+        skip_words[k] = rho.has_value() ? pipe.SpanSkipWordPerQuery(k, *rho)
+                                        : vec::kMegaNeverSkipWord;
+        chunk_skip = std::min(chunk_skip, skip_words[k]);
+      }
+    } else if (rho.has_value() && !spec.resample_rho_after_positive) {
+      chunk_skip = pipe.ChunkSkipWord(threshold + *rho);
+    }
+    rec->fused = mega && chunk_skip < vec::kMegaNeverSkipWord;
+    rec->found = 0;
+    if (rec->fused) {
+      BlockRng::State st = entry;
+      if (t != nullptr) {
+        uint64_t skipped = 0;
+        rec->found =
+            exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
+                         &st, b, {a, n}, {t, n}, *rho, skip_words,
+                         BatchRunner::kBoundSpan, rec->span_min,
+                         rec->hits.data(), kMaxChunkHits, &skipped)
+                   : vec::MegaLaplaceFillMinScanSpansPairwise(
+                         &st, 0.0, b, {a, n}, {t, n}, *rho, skip_words,
+                         BatchRunner::kBoundSpan, rec->span_min,
+                         rec->hits.data(), kMaxChunkHits, &skipped);
+        rec->stats.mega_words_skipped_q += static_cast<int64_t>(skipped);
+      } else {
+        const double bar0 = threshold + *rho;
+        uint64_t w_min_unused;
+        rec->found = exp_nu ? vec::MegaExpFillMinScanSpans(
+                                  &st, b, {a, n}, bar0, chunk_skip,
+                                  BatchRunner::kBoundSpan, rec->span_min,
+                                  rec->hits.data(), kMaxChunkHits,
+                                  &w_min_unused)
+                            : vec::MegaLaplaceFillMinScanSpans(
+                                  &st, 0.0, b, {a, n}, bar0, chunk_skip,
+                                  BatchRunner::kBoundSpan, rec->span_min,
+                                  rec->hits.data(), kMaxChunkHits,
+                                  &w_min_unused);
+      }
+      // The pass consumed exactly the chunk's words: the stream stands
+      // where a fill of them would leave it.
+      rec->end = st;
+      rec->have_words = false;
+    } else {
+      // Fetch the chunk's raw ν words — the substream advances exactly as
+      // if each ν_i had been drawn scalar-style (Laplace variates are
+      // (magnitude, sign) pairs, exponential variates one magnitude word)
+      // — and reduce each span's magnitude words to its minimum: the same
+      // minima the fused pass records (unsigned min is association-free),
+      // so skip decisions and counters match between the ways bit for bit.
+      BlockRng gen(entry);
+      gen.Fill({rec->words, wpv * n});
+      rec->end = gen.state();
+      rec->have_words = true;
+      uint64_t skipped = 0;
+      for (size_t k = 0; k < nspans; ++k) {
+        const size_t s = k * BatchRunner::kBoundSpan;
+        const std::span<const uint64_t> span_words{
+            rec->words + wpv * s,
+            wpv * std::min(BatchRunner::kBoundSpan, n - s)};
+        rec->span_min[k] = vec::MinWordBlock(span_words, wpv);
+        // The skipped-word count mirrors the fused pass's over the same
+        // words and skip words (never-skip spans count zero there too).
+        if (t != nullptr && rho.has_value()) {
+          skipped += vec::SkipWordCountBlock(span_words, wpv, skip_words[k]);
+        }
+      }
+      rec->stats.mega_words_skipped_q += static_cast<int64_t>(skipped);
+    }
+    if (t != nullptr) {
+      pipe.SetSpanNoiseMinima(rec->span_min, 0, nspans);
+    } else {
+      pipe.SetNoiseMinima(rec->span_min);
+    }
+
+    if (eager_nu) {
+      pipe.EnsureSpanNuBounds();
+      if (mega && !rec->complete()) rec->FillNu();
+    }
+  }
+};
+
+// Runs the noise stage of chunks [0, chunks) on pool workers ahead of the
+// walk. A worker claims the next group of kGroupChunks chunks, jumps a
+// copy of the call's ν entry state to the group's first word
+// (BlockRng::Advance) and runs the stage chunk after chunk into a bounded
+// ring of records, which the walk takes in chunk order and hands back. The
+// claim is dynamic (each free worker takes the next group, so the groups
+// go round the workers), and the walk never blocks on a worker: a chunk
+// not delivered within kPatience it runs itself (the worker then skips it,
+// or frees the slot once done). So a worker the scheduler preempts costs
+// the walk microseconds, not a time slice, and no wait can deadlock. When
+// the walk has had to run at least kGiveUp chunks itself, and more than
+// one in four of those it reached, the workers are not getting the cores —
+// say, on a host busy with other work, where they also take the walk's:
+// it stops them, runs the rest of the call inline, and the next
+// kBackoffCalls long calls run inline too.
+class NoiseRing {
+ public:
+  static constexpr size_t kGroupChunks = 4;
+  static constexpr size_t kSlots = 16;
+  static_assert(kSlots % kGroupChunks == 0, "a group's slots are contiguous");
+  // How long the walk waits for a chunk before running it itself: about
+  // one chunk's stage.
+  static constexpr std::chrono::microseconds kPatience{20};
+  // Chunks the walk runs itself before it may stop the workers: two
+  // groups, more than the workers' start-up costs on an idle host.
+  static constexpr size_t kGiveUp = 2 * kGroupChunks;
+  // Long calls that run inline after one gave up.
+  static constexpr int kBackoffCalls = 16;
+
+  NoiseRing(const NoiseStage& stage, const BoundPrefilter* prefilter,
+            size_t total, const BlockRng::State& entry,
+            std::optional<double> rho)
+      : stage_(stage),
+        total_(total),
+        chunks_((total + BatchRunner::kChunkSize - 1) /
+                BatchRunner::kChunkSize),
+        groups_((chunks_ + kGroupChunks - 1) / kGroupChunks),
+        entry_(entry),
+        rho_(rho),
+        slots_(std::move(Records())) {
+    slots_.resize(kSlots);
+    for (size_t s = 0; s < kSlots; ++s) {
+      if (slots_[s] == nullptr) slots_[s] = std::make_unique<ChunkNoise>();
+      slots_[s]->Prepare(stage.spec, prefilter);
+      turn_[s].store(2 * s);
+    }
+    ThreadPool& pool = ThreadPool::Global();
+    // One worker fewer than the pool: the walk keeps a core.
+    const size_t workers = std::min<size_t>(
+        groups_, static_cast<size_t>(std::max(1, pool.size() - 1)));
+    gate_->ring = this;
+    for (size_t w = 0; w < workers; ++w) {
+      pool.Submit([gate = gate_] { Enter(*gate); });
+    }
+  }
+
+  // Stops the workers (the walk may have ended at the cutoff) and waits
+  // until none touches the ring.
+  ~NoiseRing() {
+    Stop();
+    {
+      std::lock_guard<std::mutex> lock(gate_->mu);
+      gate_->ring = nullptr;
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return running_ == 0; });
+    Records() = std::move(slots_);
+    Claimed().store(false, std::memory_order_release);
+  }
+
+  NoiseRing(const NoiseRing&) = delete;
+  NoiseRing& operator=(const NoiseRing&) = delete;
+
+  // One call at a time runs its stage ahead: a second long call made
+  // meanwhile (from another thread) would find the pool held by the first
+  // one's workers, so it runs inline, as do the calls backing off after
+  // one gave up. True when the caller may construct a ring; the ring gives
+  // the claim back when it is destroyed.
+  static bool TryClaim() {
+    if (Claimed().exchange(true, std::memory_order_acquire)) return false;
+    if (Backoff() > 0) {
+      --Backoff();
+      Claimed().store(false, std::memory_order_release);
+      return false;
+    }
+    return true;
+  }
+
+  // Chunk c's record, if a worker delivers it within kPatience; else null,
+  // and the walk runs the chunk's stage itself. Pair a record with
+  // Release(c).
+  ChunkNoise* TryTake(size_t c) {
+    if (stopped_) return nullptr;
+    const size_t s = c % kSlots;
+    // The worker published the turn after writing the record, so seeing
+    // the turn makes the record visible.
+    if (turn_[s].load() == 2 * c + 1) return slots_[s].get();
+    const auto give_up = std::chrono::steady_clock::now() + kPatience;
+    while (turn_[s].load() != 2 * c + 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (turn_[s].load() == 2 * c + 1) return slots_[s].get();
+      // The worker skips the chunk, or frees its slot once done with it.
+      taken_by_walk_[s] = true;
+    }
+    if (++misses_ >= kGiveUp && 4 * misses_ > c + 1) {
+      Stop();
+      Backoff() = kBackoffCalls;
+    }
+    return nullptr;
+  }
+
+  // The walk is done with chunk c's record: the slot goes to the worker
+  // that will produce chunk c + kSlots. Workers wait only for a group's
+  // last slot, so only that one needs the lock that orders it with their
+  // waits.
+  void Release(size_t c) {
+    if (GroupEnd(c + kSlots) != c + kSlots) {
+      turn_[c % kSlots].store(2 * (c + kSlots));
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      Free(c);
+    }
+    free_cv_.notify_all();
+  }
+
+ private:
+  static std::atomic<bool>& Claimed() {
+    static std::atomic<bool> claimed{false};
+    return claimed;
+  }
+
+  // Long calls still to run inline; the claim guards it.
+  static int& Backoff() {
+    static int calls = 0;
+    return calls;
+  }
+
+  // The ring's records, kept between calls (the claim guards them): a
+  // fresh ring would page-fault its 800 KiB in on every call.
+  static std::vector<std::unique_ptr<ChunkNoise>>& Records() {
+    static std::vector<std::unique_ptr<ChunkNoise>> records;
+    return records;
+  }
+
+  // Tells the workers to stop after their current chunk.
+  void Stop() {
+    stopped_ = true;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      cancelled_ = true;
+    }
+    free_cv_.notify_all();
+  }
+
+  // The last chunk of chunk c's group.
+  size_t GroupEnd(size_t c) const {
+    return std::min(c - c % kGroupChunks + kGroupChunks, chunks_) - 1;
+  }
+
+  // Hands chunk c's slot on (mu_ held). Workers wait for a whole group's
+  // slots at once, so only the slot that completes a group wakes them:
+  // returns whether this one does.
+  bool Free(size_t c) {
+    turn_[c % kSlots].store(2 * (c + kSlots));
+    return GroupEnd(c + kSlots) == c + kSlots;
+  }
+
+  // Frees chunk c's slot if the walk ran the chunk itself (mu_ held):
+  // returns whether it did, and in *wake whether to wake the workers.
+  bool FreeIfTaken(size_t c, bool* wake) {
+    const size_t s = c % kSlots;
+    if (!taken_by_walk_[s]) return false;
+    taken_by_walk_[s] = false;
+    *wake = Free(c);
+    return true;
+  }
+
+  // Pool tasks hold the gate, not the ring: a task that starts only after
+  // the call has ended (the pool was busy with other work) finds the gate
+  // closed and returns, so the call never waits for a task to start.
+  struct Gate {
+    std::mutex mu;
+    NoiseRing* ring = nullptr;
+  };
+
+  static void Enter(Gate& gate) {
+    NoiseRing* ring;
+    {
+      std::lock_guard<std::mutex> gate_lock(gate.mu);
+      ring = gate.ring;
+      if (ring == nullptr) return;
+      // Counted before the gate can close, so the ring outlives the task.
+      std::lock_guard<std::mutex> lock(ring->mu_);
+      ++ring->running_;
+    }
+    ring->Produce();
+  }
+
+  void Produce() {
+    const size_t wpv = WordsPerVariate(stage_.spec.nu_kind);
+    for (;;) {
+      size_t first;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (cancelled_ || next_group_ == groups_) break;
+        first = next_group_++ * kGroupChunks;
+      }
+      // The walk releases slots in chunk order, so once the group's last
+      // slot is free, all of them are.
+      const size_t last = GroupEnd(first);
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        free_cv_.wait(lock, [&] {
+          return cancelled_ || turn_[last % kSlots].load() == 2 * last;
+        });
+        if (cancelled_) break;
+      }
+      BlockRng gen(entry_);
+      gen.Advance(first * BatchRunner::kChunkSize * wpv);
+      for (size_t c = first; c <= last; ++c) {
+        const size_t offset = c * BatchRunner::kChunkSize;
+        const size_t n = std::min(BatchRunner::kChunkSize, total_ - offset);
+        bool skip = false, wake = false;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          skip = FreeIfTaken(c, &wake);
+        }
+        if (skip) {
+          gen.Advance(n * wpv);
+        } else {
+          ChunkNoise* rec = slots_[c % kSlots].get();
+          stage_.Run(offset, n, gen.state(), rho_, rec);
+          gen.Restore(rec->end);
+          std::lock_guard<std::mutex> lock(mu_);
+          if (!FreeIfTaken(c, &wake)) turn_[c % kSlots].store(2 * c + 1);
+        }
+        // This worker still counts as running, so the ring is alive.
+        if (wake) free_cv_.notify_all();
+      }
+    }
+    // Notify under the lock: the ring cannot be destroyed before the
+    // notify returns.
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+    done_cv_.notify_all();
+  }
+
+  const NoiseStage stage_;
+  const size_t total_;
+  const size_t chunks_;
+  const size_t groups_;
+  const BlockRng::State entry_;
+  const std::optional<double> rho_;
+  std::vector<std::unique_ptr<ChunkNoise>> slots_;
+  const std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
+  // The walk's own: chunks it ran itself, and whether it stopped the
+  // workers.
+  size_t misses_ = 0;
+  bool stopped_ = false;
+  std::mutex mu_;
+  std::condition_variable free_cv_;  // workers wait for their slots
+  std::condition_variable done_cv_;  // the destructor waits for workers
+  // turn_[s] is 2c while slot s waits for chunk c's worker and 2c + 1
+  // once chunk c is in it. Atomic, so the walk can spin on it; a group's
+  // last slot, which workers wait on, changes only under mu_, so their
+  // waits cannot miss the change.
+  std::atomic<uint64_t> turn_[kSlots];
+  // Guarded by mu_. taken_by_walk_[s]: the walk ran slot s's pending chunk
+  // itself, so its worker skips it or frees the slot when done.
+  bool taken_by_walk_[kSlots] = {};
+  size_t next_group_ = 0;
+  bool cancelled_ = false;
+  int running_ = 0;  // tasks inside Produce
+};
+
+// The walk's source of chunk records: a NoiseRing running the stage
+// ahead, or the stage run on the walk's own thread just before it needs
+// the record (from the ν stream's current position and the current ρ) —
+// for every chunk of an inline call, and for any chunk the ring has not
+// produced in time.
+class ChunkFeed {
+ public:
+  ChunkFeed(const NoiseStage& stage, const BoundPrefilter* prefilter,
+            size_t total, bool ahead, SvtRunState* state)
+      : stage_(stage), state_(state) {
+    if (ahead && NoiseRing::TryClaim()) {
+      // The bar can move only in specs that resample ρ; their stage works
+      // without it.
+      const std::optional<double> rho =
+          stage.spec.resample_rho_after_positive
+              ? std::nullopt
+              : std::optional<double>(state->rho);
+      ring_.emplace(stage, prefilter, total, state->nu_rng.state(), rho);
+    }
+    local_.emplace();
+    local_->Prepare(stage.spec, prefilter);
+  }
+
+  // The record of chunk c, which starts at `offset` and holds n queries.
+  // Run here, the stage starts from the ν stream's current position: the
+  // walk leaves it at the end of chunk c - 1.
+  ChunkNoise& Get(size_t c, size_t offset, size_t n) {
+    if (ring_.has_value()) {
+      if (ChunkNoise* rec = ring_->TryTake(c)) return *rec;
+    }
+    stage_.Run(offset, n, state_->nu_rng.state(), state_->rho, &*local_);
+    return *local_;
+  }
+
+  // The walk is done with chunk c: its counters join the run's.
+  void Done(size_t c, const ChunkNoise& rec) {
+    state_->batch += rec.stats;
+    if (&rec != &*local_) ring_->Release(c);
+  }
+
+ private:
+  const NoiseStage& stage_;
+  SvtRunState* const state_;
+  std::optional<NoiseRing> ring_;
+  std::optional<ChunkNoise> local_;
+};
 
 }  // namespace
 
@@ -233,10 +758,18 @@ void BatchRunner::CheckArgs(std::span<const double> answers,
 }
 
 BatchRunner::BatchRunner(const VariantSpec& spec, Rng* base_rng,
-                         SvtRunState* state)
-    : spec_(spec), base_rng_(base_rng), state_(state) {
+                         SvtRunState* state, size_t parallel_min_queries)
+    : spec_(spec),
+      base_rng_(base_rng),
+      state_(state),
+      parallel_min_queries_(parallel_min_queries) {
   SVT_CHECK(base_rng_ != nullptr);
   SVT_CHECK(state_ != nullptr);
+}
+
+bool BatchRunner::RunStageAhead(size_t total) const {
+  return total >= parallel_min_queries_ && !ThreadPool::InParallelRegion() &&
+         ThreadPool::Global().size() > 1;
 }
 
 // Builds the positive Response for `answer` whose comparison noise was
@@ -311,174 +844,112 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
   const size_t total = answers.size();
   Response* const res = ReserveAppend(out, total);
 
-  const bool has_nu = spec_.nu_scale > 0.0;
-  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
-  const size_t wpv = WordsPerVariate(spec_.nu_kind);
-  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
-  const double nu_scale = spec_.nu_scale;
-  // Cache-line-aligned so the 512-bit loads of the bound-pipeline word
-  // reduction and the fused scan kernels never split lines.
-  alignas(64) uint64_t words[2 * kChunkSize];
-  SVT_DCHECK(reinterpret_cast<uintptr_t>(words) % 64 == 0);
-  // The single bound implementation: every skip decision below — tier-1
-  // chunk test, tier-2 span tests, the megakernels' skip-word inputs —
-  // comes out of this pipeline (core/bound_pipeline.h), at the quantized
-  // level when a prefilter is attached and the gate is on, at full
-  // precision otherwise.
-  BoundPipeline pipe(has_nu ? prefilter : nullptr, nu_scale, kBoundSpan,
-                     &state_->batch);
-  // Megakernel scratch: the fused pass's recorded hits and the ν block,
-  // each written before it is read.
-  constexpr size_t kMaxChunkHits = kChunkSize / 16;
-  UninitArray<vec::FusedScanHit, kMaxChunkHits> hits;
-  SpanNuBlock nu_block(spec_.nu_kind, nu_scale, words);
-  BatchRunStats* const stats = &state_->batch;
-
-  size_t done = 0;
-  while (done < total) {
-    const size_t n = std::min(kChunkSize, total - done);
-    const double* const a = answers.data() + done;
-    out->resize(start + done + n);  // the chunk's responses, all ⊥
-    size_t chunk_processed = n;
-    if (!has_nu) {
+  if (spec_.nu_scale <= 0.0) {
+    // ν-free scan (Alg. 5): no noise words, no stage.
+    for (size_t done = 0; done < total; done += kChunkSize) {
+      const size_t n = std::min(kChunkSize, total - done);
+      const double* const a = answers.data() + done;
+      AppendBelow(out, n);  // the chunk's responses, all ⊥
       const auto find_next = [a, n, threshold](size_t from, double rho) {
         return vec::FusedScanHit{
             from + vec::FindFirstGe({a + from, n - from}, threshold + rho),
             0.0};
       };
-      chunk_processed = ScanChunk(a, n, find_next, res + done);
+      const size_t processed = ScanChunk(a, n, find_next, res + done);
+      if (state_->exhausted) return Truncate(out, start, done + processed);
+    }
+    return total;
+  }
+
+  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
+  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
+  const double nu_scale = spec_.nu_scale;
+  const bool ahead = RunStageAhead(total);
+  const NoiseStage stage{spec_, answers, nullptr, threshold, mega, ahead};
+  ChunkFeed feed(stage, prefilter, total, ahead, state_);
+  BatchRunStats* const stats = &state_->batch;
+
+  for (size_t c = 0, done = 0; done < total; ++c, done += kChunkSize) {
+    const size_t n = std::min(kChunkSize, total - done);
+    const double* const a = answers.data() + done;
+    AppendBelow(out, n);  // the chunk's responses, all ⊥
+    ChunkNoise& rec = feed.Get(c, done, n);
+    // The stage consumed the chunk's words, whichever way it took.
+    state_->nu_rng.RestoreState(rec.end);
+    size_t chunk_processed = n;
+    const double bar0 = threshold + state_->rho;
+    // The stage's pipeline owns the bound chain: the tier-1 all-⊥ shortcut
+    // and the per-span tier-2 tests, each a monotone rounded chain over the
+    // span minima and the chunk's score uppers — provably conservative,
+    // so a skip emits exactly what the exact comparison would (proof in
+    // core/bound_pipeline.h). Identical inputs give identical skip
+    // decisions and counters in both kernel modes.
+    if (!rec.pipe->ChunkCanFire(bar0)) {
+      // The tier-1 bound dominates every computed positive test, so a
+      // skipped chunk cannot have recorded hits.
+      SVT_DCHECK(!rec.fused || rec.found == 0);
+      state_->processed += static_cast<int64_t>(n);  // res already ⊥
+      ++stats->tier1_chunks_skipped;
     } else {
-      pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
-      const double bar0 = threshold + state_->rho;
-      // The megakernel arm's fused pass generates the chunk's ν words in
-      // registers (the lane-resident xoshiro step), reduces them to the
-      // per-span minima the bounds need and records every element that
-      // fires under bar0, transforming only the lockstep groups the chunk
-      // skip word cannot discharge; the words never touch memory. It runs
-      // only where that record stays valid and cheap: the bar never moves
-      // (a spec that resamples ρ leaves bar0 at its first positive), and
-      // a sound skip word exists (without one — some answer at or above
-      // the bar — it would transform every word of a chunk a cutoff may
-      // never need). Any upper bound on the answers is a sound skip-word
-      // input (vec::MegaSkipWordThreshold), so the pipeline's chunk upper,
-      // quantized or exact, feeds it directly.
-      const uint64_t chunk_skip = mega && !spec_.resample_rho_after_positive
-                                      ? pipe.ChunkSkipWord(bar0)
-                                      : vec::kMegaNeverSkipWord;
-      const bool fused_scan = chunk_skip < vec::kMegaNeverSkipWord;
-      const BlockRng::State entry = state_->nu_rng.state();
-      uint64_t span_min[kChunkSize / kBoundSpan];
-      size_t found = 0;
-      if (fused_scan) {
-        BlockRng::State end_state = entry;
-        uint64_t w_min_unused;
-        found = exp_nu ? vec::MegaExpFillMinScanSpans(
-                             &end_state, nu_scale, {a, n}, bar0, chunk_skip,
-                             kBoundSpan, span_min, hits.data(), kMaxChunkHits,
-                             &w_min_unused)
-                       : vec::MegaLaplaceFillMinScanSpans(
-                             &end_state, 0.0, nu_scale, {a, n}, bar0,
-                             chunk_skip, kBoundSpan, span_min, hits.data(),
-                             kMaxChunkHits, &w_min_unused);
-        // The pass consumed the chunk's words: the substream stands where
-        // the fill below would leave it.
-        state_->nu_rng.RestoreState(end_state);
-      } else {
-        // Fetch the chunk's raw ν words — the substream advances exactly
-        // as if each ν_i had been drawn scalar-style (Laplace variates are
-        // (magnitude, sign) pairs, exponential variates one magnitude
-        // word) — and reduce each span's magnitude words to its minimum.
-        state_->nu_rng.FillUint64({words, wpv * n});
-        for (size_t s = 0; s < n; s += kBoundSpan) {
-          const size_t m = std::min(kBoundSpan, n - s);
-          span_min[s / kBoundSpan] =
-              vec::MinWordBlock({words + wpv * s, wpv * m}, wpv);
-        }
-      }
-      // The pipeline reduces the span minima to the chunk minimum
-      // (unsigned min is association-free, so both ways give the same
-      // word) and owns the bound chain from here: the tier-1 all-⊥
-      // shortcut and the per-span tier-2 tests, each a monotone rounded
-      // chain over these minima and the chunk's score uppers — provably
-      // conservative, so a skip emits exactly what the exact comparison
-      // would (proof in core/bound_pipeline.h). Identical inputs give
-      // identical skip decisions and counters in both kernel modes.
-      pipe.SetNoiseMinima(span_min);
-      if (!pipe.ChunkCanFire(bar0)) {
-        // The tier-1 bound dominates every computed positive test, so a
-        // skipped chunk cannot have recorded hits.
-        SVT_DCHECK(found == 0);
-        state_->processed += static_cast<int64_t>(n);  // res already ⊥
-        ++state_->batch.tier1_chunks_skipped;
-      } else {
-        // Tier-2: the chunk-level bound failed, but the same conservative
-        // argument re-applies per kBoundSpan span, where the max |ν| over
-        // far fewer draws is much smaller — in near-threshold workloads
-        // most spans still prove all-⊥ and are never transformed. The
-        // span bounds are ρ-free, so they survive ρ resampling. A span
-        // that survives is scanned in one of three ways:
-        //   * composition mode: the fused kernel transforms the span's
-        //     words and tests the positive condition in one register pass;
-        //   * megakernel, complete fused record (the bar is still bar0):
-        //     the span's positives are already in hand — an unrecorded
-        //     element failed its computed test or was word-skipped under a
-        //     threshold sound for bar0, and a recorded hit carries the
-        //     bit-identical ν a rescan would compute;
-        //   * megakernel otherwise (ρ resampled, no skip word, or the
-        //     record overflowed): a compare over the chunk's ν block,
-        //     whose span is transformed the first time the walk needs it,
-        //     so every later resume in the chunk only compares. An
-        //     overflowed chunk first regenerates its words, once, from the
-        //     chunk-entry state.
-        // A span holding a positive always passes its bound (the bound
-        // chain dominates every computed test), so the counters do not
-        // depend on which way a span was scanned.
-        ++state_->batch.tier2_chunks_scanned;
-        const bool cache_complete = fused_scan && found <= kMaxChunkHits;
-        bool have_words = !fused_scan;
-        nu_block.Reset(n);
-        size_t next = 0;  // first recorded hit not behind the walk
-        const auto find_next = [&](size_t from, double rho) {
-          const double bar = threshold + rho;
-          const auto can_fire = [&](size_t j) {
-            return pipe.SpanCanFire(j, bar);
-          };
-          const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
-            const size_t m = hi - lo;
-            if (!mega) {
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::FusedExpScanSumGe({words + lo, m}, nu_scale,
-                                                  {a + lo, m}, bar)
-                         : vec::FusedLaplaceScanSumGe(
-                               {words + 2 * lo, 2 * m}, 0.0, nu_scale,
-                               {a + lo, m}, bar);
-              return {lo + hit.index, hit.nu};
-            }
-            if (cache_complete) {
-              while (next < found && hits[next].index < lo) ++next;
-              if (next < found && hits[next].index < hi) return hits[next];
-              return {hi, 0.0};
-            }
-            if (!have_words) {
-              BlockRng(entry).Fill({words, wpv * n});
-              have_words = true;
-            }
-            const double* nu = nu_block.Fill(lo / kBoundSpan);
-            const size_t i =
-                lo + vec::FindFirstSumGe({a + lo, m}, {nu + lo, m}, bar);
-            return {i, i < hi ? nu[i] : 0.0};
-          };
-          return WalkSpans(from, n, stats, can_fire, scan);
+      // Tier-2: the chunk-level bound failed, but the same conservative
+      // argument re-applies per kBoundSpan span, where the max |ν| over
+      // far fewer draws is much smaller — in near-threshold workloads most
+      // spans still prove all-⊥ and are never transformed. The span bounds
+      // are ρ-free, so they survive ρ resampling. A span that survives is
+      // scanned in one of three ways:
+      //   * composition mode: the fused kernel transforms the span's words
+      //     and tests the positive condition in one register pass;
+      //   * megakernel, complete fused record (the bar is still bar0): the
+      //     span's positives are already in hand — an unrecorded element
+      //     failed its computed test or was word-skipped under a threshold
+      //     sound for bar0, and a recorded hit carries the bit-identical ν
+      //     a rescan would compute;
+      //   * megakernel otherwise (ρ resampled, no skip word, or the record
+      //     overflowed): a compare over the chunk's ν block, whose span is
+      //     transformed the first time the walk needs it (or up front by a
+      //     stage run ahead), so every later resume in the chunk only
+      //     compares. An overflowed chunk first regenerates its words,
+      //     once, from the chunk-entry state.
+      // A span holding a positive always passes its bound (the bound chain
+      // dominates every computed test), so the counters do not depend on
+      // which way a span was scanned.
+      ++stats->tier2_chunks_scanned;
+      const bool cache_complete = rec.complete();
+      size_t next = 0;  // first recorded hit not behind the walk
+      const auto find_next = [&](size_t from, double rho) {
+        const double bar = threshold + rho;
+        const auto can_fire = [&](size_t j) {
+          return rec.pipe->SpanCanFire(j, bar);
         };
-        chunk_processed = ScanChunk(a, n, find_next, res + done);
-      }
+        const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
+          const size_t m = hi - lo;
+          if (!mega) {
+            const vec::FusedScanHit hit =
+                exp_nu ? vec::FusedExpScanSumGe({rec.words + lo, m}, nu_scale,
+                                                {a + lo, m}, bar)
+                       : vec::FusedLaplaceScanSumGe(
+                             {rec.words + 2 * lo, 2 * m}, 0.0, nu_scale,
+                             {a + lo, m}, bar);
+            return {lo + hit.index, hit.nu};
+          }
+          if (cache_complete) {
+            while (next < rec.found && rec.hits[next].index < lo) ++next;
+            if (next < rec.found && rec.hits[next].index < hi) {
+              return rec.hits[next];
+            }
+            return {hi, 0.0};
+          }
+          const double* nu = rec.Nu(lo / kBoundSpan);
+          const size_t i =
+              lo + vec::FindFirstSumGe({a + lo, m}, {nu + lo, m}, bar);
+          return {i, i < hi ? nu[i] : 0.0};
+        };
+        return WalkSpans(from, n, stats, can_fire, scan);
+      };
+      chunk_processed = ScanChunk(a, n, find_next, res + done);
     }
-    if (state_->exhausted) {
-      const size_t emitted = done + chunk_processed;
-      out->resize(start + emitted);
-      return emitted;
-    }
-    done += n;
+    feed.Done(c, rec);
+    if (state_->exhausted) return Truncate(out, start, done + chunk_processed);
   }
   return total;
 }
@@ -493,195 +964,113 @@ size_t BatchRunner::Run(std::span<const double> answers,
   const size_t total = answers.size();
   Response* const res = ReserveAppend(out, total);
 
-  const bool has_nu = spec_.nu_scale > 0.0;
-  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
-  const size_t wpv = WordsPerVariate(spec_.nu_kind);
-  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
-  const double nu_scale = spec_.nu_scale;
-  // Per-query scratch: one sub-block of raw ν words, cache-line-aligned.
-  // There is no tier-1 chunk bound to feed (a single common bar does not
-  // exist), so nothing forces a whole-chunk prefetch — the words are
-  // pulled through the bounded fill hook in L1-sized pieces and consumed
-  // by the fused scan while still hot.
-  alignas(64) uint64_t words[2 * kFusedSubBlock];
-  SVT_DCHECK(reinterpret_cast<uintptr_t>(words) % 64 == 0);
-  // The per-query bound level: per span, the pipeline holds an upper
-  // bound on the answers AND a lower bound on the thresholds, and a span
-  // is skipped when fl(score_up + ν_bound) < fl(bar_down + ρ) — the same
-  // monotone chain as the common-threshold tiers, pairwise-safe because
-  // the bar lower bounds every bar in the span (proof in
-  // core/bound_pipeline.h). Before the pipeline this path had no bound at
-  // all and scanned every element.
-  BoundPipeline pipe(has_nu ? prefilter : nullptr, nu_scale, kBoundSpan,
-                     &state_->batch);
-  // Megakernel scratch, as in the common-threshold Run.
-  constexpr size_t kMaxSubHits = kFusedSubBlock / 16;
-  UninitArray<vec::FusedScanHit, kMaxSubHits> hits;
-  SpanNuBlock nu_block(spec_.nu_kind, nu_scale, words);
-  BatchRunStats* const stats = &state_->batch;
-
-  size_t done = 0;
-  while (done < total) {
-    const size_t n = std::min(kChunkSize, total - done);
-    const double* const a = answers.data() + done;
-    const double* const t = thresholds.data() + done;
-    out->resize(start + done + n);  // the chunk's responses, all ⊥
-    size_t chunk_processed = n;
-    if (!has_nu) {
-      // ν-free per-query scan (Alg. 5): no noise words — nothing to fuse;
-      // the dispatched pairwise compare-scan applies the exact streaming
-      // positive test (each side one rounded add, ordered >=).
+  if (spec_.nu_scale <= 0.0) {
+    // ν-free per-query scan (Alg. 5): no noise words — nothing to fuse;
+    // the dispatched pairwise compare-scan applies the exact streaming
+    // positive test (each side one rounded add, ordered >=).
+    for (size_t done = 0; done < total; done += kChunkSize) {
+      const size_t n = std::min(kChunkSize, total - done);
+      const double* const a = answers.data() + done;
+      const double* const t = thresholds.data() + done;
+      AppendBelow(out, n);  // the chunk's responses, all ⊥
       const auto find_next = [a, t, n](size_t from, double rho) {
         return vec::FusedScanHit{
             from + vec::FindFirstGePairwise({a + from, n - from},
                                             {t + from, n - from}, rho),
             0.0};
       };
-      chunk_processed = ScanChunk(a, n, find_next, res + done);
-    } else {
-      // Fused per-query tier-2: the chunk's substream words are consumed
-      // sub-block by sub-block — the same words in the same order a
-      // scalar draw loop consumes, so a completed chunk leaves the
-      // substream at the identical position.
-      ++state_->batch.tier2_chunks_scanned;
-      pipe.BeginChunk(a, t, done, n);
-      size_t sub = 0;
-      while (sub < n) {
-        const size_t m = std::min(kFusedSubBlock, n - sub);
-        ++stats->tier2_fused_subblocks;
-        const double* const a_sub = a + sub;
-        const double* const t_sub = t + sub;
-        const size_t first_span = sub / kBoundSpan;
-        const size_t sub_nspans = (m + kBoundSpan - 1) / kBoundSpan;
-        // The pipeline's span plan (each span's answer-max paired with its
-        // bar-min, quantized or exact) yields a per-span skip-word vector
-        // at the sub-block-entry ρ, derivable before any words are drawn.
-        const double rho0 = state_->rho;
-        uint64_t skip_words[kFusedSubBlock / kBoundSpan];
-        bool any_skip = false;
-        for (size_t k = 0; k < sub_nspans; ++k) {
-          skip_words[k] = pipe.SpanSkipWordPerQuery(first_span + k, rho0);
-          any_skip = any_skip || skip_words[k] < vec::kMegaNeverSkipWord;
-        }
-        // When some span's word threshold can discharge at all, the
-        // megakernel prepass is the fused pairwise generate-bound-and-scan:
-        // one pass steps the lanes through the sub-block, records the
-        // per-span magnitude minima (the pipeline's ν-bound inputs) AND
-        // every element whose pairwise positive test fires at ρ0, skipping
-        // the transform for every word its span's threshold discharges
-        // (counted element-granular in mega_words_skipped_q). When no span
-        // has a finite skip word (hit-dense sub-block), the fused scan
-        // would transform everything for positives a cutoff may never
-        // need, so the words are fetched as the composition does.
-        const bool fused_scan = mega && any_skip;
-        const BlockRng::State entry = state_->nu_rng.state();
-        uint64_t span_min[kFusedSubBlock / kBoundSpan];
-        size_t found = 0;
-        if (fused_scan) {
-          BlockRng::State end_state = entry;
-          uint64_t skipped = 0;
-          found = exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
-                               &end_state, nu_scale, {a_sub, m}, {t_sub, m},
-                               rho0, skip_words, kBoundSpan, span_min,
-                               hits.data(), kMaxSubHits, &skipped)
-                         : vec::MegaLaplaceFillMinScanSpansPairwise(
-                               &end_state, 0.0, nu_scale, {a_sub, m},
-                               {t_sub, m}, rho0, skip_words, kBoundSpan,
-                               span_min, hits.data(), kMaxSubHits, &skipped);
-          stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
-          // The prepass consumed exactly m·wpv words, so the substream
-          // stands at the sub-block end whatever the walk later skips.
-          state_->nu_rng.RestoreState(end_state);
-        } else {
-          size_t filled = 0;
-          while (filled < wpv * m) {
-            filled += state_->nu_rng.FillUint64Bounded(
-                {words + filled, wpv * m - filled});
-          }
-          // Same per-span minima as the prepass records (same words, and
-          // unsigned min is association-free) — skip decisions and
-          // counters stay equal between the modes bit for bit. The
-          // skipped-word count mirrors the prepass's over the same words
-          // and skip words (never-skip spans contribute zero, as inside
-          // the fused lanes), so the counter is kernel-mode-independent.
-          uint64_t skipped = 0;
-          for (size_t k = 0; k < sub_nspans; ++k) {
-            const size_t s = k * kBoundSpan;
-            const std::span<const uint64_t> span_words{
-                words + wpv * s, wpv * std::min(kBoundSpan, m - s)};
-            span_min[k] = vec::MinWordBlock(span_words, wpv);
-            skipped += vec::SkipWordCountBlock(span_words, wpv, skip_words[k]);
-          }
-          stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
-        }
-        pipe.SetSpanNoiseMinima(span_min, first_span, sub_nspans);
+      const size_t processed = ScanChunk(a, n, find_next, res + done);
+      if (state_->exhausted) return Truncate(out, start, done + processed);
+    }
+    return total;
+  }
 
-        // Surviving spans scan as in the common arm, with one difference:
-        // the recorded hits stay usable while ρ >= ρ0. fl(t_i + ρ) is
-        // monotone in ρ, so an element that failed its computed test at
-        // ρ0 fails at ρ, and a span skip word derived against
-        // fl(bar_min + ρ0) stays sound (see SpanSkipWordPerQuery); a
-        // recorded hit carries the bit-identical ν a rescan would
-        // compute, so re-testing it against fl(t_i + ρ) IS the rescan's
-        // computed test.
-        const bool cache_complete = fused_scan && found <= kMaxSubHits;
-        bool have_words = !fused_scan;
-        nu_block.Reset(m);
-        size_t next = 0;  // first recorded hit not behind the walk
-        const auto find_next = [&](size_t from, double rho) {
-          const auto can_fire = [&](size_t j) {
-            return pipe.SpanCanFirePerQuery(first_span + j, rho);
-          };
-          const bool cached = cache_complete && rho >= rho0;
-          const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
-            const size_t mm = hi - lo;
-            if (!mega) {
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::FusedExpScanSumGePairwise(
-                               {words + lo, mm}, nu_scale, {a_sub + lo, mm},
-                               {t_sub + lo, mm}, rho)
-                         : vec::FusedLaplaceScanSumGePairwise(
-                               {words + 2 * lo, 2 * mm}, 0.0, nu_scale,
-                               {a_sub + lo, mm}, {t_sub + lo, mm}, rho);
-              return {lo + hit.index, hit.nu};
-            }
-            if (cached) {
-              while (next < found && hits[next].index < lo) ++next;
-              for (size_t k = next; k < found && hits[k].index < hi; ++k) {
-                const size_t i = hits[k].index;
-                if (rho == rho0 || a_sub[i] + hits[k].nu >= t_sub[i] + rho) {
-                  return hits[k];
-                }
-              }
-              return {hi, 0.0};
-            }
-            if (!have_words) {
-              BlockRng(entry).Fill({words, wpv * m});
-              have_words = true;
-            }
-            const double* nu = nu_block.Fill(lo / kBoundSpan);
-            const size_t i = lo + vec::FindFirstSumGePairwise(
-                                      {a_sub + lo, mm}, {nu + lo, mm},
-                                      {t_sub + lo, mm}, rho);
-            return {i, i < hi ? nu[i] : 0.0};
-          };
-          return WalkSpans(from, m, stats, can_fire, scan);
-        };
-        const size_t sub_processed =
-            ScanChunk(a_sub, m, find_next, res + done + sub);
-        if (state_->exhausted) {
-          chunk_processed = sub + sub_processed;
-          break;
-        }
-        sub += m;
+  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
+  const size_t wpv = WordsPerVariate(spec_.nu_kind);
+  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
+  const double nu_scale = spec_.nu_scale;
+  // The per-query bound level: per span, the pipeline holds an upper bound
+  // on the answers AND a lower bound on the thresholds, and a span is
+  // skipped when fl(score_up + ν_bound) < fl(bar_down + ρ) — the same
+  // monotone chain as the common-threshold tiers, pairwise-safe because
+  // the bar lower bounds every bar in the span (proof in
+  // core/bound_pipeline.h). There is no tier-1 chunk bound: a single common
+  // bar does not exist.
+  const bool ahead = RunStageAhead(total);
+  const NoiseStage stage{spec_, answers, thresholds.data(), 0.0, mega, ahead};
+  ChunkFeed feed(stage, prefilter, total, ahead, state_);
+  BatchRunStats* const stats = &state_->batch;
+
+  for (size_t c = 0, done = 0; done < total; ++c, done += kChunkSize) {
+    const size_t n = std::min(kChunkSize, total - done);
+    const double* const a = answers.data() + done;
+    const double* const t = thresholds.data() + done;
+    AppendBelow(out, n);  // the chunk's responses, all ⊥
+    ChunkNoise& rec = feed.Get(c, done, n);
+    state_->nu_rng.RestoreState(rec.end);
+    ++stats->tier2_chunks_scanned;
+    ++stats->tier2_fused_subblocks;
+    const double rho0 = state_->rho;
+    if (!rec.rho.has_value()) {
+      // The stage ran ahead without ρ, so it could not count the words the
+      // chunk-entry skip words discharge; count them over its words now.
+      uint64_t skipped = 0;
+      for (size_t k = 0; k < rec.pipe->num_spans(); ++k) {
+        const size_t s = k * kBoundSpan;
+        skipped += vec::SkipWordCountBlock(
+            {rec.words + wpv * s, wpv * std::min(kBoundSpan, n - s)}, wpv,
+            rec.pipe->SpanSkipWordPerQuery(k, rho0));
       }
+      stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
     }
-    if (state_->exhausted) {
-      const size_t emitted = done + chunk_processed;
-      out->resize(start + emitted);
-      return emitted;
-    }
-    done += n;
+
+    // Surviving spans scan as in the common arm, with one difference: the
+    // recorded hits stay usable while ρ >= the ρ the stage recorded them
+    // at. fl(t_i + ρ) is monotone in ρ, so an element that failed its
+    // computed test there fails at ρ, and a span skip word derived against
+    // fl(bar_min + ρ) stays sound (see SpanSkipWordPerQuery); a recorded
+    // hit carries the bit-identical ν a rescan would compute, so
+    // re-testing it against fl(t_i + ρ) IS the rescan's computed test.
+    const bool cache_complete = rec.complete();
+    size_t next = 0;  // first recorded hit not behind the walk
+    const auto find_next = [&](size_t from, double rho) {
+      const auto can_fire = [&](size_t j) {
+        return rec.pipe->SpanCanFirePerQuery(j, rho);
+      };
+      const bool cached = cache_complete && rho >= *rec.rho;
+      const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
+        const size_t m = hi - lo;
+        if (!mega) {
+          const vec::FusedScanHit hit =
+              exp_nu ? vec::FusedExpScanSumGePairwise(
+                           {rec.words + lo, m}, nu_scale, {a + lo, m},
+                           {t + lo, m}, rho)
+                     : vec::FusedLaplaceScanSumGePairwise(
+                           {rec.words + 2 * lo, 2 * m}, 0.0, nu_scale,
+                           {a + lo, m}, {t + lo, m}, rho);
+          return {lo + hit.index, hit.nu};
+        }
+        if (cached) {
+          while (next < rec.found && rec.hits[next].index < lo) ++next;
+          for (size_t k = next; k < rec.found && rec.hits[k].index < hi;
+               ++k) {
+            const size_t i = rec.hits[k].index;
+            if (rho == *rec.rho || a[i] + rec.hits[k].nu >= t[i] + rho) {
+              return rec.hits[k];
+            }
+          }
+          return {hi, 0.0};
+        }
+        const double* nu = rec.Nu(lo / kBoundSpan);
+        const size_t i = lo + vec::FindFirstSumGePairwise(
+                                  {a + lo, m}, {nu + lo, m}, {t + lo, m}, rho);
+        return {i, i < hi ? nu[i] : 0.0};
+      };
+      return WalkSpans(from, n, stats, can_fire, scan);
+    };
+    const size_t chunk_processed = ScanChunk(a, n, find_next, res + done);
+    feed.Done(c, rec);
+    if (state_->exhausted) return Truncate(out, start, done + chunk_processed);
   }
   return total;
 }

@@ -19,11 +19,10 @@
 //     and resume segments after a positive re-enter the kernel past it, so
 //     every word pair is transformed exactly once per chunk;
 //   * per-query-threshold chunks (no sound chunk-wide tier-1 bound — there
-//     is no single bar) pull their words through Rng::FillUint64Bounded in
-//     L1-resident sub-blocks and scan them fused while still hot, with a
-//     per-span bound of their own: the BoundPipeline pairs each span's
-//     answer upper bound with its *threshold lower bound*, so spans that
-//     provably cannot fire under any of their bars skip the scan outright;
+//     is no single bar) have a per-span bound of their own: the
+//     BoundPipeline pairs each span's answer upper bound with its
+//     *threshold lower bound*, so spans that provably cannot fire under
+//     any of their bars skip the scan outright;
 //   * a slow path only at positives, handling the cutoff, Alg. 2's ρ
 //     resampling, Alg. 3's q+ν output and ε₃ numeric answers.
 //
@@ -46,6 +45,33 @@
 // for every surviving span; both modes emit bit-identical responses,
 // statistics, and stream positions (core/svt.h), so the toggle is purely a
 // performance axis — and the A/B seam the paired benchmarks use.
+//
+// Each arm splits into two parts. The *noise stage* is a pure function of
+// a chunk's ν entry state, its answers (and thresholds) and, when the bar
+// cannot move, ρ: it builds the chunk's bound plan and either runs the
+// fused pass (span minima, recorded hits, end state) or fills the chunk's
+// words. The serial *walk* does everything that depends on the run so far:
+// the bound decisions, replay and compares, positives, the cutoff, the ρ
+// and ε₃ draws from the base stream, and the ⊥ fill (ν-free specs, Alg.
+// 5, have no stage). Small calls, and calls made from a pool worker or
+// inside a ParallelFor slice, run the stage inline, just before the walk
+// needs each chunk. A call of at least kParallelMinQueries queries runs it
+// on
+// ThreadPool::Global() workers instead: each worker claims the next group
+// of chunks, jumps a copy of the call's ν entry state to the group's first
+// word (BlockRng::Advance, exact because xoshiro is linear over GF(2)) and
+// writes the chunks' records into a bounded ring, which the walk consumes
+// in chunk order; a record the walk may resume under a moved bar also
+// carries its whole ν block, transformed on the worker. A chunk no worker
+// has delivered within about one chunk's stage time the walk runs itself,
+// so a worker the scheduler preempts on a busy host costs the walk
+// microseconds, not a time slice; if that keeps happening the walk stops
+// the workers and the next few long calls run inline too. One call at a
+// time runs ahead; a long call made meanwhile from another thread runs
+// inline, since the first one's workers hold the pool. When the cutoff
+// fires, the walk stops the workers. Every chunk sees the words the serial
+// loop would, so responses, both streams and every counter are the same
+// either way (core/svt.h).
 //
 // Every conservative skip decision above — tier-1 chunk tests, tier-2
 // span tests (common and per-query), and the megakernels' skip-word
@@ -138,15 +164,6 @@ class BatchRunner {
   /// near-threshold workloads still skip most spans' transforms.
   static constexpr size_t kBoundSpan = 128;
 
-  /// Queries per fused per-query sub-block (raw words per bounded fill).
-  /// Tuned to one whole chunk on the reference container: sweeping
-  /// 256/512/1024/2048 with an in-process A/B showed the smaller fills
-  /// 10-25% slower (per-call lockstep state round-trips plus restarted
-  /// scan streams outweigh the L1 footprint win there). The sub-block
-  /// structure stays because the knob is host-dependent — a machine with
-  /// a smaller L1d or slower L2 wants it below the chunk size.
-  static constexpr size_t kFusedSubBlock = kChunkSize;
-
   /// Calls shorter than this many queries run the streaming loop instead
   /// of the runner (header comment). bench_call_crossover put the
   /// crossover at 7, 8 and 7 in three sweeps on a 4-vCPU 2.0 GHz Xeon with
@@ -159,6 +176,20 @@ class BatchRunner {
   /// takes 1.1-2.2 µs against 3.0-4.2 µs streaming. The rule does not
   /// chase them.
   static constexpr size_t kStreamingCutover = 8;
+
+  /// Calls of at least this many queries run the noise stage on pool
+  /// workers ahead of the walk (header comment), unless the call is made
+  /// from a pool worker or inside a ParallelFor slice. bench_stage_crossover
+  /// sweeps lengths 2^13-2^20 for the three batch_scan shapes, ahead
+  /// against inline, on a 4-vCPU 2.0 GHz Xeon with AVX-512 (a pool of 4,
+  /// so 3 stage workers). Three sweeps put the crossover here: the
+  /// geometric mean of the ahead/inline ratios was 1.30, 1.00 and 1.07 at
+  /// 2^14, 0.98, 0.75 and 0.86 at 2^15, and 0.50-0.70 from 2^16 on. Below
+  /// it, the workers' wakeup (~15-20 µs a call) outweighs what they take
+  /// off the walk. At 2^20, ns per query ahead/inline was 2.5-3.8/4.7-6.1
+  /// (common), 2.8-3.4/5.7-6.8 (per-query) and 4.2-5.4/8.1-10.5
+  /// (resample).
+  static constexpr size_t kParallelMinQueries = size_t{1} << 15;
 
   /// Runs per RunTrials block: one base-stream fill, one ρ transform and
   /// one ν transform each. At the longest batched window (7 Laplace ν) the
@@ -184,7 +215,11 @@ class BatchRunner {
 
   /// Runs over the state of a live mechanism; all three must outlive the
   /// runner. `state` is mutated exactly as the streaming path would.
-  BatchRunner(const VariantSpec& spec, Rng* base_rng, SvtRunState* state);
+  /// `parallel_min_queries` replaces kParallelMinQueries for this runner —
+  /// the seam the crossover sweep and the equivalence tests use to put
+  /// shorter calls through the stage run ahead.
+  BatchRunner(const VariantSpec& spec, Rng* base_rng, SvtRunState* state,
+              size_t parallel_min_queries = kParallelMinQueries);
 
   /// Appends one Response per processed query to *out, stopping after the
   /// positive that exhausts the cutoff; returns the number appended.
@@ -223,6 +258,10 @@ class BatchRunner {
  private:
   Response MakePositiveResponse(double answer, double nu_j);
 
+  /// True when a call of `total` queries runs its noise stage ahead on
+  /// the pool rather than inline.
+  bool RunStageAhead(size_t total) const;
+
   template <typename FindNext>
   size_t ScanChunk(const double* answers, size_t n, FindNext find_next,
                    Response* res);
@@ -230,6 +269,7 @@ class BatchRunner {
   const VariantSpec& spec_;
   Rng* base_rng_;
   SvtRunState* state_;
+  size_t parallel_min_queries_;
 };
 
 }  // namespace svt

@@ -136,12 +136,16 @@ class BoundPipeline {
   bool SpanCanFire(size_t j, double bar);
   bool SpanCanFirePerQuery(size_t j, double rho);
 
+  /// Derives the per-span ν bounds now rather than at the first span
+  /// test — for a caller that builds the plan ahead of the walk that
+  /// tests it.
+  void EnsureSpanNuBounds();
+
   /// True when the quantized level is active for this run.
   bool quantized() const { return quant_; }
 
  private:
   double NuBound(std::uint64_t w_min) const;
-  void EnsureSpanNuBounds();
 
   const BoundPrefilter* prefilter_;  // null or inactive when !quant_
   const double nu_scale_;

@@ -135,9 +135,9 @@ struct BatchRunStats {
   /// kBoundSpan-sized spans proven all-⊥ by the per-span max-|ν| bound
   /// after the whole-chunk bound failed — their transforms never ran.
   int64_t tier2_spans_skipped = 0;
-  /// Bounded ν-substream sub-block fills in the per-query fused path
-  /// (Rng::FillUint64Bounded loops). The common-threshold path prefetches
-  /// whole chunks for the tier-1 bound and counts none.
+  /// Per-query chunks whose ν words the fused path generated (one per
+  /// per-query chunk with query noise). The common-threshold path counts
+  /// none.
   int64_t tier2_fused_subblocks = 0;
   /// Span visits pruned by the QUANTIZED bound level (a subset of
   /// tier2_spans_skipped): only nonzero when a BoundPrefilter was attached
@@ -169,6 +169,22 @@ struct BatchRunStats {
   /// BatchRunner::kStreamingCutover run the streaming Process() loop and
   /// never enter the engine, so none of the counters above move for them.
   int64_t streamed_queries = 0;
+
+  /// Adds `other`'s counters to these (the engine counts each chunk apart
+  /// and adds it to the run's once the chunk is done).
+  BatchRunStats& operator+=(const BatchRunStats& other) {
+    tier1_chunks_skipped += other.tier1_chunks_skipped;
+    tier2_chunks_scanned += other.tier2_chunks_scanned;
+    tier2_fused_segments += other.tier2_fused_segments;
+    tier2_spans_skipped += other.tier2_spans_skipped;
+    tier2_fused_subblocks += other.tier2_fused_subblocks;
+    bound_spans_pruned_q += other.bound_spans_pruned_q;
+    bound_bytes_touched += other.bound_bytes_touched;
+    mega_words_skipped_q += other.mega_words_skipped_q;
+    replay_rederivations += other.replay_rederivations;
+    streamed_queries += other.streamed_queries;
+    return *this;
+  }
 };
 
 /// Mutable per-run state shared by the streaming Process() path and the
@@ -252,6 +268,18 @@ struct SvtRunState {
 /// block kernels of step (4). The stream position after the chunk is the
 /// fused pass's or the fill's either way, so steps 1-5 are unchanged and
 /// no golden re-record accompanied it.
+///
+/// Running the noise stage ahead of the walk is draw-order-neutral: a long
+/// call's per-chunk noise stage (core/batch_runner.h) may run on pool
+/// workers before the walk reaches the chunk, each group of chunks started
+/// from the ν stream position BlockRng::Advance jumps to. xoshiro256's
+/// state transition is linear over GF(2), so the jump lands exactly where
+/// generating every word before it would, and each chunk reads the words
+/// of step (2) the serial loop would; the stage never touches the base
+/// stream, whose draws (step 3) stay in the serial walk, in emission
+/// order. Steps 1-5 are unchanged and no golden re-record accompanied it;
+/// tests/core_batch_runner_test.cc diffs the call run ahead against the
+/// same call run inline and against streaming.
 ///
 /// Quantized bound representations are BOUND-ONLY: the BoundPipeline's
 /// quantized prefilter level (core/bound_pipeline.h,

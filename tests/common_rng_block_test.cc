@@ -9,8 +9,10 @@
 // values also match the published reference outputs).
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -347,66 +349,6 @@ TEST(SampleBlockTest, BlockStatisticsAreLaplace) {
   EXPECT_NEAR(abs_sum / block.size(), 2.0, 0.05);
 }
 
-TEST(FillBoundedTest, PrefixIsTheNextOutputsOfTheStream) {
-  // FillBounded writes some prefix of the stream — whatever the length it
-  // picks, the words must be exactly the next Next() outputs.
-  Rng ref(1234), rng(1234);
-  std::vector<uint64_t> buf(4096);
-  size_t total = 0;
-  while (total < 3000) {
-    const size_t got =
-        rng.FillUint64Bounded({buf.data(), 1 + total % 613});
-    ASSERT_GT(got, 0u) << "bounded fill must always progress";
-    for (size_t i = 0; i < got; ++i) {
-      ASSERT_EQ(buf[i], ref.NextUint64()) << "word " << total + i;
-    }
-    total += got;
-  }
-}
-
-TEST(FillBoundedTest, StopsLaneAlignedAndCatchesUpPhase) {
-  // From a lane-aligned position, a fill of 4k+r words stops after the 4k
-  // whole lockstep steps (r in 1..3 left unwritten); after scalar draws
-  // advanced the phase, the catch-up words count toward the prefix.
-  BlockRng rng(42);
-  std::vector<uint64_t> buf(64);
-  EXPECT_EQ(rng.FillBounded({buf.data(), 11}), 8u);   // phase 0: 2 steps
-  // The stream is now at a lane-aligned position again.
-  EXPECT_EQ(rng.state().phase, 0u);
-  rng.Next();  // phase 1: catch-up is 3 words
-  EXPECT_EQ(rng.state().phase, 1u);
-  EXPECT_EQ(rng.FillBounded({buf.data(), 12}), 11u);  // 3 catch-up + 2 steps
-  EXPECT_EQ(rng.state().phase, 0u);
-  // A span smaller than one step at an aligned position fills whole —
-  // scalar — so callers looping toward a fixed word count terminate.
-  EXPECT_EQ(rng.FillBounded({buf.data(), 3}), 3u);
-  EXPECT_EQ(rng.state().phase, 3u);
-  // Empty span: no-op.
-  EXPECT_EQ(rng.FillBounded({}), 0u);
-  EXPECT_EQ(rng.state().phase, 3u);
-}
-
-TEST(FillBoundedTest, LoopingToATargetEqualsOneFill) {
-  // The batch engine's usage pattern: loop FillBounded until 2m words are
-  // consumed. End state and content must equal a single FillUint64.
-  for (const size_t target : {size_t{1}, size_t{2}, size_t{7}, size_t{1024},
-                              size_t{1226}, size_t{4096}}) {
-    Rng a(99), b(99);
-    a.NextUint64();  // start both mid-step (phase 1)
-    b.NextUint64();
-    std::vector<uint64_t> one(target), looped(target);
-    a.FillUint64(one);
-    size_t filled = 0;
-    while (filled < target) {
-      filled += b.FillUint64Bounded({looped.data() + filled, target - filled});
-    }
-    EXPECT_EQ(one, looped) << "target=" << target;
-    const Rng::State sa = a.state(), sb = b.state();
-    EXPECT_EQ(sa.words, sb.words) << "target=" << target;
-    EXPECT_EQ(sa.phase, sb.phase) << "target=" << target;
-  }
-}
-
 TEST(RestoreTest, RoundTripsTheStreamAtEveryPhase) {
   // Restore is the return half of the megakernel checkpoint seam: a
   // snapshot taken at any phase, restored after arbitrary further draws,
@@ -492,6 +434,134 @@ TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
       ASSERT_EQ(mega.NextUint64(), twin.NextUint64());
       if (hit.index >= rem) break;
       from += hit.index + 1;
+    }
+  }
+}
+
+
+// Two chunks of Laplace ν words in the batch engine: the distances its
+// workers jump are multiples of this.
+constexpr uint64_t kEngineChunkWords = 2 * 2048;
+
+BlockRng AtPhase(uint64_t seed, int phase) {
+  BlockRng rng(seed);
+  for (int k = 0; k < phase; ++k) rng.Next();
+  return rng;
+}
+
+void ExpectSameBlockState(const BlockRng& a, const BlockRng& b,
+                          const std::string& context) {
+  const BlockRng::State sa = a.state(), sb = b.state();
+  EXPECT_EQ(sa.phase, sb.phase) << context;
+  EXPECT_EQ(sa.words, sb.words) << context;
+}
+
+TEST(AdvanceTest, EqualsThatManyNextCalls) {
+  std::vector<uint64_t> distances;
+  for (uint64_t k = 0; k <= 17; ++k) distances.push_back(k);
+  for (uint64_t m : {1, 2, 3, 5, 8, 13}) {
+    distances.push_back(m * kEngineChunkWords);
+  }
+  distances.push_back((uint64_t{1} << 20) + 3);
+  std::vector<uint64_t> sink;
+  for (uint64_t seed : {uint64_t{1}, uint64_t{42}, uint64_t{20261017}}) {
+    for (int phase = 0; phase < 4; ++phase) {
+      for (uint64_t k : distances) {
+        BlockRng jumped = AtPhase(seed, phase), stepped = jumped;
+        jumped.Advance(k);
+        sink.resize(k);
+        stepped.Fill(sink);
+        ExpectSameBlockState(jumped, stepped,
+                             "seed=" + std::to_string(seed) +
+                                 " phase=" + std::to_string(phase) +
+                                 " k=" + std::to_string(k));
+        EXPECT_EQ(jumped.Next(), stepped.Next());
+      }
+    }
+  }
+}
+
+TEST(AdvanceTest, ComposesAdditively) {
+  const uint64_t big = uint64_t{1} << 40;
+  const std::pair<uint64_t, uint64_t> splits[] = {
+      {0, 0},          {1, 2},
+      {3, 1},          {513, 2050},
+      {kEngineChunkWords, 7 * kEngineChunkWords},
+      {big, big},      {big + 5, 3},
+      {(uint64_t{1} << 62) + 3, (uint64_t{1} << 61) + 1},
+  };
+  for (int phase = 0; phase < 4; ++phase) {
+    for (const auto& [a, b] : splits) {
+      BlockRng twice = AtPhase(77, phase), once = twice;
+      twice.Advance(a);
+      twice.Advance(b);
+      once.Advance(a + b);
+      ExpectSameBlockState(twice, once,
+                           "phase=" + std::to_string(phase) +
+                               " a=" + std::to_string(a) +
+                               " b=" + std::to_string(b));
+    }
+  }
+}
+
+// One lane's xoshiro256 state transition as a 256 x 256 matrix over GF(2):
+// column j is the image of the state with only bit j set (bit j % 64 of
+// state word j / 64). Squaring it reaches distances no stepping can, with
+// no polynomial arithmetic shared with the library.
+using Bits256 = std::array<uint64_t, 4>;
+
+struct Gf2Transition {
+  std::array<Bits256, 256> col{};
+
+  Bits256 Apply(const Bits256& v) const {
+    Bits256 r{};
+    for (size_t j = 0; j < 256; ++j) {
+      if ((v[j / 64] >> (j % 64) & 1) != 0) {
+        for (size_t w = 0; w < 4; ++w) r[w] ^= col[j][w];
+      }
+    }
+    return r;
+  }
+
+  Gf2Transition Squared() const {
+    Gf2Transition m;
+    for (size_t j = 0; j < 256; ++j) m.col[j] = Apply(col[j]);
+    return m;
+  }
+};
+
+Gf2Transition XoshiroTransition() {
+  Gf2Transition t;
+  for (size_t j = 0; j < 256; ++j) {
+    RefXoshiro x(0);
+    for (auto& word : x.s) word = 0;
+    x.s[j / 64] = uint64_t{1} << (j % 64);
+    x.Next();
+    for (size_t w = 0; w < 4; ++w) t.col[j][w] = x.s[w];
+  }
+  return t;
+}
+
+TEST(AdvanceTest, MatchesTheTransitionMatrixAtTwoToTheForty) {
+  // 2^40 words from a lane-aligned position are 2^38 steps of every lane.
+  Gf2Transition t = XoshiroTransition();
+  for (int i = 0; i < 38; ++i) t = t.Squared();
+  for (uint64_t seed : {uint64_t{5}, uint64_t{20261017}}) {
+    BlockRng rng(seed);
+    const BlockRng::State before = rng.state();
+    rng.Advance(uint64_t{1} << 40);
+    const BlockRng::State after = rng.state();
+    EXPECT_EQ(after.phase, 0u);
+    for (size_t lane = 0; lane < BlockRng::kLanes; ++lane) {
+      Bits256 v;
+      for (size_t w = 0; w < 4; ++w) {
+        v[w] = before.words[w * BlockRng::kLanes + lane];
+      }
+      const Bits256 want = t.Apply(v);
+      for (size_t w = 0; w < 4; ++w) {
+        EXPECT_EQ(after.words[w * BlockRng::kLanes + lane], want[w])
+            << "seed=" << seed << " lane=" << lane << " word=" << w;
+      }
     }
   }
 }

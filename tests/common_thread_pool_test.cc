@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -189,5 +190,51 @@ TEST(ParallelForTest, ReentrantSequentialCalls) {
   }
 }
 
+
+TEST(ParallelForTest, EverySliceCountsAsInsideTheRegion) {
+  // Slice 0 runs on the calling thread, and one slice (or n == 0) runs
+  // inline; the caller is inside the region on every path, so code that
+  // would fan out onto the pool from a slice stays inline.
+  EXPECT_FALSE(ThreadPool::InParallelRegion());
+  for (int slices : {1, 2, 4, 7}) {
+    for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{9}}) {
+      std::vector<std::atomic<int>> inside(static_cast<size_t>(slices));
+      for (auto& v : inside) v.store(-1);
+      ParallelFor(n, slices, [&](int64_t, int64_t, int slice) {
+        inside[static_cast<size_t>(slice)].store(
+            ThreadPool::InParallelRegion() ? 1 : 0);
+      });
+      for (int s = 0; s < slices; ++s) {
+        EXPECT_EQ(inside[static_cast<size_t>(s)].load(), 1)
+            << "slices=" << slices << " n=" << n << " slice=" << s;
+      }
+      EXPECT_FALSE(ThreadPool::InParallelRegion());
+    }
+  }
+}
+
+TEST(ParallelForTest, NestedCallFromSliceZeroRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> inner(4);
+  std::thread::id outer;
+  ParallelFor(4, 4, [&](int64_t, int64_t, int slice) {
+    if (slice != 0) return;
+    outer = std::this_thread::get_id();
+    ParallelFor(4, 4, [&](int64_t, int64_t, int s) {
+      inner[static_cast<size_t>(s)] = std::this_thread::get_id();
+    });
+  });
+  EXPECT_EQ(outer, caller);
+  for (const std::thread::id& id : inner) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPoolTest, HardwareThreadsCountsUsableCpus) {
+  const int usable = ThreadPool::HardwareThreads();
+  EXPECT_GE(usable, 1);
+  const unsigned online = std::thread::hardware_concurrency();
+  if (online > 0) {
+    EXPECT_LE(usable, static_cast<int>(online));
+  }
+}
 }  // namespace
 }  // namespace svt

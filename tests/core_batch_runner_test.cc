@@ -17,12 +17,14 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/vecmath.h"
 #include "core/budget.h"
 #include "core/response.h"
@@ -1537,6 +1539,200 @@ TEST(BatchRunnerTest, ResumeWalkMatchesStreamingAndComposition) {
         }
       }
     }
+  }
+}
+
+void ExpectSameStats(const BatchRunStats& a, const BatchRunStats& b,
+                     const std::string& context) {
+  EXPECT_EQ(a.tier1_chunks_skipped, b.tier1_chunks_skipped) << context;
+  EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << context;
+  EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << context;
+  EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << context;
+  EXPECT_EQ(a.tier2_fused_subblocks, b.tier2_fused_subblocks) << context;
+  EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << context;
+  EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << context;
+  EXPECT_EQ(a.mega_words_skipped_q, b.mega_words_skipped_q) << context;
+  EXPECT_EQ(a.replay_rederivations, b.replay_rederivations) << context;
+  EXPECT_EQ(a.streamed_queries, b.streamed_queries) << context;
+}
+
+TEST(BatchRunnerTest, StageRunAheadMatchesInlineAndStreaming) {
+  // A call of at least kParallelMinQueries made from the test thread runs
+  // its noise stage on pool workers ahead of the walk, each group of
+  // chunks started by jumping the ν stream; the same call made inside a
+  // ParallelFor slice runs the stage inline. Both must emit what streaming
+  // does and leave both streams where it does, and the two must agree on
+  // every counter. Each mechanism takes a short streamed call first (so
+  // the long calls start at an odd ν phase), then two long calls appended
+  // to one output. In the cutoff scenario the first long call has no
+  // positive and the second fires densely from its 21st chunk on, so the
+  // walk stops in a chunk the workers have long passed.
+  ScopedDispatchLevel restore_level;
+  ScopedBatchKernelMode restore_mode(ActiveBatchKernelMode());
+  ScopedPrefilterGate restore_gate;
+  SetBoundPrefilterEnabled(true);
+  constexpr size_t kChunk = BatchRunner::kChunkSize;
+  constexpr size_t kMin = BatchRunner::kParallelMinQueries;
+  const size_t calls[] = {5, kMin + 2 * kChunk + 77, kMin + 8 * kChunk + 1001};
+  const size_t dense_from = 20 * kChunk;  // in the last call
+  constexpr int kNoCutoff = 1 << 20;
+  constexpr int kCutoff = 30;
+
+  struct Case {
+    const char* name;
+    VariantId id;
+    bool per_query;
+    bool prefilter;
+    double numeric_scale;  // > 0: ε₃ answers
+  };
+  const Case cases[] = {
+      {"alg1", VariantId::kAlg1, false, false, 0.0},
+      {"alg1-prefilter", VariantId::kAlg1, false, true, 0.0},
+      {"alg1-per-query", VariantId::kAlg1, true, true, 0.0},
+      {"alg2", VariantId::kAlg2, false, false, 0.0},
+      {"alg2-per-query", VariantId::kAlg2, true, false, 0.0},
+      {"revisited", VariantId::kRevisited, false, true, 0.0},
+      {"alg1-eps3", VariantId::kAlg1, false, false, 2.0},
+      {"alg3", VariantId::kAlg3, false, false, 0.0},
+      {"alg5", VariantId::kAlg5, true, false, 0.0},
+  };
+
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    for (BatchKernelMode mode :
+         {BatchKernelMode::kMegakernel, BatchKernelMode::kComposition}) {
+      SetBatchKernelMode(mode);
+      for (const Case& cs : cases) {
+        for (NoiseKind nu_kind :
+             {NoiseKind::kLaplace, NoiseKind::kExponential}) {
+          for (const bool cutoff : {false, true}) {
+            VariantSpec spec =
+                MakeSpec(cs.id, 1.0, 1.0, cutoff ? kCutoff : kNoCutoff);
+            spec.nu_kind = nu_kind;
+            if (cs.numeric_scale > 0.0) spec.numeric_scale = cs.numeric_scale;
+            const double s = spec.nu_scale > 0.0 ? spec.nu_scale : 1.0;
+            Rng rng_ahead(17), rng_inline(17), rng_stream(17), gen(23);
+            CustomSvt ahead(spec, &rng_ahead), in_line(spec, &rng_inline),
+                stream(spec, &rng_stream);
+            std::vector<Response> got_ahead, got_inline, want;
+            for (size_t c = 0; c < std::size(calls); ++c) {
+              const size_t len = calls[c];
+              const bool last = c + 1 == std::size(calls);
+              // Bars placed against the current ρ: answers 5 ± 1 ν scales
+              // under their bar, 1.5 ± 0.5 from dense_from of the last
+              // call in the cutoff scenario, and far under before it.
+              const double rho = stream.threshold_noise();
+              std::vector<double> answers(len), bars(len, -rho);
+              for (size_t i = 0; i < len; ++i) {
+                if (cs.per_query) {
+                  bars[i] += 0.25 * s * (gen.NextDouble() - 0.5);
+                }
+                double off = -4.0 - 2.0 * gen.NextDouble();
+                if (cutoff && len > kMin) {
+                  off = last && i >= dense_from ? -1.0 - gen.NextDouble()
+                                                : -1e6;
+                }
+                answers[i] = bars[i] + off * s;
+              }
+              const BoundPrefilter pf =
+                  cs.per_query ? BoundPrefilter::Build(answers, bars)
+                               : BoundPrefilter::Build(answers);
+              const BoundPrefilter* attached = cs.prefilter ? &pf : nullptr;
+              const auto run = [&](CustomSvt& mech,
+                                   std::vector<Response>* out) {
+                if (cs.per_query) {
+                  mech.RunAppend(answers, bars, attached, out);
+                } else {
+                  mech.RunAppend(answers, -rho, attached, out);
+                }
+              };
+              run(ahead, &got_ahead);
+              ParallelFor(1, 1, [&](int64_t, int64_t, int) {
+                run(in_line, &got_inline);
+              });
+              for (size_t i = 0; i < len && !stream.exhausted(); ++i) {
+                want.push_back(stream.Process(answers[i], bars[i]));
+              }
+            }
+
+            const std::string ctx =
+                std::string(cs.name) +
+                (nu_kind == NoiseKind::kLaplace ? " lap" : " exp") +
+                (cutoff ? " cutoff" : "") +
+                (mode == BatchKernelMode::kMegakernel ? " megakernel"
+                                                      : " composition") +
+                " " + vec::DispatchLevelName(level);
+            ExpectSameResponses(got_ahead, want, ctx + " ahead");
+            ExpectSameResponses(got_inline, want, ctx + " inline");
+            EXPECT_TRUE(SameState(rng_ahead.state(), rng_stream.state()))
+                << ctx;
+            EXPECT_TRUE(SameState(rng_inline.state(), rng_stream.state()))
+                << ctx;
+            EXPECT_TRUE(
+                SameState(ahead.nu_stream_state(), in_line.nu_stream_state()))
+                << ctx;
+            if (!stream.exhausted()) {
+              EXPECT_TRUE(
+                  SameState(ahead.nu_stream_state(), stream.nu_stream_state()))
+                  << ctx;
+            }
+            EXPECT_EQ(ahead.threshold_noise(), stream.threshold_noise())
+                << ctx;
+            EXPECT_EQ(ahead.positives_emitted(), stream.positives_emitted())
+                << ctx;
+            EXPECT_EQ(ahead.queries_processed(), stream.queries_processed())
+                << ctx;
+            EXPECT_EQ(ahead.exhausted(), stream.exhausted()) << ctx;
+            ExpectSameStats(ahead.batch_stats(), in_line.batch_stats(), ctx);
+            if (cutoff && spec.cutoff.has_value()) {
+              EXPECT_TRUE(stream.exhausted()) << ctx;
+              EXPECT_GT(want.size(), calls[0] + calls[1] + dense_from) << ctx;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchRunnerTest, ConcurrentLongCallsMatchStreaming) {
+  // Long calls made at once from several threads: one at a time runs its
+  // stage ahead on the pool and the rest run inline, whichever wins — the
+  // outputs cannot tell.
+  constexpr size_t kLen = BatchRunner::kParallelMinQueries + 5000;
+  constexpr int kThreads = 3;
+  VariantSpec spec = MakeSpec(VariantId::kAlg2, 1.0, 1.0, 1 << 20);
+  std::vector<double> answers(kLen);
+  Rng gen(31);
+  for (double& a : answers) {
+    a = -(4.0 + 2.0 * gen.NextDouble()) * spec.nu_scale;
+  }
+  std::vector<std::vector<Response>> got(kThreads);
+  std::vector<Rng::State> nu_state(kThreads);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      Rng rng(100 + k);
+      CustomSvt mech(spec, &rng);
+      for (int call = 0; call < 4; ++call) {
+        mech.RunAppend(answers, 0.0, &got[static_cast<size_t>(k)]);
+      }
+      nu_state[static_cast<size_t>(k)] = mech.nu_stream_state();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int k = 0; k < kThreads; ++k) {
+    Rng rng(100 + k);
+    CustomSvt stream(spec, &rng);
+    std::vector<Response> want;
+    for (int call = 0; call < 4; ++call) {
+      for (double a : answers) want.push_back(stream.Process(a, 0.0));
+    }
+    ExpectSameResponses(got[static_cast<size_t>(k)], want,
+                        "thread " + std::to_string(k));
+    EXPECT_TRUE(SameState(nu_state[static_cast<size_t>(k)],
+                          stream.nu_stream_state()))
+        << "thread " << k;
   }
 }
 
