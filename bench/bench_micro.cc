@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "audit/closed_form.h"
+#include "audit/counterexamples.h"
 #include "audit/monte_carlo.h"
 #include "common/distributions.h"
 #include "common/rng.h"
@@ -530,8 +532,8 @@ void BM_LibmLogLoop(benchmark::State& state) {
 BENCHMARK(BM_LibmLogLoop)->Arg(4096);
 
 void BM_McSerial(benchmark::State& state) {
-  // Legacy serial Monte-Carlo loop (num_workers = 1): the baseline for
-  // BM_McParallel.
+  // Monte-Carlo estimate on the calling thread (num_workers = 1): the
+  // baseline for BM_McParallel.
   Rng rng(14);
   const VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 2);
   const std::vector<double> answers = {0.5, -0.5, 0.2, 0.9};
@@ -560,6 +562,27 @@ void BM_McParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * o.trials);
 }
 BENCHMARK(BM_McParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_McParallelAlg2(benchmark::State& state) {
+  // Alg. 2 resamples ρ at every positive, so its trials take the trial
+  // walker's lockstep path rather than the fixed-stride one above.
+  Rng rng(15);
+  const VariantSpec spec = MakeAlg2Spec(1.0, 1.0, 2);
+  const NeighborInstance instance = ShiftInstance(4, "_T__");
+  std::string pattern;
+  for (const OutputEvent& e : instance.pattern) {
+    pattern += e.is_positive() ? 'T' : '_';
+  }
+  McOptions o;
+  o.trials = 1 << 15;
+  o.num_workers = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateOutputProbability(
+        spec, instance.answers_d, instance.threshold, pattern, rng, o));
+  }
+  state.SetItemsProcessed(state.iterations() * o.trials);
+}
+BENCHMARK(BM_McParallelAlg2)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_EmTopC(benchmark::State& state) {
   Rng rng(6);

@@ -1,71 +1,48 @@
 #include "audit/monte_carlo.h"
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "core/svt_variants.h"
+#include "core/trial_walk.h"
 
 namespace svt {
 
 namespace {
 
-/// Runs `trials` simulations of `spec` against `pattern` drawing all
-/// randomness from `rng`; returns the number of exact pattern matches.
-/// Each worker stream runs this once, on a copy of the stream in its own
-/// stack frame that is written back at the end: the parallel workers'
-/// streams sit side by side in one vector, and stepping them in place would
-/// make every Reset and every ρ redraw write cache lines the neighbouring
-/// workers write too.
-///
-/// Trials execute through SpecDrivenSvt::RunTrials, kTrialsPerCall at a
-/// time, over response and count buffers reused for the worker's whole
-/// slice. RunTrials batches the short windows of specs that draw nothing
-/// from the base stream at a positive — one dispatched ρ transform and one
-/// ν transform per block of trials — and runs every other trial as Reset()
-/// + RunAppend. Each trial processes its full pattern window (RunAppend
-/// does not stop at a mismatch the way the old scalar loop broke early),
-/// so for specs that draw from the base stream at positives the stream
-/// position after a trial is a function of the trial alone, never of where
-/// a mismatch occurred; per-trial outcomes are unchanged (the ν substream
-/// is re-derived every Reset()).
+/// Walks trial groups claimed from *next_group until every group of the
+/// `trials` trials is taken, and returns how many of the trials it walked
+/// reproduced the pattern. A hit is a run that processed the whole window
+/// with exactly the pattern's ⊤ positions set in its mask (a cutoff that
+/// exhausts the run early is a mismatch).
 int64_t CountPatternHits(const VariantSpec& spec,
-                         std::span<const double> query_answers,
-                         double threshold, std::string_view pattern,
-                         int64_t trials, Rng* rng) {
-  // Trials per RunTrials call: enough to fill a couple of the batched
-  // path's blocks, few enough that the buffers stay a few tens of KiB.
-  constexpr int64_t kTrialsPerCall = 256;
-  Rng local = *rng;
-  CustomSvt mech(spec, &local);
-  const std::span<const double> window =
-      query_answers.first(pattern.size());
-  std::vector<Response> responses;
-  std::vector<size_t> counts;
-  responses.reserve(kTrialsPerCall * pattern.size());
-  counts.reserve(kTrialsPerCall);
+                         std::span<const double> window, double threshold,
+                         std::span<const uint64_t> pattern_mask, uint64_t key,
+                         int64_t trials, std::atomic<int64_t>* next_group) {
+  constexpr int64_t kGroup = TrialWalker::kGroupTrials;
+  const size_t mask_words = pattern_mask.size();
+  TrialWalker walker(spec, window, threshold);
+  std::vector<uint64_t> masks(kGroup * mask_words);
+  std::vector<size_t> processed(kGroup);
   int64_t hits = 0;
-  for (int64_t done = 0; done < trials; done += kTrialsPerCall) {
-    responses.clear();
-    counts.clear();
-    mech.RunTrials(window, threshold,
-                   std::min(kTrialsPerCall, trials - done), &responses,
-                   &counts);
-    const Response* run = responses.data();
-    for (size_t count : counts) {
-      // Fewer responses than pattern positions means the cutoff exhausted
-      // the run before the pattern window completed: no match.
-      bool match = count == pattern.size();
-      for (size_t i = 0; match && i < count; ++i) {
-        match = run[i].is_positive() == (pattern[i] == 'T');
+  for (int64_t g = next_group->fetch_add(1, std::memory_order_relaxed);
+       g * kGroup < trials;
+       g = next_group->fetch_add(1, std::memory_order_relaxed)) {
+    const size_t runs =
+        static_cast<size_t>(std::min(kGroup, trials - g * kGroup));
+    walker.WalkGroup(key, g, runs, {masks.data(), runs * mask_words},
+                     {processed.data(), runs});
+    for (size_t r = 0; r < runs; ++r) {
+      bool hit = processed[r] == window.size();
+      for (size_t w = 0; w < mask_words; ++w) {
+        hit &= masks[r * mask_words + w] == pattern_mask[w];
       }
-      if (match) ++hits;
-      run += count;
+      hits += hit;
     }
   }
-  *rng = local;
   return hits;
 }
 
@@ -87,31 +64,30 @@ McEstimate EstimateOutputProbability(const VariantSpec& spec,
     SVT_CHECK(c == '_' || c == 'T') << "invalid pattern char '" << c << "'";
   }
 
+  const std::span<const double> window = query_answers.first(pattern.size());
+  std::vector<uint64_t> pattern_mask(TrialWalker::MaskWords(pattern.size()));
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    if (pattern[i] == 'T') pattern_mask[i / 64] |= uint64_t{1} << i % 64;
+  }
+
+  // The trial sequence's one key (header comment). Groups are claimed
+  // dynamically, and a group's hits depend on the key and its index alone.
+  const uint64_t key = rng.NextUint64();
+  const int64_t groups =
+      (options.trials + TrialWalker::kGroupTrials - 1) /
+      TrialWalker::kGroupTrials;
   int workers = options.num_workers <= 0 ? ThreadPool::HardwareThreads()
                                          : options.num_workers;
-  workers = static_cast<int>(
-      std::min<int64_t>(workers, options.trials));
-
+  workers = static_cast<int>(std::min<int64_t>(workers, groups));
+  std::atomic<int64_t> next_group{0};
+  std::vector<int64_t> worker_hits(workers, 0);
+  ParallelFor(workers, workers, [&](int64_t, int64_t, int slice) {
+    worker_hits[slice] =
+        CountPatternHits(spec, window, threshold, pattern_mask, key,
+                         options.trials, &next_group);
+  });
   int64_t hits = 0;
-  if (workers == 1) {
-    hits = CountPatternHits(spec, query_answers, threshold, pattern,
-                            options.trials, &rng);
-  } else {
-    // Fork every worker stream up front on the calling thread: the streams
-    // (and the trial slices, fixed by ParallelFor's static split) then
-    // depend only on (rng state, workers), never on scheduling.
-    std::vector<Rng> streams;
-    streams.reserve(workers);
-    for (int w = 0; w < workers; ++w) streams.push_back(rng.Fork());
-    std::vector<int64_t> worker_hits(workers, 0);
-    ParallelFor(options.trials, workers,
-                [&](int64_t begin, int64_t end, int slice) {
-                  worker_hits[slice] =
-                      CountPatternHits(spec, query_answers, threshold,
-                                       pattern, end - begin, &streams[slice]);
-                });
-    for (int64_t h : worker_hits) hits += h;
-  }
+  for (int64_t h : worker_hits) hits += h;
 
   McEstimate est;
   est.hits = hits;

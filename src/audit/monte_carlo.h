@@ -1,26 +1,20 @@
 // Monte-Carlo estimation of SVT output probabilities.
 //
-// Simulates the actual mechanism (via core/svt_variants.h CustomSvt, i.e.
-// the sampling code path) and counts how often it reproduces a target
-// indicator pattern. Used to cross-validate the closed-form engine — the
+// Simulates the actual mechanism (core/svt_variants.h CustomSvt's sampling
+// path, which the trial walker reproduces bit for bit) and counts how often
+// it reproduces a target indicator pattern. Used to cross-validate the closed-form engine — the
 // two paths share no code beyond the Laplace sampler, so agreement is
 // strong evidence both are right.
 //
-// Trials can run in parallel (McOptions::num_workers) on deterministic
-// worker streams: the calling thread forks one Rng per worker up front and
-// assigns each worker a fixed contiguous trial slice, so for a fixed
-// (rng state, num_workers) the hit counts are bitwise-reproducible no
-// matter how the OS schedules the threads.
-//
-// Each worker executes its trials through SpecDrivenSvt::RunTrials over
-// reused response and count buffers. A window shorter than
-// BatchRunner::kStreamingCutover — every Fig. 2 counterexample — is
-// batched across trials when the spec draws nothing from the base stream
-// at a positive: each block of trials takes one dispatched ρ transform and
-// one dispatched ν transform. Alg. 2 (ρ resampling) and ε₃ specs run
-// Reset() + RunAppend per trial, which streams such windows, and longer
-// windows run the batch engine. Either way a trial consumes the RNG
-// exactly as the Process() loop over its full pattern window does (match
+// The trials are a fixed sequence keyed by one draw from the caller's rng
+// (core/trial_walk.h): trial t belongs to group t / 256, whose eight lane
+// streams are key-split from that draw by the group's index, and the
+// TrialWalker reduces each run to a positive mask and a processed count
+// that the pattern test reads. Workers (McOptions::num_workers) claim
+// groups from a shared counter, so the hit count, and every estimate built
+// on it, is a function of (rng state, trials) alone: the same at every
+// worker count and under any schedule. A trial consumes its lane's stream
+// exactly as Reset() + RunAppend over the full pattern window does (match
 // checking happens after, not by breaking the query loop early).
 
 #ifndef SPARSEVEC_AUDIT_MONTE_CARLO_H_
@@ -39,10 +33,10 @@ struct McOptions {
   int64_t trials = 100000;
   /// Confidence level of the reported interval (Wilson bounds).
   double confidence = 0.999;
-  /// Number of deterministic worker streams. 1 (the default) runs every
-  /// trial on the caller's `rng` directly (serially, on the calling
-  /// thread). 0 means one worker per hardware thread. Workers beyond
-  /// `trials` are dropped.
+  /// Threads that walk the trial groups: 1 (the default) walks them on
+  /// the calling thread, 0 means one per hardware thread, and workers
+  /// beyond the number of groups are dropped. The hits do not depend on
+  /// it (header comment).
   int num_workers = 1;
 };
 
@@ -58,7 +52,8 @@ struct McEstimate {
 /// described by `spec` on `query_answers` with a common `threshold`.
 /// Only indicator patterns ('_'/'T') are supported — numeric outputs have
 /// densities, not probabilities. For variants with numeric positives the
-/// comparison treats any positive outcome as matching 'T'.
+/// comparison treats any positive outcome as matching 'T'. Takes exactly
+/// one draw from `rng`, whatever the trials and workers.
 McEstimate EstimateOutputProbability(const VariantSpec& spec,
                                      std::span<const double> query_answers,
                                      double threshold,

@@ -1075,98 +1075,4 @@ size_t BatchRunner::Run(std::span<const double> answers,
   return total;
 }
 
-bool BatchRunner::CanBatchTrials(const VariantSpec& spec, size_t window) {
-  const bool draws_at_positive =
-      spec.resample_rho_after_positive ||
-      (!spec.output_query_value_on_positive && spec.numeric_scale > 0.0);
-  return window < kStreamingCutover && !draws_at_positive;
-}
-
-size_t BatchRunner::RunTrials(std::span<const double> window,
-                              double threshold, int64_t trials,
-                              std::vector<Response>* out,
-                              std::vector<size_t>* counts) {
-  SVT_CHECK(CanBatchTrials(spec_, window.size()));
-  const size_t start = out->size();
-  if (trials <= 0) return 0;
-  const size_t n = window.size();
-  const size_t rho_words = WordsPerVariate(spec_.rho_kind);
-  // Each run's base-stream slice: its ρ variate, then its ν seed word
-  // (contract step 1). Nothing else touches the base stream.
-  const size_t stride = rho_words + 1;
-  const bool has_nu = spec_.nu_scale > 0.0;
-  const size_t nu_words = has_nu ? n * WordsPerVariate(spec_.nu_kind) : 0;
-  const std::optional<int> cutoff = spec_.cutoff;
-  const bool emit_value = spec_.output_query_value_on_positive;
-
-  constexpr size_t kMaxWindow = kStreamingCutover - 1;
-  alignas(64) uint64_t base[3 * kTrialBlock];
-  alignas(64) uint64_t rho_w[2 * kTrialBlock];
-  alignas(64) uint64_t seeds[kTrialBlock];
-  alignas(64) uint64_t nu_w[2 * kMaxWindow * kTrialBlock];
-  alignas(64) double rho[kTrialBlock];
-  alignas(64) double nu[kMaxWindow * kTrialBlock];
-
-  // The last run's state, left behind as its Reset + RunAppend would.
-  size_t m = 0, i = 0;
-  int positives = 0;
-  bool exhausted = false;
-  for (int64_t done = 0; done < trials; done += static_cast<int64_t>(m)) {
-    m = static_cast<size_t>(std::min<int64_t>(kTrialBlock, trials - done));
-    base_rng_->FillUint64({base, m * stride});
-    for (size_t r = 0; r < m; ++r) {
-      const uint64_t* slice = base + r * stride;
-      std::copy_n(slice, rho_words, rho_w + r * rho_words);
-      seeds[r] = slice[rho_words];
-    }
-    TransformNoise(spec_.rho_kind, {rho_w, m * rho_words}, spec_.rho_scale,
-                   {rho, m});
-    if (has_nu) {
-      // Each run's ν substream from its start: BlockRng(seed) then the
-      // window's words, for the whole block at once.
-      BlockRng::FillSeeded({seeds, m}, nu_words, {nu_w, m * nu_words});
-      TransformNoise(spec_.nu_kind, {nu_w, m * nu_words}, spec_.nu_scale,
-                     {nu, m * n});
-    }
-
-    // The comparisons, in Process() order and with its exact expressions.
-    const size_t emitted = out->size();
-    out->resize(emitted + m * n);
-    Response* res = out->data() + emitted;
-    for (size_t r = 0; r < m; ++r) {
-      const double bar = threshold + rho[r];
-      const double* nu_r = nu + r * n;
-      positives = 0;
-      exhausted = false;
-      for (i = 0; i < n && !exhausted; ++i) {
-        const double nu_i = has_nu ? nu_r[i] : 0.0;
-        if (window[i] + nu_i >= bar) {
-          ++positives;
-          exhausted = cutoff.has_value() && positives >= *cutoff;
-          *res++ = emit_value ? Response::AboveValue(window[i] + nu_i)
-                              : Response::Above();
-        } else {
-          *res++ = Response::Below();
-        }
-      }
-      counts->push_back(i);
-    }
-    out->resize(static_cast<size_t>(res - out->data()));
-  }
-
-  state_->rho = rho[m - 1];
-  state_->nu_rng = Rng(seeds[m - 1]);
-  if (has_nu) {
-    for (size_t w = 0; w < i * WordsPerVariate(spec_.nu_kind); ++w) {
-      state_->nu_rng.NextUint64();
-    }
-  }
-  state_->positives = positives;
-  state_->processed = static_cast<int64_t>(i);
-  state_->exhausted = exhausted;
-  state_->batch = BatchRunStats{};
-  state_->batch.streamed_queries = static_cast<int64_t>(i);
-  return out->size() - start;
-}
-
 }  // namespace svt

@@ -98,18 +98,6 @@
 // from which the runner wins on the geometric mean of those rows (see
 // kStreamingCutover).
 //
-// Repeated short runs batch across runs instead. SpecDrivenSvt::RunTrials
-// (Reset + one short call, many times — the Monte-Carlo auditor's trials)
-// hands them to RunTrials below when the spec draws nothing from the base
-// stream at a positive: every run then consumes exactly one ρ variate and
-// one ν seed word, so a block of kTrialBlock runs fills its base words in
-// one FillUint64, transforms every ρ in one dispatched call, expands every
-// run's ν substream into one buffer (BlockRng::FillSeeded, eight seeds per
-// instruction at the AVX-512 level) and transforms all of the block's ν in
-// one more, leaving only the comparisons and the Response writes scalar.
-// Windows at or above the cutover, and specs that resample ρ or answer
-// positives with ε₃ noise, keep the per-run Reset + RunAppend loop.
-//
 // Under the draw-order contract documented on SpecDrivenSvt (core/svt.h)
 // the emitted Response sequence is bit-for-bit the one the streaming
 // Process() loop would produce for the same seed — at every vecmath
@@ -191,17 +179,6 @@ class BatchRunner {
   /// (resample).
   static constexpr size_t kParallelMinQueries = size_t{1} << 15;
 
-  /// Runs per RunTrials block: one base-stream fill, one ρ transform and
-  /// one ν transform each. At the longest batched window (7 Laplace ν) the
-  /// block's scratch is about 30 KiB of stack.
-  static constexpr size_t kTrialBlock = 128;
-
-  /// True when RunTrials may batch runs of `window` queries under `spec`:
-  /// the window is shorter than kStreamingCutover, and the spec draws
-  /// nothing from the base stream at a positive (no ρ resampling, no ε₃
-  /// answer), so every run consumes the same base words.
-  static bool CanBatchTrials(const VariantSpec& spec, size_t window);
-
   /// Aborts unless the arguments of a run agree: per-query thresholds
   /// match the answers in size, and an attached `prefilter` (may be null)
   /// was built over arrays of this size — with bar-side codes for a
@@ -243,17 +220,6 @@ class BatchRunner {
              const BoundPrefilter* prefilter, std::vector<Response>* out);
   size_t Run(std::span<const double> answers, double threshold,
              const BoundPrefilter* prefilter, std::vector<Response>* out);
-
-  /// `trials` fresh runs over `window` (CanBatchTrials must hold), each
-  /// starting the way Reset() does: appends every run's responses to *out
-  /// back to back and its response count to *counts, and returns the
-  /// number of responses appended. The responses, both streams and the
-  /// run state afterwards are those of `trials` rounds of Reset() +
-  /// RunAppend(window, threshold) — including the last run's counters,
-  /// whose queries count as streamed_queries like any short call's.
-  size_t RunTrials(std::span<const double> window, double threshold,
-                   int64_t trials, std::vector<Response>* out,
-                   std::vector<size_t>* counts);
 
  private:
   Response MakePositiveResponse(double answer, double nu_j);

@@ -183,23 +183,6 @@ size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
       .Run(answers, threshold, prefilter, out);
 }
 
-size_t SpecDrivenSvt::RunTrials(std::span<const double> window,
-                                double threshold, int64_t trials,
-                                std::vector<Response>* out,
-                                std::vector<size_t>* counts) {
-  SVT_CHECK(trials >= 0) << "RunTrials needs trials >= 0, got " << trials;
-  if (BatchRunner::CanBatchTrials(spec_, window.size())) {
-    return BatchRunner(spec_, rng_, &state_)
-        .RunTrials(window, threshold, trials, out, counts);
-  }
-  const size_t start = out->size();
-  for (int64_t t = 0; t < trials; ++t) {
-    Reset();
-    counts->push_back(RunAppend(window, threshold, out));
-  }
-  return out->size() - start;
-}
-
 Status SvtOptions::Validate() const {
   if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
     return Status::InvalidArgument("epsilon must be positive and finite");

@@ -83,8 +83,8 @@ class SvtMechanism {
   /// same argument checks as a long call. Below that length the engine's
   /// fixed per-call cost exceeds the scalar draws it saves.
   /// bench_call_crossover measures the crossover (core/batch_runner.h).
-  /// Many short runs in a row batch across runs instead: see
-  /// SpecDrivenSvt::RunTrials.
+  /// The Monte-Carlo auditor's many short runs batch across runs instead:
+  /// see core/trial_walk.h.
   ///
   /// Buffer-reuse contract (the serving layer depends on it): RunAppend
   /// only appends — it never clears, shrinks, or reorders the elements
@@ -297,22 +297,21 @@ struct SvtRunState {
 /// so it prunes a subset of what full precision would); they remain
 /// dispatch- and kernel-mode-independent within either setting.
 ///
-/// Trial batching is draw-order-neutral: SpecDrivenSvt::RunTrials runs many
-/// Reset() + short-call rounds as blocks of runs (core/batch_runner.h), but
-/// only for specs that draw nothing from the base stream at a positive, so
-/// each run's base words are exactly its step-1 draws — one ρ variate,
-/// then one seed word — and a block's runs sit back to back in the stream.
-/// One FillUint64 of those words, one dispatched ρ transform over them,
-/// each run's ν substream seeded from its own word and filled from its
-/// start, and one dispatched ν transform over the block consume the words
-/// of steps 1, 2 and 5 through the kernels of step 4 that the streaming
-/// loop would, draw for draw. Steps 1-5 are unchanged and no golden
-/// re-record accompanied it; tests/core_batch_runner_test.cc diffs
-/// RunTrials against the Reset() + RunAppend loop, streams and state
-/// included, and tests/audit_mc_parallel_test.cc pins the auditor's hits.
+/// Monte-Carlo trials run in key-split groups (core/trial_walk.h): the
+/// auditor takes one draw from the caller's stream as a key, and lane L of
+/// trial group g is the stream Rng(LaneSeed(key, 8g + L)). Each lane is
+/// held to the contract above exactly as `CustomSvt mech(spec,
+/// &lane_rng)` followed by Reset() + RunAppend per run would consume it:
+/// the TrialWalker fetches a lane's base words in bulk, seeds and fills
+/// every run's ν substream through BlockRng::FillSeeded, and transforms ρ,
+/// every resample a run can reach and ν through the kernels of step (4),
+/// so each run compares the variates the streaming loop would, draw for
+/// draw. tests/core_trial_walk_test.cc diffs every lane against that loop
+/// at every dispatch level, and tests/audit_mc_parallel_test.cc pins the
+/// auditor's hits, one golden per instance at every worker count.
 ///
 /// Non-finite answers and thresholds (a written contract, which every path
-/// — Process(), the batch engine and RunTrials — follows): query i fires
+/// — Process(), the batch engine and the trial walker — follows): query i fires
 /// exactly when `answer + ν_i >= threshold + ρ` holds in IEEE-754 double
 /// arithmetic, evaluated in that form. ν and ρ are always finite (the
 /// word→variate map of step 4 never yields ±inf or NaN), so when an
@@ -357,19 +356,6 @@ class SpecDrivenSvt : public SvtMechanism {
   size_t RunAppend(std::span<const double> answers, double threshold,
                    const BoundPrefilter* prefilter,
                    std::vector<Response>* out) override;
-
-  /// Runs `trials` fresh runs over `window` against a common `threshold`:
-  /// exactly `for (t) { Reset(); counts->push_back(RunAppend(window,
-  /// threshold, out)); }`, bit for bit — the responses appended back to
-  /// back to *out, each run's response count appended to *counts, the base
-  /// and ν streams, and the run state and batch_stats() of the last run
-  /// afterwards. Returns the number of responses appended. Short windows
-  /// of specs that draw nothing from the base stream at a positive are
-  /// batched across runs (core/batch_runner.h); everything else takes that
-  /// loop. This is the Monte-Carlo auditor's trial loop.
-  size_t RunTrials(std::span<const double> window, double threshold,
-                   int64_t trials, std::vector<Response>* out,
-                   std::vector<size_t>* counts);
 
   /// Batch-engine tier counters since the last Reset(): how many chunks the
   /// tier-1 bound skipped vs how many ran the tier-2 transform scan.

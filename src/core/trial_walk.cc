@@ -1,0 +1,316 @@
+#include "core/trial_walk.h"
+
+#include <algorithm>
+#include <bit>
+#include <optional>
+
+#include "common/check.h"
+#include "common/distributions.h"
+#include "core/batch_runner.h"
+#include "core/svt_variants.h"
+
+namespace svt {
+
+namespace {
+
+constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+// Words the lockstep path keeps prefetched per lane. A run draws at most a
+// ρ variate, a seed word and, at each of its fewer than kStreamingCutover
+// positives, a resampled ρ and an ε₃ answer: 3 + 7 * 4 = 31 words.
+constexpr size_t kLockstepLaneWords = 256;
+
+// Raw 64-bit words one variate of `kind` consumes (contract step 1/2,
+// core/svt.h): two for Laplace (magnitude, sign), one for exponential.
+size_t WordsPerVariate(NoiseKind kind) {
+  return kind == NoiseKind::kExponential ? 1 : 2;
+}
+
+// out[i] is the variate the scalar sampler draws from words
+// [i * WordsPerVariate(kind), ...) (contract step 4).
+void TransformNoise(NoiseKind kind, double scale,
+                    std::span<const uint64_t> words, std::span<double> out) {
+  if (kind == NoiseKind::kExponential) {
+    Exponential::FromScale(scale).TransformBlock(words, out);
+  } else {
+    Laplace::Centered(scale).TransformBlock(words, out);
+  }
+}
+
+// Copies one variate's words (one or two): a runtime-length copy_n would
+// call memmove for every run.
+void CopyVariate(const uint64_t* from, size_t words, uint64_t* to) {
+  to[0] = from[0];
+  if (words == 2) to[1] = from[1];
+}
+
+// Bit i set when query i fires against `bar`, in Process()'s expression.
+[[gnu::always_inline]] inline uint64_t FireBits(
+    std::span<const double> window, const double* nu, double bar) {
+  uint64_t fires = 0;
+  for (size_t i = 0; i < window.size(); ++i) {
+    const double nu_i = nu != nullptr ? nu[i] : 0.0;
+    fires |= uint64_t{window[i] + nu_i >= bar} << i;
+  }
+  return fires;
+}
+
+// Positives the run can reach: one per query, and the cutoff-th ends it
+// (Process() exhausts at the first positive for a cutoff below 1).
+size_t Reach(std::optional<int> cutoff, size_t n) {
+  return cutoff.has_value()
+             ? std::min(n, static_cast<size_t>(std::max(*cutoff, 1)))
+             : n;
+}
+
+struct RunOutcome {
+  uint64_t mask;
+  size_t processed;
+  size_t positives;
+};
+
+// Process() over one run. Its k-th positive is the first query after the
+// (k-1)-th that fires against the bar then in force: threshold + ρ until
+// the first positive, threshold + resampled[k - 2] after the (k-1)-th
+// (`resampled` is null for specs that keep ρ). The run stops after the
+// positive that exhausts the cutoff. Whether a query fires is a coin flip
+// no branch predictor can learn, so the walk is bit operations on fire
+// masks, with a trip count fixed by the spec and the window. Inlined into
+// both walks' loops: the call would cost as much as the compares.
+[[gnu::always_inline]] inline RunOutcome RunMask(
+    std::span<const double> window, const double* nu, double threshold,
+    double rho, const double* resampled, std::optional<int> cutoff) {
+  const size_t n = window.size();
+  const size_t reach = Reach(cutoff, n);
+  uint64_t fires = FireBits(window, nu, threshold + rho);
+  uint64_t mask = 0;
+  uint64_t later = ~uint64_t{0};  // queries after the last positive
+  uint64_t last = 0;
+  size_t positives = 0;
+  for (size_t k = 0; k < reach; ++k) {
+    if (k > 0 && resampled != nullptr) {
+      fires = FireBits(window, nu, threshold + resampled[k - 1]);
+    }
+    last = fires & later;
+    last &= ~last + 1;  // the lowest such query, or 0: no more positives
+    mask |= last;
+    positives += last != 0;
+    later = 0 - (last << 1);
+  }
+  // The run ends at its last positive if that one exhausted the cutoff.
+  // The high guard bit keeps countr_zero off zero, where GCC would branch.
+  const bool exhausted = cutoff.has_value() &&
+                         positives >= static_cast<size_t>(std::max(*cutoff, 1));
+  const uint64_t end = (last & (0 - uint64_t{exhausted})) | uint64_t{1} << 63;
+  return {mask, std::min(n, static_cast<size_t>(std::countr_zero(end)) + 1),
+          positives};
+}
+
+}  // namespace
+
+uint64_t TrialWalker::LaneSeed(uint64_t key, uint64_t stream) {
+  uint64_t state = key + stream * kSplitMixGamma;
+  return SplitMix64Next(state);
+}
+
+size_t TrialWalker::MaskWords(size_t window) {
+  return std::max<size_t>(1, (window + 63) / 64);
+}
+
+TrialWalker::TrialWalker(const VariantSpec& spec,
+                         std::span<const double> window, double threshold)
+    : spec_(spec),
+      window_(window),
+      threshold_(threshold),
+      rho_words_(WordsPerVariate(spec.rho_kind)),
+      stride_(rho_words_ + 1),
+      nu_words_(spec.nu_scale > 0.0
+                    ? window.size() * WordsPerVariate(spec.nu_kind)
+                    : 0) {
+  const size_t n = window.size();
+  // Base words a positive draws (contract step 3): a resampled ρ, then an
+  // ε₃ answer, which is always Laplace.
+  const bool eps3 =
+      !spec.output_query_value_on_positive && spec.numeric_scale > 0.0;
+  positive_words_ =
+      (spec.resample_rho_after_positive ? rho_words_ : 0) + (eps3 ? 2 : 0);
+  size_t runs_per_pass = 0;  // runs one set of transforms covers
+  if (n >= BatchRunner::kStreamingCutover) {
+    path_ = Path::kLoop;
+  } else if (positive_words_ > 0) {
+    path_ = Path::kLockstep;
+    lane_capacity_ = kLockstepLaneWords;
+    runs_per_pass = kLanes;
+    // A run compares against the resample after each of its positives
+    // but the last it can reach.
+    if (spec.resample_rho_after_positive) {
+      resamples_ = std::max<size_t>(Reach(spec.cutoff, n), 1) - 1;
+    }
+  } else {
+    path_ = Path::kFixedStride;
+    // The oracle's constructor draw, then every run of the lane.
+    lane_capacity_ = (kGroupTrials / kLanes + 1) * stride_;
+    runs_per_pass = kGroupTrials;
+  }
+  lane_words_.resize(kLanes * lane_capacity_);
+  rho_w_.resize(runs_per_pass * rho_words_);
+  seeds_.resize(runs_per_pass);
+  nu_w_.resize(runs_per_pass * nu_words_);
+  rho_.resize(runs_per_pass);
+  nu_.resize(runs_per_pass * n);
+  resample_w_.resize(runs_per_pass * resamples_ * rho_words_);
+  resampled_.resize(runs_per_pass * resamples_);
+}
+
+void TrialWalker::WalkGroup(uint64_t key, int64_t group, size_t runs,
+                            std::span<uint64_t> masks,
+                            std::span<size_t> processed) {
+  SVT_CHECK(group >= 0 && runs > 0 &&
+            runs <= static_cast<size_t>(kGroupTrials))
+      << "WalkGroup needs group >= 0 and 0 < runs <= " << kGroupTrials
+      << ", got group " << group << ", runs " << runs;
+  SVT_CHECK(masks.size() == runs * MaskWords(window_.size()) &&
+            processed.size() == runs)
+      << "WalkGroup output sized " << masks.size() << " masks, "
+      << processed.size() << " counts for " << runs << " runs";
+  runs_ = runs;
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    lane_runs_[lane] = (runs + kLanes - 1 - lane) / kLanes;
+    if (lane_runs_[lane] > 0) {
+      lane_rng_[lane] =
+          Rng(LaneSeed(key, kLanes * static_cast<uint64_t>(group) + lane));
+    }
+  }
+  switch (path_) {
+    case Path::kFixedStride:
+      WalkFixedStride(masks, processed);
+      break;
+    case Path::kLockstep:
+      WalkLockstep(masks, processed);
+      break;
+    case Path::kLoop:
+      WalkLoop(masks, processed);
+      break;
+  }
+}
+
+void TrialWalker::WalkFixedStride(std::span<uint64_t> masks,
+                                  std::span<size_t> processed) {
+  const size_t n = window_.size();
+  for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
+    lane_rng_[lane].FillUint64({lane_words_.data() + lane * lane_capacity_,
+                                (lane_runs_[lane] + 1) * stride_});
+  }
+  // Run t is lane t % kLanes's run t / kLanes, whose words follow the
+  // oracle's constructor draw (one stride) and the lane's earlier runs.
+  for (size_t t = 0; t < runs_; ++t) {
+    const uint64_t* w = lane_words_.data() + (t % kLanes) * lane_capacity_ +
+                        (t / kLanes + 1) * stride_;
+    CopyVariate(w, rho_words_, rho_w_.data() + t * rho_words_);
+    seeds_[t] = w[rho_words_];
+  }
+  TransformNoise(spec_.rho_kind, spec_.rho_scale,
+                 {rho_w_.data(), runs_ * rho_words_}, {rho_.data(), runs_});
+  if (nu_words_ > 0) {
+    // Each run's ν substream from its start, for the whole group at once.
+    BlockRng::FillSeeded({seeds_.data(), runs_}, nu_words_,
+                         {nu_w_.data(), runs_ * nu_words_});
+    TransformNoise(spec_.nu_kind, spec_.nu_scale,
+                   {nu_w_.data(), runs_ * nu_words_},
+                   {nu_.data(), runs_ * n});
+  }
+  for (size_t t = 0; t < runs_; ++t) {
+    const RunOutcome run =
+        RunMask(window_, nu_words_ > 0 ? nu_.data() + t * n : nullptr,
+                threshold_, rho_[t], nullptr, spec_.cutoff);
+    masks[t] = run.mask;
+    processed[t] = run.processed;
+  }
+}
+
+void TrialWalker::Refill(size_t lane, size_t need) {
+  uint64_t* words = lane_words_.data() + lane * lane_capacity_;
+  const size_t left = filled_[lane] - cursor_[lane];
+  if (left >= need) return;
+  std::copy(words + cursor_[lane], words + filled_[lane], words);
+  lane_rng_[lane].FillUint64({words + left, lane_capacity_ - left});
+  cursor_[lane] = 0;
+  filled_[lane] = lane_capacity_;
+}
+
+void TrialWalker::WalkLockstep(std::span<uint64_t> masks,
+                               std::span<size_t> processed) {
+  const size_t n = window_.size();
+  const size_t run_words = stride_ + n * positive_words_;
+  for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
+    // Skip the oracle's constructor draw.
+    cursor_[lane] = 0;
+    filled_[lane] = 0;
+    Refill(lane, stride_ + run_words);
+    cursor_[lane] = stride_;
+  }
+  for (size_t step = 0; step < lane_runs_[0]; ++step) {
+    const size_t active = std::min(kLanes, runs_ - step * kLanes);
+    // Each lane's run starts at its cursor: ρ, the ν seed, then the words
+    // of its positives in order, so the resample after its k-th positive
+    // sits at a fixed offset whatever queries fire.
+    for (size_t lane = 0; lane < active; ++lane) {
+      Refill(lane, run_words);
+      const uint64_t* w =
+          lane_words_.data() + lane * lane_capacity_ + cursor_[lane];
+      CopyVariate(w, rho_words_, rho_w_.data() + lane * rho_words_);
+      seeds_[lane] = w[rho_words_];
+      for (size_t k = 0; k < resamples_; ++k) {
+        CopyVariate(w + stride_ + k * positive_words_, rho_words_,
+                    resample_w_.data() + (lane * resamples_ + k) * rho_words_);
+      }
+    }
+    TransformNoise(spec_.rho_kind, spec_.rho_scale,
+                   {rho_w_.data(), active * rho_words_},
+                   {rho_.data(), active});
+    if (resamples_ > 0) {
+      TransformNoise(spec_.rho_kind, spec_.rho_resample_scale,
+                     {resample_w_.data(), active * resamples_ * rho_words_},
+                     {resampled_.data(), active * resamples_});
+    }
+    if (nu_words_ > 0) {
+      BlockRng::FillSeeded({seeds_.data(), active}, nu_words_,
+                           {nu_w_.data(), active * nu_words_});
+      TransformNoise(spec_.nu_kind, spec_.nu_scale,
+                     {nu_w_.data(), active * nu_words_},
+                     {nu_.data(), active * n});
+    }
+    for (size_t lane = 0; lane < active; ++lane) {
+      const RunOutcome run = RunMask(
+          window_, nu_words_ > 0 ? nu_.data() + lane * n : nullptr,
+          threshold_, rho_[lane],
+          resamples_ > 0 ? resampled_.data() + lane * resamples_ : nullptr,
+          spec_.cutoff);
+      masks[step * kLanes + lane] = run.mask;
+      processed[step * kLanes + lane] = run.processed;
+      // Every positive drew its words, the exhausting one included.
+      cursor_[lane] += stride_ + run.positives * positive_words_;
+    }
+  }
+}
+
+void TrialWalker::WalkLoop(std::span<uint64_t> masks,
+                           std::span<size_t> processed) {
+  const size_t mask_words = MaskWords(window_.size());
+  std::fill(masks.begin(), masks.end(), 0);
+  for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
+    CustomSvt mech(spec_, &lane_rng_[lane]);
+    for (size_t t = lane; t < runs_; t += kLanes) {
+      mech.Reset();
+      responses_.clear();
+      const size_t count = mech.RunAppend(window_, threshold_, &responses_);
+      uint64_t* mask = masks.data() + t * mask_words;
+      for (size_t i = 0; i < count; ++i) {
+        if (responses_[i].is_positive()) mask[i / 64] |= uint64_t{1} << i % 64;
+      }
+      processed[t] = count;
+    }
+  }
+}
+
+}  // namespace svt

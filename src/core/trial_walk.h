@@ -1,0 +1,146 @@
+// Monte-Carlo trial walker: many fresh runs of one short window, each
+// reduced to a positive mask and a processed count.
+//
+// The Monte-Carlo auditor (audit/monte_carlo.h) estimates the probability
+// of an indicator pattern by running a mechanism over the pattern's window
+// a great many times. It only asks of each run which queries fired and how
+// many ran before the cutoff, so the walker answers with a bitmask and a
+// count, and below the short-call cutover it never builds a Response.
+//
+// Trial-group contract (pinned; core_trial_walk_test diffs it against the
+// streaming oracle and audit_mc_parallel_test pins the auditor's hits):
+//   1. Trials come in groups of kGroupTrials: group g covers trials
+//      [kGroupTrials * g, kGroupTrials * (g + 1)).
+//   2. A group runs on kLanes lanes, and trial t of the group runs on lane
+//      t mod kLanes, after the lane's earlier trials in trial order.
+//   3. Lane L of group g under `key` is the stream Rng(LaneSeed(key,
+//      kLanes * g + L)): LaneSeed(key, s) is output s (counting from 0) of
+//      a SplitMix64 sequence started at `key`, a pure function.
+//   4. A lane's runs are bit for bit those of `CustomSvt mech(spec,
+//      &lane_rng)` followed by `mech.Reset(); mech.RunAppend(window,
+//      threshold, &out)` per run. Bit i of a run's mask is set exactly when
+//      query i of that run was positive, and its processed count is the
+//      number of Responses RunAppend appended.
+// So a trial's outcome depends on (key, trial index, spec, window,
+// threshold) alone: which thread walks a group, and how many do, cannot
+// move a hit.
+//
+// The walker takes one of three paths, all held to (4):
+//   * Fixed stride (windows shorter than BatchRunner::kStreamingCutover,
+//     specs that draw nothing from the base stream at a positive): every
+//     run consumes the same base words, its ρ variate then its ν seed word
+//     (draw-order contract step 1, core/svt.h). The group is prefetched
+//     whole: one FillUint64 per lane, one ρ transform over the group's
+//     runs, one BlockRng::FillSeeded of their seeds and one ν transform.
+//   * Lockstep (short windows of specs that resample ρ or answer positives
+//     with ε₃ noise: Alg. 2, RevSVT, ε₃ answers): a run's base words depend
+//     on how often it fired, so the eight lanes step one run at a time,
+//     each from a cursor into its own prefetched words. A run's words are
+//     its ρ and seed, then a fixed number per positive (the resample, then
+//     the ε₃ answer, which no mask depends on), so the resample after its
+//     k-th positive sits at a fixed offset from its start. A step gathers
+//     every lane's ρ, seed and reachable resamples for one ρ transform,
+//     one resample transform, one eight-seed FillSeeded and one ν
+//     transform, then walks each lane's run and moves its cursor past the
+//     words its positives drew. A lane's stream belongs to its group, so
+//     reading past its last run is harmless.
+//   * Loop (windows of kStreamingCutover queries or more): the lane runs
+//     the oracle of (4) itself, Reset() + RunAppend on its stream.
+// Every variate goes through the dispatched Laplace / Exponential
+// TransformBlock kernels, which equal the scalar draws bit for bit at every
+// dispatch level (contract step 4), so neither the path nor the dispatch
+// level moves a mask.
+
+#ifndef SPARSEVEC_CORE_TRIAL_WALK_H_
+#define SPARSEVEC_CORE_TRIAL_WALK_H_
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/response.h"
+#include "core/variant_spec.h"
+
+namespace svt {
+
+class TrialWalker {
+ public:
+  /// Lanes per trial group (contract step 2); one AVX-512 group of
+  /// FillSeeded seeds.
+  static constexpr size_t kLanes = 8;
+
+  /// Trials per group (contract step 1).
+  static constexpr int64_t kGroupTrials = 256;
+
+  /// Seed of lane stream `stream` = kLanes * group + lane under `key`
+  /// (contract step 3).
+  static uint64_t LaneSeed(uint64_t key, uint64_t stream);
+
+  /// 64-bit words in one run's mask over a window of `window` queries:
+  /// ⌈window / 64⌉, at least 1. Query i is bit i % 64 of word i / 64.
+  static size_t MaskWords(size_t window);
+
+  /// A walker for `spec` over `window` against a common `threshold`. The
+  /// spec and the window must outlive it. Holds its scratch, so one walker
+  /// per thread.
+  TrialWalker(const VariantSpec& spec, std::span<const double> window,
+              double threshold);
+
+  /// Walks trials [kGroupTrials * group, kGroupTrials * group + runs) of
+  /// the trial sequence under `key`, 0 < runs <= kGroupTrials. Run r's mask
+  /// goes to masks[r * MaskWords(window) ...] and its processed count to
+  /// processed[r]; masks holds runs * MaskWords(window) words and processed
+  /// holds runs counts.
+  void WalkGroup(uint64_t key, int64_t group, size_t runs,
+                 std::span<uint64_t> masks, std::span<size_t> processed);
+
+ private:
+  enum class Path { kFixedStride, kLockstep, kLoop };
+
+  void WalkFixedStride(std::span<uint64_t> masks,
+                       std::span<size_t> processed);
+  void WalkLockstep(std::span<uint64_t> masks, std::span<size_t> processed);
+  void WalkLoop(std::span<uint64_t> masks, std::span<size_t> processed);
+
+  /// Makes at least `need` unread words available at lane L's cursor.
+  void Refill(size_t lane, size_t need);
+
+  const VariantSpec& spec_;
+  std::span<const double> window_;
+  double threshold_;
+  Path path_;
+  size_t rho_words_;    ///< words per ρ variate
+  size_t stride_;       ///< words every run draws first: ρ, then ν seed
+  size_t nu_words_;     ///< ν substream words per run (0 without ν)
+  size_t positive_words_ = 0;  ///< base words a positive draws
+  size_t resamples_ = 0;  ///< resamples a lockstep run can compare against
+
+  // The group being walked: its lane streams and how many runs each has.
+  std::array<Rng, kLanes> lane_rng_;
+  std::array<size_t, kLanes> lane_runs_{};
+  size_t runs_ = 0;
+
+  // Lane words: kLanes buffers of lane_capacity_ words, each read from a
+  // cursor up to its filled end.
+  std::vector<uint64_t> lane_words_;
+  size_t lane_capacity_ = 0;
+  std::array<size_t, kLanes> cursor_{};
+  std::array<size_t, kLanes> filled_{};
+
+  // Per-run scratch, sized for a whole group.
+  std::vector<uint64_t> rho_w_;
+  std::vector<uint64_t> seeds_;
+  std::vector<uint64_t> nu_w_;
+  std::vector<double> rho_;
+  std::vector<double> nu_;
+  std::vector<uint64_t> resample_w_;
+  std::vector<double> resampled_;
+  std::vector<Response> responses_;
+};
+
+}  // namespace svt
+
+#endif  // SPARSEVEC_CORE_TRIAL_WALK_H_

@@ -8,10 +8,9 @@
 // positives — served across shards so heavy traffic parallelizes while
 // every shard stays a single deterministic SVT stream.
 //
-// Determinism contract (the same template as audit/monte_carlo.cc's worker
-// slices): Create() forks one stream per shard from `seed` in shard-index
-// order, and ShardOf() routes a key by a stateless SplitMix64 hash. A
-// shard's response stream is therefore a pure function of (seed,
+// Determinism contract: Create() forks one stream per shard from `seed` in
+// shard-index order, and ShardOf() routes a key by a stateless SplitMix64
+// hash. A shard's response stream is therefore a pure function of (seed,
 // num_shards, the order of batches executed on that shard) — bitwise
 // reproducible across runs, thread counts, and schedules. Concurrent
 // callers hitting one shard serialize on its mutex in arrival order; fixing

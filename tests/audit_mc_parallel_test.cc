@@ -1,11 +1,12 @@
-// Determinism and correctness of the parallel Monte-Carlo estimator:
-// fixed (seed, num_workers) must reproduce identical hit counts regardless
-// of scheduling, num_workers = 1 must match the legacy serial loop draw for
-// draw, and the parallel estimate must agree statistically with the serial
-// one (it uses different streams, so only the distribution matches).
+// Determinism and correctness of the parallel Monte-Carlo estimator: the
+// hits are a function of (caller's rng state, trials) alone — identical at
+// every worker count and schedule — the caller's rng advances exactly one
+// draw, and the hits are those the trial-group contract
+// (core/trial_walk.h) defines through the streaming oracle.
 
 #include "audit/monte_carlo.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -15,7 +16,9 @@
 
 #include "audit/counterexamples.h"
 #include "common/rng.h"
+#include "core/response.h"
 #include "core/svt_variants.h"
+#include "core/trial_walk.h"
 #include "core/variant_spec.h"
 
 namespace svt {
@@ -29,41 +32,60 @@ McOptions Opts(int64_t trials, int workers) {
   return o;
 }
 
-// Replicates the legacy serial estimator loop against the public API with
-// num_workers = 1: every trial must draw from the caller's rng directly.
-TEST(McParallelTest, OneWorkerMatchesLegacySerialPath) {
-  const VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 2);
+TEST(McParallelTest, CallerRngAdvancesExactlyOneDraw) {
+  const VariantSpec spec = MakeAlg2Spec(1.0, 1.0, 2);
   const std::vector<double> answers = {0.5, -0.5, 0.2};
-  const std::string pattern = "_T_";
-  const int64_t trials = 20000;
+  for (int64_t trials : {1, 255, 256, 257, 5000}) {
+    for (int workers : {1, 2, 3, 4, 0}) {
+      Rng rng(42), ref(42);
+      EstimateOutputProbability(spec, answers, 0.0, "_T_", rng,
+                                Opts(trials, workers));
+      ref.NextUint64();
+      EXPECT_EQ(rng.NextUint64(), ref.NextUint64())
+          << "trials=" << trials << " workers=" << workers;
+    }
+  }
+}
 
-  Rng rng_api(42);
-  const McEstimate est = EstimateOutputProbability(spec, answers, 0.0,
-                                                   pattern, rng_api,
-                                                   Opts(trials, 1));
+TEST(McParallelTest, HitsFollowTheTrialGroupContract) {
+  // The estimator's hits against the contract spelled out with the
+  // streaming oracle: the key is the caller's next draw, and trial t of
+  // group g runs on lane t mod 8 of the group, Reset() + RunAppend on its
+  // stream.
+  constexpr int64_t kTrials = 3 * TrialWalker::kGroupTrials + 5;
+  const std::vector<double> answers = {0.5, -0.5, 0.2, 0.9};
+  const std::string pattern = "_T_T";
+  for (const VariantSpec& spec :
+       {MakeAlg1Spec(1.0, 1.0, 2), MakeAlg2Spec(1.0, 1.0, 2)}) {
+    Rng rng(42);
+    const McEstimate est = EstimateOutputProbability(
+        spec, answers, 0.0, pattern, rng, Opts(kTrials, 3));
 
-  Rng rng_legacy(42);
-  CustomSvt mech(spec, &rng_legacy);
-  int64_t hits = 0;
-  for (int64_t t = 0; t < trials; ++t) {
-    mech.Reset();
-    bool match = true;
-    for (size_t i = 0; i < pattern.size(); ++i) {
-      if (mech.exhausted()) {
-        match = false;
-        break;
-      }
-      const Response r = mech.Process(answers[i], 0.0);
-      if (r.is_positive() != (pattern[i] == 'T')) {
-        match = false;
-        break;
+    const uint64_t key = Rng(42).NextUint64();
+    int64_t hits = 0;
+    std::vector<Response> out;
+    for (int64_t g = 0; g * TrialWalker::kGroupTrials < kTrials; ++g) {
+      for (size_t lane = 0; lane < TrialWalker::kLanes; ++lane) {
+        Rng lane_rng(TrialWalker::LaneSeed(
+            key, TrialWalker::kLanes * static_cast<uint64_t>(g) + lane));
+        CustomSvt mech(spec, &lane_rng);
+        for (int64_t t = g * TrialWalker::kGroupTrials +
+                         static_cast<int64_t>(lane);
+             t < std::min(kTrials, (g + 1) * TrialWalker::kGroupTrials);
+             t += static_cast<int64_t>(TrialWalker::kLanes)) {
+          mech.Reset();
+          out.clear();
+          bool match = mech.RunAppend(answers, 0.0, &out) == pattern.size();
+          for (size_t i = 0; match && i < pattern.size(); ++i) {
+            match = out[i].is_positive() == (pattern[i] == 'T');
+          }
+          hits += match;
+        }
       }
     }
-    if (match) ++hits;
+    EXPECT_EQ(est.hits, hits) << spec.name;
+    EXPECT_GT(hits, 0) << spec.name;
   }
-  EXPECT_EQ(est.hits, hits);
-  // And the two rngs must land in the same state.
-  EXPECT_EQ(rng_api.NextUint64(), rng_legacy.NextUint64());
 }
 
 TEST(McParallelTest, FixedSeedAndWorkersReproduceIdenticalHits) {
@@ -79,28 +101,29 @@ TEST(McParallelTest, FixedSeedAndWorkersReproduceIdenticalHits) {
     EXPECT_EQ(a.p_hat, b.p_hat) << "workers=" << workers;
     EXPECT_EQ(a.lower, b.lower) << "workers=" << workers;
     EXPECT_EQ(a.upper, b.upper) << "workers=" << workers;
-    // The caller-visible rng state advances identically too (one Fork per
-    // worker).
+    // The caller-visible rng state advances identically too (one draw).
     EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64());
   }
 }
 
-TEST(McParallelTest, ParallelAgreesWithSerialStatistically) {
-  // Different worker counts use different streams, so only the estimates —
-  // not the draws — must agree, within joint Wilson bounds.
+TEST(McParallelTest, ParallelEqualsSerialExactly) {
+  // Every worker count walks the same trial groups, so the estimates are
+  // identical, not merely close.
   const VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 1);
   const std::vector<double> answers = {0.0};
-  Rng rng_serial(11), rng_par(11);
+  Rng rng_serial(11);
   const McEstimate serial = EstimateOutputProbability(
       spec, answers, 0.0, "T", rng_serial, Opts(60000, 1));
-  const McEstimate par = EstimateOutputProbability(spec, answers, 0.0, "T",
-                                                   rng_par, Opts(60000, 4));
-  // True p is 0.5; both intervals must cover each other's point estimate.
-  EXPECT_LE(serial.lower, par.p_hat);
-  EXPECT_GE(serial.upper, par.p_hat);
-  EXPECT_LE(par.lower, serial.p_hat);
-  EXPECT_GE(par.upper, serial.p_hat);
-  EXPECT_NEAR(par.p_hat, 0.5, 0.02);
+  for (int workers : {2, 3, 4, 0}) {
+    Rng rng_par(11);
+    const McEstimate par = EstimateOutputProbability(
+        spec, answers, 0.0, "T", rng_par, Opts(60000, workers));
+    EXPECT_EQ(par.hits, serial.hits) << "workers=" << workers;
+    EXPECT_EQ(par.lower, serial.lower) << "workers=" << workers;
+    EXPECT_EQ(par.upper, serial.upper) << "workers=" << workers;
+  }
+  // True p is 0.5.
+  EXPECT_NEAR(serial.p_hat, 0.5, 0.02);
 }
 
 TEST(McParallelTest, WorkerCountClampedToTrials) {
@@ -136,48 +159,39 @@ std::string IndicatorPattern(const NeighborInstance& instance) {
 
 TEST(McParallelTest, Fig2InstancesReproduceGoldenHits) {
   // Pinned hit counts for every Fig. 2 instance the benchmark audits, on D
-  // and D', at 1 and 4 workers. The Alg. 3 and GPTT rows were recorded
-  // when every trial ran through the batch engine, the rest when trials
-  // streamed one by one; trials are now batched across runs (Alg. 2 keeps
-  // the per-trial loop, Alg. 5 has no ν), and the draw-order contract says
-  // none of that may move a single hit.
+  // and D', 20000 trials from seed 2017. Recorded once when trials moved
+  // onto key-split trial groups (core/trial_walk.h); one golden per
+  // (instance, side) now holds at every worker count.
   struct Case {
     const char* name;
     VariantSpec spec;
     NeighborInstance instance;
-    int64_t hits[2][2];  // [side][1 worker, 4 workers]
+    int64_t hits[2];  // [side]
   };
   const NeighborInstance shift = ShiftInstance(4, "_T__");
   const Case cases[] = {
-      {"alg3", MakeAlg3Spec(1.0, 1.0, 1), Alg3Counterexample(4),
-       {{1024, 1070}, {284, 251}}},
-      {"gptt", MakeGpttSpec(0.5, 0.5, 1.0), GpttCounterexample(2),
-       {{1316, 1359}, {275, 273}}},
-      {"alg5", MakeAlg5Spec(1.0, 1.0), Alg5Counterexample(),
-       {{3970, 3926}, {0, 0}}},
-      {"alg6", MakeAlg6Spec(1.0, 1.0), Alg6Counterexample(2),
-       {{639, 665}, {116, 111}}},
+      {"alg3", MakeAlg3Spec(1.0, 1.0, 1), Alg3Counterexample(4), {1093, 256}},
+      {"gptt", MakeGpttSpec(0.5, 0.5, 1.0), GpttCounterexample(2), {1355, 293}},
+      {"alg5", MakeAlg5Spec(1.0, 1.0), Alg5Counterexample(), {3847, 0}},
+      {"alg6", MakeAlg6Spec(1.0, 1.0), Alg6Counterexample(2), {661, 118}},
       {"alg4", MakeAlg4Spec(1.0, 1.0, 2), Alg4StressInstance(2, 4, 2.0),
-       {{2, 4}, {0, 0}}},
-      {"alg1", MakeSpec(VariantId::kAlg1, 1.0, 1.0, 2), shift,
-       {{1247, 1233}, {1032, 1001}}},
-      {"alg2", MakeSpec(VariantId::kAlg2, 1.0, 1.0, 2), shift,
-       {{1212, 1199}, {1053, 1087}}},
+       {3, 0}},
+      {"alg1", MakeSpec(VariantId::kAlg1, 1.0, 1.0, 2), shift, {1260, 1042}},
+      {"alg2", MakeSpec(VariantId::kAlg2, 1.0, 1.0, 2), shift, {1323, 1094}},
       {"standard", MakeSpec(VariantId::kStandard, 1.0, 1.0, 2), shift,
-       {{1247, 1233}, {1032, 1001}}},
+       {1260, 1042}},
   };
   for (const Case& c : cases) {
     const std::string pattern = IndicatorPattern(c.instance);
     for (int side = 0; side < 2; ++side) {
       const std::vector<double>& answers =
           side == 0 ? c.instance.answers_d : c.instance.answers_dprime;
-      for (int w = 0; w < 2; ++w) {
-        const int workers = w == 0 ? 1 : 4;
+      for (int workers : {1, 2, 3, 4, 0}) {
         Rng rng(2017);
         const McEstimate est =
             EstimateOutputProbability(c.spec, answers, c.instance.threshold,
                                       pattern, rng, Opts(20000, workers));
-        EXPECT_EQ(est.hits, c.hits[side][w])
+        EXPECT_EQ(est.hits, c.hits[side])
             << c.name << " side=" << side << " workers=" << workers;
       }
     }

@@ -8,7 +8,6 @@
 #include "core/batch_runner.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -1232,163 +1231,6 @@ TEST(BatchRunnerTest, ShortCallCutoverMatchesStreamingAtEveryLength) {
   // Both the exhausting and the open case were actually exercised.
   EXPECT_GT(exhausted_runs, 0);
   EXPECT_GT(open_runs, 0);
-}
-
-// The non-finite contract (core/svt.h): when the answer or the threshold
-// is not finite, whether the query fires is fixed — never if either is
-// NaN, else exactly when the answer is +inf or the threshold is -inf.
-std::optional<bool> NonFiniteOutcome(double answer, double threshold) {
-  if (std::isfinite(answer) && std::isfinite(threshold)) return std::nullopt;
-  if (std::isnan(answer) || std::isnan(threshold)) return false;
-  return answer == kInf || threshold == -kInf;
-}
-
-TEST(BatchRunnerTest, RunTrialsMatchesResetRunAppendLoop) {
-  // RunTrials against `Reset(); RunAppend(window)` per trial and against a
-  // Reset + Process() loop, across all ten variants plus an ε₃ spec, both
-  // ν kinds, with and without a cutoff, windows 1..10 (both sides of the
-  // short-call cutover, so batched, looped and engine runs all appear),
-  // finite and non-finite answers and thresholds, at every dispatch level.
-  // Trial counts straddle a RunTrials block boundary.
-  constexpr int kCutoff = 2;
-  constexpr int64_t kTrials = BatchRunner::kTrialBlock + 19;
-  const VariantId ids[] = {VariantId::kAlg1,     VariantId::kAlg2,
-                           VariantId::kAlg3,     VariantId::kAlg4,
-                           VariantId::kAlg5,     VariantId::kAlg6,
-                           VariantId::kGptt,     VariantId::kStandard,
-                           VariantId::kExpNoise, VariantId::kRevisited};
-  const double thresholds[] = {0.0, kInf, -kInf, kNaN};
-  ScopedDispatchLevel restore;
-  int batched = 0, looped = 0, non_finite_checked = 0;
-  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
-    if (!vec::SetDispatchLevel(level)) continue;
-    for (size_t v = 0; v <= std::size(ids); ++v) {
-      for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
-        for (const bool with_cutoff : {true, false}) {
-          // Index std::size(ids) is Alg. 7 answering positives with ε₃.
-          VariantSpec spec =
-              MakeSpec(v < std::size(ids) ? ids[v] : VariantId::kStandard,
-                       1.0, 1.0, kCutoff);
-          if (v == std::size(ids)) spec.numeric_scale = 2.0;
-          spec.nu_kind = nu_kind;
-          spec.cutoff = with_cutoff ? std::optional<int>(kCutoff)
-                                    : std::nullopt;
-          for (size_t n = 1; n <= BatchRunner::kStreamingCutover + 2; ++n) {
-            // Answers around the bar, with +inf, -inf and NaN sprinkled at
-            // fixed positions.
-            const double scale = std::max(spec.nu_scale, spec.rho_scale);
-            std::vector<double> window(n);
-            Rng gen(n * 7 + v);
-            for (size_t i = 0; i < n; ++i) {
-              window[i] = (gen.NextDouble() - 0.6) * 3.0 * scale;
-            }
-            if (n > 2) window[2] = kNaN;
-            if (n > 4) window[4] = kInf;
-            if (n > 5) window[5] = -kInf;
-            for (double threshold : thresholds) {
-              const uint64_t seed = 1000 + v * 31 + n;
-              Rng rng_trials(seed), rng_loop(seed), rng_process(seed);
-              CustomSvt trials_mech(spec, &rng_trials);
-              CustomSvt loop_mech(spec, &rng_loop);
-              CustomSvt process_mech(spec, &rng_process);
-
-              std::vector<Response> got = {Response::Above()};
-              std::vector<size_t> got_counts = {99};
-              const size_t appended = trials_mech.RunTrials(
-                  window, threshold, kTrials, &got, &got_counts);
-
-              std::vector<Response> loop = {Response::Above()};
-              std::vector<size_t> loop_counts = {99};
-              std::vector<Response> process;
-              for (int64_t t = 0; t < kTrials; ++t) {
-                loop_mech.Reset();
-                loop_counts.push_back(
-                    loop_mech.RunAppend(window, threshold, &loop));
-                process_mech.Reset();
-                for (size_t i = 0; i < n && !process_mech.exhausted(); ++i) {
-                  process.push_back(process_mech.Process(window[i], threshold));
-                }
-              }
-
-              const std::string ctx =
-                  std::string(v < std::size(ids) ? VariantIdToString(ids[v])
-                                                 : "eps3") +
-                  (nu_kind == NoiseKind::kLaplace ? " lap" : " exp") +
-                  (with_cutoff ? " cutoff" : " no-cutoff") +
-                  " n=" + std::to_string(n) +
-                  " T=" + std::to_string(threshold) + " " +
-                  vec::DispatchLevelName(level);
-              ExpectSameResponses(got, loop, ctx);
-              ASSERT_EQ(got_counts, loop_counts) << ctx;
-              EXPECT_EQ(appended, got.size() - 1) << ctx;
-              ExpectSameResponses(
-                  std::vector<Response>(got.begin() + 1, got.end()), process,
-                  ctx);
-              EXPECT_TRUE(SameState(rng_trials.state(), rng_loop.state()))
-                  << ctx;
-              EXPECT_TRUE(SameState(rng_trials.state(), rng_process.state()))
-                  << ctx;
-              EXPECT_EQ(std::bit_cast<uint64_t>(trials_mech.threshold_noise()),
-                        std::bit_cast<uint64_t>(loop_mech.threshold_noise()))
-                  << ctx;
-              EXPECT_EQ(trials_mech.positives_emitted(),
-                        loop_mech.positives_emitted())
-                  << ctx;
-              EXPECT_EQ(trials_mech.queries_processed(),
-                        loop_mech.queries_processed())
-                  << ctx;
-              EXPECT_EQ(trials_mech.exhausted(), loop_mech.exhausted()) << ctx;
-              EXPECT_EQ(trials_mech.batch_stats().streamed_queries,
-                        loop_mech.batch_stats().streamed_queries)
-                  << ctx;
-              if (!trials_mech.exhausted()) {
-                EXPECT_TRUE(SameState(trials_mech.nu_stream_state(),
-                                      loop_mech.nu_stream_state()))
-                    << ctx;
-              }
-              // Every non-finite comparison obeys the written contract
-              // (index 0 of both buffers is the pre-existing sentinel).
-              const Response* run = got.data() + 1;
-              for (size_t k = 1; k < got_counts.size(); ++k) {
-                const size_t count = got_counts[k];
-                for (size_t i = 0; i < count; ++i) {
-                  const std::optional<bool> fires =
-                      NonFiniteOutcome(window[i], threshold);
-                  if (!fires.has_value()) continue;
-                  ++non_finite_checked;
-                  ASSERT_EQ(run[i].is_positive(), *fires)
-                      << ctx << " answer=" << window[i];
-                }
-                run += count;
-              }
-              if (BatchRunner::CanBatchTrials(spec, n)) {
-                ++batched;
-              } else {
-                ++looped;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GT(batched, 0);
-  EXPECT_GT(looped, 0);
-  EXPECT_GT(non_finite_checked, 0);
-}
-
-TEST(BatchRunnerTest, RunTrialsWithZeroTrialsChangesNothing) {
-  Rng rng(5), ref(5);
-  CustomSvt mech(MakeAlg1Spec(1.0, 1.0, 1), &rng);
-  CustomSvt ref_mech(MakeAlg1Spec(1.0, 1.0, 1), &ref);
-  const std::vector<double> window = {0.0, 1.0};
-  std::vector<Response> out;
-  std::vector<size_t> counts;
-  EXPECT_EQ(mech.RunTrials(window, 0.0, 0, &out, &counts), 0u);
-  EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(counts.empty());
-  EXPECT_TRUE(SameState(rng.state(), ref.state()));
-  EXPECT_EQ(mech.threshold_noise(), ref_mech.threshold_noise());
 }
 
 TEST(BatchRunnerTest, StreamedQueriesClearedOnReset) {
