@@ -141,31 +141,12 @@ void BM_SvtRunBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SvtRunBatch)->Arg(1 << 20);
 
-/// RAII kernel-mode override for the paired megakernel-vs-composition
-/// benchmarks: same binary, same workload, two registered names — the
-/// interleaved A/B mode of scripts/record_bench.sh alternates the two
-/// filter sets rep by rep so drift hits both arms equally.
-class ScopedKernelModeBench {
- public:
-  explicit ScopedKernelModeBench(BatchKernelMode mode)
-      : saved_(ActiveBatchKernelMode()) {
-    SetBatchKernelMode(mode);
-  }
-  ~ScopedKernelModeBench() { SetBatchKernelMode(saved_); }
-
- private:
-  BatchKernelMode saved_;
-};
-
-void RunBatchNearThresholdBody(benchmark::State& state,
-                               BatchKernelMode mode) {
+void BM_SvtRunBatchNearThreshold(benchmark::State& state) {
   // The tier-2-bound regime: every answer within a few ν scales of the
   // threshold, so the tier-1 chunk bound can never prove a chunk ⊥ and
   // every ν word goes through the transform kernels. This is the workload
   // the vecmath layer exists for; the PR-3 acceptance target is ≥ 2× the
-  // PR-1 scalar-libm-log baseline here, and the PR-8 megakernel target is
-  // ≥ 1.3× the composition arm at 1M queries on AVX-512.
-  ScopedKernelModeBench scoped(mode);
+  // PR-1 scalar-libm-log baseline here.
   Rng rng(5);
   SvtOptions o;
   o.epsilon = 0.1;
@@ -189,18 +170,9 @@ void RunBatchNearThresholdBody(benchmark::State& state,
   state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
 }
 
-void BM_SvtRunBatchNearThreshold(benchmark::State& state) {
-  RunBatchNearThresholdBody(state, BatchKernelMode::kMegakernel);
-}
-// 65536 queries keep every buffer the composition arm touches L1/L2
-// resident, isolating the in-register win from the memory-traffic win
-// visible at 1M (where the scratch word block streams through cache).
+// 65536 queries keep the answers and responses L2 resident; 1M streams
+// them through cache.
 BENCHMARK(BM_SvtRunBatchNearThreshold)->Arg(1 << 20)->Arg(65536);
-
-void BM_SvtRunBatchNearThresholdComposition(benchmark::State& state) {
-  RunBatchNearThresholdBody(state, BatchKernelMode::kComposition);
-}
-BENCHMARK(BM_SvtRunBatchNearThresholdComposition)->Arg(1 << 20)->Arg(65536);
 
 void BM_SvtRunBatchNearThresholdPrefiltered(benchmark::State& state) {
   // Paired arm of BM_SvtRunBatchNearThreshold: identical workload and
@@ -210,7 +182,6 @@ void BM_SvtRunBatchNearThresholdPrefiltered(benchmark::State& state) {
   // two-level prefilter is judged by: bound_mb_per_iter against the
   // unprefiltered arm's 8-bytes-per-element pass, and prune_rate as the
   // fraction of span visits the quantized level discharged.
-  ScopedKernelModeBench scoped(BatchKernelMode::kMegakernel);
   Rng rng(5);
   SvtOptions o;
   o.epsilon = 0.1;
@@ -296,14 +267,12 @@ void BM_FullPrecisionSpanBound(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPrecisionSpanBound)->Arg(1 << 20);
 
-void RunBatchPerQueryNearThresholdBody(benchmark::State& state,
-                                       BatchKernelMode mode) {
+void BM_SvtRunBatchPerQueryNearThreshold(benchmark::State& state) {
   // The per-query-threshold generalization of the near-threshold workload:
   // every answer AND every bar within a few ν scales, so chunks always run
   // tier-2 (no tier-1 bound is sound with per-query bars) and the
-  // pairwise fused scan does the finding. The PR-4 acceptance target is
+  // pairwise fused pass does the finding. The PR-4 acceptance target is
   // ≥ 2× the PR-3 scalar-scan baseline here.
-  ScopedKernelModeBench scoped(mode);
   Rng rng(5);
   SvtOptions o;
   o.epsilon = 0.1;
@@ -328,38 +297,21 @@ void RunBatchPerQueryNearThresholdBody(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * state.range(0));
   // Reset() zeroes the counters, so this is the last iteration's run: the
   // fraction of per-query elements whose transform the span skip words
-  // discharged — identical in both modes by the counter's contract, and
-  // the quantity the PR-10 pairwise-bounded kernels monetize.
+  // discharged — the quantity the PR-10 pairwise-bounded kernels
+  // monetize.
   state.counters["words_skipped_frac"] =
       static_cast<double>(mech->batch_stats().mega_words_skipped_q) /
       static_cast<double>(state.range(0));
   state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
 }
 
-void BM_SvtRunBatchPerQueryNearThreshold(benchmark::State& state) {
-  RunBatchPerQueryNearThresholdBody(state, BatchKernelMode::kMegakernel);
-}
 BENCHMARK(BM_SvtRunBatchPerQueryNearThreshold)->Arg(1 << 20)->Arg(65536);
 
-void BM_SvtRunBatchPerQueryNearThresholdComposition(
-    benchmark::State& state) {
-  RunBatchPerQueryNearThresholdBody(state, BatchKernelMode::kComposition);
-}
-BENCHMARK(BM_SvtRunBatchPerQueryNearThresholdComposition)
-    ->Arg(1 << 20)
-    ->Arg(65536);
-
-void RunBatchResampleNearThresholdBody(benchmark::State& state,
-                                       BatchKernelMode mode) {
+void BM_SvtRunBatchResampleNearThreshold(benchmark::State& state) {
   // RevSVT-style resample-heavy regime: ρ is redrawn after every positive,
   // so tier-2 resumes re-enter mid-chunk under a moved bar — many times
-  // per chunk at this positive rate (~e⁻⁴/2 per query). Before PR 10 the
-  // megakernel arm's cached fused-scan hits were unusable under any bar
-  // move and every resume regenerated from span checkpoints; now upward
-  // moves replay the cache with exact revalidation and only downward
-  // moves rebuild. The paired composition arm rescans its scratch words
-  // from the resume point either way.
-  ScopedKernelModeBench scoped(mode);
+  // per chunk at this positive rate (~e⁻⁴/2 per query). Each resume
+  // compares against the chunk's ν block, transformed once per span.
   Rng rng(5);
   SvtOptions o;
   o.epsilon = 0.1;
@@ -382,28 +334,17 @@ void RunBatchResampleNearThresholdBody(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   // Resumes that re-entered under a moved ρ, per iteration (Reset()
-  // zeroes the counters): the volume the cached replay now absorbs.
+  // zeroes the counters).
   state.counters["rederivations_per_iter"] = static_cast<double>(
       mech->batch_stats().replay_rederivations);
   state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
 }
 
-void BM_SvtRunBatchResampleNearThreshold(benchmark::State& state) {
-  RunBatchResampleNearThresholdBody(state, BatchKernelMode::kMegakernel);
-}
 BENCHMARK(BM_SvtRunBatchResampleNearThreshold)->Arg(1 << 20)->Arg(65536);
-
-void BM_SvtRunBatchResampleNearThresholdComposition(
-    benchmark::State& state) {
-  RunBatchResampleNearThresholdBody(state, BatchKernelMode::kComposition);
-}
-BENCHMARK(BM_SvtRunBatchResampleNearThresholdComposition)
-    ->Arg(1 << 20)
-    ->Arg(65536);
 
 void RunBatchExpNoiseBody(benchmark::State& state, double offset) {
   // The near-threshold workload on the exponential-noise axis: one RNG word
-  // per ν variate (not two) and the fused/mega exp scan kernels in tier 2.
+  // per ν variate (not two) and the exponential fused passes in tier 2.
   Rng rng(5);
   auto mech =
       ExpNoiseSvt::Create(0.1, 1.0, /*cutoff=*/1 << 20, &rng).value();
@@ -441,65 +382,6 @@ void BM_SvtRunBatchExpNoiseNearThreshold(benchmark::State& state) {
   RunBatchExpNoiseBody(state, -6.0);
 }
 BENCHMARK(BM_SvtRunBatchExpNoiseNearThreshold)->Arg(1 << 20)->Arg(65536);
-
-void BM_FusedExpScanSumGe(benchmark::State& state) {
-  // The fused exponential tier-2 kernel alone over a no-match stream — the
-  // single-word-per-variate counterpart of the Laplace pairwise scan below.
-  Rng rng(12);
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<uint64_t> words(n);
-  std::vector<double> answers(n);
-  rng.FillUint64(words);
-  rng.FillDouble(answers);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vec::FusedExpScanSumGe(words, 2.0, answers, 1e9).index);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
-}
-BENCHMARK(BM_FusedExpScanSumGe)->Arg(4096);
-
-void BM_FusedLaplaceScanSumGePairwise(benchmark::State& state) {
-  // The fused tier-2 kernel alone (sample + transform + compare in one
-  // register pass) over a no-match stream: the per-query batch engine's
-  // inner loop with the RNG fill and chunk bookkeeping stripped away.
-  Rng rng(12);
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<uint64_t> words(2 * n);
-  std::vector<double> answers(n), bars(n, 1e9);
-  rng.FillUint64(words);
-  rng.FillDouble(answers);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vec::FusedLaplaceScanSumGePairwise(words, 0.0, 2.0, answers, bars,
-                                           0.0)
-            .index);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
-}
-BENCHMARK(BM_FusedLaplaceScanSumGePairwise)->Arg(4096);
-
-void BM_MegaLaplaceScanSumGe(benchmark::State& state) {
-  // The lane-resident generate-and-scan megakernel alone over a no-match
-  // stream: the composition baseline is BM_RngFillUint64 (at 2× the arg)
-  // plus BM_FusedLaplaceScanSumGePairwise. The state copy per iteration is
-  // 17 words — noise next to the 4096-element scan.
-  Rng rng(12);
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> answers(n);
-  rng.FillDouble(answers);
-  const BlockRng::State start = rng.state();
-  for (auto _ : state) {
-    BlockRng::State st = start;
-    benchmark::DoNotOptimize(
-        vec::MegaLaplaceScanSumGe(&st, 0.0, 2.0, answers, 1e9).index);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
-}
-BENCHMARK(BM_MegaLaplaceScanSumGe)->Arg(4096);
 
 void BM_VecLogBlock(benchmark::State& state) {
   Rng rng(11);

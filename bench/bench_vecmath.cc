@@ -55,21 +55,14 @@ int main() {
               DispatchLevelName(ActiveDispatchLevel()));
 
   Rng rng(1);
-  std::vector<double> u(kN), out(kN), xs(kN);
+  std::vector<double> u(kN), out(kN);
   std::vector<uint64_t> words(2 * kN);
   rng.FillDoublePositive(u);
   rng.FillUint64(words);
-  for (size_t i = 0; i < kN; ++i) xs[i] = 700.0 * (u[i] - 0.5);
 
   const double libm_log = BestNsPerElem(
       [&] {
         for (size_t i = 0; i < kN; ++i) out[i] = std::log(u[i]);
-        g_sink = out[kN / 2];
-      },
-      kN);
-  const double libm_exp = BestNsPerElem(
-      [&] {
-        for (size_t i = 0; i < kN; ++i) out[i] = std::exp(xs[i]);
         g_sink = out[kN / 2];
       },
       kN);
@@ -81,7 +74,6 @@ int main() {
       kN);
   std::printf("log:  libm %.2f ns/elem | vec::Log scalar %.2f ns/elem\n",
               libm_log, scalar_log);
-  std::printf("exp:  libm %.2f ns/elem\n", libm_exp);
 
   const svt::Laplace lap(0.0, 2.0);
   for (DispatchLevel level : kAllDispatchLevels) {
@@ -90,12 +82,6 @@ int main() {
     const double log_block = BestNsPerElem(
         [&] {
           LogBlock(u, out);
-          g_sink = out[kN / 2];
-        },
-        kN);
-    const double exp_block = BestNsPerElem(
-        [&] {
-          ExpBlock(xs, out);
           g_sink = out[kN / 2];
         },
         kN);
@@ -136,35 +122,12 @@ int main() {
                                      {bars.data(), kN}, 0.0));
         },
         kN);
-    // Fused single-pass sample-and-scan vs its unfused composition
-    // (TransformBlock + pairwise scan) over the same no-match stream —
-    // the batch engine's tier-2 inner loop before and after fusion.
-    const double unfused_scan = BestNsPerElem(
-        [&] {
-          lap.TransformBlock(words, out);
-          g_sink = static_cast<double>(
-              FindFirstSumGePairwise({u.data(), kN}, {out.data(), kN},
-                                     {bars.data(), kN}, 0.0));
-        },
-        kN);
-    const double fused_scan = BestNsPerElem(
-        [&] {
-          g_sink = static_cast<double>(
-              FusedLaplaceScanSumGePairwise(words, 0.0, 2.0, {u.data(), kN},
-                                            {bars.data(), kN}, 0.0)
-                  .index);
-        },
-        kN);
     std::printf(
-        "[%6s] LogBlock %.2f | ExpBlock %.2f | NegLogUnit %.2f | "
-        "LaplaceTransform %.2f | SampleBlock %.2f | RngFill %.2f | "
-        "PairwiseScan %.2f ns/elem (log speedup vs libm: %.2fx)\n",
-        name, log_block, exp_block, neg_log, lap_tf, lap_sample, rng_fill,
-        pairwise, libm_log / log_block);
-    std::printf(
-        "[%6s] fused sample-and-scan %.2f vs unfused transform+scan %.2f "
-        "ns/elem (%.2fx)\n",
-        name, fused_scan, unfused_scan, unfused_scan / fused_scan);
+        "[%6s] LogBlock %.2f | NegLogUnit %.2f | LaplaceTransform %.2f | "
+        "SampleBlock %.2f | RngFill %.2f | PairwiseScan %.2f ns/elem "
+        "(log speedup vs libm: %.2fx)\n",
+        name, log_block, neg_log, lap_tf, lap_sample, rng_fill, pairwise,
+        libm_log / log_block);
   }
   return 0;
 }

@@ -27,7 +27,7 @@ BENCH="${BENCH:-build/bench_micro}"
 BENCH_B="${BENCH_B:-$BENCH}"
 REPS="${REPS:-5}"
 MIN_TIME="${MIN_TIME:-0.25}"
-FILTER="${1:-BM_SvtRunBatch/|BM_SvtRunBatchNearThreshold|BM_SvtRunBatchPerQueryNearThreshold|BM_SvtRunBatchResampleNearThreshold|BM_FusedLaplaceScanSumGePairwise|BM_RngFillUint64|BM_LaplaceSampleBlock}"
+FILTER="${1:-BM_SvtRunBatch/|BM_SvtRunBatchNearThreshold|BM_SvtRunBatchPerQueryNearThreshold|BM_SvtRunBatchResampleNearThreshold|BM_RngFillUint64|BM_LaplaceSampleBlock}"
 FILTER_B="${2:-}"
 
 for bin in "$BENCH" "$BENCH_B"; do

@@ -4,7 +4,7 @@
 // stream is the round-robin interleave of four xoshiro256++ lanes, and a
 // lane-aligned position advances by whole lockstep steps of all four
 // lanes. The lane-resident megakernels in common/vecmath.cc must advance
-// the exact same stream from inside their scan loops — words never touch
+// the exact same stream from inside their loops — words never touch
 // memory there — so both sides share these per-ISA step primitives. One
 // step advances all four lanes and yields their four outputs: the next
 // four words of the interleaved stream at a lane-aligned position.
@@ -49,7 +49,8 @@ inline uint64_t Rotl(uint64_t x, int k) {
 
 /// One xoshiro256++ output-and-advance of lane `lane` of an SoA state
 /// block — the scalar stream walker behind BlockRng::Next(), the fill
-/// kernels' phase catch-up, and the megakernels' tails and resumes.
+/// kernels' phase catch-up, and the megakernels' tails and unaligned
+/// entries.
 inline uint64_t StepLaneSoA(uint64_t* s, size_t lane) {
   uint64_t s0 = s[lane];
   uint64_t s1 = s[4 + lane];

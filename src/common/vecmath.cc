@@ -1,6 +1,6 @@
 // Implementation notes
 // --------------------
-// Both kernels are the classic fdlibm reductions with the polynomial
+// The log kernel is the classic fdlibm reduction with the polynomial
 // evaluated in one fixed Horner order:
 //
 //   Log: decompose x = 2^k * m with m in [sqrt(1/2), sqrt(2)) by integer
@@ -9,24 +9,18 @@
 //   recombined with k*ln2 in hi/lo parts. Subnormals are prescaled by
 //   2^54 (exact) first.
 //
-//   Exp: k = round(x/ln2) via the 1.5*2^52 magic-add (exact for |x| in
-//   range), r = (x - k*ln2_hi) - k*ln2_lo, then fdlibm's rational form
-//     exp(r) = 1 - ((lo - r*c/(2-c)) - hi),  c = r - r^2*P(r^2),
-//   scaled by 2^k as two exact power-of-two multiplies (k split in halves)
-//   so deep underflow rounds once, into the subnormal range, correctly.
-//
 // The AVX2 and AVX-512 lanes mirror the scalar lane operation for
-// operation: every step is a correctly-rounded IEEE double op (+ - * /) or
+// operation: every step is a correctly-rounded IEEE double op (+ - *) or
 // an exact integer manipulation, and no FMA contraction can occur
 // (explicit non-fused intrinsics here; -ffp-contract=off for the scalar
 // lane, set in CMakeLists.txt). Lanes holding operands outside the fast
-// path's domain (zero/subnormal/negative/non-finite for Log, |x| > 700 or
-// NaN for Exp) are patched with the scalar kernel after the vector store,
-// so every special case has exactly one implementation. The AVX-512 lane
-// additionally uses the exact integer<->double conversions AVX-512DQ
-// provides (cvtepu64_pd / cvtepi64_pd / cvtpd_epi64) where the AVX2 lane
-// rebuilds them from 32-bit halves — both are exact for the magnitudes
-// involved, so the lanes agree bit for bit.
+// path's domain (zero, subnormal, negative, non-finite) are patched with
+// the scalar kernel after the vector store, so every special case has
+// exactly one implementation. The AVX-512 lane additionally uses the exact
+// integer<->double conversions AVX-512DQ provides (cvtepu64_pd /
+// cvtepi64_pd) where the AVX2 lane rebuilds them from 32-bit halves —
+// both are exact for the magnitudes involved, so the lanes agree bit for
+// bit.
 
 #include "common/vecmath.h"
 
@@ -103,24 +97,6 @@ constexpr double kQ17 = -0x1.a4f2cb642aed7p-5;
 constexpr double kQ18 = 0x1.e4de09bbb15acp-5;
 constexpr double kQ19 = -0x1.ba0db7c5ec460p-5;
 constexpr double kQ20 = 0x1.7d29370356709p-6;
-
-// exp: c = r - r^2*(P1 + r^2*(P2 + ...)), |r| <= ln2/2.
-constexpr double kP1 = 0x1.5555555555553p-3;
-constexpr double kP2 = -0x1.6c16c16bebd93p-9;
-constexpr double kP3 = 0x1.1566aaf25de2cp-14;
-constexpr double kP4 = -0x1.bbd41c5d26bf1p-20;
-constexpr double kP5 = 0x1.6376972bea4d0p-25;
-constexpr double kLog2e = 0x1.71547652b82fep+0;
-// 1.5 * 2^52: adding and subtracting rounds to the nearest integer
-// (ties-to-even) for |t| < 2^51, entirely in double arithmetic.
-constexpr double kRoundMagic = 6755399441055744.0;
-// exp() overflows above this (largest x with exp(x) finite).
-constexpr double kExpOverflow = 709.782712893383973096;
-
-// 2^k for k in [-1022, 1023], built exactly from the exponent field.
-inline double Pow2(int64_t k) {
-  return std::bit_cast<double>(static_cast<uint64_t>(k + 1023) << 52);
-}
 
 // The SVT_MAX_DISPATCH cap, read once per process. Folded into
 // DispatchLevelSupported() below so a capped level is indistinguishable
@@ -290,31 +266,6 @@ double Log(double x) {
   return dk * kLn2Hi - ((hfsq - (x3r + dk * kLn2Lo)) - f);
 }
 
-double Exp(double x) {
-  // Outside these bounds the k-split scaling below would leave the double
-  // exponent range; the results are exactly +inf / 0 anyway.
-  if (std::isnan(x)) return x + x;
-  if (x > kExpOverflow) return std::numeric_limits<double>::infinity();
-  if (x < -1000.0) return 0.0;  // exp(-745.14) already underflows to 0
-
-  const double t = x * kLog2e;
-  const double kd = (t + kRoundMagic) - kRoundMagic;
-  const int64_t k = static_cast<int64_t>(kd);
-  const double hi = x - kd * kLn2Hi;
-  const double lo = kd * kLn2Lo;
-  const double r = hi - lo;
-  const double z = r * r;
-  const double c =
-      r - z * (kP1 + z * (kP2 + z * (kP3 + z * (kP4 + z * kP5))));
-  const double y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
-  // Scale by 2^k in two halves: the first multiply is exact (y ~ 1, k1
-  // never reaches the exponent limits), so the second rounds once —
-  // correctly — even when the final result is subnormal.
-  const int64_t k1 = k >> 1;
-  const int64_t k2 = k - k1;
-  return y * Pow2(k1) * Pow2(k2);
-}
-
 double NegLogUnitPositive(uint64_t word) {
   return -Log(Rng::ToUnitDoublePositive(word));
 }
@@ -322,9 +273,9 @@ double NegLogUnitPositive(uint64_t word) {
 namespace {
 
 // The word-pair → Laplace(mu, b) transform of one element, shared by the
-// fused scan kernels' scalar lane and every SIMD lane's sub-width tail.
+// fused passes' scalar lanes and every SIMD lane's sub-width tail.
 // Operation for operation the scalar body of LaplaceTransformBlock — the
-// fused kernels are *defined* by this composition.
+// fused passes are *defined* by this composition.
 inline double LaplaceNuScalar(uint64_t w_mag, uint64_t w_sign, double mu,
                               double b) {
   const double e = -Log(Rng::ToUnitDoublePositive(w_mag));
@@ -335,104 +286,15 @@ inline double LaplaceNuScalar(uint64_t w_mag, uint64_t w_sign, double mu,
 
 // The word → Exponential(b) transform of one element: one raw word per
 // variate (no sign word; support [0, +inf)). Operation for operation the
-// scalar body of ExponentialTransformBlock — the fused exponential scans
+// scalar body of ExponentialTransformBlock — the fused exponential passes
 // are *defined* by this composition.
 inline double ExpNuScalar(uint64_t word, double b) {
   return b * NegLogUnitPositive(word);
 }
 
-// Scalar reference lanes of the four fused sample-and-scan kernels. Each
-// starts at element `from` (0 for the dispatch entry points; the SIMD
-// lanes delegate their < width tails here, the same rule the unfused
-// kernels use). The positive tests are literal transcriptions of the
-// streaming comparisons, so hit indices are bit-identical across lanes.
-
-FusedScanHit FusedScanGeScalar(const uint64_t* words, double mu, double b,
-                               double bar, size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedScanSumGeScalar(const uint64_t* words, double mu, double b,
-                                  const double* a, double bar, size_t n,
-                                  size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedScanGePairwiseScalar(const uint64_t* words, double mu,
-                                       double b, const double* bars,
-                                       double rho, size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedScanSumGePairwiseScalar(const uint64_t* words, double mu,
-                                          double b, const double* a,
-                                          const double* bars, double rho,
-                                          size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-// Scalar reference lanes of the exponential-noise fused scans: identical
-// structure to the Laplace family above, but one word per variate.
-
-FusedScanHit FusedExpScanGeScalar(const uint64_t* words, double b, double bar,
-                                  size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedExpScanSumGeScalar(const uint64_t* words, double b,
-                                     const double* a, double bar, size_t n,
-                                     size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedExpScanGePairwiseScalar(const uint64_t* words, double b,
-                                          const double* bars, double rho,
-                                          size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedExpScanSumGePairwiseScalar(const uint64_t* words, double b,
-                                             const double* a,
-                                             const double* bars, double rho,
-                                             size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-// --- megakernels: scalar lanes --------------------------------------------
+// --- fused passes: scalar lanes -------------------------------------------
 //
-// The megakernels generate their words in-kernel from a BlockRng::State.
+// The fused passes generate their words in-kernel from a BlockRng::State.
 // State::words is the generator's SoA state flattened (words[w * 4 + lane]
 // is state word w of lane `lane`), so the shared lockstep step primitives
 // walk it directly. MegaNextWord is the scalar stream walker — operation
@@ -443,36 +305,6 @@ inline uint64_t MegaNextWord(BlockRng::State* st) {
   const uint64_t r = lockstep::StepLaneSoA(st->words.data(), st->phase);
   st->phase = (st->phase + 1) & (BlockRng::kLanes - 1);
   return r;
-}
-
-// Scalar reference lanes of the two megakernel scans. Each starts at
-// element `from` with `st` positioned at that element's first word (0 for
-// the dispatch entry points; the SIMD lanes delegate their sub-width
-// tails here after spilling their registers). The transform and the
-// positive test are the same LaplaceNuScalar / ExpNuScalar compositions
-// the fused kernels run, so hit indices and ν payloads are bit-identical
-// to FillUint64 + fused scan.
-
-FusedScanHit MegaScanSumGeScalar(BlockRng::State* st, double mu, double b,
-                                 const double* a, double bar, size_t n,
-                                 size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const uint64_t w_mag = MegaNextWord(st);
-    const uint64_t w_sign = MegaNextWord(st);
-    const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit MegaExpScanSumGeScalar(BlockRng::State* st, double b,
-                                    const double* a, double bar, size_t n,
-                                    size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(MegaNextWord(st), b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
 }
 
 // Scalar lanes of the fused generate-bound-and-scan pass: a walk over
@@ -625,9 +457,10 @@ size_t MegaExpFillMinScanSpansPairwiseScalar(
 
 namespace {
 
-// 4-wide mirrors of Log()/Exp(). Operand order and association replicate
-// the scalar lane exactly; _mm256_{add,sub,mul,div}_pd are the same
-// correctly-rounded IEEE operations, and no fused ops are used.
+// 4-wide mirrors of Log() and the fused passes. Operand order and
+// association replicate the scalar lane exactly; _mm256_{add,sub,mul}_pd
+// are the same correctly-rounded IEEE operations, and no fused ops are
+// used.
 
 // The normal-path log body, shared by LogBlockAvx2 (which adds the
 // special-lane patching) and the fused sampling kernel (whose inputs are
@@ -1022,13 +855,14 @@ __attribute__((target("avx2"))) size_t FindFirstSumGePairwiseAvx2(
 
 // One fused transform step: 4 consecutive (magnitude, sign) word pairs →
 // 4 ν values, bit-identical to the operation sequence of
-// LaplaceTransformAvx2 — that identity is what makes the fused scans
-// bit-identical to the unfused FillUint64 + TransformBlock + FindFirst*
-// pipeline. One deliberate register-pressure optimization: `vnb` carries
-// -b, so be = (-b)·log(u) replaces the reference's b·(-log(u)) — IEEE
-// multiplication computes the sign as the XOR of the operand signs and
-// the magnitude independently, so the product is bit-identical while the
-// -0.0 constant and its xor drop out of the loop.
+// LaplaceTransformAvx2 — that identity is what makes the fused passes
+// bit-identical to the FillUint64 + TransformBlock + FindFirst* walk. The
+// words come straight from the lockstep step registers. One deliberate
+// register-pressure optimization: `vnb` carries -b, so be = (-b)·log(u)
+// replaces the reference's b·(-log(u)) — IEEE multiplication computes the
+// sign as the XOR of the operand signs and the magnitude independently,
+// so the product is bit-identical while the -0.0 constant and its xor
+// drop out of the loop.
 __attribute__((target("avx2"))) inline __m256d LaplaceNu4Avx2Reg(
     __m256i v0, __m256i v1, __m256d vmu, __m256d vnb) {
   const __m256d one = _mm256_set1_pd(1.0);
@@ -1046,100 +880,12 @@ __attribute__((target("avx2"))) inline __m256d LaplaceNu4Avx2Reg(
   return _mm256_add_pd(vmu, _mm256_xor_pd(be, flip));
 }
 
-__attribute__((target("avx2"))) inline __m256d LaplaceNu4Avx2(
-    const uint64_t* word_pairs, __m256d vmu, __m256d vnb) {
-  // The transform body lives in the Reg variant so the megakernels can
-  // feed it words straight from the lockstep step registers; this loading
-  // form is what the scratch-buffer fused scans use.
-  const __m256i v0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(word_pairs));
-  const __m256i v1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(word_pairs + 4));
-  return LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-}
-
-// Extracts the hit from a nonzero compare mask: lane index + that lane's ν.
-__attribute__((target("avx2"))) inline FusedScanHit FusedHitAvx2(
-    size_t i, int mask, __m256d nu) {
-  const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, nu);
-  return {i + static_cast<size_t>(lane), lanes[lane]};
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanGeAvx2(
-    const uint64_t* words, double mu, double b, double bar, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanGeScalar(words, mu, b, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanSumGeAvx2(
-    const uint64_t* words, double mu, double b, const double* a, double bar,
-    size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanSumGeScalar(words, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanGePairwiseAvx2(
-    const uint64_t* words, double mu, double b, const double* bars,
-    double rho, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanGePairwiseScalar(words, mu, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanSumGePairwiseAvx2(
-    const uint64_t* words, double mu, double b, const double* a,
-    const double* bars, double rho, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanSumGePairwiseScalar(words, mu, b, a, bars, rho, n, i);
-}
-
 // One fused exponential transform step: 4 consecutive raw words → 4 ν
 // values, ν = b·(-log u). `vnb` carries -b so the body computes
 // (-b)·log(u), bit-identical to the reference's b·(-log(u)) for the same
-// reason as LaplaceNu4Avx2 (IEEE multiply: sign = xor of operand signs,
-// magnitude independent of them). One word per variate, so the load is a
-// plain stride-1 vector load — no unpack/permute.
+// reason as LaplaceNu4Avx2Reg (IEEE multiply: sign = xor of operand signs,
+// magnitude independent of them). One word per variate, so no
+// unpack/permute.
 __attribute__((target("avx2"))) inline __m256d ExpNu4Avx2Reg(__m256i w,
                                                              __m256d vnb) {
   const __m256d one = _mm256_set1_pd(1.0);
@@ -1166,164 +912,14 @@ __attribute__((target("avx2"))) void ExponentialTransformAvx2(
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanGeAvx2(
-    const uint64_t* words, double b, double bar, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanGeScalar(words, b, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanSumGeAvx2(
-    const uint64_t* words, double b, const double* a, double bar, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanSumGeScalar(words, b, a, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanGePairwiseAvx2(
-    const uint64_t* words, double b, const double* bars, double rho,
-    size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanGePairwiseScalar(words, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanSumGePairwiseAvx2(
-    const uint64_t* words, double b, const double* a, const double* bars,
-    double rho, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanSumGePairwiseScalar(words, b, a, bars, rho, n, i);
-}
-
-__attribute__((target("avx2"))) void ExpBlockAvx2(const double* in,
-                                                  double* out, size_t n) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFF'FFFF'FFFF'FFFFll));
-  const __m256d dom = _mm256_set1_pd(700.0);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d log2e = _mm256_set1_pd(kLog2e);
-  const __m256d magic = _mm256_set1_pd(kRoundMagic);
-  const __m256d ln2hi = _mm256_set1_pd(kLn2Hi), ln2lo = _mm256_set1_pd(kLn2Lo);
-  const __m256d p1 = _mm256_set1_pd(kP1), p2 = _mm256_set1_pd(kP2),
-                p3 = _mm256_set1_pd(kP3), p4 = _mm256_set1_pd(kP4),
-                p5 = _mm256_set1_pd(kP5);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(in + i);
-    // Fast path: |x| <= 700 (k-split scaling stays in the exponent range,
-    // results stay clear of overflow/underflow). NaN fails the compare.
-    const __m256d ok =
-        _mm256_cmp_pd(_mm256_and_pd(x, abs_mask), dom, _CMP_LE_OQ);
-
-    const __m256d t = _mm256_mul_pd(x, log2e);
-    const __m256d kd =
-        _mm256_sub_pd(_mm256_add_pd(t, magic), magic);
-    const __m128i ki = _mm256_cvtpd_epi32(kd);  // exact: kd is integral
-
-    const __m256d hi = _mm256_sub_pd(x, _mm256_mul_pd(kd, ln2hi));
-    const __m256d lo = _mm256_mul_pd(kd, ln2lo);
-    const __m256d r = _mm256_sub_pd(hi, lo);
-    const __m256d z = _mm256_mul_pd(r, r);
-    const __m256d c = _mm256_sub_pd(
-        r,
-        _mm256_mul_pd(
-            z,
-            _mm256_add_pd(
-                p1,
-                _mm256_mul_pd(
-                    z,
-                    _mm256_add_pd(
-                        p2,
-                        _mm256_mul_pd(
-                            z, _mm256_add_pd(
-                                   p3, _mm256_mul_pd(
-                                           z, _mm256_add_pd(
-                                                  p4,
-                                                  _mm256_mul_pd(z, p5))))))))));
-    // y = 1 - ((lo - (r*c)/(2-c)) - hi)
-    const __m256d y = _mm256_sub_pd(
-        one,
-        _mm256_sub_pd(
-            _mm256_sub_pd(
-                lo, _mm256_div_pd(_mm256_mul_pd(r, c), _mm256_sub_pd(two, c))),
-            hi));
-
-    // Scale by 2^k1 * 2^k2, k1 = k>>1 (arithmetic), k2 = k - k1.
-    const __m128i k1 = _mm_srai_epi32(ki, 1);
-    const __m128i k2 = _mm_sub_epi32(ki, k1);
-    const __m256i e1 = _mm256_slli_epi64(
-        _mm256_add_epi64(_mm256_cvtepi32_epi64(k1),
-                         _mm256_set1_epi64x(1023)),
-        52);
-    const __m256i e2 = _mm256_slli_epi64(
-        _mm256_add_epi64(_mm256_cvtepi32_epi64(k2),
-                         _mm256_set1_epi64x(1023)),
-        52);
-    const __m256d res = _mm256_mul_pd(
-        _mm256_mul_pd(y, _mm256_castsi256_pd(e1)), _mm256_castsi256_pd(e2));
-
-    const int good = _mm256_movemask_pd(ok);
-    if (good == 0xF) {
-      _mm256_storeu_pd(out + i, res);
-    } else {
-      alignas(32) double tmp[4];
-      _mm256_store_pd(tmp, res);
-      for (int lane = 0; lane < 4; ++lane) {
-        if (!(good & (1 << lane))) tmp[lane] = Exp(in[i + lane]);
-      }
-      _mm256_storeu_pd(out + i, _mm256_load_pd(tmp));
-    }
-  }
-  for (; i < n; ++i) out[i] = Exp(in[i]);
-}
-
-// --- megakernels: AVX2 lanes ----------------------------------------------
+// --- fused passes: AVX2 lanes ---------------------------------------------
 //
-// Structure shared by both scans: the four xoshiro lanes live in
-// registers (one lockstep::Step4Avx2 call advances all four and yields the
-// next four stream words), each group of 4 elements consumes wpv steps,
-// and the freshly stepped words feed the same Reg transform bodies the
-// scratch-buffer fused scans use — words never touch memory. Entry
-// requires a lane-aligned stream position (phase == 0; the dispatch entry
-// points delegate the whole call to the scalar lane otherwise). On a
-// group hit the state must end at (index + 1) * wpv consumed words, not
-// the full group the registers already stepped past: the kernel rewinds
-// to the group-entry checkpoint and re-consumes the exact word count with
-// the scalar walker — bit-identical by construction, and hits are rare.
+// The four xoshiro lanes live in registers (one lockstep::Step4Avx2 call
+// advances all four and yields the next four stream words), each group of
+// 4 elements consumes wpv steps, and the freshly stepped words feed the
+// Reg transform bodies above — words never touch memory. Entry requires a
+// lane-aligned stream position (phase == 0; the dispatch entry points
+// delegate the whole call to the scalar lane otherwise).
 
 __attribute__((target("avx2"))) inline void MegaStoreAvx2(
     BlockRng::State* st, __m256i s0, __m256i s1, __m256i s2, __m256i s3) {
@@ -1333,67 +929,6 @@ __attribute__((target("avx2"))) inline void MegaStoreAvx2(
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + 8), s2);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + 12), s3);
   st->phase = 0;
-}
-
-__attribute__((target("avx2"))) inline FusedScanHit MegaHitAvx2(
-    BlockRng::State* st, size_t i, int mask, __m256d nu, size_t wpv,
-    __m256i c0, __m256i c1, __m256i c2, __m256i c3) {
-  const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, nu);
-  MegaStoreAvx2(st, c0, c1, c2, c3);
-  const size_t consume = (static_cast<size_t>(lane) + 1) * wpv;
-  for (size_t k = 0; k < consume; ++k) MegaNextWord(st);
-  return {i + static_cast<size_t>(lane), lanes[lane]};
-}
-
-__attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGeAvx2(
-    BlockRng::State* st, double mu, double b, const double* a, double bar,
-    size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256d nu = LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  _mm256_zeroupper();
-  return MegaScanSumGeScalar(st, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGeAvx2(
-    BlockRng::State* st, double b, const double* a, double bar, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256d nu = ExpNu4Avx2Reg(v, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  _mm256_zeroupper();
-  return MegaExpScanSumGeScalar(st, b, a, bar, n, i);
 }
 
 __attribute__((target("avx2"))) inline __m256i MinU64Avx2(__m256i a,
@@ -1407,18 +942,18 @@ __attribute__((target("avx2"))) inline __m256i MinU64Avx2(__m256i a,
   return _mm256_blendv_epi8(a, b, gt);
 }
 
-// Fused generate-bound-and-scan lanes: the scan lanes' register walk,
-// keeping each span's minimum magnitude word, with the positive test
-// behind a group skip test. Each group's magnitude words are tested
+// Fused generate-bound-and-scan lanes: a register walk keeping each span's
+// minimum magnitude word, with the positive test behind a group skip
+// test. Each group's magnitude words are tested
 // against the skip threshold first — one shift, one compare, one movemask
 // — and the whole transform-and-test body is bypassed when no word is
 // below it. The threshold never exceeds 2^53 + 1 (MegaSkipWordThreshold
 // contract) and the shifted words are at most 2^53 - 1, so both sides are
 // non-negative as signed 64-bit values and cmpgt_epi64 is an unsigned
 // compare. Mixed groups run the full body: above-threshold lanes provably
-// cannot satisfy the computed positive test. No checkpoint/rewind is
-// needed — every hit lane's ν is already in the group's nu vector, and
-// the walk never stops early, so it consumes exactly count * wpv words.
+// cannot satisfy the computed positive test. Every hit lane's ν is
+// already in the group's nu vector, and the walk never stops early, so it
+// consumes exactly count * wpv words.
 
 __attribute__((target("avx2"))) size_t MegaLaplaceFillMinScanSpansAvx2(
     BlockRng::State* st, double mu, double b, const double* a, double bar,
@@ -1741,10 +1276,10 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
   return found;
 }
 
-// Scratch-buffer skipped-word count for the composition mode: same
-// shift/compare/popcount as the fused lanes, over the already-filled word
-// buffer (element words are every wpv-th, starting at the first; the
-// wpv == 2 unpack is order-free for counting).
+// Skipped-word count over words already in memory: the fused lanes'
+// shift/compare/popcount over a filled word buffer (element words are
+// every wpv-th, starting at the first; the wpv == 2 unpack is order-free
+// for counting).
 
 __attribute__((target("avx2"))) size_t SkipWordCountBlockAvx2(
     const uint64_t* words, size_t n, size_t wpv, uint64_t skip_word) {
@@ -1795,8 +1330,8 @@ __attribute__((target("avx2"))) size_t SkipWordCountBlockAvx2(
 
 namespace {
 
-// 8-wide mirrors of Log()/Exp() and the fused kernels. Operand order and
-// association replicate the scalar lane exactly; _mm512_{add,sub,mul,div}_pd
+// 8-wide mirrors of Log() and the fused passes. Operand order and
+// association replicate the scalar lane exactly; _mm512_{add,sub,mul}_pd
 // are the same correctly-rounded IEEE operations, and no fused ops are
 // used. Integer<->double conversions go through AVX-512DQ's exact
 // instructions (the values involved always fit in 53 bits).
@@ -2088,7 +1623,7 @@ FindFirstSumGePairwiseAvx512(const double* a, const double* b,
 
 // 8-wide fused transform step, mirroring LaplaceTransformAvx512 operation
 // for operation, with the same bit-identical (-b)·log(u) fold as
-// LaplaceNu4Avx2 (see there for why both identities hold).
+// LaplaceNu4Avx2Reg (see there for why both identities hold).
 __attribute__((target("avx512f,avx512dq"))) inline __m512d LaplaceNu8Avx512Reg(
     __m512i v0, __m512i v1, __m512d vmu, __m512d vnb) {
   const __m512d one = _mm512_set1_pd(1.0);
@@ -2104,99 +1639,8 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512d LaplaceNu8Avx512Reg(
   return _mm512_add_pd(vmu, _mm512_xor_pd(be, flip));
 }
 
-__attribute__((target("avx512f,avx512dq"))) inline __m512d LaplaceNu8Avx512(
-    const uint64_t* word_pairs, __m512d vmu, __m512d vnb) {
-  // The transform body lives in the Reg variant so the megakernels can
-  // feed it words straight from the lockstep step registers.
-  return LaplaceNu8Avx512Reg(_mm512_loadu_si512(word_pairs),
-                             _mm512_loadu_si512(word_pairs + 8), vmu, vnb);
-}
-
-__attribute__((target("avx512f,avx512dq"))) inline FusedScanHit FusedHitAvx512(
-    size_t i, __mmask8 mask, __m512d nu) {
-  const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-  alignas(64) double lanes[8];
-  _mm512_store_pd(lanes, nu);
-  return {i + static_cast<size_t>(lane), lanes[lane]};
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanGeAvx512(const uint64_t* words, double mu, double b,
-                         double bar, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanGeScalar(words, mu, b, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanSumGeAvx512(const uint64_t* words, double mu, double b,
-                            const double* a, double bar, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  // Deliberately not unrolled: the single 8-wide body keeps every
-  // polynomial constant register-resident — a 2× unroll was measured to
-  // push GCC into re-broadcasting ~15 constants per iteration, costing
-  // more than the second div chain bought.
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanSumGeScalar(words, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanGePairwiseAvx512(const uint64_t* words, double mu, double b,
-                                 const double* bars, double rho, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanGePairwiseScalar(words, mu, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanSumGePairwiseAvx512(const uint64_t* words, double mu,
-                                    double b, const double* a,
-                                    const double* bars, double rho,
-                                    size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  // Not unrolled — see FusedLaplaceScanSumGeAvx512 (register pressure).
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedScanSumGePairwiseScalar(words, mu, b, a, bars, rho, n, i);
-}
-
-// 8-wide fused exponential transform step, mirroring ExpNu4Avx2 (see there
-// for the bit-identical (-b)·log(u) fold). Stride-1 word load.
+// 8-wide fused exponential transform step, mirroring ExpNu4Avx2Reg (see
+// there for the bit-identical (-b)·log(u) fold).
 __attribute__((target("avx512f,avx512dq"))) inline __m512d ExpNu8Avx512Reg(
     __m512i w, __m512d vnb) {
   const __m512d one = _mm512_set1_pd(1.0);
@@ -2222,233 +1666,16 @@ __attribute__((target("avx512f,avx512dq"))) void ExponentialTransformAvx512(
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit FusedExpScanGeAvx512(
-    const uint64_t* words, double b, double bar, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanGeScalar(words, b, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedExpScanSumGeAvx512(const uint64_t* words, double b, const double* a,
-                        double bar, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  // Not unrolled — see FusedLaplaceScanSumGeAvx512 (register pressure).
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanSumGeScalar(words, b, a, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedExpScanGePairwiseAvx512(const uint64_t* words, double b,
-                             const double* bars, double rho, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanGePairwiseScalar(words, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedExpScanSumGePairwiseAvx512(const uint64_t* words, double b,
-                                const double* a, const double* bars,
-                                double rho, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  // Not unrolled — see FusedLaplaceScanSumGeAvx512 (register pressure).
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  _mm256_zeroupper();
-  return FusedExpScanSumGePairwiseScalar(words, b, a, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void ExpBlockAvx512(
-    const double* in, double* out, size_t n) {
-  const __m512d abs_mask =
-      _mm512_castsi512_pd(_mm512_set1_epi64(0x7FFF'FFFF'FFFF'FFFFll));
-  const __m512d dom = _mm512_set1_pd(700.0);
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d two = _mm512_set1_pd(2.0);
-  const __m512d log2e = _mm512_set1_pd(kLog2e);
-  const __m512d magic = _mm512_set1_pd(kRoundMagic);
-  const __m512d ln2hi = _mm512_set1_pd(kLn2Hi), ln2lo = _mm512_set1_pd(kLn2Lo);
-  const __m512d p1 = _mm512_set1_pd(kP1), p2 = _mm512_set1_pd(kP2),
-                p3 = _mm512_set1_pd(kP3), p4 = _mm512_set1_pd(kP4),
-                p5 = _mm512_set1_pd(kP5);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d x = _mm512_loadu_pd(in + i);
-    // Fast path: |x| <= 700 (k-split scaling stays in the exponent range,
-    // results stay clear of overflow/underflow). NaN fails the compare.
-    const __mmask8 good =
-        _mm512_cmp_pd_mask(_mm512_and_pd(x, abs_mask), dom, _CMP_LE_OQ);
-
-    const __m512d t = _mm512_mul_pd(x, log2e);
-    const __m512d kd = _mm512_sub_pd(_mm512_add_pd(t, magic), magic);
-    const __m512i ki = _mm512_cvtpd_epi64(kd);  // exact: kd is integral
-
-    const __m512d hi = _mm512_sub_pd(x, _mm512_mul_pd(kd, ln2hi));
-    const __m512d lo = _mm512_mul_pd(kd, ln2lo);
-    const __m512d r = _mm512_sub_pd(hi, lo);
-    const __m512d z = _mm512_mul_pd(r, r);
-    const __m512d c = _mm512_sub_pd(
-        r,
-        _mm512_mul_pd(
-            z,
-            _mm512_add_pd(
-                p1,
-                _mm512_mul_pd(
-                    z,
-                    _mm512_add_pd(
-                        p2,
-                        _mm512_mul_pd(
-                            z, _mm512_add_pd(
-                                   p3, _mm512_mul_pd(
-                                           z, _mm512_add_pd(
-                                                  p4,
-                                                  _mm512_mul_pd(z, p5))))))))));
-    // y = 1 - ((lo - (r*c)/(2-c)) - hi)
-    const __m512d y = _mm512_sub_pd(
-        one,
-        _mm512_sub_pd(
-            _mm512_sub_pd(
-                lo, _mm512_div_pd(_mm512_mul_pd(r, c), _mm512_sub_pd(two, c))),
-            hi));
-
-    // Scale by 2^k1 * 2^k2, k1 = k>>1 (arithmetic), k2 = k - k1.
-    const __m512i k1 = _mm512_srai_epi64(ki, 1);
-    const __m512i k2 = _mm512_sub_epi64(ki, k1);
-    const __m512i e1 = _mm512_slli_epi64(
-        _mm512_add_epi64(k1, _mm512_set1_epi64(1023)), 52);
-    const __m512i e2 = _mm512_slli_epi64(
-        _mm512_add_epi64(k2, _mm512_set1_epi64(1023)), 52);
-    const __m512d res = _mm512_mul_pd(
-        _mm512_mul_pd(y, _mm512_castsi512_pd(e1)), _mm512_castsi512_pd(e2));
-
-    if (good == 0xFF) {
-      _mm512_storeu_pd(out + i, res);
-    } else {
-      alignas(64) double tmp[8];
-      _mm512_store_pd(tmp, res);
-      for (int lane = 0; lane < 8; ++lane) {
-        if (!(good & (1 << lane))) tmp[lane] = Exp(in[i + lane]);
-      }
-      _mm512_storeu_pd(out + i, _mm512_load_pd(tmp));
-    }
-  }
-  for (; i < n; ++i) out[i] = Exp(in[i]);
-}
-
-// --- megakernels: AVX-512 lanes -------------------------------------------
+// --- fused passes: AVX-512 lanes ------------------------------------------
 //
-// Same structure as the AVX2 megakernel lanes: the four xoshiro lanes
-// live in 256-bit registers (lockstep::Step4Avx512 — needs AVX-512VL for
-// the native rotate, hence the extended target), each group of 8 elements
-// consumes 2*wpv steps, and two step results are concatenated into the
-// 512-bit word vectors the Reg transform bodies expect — word order
-// matches the scratch-buffer loads exactly (step k's four outputs are
-// stream words 4k..4k+3). Entry requires phase == 0; group hits rewind
-// to the checkpoint and re-consume scalar, as in the AVX2 lanes.
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) inline FusedScanHit
-MegaHitAvx512(BlockRng::State* st, size_t i, __mmask8 mask, __m512d nu,
-              size_t wpv, __m256i c0, __m256i c1, __m256i c2, __m256i c3) {
-  const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-  alignas(64) double lanes[8];
-  _mm512_store_pd(lanes, nu);
-  MegaStoreAvx2(st, c0, c1, c2, c3);
-  const size_t consume = (static_cast<size_t>(lane) + 1) * wpv;
-  for (size_t k = 0; k < consume; ++k) MegaNextWord(st);
-  return {i + static_cast<size_t>(lane), lanes[lane]};
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaLaplaceScanSumGeAvx512(BlockRng::State* st, double mu, double b,
-                           const double* a, double bar, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  // Deliberately not unrolled, for the same constant-pressure reason as
-  // FusedLaplaceScanSumGeAvx512.
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v0 =
-        _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512i v1 =
-        _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-    const __m512d nu = LaplaceNu8Avx512Reg(v0, v1, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  _mm256_zeroupper();
-  return MegaScanSumGeScalar(st, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaExpScanSumGeAvx512(BlockRng::State* st, double b, const double* a,
-                       double bar, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512d nu = ExpNu8Avx512Reg(v, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  _mm256_zeroupper();
-  return MegaExpScanSumGeScalar(st, b, a, bar, n, i);
-}
-
-// Fused generate-bound-and-scan lanes at 8-wide: the AVX2 lanes' walk,
+// Same structure as the AVX2 lanes: the four xoshiro lanes live in 256-bit
+// registers (lockstep::Step4Avx512 — needs AVX-512VL for the native
+// rotate, hence the extended target), each group of 8 elements consumes
+// 2*wpv steps, and two step results are concatenated into the 512-bit word
+// vectors the Reg transform bodies expect, in stream order (step k's four
+// outputs are stream words 4k..4k+3). Entry requires phase == 0.
+//
+// The walk is the AVX2 lanes',
 // with the group skip test as one unsigned compare mask over the top 53
 // bits of the group's magnitude words; a zero mask bypasses the whole
 // transform-and-test body. Hit lanes' ν values come straight out of the
@@ -2790,7 +2017,7 @@ MegaExpFillMinScanSpansPairwiseAvx512(
   return found;
 }
 
-// Scratch-buffer skipped-word count at 8-wide for the composition mode.
+// Skipped-word count over words already in memory, at 8-wide.
 
 __attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
 SkipWordCountBlockAvx512(const uint64_t* words, size_t n, size_t wpv,
@@ -2843,24 +2070,6 @@ void LogBlock(std::span<const double> in, std::span<double> out) {
   }
 #endif
   for (size_t i = 0; i < in.size(); ++i) out[i] = Log(in[i]);
-}
-
-void ExpBlock(std::span<const double> in, std::span<double> out) {
-  SVT_CHECK(in.size() == out.size())
-      << "ExpBlock size mismatch: " << in.size() << " vs " << out.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    ExpBlockAvx512(in.data(), out.data(), in.size());
-    return;
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    ExpBlockAvx2(in.data(), out.data(), in.size());
-    return;
-  }
-#endif
-  for (size_t i = 0; i < in.size(); ++i) out[i] = Exp(in[i]);
 }
 
 void NegLogUnitPositiveBlock(std::span<const uint64_t> words, size_t stride,
@@ -3104,95 +2313,6 @@ size_t FindFirstSumGePairwise(std::span<const double> a,
   return a.size();
 }
 
-FusedScanHit FusedLaplaceScanGe(std::span<const uint64_t> words, double mu,
-                                double b, double bar) {
-  SVT_CHECK(words.size() % 2 == 0)
-      << "FusedLaplaceScanGe needs (magnitude, sign) word pairs, got "
-      << words.size() << " words";
-  const size_t n = words.size() / 2;
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanGeAvx512(words.data(), mu, b, bar, n);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanGeAvx2(words.data(), mu, b, bar, n);
-  }
-#endif
-  return FusedScanGeScalar(words.data(), mu, b, bar, n, 0);
-}
-
-FusedScanHit FusedLaplaceScanSumGe(std::span<const uint64_t> words, double mu,
-                                   double b, std::span<const double> a,
-                                   double bar) {
-  SVT_CHECK(words.size() == 2 * a.size())
-      << "FusedLaplaceScanSumGe size mismatch: " << words.size()
-      << " words for " << a.size() << " answers";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanSumGeAvx512(words.data(), mu, b, a.data(), bar,
-                                       a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanSumGeAvx2(words.data(), mu, b, a.data(), bar,
-                                     a.size());
-  }
-#endif
-  return FusedScanSumGeScalar(words.data(), mu, b, a.data(), bar, a.size(),
-                              0);
-}
-
-FusedScanHit FusedLaplaceScanGePairwise(std::span<const uint64_t> words,
-                                        double mu, double b,
-                                        std::span<const double> bars,
-                                        double rho) {
-  SVT_CHECK(words.size() == 2 * bars.size())
-      << "FusedLaplaceScanGePairwise size mismatch: " << words.size()
-      << " words for " << bars.size() << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanGePairwiseAvx512(words.data(), mu, b, bars.data(),
-                                            rho, bars.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanGePairwiseAvx2(words.data(), mu, b, bars.data(),
-                                          rho, bars.size());
-  }
-#endif
-  return FusedScanGePairwiseScalar(words.data(), mu, b, bars.data(), rho,
-                                   bars.size(), 0);
-}
-
-FusedScanHit FusedLaplaceScanSumGePairwise(std::span<const uint64_t> words,
-                                           double mu, double b,
-                                           std::span<const double> a,
-                                           std::span<const double> bars,
-                                           double rho) {
-  SVT_CHECK(words.size() == 2 * a.size() && a.size() == bars.size())
-      << "FusedLaplaceScanSumGePairwise size mismatch: " << words.size()
-      << " words for " << a.size() << " answers and " << bars.size()
-      << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanSumGePairwiseAvx512(
-        words.data(), mu, b, a.data(), bars.data(), rho, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanSumGePairwiseAvx2(words.data(), mu, b, a.data(),
-                                             bars.data(), rho, a.size());
-  }
-#endif
-  return FusedScanSumGePairwiseScalar(words.data(), mu, b, a.data(),
-                                      bars.data(), rho, a.size(), 0);
-}
-
 void ExponentialTransformBlock(std::span<const uint64_t> words, double b,
                                std::span<double> out) {
   SVT_CHECK(words.size() == out.size())
@@ -3213,160 +2333,6 @@ void ExponentialTransformBlock(std::span<const uint64_t> words, double b,
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = ExpNuScalar(words[i], b);
   }
-}
-
-FusedScanHit FusedExpScanGe(std::span<const uint64_t> words, double b,
-                            double bar) {
-  const size_t n = words.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanGeAvx512(words.data(), b, bar, n);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanGeAvx2(words.data(), b, bar, n);
-  }
-#endif
-  return FusedExpScanGeScalar(words.data(), b, bar, n, 0);
-}
-
-FusedScanHit FusedExpScanSumGe(std::span<const uint64_t> words, double b,
-                               std::span<const double> a, double bar) {
-  SVT_CHECK(words.size() == a.size())
-      << "FusedExpScanSumGe size mismatch: " << words.size() << " words for "
-      << a.size() << " answers";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanSumGeAvx512(words.data(), b, a.data(), bar, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanSumGeAvx2(words.data(), b, a.data(), bar, a.size());
-  }
-#endif
-  return FusedExpScanSumGeScalar(words.data(), b, a.data(), bar, a.size(), 0);
-}
-
-FusedScanHit FusedExpScanGePairwise(std::span<const uint64_t> words, double b,
-                                    std::span<const double> bars, double rho) {
-  SVT_CHECK(words.size() == bars.size())
-      << "FusedExpScanGePairwise size mismatch: " << words.size()
-      << " words for " << bars.size() << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanGePairwiseAvx512(words.data(), b, bars.data(), rho,
-                                        bars.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanGePairwiseAvx2(words.data(), b, bars.data(), rho,
-                                      bars.size());
-  }
-#endif
-  return FusedExpScanGePairwiseScalar(words.data(), b, bars.data(), rho,
-                                      bars.size(), 0);
-}
-
-FusedScanHit FusedExpScanSumGePairwise(std::span<const uint64_t> words,
-                                       double b, std::span<const double> a,
-                                       std::span<const double> bars,
-                                       double rho) {
-  SVT_CHECK(words.size() == a.size() && a.size() == bars.size())
-      << "FusedExpScanSumGePairwise size mismatch: " << words.size()
-      << " words for " << a.size() << " answers and " << bars.size()
-      << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanSumGePairwiseAvx512(words.data(), b, a.data(),
-                                           bars.data(), rho, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanSumGePairwiseAvx2(words.data(), b, a.data(),
-                                         bars.data(), rho, a.size());
-  }
-#endif
-  return FusedExpScanSumGePairwiseScalar(words.data(), b, a.data(),
-                                         bars.data(), rho, a.size(), 0);
-}
-
-// --- megakernel dispatch entry points -------------------------------------
-//
-// The SIMD megakernel lanes step whole lockstep groups in registers, so
-// they require a lane-aligned entry position (phase == 0). A scan resumed
-// after a hit at an odd offset enters two words into a lockstep step, so
-// each scan entry point realigns with a short scalar prologue (at most
-// three elements) and hands the rest to the SIMD lane, rather than
-// demoting the whole call to the scalar walker. A wpv == 2 stream entered
-// at an odd phase can never realign; only that corner runs fully scalar.
-
-namespace {
-
-// Elements the scalar lane must consume from an unaligned entry before
-// the stream returns to a lane-aligned position (phase 0); SIZE_MAX when
-// it never realigns (odd phase, two words per variate).
-inline size_t MegaRealignElems(uint32_t phase, size_t wpv) {
-  for (size_t p = 1; p < BlockRng::kLanes; ++p) {
-    if ((phase + p * wpv) % BlockRng::kLanes == 0) return p;
-  }
-  return SIZE_MAX;
-}
-
-}  // namespace
-
-FusedScanHit MegaLaplaceScanSumGe(BlockRng::State* state, double mu, double b,
-                                  std::span<const double> a, double bar) {
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 2);
-    if (p < a.size()) {
-      const FusedScanHit pre =
-          MegaScanSumGeScalar(state, mu, b, a.data(), bar, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit =
-          MegaLaplaceScanSumGe(state, mu, b, a.subspan(p), bar);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaLaplaceScanSumGeAvx512(state, mu, b, a.data(), bar, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaLaplaceScanSumGeAvx2(state, mu, b, a.data(), bar, a.size());
-  }
-#endif
-  return MegaScanSumGeScalar(state, mu, b, a.data(), bar, a.size(), 0);
-}
-
-FusedScanHit MegaExpScanSumGe(BlockRng::State* state, double b,
-                              std::span<const double> a, double bar) {
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 1);
-    if (p < a.size()) {
-      const FusedScanHit pre =
-          MegaExpScanSumGeScalar(state, b, a.data(), bar, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit = MegaExpScanSumGe(state, b, a.subspan(p), bar);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaExpScanSumGeAvx512(state, b, a.data(), bar, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaExpScanSumGeAvx2(state, b, a.data(), bar, a.size());
-  }
-#endif
-  return MegaExpScanSumGeScalar(state, b, a.data(), bar, a.size(), 0);
 }
 
 namespace {
@@ -3428,9 +2394,8 @@ uint64_t MegaSkipWordThreshold(double a_max, double bar, double b) {
 
 // Fused generate-bound-and-scan entries. These run whole chunks from the
 // chunk-entry stream position, which is always lane-aligned (chunks
-// consume lane-multiple word counts), so an unaligned entry only needs
-// the correctness fallback, not a realignment prologue: the scalar lane
-// handles it exactly.
+// consume lane-multiple word counts), so an unaligned entry only needs a
+// correctness fallback: the scalar lane handles it exactly.
 
 size_t MegaLaplaceFillMinScanSpans(BlockRng::State* state, double mu, double b,
                                    std::span<const double> a, double bar,

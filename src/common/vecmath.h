@@ -1,4 +1,4 @@
-// Pluggable vectorized math layer: the polynomial log/exp kernel family
+// Pluggable vectorized math layer: the polynomial log kernel family
 // behind every noise draw in the library.
 //
 // Motivation: the batch engine's tier-2 path (and every bulk sampler) was
@@ -7,7 +7,7 @@
 // and every ν must be materialized. This layer replaces libm on the
 // sampling side with a fixed polynomial kernel that exists in three lanes:
 //
-//   * a scalar reference (Log/Exp below),
+//   * a scalar reference (Log below),
 //   * an AVX2 4-wide implementation, and
 //   * an AVX-512 8-wide implementation (AVX-512F+DQ+VL),
 //
@@ -21,15 +21,14 @@
 // How bit-identity is achieved:
 //   * all lanes evaluate the same fdlibm-derived polynomials in the same
 //     fixed Horner order, step for step;
-//   * every step is an IEEE-754 correctly-rounded primitive (+ - * /),
+//   * every step is an IEEE-754 correctly-rounded primitive (+ - *),
 //     identical scalar and per-SIMD-lane;
 //   * no FMA is emitted in any lane: the SIMD paths use explicit
 //     non-fused mul/add intrinsics, and vecmath.cc is compiled with
 //     -ffp-contract=off so the compiler cannot contract the scalar lane
 //     (see CMakeLists.txt);
-//   * special operands (zero, subnormal, negative, ±inf, NaN, and for Exp
-//     magnitudes beyond ±700) are detected per SIMD lane and delegated to
-//     the scalar reference kernel.
+//   * special operands (zero, subnormal, negative, ±inf, NaN) are detected
+//     per SIMD lane and delegated to the scalar reference kernel.
 //
 // Accuracy: the kernels track libm to within a few ULP (the bound is
 // asserted in tests/common_vecmath_test.cc); they are *not* bit-equal to
@@ -100,10 +99,6 @@ bool SetDispatchLevel(DispatchLevel level);
 /// NaN, +inf → +inf, NaN → NaN, subnormals exact via prescaling.
 double Log(double x);
 
-/// Natural exponential, scalar reference lane. Full domain: overflows to
-/// +inf, underflows through the subnormal range to 0, NaN → NaN.
-double Exp(double x);
-
 /// The scalar word→exponential-magnitude map behind every draw in the
 /// library: -Log(u) where u is `word` on the (0, 1] 53-bit lattice exactly
 /// as Rng::ToUnitDoublePositive. This is the single-element form of
@@ -115,10 +110,6 @@ double NegLogUnitPositive(std::uint64_t word);
 /// scalar Log() loop at every level. In-place operation (out == in) is
 /// allowed; other overlap is not. in.size() must equal out.size().
 void LogBlock(std::span<const double> in, std::span<double> out);
-
-/// out[i] = Exp(in[i]) at the active dispatch level; same aliasing and
-/// bit-identity contract as LogBlock.
-void ExpBlock(std::span<const double> in, std::span<double> out);
 
 /// Fused sampling kernel: out[i] = -Log(u) where u is words[i * stride]
 /// mapped onto the (0, 1] 53-bit lattice exactly as
@@ -228,154 +219,50 @@ std::size_t FindFirstSumGePairwise(std::span<const double> a,
                                    std::span<const double> b,
                                    std::span<const double> bars, double rho);
 
-// --- Fused single-pass sample-and-scan kernels ----------------------------
-//
-// The batch engine's tier-2 scans used to be three passes over L1-sized
-// scratch per chunk: FillUint64 → words, LaplaceTransformBlock → ν block,
-// FindFirst* over the ν block. The FusedLaplaceScan* family collapses the
-// last two: it reads the raw word pairs, applies the complete Laplace
-// inverse-CDF transform in registers, and tests the SVT positive condition
-// in the same pass — the ν block is never materialized. The transform is
-// operation-for-operation the one LaplaceTransformBlock runs (the kernels
-// are *defined* by that composition, which the tests diff against at every
-// dispatch level), so the hit index, the returned ν, and the word→ν
-// lattice are bit-identical to the unfused sequence — fusion is
-// draw-order-neutral and needed no golden re-record.
-//
-// Chunk tails shorter than one SIMD width delegate to the scalar lane,
-// the same rule as every other kernel in the family (regression-tested on
-// odd tails and empty spans).
-
-/// Result of a fused sample-and-scan pass.
+/// A positive found by a scan: the element and the ν that fired it.
 struct FusedScanHit {
   /// First passing element, or the element count when none passes.
   std::size_t index = 0;
-  /// The transformed ν at `index` — exactly the value the unfused
-  /// LaplaceTransformBlock would have written there (the caller needs it
-  /// for Alg. 3's q+ν output and as the comparison noise of the positive).
-  /// 0.0 when there is no hit.
+  /// The transformed ν at `index` — exactly the value LaplaceTransformBlock
+  /// (or ExponentialTransformBlock) writes for that element's words (the
+  /// caller needs it for Alg. 3's q+ν output and as the comparison noise of
+  /// the positive). 0.0 when there is no hit.
   double nu = 0.0;
 };
 
-/// Pure-noise scan: smallest i with ν_i >= bar, where ν_i is the
-/// Laplace(mu, b) transform of the word pair (words[2i], words[2i+1]) —
-/// magnitude word even, sign word odd, as in LaplaceTransformBlock.
-/// words.size() must be even; the element count is words.size() / 2.
-FusedScanHit FusedLaplaceScanGe(std::span<const std::uint64_t> words,
-                                double mu, double b, double bar);
-
-/// The common-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bar (one rounded add, ordered >=, exactly the streaming
-/// test). words.size() must be 2 * a.size().
-FusedScanHit FusedLaplaceScanSumGe(std::span<const std::uint64_t> words,
-                                   double mu, double b,
-                                   std::span<const double> a, double bar);
-
-/// Per-query-bar pure-noise scan: smallest i with ν_i >= bars[i] + rho.
-/// words.size() must be 2 * bars.size().
-FusedScanHit FusedLaplaceScanGePairwise(std::span<const std::uint64_t> words,
-                                        double mu, double b,
-                                        std::span<const double> bars,
-                                        double rho);
-
-/// The per-query-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bars[i] + rho (each side one rounded add, ordered >=).
-/// words.size() must be 2 * a.size(); a.size() must equal bars.size().
-FusedScanHit FusedLaplaceScanSumGePairwise(
-    std::span<const std::uint64_t> words, double mu, double b,
-    std::span<const double> a, std::span<const double> bars, double rho);
-
-// --- Fused exponential-noise sample-and-scan kernels ----------------------
+// --- fused generate-bound-and-scan passes ----------------------------------
 //
-// The exponential-noise counterparts of the FusedLaplaceScan* family, for
-// variants whose query noise ν is one-sided Exponential(b) rather than
-// Laplace. One raw word per variate (no sign word), so words.size() equals
-// the element count — not twice it. Each kernel is *defined* as the
-// composition ExponentialTransformBlock + FindFirst* (the tests diff fused
-// against unfused at every dispatch level), so hit index, returned ν, and
-// the word→ν lattice are bit-identical to the unfused sequence. Tails
-// shorter than one SIMD width delegate to the scalar lane.
-
-/// Pure-noise scan: smallest i with ν_i >= bar, where
-/// ν_i = b * -Log(ToUnitDoublePositive(words[i])). The element count is
-/// words.size().
-FusedScanHit FusedExpScanGe(std::span<const std::uint64_t> words, double b,
-                            double bar);
-
-/// The common-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bar (one rounded add, ordered >=, exactly the streaming
-/// test). words.size() must equal a.size().
-FusedScanHit FusedExpScanSumGe(std::span<const std::uint64_t> words, double b,
-                               std::span<const double> a, double bar);
-
-/// Per-query-bar pure-noise scan: smallest i with ν_i >= bars[i] + rho.
-/// words.size() must equal bars.size().
-FusedScanHit FusedExpScanGePairwise(std::span<const std::uint64_t> words,
-                                    double b, std::span<const double> bars,
-                                    double rho);
-
-/// The per-query-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bars[i] + rho (each side one rounded add, ordered >=).
-/// words.size() must equal a.size(); a.size() must equal bars.size().
-FusedScanHit FusedExpScanSumGePairwise(std::span<const std::uint64_t> words,
-                                       double b, std::span<const double> a,
-                                       std::span<const double> bars,
-                                       double rho);
-
-// --- Lane-resident generate-and-scan megakernels --------------------------
-//
-// The fused kernels above still read their raw words from an L1 scratch
-// buffer that a FillUint64 pass wrote moments earlier — every word makes
-// one round trip through memory. The Mega* family closes that last seam:
-// it takes a BlockRng::State*, steps the four lockstep xoshiro256++ lanes
+// The batch engine walks each chunk's ν words once, in registers, for two
+// purposes at once: the per-span minimum magnitude word the tier-1/tier-2
+// bounds need, and every element whose positive test fires. The passes
+// take a BlockRng::State*, step the four lockstep xoshiro256++ lanes
 // *inside* the kernel (common/rng_lockstep.h holds the shared step
-// primitives), and feeds the freshly generated words straight into the
+// primitives) and feed the freshly generated words straight into the
 // transform-and-test pipeline — words live only in registers.
 //
 // Stream contract (pinned; equivalence-tested at every dispatch level):
-// the in-kernel generator walks exactly the BlockRng stream. A megakernel
+// the in-kernel generator walks exactly the BlockRng stream. A pass
 // consuming k words from a given State produces word for word what
 // BlockRng::Fill of k words from that State would have, and leaves the
 // State at the exact position that Fill would have — in-kernel generation
-// is stream-neutral, so megakernel and FillUint64 + fused-scan composition
-// are interchangeable mid-stream in either direction.
+// is stream-neutral, so a pass and a FillUint64 of the same words are
+// interchangeable mid-stream in either direction.
 //
-// State advance: a scan that returns hit.index < n has consumed exactly
-// (hit.index + 1) * wpv words (wpv = 2 for Laplace, 1 for exponential);
-// a miss (hit.index == n) has consumed n * wpv. The caller resumes a
-// mid-chunk scan by calling again with the same State — the stream
-// position carries the progress. SIMD lanes require a lane-aligned entry
-// (state->phase == 0); the scans realign an unaligned entry with a short
-// scalar prologue, the fused passes delegate it to the scalar lane.
-
-/// The common-threshold tier-2 positive test as a megakernel: smallest i
-/// in [0, n) with a[i] + ν_i >= bar, where ν_i is the Laplace(mu, b)
-/// transform of the word pair generated in-kernel for element i. n =
-/// a.size(); hit index, ν payload, and consumed stream position are
-/// bit-identical to FillUint64(2n words) + FusedLaplaceScanSumGe.
-FusedScanHit MegaLaplaceScanSumGe(BlockRng::State* state, double mu, double b,
-                                  std::span<const double> a, double bar);
-
-/// Exponential-noise megakernel (wpv = 1): smallest i with
-/// a[i] + ν_i >= bar, ν_i = b * -Log(ToUnitDoublePositive(word_i)).
-FusedScanHit MegaExpScanSumGe(BlockRng::State* state, double b,
-                              std::span<const double> a, double bar);
-
-// --- fused generate-bound-and-scan passes ----------------------------------
+// State advance: a pass never stops early; it consumes exactly
+// a.size() * wpv words (wpv = 2 for Laplace, 1 for exponential), whatever
+// it skips or records. SIMD lanes require a lane-aligned entry
+// (state->phase == 0); an unaligned entry runs the scalar lane.
 //
-// The batch engine's megakernel arm walks each chunk's ν words once, in
-// registers, for two purposes at once: the per-span minimum magnitude word
-// the tier-1/tier-2 bounds need, and every element whose positive test
-// fires. Most elements of a near-threshold chunk provably cannot fire, so
-// the pass pushes the bound down to word granularity: the caller derives a
+// Most elements of a near-threshold chunk provably cannot fire, so the
+// passes push the bound down to word granularity: the caller derives a
 // conservative integer threshold on the top 53 bits of the magnitude word
 // (the bits ToUnitDoublePositive keeps — the unit double is strictly
 // monotone in them), and any element at or above it skips its transform.
 // SIMD lanes test a whole group with one shift and one compare and run the
 // transform only when some lane is below the threshold. Skipped elements'
 // words are still generated and consumed, and skipped elements cannot hit,
-// so the recorded hits are bit-identical to the fused scans' over the
-// FillUint64 words.
+// so the recorded hits are bit-identical to a LaplaceTransformBlock (or
+// ExponentialTransformBlock) + FindFirst* walk over the FillUint64 words.
 
 /// Conservative skip threshold for the fused passes: the largest W such
 /// that every element whose magnitude word w has (w >> 11) >= W provably
@@ -412,7 +299,7 @@ inline constexpr std::uint64_t kMegaNeverSkipWord = std::uint64_t{1} << 53;
 /// generation alone. Returns the total number of positives found; only the
 /// first max_hits are stored in hits (a larger return value signals the
 /// record is incomplete). Hit indices and ν payloads are bit-identical to
-/// the FillUint64 + fused-scan composition.
+/// the FillUint64 + transform + compare-scan walk.
 std::size_t MegaLaplaceFillMinScanSpans(
     BlockRng::State* state, double mu, double b, std::span<const double> a,
     double bar, std::uint64_t skip_word, std::size_t span_elems,
@@ -464,12 +351,12 @@ std::size_t MegaExpFillMinScanSpansPairwise(
     std::size_t span_elems, std::uint64_t* span_min, FusedScanHit* hits,
     std::size_t max_hits, std::uint64_t* skipped_out);
 
-/// Scratch-buffer counterpart of the fused passes' skipped-element count,
-/// for the composition kernel mode: the number of element magnitude words
-/// (every wpv-th word, starting at the first) in `words` whose top 53
-/// bits are at or above skip_word. Dispatched like the other word-block
-/// reductions so keeping the counter mode-independent does not put a
-/// scalar drag on the composition A/B baseline.
+/// The fused passes' skipped-element count over words already in memory:
+/// the number of element magnitude words (every wpv-th word, starting at
+/// the first) in `words` whose top 53 bits are at or above skip_word — 0
+/// for kMegaNeverSkipWord. The batch engine counts with it for per-query
+/// chunks whose noise stage ran ahead of the walk without ρ, so it could
+/// not derive their skip words itself.
 std::size_t SkipWordCountBlock(std::span<const std::uint64_t> words,
                                std::size_t wpv, std::uint64_t skip_word);
 

@@ -6,13 +6,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
-#include <iostream>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <optional>
-#include <string_view>
 #include <type_traits>
 
 #include "common/check.h"
@@ -24,38 +21,7 @@
 
 namespace svt {
 
-bool ParseBatchKernelMode(std::string_view value, BatchKernelMode* mode) {
-  SVT_CHECK(mode != nullptr);
-  if (value == "megakernel") {
-    *mode = BatchKernelMode::kMegakernel;
-    return true;
-  }
-  if (value == "composition") {
-    *mode = BatchKernelMode::kComposition;
-    return true;
-  }
-  return false;
-}
-
 namespace {
-
-BatchKernelMode InitialKernelMode() {
-  const char* env = std::getenv("SVT_BATCH_KERNELS");
-  if (env == nullptr) return BatchKernelMode::kMegakernel;
-  BatchKernelMode mode = BatchKernelMode::kMegakernel;
-  if (!ParseBatchKernelMode(env, &mode)) {
-    // Latched once (KernelModeVar's function-local static), so an
-    // unrecognized value warns exactly once per process.
-    std::cerr << "svt: unrecognized SVT_BATCH_KERNELS value '" << env
-              << "'; falling back to 'megakernel'\n";
-  }
-  return mode;
-}
-
-std::atomic<int>& KernelModeVar() {
-  static std::atomic<int> mode{static_cast<int>(InitialKernelMode())};
-  return mode;
-}
 
 static_assert(Response{}.outcome == Outcome::kBelow,
               "value-initialized Response must be ⊥: the batch engine emits "
@@ -269,7 +235,6 @@ struct NoiseStage {
   std::span<const double> answers;
   const double* thresholds;  // null in the common arm
   double threshold;          // the common arm's bar, before ρ
-  bool mega;
   // Transform a chunk's whole ν block up front, for chunks the walk may
   // resume under a moved bar: right when the stage runs on a worker,
   // wasted work on the walk's own thread.
@@ -294,7 +259,7 @@ struct NoiseStage {
     pipe.BeginChunk(a, t, offset, n);
     const size_t nspans = pipe.num_spans();
 
-    // The megakernel fused pass generates the chunk's ν words in registers
+    // The fused pass generates the chunk's ν words in registers
     // (the lane-resident xoshiro step), reduces them to the per-span minima
     // the bounds need and records every element that fires at the entry
     // bar, transforming only the lockstep groups the skip words cannot
@@ -319,7 +284,7 @@ struct NoiseStage {
     } else if (rho.has_value() && !spec.resample_rho_after_positive) {
       chunk_skip = pipe.ChunkSkipWord(threshold + *rho);
     }
-    rec->fused = mega && chunk_skip < vec::kMegaNeverSkipWord;
+    rec->fused = chunk_skip < vec::kMegaNeverSkipWord;
     rec->found = 0;
     if (rec->fused) {
       BlockRng::State st = entry;
@@ -360,24 +325,19 @@ struct NoiseStage {
       // — and reduce each span's magnitude words to its minimum: the same
       // minima the fused pass records (unsigned min is association-free),
       // so skip decisions and counters match between the ways bit for bit.
+      // Every skip word is never-skip here, so the stage counts no skipped
+      // word (a walk entering without the stage's ρ counts its own).
       BlockRng gen(entry);
       gen.Fill({rec->words, wpv * n});
       rec->end = gen.state();
       rec->have_words = true;
-      uint64_t skipped = 0;
       for (size_t k = 0; k < nspans; ++k) {
         const size_t s = k * BatchRunner::kBoundSpan;
-        const std::span<const uint64_t> span_words{
-            rec->words + wpv * s,
-            wpv * std::min(BatchRunner::kBoundSpan, n - s)};
-        rec->span_min[k] = vec::MinWordBlock(span_words, wpv);
-        // The skipped-word count mirrors the fused pass's over the same
-        // words and skip words (never-skip spans count zero there too).
-        if (t != nullptr && rho.has_value()) {
-          skipped += vec::SkipWordCountBlock(span_words, wpv, skip_words[k]);
-        }
+        rec->span_min[k] = vec::MinWordBlock(
+            {rec->words + wpv * s,
+             wpv * std::min(BatchRunner::kBoundSpan, n - s)},
+            wpv);
       }
-      rec->stats.mega_words_skipped_q += static_cast<int64_t>(skipped);
     }
     if (t != nullptr) {
       pipe.SetSpanNoiseMinima(rec->span_min, 0, nspans);
@@ -387,7 +347,7 @@ struct NoiseStage {
 
     if (eager_nu) {
       pipe.EnsureSpanNuBounds();
-      if (mega && !rec->complete()) rec->FillNu();
+      if (!rec->complete()) rec->FillNu();
     }
   }
 };
@@ -724,15 +684,6 @@ class ChunkFeed {
 
 }  // namespace
 
-BatchKernelMode ActiveBatchKernelMode() {
-  return static_cast<BatchKernelMode>(
-      KernelModeVar().load(std::memory_order_relaxed));
-}
-
-void SetBatchKernelMode(BatchKernelMode mode) {
-  KernelModeVar().store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
 void BatchRunner::CheckArgs(std::span<const double> answers,
                             const BoundPrefilter* prefilter) {
   if (prefilter != nullptr) {
@@ -800,9 +751,9 @@ Response BatchRunner::MakePositiveResponse(double answer, double nu_j) {
 // processed: n unless the cutoff exhausted the run inside the span.
 // `find_next(from, rho)` returns the first positive at or after `from`
 // under threshold offset rho — index n if none — together with the ν that
-// fired it (0.0 for the ν-free scans). The fused paths compute that ν in
-// the same register pass as the compare; every path applies the exact
-// streaming positive test, including for non-finite answers.
+// fired it (0.0 for the ν-free scans): a recorded hit's ν, or the chunk's
+// ν block entry. Every path applies the exact streaming positive test,
+// including for non-finite answers.
 template <typename FindNext>
 size_t BatchRunner::ScanChunk(const double* answers, size_t n,
                               FindNext find_next, Response* res) {
@@ -811,7 +762,8 @@ size_t BatchRunner::ScanChunk(const double* answers, size_t n,
   while (i < n) {
     // Resume under a resampled ρ: whatever find_next does about it —
     // cached-hit revalidation or a compare over the ν block — counts here,
-    // once, so the counter is kernel-mode- and dispatch-independent.
+    // once, so the counter is independent of the stage's path and of the
+    // dispatch level.
     if (i > 0 && state_->rho != rho0) ++state_->batch.replay_rederivations;
     const vec::FusedScanHit hit = find_next(i, state_->rho);
     state_->processed += static_cast<int64_t>(hit.index - i);
@@ -861,11 +813,8 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
     return total;
   }
 
-  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
-  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
-  const double nu_scale = spec_.nu_scale;
   const bool ahead = RunStageAhead(total);
-  const NoiseStage stage{spec_, answers, nullptr, threshold, mega, ahead};
+  const NoiseStage stage{spec_, answers, nullptr, threshold, ahead};
   ChunkFeed feed(stage, prefilter, total, ahead, state_);
   BatchRunStats* const stats = &state_->batch;
 
@@ -883,7 +832,7 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
     // span minima and the chunk's score uppers — provably conservative,
     // so a skip emits exactly what the exact comparison would (proof in
     // core/bound_pipeline.h). Identical inputs give identical skip
-    // decisions and counters in both kernel modes.
+    // decisions and counters whichever way the stage took.
     if (!rec.pipe->ChunkCanFire(bar0)) {
       // The tier-1 bound dominates every computed positive test, so a
       // skipped chunk cannot have recorded hits.
@@ -896,15 +845,13 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       // far fewer draws is much smaller — in near-threshold workloads most
       // spans still prove all-⊥ and are never transformed. The span bounds
       // are ρ-free, so they survive ρ resampling. A span that survives is
-      // scanned in one of three ways:
-      //   * composition mode: the fused kernel transforms the span's words
-      //     and tests the positive condition in one register pass;
-      //   * megakernel, complete fused record (the bar is still bar0): the
-      //     span's positives are already in hand — an unrecorded element
-      //     failed its computed test or was word-skipped under a threshold
-      //     sound for bar0, and a recorded hit carries the bit-identical ν
-      //     a rescan would compute;
-      //   * megakernel otherwise (ρ resampled, no skip word, or the record
+      // scanned in one of two ways:
+      //   * complete fused record (the bar is still bar0): the span's
+      //     positives are already in hand — an unrecorded element failed
+      //     its computed test or was word-skipped under a threshold sound
+      //     for bar0, and a recorded hit carries the bit-identical ν a
+      //     rescan would compute;
+      //   * otherwise (ρ resampled, no skip word, or the record
       //     overflowed): a compare over the chunk's ν block, whose span is
       //     transformed the first time the walk needs it (or up front by a
       //     stage run ahead), so every later resume in the chunk only
@@ -922,16 +869,6 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
           return rec.pipe->SpanCanFire(j, bar);
         };
         const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
-          const size_t m = hi - lo;
-          if (!mega) {
-            const vec::FusedScanHit hit =
-                exp_nu ? vec::FusedExpScanSumGe({rec.words + lo, m}, nu_scale,
-                                                {a + lo, m}, bar)
-                       : vec::FusedLaplaceScanSumGe(
-                             {rec.words + 2 * lo, 2 * m}, 0.0, nu_scale,
-                             {a + lo, m}, bar);
-            return {lo + hit.index, hit.nu};
-          }
           if (cache_complete) {
             while (next < rec.found && rec.hits[next].index < lo) ++next;
             if (next < rec.found && rec.hits[next].index < hi) {
@@ -939,6 +876,7 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
             }
             return {hi, 0.0};
           }
+          const size_t m = hi - lo;
           const double* nu = rec.Nu(lo / kBoundSpan);
           const size_t i =
               lo + vec::FindFirstSumGe({a + lo, m}, {nu + lo, m}, bar);
@@ -985,10 +923,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
     return total;
   }
 
-  const bool mega = ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
   const size_t wpv = WordsPerVariate(spec_.nu_kind);
-  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
-  const double nu_scale = spec_.nu_scale;
   // The per-query bound level: per span, the pipeline holds an upper bound
   // on the answers AND a lower bound on the thresholds, and a span is
   // skipped when fl(score_up + ν_bound) < fl(bar_down + ρ) — the same
@@ -997,7 +932,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
   // core/bound_pipeline.h). There is no tier-1 chunk bound: a single common
   // bar does not exist.
   const bool ahead = RunStageAhead(total);
-  const NoiseStage stage{spec_, answers, thresholds.data(), 0.0, mega, ahead};
+  const NoiseStage stage{spec_, answers, thresholds.data(), 0.0, ahead};
   ChunkFeed feed(stage, prefilter, total, ahead, state_);
   BatchRunStats* const stats = &state_->batch;
 
@@ -1009,7 +944,6 @@ size_t BatchRunner::Run(std::span<const double> answers,
     ChunkNoise& rec = feed.Get(c, done, n);
     state_->nu_rng.RestoreState(rec.end);
     ++stats->tier2_chunks_scanned;
-    ++stats->tier2_fused_subblocks;
     const double rho0 = state_->rho;
     if (!rec.rho.has_value()) {
       // The stage ran ahead without ρ, so it could not count the words the
@@ -1039,17 +973,6 @@ size_t BatchRunner::Run(std::span<const double> answers,
       };
       const bool cached = cache_complete && rho >= *rec.rho;
       const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
-        const size_t m = hi - lo;
-        if (!mega) {
-          const vec::FusedScanHit hit =
-              exp_nu ? vec::FusedExpScanSumGePairwise(
-                           {rec.words + lo, m}, nu_scale, {a + lo, m},
-                           {t + lo, m}, rho)
-                     : vec::FusedLaplaceScanSumGePairwise(
-                           {rec.words + 2 * lo, 2 * m}, 0.0, nu_scale,
-                           {a + lo, m}, {t + lo, m}, rho);
-          return {lo + hit.index, hit.nu};
-        }
         if (cached) {
           while (next < rec.found && rec.hits[next].index < lo) ++next;
           for (size_t k = next; k < rec.found && rec.hits[k].index < hi;
@@ -1061,6 +984,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
           }
           return {hi, 0.0};
         }
+        const size_t m = hi - lo;
         const double* nu = rec.Nu(lo / kBoundSpan);
         const size_t i = lo + vec::FindFirstSumGePairwise(
                                   {a + lo, m}, {nu + lo, m}, {t + lo, m}, rho);

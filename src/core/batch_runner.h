@@ -5,19 +5,15 @@
 // log() stuck behind them. The experiments (Figs. 2–5) and the audit layer
 // push millions of queries through that loop. BatchRunner replaces it with:
 //
-//   * per chunk, one bulk fill of the raw ν words from the mechanism's
-//     dedicated ν substream;
+//   * per chunk, one pass generating the raw ν words from the mechanism's
+//     dedicated ν substream (in registers, or as one bulk fill);
 //   * a tier-1 chunk bound (common threshold only): an integer min over the
 //     magnitude uniforms bounds every |ν| in the chunk, and when even the
 //     largest answer provably cannot cross the noisy threshold the whole
 //     chunk is emitted as ⊥ without a single log() — the dominant case in
 //     ⊥-heavy SVT workloads, where negatives are free;
-//   * otherwise a *fused* single-pass sample-and-scan
-//     (vec::FusedLaplaceScan*): the full Laplace inverse-CDF transform and
-//     the positive test run in the same register pass straight off the raw
-//     words — the ν block of the pre-fusion engine is never materialized,
-//     and resume segments after a positive re-enter the kernel past it, so
-//     every word pair is transformed exactly once per chunk;
+//   * otherwise a per-span scan of the chunks that survive, described
+//     below;
 //   * per-query-threshold chunks (no sound chunk-wide tier-1 bound — there
 //     is no single bar) have a per-span bound of their own: the
 //     BoundPipeline pairs each span's answer upper bound with its
@@ -26,25 +22,21 @@
 //   * a slow path only at positives, handling the cutoff, Alg. 2's ρ
 //     resampling, Alg. 3's q+ν output and ε₃ numeric answers.
 //
-// On top of the fused structure sits a kernel-mode axis
-// (BatchKernelMode below). In the default kMegakernel mode a chunk whose
-// bar cannot move and whose answers admit a sound skip word never writes
-// its raw words to memory: one lane-resident pass (vecmath's Mega* family
-// steps the four lockstep xoshiro lanes in registers) generates them,
-// reduces them to the per-span minima the bounds need, and records every
-// element that fires under the chunk-entry bar, transforming only the
-// lockstep groups the skip word cannot discharge. Resumes then replay the
-// record, touching no word. Every other chunk — one whose spec resamples
-// ρ, one with an answer at or above the bar, or one whose record
-// overflowed — scans its surviving spans by comparing against a ν block:
-// each span's ν are transformed once, from the chunk's words, the first
-// time the walk needs the span, and every later resume in the chunk, under
-// whatever bar ρ has moved to, only compares. Hit-dense calls are where
-// this matters: a resume costs a compare, not a regeneration.
-// kComposition keeps the FillUint64-into-scratch pipeline with fused scans
-// for every surviving span; both modes emit bit-identical responses,
-// statistics, and stream positions (core/svt.h), so the toggle is purely a
-// performance axis — and the A/B seam the paired benchmarks use.
+// A chunk whose bar cannot move and whose answers admit a sound skip word
+// never writes its raw words to memory: one lane-resident pass (vecmath's
+// Mega*FillMinScanSpans* family steps the four lockstep xoshiro lanes in
+// registers) generates them, reduces them to the per-span minima the
+// bounds need, and records every element that fires under the chunk-entry
+// bar, transforming only the lockstep groups the skip word cannot
+// discharge. Resumes then replay the record, touching no word. Every other
+// chunk — one whose spec resamples ρ, one with an answer at or above the
+// bar, or one whose record overflowed — scans its surviving spans by
+// comparing against a ν block: each span's ν are transformed once, from
+// the chunk's words, the first time the walk needs the span, and every
+// later resume in the chunk, under whatever bar ρ has moved to, only
+// compares. Hit-dense calls are where this matters: a resume costs a
+// compare, not a regeneration. Either way the responses, statistics and
+// stream positions are the streaming loop's (core/svt.h).
 //
 // Each arm splits into two parts. The *noise stage* is a pure function of
 // a chunk's ν entry state, its answers (and thresholds) and, when the bar
@@ -74,7 +66,7 @@
 // either way (core/svt.h).
 //
 // Every conservative skip decision above — tier-1 chunk tests, tier-2
-// span tests (common and per-query), and the megakernels' skip-word
+// span tests (common and per-query), and the fused passes' skip-word
 // inputs — is computed by a single BoundPipeline (core/bound_pipeline.h),
 // which optionally reads a quantized BoundPrefilter
 // (data/bound_prefilter.h) instead of the double arrays; the runner only
@@ -108,7 +100,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -117,28 +108,6 @@
 #include "core/variant_spec.h"
 
 namespace svt {
-
-/// Which tier-2 kernel family the batch engine drives. The modes emit
-/// bit-identical responses, statistics, and RNG stream positions; the
-/// toggle exists for benchmarking (paired A/B) and as a fallback seam.
-enum class BatchKernelMode {
-  /// Lane-resident generate-and-scan (vec::Mega*): raw ν words are
-  /// produced and consumed inside the kernels, never written to memory.
-  kMegakernel,
-  /// FillUint64 into an L1 scratch buffer + fused scan kernels reading it.
-  kComposition,
-};
-
-/// Process-wide kernel mode, initialized once from SVT_BATCH_KERNELS
-/// ("megakernel" | "composition"; unset means megakernel; an unrecognized
-/// value logs one warning and falls back to megakernel) and adjustable at
-/// runtime for A/B and equivalence tests.
-BatchKernelMode ActiveBatchKernelMode();
-void SetBatchKernelMode(BatchKernelMode mode);
-
-/// Parses a SVT_BATCH_KERNELS value into *mode. Returns false — leaving
-/// *mode untouched — on anything other than the two recognized spellings.
-bool ParseBatchKernelMode(std::string_view value, BatchKernelMode* mode);
 
 class BatchRunner {
  public:

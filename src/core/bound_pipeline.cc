@@ -67,8 +67,8 @@ void BoundPipeline::BeginChunk(const double* answers, const double* thresholds,
     chunk_upper_ = std::max(chunk_upper_, span_upper_[j]);
   }
   // The level's bound-pass read volume, charged once per chunk (chunk
-  // granularity makes the counter kernel-mode- and dispatch-independent:
-  // both modes reduce every span of every chunk exactly once here).
+  // granularity makes the counter dispatch-level independent: every span
+  // of every chunk is reduced exactly once here).
   const size_t score_bytes =
       quant_ ? prefilter_->score_bytes_per_element() : sizeof(double);
   stats_->bound_bytes_touched += static_cast<int64_t>(n * score_bytes);
@@ -86,8 +86,8 @@ double BoundPipeline::NuBound(std::uint64_t w_min) const {
 
 void BoundPipeline::SetNoiseMinima(const std::uint64_t* span_min) {
   // Unsigned word min is association-free, so the reduction over span
-  // minima is the chunk minimum — the same word either kernel mode's
-  // whole-chunk reduction produces.
+  // minima is the chunk minimum — the same word a whole-chunk reduction
+  // produces.
   std::uint64_t w_min = span_min[0];
   for (size_t j = 0; j < nspans_; ++j) {
     span_min_[j] = span_min[j];

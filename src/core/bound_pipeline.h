@@ -1,8 +1,8 @@
 // BoundPipeline: the ONE conservative "can this chunk/span possibly
 // fire?" bound implementation behind the batch engine. Every execution
-// path — common-threshold and per-query-threshold, megakernel and
-// composition — routes its skip decisions through this class; the paths
-// differ only in how they *scan* spans the pipeline could not discharge
+// path — common-threshold and per-query-threshold, fused pass and word
+// fill — routes its skip decisions through this class; the paths differ
+// only in how they *scan* spans the pipeline could not discharge
 // (core/batch_runner.cc). Before this refactor the bound chain existed in
 // four divergent copies (the tier-1 log-free chunk bound, the per-128-span
 // hierarchical bound, the megakernel generate-and-bound pass, and the
@@ -51,19 +51,19 @@
 //       fl(a_i + nu_i) <= fl(up + NB) < fl(dn + rho) <= fl(t_i + rho)
 //   so no element of a pruned span can fire its computed test — at any
 //   dispatch level (each fl(·) and the Log kernel are bit-identical
-//   across levels) and in either kernel mode (unsigned word minima are
-//   association-free, so both modes feed identical w_min). Elements with
-//   NaN answers or NaN thresholds compare false in the exact test and
-//   are excluded from up/dn by the prefilter's build rule (full-precision
-//   reductions are only used on NaN-free inputs — ScoreVector checks).
-//   Hence pruning is sound, outputs are bit-identical to the bound-free
-//   scan, and — since the quantized level's decisions are themselves
-//   deterministic functions of the codes — tier counters are dispatch-
-//   and mode-independent. This argument sits alongside the megakernel
-//   skip-word soundness argument (vec::MegaSkipWordThreshold), which
-//   consumes this class's score uppers: any up >= max a_i satisfies its
-//   contract, so a quantized upper is as sound a skip-word input as the
-//   exact maximum.
+//   across levels) and whether the stage took the fused pass or the word
+//   fill (unsigned word minima are association-free, so both feed
+//   identical w_min). Elements with NaN answers or NaN thresholds compare
+//   false in the exact test and are excluded from up/dn by the
+//   prefilter's build rule (full-precision reductions are only used on
+//   NaN-free inputs — ScoreVector checks). Hence pruning is sound, outputs
+//   are bit-identical to the bound-free scan, and — since the quantized
+//   level's decisions are themselves deterministic functions of the codes
+//   — tier counters are dispatch-level independent. This argument sits
+//   alongside the fused passes' skip-word soundness argument
+//   (vec::MegaSkipWordThreshold), which consumes this class's score
+//   uppers: any up >= max a_i satisfies its contract, so a quantized upper
+//   is as sound a skip-word input as the exact maximum.
 
 #ifndef SPARSEVEC_CORE_BOUND_PIPELINE_H_
 #define SPARSEVEC_CORE_BOUND_PIPELINE_H_

@@ -123,47 +123,43 @@ struct BatchRunStats {
   /// Chunks proven all-⊥ by the tier-1 bound: emitted without
   /// materializing a single ν (the log-free fast path).
   int64_t tier1_chunks_skipped = 0;
-  /// Chunks that ran the tier-2 fused sample-and-scan over their raw ν
-  /// words (includes every per-query-threshold chunk with query noise).
+  /// Chunks that ran the tier-2 span scan over their ν (includes every
+  /// per-query-threshold chunk with query noise).
   int64_t tier2_chunks_scanned = 0;
-  /// Fused single-pass scan segments executed: one FusedLaplaceScan* call
-  /// per tier-2 scan span — at least one per surviving bound span (or
-  /// per-query sub-block), plus extra entries from resumes after
-  /// positives. Dispatch-level independent, like every counter here.
+  /// Tier-2 scan segments walked — from the chunk's recorded hits or a
+  /// compare over its ν block: one per surviving bound span the walk
+  /// reaches, plus one per span remainder a resume after a positive
+  /// re-enters. Dispatch-level independent, like every counter here.
   int64_t tier2_fused_segments = 0;
   /// Hierarchical-bound skips inside common-threshold tier-2 chunks:
   /// kBoundSpan-sized spans proven all-⊥ by the per-span max-|ν| bound
   /// after the whole-chunk bound failed — their transforms never ran.
   int64_t tier2_spans_skipped = 0;
-  /// Per-query chunks whose ν words the fused path generated (one per
-  /// per-query chunk with query noise). The common-threshold path counts
-  /// none.
-  int64_t tier2_fused_subblocks = 0;
   /// Span visits pruned by the QUANTIZED bound level (a subset of
   /// tier2_spans_skipped): only nonzero when a BoundPrefilter was attached
-  /// and SVT_BOUND_PREFILTER is on. Dispatch- and kernel-mode-independent,
-  /// like every counter here.
+  /// and SVT_BOUND_PREFILTER is on. Dispatch-level independent, like every
+  /// counter here.
   int64_t bound_spans_pruned_q = 0;
   /// Bytes the bound pass's score/threshold-side span reductions read per
   /// chunk: 8 per element and side at full precision, the prefilter's 1-2
   /// per element and side when quantized — the two-level prefilter's whole
   /// point. Counted once per chunk entering a bound-carrying path
-  /// (deterministic in the workload shape: dispatch- and mode-independent;
+  /// (deterministic in the workload shape: dispatch-level independent;
   /// resume-head re-reductions after positives are not counted).
   int64_t bound_bytes_touched = 0;
-  /// Elements of per-query sub-blocks whose magnitude word's top 53 bits
+  /// Elements of per-query chunks whose magnitude word's top 53 bits
   /// reached their span's conservative skip word (the span's answer-max
-  /// paired with its bar-min at the sub-block-entry ρ): their transform
-  /// is provably discharged. Element-granular — a pure function of the
-  /// words and the skip-word vector — so dispatch- and kernel-mode-
-  /// independent (the composition arm counts the same words with
-  /// vec::SkipWordCountBlock over its scratch buffer).
+  /// paired with its bar-min at the chunk-entry ρ): their transform is
+  /// provably discharged. Element-granular — a pure function of the words
+  /// and the skip-word vector — so dispatch-level independent, and the
+  /// same whether the noise stage ran ahead or inline (a chunk whose stage
+  /// ran ahead without ρ counts its words with vec::SkipWordCountBlock).
   int64_t mega_words_skipped_q = 0;
-  /// Resume scans entered under a ρ that differs from the ρ the chunk
-  /// (or per-query sub-block) was entered with: the resumes that compare
-  /// against the chunk's ν block under a moved bar, or, per query, re-test
-  /// recorded positives against a raised ρ. Counted centrally at the
-  /// resume site, so dispatch- and kernel-mode-independent.
+  /// Resume scans entered under a ρ that differs from the ρ the chunk was
+  /// entered with: the resumes that compare against the chunk's ν block
+  /// under a moved bar, or, per query, re-test recorded positives against
+  /// a raised ρ. Counted centrally at the resume site, so dispatch-level
+  /// independent.
   int64_t replay_rederivations = 0;
   /// Queries answered by the short-call path: RunAppend calls shorter than
   /// BatchRunner::kStreamingCutover run the streaming Process() loop and
@@ -177,7 +173,6 @@ struct BatchRunStats {
     tier2_chunks_scanned += other.tier2_chunks_scanned;
     tier2_fused_segments += other.tier2_fused_segments;
     tier2_spans_skipped += other.tier2_spans_skipped;
-    tier2_fused_subblocks += other.tier2_fused_subblocks;
     bound_spans_pruned_q += other.bound_spans_pruned_q;
     bound_bytes_touched += other.bound_bytes_touched;
     mega_words_skipped_q += other.mega_words_skipped_q;
@@ -237,31 +232,23 @@ struct SvtRunState {
 ///      a draw's position. Changing the lane count or layout changes
 ///      every stream — a golden re-record, like (4).
 ///
-/// Kernel fusion is draw-order-neutral: the batch engine's single-pass
-/// FusedLaplaceScan* kernels (common/vecmath.h) consume the identical raw
-/// word pairs through the identical word→ν lattice of steps (4) and (5) —
-/// they merely skip materializing the ν block between transform and
-/// compare. Steps 1–5 are unchanged and no golden re-record accompanied
-/// fusion; the fused/unfused cross-checks in tests/common_vecmath_test.cc
-/// and the batch/streaming suites enforce this bitwise.
+/// In-kernel generation is stream-neutral: the batch engine's fused
+/// passes (vec::Mega*FillMinScanSpans*, common/vecmath.h) step the SAME
+/// four lockstep xoshiro256++ lanes of step (5) in registers instead of
+/// materializing FillUint64 blocks, and push each word through the
+/// identical word→variate lattice of step (4). A chunk consumes exactly
+/// n · words-per-variate words whether it scans, skips, or records hits,
+/// so the stream position after any chunk is the one a FillUint64 of its
+/// words leaves — restoring the kernel's BlockRng::State moves the cursor,
+/// never the stream. tests/common_vecmath_test.cc diffs the passes against
+/// a fill + transform + compare walk at every dispatch level,
+/// tests/core_batch_runner_test.cc diffs the engine against streaming, and
+/// no golden re-record accompanied the fused passes.
 ///
-/// In-kernel generation is stream-neutral: the batch engine's megakernels
-/// (vec::Mega* — generate, generate-and-bound, generate-bound-and-scan)
-/// step the SAME four lockstep xoshiro256++ lanes of step (5) in
-/// registers instead of materializing FillUint64 blocks, and push each
-/// word through the identical word→variate lattice of step (4). A chunk
-/// consumes exactly n · words-per-variate words whether it scans, skips,
-/// or records hits, so the stream position after any chunk is the same as
-/// the composition's — restoring the kernel's BlockRng::State moves the
-/// cursor, never the stream. SVT_BATCH_KERNELS=composition forces the
-/// FillUint64 + fused-scan composition path; both modes emit identical
-/// Responses (tests/core_batch_runner_test.cc diffs them per dispatch
-/// level) and no golden re-record accompanied the megakernels.
-///
-/// Filling the ν block is draw-order-neutral: where the megakernel walk
-/// resumes under a moved bar (or without a complete hit record), it
-/// compares against a per-chunk block of ν instead of rescanning, each
-/// span transformed once, the first time the walk reaches it. The block
+/// Filling the ν block is draw-order-neutral: where the walk resumes
+/// under a moved bar (or without a complete hit record), it compares
+/// against a per-chunk block of ν instead of rescanning, each span
+/// transformed once, the first time the walk reaches it. The block
 /// is transformed from the chunk's own words — the ones the chunk fill
 /// consumed, or, when the fused pass consumed them in registers, the same
 /// words regenerated from the chunk-entry BlockRng::State — through the
@@ -291,11 +278,10 @@ struct SvtRunState {
 /// was pruned by the quantized level, the full-precision level, or not
 /// at all, so steps 1-5 are untouched and the emitted Response sequence
 /// is bit-identical with the prefilter attached, absent, or disabled
-/// (SVT_BOUND_PREFILTER=off — a CI equivalence leg, like the
-/// composition one above). Tier counters may legitimately differ between
-/// prefilter-on and prefilter-off runs (the quantized bound is weaker,
-/// so it prunes a subset of what full precision would); they remain
-/// dispatch- and kernel-mode-independent within either setting.
+/// (SVT_BOUND_PREFILTER=off — a CI equivalence leg). Tier counters may
+/// legitimately differ between prefilter-on and prefilter-off runs (the
+/// quantized bound is weaker, so it prunes a subset of what full precision
+/// would); they remain dispatch-level independent within either setting.
 ///
 /// Monte-Carlo trials run in key-split groups (core/trial_walk.h): the
 /// auditor takes one draw from the caller's stream as a key, and lane L of

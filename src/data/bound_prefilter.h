@@ -112,7 +112,7 @@ class BoundPrefilter {
 /// Process-wide prefilter gate, initialized once from SVT_BOUND_PREFILTER
 /// ("on" | "off"; unset means on, anything else aborts) and adjustable at
 /// runtime for equivalence tests — the seam the CI dispatch matrix's
-/// SVT_BOUND_PREFILTER=off leg toggles, mirroring SVT_BATCH_KERNELS.
+/// SVT_BOUND_PREFILTER=off leg toggles.
 /// When disabled, attached prefilters are ignored and every bound level
 /// runs at full precision; outputs are identical either way.
 bool BoundPrefilterEnabled();

@@ -400,44 +400,59 @@ TEST(RestoreDeathTest, RejectsAnAllZeroLane) {
 }
 
 TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
-  // The engine-side contract of the megakernel seam: snapshot state(),
-  // let the in-register kernel consume k words, RestoreState the kernel's
-  // final State — the Rng must sit exactly where FillUint64 of k words
-  // would have left it, so subsequent draws (ρ resamples, the next chunk)
-  // continue the one stream. Walk a multi-hit scan and compare against a
-  // FillUint64-driven twin after every resume.
+  // The engine-side contract of the fused-pass seam: snapshot state(), let
+  // the in-register pass consume k words, RestoreState the pass's final
+  // State — the Rng must sit exactly where FillUint64 of k words would
+  // have left it, so subsequent draws (ρ resamples, the next chunk)
+  // continue the one stream. Runs passes of several lengths back to back
+  // against a FillUint64-driven twin, entering at phases 0-3 (the SIMD
+  // lanes take only phase 0), with a scalar draw between passes as the
+  // engine's positives take them.
   ScopedDispatchLevel restore;
-  const size_t n = 517;
-  std::vector<double> a(n, 0.0);
+  constexpr size_t kSpan = 128;
+  const size_t lengths[] = {517, 64, 9, 128, 1, 300};
+  const std::vector<double> a(517, 0.0);
+  const uint64_t skip = vec::MegaSkipWordThreshold(0.0, 0.5, 1.0);
+  ASSERT_LT(skip, vec::kMegaNeverSkipWord);
   for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
     if (!vec::SetDispatchLevel(level)) continue;
-    Rng mega(2024), twin(2024);
-    std::vector<uint64_t> scratch;
-    size_t from = 0;
-    while (from <= n) {
-      BlockRng::State st = mega.state();
-      const vec::FusedScanHit hit =
-          vec::MegaLaplaceScanSumGe(&st, 0.0, 1.0, {a.data() + from, n - from},
-                                    0.5);
-      mega.RestoreState(st);
-      const size_t rem = n - from;
-      const size_t consumed = 2 * (hit.index < rem ? hit.index + 1 : rem);
-      scratch.resize(consumed);
-      twin.FillUint64(scratch);
-      const Rng::State sm = mega.state(), st2 = twin.state();
-      ASSERT_EQ(sm.phase, st2.phase)
-          << vec::DispatchLevelName(level) << " from=" << from;
-      ASSERT_EQ(sm.words, st2.words)
-          << vec::DispatchLevelName(level) << " from=" << from;
-      // Interleave a scalar draw on both streams, as the engine does for
-      // a positive's resample, then keep scanning.
-      ASSERT_EQ(mega.NextUint64(), twin.NextUint64());
-      if (hit.index >= rem) break;
-      from += hit.index + 1;
+    for (int pre = 0; pre < 4; ++pre) {
+      Rng mega(2024), twin(2024);
+      for (int k = 0; k < pre; ++k) {
+        ASSERT_EQ(mega.NextUint64(), twin.NextUint64());
+      }
+      std::vector<uint64_t> scratch, span_min((517 + kSpan - 1) / kSpan);
+      std::vector<vec::FusedScanHit> hits(517);
+      for (size_t len : lengths) {
+        const std::string ctx = std::string(vec::DispatchLevelName(level)) +
+                                " pre=" + std::to_string(pre) +
+                                " len=" + std::to_string(len) +
+                                " phase=" + std::to_string(mega.state().phase);
+        BlockRng::State st = mega.state();
+        uint64_t w_min = 0;
+        vec::MegaLaplaceFillMinScanSpans(&st, 0.0, 1.0, {a.data(), len}, 0.5,
+                                         skip, kSpan, span_min.data(),
+                                         hits.data(), hits.size(), &w_min);
+        mega.RestoreState(st);
+        scratch.resize(2 * len);
+        twin.FillUint64(scratch);
+        const Rng::State sm = mega.state(), st2 = twin.state();
+        ASSERT_EQ(sm.phase, st2.phase) << ctx;
+        ASSERT_EQ(sm.words, st2.words) << ctx;
+        // The pass read exactly the twin's words: its minimum magnitude
+        // word is theirs.
+        uint64_t want_min = ~0ull;
+        for (size_t i = 0; i < len; ++i) {
+          want_min = std::min(want_min, scratch[2 * i]);
+        }
+        EXPECT_EQ(w_min, want_min) << ctx;
+        // Interleave a scalar draw on both streams, as the engine does for
+        // a positive's resample, so the next pass enters at a new phase.
+        ASSERT_EQ(mega.NextUint64(), twin.NextUint64()) << ctx;
+      }
     }
   }
 }
-
 
 // Two chunks of Laplace ν words in the batch engine: the distances its
 // workers jump are multiples of this.

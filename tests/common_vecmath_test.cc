@@ -1,6 +1,6 @@
 // The vecmath layer's two contracts:
 //
-//  1. Accuracy: the polynomial Log/Exp kernels track libm within a small,
+//  1. Accuracy: the polynomial Log kernel tracks libm within a small,
 //     documented ULP bound (kMaxUlp below) over dense sweeps and the
 //     adversarial inputs the samplers and the batch engine's chunk bound
 //     actually produce — subnormals, near-1 arguments, the (0,1] lattice
@@ -37,8 +37,8 @@ namespace svt {
 namespace vec {
 namespace {
 
-// Measured max over the dense sweeps below is 1 ulp for both kernels
-// (fdlibm-grade polynomials); 2 leaves headroom for worst-case inputs the
+// Measured max over the dense sweeps below is 1 ulp (an fdlibm-grade
+// polynomial); 2 leaves headroom for worst-case inputs the
 // sweeps miss, and is still far below any statistical relevance for noise
 // sampling. Documented in README "Performance".
 constexpr int64_t kMaxUlp = 2;
@@ -139,33 +139,6 @@ TEST(VecmathLogTest, SpecialOperands) {
   EXPECT_EQ(Log(1.0), 0.0);
 }
 
-TEST(VecmathExpTest, UlpBoundVsLibmDense) {
-  int64_t max_ulp = 0;
-  double worst = 0.0;
-  for (double x = -708.0; x < 709.0; x += 0.000717) {
-    const int64_t u = UlpDiff(Exp(x), std::exp(x));
-    if (u > max_ulp) {
-      max_ulp = u;
-      worst = x;
-    }
-  }
-  // Tiny arguments (the near-1 outputs).
-  for (double x = -1e-3; x < 1e-3; x += 1e-7) {
-    max_ulp = std::max(max_ulp, UlpDiff(Exp(x), std::exp(x)));
-  }
-  EXPECT_LE(max_ulp, kMaxUlp) << "worst input " << worst;
-}
-
-TEST(VecmathExpTest, SpecialOperands) {
-  EXPECT_EQ(Exp(0.0), 1.0);
-  EXPECT_EQ(Exp(710.0), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(Exp(std::numeric_limits<double>::infinity()),
-            std::numeric_limits<double>::infinity());
-  EXPECT_EQ(Exp(-800.0), 0.0);
-  EXPECT_EQ(Exp(-std::numeric_limits<double>::infinity()), 0.0);
-  EXPECT_TRUE(std::isnan(Exp(std::nan(""))));
-}
-
 TEST(VecmathDispatchTest, NamesAndScalarAlwaysSupported) {
   EXPECT_STREQ(DispatchLevelName(DispatchLevel::kScalar), "scalar");
   EXPECT_STREQ(DispatchLevelName(DispatchLevel::kAvx2), "avx2");
@@ -232,36 +205,6 @@ TEST(VecmathDispatchTest, LogBlockBitIdenticalAcrossLevels) {
     std::vector<double> inplace = xs;
     LogBlock(inplace, inplace);
     ExpectBitEqual(inplace, scalar_ref, "in-place");
-  }
-}
-
-TEST(VecmathDispatchTest, ExpBlockBitIdenticalAcrossLevels) {
-  ScopedDispatchLevel restore;
-  std::vector<double> xs;
-  for (double x = -745.0; x < 710.0; x += 0.01037) xs.push_back(x);
-  xs.push_back(0.0);
-  xs.push_back(1e9);                  // overflow lane
-  xs.push_back(-1e9);                 // underflow lane
-  xs.push_back(std::nan(""));         // NaN lane
-  xs.push_back(705.0);                // near the fast-path domain edge
-  xs.push_back(-705.0);
-  std::vector<double> scalar_ref(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) scalar_ref[i] = Exp(xs[i]);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    std::vector<double> out(xs.size());
-    ExpBlock(xs, out);
-    ASSERT_EQ(out.size(), scalar_ref.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      if (std::isnan(scalar_ref[i])) {
-        ASSERT_TRUE(std::isnan(out[i])) << "i=" << i;
-        continue;
-      }
-      ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
-                std::bit_cast<uint64_t>(scalar_ref[i]))
-          << DispatchLevelName(level) << " diverges at i=" << i;
-    }
   }
 }
 
@@ -514,201 +457,6 @@ TEST(VecmathDispatchTest, PairwiseScansAcrossLevels) {
   }
 }
 
-TEST(VecmathFusedScanTest, MatchesUnfusedCompositionAtEveryLevel) {
-  // The fused sample-and-scan kernels are *defined* as the composition of
-  // the unfused pipeline: TransformBlock to materialize ν, then the
-  // FindFirst* compare-scan. At every dispatch level, walking every hit
-  // must reproduce the oracle's indices exactly and return the oracle's ν
-  // bit for bit — this is the contract that lets the batch engine go
-  // single-pass with no golden re-record.
-  ScopedDispatchLevel restore;
-  Rng rng(321);
-  const size_t n = 1003;  // odd: exercises every lane tail
-  std::vector<uint64_t> words(2 * n);
-  rng.FillUint64(words);
-  words[0] = ~0ull;        // u == 1 lattice edge: ν == ±0
-  words[2 * 500] = 0;      // largest magnitude draw
-  const double mu = 0.25, b = 1.75;
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = (a[i] - 0.5) * 8.0;     // straddle the ν scale
-    bars[i] = (bars[i] - 0.5) * 4.0;
-  }
-  const double rho = 0.125;
-
-  const Laplace dist(mu, b);
-  std::vector<double> nu(n);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    const std::string ctx = DispatchLevelName(level);
-    dist.TransformBlock(words, nu);  // the oracle's ν block, same level
-
-    // Walk all hits of all four kernels against the composed oracle.
-    const auto walk = [&](auto fused, auto oracle) {
-      size_t from = 0;
-      while (from <= n) {
-        const std::span<const uint64_t> w{words.data() + 2 * from,
-                                          2 * (n - from)};
-        const FusedScanHit hit = fused(w, from);
-        const size_t expect = oracle(from);
-        ASSERT_EQ(from + hit.index, expect) << ctx << " from=" << from;
-        if (expect >= n) {
-          ASSERT_EQ(hit.index, n - from);
-          ASSERT_EQ(hit.nu, 0.0) << ctx << " no-hit nu must be 0";
-          break;
-        }
-        ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                  std::bit_cast<uint64_t>(nu[expect]))
-            << ctx << " nu diverges at " << expect;
-        from = expect + 1;
-      }
-    };
-
-    const double bar = mu + b;  // plenty of hits, plenty of gaps
-    walk(
-        [&](std::span<const uint64_t> w, size_t) {
-          return FusedLaplaceScanGe(w, mu, b, bar);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bar)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedLaplaceScanSumGe(w, mu, b, {a.data() + from, n - from},
-                                       bar);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGe({a.data() + from, n - from},
-                                       {nu.data() + from, n - from}, bar);
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedLaplaceScanGePairwise(
-              w, mu, b, {bars.data() + from, n - from}, rho);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bars[j] + rho)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedLaplaceScanSumGePairwise(
-              w, mu, b, {a.data() + from, n - from},
-              {bars.data() + from, n - from}, rho);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGePairwise({a.data() + from, n - from},
-                                               {nu.data() + from, n - from},
-                                               {bars.data() + from, n - from},
-                                               rho);
-        });
-  }
-}
-
-TEST(VecmathFusedScanTest, BitIdenticalAcrossDispatchLevels) {
-  // Fused results (index AND ν payload) must not depend on the lane, for
-  // hit positions at every lane offset.
-  ScopedDispatchLevel restore;
-  Rng rng(99);
-  const size_t n = 531;
-  std::vector<uint64_t> words(2 * n);
-  rng.FillUint64(words);
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-
-  ASSERT_TRUE(SetDispatchLevel(DispatchLevel::kScalar));
-  std::vector<FusedScanHit> ref;
-  for (size_t from = 0; from <= n;) {
-    const FusedScanHit hit = FusedLaplaceScanSumGePairwise(
-        {words.data() + 2 * from, 2 * (n - from)}, 0.0, 2.0,
-        {a.data() + from, n - from}, {bars.data() + from, n - from}, 0.5);
-    ref.push_back(hit);
-    if (from + hit.index >= n) break;
-    from += hit.index + 1;
-  }
-  ASSERT_GT(ref.size(), 2u) << "workload must contain several hits";
-
-  for (DispatchLevel level :
-       {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
-    if (!SetDispatchLevel(level)) continue;
-    size_t k = 0;
-    for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = FusedLaplaceScanSumGePairwise(
-          {words.data() + 2 * from, 2 * (n - from)}, 0.0, 2.0,
-          {a.data() + from, n - from}, {bars.data() + from, n - from}, 0.5);
-      ASSERT_LT(k, ref.size());
-      ASSERT_EQ(hit.index, ref[k].index) << DispatchLevelName(level);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(ref[k].nu))
-          << DispatchLevelName(level);
-      ++k;
-      if (from + hit.index >= n) break;
-      from += hit.index + 1;
-    }
-    EXPECT_EQ(k, ref.size()) << DispatchLevelName(level);
-  }
-}
-
-TEST(VecmathFusedScanTest, OddTailsAndEmptySpans) {
-  // Chunk tails shorter than one SIMD width delegate to the scalar lane —
-  // the same rule as the unfused kernels. Regression-test every length
-  // that straddles the AVX2 (4) and AVX-512 (8, plus sub-width) tails,
-  // and the empty span, at every level.
-  ScopedDispatchLevel restore;
-  Rng rng(7);
-  std::vector<uint64_t> words(2 * 32);
-  rng.FillUint64(words);
-  std::vector<double> a(32, -1.0), bars(32, 1e9);
-  const Laplace dist(0.0, 1.0);
-  std::vector<double> nu(32);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    dist.TransformBlock(words, nu);
-    for (size_t len : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
-                       size_t{7}, size_t{9}, size_t{11}, size_t{15},
-                       size_t{17}, size_t{31}}) {
-      // No-hit scans return {len, 0.0} for every variant.
-      EXPECT_EQ(FusedLaplaceScanGe({words.data(), 2 * len}, 0.0, 1.0, 1e9)
-                    .index,
-                len)
-          << DispatchLevelName(level) << " len=" << len;
-      EXPECT_EQ(FusedLaplaceScanSumGe({words.data(), 2 * len}, 0.0, 1.0,
-                                      {a.data(), len}, 1e9)
-                    .index,
-                len);
-      EXPECT_EQ(FusedLaplaceScanGePairwise({words.data(), 2 * len}, 0.0, 1.0,
-                                           {bars.data(), len}, 0.0)
-                    .index,
-                len);
-      EXPECT_EQ(
-          FusedLaplaceScanSumGePairwise({words.data(), 2 * len}, 0.0, 1.0,
-                                        {a.data(), len}, {bars.data(), len},
-                                        0.0)
-              .index,
-          len);
-      if (len == 0) continue;
-      // A hit in the very last element of an odd tail is found with the
-      // oracle's ν.
-      const size_t last = len - 1;
-      const double bar = nu[last];  // ties fire the ordered >=
-      const FusedScanHit hit =
-          FusedLaplaceScanGe({words.data(), 2 * len}, 0.0, 1.0, bar);
-      ASSERT_LE(hit.index, last);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(nu[hit.index]))
-          << DispatchLevelName(level) << " len=" << len;
-    }
-  }
-}
-
 TEST(VecmathExpNoiseTest, NegLogUnitPositiveScalarMatchesBlock) {
   // The scalar form is the single-element contract of the block kernel —
   // this is what makes streaming exponential draws and block transforms
@@ -791,189 +539,6 @@ TEST(VecmathExpNoiseTest, TransformBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(VecmathFusedExpScanTest, MatchesUnfusedCompositionAtEveryLevel) {
-  // Exponential mirror of the Laplace fused-vs-composition walk: the fused
-  // kernels must reproduce TransformBlock + FindFirst* exactly — indices
-  // and ν payload bits — at every dispatch level. One word per variate.
-  ScopedDispatchLevel restore;
-  Rng rng(321);
-  const size_t n = 1003;  // odd: exercises every lane tail
-  std::vector<uint64_t> words(n);
-  rng.FillUint64(words);
-  words[0] = ~0ull;   // u == 1 lattice edge: ν == -0.0
-  words[500] = 0;     // largest draw
-  const double b = 1.75;
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = (a[i] - 0.5) * 8.0;     // straddle the ν scale
-    bars[i] = bars[i] * 4.0;       // one-sided ν: keep bars in reach
-  }
-  const double rho = 0.125;
-
-  const Exponential dist = Exponential::FromScale(b);
-  std::vector<double> nu(n);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    const std::string ctx = DispatchLevelName(level);
-    dist.TransformBlock(words, nu);  // the oracle's ν block, same level
-
-    const auto walk = [&](auto fused, auto oracle) {
-      size_t from = 0;
-      while (from <= n) {
-        const std::span<const uint64_t> w{words.data() + from, n - from};
-        const FusedScanHit hit = fused(w, from);
-        const size_t expect = oracle(from);
-        ASSERT_EQ(from + hit.index, expect) << ctx << " from=" << from;
-        if (expect >= n) {
-          ASSERT_EQ(hit.index, n - from);
-          ASSERT_EQ(hit.nu, 0.0) << ctx << " no-hit nu must be 0";
-          break;
-        }
-        ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                  std::bit_cast<uint64_t>(nu[expect]))
-            << ctx << " nu diverges at " << expect;
-        from = expect + 1;
-      }
-    };
-
-    const double bar = b;  // plenty of hits, plenty of gaps
-    walk(
-        [&](std::span<const uint64_t> w, size_t) {
-          return FusedExpScanGe(w, b, bar);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bar)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedExpScanSumGe(w, b, {a.data() + from, n - from}, bar);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGe({a.data() + from, n - from},
-                                       {nu.data() + from, n - from}, bar);
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedExpScanGePairwise(w, b, {bars.data() + from, n - from},
-                                        rho);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bars[j] + rho)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedExpScanSumGePairwise(
-              w, b, {a.data() + from, n - from},
-              {bars.data() + from, n - from}, rho);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGePairwise({a.data() + from, n - from},
-                                               {nu.data() + from, n - from},
-                                               {bars.data() + from, n - from},
-                                               rho);
-        });
-  }
-}
-
-TEST(VecmathFusedExpScanTest, BitIdenticalAcrossDispatchLevels) {
-  // Fused exponential results (index AND ν payload) must not depend on the
-  // lane, for hit positions at every lane offset.
-  ScopedDispatchLevel restore;
-  Rng rng(99);
-  const size_t n = 531;
-  std::vector<uint64_t> words(n);
-  rng.FillUint64(words);
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-
-  ASSERT_TRUE(SetDispatchLevel(DispatchLevel::kScalar));
-  std::vector<FusedScanHit> ref;
-  for (size_t from = 0; from <= n;) {
-    const FusedScanHit hit = FusedExpScanSumGePairwise(
-        {words.data() + from, n - from}, 2.0, {a.data() + from, n - from},
-        {bars.data() + from, n - from}, 0.5);
-    ref.push_back(hit);
-    if (from + hit.index >= n) break;
-    from += hit.index + 1;
-  }
-  ASSERT_GT(ref.size(), 2u) << "workload must contain several hits";
-
-  for (DispatchLevel level :
-       {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
-    if (!SetDispatchLevel(level)) continue;
-    size_t k = 0;
-    for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = FusedExpScanSumGePairwise(
-          {words.data() + from, n - from}, 2.0, {a.data() + from, n - from},
-          {bars.data() + from, n - from}, 0.5);
-      ASSERT_LT(k, ref.size());
-      ASSERT_EQ(hit.index, ref[k].index) << DispatchLevelName(level);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(ref[k].nu))
-          << DispatchLevelName(level);
-      ++k;
-      if (from + hit.index >= n) break;
-      from += hit.index + 1;
-    }
-    EXPECT_EQ(k, ref.size()) << DispatchLevelName(level);
-  }
-}
-
-TEST(VecmathFusedExpScanTest, OddTailsAndEmptySpans) {
-  // Same tail rule as the Laplace kernels: sub-SIMD-width tails delegate to
-  // the scalar lane. One word per element here.
-  ScopedDispatchLevel restore;
-  Rng rng(7);
-  std::vector<uint64_t> words(32);
-  rng.FillUint64(words);
-  std::vector<double> a(32, -1.0), bars(32, 1e9);
-  const Exponential dist = Exponential::FromScale(1.0);
-  std::vector<double> nu(32);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    dist.TransformBlock(words, nu);
-    for (size_t len : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
-                       size_t{7}, size_t{9}, size_t{11}, size_t{15},
-                       size_t{17}, size_t{31}}) {
-      // No-hit scans return {len, 0.0} for every variant.
-      EXPECT_EQ(FusedExpScanGe({words.data(), len}, 1.0, 1e9).index, len)
-          << DispatchLevelName(level) << " len=" << len;
-      EXPECT_EQ(
-          FusedExpScanSumGe({words.data(), len}, 1.0, {a.data(), len}, 1e9)
-              .index,
-          len);
-      EXPECT_EQ(FusedExpScanGePairwise({words.data(), len}, 1.0,
-                                       {bars.data(), len}, 0.0)
-                    .index,
-                len);
-      EXPECT_EQ(FusedExpScanSumGePairwise({words.data(), len}, 1.0,
-                                          {a.data(), len}, {bars.data(), len},
-                                          0.0)
-                    .index,
-                len);
-      if (len == 0) continue;
-      // A hit in the very last element of an odd tail is found with the
-      // oracle's ν.
-      const size_t last = len - 1;
-      const double bar = nu[last];  // ties fire the ordered >=
-      const FusedScanHit hit = FusedExpScanGe({words.data(), len}, 1.0, bar);
-      ASSERT_LE(hit.index, last);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(nu[hit.index]))
-          << DispatchLevelName(level) << " len=" << len;
-    }
-  }
-}
-
 TEST(VecmathDispatchTest, ScalarKernelMatchesComposedDefinition) {
   // The fused sampling kernels are *defined* by composition of Log and the
   // lattice map; pin that definition at the scalar level.
@@ -992,199 +557,46 @@ TEST(VecmathDispatchTest, ScalarKernelMatchesComposedDefinition) {
   }
 }
 
-// --- Megakernel equivalence: in-register generation vs composition -------
+// --- Fused passes: in-register generation vs fill + transform + scan -----
 
 bool StatesEqual(const BlockRng::State& a, const BlockRng::State& b) {
   return a.phase == b.phase && a.words == b.words;
 }
 
-// Walks every hit of a megakernel against its FillUint64 + fused-scan
-// composition oracle: hit indices, ν payloads bit for bit, and — after
-// every single call — the stream position, by advancing a shadow Rng with
-// FillUint64 over exactly the words the megakernel claims to have
-// consumed and comparing States. This is the "in-kernel generation is
-// stream-neutral" contract, including mid-chunk positive resume (each
-// loop iteration resumes the same State the previous hit left behind).
-// `pre_draws` > 0 enters the kernels at an unaligned phase, covering the
-// SIMD lanes' whole-call scalar delegation.
-template <typename MegaFn, typename FusedFn>
-void WalkMegaVsComposition(uint64_t seed, size_t n, size_t wpv,
-                           uint32_t pre_draws, MegaFn mega_fn,
-                           FusedFn fused_fn, const std::string& ctx,
-                           size_t* hits_out = nullptr) {
-  Rng comp_rng(seed), mega_rng(seed), shadow(seed);
-  for (uint32_t i = 0; i < pre_draws; ++i) {
-    comp_rng.NextUint64();
-    mega_rng.NextUint64();
-    shadow.NextUint64();
+// The reference ν block of `words`: the dispatched transform kernel of the
+// noise kind (wpv 2 Laplace(0, b), wpv 1 Exponential(b)).
+std::vector<double> ReferenceNu(const std::vector<uint64_t>& words,
+                                size_t wpv, double b) {
+  std::vector<double> nu(words.size() / wpv);
+  if (wpv == 1) {
+    ExponentialTransformBlock(words, b, nu);
+  } else {
+    LaplaceTransformBlock(words, 0.0, b, nu);
   }
-  std::vector<uint64_t> words(wpv * n);
-  comp_rng.FillUint64(words);
-  BlockRng::State st = mega_rng.state();
-  std::vector<uint64_t> scratch;
-  size_t hits = 0;
-  size_t from = 0;
-  while (from <= n) {
-    const size_t rem = n - from;
-    const FusedScanHit want =
-        fused_fn(std::span<const uint64_t>{words.data() + wpv * from,
-                                           wpv * rem},
-                 from);
-    const FusedScanHit got = mega_fn(&st, from);
-    ASSERT_EQ(got.index, want.index) << ctx << " from=" << from;
-    ASSERT_EQ(std::bit_cast<uint64_t>(got.nu),
-              std::bit_cast<uint64_t>(want.nu))
-        << ctx << " nu diverges, from=" << from;
-    const size_t consumed =
-        (want.index < rem ? want.index + 1 : rem) * wpv;
-    scratch.resize(consumed);
-    shadow.FillUint64(scratch);
-    const BlockRng::State expect = shadow.state();
-    ASSERT_TRUE(StatesEqual(st, expect))
-        << ctx << " stream position diverges after scan from=" << from;
-    if (want.index >= rem) break;
-    ++hits;
-    from += want.index + 1;
-  }
-  // The full walk consumed exactly the words the composition filled.
-  ASSERT_TRUE(StatesEqual(st, comp_rng.state())) << ctx;
-  if (hits_out) *hits_out = hits;
+  return nu;
 }
 
-TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
-  ScopedDispatchLevel restore;
-  const size_t n = 1003;  // odd: exercises every lane tail
-  std::vector<double> a(n);
-  Rng setup(555);
-  setup.FillDouble(a);
-  for (double& x : a) x = (x - 0.5) * 8.0;  // straddle the ν scale
-  const double mu = 0.25, b = 1.75;
-  const double bar = mu + b;  // plenty of hits, plenty of gaps
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    for (uint32_t pre : {0u, 1u, 3u}) {
-      const std::string ctx =
-          std::string(DispatchLevelName(level)) + " pre=" + std::to_string(pre);
-      size_t hits = 0;
-      WalkMegaVsComposition(
-          17, n, 2, pre,
-          [&](BlockRng::State* st, size_t from) {
-            return MegaLaplaceScanSumGe(st, mu, b, {a.data() + from, n - from},
-                                        bar);
-          },
-          [&](std::span<const uint64_t> w, size_t from) {
-            return FusedLaplaceScanSumGe(w, mu, b, {a.data() + from, n - from},
-                                         bar);
-          },
-          ctx + " laplace", &hits);
-      EXPECT_GT(hits, 2u) << ctx << " workload must contain several hits";
-      WalkMegaVsComposition(
-          17, n, 1, pre,
-          [&](BlockRng::State* st, size_t from) {
-            return MegaExpScanSumGe(st, b, {a.data() + from, n - from}, bar);
-          },
-          [&](std::span<const uint64_t> w, size_t from) {
-            return FusedExpScanSumGe(w, b, {a.data() + from, n - from}, bar);
-          },
-          ctx + " exp", &hits);
-      EXPECT_GT(hits, 2u) << ctx << " workload must contain several hits";
-    }
+// Minimum magnitude word (every wpv-th word) of each span of `span`
+// elements.
+std::vector<uint64_t> ReferenceSpanMin(const std::vector<uint64_t>& words,
+                                       size_t wpv, size_t span) {
+  const size_t n = words.size() / wpv;
+  std::vector<uint64_t> span_min((n + span - 1) / span, ~0ull);
+  for (size_t i = 0; i < n; ++i) {
+    span_min[i / span] = std::min(span_min[i / span], words[wpv * i]);
   }
+  return span_min;
 }
 
-TEST(VecmathMegaScanTest, OddTailsEmptySpansAndEdgeBars) {
-  // Lengths straddling the AVX2 (4) and AVX-512 (8) group widths, the
-  // empty span, a bar no element reaches (pure miss: full-span state
-  // advance), a bar every element clears (immediate hit: one-element
-  // advance every call), and a moderate bar in between — all walked
-  // against the composition at every level.
-  ScopedDispatchLevel restore;
-  constexpr size_t kMaxLen = 33;
-  std::vector<double> a(kMaxLen, 0.0);
-  const double mu = 0.0, b = 1.0;
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    for (size_t len : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
-                       size_t{7}, size_t{9}, size_t{11}, size_t{15},
-                       size_t{17}, size_t{31}, size_t{33}}) {
-      for (double bar : {1e9, -1e9, 0.5}) {
-        const std::string ctx = std::string(DispatchLevelName(level)) +
-                                " len=" + std::to_string(len) +
-                                " bar=" + std::to_string(bar);
-        WalkMegaVsComposition(
-            7, len, 2, 0,
-            [&](BlockRng::State* st, size_t from) {
-              return MegaLaplaceScanSumGe(st, mu, b,
-                                          {a.data() + from, len - from}, bar);
-            },
-            [&](std::span<const uint64_t> w, size_t from) {
-              return FusedLaplaceScanSumGe(w, mu, b,
-                                           {a.data() + from, len - from}, bar);
-            },
-            ctx + " laplace");
-        WalkMegaVsComposition(
-            7, len, 1, 0,
-            [&](BlockRng::State* st, size_t from) {
-              return MegaExpScanSumGe(st, b, {a.data() + from, len - from},
-                                      bar);
-            },
-            [&](std::span<const uint64_t> w, size_t from) {
-              return FusedExpScanSumGe(w, b, {a.data() + from, len - from},
-                                       bar);
-            },
-            ctx + " exp");
-      }
-    }
-  }
-}
-
-TEST(VecmathMegaScanTest, BitIdenticalAcrossDispatchLevels) {
-  // Megakernel hit sequences (index AND ν payload) and final stream
-  // positions must not depend on the lane.
-  ScopedDispatchLevel restore;
-  const size_t n = 531;
-  std::vector<double> a(n);
-  Rng setup(99);
-  setup.FillDouble(a);
-
-  ASSERT_TRUE(SetDispatchLevel(DispatchLevel::kScalar));
-  std::vector<FusedScanHit> ref;
-  BlockRng::State ref_state;
-  {
-    Rng rng(99);
-    BlockRng::State st = rng.state();
-    for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = MegaLaplaceScanSumGe(
-          &st, 0.0, 2.0, {a.data() + from, n - from}, 1.5);
-      ref.push_back(hit);
-      if (from + hit.index >= n) break;
-      from += hit.index + 1;
-    }
-    ref_state = st;
-  }
-  ASSERT_GT(ref.size(), 2u) << "workload must contain several hits";
-
-  for (DispatchLevel level : {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
-    if (!SetDispatchLevel(level)) continue;
-    Rng rng(99);
-    BlockRng::State st = rng.state();
-    size_t k = 0;
-    for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = MegaLaplaceScanSumGe(
-          &st, 0.0, 2.0, {a.data() + from, n - from}, 1.5);
-      ASSERT_LT(k, ref.size());
-      ASSERT_EQ(hit.index, ref[k].index) << DispatchLevelName(level);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(ref[k].nu))
-          << DispatchLevelName(level);
-      ++k;
-      if (from + hit.index >= n) break;
-      from += hit.index + 1;
-    }
-    EXPECT_EQ(k, ref.size()) << DispatchLevelName(level);
-    EXPECT_TRUE(StatesEqual(st, ref_state)) << DispatchLevelName(level);
+void ExpectSameHits(const FusedScanHit* got, size_t found,
+                    const std::vector<FusedScanHit>& want,
+                    const std::string& ctx) {
+  ASSERT_EQ(found, want.size()) << ctx;
+  for (size_t k = 0; k < found; ++k) {
+    ASSERT_EQ(got[k].index, want[k].index) << ctx << " k=" << k;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[k].nu),
+              std::bit_cast<uint64_t>(want[k].nu))
+        << ctx << " k=" << k;
   }
 }
 
@@ -1210,9 +622,10 @@ TEST(VecmathMegaBoundedTest, SkipWordThresholdShape) {
 TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
   // The fused generate-bound-and-scan pass is defined by the composition
   // it replaces: FillUint64 of the same words, the minimum magnitude word
-  // per span, and the complete set of positives a fused-scan walk over
-  // those words finds — indices and ν payloads bit for bit, in order —
-  // with the stream left where the fill leaves it. Covers aligned and
+  // per span, and the complete set of positives a walk of the transform
+  // kernel + FindFirstSumGe over those words finds — indices and ν
+  // payloads bit for bit, in order — with the stream left where the fill
+  // leaves it. Covers aligned and
   // unaligned entry, short final spans and spans narrower than a chunk.
   // Also pins the overflow contract: with a tiny max_hits the return value
   // still counts every positive and the stored prefix is unchanged.
@@ -1251,23 +664,19 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
             // Reference: the composition over the filled words.
             std::vector<uint64_t> words(wpv * n);
             ref_rng.FillUint64(words);
-            std::vector<uint64_t> ref_min(nspans, ~0ull);
-            for (size_t i = 0; i < n; ++i) {
-              ref_min[i / span] = std::min(ref_min[i / span], words[wpv * i]);
-            }
+            const std::vector<uint64_t> ref_min =
+                ReferenceSpanMin(words, wpv, span);
             const uint64_t ref_total =
                 *std::min_element(ref_min.begin(), ref_min.end());
+            const std::vector<double> nu = ReferenceNu(words, wpv, b);
             std::vector<FusedScanHit> ref_hits;
             for (size_t from = 0; from < n;) {
-              const std::span<const double> rest{a.data() + from, n - from};
-              const std::span<const uint64_t> w{words.data() + wpv * from,
-                                                wpv * (n - from)};
-              const FusedScanHit h =
-                  exp_nu ? FusedExpScanSumGe(w, b, rest, bar)
-                         : FusedLaplaceScanSumGe(w, 0.0, b, rest, bar);
-              if (h.index >= n - from) break;
-              ref_hits.push_back({from + h.index, h.nu});
-              from += h.index + 1;
+              const size_t i =
+                  from + FindFirstSumGe({a.data() + from, n - from},
+                                        {nu.data() + from, n - from}, bar);
+              if (i >= n) break;
+              ref_hits.push_back({i, nu[i]});
+              from = i + 1;
             }
             ASSERT_GT(ref_hits.size(), 1u)
                 << ctx << " workload must contain hits";
@@ -1284,13 +693,7 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
                                                      span, smin.data(),
                                                      hits.data(), n, &total);
             EXPECT_EQ(total, ref_total) << ctx;
-            ASSERT_EQ(found, ref_hits.size()) << ctx;
-            for (size_t k = 0; k < found; ++k) {
-              ASSERT_EQ(hits[k].index, ref_hits[k].index) << ctx << " k=" << k;
-              ASSERT_EQ(std::bit_cast<uint64_t>(hits[k].nu),
-                        std::bit_cast<uint64_t>(ref_hits[k].nu))
-                  << ctx << " k=" << k;
-            }
+            ExpectSameHits(hits.data(), found, ref_hits, ctx);
             for (size_t j = 0; j < nspans; ++j) {
               ASSERT_EQ(smin[j], ref_min[j]) << ctx << " span " << j;
             }
@@ -1313,6 +716,141 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
                                                      &first, 1, &total2);
             EXPECT_EQ(found2, found) << ctx;
             EXPECT_EQ(total2, ref_total) << ctx;
+            EXPECT_EQ(first.index, ref_hits[0].index) << ctx;
+            ASSERT_TRUE(StatesEqual(st2, ref_rng.state()))
+                << ctx << " overflow end state";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VecmathMegaBoundedTest,
+     FillMinScanSpansPairwiseMatchesCompositionAtEveryLevel) {
+  // The per-query pass against the same composition: FillUint64 of the
+  // same words, the per-span minimum magnitude word, and every positive of
+  // a transform + FindFirstSumGePairwise walk — indices and ν bit for bit,
+  // in order — with the stream left where the fill leaves it. The skip-word
+  // vector mixes finite entries (spans far under their bars, or sound for
+  // spans near them) with never-skip ones, and *skipped_out must equal a
+  // scalar count of the words at or above their span's skip word — the
+  // count vec::SkipWordCountBlock takes over the filled words too. Covers
+  // aligned and unaligned entry, short final spans, and the overflow
+  // contract.
+  ScopedDispatchLevel restore;
+  const double b = 2.25;
+  const double rho = 0.125;
+
+  for (DispatchLevel level : kAllDispatchLevels) {
+    if (!SetDispatchLevel(level)) continue;
+    for (size_t n : {size_t{300}, size_t{1000}, size_t{2048}}) {
+      for (size_t span : {size_t{8}, size_t{128}}) {
+        for (uint32_t pre : {0u, 1u}) {
+          for (int exp_nu = 0; exp_nu <= 1; ++exp_nu) {
+            const std::string ctx =
+                std::string(DispatchLevelName(level)) + " n=" +
+                std::to_string(n) + " span=" + std::to_string(span) +
+                " pre=" + std::to_string(pre) +
+                " exp=" + std::to_string(exp_nu);
+            const size_t wpv = exp_nu ? 1 : 2;
+            const size_t nspans = (n + span - 1) / span;
+            // Bars in [-0.5, 0.5). Even spans sit 1-10 ν scales under the
+            // lowest bar, odd spans hug their bars (frequent positives).
+            std::vector<double> a(n), bars(n);
+            Rng setup(n * 11 + exp_nu);
+            for (size_t i = 0; i < n; ++i) {
+              bars[i] = setup.NextDouble() - 0.5;
+              const double u = setup.NextDouble();
+              a[i] = (i / span) % 2 == 0 ? -0.5 - (1.0 + 9.0 * u) * b
+                                         : bars[i] + (u - 0.8) * b;
+            }
+            // Each span's sound skip word pairs its answer max with its
+            // bar min at ρ; every third span never skips.
+            std::vector<uint64_t> skip_words(nspans);
+            bool finite = false, never = false;
+            for (size_t j = 0; j < nspans; ++j) {
+              const size_t lo = j * span, m = std::min(span, n - lo);
+              const double up = MaxBlock({a.data() + lo, m});
+              const double dn = MinBlock({bars.data() + lo, m});
+              skip_words[j] = j % 3 == 2
+                                  ? kMegaNeverSkipWord
+                                  : MegaSkipWordThreshold(up, dn + rho, b);
+              finite = finite || skip_words[j] < kMegaNeverSkipWord;
+              never = never || skip_words[j] >= kMegaNeverSkipWord;
+            }
+            ASSERT_TRUE(finite && never) << ctx << " needs both skip words";
+
+            Rng ref_rng(78);
+            for (uint32_t i = 0; i < pre; ++i) ref_rng.NextUint64();
+            const BlockRng::State s0 = ref_rng.state();
+
+            // Reference: the composition over the filled words.
+            std::vector<uint64_t> words(wpv * n);
+            ref_rng.FillUint64(words);
+            const std::vector<uint64_t> ref_min =
+                ReferenceSpanMin(words, wpv, span);
+            const std::vector<double> nu = ReferenceNu(words, wpv, b);
+            std::vector<FusedScanHit> ref_hits;
+            for (size_t from = 0; from < n;) {
+              const size_t i =
+                  from + FindFirstSumGePairwise({a.data() + from, n - from},
+                                                {nu.data() + from, n - from},
+                                                {bars.data() + from, n - from},
+                                                rho);
+              if (i >= n) break;
+              ref_hits.push_back({i, nu[i]});
+              from = i + 1;
+            }
+            ASSERT_GT(ref_hits.size(), 1u)
+                << ctx << " workload must contain hits";
+            uint64_t ref_skipped = 0, block_skipped = 0;
+            for (size_t i = 0; i < n; ++i) {
+              ref_skipped += (words[wpv * i] >> 11) >= skip_words[i / span];
+            }
+            for (size_t j = 0; j < nspans; ++j) {
+              const size_t lo = j * span, m = std::min(span, n - lo);
+              block_skipped += SkipWordCountBlock(
+                  {words.data() + wpv * lo, wpv * m}, wpv, skip_words[j]);
+            }
+            ASSERT_GT(ref_skipped, 0u) << ctx << " workload must skip";
+            EXPECT_EQ(block_skipped, ref_skipped) << ctx;
+
+            BlockRng::State st = s0;
+            std::vector<uint64_t> smin(nspans + 1, 0xdecafbadull);
+            std::vector<FusedScanHit> hits(n);
+            uint64_t skipped = 0;
+            const size_t found =
+                exp_nu ? MegaExpFillMinScanSpansPairwise(
+                             &st, b, a, bars, rho, skip_words.data(), span,
+                             smin.data(), hits.data(), n, &skipped)
+                       : MegaLaplaceFillMinScanSpansPairwise(
+                             &st, 0.0, b, a, bars, rho, skip_words.data(),
+                             span, smin.data(), hits.data(), n, &skipped);
+            EXPECT_EQ(skipped, ref_skipped) << ctx;
+            ExpectSameHits(hits.data(), found, ref_hits, ctx);
+            for (size_t j = 0; j < nspans; ++j) {
+              ASSERT_EQ(smin[j], ref_min[j]) << ctx << " span " << j;
+            }
+            EXPECT_EQ(smin[nspans], 0xdecafbadull)
+                << ctx << " wrote past the last span";
+            ASSERT_TRUE(StatesEqual(st, ref_rng.state()))
+                << ctx << " end state";
+
+            // Overflow: max_hits = 1 stores only the first hit but still
+            // counts them all and leaves the count and state unchanged.
+            BlockRng::State st2 = s0;
+            FusedScanHit first{};
+            uint64_t skipped2 = 0;
+            const size_t found2 =
+                exp_nu ? MegaExpFillMinScanSpansPairwise(
+                             &st2, b, a, bars, rho, skip_words.data(), span,
+                             smin.data(), &first, 1, &skipped2)
+                       : MegaLaplaceFillMinScanSpansPairwise(
+                             &st2, 0.0, b, a, bars, rho, skip_words.data(),
+                             span, smin.data(), &first, 1, &skipped2);
+            EXPECT_EQ(found2, found) << ctx;
+            EXPECT_EQ(skipped2, ref_skipped) << ctx;
             EXPECT_EQ(first.index, ref_hits[0].index) << ctx;
             ASSERT_TRUE(StatesEqual(st2, ref_rng.state()))
                 << ctx << " overflow end state";

@@ -7,8 +7,8 @@
 //      quantized level can never prune a span the full-precision bound
 //      keeps, and
 //   2. codes are bound-only — so engine output is bit-identical with the
-//      prefilter attached, absent, or disabled, at every dispatch level,
-//      in both kernel modes, for both noise kinds.
+//      prefilter attached, absent, or disabled — and to the streaming
+//      Process() loop — at every dispatch level, for both noise kinds.
 // This file attacks both with adversarial value sets: subnormals,
 // near-threshold ties, max-magnitude deltas, infinities, and (at the
 // prefilter unit level, where no NaN-unaware vector reduction is in the
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -243,19 +244,30 @@ SvtOptions NearThresholdOptions(NoiseKind nu_kind) {
   return o;
 }
 
+// What one run leaves behind: its responses, counters and the positions
+// of both streams.
 struct EngineRun {
   std::vector<Response> responses;
   BatchRunStats stats;
+  int positives = 0;
+  int64_t processed = 0;
+  Rng::State base_state;
+  Rng::State nu_state;
 };
+
+EngineRun Finish(const SparseVector& mech, const Rng& rng,
+                 std::vector<Response> responses) {
+  return {std::move(responses), mech.batch_stats(), mech.positives_emitted(),
+          mech.queries_processed(), rng.state(), mech.nu_stream_state()};
+}
 
 EngineRun RunCommon(const SvtOptions& o, const std::vector<double>& answers,
                     const BoundPrefilter* pf, uint64_t seed) {
   Rng rng(seed);
   auto mech = SparseVector::Create(o, &rng).value();
-  EngineRun r;
-  mech->RunAppend(answers, 0.0, pf, &r.responses);
-  r.stats = mech->batch_stats();
-  return r;
+  std::vector<Response> out;
+  mech->RunAppend(answers, 0.0, pf, &out);
+  return Finish(*mech, rng, std::move(out));
 }
 
 EngineRun RunPerQuery(const SvtOptions& o, const std::vector<double>& answers,
@@ -263,10 +275,34 @@ EngineRun RunPerQuery(const SvtOptions& o, const std::vector<double>& answers,
                       const BoundPrefilter* pf, uint64_t seed) {
   Rng rng(seed);
   auto mech = SparseVector::Create(o, &rng).value();
-  EngineRun r;
-  mech->RunAppend(answers, thresholds, pf, &r.responses);
-  r.stats = mech->batch_stats();
-  return r;
+  std::vector<Response> out;
+  mech->RunAppend(answers, thresholds, pf, &out);
+  return Finish(*mech, rng, std::move(out));
+}
+
+// The streaming oracle: the same mechanism's Process() loop. `thresholds`
+// empty means the common bar 0.0.
+EngineRun RunStreaming(const SvtOptions& o, const std::vector<double>& answers,
+                       const std::vector<double>& thresholds, uint64_t seed) {
+  Rng rng(seed);
+  auto mech = SparseVector::Create(o, &rng).value();
+  std::vector<Response> out;
+  for (size_t i = 0; i < answers.size() && !mech->exhausted(); ++i) {
+    out.push_back(
+        mech->Process(answers[i], thresholds.empty() ? 0.0 : thresholds[i]));
+  }
+  return Finish(*mech, rng, std::move(out));
+}
+
+void ExpectMatchesStreaming(const EngineRun& got, const EngineRun& want,
+                            const std::string& context) {
+  ExpectSameResponses(got.responses, want.responses, context);
+  EXPECT_EQ(got.positives, want.positives) << context;
+  EXPECT_EQ(got.processed, want.processed) << context;
+  EXPECT_EQ(got.base_state.words, want.base_state.words) << context;
+  EXPECT_EQ(got.base_state.phase, want.base_state.phase) << context;
+  EXPECT_EQ(got.nu_state.words, want.nu_state.words) << context;
+  EXPECT_EQ(got.nu_state.phase, want.nu_state.phase) << context;
 }
 
 void ExpectSameTierCounters(const BatchRunStats& a, const BatchRunStats& b,
@@ -275,16 +311,15 @@ void ExpectSameTierCounters(const BatchRunStats& a, const BatchRunStats& b,
   EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << context;
   EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << context;
   EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << context;
-  EXPECT_EQ(a.tier2_fused_subblocks, b.tier2_fused_subblocks) << context;
   EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << context;
   EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << context;
 }
 
 TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
-  // Prefilter attached vs absent vs gate-disabled: bit-identical output at
-  // every dispatch level, in both kernel modes, for both noise kinds. And
-  // within each prefilter setting, all seven counters are dispatch- and
-  // mode-independent.
+  // Prefilter attached vs absent vs gate-disabled: bit-identical to the
+  // streaming loop at every dispatch level, for both noise kinds. And
+  // within each prefilter setting, all six counters are dispatch-level
+  // independent.
   ScopedDispatchLevel restore_level;
   ScopedPrefilterGate restore_gate;
   const size_t n = 3 * BatchRunner::kChunkSize + 321;
@@ -296,65 +331,60 @@ TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
         SparseVector::Create(o, &probe).value()->query_noise_scale();
     const std::vector<double> answers = NearThresholdAnswers(n, nu_scale, 99);
     const BoundPrefilter pf = BoundPrefilter::Build(answers);
+    const EngineRun want = RunStreaming(o, answers, {}, 21);
 
-    EngineRun reference;      // plain run, scalar megakernel
-    EngineRun quant_baseline; // prefiltered run, scalar megakernel
+    EngineRun reference;       // plain run, first level
+    EngineRun quant_baseline;  // prefiltered run, first level
     bool have_reference = false;
-    for (BatchKernelMode mode :
-         {BatchKernelMode::kMegakernel, BatchKernelMode::kComposition}) {
-      SetBatchKernelMode(mode);
-      for (vec::DispatchLevel level :
-           {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
-            vec::DispatchLevel::kAvx512}) {
-        if (!vec::SetDispatchLevel(level)) continue;
-        const std::string ctx =
-            std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
-            " mode=" + (mode == BatchKernelMode::kMegakernel ? "mega" : "comp") +
-            " level=" + vec::DispatchLevelName(level);
+    for (vec::DispatchLevel level :
+         {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
+          vec::DispatchLevel::kAvx512}) {
+      if (!vec::SetDispatchLevel(level)) continue;
+      const std::string ctx =
+          std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
+          " level=" + vec::DispatchLevelName(level);
 
-        SetBoundPrefilterEnabled(true);
-        const EngineRun plain = RunCommon(o, answers, nullptr, 21);
-        const EngineRun quant = RunCommon(o, answers, &pf, 21);
-        SetBoundPrefilterEnabled(false);
-        const EngineRun gated = RunCommon(o, answers, &pf, 21);
-        SetBoundPrefilterEnabled(true);
+      SetBoundPrefilterEnabled(true);
+      const EngineRun plain = RunCommon(o, answers, nullptr, 21);
+      const EngineRun quant = RunCommon(o, answers, &pf, 21);
+      SetBoundPrefilterEnabled(false);
+      const EngineRun gated = RunCommon(o, answers, &pf, 21);
+      SetBoundPrefilterEnabled(true);
 
-        ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
-        ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
-        // The disabled gate is full precision end to end.
-        ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
+      ExpectMatchesStreaming(plain, want, ctx + " plain");
+      ExpectMatchesStreaming(quant, want, ctx + " quant");
+      ExpectMatchesStreaming(gated, want, ctx + " gated");
+      // The disabled gate is full precision end to end.
+      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
 
-        if (!have_reference) {
-          reference = plain;
-          quant_baseline = quant;
-          have_reference = true;
-        } else {
-          ExpectSameResponses(plain.responses, reference.responses,
-                              ctx + " cross");
-          ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-          ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                                 ctx + " quant");
-        }
-        // Prefilter engaged: quantized prunes happen and are flagged; the
-        // plain run flags none.
-        EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-        EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
-        EXPECT_GT(quant.stats.tier2_spans_skipped, 0) << ctx;
-        // The quantized bound pass reads 1-2 bytes/element instead of 8.
-        EXPECT_GE(plain.stats.bound_bytes_touched,
-                  4 * quant.stats.bound_bytes_touched)
-            << ctx;
+      if (!have_reference) {
+        reference = plain;
+        quant_baseline = quant;
+        have_reference = true;
+      } else {
+        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
+        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
+                               ctx + " quant");
       }
+      // Prefilter engaged: quantized prunes happen and are flagged; the
+      // plain run flags none.
+      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
+      EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
+      EXPECT_GT(quant.stats.tier2_spans_skipped, 0) << ctx;
+      // The quantized bound pass reads 1-2 bytes/element instead of 8.
+      EXPECT_GE(plain.stats.bound_bytes_touched,
+                4 * quant.stats.bound_bytes_touched)
+          << ctx;
     }
   }
 }
 
 TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
-  // The per-query path's new span bound: responses must stay bit-identical
-  // to streaming semantics with the prefilter attached, absent, or gated
-  // off, across dispatch levels, modes, and noise kinds — and the bound
-  // must actually prune (tier2_spans_skipped > 0) on a workload with
-  // far-below stretches.
+  // The per-query path's span bound: responses must stay bit-identical to
+  // the streaming loop with the prefilter attached, absent, or gated off,
+  // across dispatch levels and noise kinds — and the bound must actually
+  // prune (tier2_spans_skipped > 0) on a workload with far-below
+  // stretches.
   ScopedDispatchLevel restore_level;
   ScopedPrefilterGate restore_gate;
   const size_t n = 2 * BatchRunner::kChunkSize + 57;
@@ -378,50 +408,45 @@ TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
     // Exact tie at a chunk boundary.
     thresholds[BatchRunner::kChunkSize] = answers[BatchRunner::kChunkSize];
     const BoundPrefilter pf = BoundPrefilter::Build(answers, thresholds);
+    const EngineRun want = RunStreaming(o, answers, thresholds, 4);
 
     EngineRun reference, quant_baseline;
     bool have_reference = false;
-    for (BatchKernelMode mode :
-         {BatchKernelMode::kMegakernel, BatchKernelMode::kComposition}) {
-      SetBatchKernelMode(mode);
-      for (vec::DispatchLevel level :
-           {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
-            vec::DispatchLevel::kAvx512}) {
-        if (!vec::SetDispatchLevel(level)) continue;
-        const std::string ctx =
-            std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
-            " mode=" + (mode == BatchKernelMode::kMegakernel ? "mega" : "comp") +
-            " level=" + vec::DispatchLevelName(level) + " per-query";
+    for (vec::DispatchLevel level :
+         {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
+          vec::DispatchLevel::kAvx512}) {
+      if (!vec::SetDispatchLevel(level)) continue;
+      const std::string ctx =
+          std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
+          " level=" + vec::DispatchLevelName(level) + " per-query";
 
-        SetBoundPrefilterEnabled(true);
-        const EngineRun plain = RunPerQuery(o, answers, thresholds, nullptr, 4);
-        const EngineRun quant = RunPerQuery(o, answers, thresholds, &pf, 4);
-        SetBoundPrefilterEnabled(false);
-        const EngineRun gated = RunPerQuery(o, answers, thresholds, &pf, 4);
-        SetBoundPrefilterEnabled(true);
+      SetBoundPrefilterEnabled(true);
+      const EngineRun plain = RunPerQuery(o, answers, thresholds, nullptr, 4);
+      const EngineRun quant = RunPerQuery(o, answers, thresholds, &pf, 4);
+      SetBoundPrefilterEnabled(false);
+      const EngineRun gated = RunPerQuery(o, answers, thresholds, &pf, 4);
+      SetBoundPrefilterEnabled(true);
 
-        ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
-        ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
-        ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
+      ExpectMatchesStreaming(plain, want, ctx + " plain");
+      ExpectMatchesStreaming(quant, want, ctx + " quant");
+      ExpectMatchesStreaming(gated, want, ctx + " gated");
+      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
 
-        if (!have_reference) {
-          reference = plain;
-          quant_baseline = quant;
-          have_reference = true;
-        } else {
-          ExpectSameResponses(plain.responses, reference.responses,
-                              ctx + " cross");
-          ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-          ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                                 ctx + " quant");
-        }
-        // The satellite: per-query spans are actually bounded now.
-        EXPECT_GT(plain.stats.tier2_spans_skipped, 0) << ctx;
-        EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-        EXPECT_GE(plain.stats.bound_bytes_touched,
-                  4 * quant.stats.bound_bytes_touched)
-            << ctx;
+      if (!have_reference) {
+        reference = plain;
+        quant_baseline = quant;
+        have_reference = true;
+      } else {
+        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
+        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
+                               ctx + " quant");
       }
+      // Per-query spans are actually bounded.
+      EXPECT_GT(plain.stats.tier2_spans_skipped, 0) << ctx;
+      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
+      EXPECT_GE(plain.stats.bound_bytes_touched,
+                4 * quant.stats.bound_bytes_touched)
+          << ctx;
     }
   }
 }
