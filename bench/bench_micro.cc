@@ -383,6 +383,40 @@ void BM_SvtRunBatchExpNoiseNearThreshold(benchmark::State& state) {
 }
 BENCHMARK(BM_SvtRunBatchExpNoiseNearThreshold)->Arg(1 << 20)->Arg(65536);
 
+void BM_SvtRunBatchExpNoisePerQueryNearThreshold(benchmark::State& state) {
+  // BM_SvtRunBatchPerQueryNearThreshold's workload on the exponential-noise
+  // axis: answers 6 ν scales under per-query bars within one ν scale, so
+  // every chunk runs tier 2 and the exponential per-query fused pass does
+  // the finding.
+  Rng rng(5);
+  auto mech =
+      ExpNoiseSvt::Create(0.1, 1.0, /*cutoff=*/1 << 20, &rng).value();
+  const double nu_scale = mech->spec().nu_scale;
+  std::vector<double> answers(static_cast<size_t>(state.range(0)));
+  std::vector<double> thresholds(answers.size());
+  Rng gen(7);
+  for (size_t i = 0; i < answers.size(); ++i) {
+    answers[i] = (-6.0 + (gen.NextDouble() - 0.5)) * nu_scale;
+    thresholds[i] = (gen.NextDouble() - 0.5) * nu_scale;
+  }
+  std::vector<Response> out;
+  for (auto _ : state) {
+    mech->Reset();
+    out.clear();
+    mech->RunAppend(answers, thresholds, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  // The last iteration's run (Reset() zeroes the counters).
+  state.counters["words_skipped_frac"] =
+      static_cast<double>(mech->batch_stats().mega_words_skipped_q) /
+      static_cast<double>(state.range(0));
+  state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
+}
+BENCHMARK(BM_SvtRunBatchExpNoisePerQueryNearThreshold)
+    ->Arg(1 << 20)
+    ->Arg(65536);
+
 void BM_VecLogBlock(benchmark::State& state) {
   Rng rng(11);
   std::vector<double> in(static_cast<size_t>(state.range(0)));
