@@ -272,16 +272,17 @@ double NegLogUnitPositive(uint64_t word) {
 
 namespace {
 
-// The word-pair → Laplace(mu, b) transform of one element, shared by the
-// fused passes' scalar lanes and every SIMD lane's sub-width tail.
-// Operation for operation the scalar body of LaplaceTransformBlock — the
-// fused passes are *defined* by this composition.
-inline double LaplaceNuScalar(uint64_t w_mag, uint64_t w_sign, double mu,
-                              double b) {
+// The word-pair → Laplace(0, b) transform of one element, shared by the
+// fused passes' scalar lane and every SIMD lane's sub-width tail.
+// Operation for operation the scalar body of LaplaceTransformBlock at
+// mu = 0 — the fused passes are *defined* by this composition. The 0.0 +
+// is that body's mu + and must stay: it turns a -0.0 product into +0.0,
+// and the recorded ν carries those bits.
+inline double LaplaceNuScalar(uint64_t w_mag, uint64_t w_sign, double b) {
   const double e = -Log(Rng::ToUnitDoublePositive(w_mag));
   const double be = b * e;
   const uint64_t flip = ~w_sign & 0x8000'0000'0000'0000ull;
-  return mu + std::bit_cast<double>(std::bit_cast<uint64_t>(be) ^ flip);
+  return 0.0 + std::bit_cast<double>(std::bit_cast<uint64_t>(be) ^ flip);
 }
 
 // The word → Exponential(b) transform of one element: one raw word per
@@ -292,7 +293,7 @@ inline double ExpNuScalar(uint64_t word, double b) {
   return b * NegLogUnitPositive(word);
 }
 
-// --- fused passes: scalar lanes -------------------------------------------
+// --- fused passes: scalar lane --------------------------------------------
 //
 // The fused passes generate their words in-kernel from a BlockRng::State.
 // State::words is the generator's SoA state flattened (words[w * 4 + lane]
@@ -300,6 +301,12 @@ inline double ExpNuScalar(uint64_t word, double b) {
 // walk it directly. MegaNextWord is the scalar stream walker — operation
 // for operation BlockRng::Next() on the snapshot, which is what makes the
 // in-kernel stream bit-identical to FillUint64 (stream-neutrality).
+//
+// Each lane writes the pass once, as a template over its two axes: kWpv,
+// the words per ν variate (2: Laplace, a magnitude then a sign word; 1:
+// exponential, one word), and kPerQuery, the bar source (false: one common
+// bar, bar_offset; true: fl(bars[e] + bar_offset) per element). Only the
+// per-query form counts skipped elements.
 
 inline uint64_t MegaNextWord(BlockRng::State* st) {
   const uint64_t r = lockstep::StepLaneSoA(st->words.data(), st->phase);
@@ -307,145 +314,54 @@ inline uint64_t MegaNextWord(BlockRng::State* st) {
   return r;
 }
 
-// Scalar lanes of the fused generate-bound-and-scan pass: a walk over
-// the stream that keeps each span's minimum magnitude word and runs the
-// positive test inline, skipping the transform of every element whose
-// magnitude word's top 53 bits reach skip_word (it provably cannot fire —
-// MegaSkipWordThreshold contract) and recording every firing element
-// instead of stopping at the first. Consumes the full count regardless of
-// hits.
-
-size_t MegaLaplaceFillMinScanSpansScalar(BlockRng::State* st, double mu,
-                                         double b, const double* a, double bar,
-                                         uint64_t skip_word, size_t count,
-                                         size_t span_elems, uint64_t* span_min,
-                                         FusedScanHit* hits, size_t max_hits,
-                                         uint64_t* min_out) {
-  uint64_t total = UINT64_MAX;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    uint64_t m = UINT64_MAX;
-    for (; e < span_end; ++e) {
-      const uint64_t w_mag = MegaNextWord(st);
-      const uint64_t w_sign = MegaNextWord(st);
-      m = std::min(m, w_mag);
-      if ((w_mag >> 11) >= skip_word) continue;
-      const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-      if (a[e] + nu >= bar) {
-        if (found < max_hits) hits[found] = {e, nu};
-        ++found;
-      }
+// The scalar walk over elements [e, end) of one span, shared by the scalar
+// lane and every SIMD lane's sub-group span tail: folds each element's
+// magnitude word into the span minimum m (returned), skips the transform
+// of every element whose magnitude word's top 53 bits reach skip_word (it
+// provably cannot fire — MegaSkipWordThreshold contract) and records every
+// firing element instead of stopping at the first.
+template <size_t kWpv, bool kPerQuery>
+inline uint64_t MegaScanElems(BlockRng::State* st, double b, const double* a,
+                              const double* bars, double bar_offset,
+                              uint64_t skip_word, size_t e, size_t end,
+                              uint64_t m, FusedScanHit* hits, size_t max_hits,
+                              size_t* found, uint64_t* skipped) {
+  for (; e < end; ++e) {
+    const uint64_t w_mag = MegaNextWord(st);
+    uint64_t w_sign = 0;
+    if constexpr (kWpv == 2) w_sign = MegaNextWord(st);
+    m = std::min(m, w_mag);
+    if ((w_mag >> 11) >= skip_word) {
+      if constexpr (kPerQuery) ++*skipped;
+      continue;
     }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
+    const double nu = kWpv == 2 ? LaplaceNuScalar(w_mag, w_sign, b)
+                                : ExpNuScalar(w_mag, b);
+    if (a[e] + nu >= (kPerQuery ? bars[e] + bar_offset : bar_offset)) {
+      if (*found < max_hits) hits[*found] = {e, nu};
+      ++*found;
+    }
   }
-  *min_out = total;
-  return found;
+  return m;
 }
 
-size_t MegaExpFillMinScanSpansScalar(BlockRng::State* st, double b,
-                                     const double* a, double bar,
-                                     uint64_t skip_word, size_t count,
-                                     size_t span_elems, uint64_t* span_min,
-                                     FusedScanHit* hits, size_t max_hits,
-                                     uint64_t* min_out) {
-  uint64_t total = UINT64_MAX;
+// Scalar lane: the element walk span by span, each span under its own skip
+// word. Consumes the full count regardless of hits.
+template <size_t kWpv, bool kPerQuery>
+size_t MegaFillMinScanSpansScalar(BlockRng::State* st, double b,
+                                  const double* a, const double* bars,
+                                  double bar_offset,
+                                  const uint64_t* skip_words, size_t count,
+                                  size_t span_elems, uint64_t* span_min,
+                                  FusedScanHit* hits, size_t max_hits,
+                                  uint64_t* skipped_out) {
   size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    uint64_t m = UINT64_MAX;
-    for (; e < span_end; ++e) {
-      const uint64_t word = MegaNextWord(st);
-      m = std::min(m, word);
-      if ((word >> 11) >= skip_word) continue;
-      const double nu = ExpNuScalar(word, b);
-      if (a[e] + nu >= bar) {
-        if (found < max_hits) hits[found] = {e, nu};
-        ++found;
-      }
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  *min_out = total;
-  return found;
-}
-
-// Scalar lanes of the per-query fused generate-bound-and-scan pass: the
-// same walk with the pairwise positive test,
-// the skip threshold reloaded from the per-span vector at every span
-// boundary, and the skipped-element count accumulated per element (a
-// pure function of words and vector — dispatch-level-independent).
-
-size_t MegaLaplaceFillMinScanSpansPairwiseScalar(
-    BlockRng::State* st, double mu, double b, const double* a,
-    const double* bars, double rho, const uint64_t* skip_words, size_t count,
-    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
   uint64_t skipped = 0;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    const uint64_t skip_word = skip_words[span];
-    uint64_t m = UINT64_MAX;
-    for (; e < span_end; ++e) {
-      const uint64_t w_mag = MegaNextWord(st);
-      const uint64_t w_sign = MegaNextWord(st);
-      m = std::min(m, w_mag);
-      if ((w_mag >> 11) >= skip_word) {
-        ++skipped;
-        continue;
-      }
-      const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-      if (a[e] + nu >= bars[e] + rho) {
-        if (found < max_hits) hits[found] = {e, nu};
-        ++found;
-      }
-    }
-    span_min[span] = m;
-    ++span;
-  }
-  *skipped_out = skipped;
-  return found;
-}
-
-size_t MegaExpFillMinScanSpansPairwiseScalar(
-    BlockRng::State* st, double b, const double* a, const double* bars,
-    double rho, const uint64_t* skip_words, size_t count, size_t span_elems,
-    uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
-  uint64_t skipped = 0;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    const uint64_t skip_word = skip_words[span];
-    uint64_t m = UINT64_MAX;
-    for (; e < span_end; ++e) {
-      const uint64_t word = MegaNextWord(st);
-      m = std::min(m, word);
-      if ((word >> 11) >= skip_word) {
-        ++skipped;
-        continue;
-      }
-      const double nu = ExpNuScalar(word, b);
-      if (a[e] + nu >= bars[e] + rho) {
-        if (found < max_hits) hits[found] = {e, nu};
-        ++found;
-      }
-    }
-    span_min[span] = m;
-    ++span;
+  for (size_t e = 0, span = 0; e < count; e += span_elems, ++span) {
+    span_min[span] = MegaScanElems<kWpv, kPerQuery>(
+        st, b, a, bars, bar_offset, skip_words[span], e,
+        std::min(count, e + span_elems), UINT64_MAX, hits, max_hits, &found,
+        &skipped);
   }
   *skipped_out = skipped;
   return found;
@@ -855,16 +771,17 @@ __attribute__((target("avx2"))) size_t FindFirstSumGePairwiseAvx2(
 
 // One fused transform step: 4 consecutive (magnitude, sign) word pairs →
 // 4 ν values, bit-identical to the operation sequence of
-// LaplaceTransformAvx2 — that identity is what makes the fused passes
-// bit-identical to the FillUint64 + TransformBlock + FindFirst* walk. The
-// words come straight from the lockstep step registers. One deliberate
-// register-pressure optimization: `vnb` carries -b, so be = (-b)·log(u)
-// replaces the reference's b·(-log(u)) — IEEE multiplication computes the
-// sign as the XOR of the operand signs and the magnitude independently,
-// so the product is bit-identical while the -0.0 constant and its xor
-// drop out of the loop.
+// LaplaceTransformAvx2 at mu = 0 — that identity is what makes the fused
+// passes bit-identical to the FillUint64 + TransformBlock + FindFirst*
+// walk. The words come straight from the lockstep step registers. One
+// deliberate register-pressure optimization: `vnb` carries -b, so be =
+// (-b)·log(u) replaces the reference's b·(-log(u)) — IEEE multiplication
+// computes the sign as the XOR of the operand signs and the magnitude
+// independently, so the product is bit-identical while the -0.0 constant
+// and its xor drop out of the loop. The final add of +0.0 is the
+// reference's mu + and must stay (see LaplaceNuScalar).
 __attribute__((target("avx2"))) inline __m256d LaplaceNu4Avx2Reg(
-    __m256i v0, __m256i v1, __m256d vmu, __m256d vnb) {
+    __m256i v0, __m256i v1, __m256d vnb) {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d lattice = _mm256_set1_pd(0x1p-53);
   const __m256i sign_bit = _mm256_set1_epi64x(
@@ -877,7 +794,7 @@ __attribute__((target("avx2"))) inline __m256d LaplaceNu4Avx2Reg(
   const __m256d u = _mm256_mul_pd(_mm256_add_pd(d, one), lattice);
   const __m256d be = _mm256_mul_pd(vnb, Log4Normal(u));
   const __m256d flip = _mm256_castsi256_pd(_mm256_andnot_si256(odd, sign_bit));
-  return _mm256_add_pd(vmu, _mm256_xor_pd(be, flip));
+  return _mm256_add_pd(_mm256_setzero_pd(), _mm256_xor_pd(be, flip));
 }
 
 // One fused exponential transform step: 4 consecutive raw words → 4 ν
@@ -912,14 +829,14 @@ __attribute__((target("avx2"))) void ExponentialTransformAvx2(
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
-// --- fused passes: AVX2 lanes ---------------------------------------------
+// --- fused passes: AVX2 lane ----------------------------------------------
 //
 // The four xoshiro lanes live in registers (one lockstep::Step4Avx2 call
 // advances all four and yields the next four stream words), each group of
-// 4 elements consumes wpv steps, and the freshly stepped words feed the
+// 4 elements consumes kWpv steps, and the freshly stepped words feed the
 // Reg transform bodies above — words never touch memory. Entry requires a
-// lane-aligned stream position (phase == 0; the dispatch entry points
-// delegate the whole call to the scalar lane otherwise).
+// lane-aligned stream position (phase == 0; the dispatch entry point
+// delegates the whole call to the scalar lane otherwise).
 
 __attribute__((target("avx2"))) inline void MegaStoreAvx2(
     BlockRng::State* st, __m256i s0, __m256i s1, __m256i s2, __m256i s3) {
@@ -942,269 +859,44 @@ __attribute__((target("avx2"))) inline __m256i MinU64Avx2(__m256i a,
   return _mm256_blendv_epi8(a, b, gt);
 }
 
-// Fused generate-bound-and-scan lanes: a register walk keeping each span's
+// Records one lockstep group's hits in lane order: bit k of mask means
+// element e + k fired with ν nus[k]. Only the first max_hits are stored;
+// *found counts them all.
+inline void MegaRecordHits(unsigned mask, const double* nus, size_t e,
+                           FusedScanHit* hits, size_t max_hits,
+                           size_t* found) {
+  do {
+    const int lane = __builtin_ctz(mask);
+    if (*found < max_hits) {
+      hits[*found] = {e + static_cast<size_t>(lane), nus[lane]};
+    }
+    ++*found;
+    mask &= mask - 1;
+  } while (mask != 0);
+}
+
+// Fused generate-bound-and-scan lane: a register walk keeping each span's
 // minimum magnitude word, with the positive test behind a group skip
-// test. Each group's magnitude words are tested
-// against the skip threshold first — one shift, one compare, one movemask
-// — and the whole transform-and-test body is bypassed when no word is
-// below it. The threshold never exceeds 2^53 + 1 (MegaSkipWordThreshold
-// contract) and the shifted words are at most 2^53 - 1, so both sides are
+// test. Each group's magnitude words are tested against the span's skip
+// word first — one shift, one compare, one movemask — and the whole
+// transform-and-test body is bypassed when no word is below it. Skip words
+// never exceed 2^53 + 1 (MegaSkipWordThreshold contract, checked at the
+// entry) and the shifted words are at most 2^53 - 1, so both sides are
 // non-negative as signed 64-bit values and cmpgt_epi64 is an unsigned
 // compare. Mixed groups run the full body: above-threshold lanes provably
-// cannot satisfy the computed positive test. Every hit lane's ν is
-// already in the group's nu vector, and the walk never stops early, so it
-// consumes exactly count * wpv words.
-
-__attribute__((target("avx2"))) size_t MegaLaplaceFillMinScanSpansAvx2(
-    BlockRng::State* st, double mu, double b, const double* a, double bar,
-    uint64_t skip_word, size_t count, size_t span_elems, uint64_t* span_min,
-    FusedScanHit* hits, size_t max_hits, uint64_t* min_out) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t total = UINT64_MAX;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    __m256i acc = _mm256_set1_epi64x(-1);
-    for (; e + 4 <= span_end; e += 4) {
-      const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-      const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-      // Magnitude words (order-free for min and the any-live test).
-      const __m256i mags = _mm256_unpacklo_epi64(v0, v1);
-      acc = MinU64Avx2(acc, mags);
-      const __m256i live =
-          _mm256_cmpgt_epi64(vskip, _mm256_srli_epi64(mags, 11));
-      if (_mm256_movemask_pd(_mm256_castsi256_pd(live)) == 0) continue;
-      const __m256d nu = LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-      const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + e), nu);
-      int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-      if (mask != 0) {
-        alignas(32) double nus[4];
-        _mm256_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
-      }
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    uint64_t m = std::min(std::min(lanes[0], lanes[1]),
-                          std::min(lanes[2], lanes[3]));
-    if (e < span_end) {
-      // Sub-group span tail: only the final span can be short (dispatch
-      // entry point guarantee), so spilling to scalar ends the call.
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t w_mag = MegaNextWord(st);
-        const uint64_t w_sign = MegaNextWord(st);
-        m = std::min(m, w_mag);
-        if ((w_mag >> 11) >= skip_word) continue;
-        const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-        if (a[e] + nu >= bar) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
-      *min_out = std::min(total, m);
-      return found;
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  *min_out = total;
-  return found;
-}
-
-__attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansAvx2(
-    BlockRng::State* st, double b, const double* a, double bar,
-    uint64_t skip_word, size_t count, size_t span_elems, uint64_t* span_min,
-    FusedScanHit* hits, size_t max_hits, uint64_t* min_out) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t total = UINT64_MAX;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    __m256i acc = _mm256_set1_epi64x(-1);
-    for (; e + 4 <= span_end; e += 4) {
-      const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
-      acc = MinU64Avx2(acc, v);
-      const __m256i live = _mm256_cmpgt_epi64(vskip, _mm256_srli_epi64(v, 11));
-      if (_mm256_movemask_pd(_mm256_castsi256_pd(live)) == 0) continue;
-      const __m256d nu = ExpNu4Avx2Reg(v, vnb);
-      const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + e), nu);
-      int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-      if (mask != 0) {
-        alignas(32) double nus[4];
-        _mm256_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
-      }
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    uint64_t m = std::min(std::min(lanes[0], lanes[1]),
-                          std::min(lanes[2], lanes[3]));
-    if (e < span_end) {
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t word = MegaNextWord(st);
-        m = std::min(m, word);
-        if ((word >> 11) >= skip_word) continue;
-        const double nu = ExpNuScalar(word, b);
-        if (a[e] + nu >= bar) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
-      *min_out = std::min(total, m);
-      return found;
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  *min_out = total;
-  return found;
-}
-
-// Per-query fused generate-bound-and-scan lanes: the FillMinScanSpans
-// walk with the pairwise positive test (same group skip test and signed-
-// compare validity argument), the skip threshold reloaded from
-// the per-span vector at each span entry, and the skipped-element count
-// accumulated from the group live masks (element-granular — the count is
-// what the scalar lane's per-element test produces, whatever the lane
-// width, so it stays dispatch-level-independent).
-
-__attribute__((target("avx2"))) size_t
-MegaLaplaceFillMinScanSpansPairwiseAvx2(
-    BlockRng::State* st, double mu, double b, const double* a,
-    const double* bars, double rho, const uint64_t* skip_words, size_t count,
-    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t skipped = 0;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    const uint64_t skip_word = skip_words[span];
-    const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-    __m256i acc = _mm256_set1_epi64x(-1);
-    for (; e + 4 <= span_end; e += 4) {
-      const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-      const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-      // Magnitude words (order-free for min, any-live, and the count).
-      const __m256i mags = _mm256_unpacklo_epi64(v0, v1);
-      acc = MinU64Avx2(acc, mags);
-      const __m256i live =
-          _mm256_cmpgt_epi64(vskip, _mm256_srli_epi64(mags, 11));
-      const int lmask = _mm256_movemask_pd(_mm256_castsi256_pd(live));
-      skipped += 4 - static_cast<unsigned>(
-                         __builtin_popcount(static_cast<unsigned>(lmask)));
-      if (lmask == 0) continue;
-      const __m256d nu = LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-      const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + e), nu);
-      const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + e), vrho);
-      int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-      if (mask != 0) {
-        alignas(32) double nus[4];
-        _mm256_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
-      }
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    uint64_t m = std::min(std::min(lanes[0], lanes[1]),
-                          std::min(lanes[2], lanes[3]));
-    if (e < span_end) {
-      // Sub-group span tail: only the final span can be short (dispatch
-      // entry point guarantee), so spilling to scalar ends the call.
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t w_mag = MegaNextWord(st);
-        const uint64_t w_sign = MegaNextWord(st);
-        m = std::min(m, w_mag);
-        if ((w_mag >> 11) >= skip_word) {
-          ++skipped;
-          continue;
-        }
-        const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-        if (a[e] + nu >= bars[e] + rho) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
-      *skipped_out = skipped;
-      return found;
-    }
-    span_min[span] = m;
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  *skipped_out = skipped;
-  return found;
-}
-
-__attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
+// cannot satisfy the computed positive test. The per-query skipped count
+// comes from the group live masks; it is element-granular, what the scalar
+// lane's per-element test produces whatever the lane width. Every hit
+// lane's ν is already in the group's nu vector, and the walk never stops
+// early, so it consumes exactly count * kWpv words.
+template <size_t kWpv, bool kPerQuery>
+__attribute__((target("avx2"))) size_t MegaFillMinScanSpansAvx2(
     BlockRng::State* st, double b, const double* a, const double* bars,
-    double rho, const uint64_t* skip_words, size_t count, size_t span_elems,
-    uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
+    double bar_offset, const uint64_t* skip_words, size_t count,
+    size_t span_elems, uint64_t* span_min, FusedScanHit* hits,
+    size_t max_hits, uint64_t* skipped_out) {
   const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
+  const __m256d voff = _mm256_set1_pd(bar_offset);
   uint64_t* w = st->words.data();
   __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
   __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
@@ -1216,32 +908,34 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    const uint64_t skip_word = skip_words[span];
-    const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
+    const __m256i vskip =
+        _mm256_set1_epi64x(static_cast<int64_t>(skip_words[span]));
     __m256i acc = _mm256_set1_epi64x(-1);
     for (; e + 4 <= span_end; e += 4) {
-      const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
-      acc = MinU64Avx2(acc, v);
-      const __m256i live = _mm256_cmpgt_epi64(vskip, _mm256_srli_epi64(v, 11));
-      const int lmask = _mm256_movemask_pd(_mm256_castsi256_pd(live));
-      skipped += 4 - static_cast<unsigned>(
-                         __builtin_popcount(static_cast<unsigned>(lmask)));
-      if (lmask == 0) continue;
-      const __m256d nu = ExpNu4Avx2Reg(v, vnb);
+      const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
+      __m256i v1 = v0;
+      if constexpr (kWpv == 2) v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
+      // Magnitude words (order-free for min, any-live, and the count).
+      const __m256i mags = kWpv == 2 ? _mm256_unpacklo_epi64(v0, v1) : v0;
+      acc = MinU64Avx2(acc, mags);
+      const int live = _mm256_movemask_pd(_mm256_castsi256_pd(
+          _mm256_cmpgt_epi64(vskip, _mm256_srli_epi64(mags, 11))));
+      if constexpr (kPerQuery) {
+        skipped += 4 - static_cast<unsigned>(
+                           __builtin_popcount(static_cast<unsigned>(live)));
+      }
+      if (live == 0) continue;
+      const __m256d nu = kWpv == 2 ? LaplaceNu4Avx2Reg(v0, v1, vnb)
+                                   : ExpNu4Avx2Reg(v0, vnb);
       const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + e), nu);
-      const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + e), vrho);
-      int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
+      const __m256d bar =
+          kPerQuery ? _mm256_add_pd(_mm256_loadu_pd(bars + e), voff) : voff;
+      const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
       if (mask != 0) {
         alignas(32) double nus[4];
         _mm256_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
+        MegaRecordHits(static_cast<unsigned>(mask), nus, e, hits, max_hits,
+                       &found);
       }
     }
     alignas(32) uint64_t lanes[4];
@@ -1249,22 +943,13 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
     uint64_t m = std::min(std::min(lanes[0], lanes[1]),
                           std::min(lanes[2], lanes[3]));
     if (e < span_end) {
+      // Sub-group span tail: only the final span can be short (dispatch
+      // entry point guarantee), so spilling to scalar ends the call.
       MegaStoreAvx2(st, s0, s1, s2, s3);
       _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t word = MegaNextWord(st);
-        m = std::min(m, word);
-        if ((word >> 11) >= skip_word) {
-          ++skipped;
-          continue;
-        }
-        const double nu = ExpNuScalar(word, b);
-        if (a[e] + nu >= bars[e] + rho) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
+      span_min[span] = MegaScanElems<kWpv, kPerQuery>(
+          st, b, a, bars, bar_offset, skip_words[span], e, span_end, m, hits,
+          max_hits, &found, &skipped);
       *skipped_out = skipped;
       return found;
     }
@@ -1621,11 +1306,11 @@ FindFirstSumGePairwiseAvx512(const double* a, const double* b,
   return n;
 }
 
-// 8-wide fused transform step, mirroring LaplaceTransformAvx512 operation
-// for operation, with the same bit-identical (-b)·log(u) fold as
-// LaplaceNu4Avx2Reg (see there for why both identities hold).
+// 8-wide fused transform step, mirroring LaplaceTransformAvx512 at mu = 0
+// operation for operation, with the same bit-identical (-b)·log(u) fold
+// and kept +0.0 add as LaplaceNu4Avx2Reg (see there for why both hold).
 __attribute__((target("avx512f,avx512dq"))) inline __m512d LaplaceNu8Avx512Reg(
-    __m512i v0, __m512i v1, __m512d vmu, __m512d vnb) {
+    __m512i v0, __m512i v1, __m512d vnb) {
   const __m512d one = _mm512_set1_pd(1.0);
   const __m512d lattice = _mm512_set1_pd(0x1p-53);
   const __m512i sign_bit = _mm512_set1_epi64(
@@ -1636,7 +1321,7 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512d LaplaceNu8Avx512Reg(
   const __m512d u = _mm512_mul_pd(_mm512_add_pd(d, one), lattice);
   const __m512d be = _mm512_mul_pd(vnb, Log8Normal(u));
   const __m512d flip = _mm512_castsi512_pd(_mm512_andnot_si512(odd, sign_bit));
-  return _mm512_add_pd(vmu, _mm512_xor_pd(be, flip));
+  return _mm512_add_pd(_mm512_setzero_pd(), _mm512_xor_pd(be, flip));
 }
 
 // 8-wide fused exponential transform step, mirroring ExpNu4Avx2Reg (see
@@ -1666,195 +1351,31 @@ __attribute__((target("avx512f,avx512dq"))) void ExponentialTransformAvx512(
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
-// --- fused passes: AVX-512 lanes ------------------------------------------
+// --- fused passes: AVX-512 lane -------------------------------------------
 //
-// Same structure as the AVX2 lanes: the four xoshiro lanes live in 256-bit
+// Same structure as the AVX2 lane: the four xoshiro lanes live in 256-bit
 // registers (lockstep::Step4Avx512 — needs AVX-512VL for the native
 // rotate, hence the extended target), each group of 8 elements consumes
-// 2*wpv steps, and two step results are concatenated into the 512-bit word
-// vectors the Reg transform bodies expect, in stream order (step k's four
-// outputs are stream words 4k..4k+3). Entry requires phase == 0.
+// 2*kWpv steps, and two step results are concatenated into the 512-bit
+// word vectors the Reg transform bodies expect, in stream order (step k's
+// four outputs are stream words 4k..4k+3). Entry requires phase == 0.
 //
-// The walk is the AVX2 lanes',
-// with the group skip test as one unsigned compare mask over the top 53
-// bits of the group's magnitude words; a zero mask bypasses the whole
-// transform-and-test body. Hit lanes' ν values come straight out of the
-// group's nu vector, and the walk never stops early, so it consumes
-// exactly count * wpv words.
+// The walk is the AVX2 lane's, with the group skip test as one unsigned
+// compare mask over the top 53 bits of the group's magnitude words; a zero
+// mask bypasses the whole transform-and-test body. Hit lanes' ν values
+// come straight out of the group's nu vector, and the walk never stops
+// early, so it consumes exactly count * kWpv words.
 
+template <size_t kWpv, bool kPerQuery>
 __attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
-MegaLaplaceFillMinScanSpansAvx512(BlockRng::State* st, double mu, double b,
-                                  const double* a, double bar,
-                                  uint64_t skip_word, size_t count,
-                                  size_t span_elems, uint64_t* span_min,
-                                  FusedScanHit* hits, size_t max_hits,
-                                  uint64_t* min_out) {
-  const __m512d vmu = _mm512_set1_pd(mu);
+MegaFillMinScanSpansAvx512(BlockRng::State* st, double b, const double* a,
+                           const double* bars, double bar_offset,
+                           const uint64_t* skip_words, size_t count,
+                           size_t span_elems, uint64_t* span_min,
+                           FusedScanHit* hits, size_t max_hits,
+                           uint64_t* skipped_out) {
   const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t total = UINT64_MAX;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    __m512i acc = _mm512_set1_epi64(-1);
-    for (; e + 8 <= span_end; e += 8) {
-      const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m512i v0 = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-      const __m512i v1 = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-      // Magnitude words (order-free for min and the any-live test).
-      const __m512i mags = _mm512_unpacklo_epi64(v0, v1);
-      acc = _mm512_min_epu64(acc, mags);
-      if (_mm512_cmplt_epu64_mask(_mm512_srli_epi64(mags, 11), vskip) == 0) {
-        continue;
-      }
-      const __m512d nu = LaplaceNu8Avx512Reg(v0, v1, vmu, vnb);
-      const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + e), nu);
-      unsigned mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-      if (mask != 0) {
-        alignas(64) double nus[8];
-        _mm512_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(mask);
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
-      }
-    }
-    alignas(64) uint64_t lanes[8];
-    _mm512_store_si512(lanes, acc);
-    uint64_t m = lanes[0];
-    for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
-    if (e < span_end) {
-      // Sub-group span tail: only the final span can be short (dispatch
-      // entry point guarantee), so spilling to scalar ends the call.
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t w_mag = MegaNextWord(st);
-        const uint64_t w_sign = MegaNextWord(st);
-        m = std::min(m, w_mag);
-        if ((w_mag >> 11) >= skip_word) continue;
-        const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-        if (a[e] + nu >= bar) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
-      *min_out = std::min(total, m);
-      return found;
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  *min_out = total;
-  return found;
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
-MegaExpFillMinScanSpansAvx512(BlockRng::State* st, double b, const double* a,
-                              double bar, uint64_t skip_word, size_t count,
-                              size_t span_elems, uint64_t* span_min,
-                              FusedScanHit* hits, size_t max_hits,
-                              uint64_t* min_out) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t total = UINT64_MAX;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    __m512i acc = _mm512_set1_epi64(-1);
-    for (; e + 8 <= span_end; e += 8) {
-      const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m512i v = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-      acc = _mm512_min_epu64(acc, v);
-      if (_mm512_cmplt_epu64_mask(_mm512_srli_epi64(v, 11), vskip) == 0) {
-        continue;
-      }
-      const __m512d nu = ExpNu8Avx512Reg(v, vnb);
-      const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + e), nu);
-      unsigned mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-      if (mask != 0) {
-        alignas(64) double nus[8];
-        _mm512_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(mask);
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
-      }
-    }
-    alignas(64) uint64_t lanes[8];
-    _mm512_store_si512(lanes, acc);
-    uint64_t m = lanes[0];
-    for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
-    if (e < span_end) {
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t word = MegaNextWord(st);
-        m = std::min(m, word);
-        if ((word >> 11) >= skip_word) continue;
-        const double nu = ExpNuScalar(word, b);
-        if (a[e] + nu >= bar) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
-      *min_out = std::min(total, m);
-      return found;
-    }
-    span_min[span] = m;
-    total = std::min(total, m);
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  *min_out = total;
-  return found;
-}
-
-// Per-query fused generate-bound-and-scan lanes at 8-wide: the span skip
-// threshold reloads from the per-span vector at each span entry and the
-// group live masks feed the element-granular skipped count.
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
-MegaLaplaceFillMinScanSpansPairwiseAvx512(
-    BlockRng::State* st, double mu, double b, const double* a,
-    const double* bars, double rho, const uint64_t* skip_words, size_t count,
-    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
+  const __m512d voff = _mm512_set1_pd(bar_offset);
   uint64_t* w = st->words.data();
   __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
   __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
@@ -1866,39 +1387,39 @@ MegaLaplaceFillMinScanSpansPairwiseAvx512(
   size_t span = 0;
   while (e < count) {
     const size_t span_end = std::min(count, e + span_elems);
-    const uint64_t skip_word = skip_words[span];
-    const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
+    const __m512i vskip =
+        _mm512_set1_epi64(static_cast<int64_t>(skip_words[span]));
     __m512i acc = _mm512_set1_epi64(-1);
     for (; e + 8 <= span_end; e += 8) {
       const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
       const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
       const __m512i v0 = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-      const __m512i v1 = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
+      __m512i v1 = v0;
+      if constexpr (kWpv == 2) {
+        const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
+        const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
+        v1 = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
+      }
       // Magnitude words (order-free for min, any-live, and the count).
-      const __m512i mags = _mm512_unpacklo_epi64(v0, v1);
+      const __m512i mags = kWpv == 2 ? _mm512_unpacklo_epi64(v0, v1) : v0;
       acc = _mm512_min_epu64(acc, mags);
       const __mmask8 live =
           _mm512_cmplt_epu64_mask(_mm512_srli_epi64(mags, 11), vskip);
-      skipped += 8 - static_cast<unsigned>(
-                         __builtin_popcount(static_cast<unsigned>(live)));
+      if constexpr (kPerQuery) {
+        skipped += 8 - static_cast<unsigned>(
+                           __builtin_popcount(static_cast<unsigned>(live)));
+      }
       if (live == 0) continue;
-      const __m512d nu = LaplaceNu8Avx512Reg(v0, v1, vmu, vnb);
+      const __m512d nu = kWpv == 2 ? LaplaceNu8Avx512Reg(v0, v1, vnb)
+                                   : ExpNu8Avx512Reg(v0, vnb);
       const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + e), nu);
-      const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + e), vrho);
-      unsigned mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
+      const __m512d bar =
+          kPerQuery ? _mm512_add_pd(_mm512_loadu_pd(bars + e), voff) : voff;
+      const unsigned mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
       if (mask != 0) {
         alignas(64) double nus[8];
         _mm512_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(mask);
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
+        MegaRecordHits(mask, nus, e, hits, max_hits, &found);
       }
     }
     alignas(64) uint64_t lanes[8];
@@ -1910,102 +1431,9 @@ MegaLaplaceFillMinScanSpansPairwiseAvx512(
       // entry point guarantee), so spilling to scalar ends the call.
       MegaStoreAvx2(st, s0, s1, s2, s3);
       _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t w_mag = MegaNextWord(st);
-        const uint64_t w_sign = MegaNextWord(st);
-        m = std::min(m, w_mag);
-        if ((w_mag >> 11) >= skip_word) {
-          ++skipped;
-          continue;
-        }
-        const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-        if (a[e] + nu >= bars[e] + rho) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
-      *skipped_out = skipped;
-      return found;
-    }
-    span_min[span] = m;
-    ++span;
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  *skipped_out = skipped;
-  return found;
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
-MegaExpFillMinScanSpansPairwiseAvx512(
-    BlockRng::State* st, double b, const double* a, const double* bars,
-    double rho, const uint64_t* skip_words, size_t count, size_t span_elems,
-    uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  uint64_t skipped = 0;
-  size_t found = 0;
-  size_t e = 0;
-  size_t span = 0;
-  while (e < count) {
-    const size_t span_end = std::min(count, e + span_elems);
-    const uint64_t skip_word = skip_words[span];
-    const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-    __m512i acc = _mm512_set1_epi64(-1);
-    for (; e + 8 <= span_end; e += 8) {
-      const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-      const __m512i v = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-      acc = _mm512_min_epu64(acc, v);
-      const __mmask8 live =
-          _mm512_cmplt_epu64_mask(_mm512_srli_epi64(v, 11), vskip);
-      skipped += 8 - static_cast<unsigned>(
-                         __builtin_popcount(static_cast<unsigned>(live)));
-      if (live == 0) continue;
-      const __m512d nu = ExpNu8Avx512Reg(v, vnb);
-      const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + e), nu);
-      const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + e), vrho);
-      unsigned mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-      if (mask != 0) {
-        alignas(64) double nus[8];
-        _mm512_store_pd(nus, nu);
-        do {
-          const int lane = __builtin_ctz(mask);
-          if (found < max_hits) {
-            hits[found] = {e + static_cast<size_t>(lane), nus[lane]};
-          }
-          ++found;
-          mask &= mask - 1;
-        } while (mask != 0);
-      }
-    }
-    alignas(64) uint64_t lanes[8];
-    _mm512_store_si512(lanes, acc);
-    uint64_t m = lanes[0];
-    for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
-    if (e < span_end) {
-      MegaStoreAvx2(st, s0, s1, s2, s3);
-      _mm256_zeroupper();
-      for (; e < span_end; ++e) {
-        const uint64_t word = MegaNextWord(st);
-        m = std::min(m, word);
-        if ((word >> 11) >= skip_word) {
-          ++skipped;
-          continue;
-        }
-        const double nu = ExpNuScalar(word, b);
-        if (a[e] + nu >= bars[e] + rho) {
-          if (found < max_hits) hits[found] = {e, nu};
-          ++found;
-        }
-      }
-      span_min[span] = m;
+      span_min[span] = MegaScanElems<kWpv, kPerQuery>(
+          st, b, a, bars, bar_offset, skip_words[span], e, span_end, m, hits,
+          max_hits, &found, &skipped);
       *skipped_out = skipped;
       return found;
     }
@@ -2392,134 +1820,68 @@ uint64_t MegaSkipWordThreshold(double a_max, double bar, double b) {
   return kMegaNeverSkip;
 }
 
-// Fused generate-bound-and-scan entries. These run whole chunks from the
-// chunk-entry stream position, which is always lane-aligned (chunks
-// consume lane-multiple word counts), so an unaligned entry only needs a
-// correctness fallback: the scalar lane handles it exactly.
+namespace {
 
-size_t MegaLaplaceFillMinScanSpans(BlockRng::State* state, double mu, double b,
-                                   std::span<const double> a, double bar,
-                                   uint64_t skip_word, size_t span_elems,
-                                   uint64_t* span_min, FusedScanHit* hits,
-                                   size_t max_hits, uint64_t* min_out) {
-  SVT_CHECK(span_elems > 0)
-      << "MegaLaplaceFillMinScanSpans requires span_elems > 0";
-  SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
+// One form of the fused pass at the active dispatch level. Chunks run
+// whole from the chunk-entry stream position, which is always lane-aligned
+// (chunks consume lane-multiple word counts), so an unaligned entry only
+// needs a correctness fallback: the scalar lane handles it exactly. A SIMD
+// lane also needs every span but the last to be a whole number of groups.
+template <size_t kWpv, bool kPerQuery>
+size_t MegaFillMinScanSpansAt(BlockRng::State* state, double b,
+                              std::span<const double> a, const double* bars,
+                              double bar_offset, const uint64_t* skip_words,
+                              size_t span_elems, uint64_t* span_min,
+                              FusedScanHit* hits, size_t max_hits,
+                              uint64_t* skipped_out) {
   const size_t n = a.size();
 #if SVT_VECMATH_HAVE_AVX512
   if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0 &&
       (span_elems % 8 == 0 || n <= span_elems)) {
-    return MegaLaplaceFillMinScanSpansAvx512(state, mu, b, a.data(), bar,
-                                             skip_word, n, span_elems,
-                                             span_min, hits, max_hits,
-                                             min_out);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0 &&
-      (span_elems % 4 == 0 || n <= span_elems)) {
-    return MegaLaplaceFillMinScanSpansAvx2(state, mu, b, a.data(), bar,
-                                           skip_word, n, span_elems, span_min,
-                                           hits, max_hits, min_out);
-  }
-#endif
-  return MegaLaplaceFillMinScanSpansScalar(state, mu, b, a.data(), bar,
-                                           skip_word, n, span_elems, span_min,
-                                           hits, max_hits, min_out);
-}
-
-size_t MegaExpFillMinScanSpans(BlockRng::State* state, double b,
-                               std::span<const double> a, double bar,
-                               uint64_t skip_word, size_t span_elems,
-                               uint64_t* span_min, FusedScanHit* hits,
-                               size_t max_hits, uint64_t* min_out) {
-  SVT_CHECK(span_elems > 0)
-      << "MegaExpFillMinScanSpans requires span_elems > 0";
-  SVT_DCHECK(skip_word <= kMegaNeverSkip + 1);
-  const size_t n = a.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0 &&
-      (span_elems % 8 == 0 || n <= span_elems)) {
-    return MegaExpFillMinScanSpansAvx512(state, b, a.data(), bar, skip_word, n,
-                                         span_elems, span_min, hits, max_hits,
-                                         min_out);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0 &&
-      (span_elems % 4 == 0 || n <= span_elems)) {
-    return MegaExpFillMinScanSpansAvx2(state, b, a.data(), bar, skip_word, n,
-                                       span_elems, span_min, hits, max_hits,
-                                       min_out);
-  }
-#endif
-  return MegaExpFillMinScanSpansScalar(state, b, a.data(), bar, skip_word, n,
-                                       span_elems, span_min, hits, max_hits,
-                                       min_out);
-}
-
-size_t MegaLaplaceFillMinScanSpansPairwise(
-    BlockRng::State* state, double mu, double b, std::span<const double> a,
-    std::span<const double> bars, double rho, const uint64_t* skip_words,
-    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
-  SVT_CHECK(a.size() == bars.size())
-      << "MegaLaplaceFillMinScanSpansPairwise size mismatch: " << a.size()
-      << " vs " << bars.size();
-  SVT_CHECK(span_elems > 0)
-      << "MegaLaplaceFillMinScanSpansPairwise requires span_elems > 0";
-  const size_t n = a.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0 &&
-      (span_elems % 8 == 0 || n <= span_elems)) {
-    return MegaLaplaceFillMinScanSpansPairwiseAvx512(
-        state, mu, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
+    return MegaFillMinScanSpansAvx512<kWpv, kPerQuery>(
+        state, b, a.data(), bars, bar_offset, skip_words, n, span_elems,
         span_min, hits, max_hits, skipped_out);
   }
 #endif
 #if SVT_VECMATH_HAVE_AVX2
   if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0 &&
       (span_elems % 4 == 0 || n <= span_elems)) {
-    return MegaLaplaceFillMinScanSpansPairwiseAvx2(
-        state, mu, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
+    return MegaFillMinScanSpansAvx2<kWpv, kPerQuery>(
+        state, b, a.data(), bars, bar_offset, skip_words, n, span_elems,
         span_min, hits, max_hits, skipped_out);
   }
 #endif
-  return MegaLaplaceFillMinScanSpansPairwiseScalar(
-      state, mu, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
+  return MegaFillMinScanSpansScalar<kWpv, kPerQuery>(
+      state, b, a.data(), bars, bar_offset, skip_words, n, span_elems,
       span_min, hits, max_hits, skipped_out);
 }
 
-size_t MegaExpFillMinScanSpansPairwise(
-    BlockRng::State* state, double b, std::span<const double> a,
-    std::span<const double> bars, double rho, const uint64_t* skip_words,
-    size_t span_elems, uint64_t* span_min, FusedScanHit* hits, size_t max_hits,
-    uint64_t* skipped_out) {
-  SVT_CHECK(a.size() == bars.size())
-      << "MegaExpFillMinScanSpansPairwise size mismatch: " << a.size()
-      << " vs " << bars.size();
-  SVT_CHECK(span_elems > 0)
-      << "MegaExpFillMinScanSpansPairwise requires span_elems > 0";
-  const size_t n = a.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0 &&
-      (span_elems % 8 == 0 || n <= span_elems)) {
-    return MegaExpFillMinScanSpansPairwiseAvx512(
-        state, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-        span_min, hits, max_hits, skipped_out);
+}  // namespace
+
+size_t MegaFillMinScanSpans(BlockRng::State* state, size_t wpv, double b,
+                            std::span<const double> a,
+                            std::span<const double> bars, double bar_offset,
+                            const uint64_t* skip_words, size_t span_elems,
+                            uint64_t* span_min, FusedScanHit* hits,
+                            size_t max_hits, uint64_t* skipped_out) {
+  SVT_CHECK(wpv == 1 || wpv == 2)
+      << "MegaFillMinScanSpans words-per-variate must be 1 or 2, got " << wpv;
+  SVT_CHECK(bars.empty() || bars.size() == a.size())
+      << "MegaFillMinScanSpans size mismatch: " << a.size() << " vs "
+      << bars.size();
+  SVT_CHECK(span_elems > 0) << "MegaFillMinScanSpans requires span_elems > 0";
+  // The AVX2 lane's signed compare needs every skip word at or below
+  // 2^53 + 1, the cap MegaSkipWordThreshold keeps.
+  for (size_t j = 0; j * span_elems < a.size(); ++j) {
+    SVT_DCHECK(skip_words[j] <= kMegaNeverSkip + 1);
   }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0 &&
-      (span_elems % 4 == 0 || n <= span_elems)) {
-    return MegaExpFillMinScanSpansPairwiseAvx2(
-        state, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-        span_min, hits, max_hits, skipped_out);
-  }
-#endif
-  return MegaExpFillMinScanSpansPairwiseScalar(
-      state, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
-      span_min, hits, max_hits, skipped_out);
+  using Form = decltype(&MegaFillMinScanSpansAt<1, false>);
+  static constexpr Form kForms[2][2] = {
+      {MegaFillMinScanSpansAt<1, false>, MegaFillMinScanSpansAt<1, true>},
+      {MegaFillMinScanSpansAt<2, false>, MegaFillMinScanSpansAt<2, true>}};
+  return kForms[wpv - 1][!bars.empty()](state, b, a, bars.data(), bar_offset,
+                                        skip_words, span_elems, span_min,
+                                        hits, max_hits, skipped_out);
 }
 
 size_t SkipWordCountBlock(std::span<const std::uint64_t> words, size_t wpv,

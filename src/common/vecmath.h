@@ -263,6 +263,15 @@ struct FusedScanHit {
 // words are still generated and consumed, and skipped elements cannot hit,
 // so the recorded hits are bit-identical to a LaplaceTransformBlock (or
 // ExponentialTransformBlock) + FindFirst* walk over the FillUint64 words.
+// The threshold is a per-span vector. A common bar repeats one word; per
+// query there is no single chunk bar, so each span's word pairs its
+// answer upper bound with its bar lower bound
+// (BoundPipeline::SpanSkipWordPerQuery): fl(dn + rho) <= fl(t_i + rho)
+// for every t_i in the span (monotone rounded add), so it skips only
+// elements that provably fail every computed test in the span.
+//
+// One entry serves all four forms: Laplace or exponential ν, common or
+// per-query bar.
 
 /// Conservative skip threshold for the fused passes: the largest W such
 /// that every element whose magnitude word w has (w >> 11) >= W provably
@@ -285,69 +294,37 @@ std::uint64_t MegaSkipWordThreshold(double a_max, double bar, double b);
 inline constexpr std::uint64_t kMegaNeverSkipWord = std::uint64_t{1} << 53;
 
 /// Single-pass generate, bound, and scan: consumes exactly a.size() * wpv
-/// words (no early exit) and records, for each span of `span_elems`
-/// elements, the minimum of its magnitude words (every wpv-th word,
-/// starting at the first) into span_min[j] — bit-identical to
-/// FillUint64 + MinWordBlock per span, since unsigned min is
-/// association-free — and the minimum over all of them into *min_out.
-/// Spans partition [0, a.size()) in order; the last may be short;
-/// span_min must hold ceil(a.size() / span_elems) entries. It also records
-/// every element whose computed positive test fires — fl(a[i] + ν_i) >=
-/// bar — in index order, transforming only lockstep groups holding a
-/// magnitude word below skip_word (MegaSkipWordThreshold contract). For
-/// near-threshold chunks the scan rides along at about the cost of the
-/// generation alone. Returns the total number of positives found; only the
-/// first max_hits are stored in hits (a larger return value signals the
-/// record is incomplete). Hit indices and ν payloads are bit-identical to
-/// the FillUint64 + transform + compare-scan walk.
-std::size_t MegaLaplaceFillMinScanSpans(
-    BlockRng::State* state, double mu, double b, std::span<const double> a,
-    double bar, std::uint64_t skip_word, std::size_t span_elems,
-    std::uint64_t* span_min, FusedScanHit* hits, std::size_t max_hits,
-    std::uint64_t* min_out);
-
-/// Exponential-noise fused generate-bound-and-scan pass (wpv = 1); same
-/// contract as the Laplace variant.
-std::size_t MegaExpFillMinScanSpans(BlockRng::State* state, double b,
-                                    std::span<const double> a, double bar,
-                                    std::uint64_t skip_word,
-                                    std::size_t span_elems,
-                                    std::uint64_t* span_min,
-                                    FusedScanHit* hits, std::size_t max_hits,
-                                    std::uint64_t* min_out);
-
-// The per-query-threshold path has no single chunk bar: element i's bar is
-// fl(t_i + rho). A span's conservative skip word instead pairs the span's
-// answer UPPER bound with its bar LOWER bound
-// (BoundPipeline::SpanSkipWordPerQuery): fl(dn + rho) <= fl(t_i + rho) for
-// every t_i in the span (monotone rounded add), so
-// MegaSkipWordThreshold(up, fl(dn + rho), b) skips only elements that
-// provably fail every computed pairwise test in the span. The skip
-// threshold is therefore a per-span VECTOR, reloaded at every span
-// boundary.
-
-/// Per-query fused generate-bound-and-scan: the same walk with the
-/// pairwise positive test, driven by a per-span skip-word vector.
-/// skip_words[j] governs span j (kMegaNeverSkipWord entries simply never
-/// skip); `hits` records every element with fl(a[i] + ν_i) >=
-/// fl(bars[i] + rho) in index order, and the walk never stops early —
-/// exactly a.size() * wpv words are consumed. *skipped_out gets the
-/// number of elements whose magnitude word's top 53 bits reached their
-/// span's skip word — a pure function of the words and the vector, so the
-/// count is dispatch-level-independent (unlike the group-granular
-/// transform elisions, which vary with lane width). Returns the total
-/// number of positives; only the first max_hits are stored. No chunk-min
-/// output: the per-query path has no tier-1 bound to feed.
-std::size_t MegaLaplaceFillMinScanSpansPairwise(
-    BlockRng::State* state, double mu, double b, std::span<const double> a,
-    std::span<const double> bars, double rho, const std::uint64_t* skip_words,
-    std::size_t span_elems, std::uint64_t* span_min, FusedScanHit* hits,
-    std::size_t max_hits, std::uint64_t* skipped_out);
-
-/// Exponential-noise per-query fused pass (wpv = 1); same contract.
-std::size_t MegaExpFillMinScanSpansPairwise(
-    BlockRng::State* state, double b, std::span<const double> a,
-    std::span<const double> bars, double rho, const std::uint64_t* skip_words,
+/// words (wpv = 2 for Laplace(0, b) ν, 1 for Exponential(b); no early exit)
+/// and records, for each span of `span_elems` elements, the minimum of its
+/// magnitude words (every wpv-th word, starting at the first) into
+/// span_min[j] — bit-identical to FillUint64 + MinWordBlock per span, since
+/// unsigned min is association-free. Spans partition [0, a.size()) in
+/// order; the last may be short; span_min and skip_words hold
+/// ceil(a.size() / span_elems) entries.
+///
+/// The bar: an empty `bars` means one common bar, `bar_offset`; otherwise
+/// element i's bar is fl(bars[i] + bar_offset) (Alg. 7's per-query form,
+/// with bar_offset = ρ), and bars.size() must equal a.size().
+///
+/// It records every element whose computed positive test fires —
+/// fl(a[i] + ν_i) >= its bar — in index order, transforming only lockstep
+/// groups holding a magnitude word below their span's skip word
+/// skip_words[j] (MegaSkipWordThreshold contract; kMegaNeverSkipWord never
+/// skips). For near-threshold chunks the scan rides along at about the
+/// cost of the generation alone. Returns the total number of positives
+/// found; only the first max_hits are stored in hits (a larger return value
+/// signals the record is incomplete). Hit indices and ν payloads are
+/// bit-identical to the FillUint64 + transform + compare-scan walk.
+///
+/// *skipped_out gets, per query, the number of elements whose magnitude
+/// word's top 53 bits reached their span's skip word — a pure function of
+/// the words and skip words, so it is dispatch-level-independent (unlike
+/// the group-granular transform elisions, which vary with lane width) —
+/// and 0 for a common bar.
+std::size_t MegaFillMinScanSpans(
+    BlockRng::State* state, std::size_t wpv, double b,
+    std::span<const double> a, std::span<const double> bars,
+    double bar_offset, const std::uint64_t* skip_words,
     std::size_t span_elems, std::uint64_t* span_min, FusedScanHit* hits,
     std::size_t max_hits, std::uint64_t* skipped_out);
 

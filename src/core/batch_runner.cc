@@ -110,7 +110,7 @@ size_t Truncate(std::vector<Response>* out, size_t start, size_t emitted) {
   return emitted;
 }
 
-// The tier-2 resume walk of every arm, from element `from` of an n-element
+// The tier-2 resume walk, from element `from` of an n-element
 // chunk. A resume lands mid-span only after a positive in that span, which
 // passed its bound to fire at all; the span's remainder is scanned without
 // a new test, and the walk re-anchors on the span grid. Each whole span is
@@ -226,15 +226,15 @@ struct ChunkNoise {
   alignas(64) double nu[BatchRunner::kChunkSize];
 };
 
-// The per-chunk noise stage of both arms: a pure function of the chunk's
+// The per-chunk noise stage: a pure function of the chunk's
 // ν entry state, its answers (and thresholds) and, when the bar cannot
 // move, ρ — so it may run on any thread, ahead of the walk, and produce
 // bit for bit what it would inline.
 struct NoiseStage {
   const VariantSpec& spec;
   std::span<const double> answers;
-  const double* thresholds;  // null in the common arm
-  double threshold;          // the common arm's bar, before ρ
+  const double* thresholds;  // null for a common bar
+  double threshold;          // the common bar, before ρ
   // Transform a chunk's whole ν block up front, for chunks the walk may
   // resume under a moved bar: right when the stage runs on a worker,
   // wasted work on the walk's own thread.
@@ -245,8 +245,6 @@ struct NoiseStage {
   void Run(size_t offset, size_t n, const BlockRng::State& entry,
            std::optional<double> rho, ChunkNoise* rec) const {
     const size_t wpv = WordsPerVariate(spec.nu_kind);
-    const bool exp_nu = spec.nu_kind == NoiseKind::kExponential;
-    const double b = spec.nu_scale;
     const double* const a = answers.data() + offset;
     const double* const t =
         thresholds == nullptr ? nullptr : thresholds + offset;
@@ -264,7 +262,7 @@ struct NoiseStage {
     // the bounds need and records every element that fires at the entry
     // bar, transforming only the lockstep groups the skip words cannot
     // discharge; the words never touch memory. It runs only where that
-    // record is valid and cheap: the bar is known (common arm: a spec
+    // record is valid and cheap: the bar is known (common bar: a spec
     // that resamples ρ leaves the entry bar at its first positive; per
     // query, a record stays valid while ρ does not fall below the entry
     // ρ), and a sound skip word exists (without one — some answer at or
@@ -274,46 +272,28 @@ struct NoiseStage {
     // quantized or exact, feed it directly; per query, each span pairs its
     // answer upper with its bar lower at the entry ρ.
     uint64_t skip_words[kChunkSpans];
+    const uint64_t common_skip =
+        t == nullptr && rho.has_value() && !spec.resample_rho_after_positive
+            ? pipe.ChunkSkipWord(threshold + *rho)
+            : vec::kMegaNeverSkipWord;
     uint64_t chunk_skip = vec::kMegaNeverSkipWord;
-    if (t != nullptr) {
-      for (size_t k = 0; k < nspans; ++k) {
-        skip_words[k] = rho.has_value() ? pipe.SpanSkipWordPerQuery(k, *rho)
-                                        : vec::kMegaNeverSkipWord;
-        chunk_skip = std::min(chunk_skip, skip_words[k]);
-      }
-    } else if (rho.has_value() && !spec.resample_rho_after_positive) {
-      chunk_skip = pipe.ChunkSkipWord(threshold + *rho);
+    for (size_t k = 0; k < nspans; ++k) {
+      skip_words[k] = t != nullptr && rho.has_value()
+                          ? pipe.SpanSkipWordPerQuery(k, *rho)
+                          : common_skip;
+      chunk_skip = std::min(chunk_skip, skip_words[k]);
     }
     rec->fused = chunk_skip < vec::kMegaNeverSkipWord;
     rec->found = 0;
     if (rec->fused) {
       BlockRng::State st = entry;
-      if (t != nullptr) {
-        uint64_t skipped = 0;
-        rec->found =
-            exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
-                         &st, b, {a, n}, {t, n}, *rho, skip_words,
-                         BatchRunner::kBoundSpan, rec->span_min,
-                         rec->hits.data(), kMaxChunkHits, &skipped)
-                   : vec::MegaLaplaceFillMinScanSpansPairwise(
-                         &st, 0.0, b, {a, n}, {t, n}, *rho, skip_words,
-                         BatchRunner::kBoundSpan, rec->span_min,
-                         rec->hits.data(), kMaxChunkHits, &skipped);
-        rec->stats.mega_words_skipped_q += static_cast<int64_t>(skipped);
-      } else {
-        const double bar0 = threshold + *rho;
-        uint64_t w_min_unused;
-        rec->found = exp_nu ? vec::MegaExpFillMinScanSpans(
-                                  &st, b, {a, n}, bar0, chunk_skip,
-                                  BatchRunner::kBoundSpan, rec->span_min,
-                                  rec->hits.data(), kMaxChunkHits,
-                                  &w_min_unused)
-                            : vec::MegaLaplaceFillMinScanSpans(
-                                  &st, 0.0, b, {a, n}, bar0, chunk_skip,
-                                  BatchRunner::kBoundSpan, rec->span_min,
-                                  rec->hits.data(), kMaxChunkHits,
-                                  &w_min_unused);
-      }
+      uint64_t skipped = 0;
+      rec->found = vec::MegaFillMinScanSpans(
+          &st, wpv, spec.nu_scale, {a, n}, {t, t == nullptr ? 0 : n},
+          t == nullptr ? threshold + *rho : *rho, skip_words,
+          BatchRunner::kBoundSpan, rec->span_min, rec->hits.data(),
+          kMaxChunkHits, &skipped);
+      rec->stats.mega_words_skipped_q += static_cast<int64_t>(skipped);
       // The pass consumed exactly the chunk's words: the stream stands
       // where a fill of them would leave it.
       rec->end = st;
@@ -682,6 +662,56 @@ class ChunkFeed {
   std::optional<ChunkNoise> local_;
 };
 
+// A run's bar source: query i fires when its noisy answer reaches
+// fl(threshold_i + ρ), one threshold for all queries (CommonBar) or one
+// each (PerQueryBars, Alg. 7's general form). At(offset) is the source of
+// the chunk at `offset`, whose indices the members take; FindFirst[Sum]
+// returns the first i in [lo, hi) with a[i] (+ nu[i]) >= its bar, or hi.
+struct CommonBar {
+  static constexpr const double* thresholds = nullptr;  // NoiseStage's
+  double threshold;
+
+  CommonBar At(size_t) const { return *this; }
+  // Tier 1: only a common bar has a chunk bound.
+  bool ChunkCanFire(const BoundPipeline& pipe, double rho) const {
+    return pipe.ChunkCanFire(threshold + rho);
+  }
+  bool SpanCanFire(BoundPipeline& pipe, size_t j, double rho) const {
+    return pipe.SpanCanFire(j, threshold + rho);
+  }
+  double Bar(size_t, double rho) const { return threshold + rho; }
+  size_t FindFirst(const double* a, size_t lo, size_t hi, double rho) const {
+    return lo + vec::FindFirstGe({a + lo, hi - lo}, threshold + rho);
+  }
+  size_t FindFirstSum(const double* a, const double* nu, size_t lo, size_t hi,
+                      double rho) const {
+    return lo + vec::FindFirstSumGe({a + lo, hi - lo}, {nu + lo, hi - lo},
+                                    threshold + rho);
+  }
+};
+
+struct PerQueryBars {
+  static constexpr double threshold = 0.0;  // NoiseStage ignores it here
+  const double* thresholds;
+
+  PerQueryBars At(size_t offset) const { return {thresholds + offset}; }
+  bool ChunkCanFire(const BoundPipeline&, double) const { return true; }
+  bool SpanCanFire(BoundPipeline& pipe, size_t j, double rho) const {
+    return pipe.SpanCanFirePerQuery(j, rho);
+  }
+  double Bar(size_t i, double rho) const { return thresholds[i] + rho; }
+  size_t FindFirst(const double* a, size_t lo, size_t hi, double rho) const {
+    return lo + vec::FindFirstGePairwise({a + lo, hi - lo},
+                                         {thresholds + lo, hi - lo}, rho);
+  }
+  size_t FindFirstSum(const double* a, const double* nu, size_t lo, size_t hi,
+                      double rho) const {
+    return lo + vec::FindFirstSumGePairwise({a + lo, hi - lo},
+                                            {nu + lo, hi - lo},
+                                            {thresholds + lo, hi - lo}, rho);
+  }
+};
+
 }  // namespace
 
 void BatchRunner::CheckArgs(std::span<const double> answers,
@@ -791,105 +821,7 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
                         const BoundPrefilter* prefilter,
                         std::vector<Response>* out) {
   CheckArgs(answers, prefilter);
-  const size_t start = out->size();
-  if (state_->exhausted || answers.empty()) return 0;
-  const size_t total = answers.size();
-  Response* const res = ReserveAppend(out, total);
-
-  if (spec_.nu_scale <= 0.0) {
-    // ν-free scan (Alg. 5): no noise words, no stage.
-    for (size_t done = 0; done < total; done += kChunkSize) {
-      const size_t n = std::min(kChunkSize, total - done);
-      const double* const a = answers.data() + done;
-      AppendBelow(out, n);  // the chunk's responses, all ⊥
-      const auto find_next = [a, n, threshold](size_t from, double rho) {
-        return vec::FusedScanHit{
-            from + vec::FindFirstGe({a + from, n - from}, threshold + rho),
-            0.0};
-      };
-      const size_t processed = ScanChunk(a, n, find_next, res + done);
-      if (state_->exhausted) return Truncate(out, start, done + processed);
-    }
-    return total;
-  }
-
-  const bool ahead = RunStageAhead(total);
-  const NoiseStage stage{spec_, answers, nullptr, threshold, ahead};
-  ChunkFeed feed(stage, prefilter, total, ahead, state_);
-  BatchRunStats* const stats = &state_->batch;
-
-  for (size_t c = 0, done = 0; done < total; ++c, done += kChunkSize) {
-    const size_t n = std::min(kChunkSize, total - done);
-    const double* const a = answers.data() + done;
-    AppendBelow(out, n);  // the chunk's responses, all ⊥
-    ChunkNoise& rec = feed.Get(c, done, n);
-    // The stage consumed the chunk's words, whichever way it took.
-    state_->nu_rng.RestoreState(rec.end);
-    size_t chunk_processed = n;
-    const double bar0 = threshold + state_->rho;
-    // The stage's pipeline owns the bound chain: the tier-1 all-⊥ shortcut
-    // and the per-span tier-2 tests, each a monotone rounded chain over the
-    // span minima and the chunk's score uppers — provably conservative,
-    // so a skip emits exactly what the exact comparison would (proof in
-    // core/bound_pipeline.h). Identical inputs give identical skip
-    // decisions and counters whichever way the stage took.
-    if (!rec.pipe->ChunkCanFire(bar0)) {
-      // The tier-1 bound dominates every computed positive test, so a
-      // skipped chunk cannot have recorded hits.
-      SVT_DCHECK(!rec.fused || rec.found == 0);
-      state_->processed += static_cast<int64_t>(n);  // res already ⊥
-      ++stats->tier1_chunks_skipped;
-    } else {
-      // Tier-2: the chunk-level bound failed, but the same conservative
-      // argument re-applies per kBoundSpan span, where the max |ν| over
-      // far fewer draws is much smaller — in near-threshold workloads most
-      // spans still prove all-⊥ and are never transformed. The span bounds
-      // are ρ-free, so they survive ρ resampling. A span that survives is
-      // scanned in one of two ways:
-      //   * complete fused record (the bar is still bar0): the span's
-      //     positives are already in hand — an unrecorded element failed
-      //     its computed test or was word-skipped under a threshold sound
-      //     for bar0, and a recorded hit carries the bit-identical ν a
-      //     rescan would compute;
-      //   * otherwise (ρ resampled, no skip word, or the record
-      //     overflowed): a compare over the chunk's ν block, whose span is
-      //     transformed the first time the walk needs it (or up front by a
-      //     stage run ahead), so every later resume in the chunk only
-      //     compares. An overflowed chunk first regenerates its words,
-      //     once, from the chunk-entry state.
-      // A span holding a positive always passes its bound (the bound chain
-      // dominates every computed test), so the counters do not depend on
-      // which way a span was scanned.
-      ++stats->tier2_chunks_scanned;
-      const bool cache_complete = rec.complete();
-      size_t next = 0;  // first recorded hit not behind the walk
-      const auto find_next = [&](size_t from, double rho) {
-        const double bar = threshold + rho;
-        const auto can_fire = [&](size_t j) {
-          return rec.pipe->SpanCanFire(j, bar);
-        };
-        const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
-          if (cache_complete) {
-            while (next < rec.found && rec.hits[next].index < lo) ++next;
-            if (next < rec.found && rec.hits[next].index < hi) {
-              return rec.hits[next];
-            }
-            return {hi, 0.0};
-          }
-          const size_t m = hi - lo;
-          const double* nu = rec.Nu(lo / kBoundSpan);
-          const size_t i =
-              lo + vec::FindFirstSumGe({a + lo, m}, {nu + lo, m}, bar);
-          return {i, i < hi ? nu[i] : 0.0};
-        };
-        return WalkSpans(from, n, stats, can_fire, scan);
-      };
-      chunk_processed = ScanChunk(a, n, find_next, res + done);
-    }
-    feed.Done(c, rec);
-    if (state_->exhausted) return Truncate(out, start, done + chunk_processed);
-  }
-  return total;
+  return RunBars(answers, CommonBar{threshold}, prefilter, out);
 }
 
 size_t BatchRunner::Run(std::span<const double> answers,
@@ -897,97 +829,102 @@ size_t BatchRunner::Run(std::span<const double> answers,
                         const BoundPrefilter* prefilter,
                         std::vector<Response>* out) {
   CheckArgs(answers, thresholds, prefilter);
+  return RunBars(answers, PerQueryBars{thresholds.data()}, prefilter, out);
+}
+
+template <typename Bars>
+size_t BatchRunner::RunBars(std::span<const double> answers, Bars bars,
+                            const BoundPrefilter* prefilter,
+                            std::vector<Response>* out) {
   const size_t start = out->size();
   if (state_->exhausted || answers.empty()) return 0;
   const size_t total = answers.size();
   Response* const res = ReserveAppend(out, total);
 
-  if (spec_.nu_scale <= 0.0) {
-    // ν-free per-query scan (Alg. 5): no noise words — nothing to fuse;
-    // the dispatched pairwise compare-scan applies the exact streaming
-    // positive test (each side one rounded add, ordered >=).
-    for (size_t done = 0; done < total; done += kChunkSize) {
-      const size_t n = std::min(kChunkSize, total - done);
-      const double* const a = answers.data() + done;
-      const double* const t = thresholds.data() + done;
-      AppendBelow(out, n);  // the chunk's responses, all ⊥
-      const auto find_next = [a, t, n](size_t from, double rho) {
-        return vec::FusedScanHit{
-            from + vec::FindFirstGePairwise({a + from, n - from},
-                                            {t + from, n - from}, rho),
-            0.0};
-      };
-      const size_t processed = ScanChunk(a, n, find_next, res + done);
-      if (state_->exhausted) return Truncate(out, start, done + processed);
-    }
-    return total;
-  }
-
-  const size_t wpv = WordsPerVariate(spec_.nu_kind);
-  // The per-query bound level: per span, the pipeline holds an upper bound
-  // on the answers AND a lower bound on the thresholds, and a span is
-  // skipped when fl(score_up + ν_bound) < fl(bar_down + ρ) — the same
-  // monotone chain as the common-threshold tiers, pairwise-safe because
-  // the bar lower bounds every bar in the span (proof in
-  // core/bound_pipeline.h). There is no tier-1 chunk bound: a single common
-  // bar does not exist.
-  const bool ahead = RunStageAhead(total);
-  const NoiseStage stage{spec_, answers, thresholds.data(), 0.0, ahead};
+  // ν-free specs (Alg. 5) draw no noise words and run no stage: the
+  // dispatched compare-scan applies the exact streaming test.
+  const bool nu_free = spec_.nu_scale <= 0.0;
+  const bool ahead = !nu_free && RunStageAhead(total);
+  const NoiseStage stage{spec_, answers, bars.thresholds, bars.threshold,
+                         ahead};
   ChunkFeed feed(stage, prefilter, total, ahead, state_);
   BatchRunStats* const stats = &state_->batch;
 
   for (size_t c = 0, done = 0; done < total; ++c, done += kChunkSize) {
     const size_t n = std::min(kChunkSize, total - done);
     const double* const a = answers.data() + done;
-    const double* const t = thresholds.data() + done;
+    const Bars chunk_bars = bars.At(done);
     AppendBelow(out, n);  // the chunk's responses, all ⊥
+    if (nu_free) {
+      const auto find_next = [&](size_t from, double rho) {
+        return vec::FusedScanHit{chunk_bars.FindFirst(a, from, n, rho), 0.0};
+      };
+      const size_t processed = ScanChunk(a, n, find_next, res + done);
+      if (state_->exhausted) return Truncate(out, start, done + processed);
+      continue;
+    }
     ChunkNoise& rec = feed.Get(c, done, n);
+    // The stage consumed the chunk's words, whichever way it took.
     state_->nu_rng.RestoreState(rec.end);
-    ++stats->tier2_chunks_scanned;
     const double rho0 = state_->rho;
-    if (!rec.rho.has_value()) {
-      // The stage ran ahead without ρ, so it could not count the words the
-      // chunk-entry skip words discharge; count them over its words now.
+    // The stage's pipeline owns the bound chain (the tier-1 chunk and
+    // tier-2 span tests): provably conservative, so a skip emits exactly
+    // what the exact comparison would (proof in core/bound_pipeline.h),
+    // and its decisions do not depend on which way the stage took.
+    if (!chunk_bars.ChunkCanFire(*rec.pipe, rho0)) {
+      // The tier-1 bound dominates every computed positive test, so a
+      // skipped chunk cannot have recorded hits.
+      SVT_DCHECK(!rec.fused || rec.found == 0);
+      state_->processed += static_cast<int64_t>(n);  // res already ⊥
+      ++stats->tier1_chunks_skipped;
+      feed.Done(c, rec);
+      continue;
+    }
+    ++stats->tier2_chunks_scanned;
+    if (bars.thresholds != nullptr && !rec.rho.has_value()) {
+      // A per-query stage that ran ahead without ρ could not count the
+      // words the chunk-entry skip words discharge; count them over its
+      // words now. (A common-bar stage runs without ρ only for a spec that
+      // resamples it, whose chunks never fuse: there is nothing to count.)
       uint64_t skipped = 0;
       for (size_t k = 0; k < rec.pipe->num_spans(); ++k) {
         const size_t s = k * kBoundSpan;
         skipped += vec::SkipWordCountBlock(
-            {rec.words + wpv * s, wpv * std::min(kBoundSpan, n - s)}, wpv,
-            rec.pipe->SpanSkipWordPerQuery(k, rho0));
+            {rec.words + rec.wpv * s, rec.wpv * std::min(kBoundSpan, n - s)},
+            rec.wpv, rec.pipe->SpanSkipWordPerQuery(k, rho0));
       }
       stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
     }
-
-    // Surviving spans scan as in the common arm, with one difference: the
-    // recorded hits stay usable while ρ >= the ρ the stage recorded them
-    // at. fl(t_i + ρ) is monotone in ρ, so an element that failed its
-    // computed test there fails at ρ, and a span skip word derived against
-    // fl(bar_min + ρ) stays sound (see SpanSkipWordPerQuery); a recorded
-    // hit carries the bit-identical ν a rescan would compute, so
-    // re-testing it against fl(t_i + ρ) IS the rescan's computed test.
+    // Tier 2: the ρ-free span bounds skip most spans of a near-threshold
+    // chunk. A surviving span replays a complete fused record while ρ is at
+    // or above the ρ it was recorded at (a common bar's record exists only
+    // when ρ cannot move): fl(t_i + ρ) is monotone in ρ, so an unrecorded
+    // element fails at ρ too, and a recorded hit carries the ν a rescan
+    // would compute, so re-testing it IS the rescan. Otherwise it compares
+    // against the chunk's ν block, each span transformed once, when first
+    // needed. A span holding a positive always passes its bound, so the
+    // counters do not depend on which way a span was scanned.
     const bool cache_complete = rec.complete();
     size_t next = 0;  // first recorded hit not behind the walk
     const auto find_next = [&](size_t from, double rho) {
       const auto can_fire = [&](size_t j) {
-        return rec.pipe->SpanCanFirePerQuery(j, rho);
+        return chunk_bars.SpanCanFire(*rec.pipe, j, rho);
       };
       const bool cached = cache_complete && rho >= *rec.rho;
       const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
         if (cached) {
           while (next < rec.found && rec.hits[next].index < lo) ++next;
-          for (size_t k = next; k < rec.found && rec.hits[k].index < hi;
-               ++k) {
+          for (size_t k = next; k < rec.found && rec.hits[k].index < hi; ++k) {
             const size_t i = rec.hits[k].index;
-            if (rho == *rec.rho || a[i] + rec.hits[k].nu >= t[i] + rho) {
+            if (rho == *rec.rho ||
+                a[i] + rec.hits[k].nu >= chunk_bars.Bar(i, rho)) {
               return rec.hits[k];
             }
           }
           return {hi, 0.0};
         }
-        const size_t m = hi - lo;
         const double* nu = rec.Nu(lo / kBoundSpan);
-        const size_t i = lo + vec::FindFirstSumGePairwise(
-                                  {a + lo, m}, {nu + lo, m}, {t + lo, m}, rho);
+        const size_t i = chunk_bars.FindFirstSum(a, nu, lo, hi, rho);
         return {i, i < hi ? nu[i] : 0.0};
       };
       return WalkSpans(from, n, stats, can_fire, scan);

@@ -23,8 +23,8 @@
 //     resampling, Alg. 3's q+ν output and ε₃ numeric answers.
 //
 // A chunk whose bar cannot move and whose answers admit a sound skip word
-// never writes its raw words to memory: one lane-resident pass (vecmath's
-// Mega*FillMinScanSpans* family steps the four lockstep xoshiro lanes in
+// never writes its raw words to memory: one lane-resident pass
+// (vec::MegaFillMinScanSpans steps the four lockstep xoshiro lanes in
 // registers) generates them, reduces them to the per-span minima the
 // bounds need, and records every element that fires under the chunk-entry
 // bar, transforming only the lockstep groups the skip word cannot
@@ -38,7 +38,10 @@
 // compare, not a regeneration. Either way the responses, statistics and
 // stream positions are the streaming loop's (core/svt.h).
 //
-// Each arm splits into two parts. The *noise stage* is a pure function of
+// Both bar forms — one common threshold, or one threshold per query — run
+// one walk, a template over the bar source.
+//
+// Each call splits into two parts. The *noise stage* is a pure function of
 // a chunk's ν entry state, its answers (and thresholds) and, when the bar
 // cannot move, ρ: it builds the chunk's bound plan and either runs the
 // fused pass (span minima, recorded hits, end state) or fills the chunk's
@@ -48,8 +51,7 @@
 // 5, have no stage). Small calls, and calls made from a pool worker or
 // inside a ParallelFor slice, run the stage inline, just before the walk
 // needs each chunk. A call of at least kParallelMinQueries queries runs it
-// on
-// ThreadPool::Global() workers instead: each worker claims the next group
+// on ThreadPool::Global() workers instead: each worker claims the next group
 // of chunks, jumps a copy of the call's ν entry state to the group's first
 // word (BlockRng::Advance, exact because xoshiro is linear over GF(2)) and
 // writes the chunks' records into a bounded ring, which the walk consumes
@@ -200,6 +202,12 @@ class BatchRunner {
   template <typename FindNext>
   size_t ScanChunk(const double* answers, size_t n, FindNext find_next,
                    Response* res);
+
+  /// The walk behind every Run, over a bar source: one common threshold
+  /// or per-query thresholds (batch_runner.cc).
+  template <typename Bars>
+  size_t RunBars(std::span<const double> answers, Bars bars,
+                 const BoundPrefilter* prefilter, std::vector<Response>* out);
 
   const VariantSpec& spec_;
   Rng* base_rng_;

@@ -233,17 +233,18 @@ struct SvtRunState {
 ///      every stream — a golden re-record, like (4).
 ///
 /// In-kernel generation is stream-neutral: the batch engine's fused
-/// passes (vec::Mega*FillMinScanSpans*, common/vecmath.h) step the SAME
+/// pass (vec::MegaFillMinScanSpans, common/vecmath.h) steps the SAME
 /// four lockstep xoshiro256++ lanes of step (5) in registers instead of
-/// materializing FillUint64 blocks, and push each word through the
+/// materializing FillUint64 blocks, and pushes each word through the
 /// identical word→variate lattice of step (4). A chunk consumes exactly
 /// n · words-per-variate words whether it scans, skips, or records hits,
 /// so the stream position after any chunk is the one a FillUint64 of its
 /// words leaves — restoring the kernel's BlockRng::State moves the cursor,
-/// never the stream. tests/common_vecmath_test.cc diffs the passes against
-/// a fill + transform + compare walk at every dispatch level,
+/// never the stream. tests/common_vecmath_test.cc diffs all four forms of
+/// the pass (Laplace or exponential ν, common or per-query bar) against a
+/// fill + transform + compare walk at every dispatch level,
 /// tests/core_batch_runner_test.cc diffs the engine against streaming, and
-/// no golden re-record accompanied the fused passes.
+/// no golden re-record accompanied the fused pass.
 ///
 /// Filling the ν block is draw-order-neutral: where the walk resumes
 /// under a moved bar (or without a complete hit record), it compares

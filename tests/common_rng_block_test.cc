@@ -422,6 +422,7 @@ TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
         ASSERT_EQ(mega.NextUint64(), twin.NextUint64());
       }
       std::vector<uint64_t> scratch, span_min((517 + kSpan - 1) / kSpan);
+      const std::vector<uint64_t> skip_words(span_min.size(), skip);
       std::vector<vec::FusedScanHit> hits(517);
       for (size_t len : lengths) {
         const std::string ctx = std::string(vec::DispatchLevelName(level)) +
@@ -429,10 +430,11 @@ TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
                                 " len=" + std::to_string(len) +
                                 " phase=" + std::to_string(mega.state().phase);
         BlockRng::State st = mega.state();
-        uint64_t w_min = 0;
-        vec::MegaLaplaceFillMinScanSpans(&st, 0.0, 1.0, {a.data(), len}, 0.5,
-                                         skip, kSpan, span_min.data(),
-                                         hits.data(), hits.size(), &w_min);
+        uint64_t skipped = 0;
+        vec::MegaFillMinScanSpans(&st, /*wpv=*/2, 1.0, {a.data(), len}, {},
+                                  0.5, skip_words.data(), kSpan,
+                                  span_min.data(), hits.data(), hits.size(),
+                                  &skipped);
         mega.RestoreState(st);
         scratch.resize(2 * len);
         twin.FillUint64(scratch);
@@ -445,7 +447,11 @@ TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
         for (size_t i = 0; i < len; ++i) {
           want_min = std::min(want_min, scratch[2 * i]);
         }
-        EXPECT_EQ(w_min, want_min) << ctx;
+        const size_t nspans = (len + kSpan - 1) / kSpan;
+        EXPECT_EQ(*std::min_element(span_min.begin(),
+                                    span_min.begin() + nspans),
+                  want_min)
+            << ctx;
         // Interleave a scalar draw on both streams, as the engine does for
         // a positive's resample, so the next pass enters at a new phase.
         ASSERT_EQ(mega.NextUint64(), twin.NextUint64()) << ctx;

@@ -623,237 +623,165 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
   // The fused generate-bound-and-scan pass is defined by the composition
   // it replaces: FillUint64 of the same words, the minimum magnitude word
   // per span, and the complete set of positives a walk of the transform
-  // kernel + FindFirstSumGe over those words finds — indices and ν
-  // payloads bit for bit, in order — with the stream left where the fill
-  // leaves it. Covers aligned and
-  // unaligned entry, short final spans and spans narrower than a chunk.
-  // Also pins the overflow contract: with a tiny max_hits the return value
-  // still counts every positive and the stored prefix is unchanged.
+  // kernel + FindFirstSumGe (common bar) or FindFirstSumGePairwise (per
+  // query) over those words finds — indices and ν payloads bit for bit, in
+  // order — with the stream left where the fill leaves it. Per query, the
+  // skip-word vector mixes finite entries (spans far under their bars, or
+  // sound for spans near them) with never-skip ones, and *skipped_out must
+  // equal a scalar count of the words at or above their span's skip word —
+  // the count vec::SkipWordCountBlock takes over the filled words too. A
+  // common bar repeats one skip word and reports 0 skipped. Covers aligned
+  // and unaligned entry, short final spans, spans narrower than a chunk,
+  // and spans that are no lane multiple (6 runs the scalar lane, 12 the
+  // AVX2 lane at the AVX-512 level). Also pins the overflow contract: with
+  // max_hits = 1 the return value still counts every positive and the
+  // stored prefix, span minima, count and state are unchanged.
   ScopedDispatchLevel restore;
   const double b = 2.25;
-  const double bar = 0.5;
+  const double bar = 0.5;    // the common bar
+  const double rho = 0.125;  // the per-query bars' offset
 
   for (DispatchLevel level : kAllDispatchLevels) {
     if (!SetDispatchLevel(level)) continue;
-    for (size_t n : {size_t{37}, size_t{128}, size_t{1000}, size_t{2048}}) {
-      for (size_t span : {size_t{8}, size_t{128}}) {
-        for (uint32_t pre : {0u, 1u}) {
-          for (int exp_nu = 0; exp_nu <= 1; ++exp_nu) {
-            const std::string ctx =
-                std::string(DispatchLevelName(level)) + " n=" +
-                std::to_string(n) + " span=" + std::to_string(span) +
-                " pre=" + std::to_string(pre) +
-                " exp=" + std::to_string(exp_nu);
-            const size_t wpv = exp_nu ? 1 : 2;
-            std::vector<double> a(n);
-            Rng setup(n * 7 + exp_nu);
-            setup.FillDouble(a);
-            double a_max = -1e300;
-            for (size_t i = 0; i < n; ++i) {
-              a[i] = bar - 10.0 * a[i];
-              a_max = std::max(a_max, a[i]);
+    for (int per_query = 0; per_query <= 1; ++per_query) {
+      const std::vector<size_t> lengths =
+          per_query ? std::vector<size_t>{300, 1000, 2048}
+                    : std::vector<size_t>{37, 128, 1000, 2048};
+      for (size_t n : lengths) {
+        for (size_t span : {size_t{6}, size_t{8}, size_t{12}, size_t{128}}) {
+          for (uint32_t pre : {0u, 1u}) {
+            for (int exp_nu = 0; exp_nu <= 1; ++exp_nu) {
+              const std::string ctx =
+                  std::string(DispatchLevelName(level)) +
+                  " per_query=" + std::to_string(per_query) +
+                  " n=" + std::to_string(n) +
+                  " span=" + std::to_string(span) +
+                  " pre=" + std::to_string(pre) +
+                  " exp=" + std::to_string(exp_nu);
+              const size_t wpv = exp_nu ? 1 : 2;
+              const size_t nspans = (n + span - 1) / span;
+              std::vector<double> a(n), bars;
+              std::vector<uint64_t> skip_words(nspans);
+              if (per_query) {
+                // Bars in [-0.5, 0.5). Even spans sit 1-10 ν scales under
+                // the lowest bar, odd spans hug their bars (frequent
+                // positives).
+                bars.resize(n);
+                Rng setup(n * 11 + exp_nu);
+                for (size_t i = 0; i < n; ++i) {
+                  bars[i] = setup.NextDouble() - 0.5;
+                  const double u = setup.NextDouble();
+                  a[i] = (i / span) % 2 == 0 ? -0.5 - (1.0 + 9.0 * u) * b
+                                             : bars[i] + (u - 0.8) * b;
+                }
+                // Each span's sound skip word pairs its answer max with its
+                // bar min at ρ; every third span never skips.
+                bool finite = false, never = false;
+                for (size_t j = 0; j < nspans; ++j) {
+                  const size_t lo = j * span, m = std::min(span, n - lo);
+                  const double up = MaxBlock({a.data() + lo, m});
+                  const double dn = MinBlock({bars.data() + lo, m});
+                  skip_words[j] = j % 3 == 2
+                                      ? kMegaNeverSkipWord
+                                      : MegaSkipWordThreshold(up, dn + rho, b);
+                  finite = finite || skip_words[j] < kMegaNeverSkipWord;
+                  never = never || skip_words[j] >= kMegaNeverSkipWord;
+                }
+                ASSERT_TRUE(finite && never) << ctx << " needs both skip words";
+              } else {
+                Rng setup(n * 7 + exp_nu);
+                setup.FillDouble(a);
+                double a_max = -1e300;
+                for (size_t i = 0; i < n; ++i) {
+                  a[i] = bar - 10.0 * a[i];
+                  a_max = std::max(a_max, a[i]);
+                }
+                const uint64_t skip = MegaSkipWordThreshold(a_max, bar, b);
+                ASSERT_LT(skip, kMegaNeverSkipWord) << ctx;
+                std::fill(skip_words.begin(), skip_words.end(), skip);
+              }
+
+              Rng ref_rng(per_query ? 78 : 77);
+              for (uint32_t i = 0; i < pre; ++i) ref_rng.NextUint64();
+              const BlockRng::State s0 = ref_rng.state();
+
+              // Reference: the composition over the filled words.
+              std::vector<uint64_t> words(wpv * n);
+              ref_rng.FillUint64(words);
+              const std::vector<uint64_t> ref_min =
+                  ReferenceSpanMin(words, wpv, span);
+              const std::vector<double> nu = ReferenceNu(words, wpv, b);
+              std::vector<FusedScanHit> ref_hits;
+              for (size_t from = 0; from < n;) {
+                const std::span<const double> af{a.data() + from, n - from};
+                const std::span<const double> nuf{nu.data() + from, n - from};
+                const size_t i =
+                    from + (per_query
+                                ? FindFirstSumGePairwise(
+                                      af, nuf, {bars.data() + from, n - from},
+                                      rho)
+                                : FindFirstSumGe(af, nuf, bar));
+                if (i >= n) break;
+                ref_hits.push_back({i, nu[i]});
+                from = i + 1;
+              }
+              ASSERT_GT(ref_hits.size(), 1u)
+                  << ctx << " workload must contain hits";
+              uint64_t ref_skipped = 0;
+              if (per_query) {
+                uint64_t block_skipped = 0;
+                for (size_t i = 0; i < n; ++i) {
+                  ref_skipped +=
+                      (words[wpv * i] >> 11) >= skip_words[i / span];
+                }
+                for (size_t j = 0; j < nspans; ++j) {
+                  const size_t lo = j * span, m = std::min(span, n - lo);
+                  block_skipped += SkipWordCountBlock(
+                      {words.data() + wpv * lo, wpv * m}, wpv, skip_words[j]);
+                }
+                ASSERT_GT(ref_skipped, 0u) << ctx << " workload must skip";
+                EXPECT_EQ(block_skipped, ref_skipped) << ctx;
+              }
+
+              BlockRng::State st = s0;
+              std::vector<uint64_t> smin(nspans + 1, 0xdecafbadull);
+              std::vector<FusedScanHit> hits(n);
+              uint64_t skipped = ~0ull;
+              const size_t found = MegaFillMinScanSpans(
+                  &st, wpv, b, a, bars, per_query ? rho : bar,
+                  skip_words.data(), span, smin.data(), hits.data(), n,
+                  &skipped);
+              EXPECT_EQ(skipped, ref_skipped) << ctx;
+              ExpectSameHits(hits.data(), found, ref_hits, ctx);
+              for (size_t j = 0; j < nspans; ++j) {
+                ASSERT_EQ(smin[j], ref_min[j]) << ctx << " span " << j;
+              }
+              EXPECT_EQ(smin[nspans], 0xdecafbadull)
+                  << ctx << " wrote past the last span";
+              ASSERT_TRUE(StatesEqual(st, ref_rng.state()))
+                  << ctx << " end state";
+
+              // Overflow: max_hits = 1 stores only the first hit but still
+              // counts them all and leaves the span minima, the count and
+              // the state unchanged.
+              BlockRng::State st2 = s0;
+              std::vector<uint64_t> smin2(nspans);
+              FusedScanHit first{};
+              uint64_t skipped2 = ~0ull;
+              const size_t found2 = MegaFillMinScanSpans(
+                  &st2, wpv, b, a, bars, per_query ? rho : bar,
+                  skip_words.data(), span, smin2.data(), &first, 1,
+                  &skipped2);
+              EXPECT_EQ(found2, found) << ctx;
+              EXPECT_EQ(skipped2, ref_skipped) << ctx;
+              EXPECT_EQ(first.index, ref_hits[0].index) << ctx;
+              for (size_t j = 0; j < nspans; ++j) {
+                ASSERT_EQ(smin2[j], ref_min[j]) << ctx << " overflow span "
+                                                << j;
+              }
+              ASSERT_TRUE(StatesEqual(st2, ref_rng.state()))
+                  << ctx << " overflow end state";
             }
-            const uint64_t skip = MegaSkipWordThreshold(a_max, bar, b);
-            ASSERT_LT(skip, kMegaNeverSkipWord) << ctx;
-            const size_t nspans = (n + span - 1) / span;
-
-            Rng ref_rng(77);
-            for (uint32_t i = 0; i < pre; ++i) ref_rng.NextUint64();
-            const BlockRng::State s0 = ref_rng.state();
-
-            // Reference: the composition over the filled words.
-            std::vector<uint64_t> words(wpv * n);
-            ref_rng.FillUint64(words);
-            const std::vector<uint64_t> ref_min =
-                ReferenceSpanMin(words, wpv, span);
-            const uint64_t ref_total =
-                *std::min_element(ref_min.begin(), ref_min.end());
-            const std::vector<double> nu = ReferenceNu(words, wpv, b);
-            std::vector<FusedScanHit> ref_hits;
-            for (size_t from = 0; from < n;) {
-              const size_t i =
-                  from + FindFirstSumGe({a.data() + from, n - from},
-                                        {nu.data() + from, n - from}, bar);
-              if (i >= n) break;
-              ref_hits.push_back({i, nu[i]});
-              from = i + 1;
-            }
-            ASSERT_GT(ref_hits.size(), 1u)
-                << ctx << " workload must contain hits";
-
-            BlockRng::State st = s0;
-            std::vector<uint64_t> smin(nspans + 1, 0xdecafbadull);
-            std::vector<FusedScanHit> hits(n);
-            uint64_t total = 0;
-            const size_t found =
-                exp_nu ? MegaExpFillMinScanSpans(&st, b, a, bar, skip, span,
-                                                 smin.data(), hits.data(), n,
-                                                 &total)
-                       : MegaLaplaceFillMinScanSpans(&st, 0.0, b, a, bar, skip,
-                                                     span, smin.data(),
-                                                     hits.data(), n, &total);
-            EXPECT_EQ(total, ref_total) << ctx;
-            ExpectSameHits(hits.data(), found, ref_hits, ctx);
-            for (size_t j = 0; j < nspans; ++j) {
-              ASSERT_EQ(smin[j], ref_min[j]) << ctx << " span " << j;
-            }
-            EXPECT_EQ(smin[nspans], 0xdecafbadull)
-                << ctx << " wrote past the last span";
-            ASSERT_TRUE(StatesEqual(st, ref_rng.state()))
-                << ctx << " end state";
-
-            // Overflow: max_hits = 1 stores only the first hit but still
-            // counts them all and leaves the reductions and state unchanged.
-            BlockRng::State st2 = s0;
-            FusedScanHit first{};
-            uint64_t total2 = 0;
-            const size_t found2 =
-                exp_nu ? MegaExpFillMinScanSpans(&st2, b, a, bar, skip, span,
-                                                 smin.data(), &first, 1,
-                                                 &total2)
-                       : MegaLaplaceFillMinScanSpans(&st2, 0.0, b, a, bar,
-                                                     skip, span, smin.data(),
-                                                     &first, 1, &total2);
-            EXPECT_EQ(found2, found) << ctx;
-            EXPECT_EQ(total2, ref_total) << ctx;
-            EXPECT_EQ(first.index, ref_hits[0].index) << ctx;
-            ASSERT_TRUE(StatesEqual(st2, ref_rng.state()))
-                << ctx << " overflow end state";
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(VecmathMegaBoundedTest,
-     FillMinScanSpansPairwiseMatchesCompositionAtEveryLevel) {
-  // The per-query pass against the same composition: FillUint64 of the
-  // same words, the per-span minimum magnitude word, and every positive of
-  // a transform + FindFirstSumGePairwise walk — indices and ν bit for bit,
-  // in order — with the stream left where the fill leaves it. The skip-word
-  // vector mixes finite entries (spans far under their bars, or sound for
-  // spans near them) with never-skip ones, and *skipped_out must equal a
-  // scalar count of the words at or above their span's skip word — the
-  // count vec::SkipWordCountBlock takes over the filled words too. Covers
-  // aligned and unaligned entry, short final spans, and the overflow
-  // contract.
-  ScopedDispatchLevel restore;
-  const double b = 2.25;
-  const double rho = 0.125;
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    for (size_t n : {size_t{300}, size_t{1000}, size_t{2048}}) {
-      for (size_t span : {size_t{8}, size_t{128}}) {
-        for (uint32_t pre : {0u, 1u}) {
-          for (int exp_nu = 0; exp_nu <= 1; ++exp_nu) {
-            const std::string ctx =
-                std::string(DispatchLevelName(level)) + " n=" +
-                std::to_string(n) + " span=" + std::to_string(span) +
-                " pre=" + std::to_string(pre) +
-                " exp=" + std::to_string(exp_nu);
-            const size_t wpv = exp_nu ? 1 : 2;
-            const size_t nspans = (n + span - 1) / span;
-            // Bars in [-0.5, 0.5). Even spans sit 1-10 ν scales under the
-            // lowest bar, odd spans hug their bars (frequent positives).
-            std::vector<double> a(n), bars(n);
-            Rng setup(n * 11 + exp_nu);
-            for (size_t i = 0; i < n; ++i) {
-              bars[i] = setup.NextDouble() - 0.5;
-              const double u = setup.NextDouble();
-              a[i] = (i / span) % 2 == 0 ? -0.5 - (1.0 + 9.0 * u) * b
-                                         : bars[i] + (u - 0.8) * b;
-            }
-            // Each span's sound skip word pairs its answer max with its
-            // bar min at ρ; every third span never skips.
-            std::vector<uint64_t> skip_words(nspans);
-            bool finite = false, never = false;
-            for (size_t j = 0; j < nspans; ++j) {
-              const size_t lo = j * span, m = std::min(span, n - lo);
-              const double up = MaxBlock({a.data() + lo, m});
-              const double dn = MinBlock({bars.data() + lo, m});
-              skip_words[j] = j % 3 == 2
-                                  ? kMegaNeverSkipWord
-                                  : MegaSkipWordThreshold(up, dn + rho, b);
-              finite = finite || skip_words[j] < kMegaNeverSkipWord;
-              never = never || skip_words[j] >= kMegaNeverSkipWord;
-            }
-            ASSERT_TRUE(finite && never) << ctx << " needs both skip words";
-
-            Rng ref_rng(78);
-            for (uint32_t i = 0; i < pre; ++i) ref_rng.NextUint64();
-            const BlockRng::State s0 = ref_rng.state();
-
-            // Reference: the composition over the filled words.
-            std::vector<uint64_t> words(wpv * n);
-            ref_rng.FillUint64(words);
-            const std::vector<uint64_t> ref_min =
-                ReferenceSpanMin(words, wpv, span);
-            const std::vector<double> nu = ReferenceNu(words, wpv, b);
-            std::vector<FusedScanHit> ref_hits;
-            for (size_t from = 0; from < n;) {
-              const size_t i =
-                  from + FindFirstSumGePairwise({a.data() + from, n - from},
-                                                {nu.data() + from, n - from},
-                                                {bars.data() + from, n - from},
-                                                rho);
-              if (i >= n) break;
-              ref_hits.push_back({i, nu[i]});
-              from = i + 1;
-            }
-            ASSERT_GT(ref_hits.size(), 1u)
-                << ctx << " workload must contain hits";
-            uint64_t ref_skipped = 0, block_skipped = 0;
-            for (size_t i = 0; i < n; ++i) {
-              ref_skipped += (words[wpv * i] >> 11) >= skip_words[i / span];
-            }
-            for (size_t j = 0; j < nspans; ++j) {
-              const size_t lo = j * span, m = std::min(span, n - lo);
-              block_skipped += SkipWordCountBlock(
-                  {words.data() + wpv * lo, wpv * m}, wpv, skip_words[j]);
-            }
-            ASSERT_GT(ref_skipped, 0u) << ctx << " workload must skip";
-            EXPECT_EQ(block_skipped, ref_skipped) << ctx;
-
-            BlockRng::State st = s0;
-            std::vector<uint64_t> smin(nspans + 1, 0xdecafbadull);
-            std::vector<FusedScanHit> hits(n);
-            uint64_t skipped = 0;
-            const size_t found =
-                exp_nu ? MegaExpFillMinScanSpansPairwise(
-                             &st, b, a, bars, rho, skip_words.data(), span,
-                             smin.data(), hits.data(), n, &skipped)
-                       : MegaLaplaceFillMinScanSpansPairwise(
-                             &st, 0.0, b, a, bars, rho, skip_words.data(),
-                             span, smin.data(), hits.data(), n, &skipped);
-            EXPECT_EQ(skipped, ref_skipped) << ctx;
-            ExpectSameHits(hits.data(), found, ref_hits, ctx);
-            for (size_t j = 0; j < nspans; ++j) {
-              ASSERT_EQ(smin[j], ref_min[j]) << ctx << " span " << j;
-            }
-            EXPECT_EQ(smin[nspans], 0xdecafbadull)
-                << ctx << " wrote past the last span";
-            ASSERT_TRUE(StatesEqual(st, ref_rng.state()))
-                << ctx << " end state";
-
-            // Overflow: max_hits = 1 stores only the first hit but still
-            // counts them all and leaves the count and state unchanged.
-            BlockRng::State st2 = s0;
-            FusedScanHit first{};
-            uint64_t skipped2 = 0;
-            const size_t found2 =
-                exp_nu ? MegaExpFillMinScanSpansPairwise(
-                             &st2, b, a, bars, rho, skip_words.data(), span,
-                             smin.data(), &first, 1, &skipped2)
-                       : MegaLaplaceFillMinScanSpansPairwise(
-                             &st2, 0.0, b, a, bars, rho, skip_words.data(),
-                             span, smin.data(), &first, 1, &skipped2);
-            EXPECT_EQ(found2, found) << ctx;
-            EXPECT_EQ(skipped2, ref_skipped) << ctx;
-            EXPECT_EQ(first.index, ref_hits[0].index) << ctx;
-            ASSERT_TRUE(StatesEqual(st2, ref_rng.state()))
-                << ctx << " overflow end state";
           }
         }
       }
