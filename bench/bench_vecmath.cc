@@ -1,9 +1,9 @@
 // Standalone micro-benchmark for the vecmath kernel family: libm baseline
 // vs the scalar reference lane vs the dispatched block kernels, at every
 // dispatch level this host supports (scalar / AVX2 / AVX-512). Also times
-// the fused Laplace transform (the batch engine's tier-2 inner loop), the
-// lockstep block RNG behind every Fill/SampleBlock path, and the pairwise
-// per-query-threshold scan.
+// the fused Laplace and exponential transforms (the batch engine's tier-2
+// ν materialization for either noise kind), the lockstep block RNG behind
+// every Fill/SampleBlock path, and the per-query-threshold scan.
 //
 // Informational (always exits 0): the hard acceptance number — tier-2
 // batch throughput — lives in bench_micro's BM_SvtRunBatchNearThreshold
@@ -85,9 +85,10 @@ int main() {
           g_sink = out[kN / 2];
         },
         kN);
-    const double neg_log = BestNsPerElem(
+    // The exponential-noise engine's ν transform, one word per variate.
+    const double exp_tf = BestNsPerElem(
         [&] {
-          NegLogUnitPositiveBlock(words, 2, out);
+          ExponentialTransformBlock({words.data(), kN}, 1.75, out);
           g_sink = out[kN / 2];
         },
         kN);
@@ -118,15 +119,15 @@ int main() {
     const double pairwise = BestNsPerElem(
         [&] {
           g_sink = static_cast<double>(
-              FindFirstSumGePairwise({u.data(), kN}, {out.data(), kN},
-                                     {bars.data(), kN}, 0.0));
+              FindFirstGe({u.data(), kN}, {out.data(), kN},
+                          {bars.data(), kN}, 0.0));
         },
         kN);
     std::printf(
-        "[%6s] LogBlock %.2f | NegLogUnit %.2f | LaplaceTransform %.2f | "
+        "[%6s] LogBlock %.2f | ExpTransform %.2f | LaplaceTransform %.2f | "
         "SampleBlock %.2f | RngFill %.2f | PairwiseScan %.2f ns/elem "
         "(log speedup vs libm: %.2fx)\n",
-        name, log_block, neg_log, lap_tf, lap_sample, rng_fill, pairwise,
+        name, log_block, exp_tf, lap_tf, lap_sample, rng_fill, pairwise,
         libm_log / log_block);
   }
   return 0;

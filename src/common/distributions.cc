@@ -141,8 +141,8 @@ double Exponential::Quantile(double p) const {
 
 double Exponential::Sample(Rng& rng) const {
   // One draw per variate, evaluated as b * e with e = -log(u) through the
-  // shared vecmath lattice map — the exact scalar body of
-  // ExponentialTransformBlock, so a Sample() loop is bit-for-bit
+  // shared vecmath lattice map — bit for bit the product
+  // ExponentialTransformBlock computes, so a Sample() loop is bit-for-bit
   // SampleBlock() for the same rng state (dividing by rate_ would not be:
   // e/r and (1/r)*e differ in the last ulp for general r).
   return scale_ * vec::NegLogUnitPositive(rng.NextUint64());
@@ -192,7 +192,8 @@ double SampleGumbel(Rng& rng) {
 }
 
 void SampleGumbelBlock(Rng& rng, std::span<double> out) {
-  // Two fused vecmath passes: t = -log(u) from the raw words, then
+  // Two fused vecmath passes: t = -log(u) from the raw words (the
+  // Exponential(1) transform: (-1)·log(u) is exactly -log(u)), then
   // -log(t) in place — each step the exact op sequence of SampleGumbel(),
   // so the block is bit-for-bit a scalar loop at any dispatch level. The
   // only special inner value is t == -0.0 (u == 1, probability 2^-53),
@@ -205,7 +206,7 @@ void SampleGumbelBlock(Rng& rng, std::span<double> out) {
     const size_t n = std::min(kBlock, out.size() - done);
     rng.FillUint64({words, n});
     std::span<double> chunk = out.subspan(done, n);
-    vec::NegLogUnitPositiveBlock({words, n}, 1, chunk);
+    vec::ExponentialTransformBlock({words, n}, 1.0, chunk);
     vec::LogBlock(chunk, chunk);
     for (double& g : chunk) g = -g;
     done += n;

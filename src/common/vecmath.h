@@ -5,11 +5,11 @@
 // bound by scalar libm log() at ~15-20 ns/draw — the dominant cost exactly
 // in near-threshold SVT workloads, where chunks cannot be proven all-below
 // and every ν must be materialized. This layer replaces libm on the
-// sampling side with a fixed polynomial kernel that exists in three lanes:
+// sampling side with a fixed polynomial kernel that runs in three lanes:
 //
 //   * a scalar reference (Log below),
-//   * an AVX2 4-wide implementation, and
-//   * an AVX-512 8-wide implementation (AVX-512F+DQ+VL),
+//   * an AVX2 4-wide lane, and
+//   * an AVX-512 8-wide lane (AVX-512F+DQ+VL),
 //
 // selected by runtime CPUID dispatch and defined to produce *bit-identical*
 // doubles. That guarantee is what lets
@@ -19,11 +19,16 @@
 // on the CPU the process landed on.
 //
 // How bit-identity is achieved:
-//   * all lanes evaluate the same fdlibm-derived polynomials in the same
-//     fixed Horner order, step for step;
-//   * every step is an IEEE-754 correctly-rounded primitive (+ - *),
-//     identical scalar and per-SIMD-lane;
-//   * no FMA is emitted in any lane: the SIMD paths use explicit
+//   * each kernel body is written once (common/vecmath_kernels.inc), as a
+//     template over a lane-traits type, and instantiated once per lane; a
+//     lane's traits supply only its primitives, so every lane evaluates
+//     the same fdlibm-derived polynomials in the same fixed Horner order,
+//     step for step, and the SIMD lanes' sub-width tails run the scalar
+//     lane's instance of the same body;
+//   * every floating-point primitive is an IEEE-754 correctly-rounded
+//     + - *, identical scalar and per SIMD lane, and every integer step and
+//     int<->double conversion is exact;
+//   * no FMA is emitted in any lane: the SIMD traits use explicit
 //     non-fused mul/add intrinsics, and vecmath.cc is compiled with
 //     -ffp-contract=off so the compiler cannot contract the scalar lane
 //     (see CMakeLists.txt);
@@ -44,8 +49,9 @@
 // levels themselves — and SetDispatchLevel()
 // lets tests and benches flip levels at runtime to assert cross-dispatch
 // equality in one binary. Compiling with -DSVT_DISABLE_AVX2 removes every
-// SIMD lane (for -mno-avx2 CI legs and non-x86 hosts); -DSVT_DISABLE_AVX512
-// removes only the AVX-512 lane.
+// SIMD lane (for -mno-avx2 CI legs and non-x86 hosts), as does a compiler
+// other than GCC (the lanes need `#pragma GCC target`);
+// -DSVT_DISABLE_AVX512 removes only the AVX-512 lane.
 
 #ifndef SPARSEVEC_COMMON_VECMATH_H_
 #define SPARSEVEC_COMMON_VECMATH_H_
@@ -101,26 +107,15 @@ double Log(double x);
 
 /// The scalar word→exponential-magnitude map behind every draw in the
 /// library: -Log(u) where u is `word` on the (0, 1] 53-bit lattice exactly
-/// as Rng::ToUnitDoublePositive. This is the single-element form of
-/// NegLogUnitPositiveBlock — streaming samplers call it so that scalar and
-/// block draws are draw-for-draw bit-identical (same word, same double).
+/// as Rng::ToUnitDoublePositive. ExponentialTransformBlock at b = 1 is its
+/// block form — streaming samplers call it so that scalar and block draws
+/// are draw-for-draw bit-identical (same word, same double).
 double NegLogUnitPositive(std::uint64_t word);
 
 /// out[i] = Log(in[i]) at the active dispatch level. Bit-identical to a
 /// scalar Log() loop at every level. In-place operation (out == in) is
 /// allowed; other overlap is not. in.size() must equal out.size().
 void LogBlock(std::span<const double> in, std::span<double> out);
-
-/// Fused sampling kernel: out[i] = -Log(u) where u is words[i * stride]
-/// mapped onto the (0, 1] 53-bit lattice exactly as
-/// Rng::ToUnitDoublePositive — i.e. the exponential magnitude behind every
-/// Laplace/Gumbel draw, straight from the raw RNG words with no
-/// intermediate pass. stride is 1 (Gumbel: every word) or 2 (Laplace: the
-/// even words are magnitudes, the odd words signs). words.size() must be
-/// stride * out.size(). Dispatched; bit-identical to the scalar
-/// composition -Log(Rng::ToUnitDoublePositive(w)) at every level.
-void NegLogUnitPositiveBlock(std::span<const std::uint64_t> words,
-                             std::size_t stride, std::span<double> out);
 
 /// The complete Laplace(mu, b) inverse-CDF transform, fused into one
 /// dispatched pass over the raw word pairs: with e_i =
@@ -139,11 +134,11 @@ void LaplaceTransformBlock(std::span<const std::uint64_t> words, double mu,
 /// one dispatched pass over raw words:
 ///   out[i] = b * -Log(ToUnitDoublePositive(words[i])).
 /// One word per variate (exponential noise carries no sign word), support
-/// [0, +inf). Defined as the composition b * NegLogUnitPositiveBlock(words,
-/// /*stride=*/1) and bit-identical to it at every dispatch level; the
-/// scalar form is NegLogUnitPositive(word) * b with the product computed as
-/// b * e in that operand order (one correctly-rounded multiply — the order
-/// is pinned so streaming and batch agree bitwise). words.size() must equal
+/// [0, +inf). Bit-identical at every dispatch level to the scalar form
+/// b * NegLogUnitPositive(word) (one correctly-rounded multiply; the
+/// kernels compute (-b) * Log(u), the same product bit for bit, since an
+/// IEEE product's sign is the XOR of its operands' signs). At b = 1 it is
+/// exactly -Log(u) per word, −0.0 included. words.size() must equal
 /// out.size().
 void ExponentialTransformBlock(std::span<const std::uint64_t> words, double b,
                                std::span<double> out);
@@ -190,34 +185,18 @@ std::uint16_t QuantizedSpanMax(std::span<const std::uint16_t> codes);
 std::uint8_t QuantizedSpanMin(std::span<const std::uint8_t> codes);
 std::uint16_t QuantizedSpanMin(std::span<const std::uint16_t> codes);
 
-/// Returns the smallest i with a[i] + b[i] >= bar — the SVT positive test
-/// of the batch engine's tier-2 compare-scan — or a.size() if no element
-/// passes. One correctly-rounded add and one ordered >= per element, so
-/// the index is bit-identical at every dispatch level (NaN sums never
-/// match, as in the scalar loop). a.size() must equal b.size().
-std::size_t FindFirstSumGe(std::span<const double> a,
-                           std::span<const double> b, double bar);
-
-/// As FindFirstSumGe without the addend: smallest i with a[i] >= bar.
-std::size_t FindFirstGe(std::span<const double> a, double bar);
-
-/// Per-query-threshold compare-scan: smallest i with a[i] >= bars[i] + rho
-/// — the SVT positive test when every query carries its own threshold
-/// (Alg. 7's general form; the bar varies per element, so the common-
-/// threshold kernels above don't apply). The bar sum bars[i] + rho is one
-/// correctly-rounded add and the compare is ordered >=, exactly the
-/// streaming test, so the index is bit-identical at every dispatch level
-/// (NaN operands never match, as in the scalar loop). a.size() must equal
-/// bars.size(); returns a.size() if no element passes.
-std::size_t FindFirstGePairwise(std::span<const double> a,
-                                std::span<const double> bars, double rho);
-
-/// The general per-query positive test with query noise: smallest i with
-/// a[i] + b[i] >= bars[i] + rho (each side one rounded add, ordered >=).
-/// Sizes must match; returns a.size() if no element passes.
-std::size_t FindFirstSumGePairwise(std::span<const double> a,
-                                   std::span<const double> b,
-                                   std::span<const double> bars, double rho);
+/// The SVT positive test as a compare-scan: the smallest i with
+///   a[i] + nu[i] >= bar_i,
+/// or a.size() if no element passes. An empty `nu` means no query noise
+/// (the test is a[i] >= bar_i). An empty `bars` means one common bar,
+/// bar_i = bar_offset; otherwise bar_i = fl(bars[i] + bar_offset) (Alg.
+/// 7's per-query form, with bar_offset = ρ) — the fused passes' bar
+/// convention. Each side is one correctly-rounded add and the compare is
+/// an ordered >=, exactly the streaming test, so the index is
+/// bit-identical at every dispatch level and NaN operands never match.
+/// A non-empty nu or bars must have a.size() elements.
+std::size_t FindFirstGe(std::span<const double> a, std::span<const double> nu,
+                        std::span<const double> bars, double bar_offset);
 
 /// A positive found by a scan: the element and the ν that fired it.
 struct FusedScanHit {
@@ -262,7 +241,7 @@ struct FusedScanHit {
 // transform only when some lane is below the threshold. Skipped elements'
 // words are still generated and consumed, and skipped elements cannot hit,
 // so the recorded hits are bit-identical to a LaplaceTransformBlock (or
-// ExponentialTransformBlock) + FindFirst* walk over the FillUint64 words.
+// ExponentialTransformBlock) + FindFirstGe walk over the FillUint64 words.
 // The threshold is a per-span vector. A common bar repeats one word; per
 // query there is no single chunk bar, so each span's word pairs its
 // answer upper bound with its bar lower bound

@@ -665,8 +665,10 @@ class ChunkFeed {
 // A run's bar source: query i fires when its noisy answer reaches
 // fl(threshold_i + ρ), one threshold for all queries (CommonBar) or one
 // each (PerQueryBars, Alg. 7's general form). At(offset) is the source of
-// the chunk at `offset`, whose indices the members take; FindFirst[Sum]
-// returns the first i in [lo, hi) with a[i] (+ nu[i]) >= its bar, or hi.
+// the chunk at `offset`, whose indices the members take; FindFirst returns
+// the first i in [lo, hi) with a[i] (+ nu[i] when nu is set) >= its bar, or
+// hi, through vec::FindFirstGe's bar convention: a common bar passes no
+// bars and fl(threshold + ρ) as the offset, per query the thresholds and ρ.
 struct CommonBar {
   static constexpr const double* thresholds = nullptr;  // NoiseStage's
   double threshold;
@@ -680,14 +682,8 @@ struct CommonBar {
     return pipe.SpanCanFire(j, threshold + rho);
   }
   double Bar(size_t, double rho) const { return threshold + rho; }
-  size_t FindFirst(const double* a, size_t lo, size_t hi, double rho) const {
-    return lo + vec::FindFirstGe({a + lo, hi - lo}, threshold + rho);
-  }
-  size_t FindFirstSum(const double* a, const double* nu, size_t lo, size_t hi,
-                      double rho) const {
-    return lo + vec::FindFirstSumGe({a + lo, hi - lo}, {nu + lo, hi - lo},
-                                    threshold + rho);
-  }
+  std::span<const double> Bars(size_t, size_t) const { return {}; }
+  double BarOffset(double rho) const { return threshold + rho; }
 };
 
 struct PerQueryBars {
@@ -700,17 +696,21 @@ struct PerQueryBars {
     return pipe.SpanCanFirePerQuery(j, rho);
   }
   double Bar(size_t i, double rho) const { return thresholds[i] + rho; }
-  size_t FindFirst(const double* a, size_t lo, size_t hi, double rho) const {
-    return lo + vec::FindFirstGePairwise({a + lo, hi - lo},
-                                         {thresholds + lo, hi - lo}, rho);
+  std::span<const double> Bars(size_t lo, size_t hi) const {
+    return {thresholds + lo, hi - lo};
   }
-  size_t FindFirstSum(const double* a, const double* nu, size_t lo, size_t hi,
-                      double rho) const {
-    return lo + vec::FindFirstSumGePairwise({a + lo, hi - lo},
-                                            {nu + lo, hi - lo},
-                                            {thresholds + lo, hi - lo}, rho);
-  }
+  double BarOffset(double rho) const { return rho; }
 };
+
+template <class Bars>
+size_t FindFirst(const Bars& bars, const double* a, const double* nu,
+                 size_t lo, size_t hi, double rho) {
+  return lo + vec::FindFirstGe(
+                  {a + lo, hi - lo},
+                  nu == nullptr ? std::span<const double>()
+                                : std::span<const double>(nu + lo, hi - lo),
+                  bars.Bars(lo, hi), bars.BarOffset(rho));
+}
 
 }  // namespace
 
@@ -857,7 +857,8 @@ size_t BatchRunner::RunBars(std::span<const double> answers, Bars bars,
     AppendBelow(out, n);  // the chunk's responses, all ⊥
     if (nu_free) {
       const auto find_next = [&](size_t from, double rho) {
-        return vec::FusedScanHit{chunk_bars.FindFirst(a, from, n, rho), 0.0};
+        return vec::FusedScanHit{
+            FindFirst(chunk_bars, a, nullptr, from, n, rho), 0.0};
       };
       const size_t processed = ScanChunk(a, n, find_next, res + done);
       if (state_->exhausted) return Truncate(out, start, done + processed);
@@ -924,7 +925,7 @@ size_t BatchRunner::RunBars(std::span<const double> answers, Bars bars,
           return {hi, 0.0};
         }
         const double* nu = rec.Nu(lo / kBoundSpan);
-        const size_t i = chunk_bars.FindFirstSum(a, nu, lo, hi, rho);
+        const size_t i = FindFirst(chunk_bars, a, nu, lo, hi, rho);
         return {i, i < hi ? nu[i] : 0.0};
       };
       return WalkSpans(from, n, stats, can_fire, scan);

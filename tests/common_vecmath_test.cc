@@ -218,79 +218,86 @@ TEST(VecmathDispatchTest, SamplingKernelsBitIdenticalAcrossLevels) {
   words[17] = ~0ull;
   words[2 * 33] = ~0ull;
   words[0] = 0;
+  // A second u == 1 magnitude with the opposite sign word, so both signs
+  // of the zero product reach the mu + below.
+  words[2 * 34] = ~0ull;
+  words[2 * 34 + 1] = ~words[2 * 33 + 1];
 
   const size_t n = words.size() / 2;
-  std::vector<double> ref1(words.size()), ref2(n), ref_lap(n);
+  const double b = 1.75;
+  // mu = ±0.0 pins the transform's mu + on the zero products of the u == 1
+  // elements: -0.0 + (-0.0) is -0.0 but -0.0 + (+0.0) is +0.0, so a body
+  // that adds the fused pass's +0.0 before (or instead of) mu diverges.
+  const double mus[] = {0.25, 0.0, -0.0, -3.5};
+  std::vector<std::vector<double>> ref_lap;
+  std::vector<double> ref_exp(words.size());
   SetDispatchLevel(DispatchLevel::kScalar);
-  NegLogUnitPositiveBlock(words, 1, ref1);
-  NegLogUnitPositiveBlock(words, 2, ref2);
-  LaplaceTransformBlock(words, 0.25, 1.75, ref_lap);
+  for (double mu : mus) {
+    ref_lap.emplace_back(n);
+    LaplaceTransformBlock(words, mu, b, ref_lap.back());
+    // The scalar lane is the definition: mu + (b·e with its sign flipped
+    // where the sign word's bit 63 is 0), e = -Log(u).
+    for (size_t i = 0; i < n; ++i) {
+      const double e = -Log(Rng::ToUnitDoublePositive(words[2 * i]));
+      const uint64_t flip = ~words[2 * i + 1] & 0x8000'0000'0000'0000ull;
+      const double want =
+          mu + std::bit_cast<double>(std::bit_cast<uint64_t>(b * e) ^ flip);
+      ASSERT_EQ(std::bit_cast<uint64_t>(ref_lap.back()[i]),
+                std::bit_cast<uint64_t>(want))
+          << "mu=" << mu << " i=" << i;
+    }
+  }
+  ExponentialTransformBlock(words, 1.0, ref_exp);
   const uint64_t ref_min1 = MinWordBlock(words, 1);
   const uint64_t ref_min2 = MinWordBlock(words, 2);
 
   for (DispatchLevel level :
        {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
     if (!SetDispatchLevel(level)) continue;
-    std::vector<double> out1(words.size()), out2(n), out_lap(n);
-    NegLogUnitPositiveBlock(words, 1, out1);
-    NegLogUnitPositiveBlock(words, 2, out2);
-    LaplaceTransformBlock(words, 0.25, 1.75, out_lap);
-    ExpectBitEqual(out1, ref1, "neg-log stride 1");
-    ExpectBitEqual(out2, ref2, "neg-log stride 2");
-    ExpectBitEqual(out_lap, ref_lap, "laplace transform");
+    for (size_t k = 0; k < std::size(mus); ++k) {
+      std::vector<double> out_lap(n);
+      LaplaceTransformBlock(words, mus[k], b, out_lap);
+      ExpectBitEqual(out_lap, ref_lap[k],
+                     (std::string("laplace transform mu=") +
+                      std::to_string(mus[k]) + " " + DispatchLevelName(level))
+                         .c_str());
+    }
+    std::vector<double> out_exp(words.size());
+    ExponentialTransformBlock(words, 1.0, out_exp);
+    ExpectBitEqual(out_exp, ref_exp, "exponential transform at b = 1");
     EXPECT_EQ(MinWordBlock(words, 1), ref_min1)
         << DispatchLevelName(level);
     EXPECT_EQ(MinWordBlock(words, 2), ref_min2)
         << DispatchLevelName(level);
   }
-
-  // The stride-1 kernel on even words must equal the stride-2 kernel.
-  std::vector<uint64_t> evens(n);
-  for (size_t i = 0; i < n; ++i) evens[i] = words[2 * i];
-  std::vector<double> from_evens(n);
-  NegLogUnitPositiveBlock(evens, 1, from_evens);
-  ExpectBitEqual(from_evens, ref2, "stride 1 on evens vs stride 2");
 }
 
-TEST(VecmathDispatchTest, ReductionsAndScansAcrossLevels) {
+TEST(VecmathDispatchTest, ReductionsAcrossLevels) {
   ScopedDispatchLevel restore;
   Rng rng(7);
-  std::vector<double> a(1000), b(1000);
+  std::vector<double> a(1000);
   rng.FillDouble(a);
-  rng.FillDouble(b);
-  a[777] = 3.0;  // guaranteed hit: 3.0 + b >= 3.0
+  a[777] = 3.0;
 
   SetDispatchLevel(DispatchLevel::kScalar);
   const double ref_max = MaxBlock(a);
-  const size_t ref_sum_idx = FindFirstSumGe(a, b, 3.0);
-  const size_t ref_idx = FindFirstGe(a, 2.5);
-  const size_t ref_none = FindFirstGe(a, 1e9);
-
   for (DispatchLevel level :
        {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
     if (!SetDispatchLevel(level)) continue;
     EXPECT_EQ(std::bit_cast<uint64_t>(MaxBlock(a)),
               std::bit_cast<uint64_t>(ref_max))
         << DispatchLevelName(level);
-    EXPECT_EQ(FindFirstSumGe(a, b, 3.0), ref_sum_idx);
-    EXPECT_EQ(FindFirstGe(a, 2.5), ref_idx);
-    EXPECT_EQ(FindFirstGe(a, 1e9), ref_none);
   }
-  EXPECT_EQ(ref_none, a.size());
-  EXPECT_LE(ref_sum_idx, 777u);
 
   // Odd (non-multiple-of-the-SIMD-width) sizes exercise the scalar tails.
   for (size_t len : {1u, 3u, 5u, 7u, 9u, 11u, 15u}) {
     const std::span<const double> head(a.data(), len);
     SetDispatchLevel(DispatchLevel::kScalar);
     const double m_scalar = MaxBlock(head);
-    const size_t f_scalar = FindFirstGe(head, 0.5);
     for (DispatchLevel level :
          {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
       if (!SetDispatchLevel(level)) continue;
       EXPECT_EQ(MaxBlock(head), m_scalar)
-          << DispatchLevelName(level) << " len=" << len;
-      EXPECT_EQ(FindFirstGe(head, 0.5), f_scalar)
           << DispatchLevelName(level) << " len=" << len;
     }
   }
@@ -391,11 +398,67 @@ TEST(VecmathDispatchTest, QuantizedSpanReductionsAcrossLevels) {
   CheckQuantizedSpanReductions<uint16_t>();
 }
 
-TEST(VecmathDispatchTest, PairwiseScansAcrossLevels) {
-  // The per-query-threshold compare-scan: bars vary per element. Checked
-  // against a literal transcription of the streaming positive test, at
-  // every level, over random bars, near-threshold bars (ties included:
-  // bars[i] + rho == a[i] exactly), odd tails, and NaN patterns.
+// Walks every positive of FindFirstGe over `a` like the batch engine's
+// ScanChunk does — with query noise nu or none, under each common bar in
+// `common_bars` and under the per-query bars fl(bars[i] + rho) (and an
+// unreachable offset) — at every level, against a literal transcription
+// of the streaming positive test.
+void ExpectScanWalks(const std::vector<double>& a,
+                     const std::vector<double>& nu,
+                     const std::vector<double>& bars,
+                     const std::vector<double>& common_bars, double rho,
+                     const std::string& ctx) {
+  const size_t n = a.size();
+  for (DispatchLevel level : kAllDispatchLevels) {
+    if (!SetDispatchLevel(level)) continue;
+    for (int with_nu = 0; with_nu <= 1; ++with_nu) {
+      for (int per_query = 0; per_query <= 1; ++per_query) {
+        const std::vector<double> offsets =
+            per_query ? std::vector<double>{rho, 1e9} : common_bars;
+        for (double off : offsets) {
+          const auto fires = [&](size_t j) {
+            const double x = with_nu ? a[j] + nu[j] : a[j];
+            return x >= (per_query ? bars[j] + off : off);
+          };
+          const std::string where =
+              ctx + " " + DispatchLevelName(level) +
+              " nu=" + std::to_string(with_nu) +
+              " per_query=" + std::to_string(per_query) +
+              " offset=" + std::to_string(off);
+          for (size_t from = 0; from <= n;) {
+            size_t expect = from;
+            while (expect < n && !fires(expect)) ++expect;
+            const size_t m = n - from;
+            const size_t got =
+                from + FindFirstGe({a.data() + from, m},
+                                   with_nu ? std::span<const double>(
+                                                 nu.data() + from, m)
+                                           : std::span<const double>(),
+                                   per_query ? std::span<const double>(
+                                                   bars.data() + from, m)
+                                             : std::span<const double>(),
+                                   off);
+            ASSERT_EQ(got, expect) << where << " from=" << from;
+            if (expect >= n) break;
+            from = expect + 1;
+          }
+        }
+      }
+    }
+    // Empty input, in both bar forms.
+    EXPECT_EQ(FindFirstGe({}, {}, {}, rho), 0u) << DispatchLevelName(level);
+    EXPECT_EQ(FindFirstGe({}, {}, std::span<const double>(bars.data(), 0), rho),
+              0u)
+        << DispatchLevelName(level);
+  }
+}
+
+TEST(VecmathDispatchTest, ScansAcrossLevels) {
+  // The compare-scan over both axes: ν present or not, one common bar or
+  // per-query bars. Random bars, near-threshold bars with exact ties (the
+  // >= must fire on equality, at any lane position), NaN patterns (ordered
+  // compares: NaN answers, ν, bars and a NaN common bar never match), odd
+  // tails and empty input.
   ScopedDispatchLevel restore;
   Rng rng(99);
   const size_t n = 1003;  // odd: exercises every lane tail
@@ -404,63 +467,43 @@ TEST(VecmathDispatchTest, PairwiseScansAcrossLevels) {
   rng.FillDouble(b);
   rng.FillDouble(bars);
   const double rho = 0.125;
-  // Exact ties: the >= must fire on equality, at any lane position.
+  // Per-query ties: bars[i] + rho rounds back to exactly a[i].
   for (size_t i : {size_t{37}, size_t{512}, n - 1}) {
-    bars[i] = a[i] - rho;  // bars[i] + rho rounds back to exactly a[i]
+    bars[i] = a[i] - rho;
   }
-  // NaN answers and NaN bars must never match (ordered compare).
   a[101] = std::nan("");
   bars[202] = std::nan("");
+  b[303] = std::nan("");
+  // Common-bar ties: a bar equal to one answer, and one equal to one
+  // noisy answer.
+  ExpectScanWalks(a, b, bars,
+                  {rho, a[37], a[512] + b[512], 1e9, std::nan("")}, rho,
+                  "random");
 
-  const auto ref_ge = [&](size_t from) {
-    size_t j = from;
-    while (j < n && !(a[j] >= bars[j] + rho)) ++j;
-    return j;
-  };
-  const auto ref_sum_ge = [&](size_t from) {
-    size_t j = from;
-    while (j < n && !(a[j] + b[j] >= bars[j] + rho)) ++j;
-    return j;
-  };
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    // Walk every positive like the batch engine's ScanChunk does.
-    size_t from = 0;
-    while (from <= n) {
-      const size_t expect = ref_ge(from);
-      const size_t got =
-          from + FindFirstGePairwise({a.data() + from, n - from},
-                                     {bars.data() + from, n - from}, rho);
-      ASSERT_EQ(got, expect)
-          << DispatchLevelName(level) << " from=" << from;
-      if (expect >= n) break;
-      from = expect + 1;
-    }
-    from = 0;
-    while (from <= n) {
-      const size_t expect = ref_sum_ge(from);
-      const size_t got = from + FindFirstSumGePairwise(
-                                    {a.data() + from, n - from},
-                                    {b.data() + from, n - from},
-                                    {bars.data() + from, n - from}, rho);
-      ASSERT_EQ(got, expect)
-          << DispatchLevelName(level) << " from=" << from;
-      if (expect >= n) break;
-      from = expect + 1;
-    }
-    // No-match scan returns size().
-    EXPECT_EQ(FindFirstGePairwise(a, bars, 1e9), n);
-    EXPECT_EQ(FindFirstSumGePairwise(a, b, bars, 1e9), n);
-    // Empty input.
-    EXPECT_EQ(FindFirstGePairwise({}, {}, rho), 0u);
+  // Answers in [0, 1) with one guaranteed hit at 777 for the noisy test
+  // against 3.0, and its odd-length heads.
+  Rng rng7(7);
+  std::vector<double> a7(1000), b7(1000), bars7(1000);
+  rng7.FillDouble(a7);
+  rng7.FillDouble(b7);
+  a7[777] = 3.0;
+  rng7.FillDouble(bars7);
+  ExpectScanWalks(a7, b7, bars7, {3.0, 2.5, 1e9, 0.5}, rho, "rng7");
+  EXPECT_LE(FindFirstGe(a7, b7, {}, 3.0), 777u);
+  EXPECT_EQ(FindFirstGe(a7, {}, {}, 1e9), a7.size());
+  for (size_t len : {1u, 3u, 5u, 7u, 9u, 11u, 15u}) {
+    ExpectScanWalks({a7.begin(), a7.begin() + len},
+                    {b7.begin(), b7.begin() + len},
+                    {bars7.begin(), bars7.begin() + len}, {0.5}, rho,
+                    "rng7 len=" + std::to_string(len));
   }
 }
 
 TEST(VecmathExpNoiseTest, NegLogUnitPositiveScalarMatchesBlock) {
-  // The scalar form is the single-element contract of the block kernel —
-  // this is what makes streaming exponential draws and block transforms
-  // draw-for-draw bit-identical.
+  // The scalar form is the single-element contract of the exponential
+  // transform at b = 1 — this is what makes streaming exponential draws
+  // and block transforms (and the Gumbel block's first pass) draw-for-draw
+  // bit-identical.
   Rng rng(4242);
   std::vector<uint64_t> words(257);
   rng.FillUint64(words);
@@ -470,7 +513,7 @@ TEST(VecmathExpNoiseTest, NegLogUnitPositiveScalarMatchesBlock) {
   for (DispatchLevel level : kAllDispatchLevels) {
     if (!SetDispatchLevel(level)) continue;
     std::vector<double> block(words.size());
-    NegLogUnitPositiveBlock(words, 1, block);
+    ExponentialTransformBlock(words, 1.0, block);
     for (size_t i = 0; i < words.size(); ++i) {
       ASSERT_EQ(std::bit_cast<uint64_t>(NegLogUnitPositive(words[i])),
                 std::bit_cast<uint64_t>(block[i]))
@@ -510,8 +553,8 @@ TEST(VecmathExpNoiseTest, ExponentialTransformUlpBoundVsLibm) {
 }
 
 TEST(VecmathExpNoiseTest, TransformBitIdenticalAcrossLevels) {
-  // ExponentialTransformBlock is defined as the b·NegLogUnitPositiveBlock
-  // composition at stride 1; pin the definition at the scalar level and the
+  // ExponentialTransformBlock is defined as the b·NegLogUnitPositive
+  // composition; pin the definition at the scalar level and the
   // bit-identity of every SIMD lane against it.
   ScopedDispatchLevel restore;
   Rng rng(123);
@@ -541,14 +584,15 @@ TEST(VecmathExpNoiseTest, TransformBitIdenticalAcrossLevels) {
 
 TEST(VecmathDispatchTest, ScalarKernelMatchesComposedDefinition) {
   // The fused sampling kernels are *defined* by composition of Log and the
-  // lattice map; pin that definition at the scalar level.
+  // lattice map; pin that definition at the scalar level (the exponential
+  // transform at b = 1 is exactly -Log(u), -0.0 at u == 1 included).
   Rng rng(99);
   std::vector<uint64_t> words(64);
   rng.FillUint64(words);
   ScopedDispatchLevel restore;
   SetDispatchLevel(DispatchLevel::kScalar);
   std::vector<double> out(64);
-  NegLogUnitPositiveBlock(words, 1, out);
+  ExponentialTransformBlock(words, 1.0, out);
   for (size_t i = 0; i < words.size(); ++i) {
     const double expected = -Log(Rng::ToUnitDoublePositive(words[i]));
     ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
@@ -623,8 +667,8 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
   // The fused generate-bound-and-scan pass is defined by the composition
   // it replaces: FillUint64 of the same words, the minimum magnitude word
   // per span, and the complete set of positives a walk of the transform
-  // kernel + FindFirstSumGe (common bar) or FindFirstSumGePairwise (per
-  // query) over those words finds — indices and ν payloads bit for bit, in
+  // kernel + FindFirstGe (common bar or per-query bars) over those words
+  // finds — indices and ν payloads bit for bit, in
   // order — with the stream left where the fill leaves it. Per query, the
   // skip-word vector mixes finite entries (spans far under their bars, or
   // sound for spans near them) with never-skip ones, and *skipped_out must
@@ -717,10 +761,10 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
                 const std::span<const double> nuf{nu.data() + from, n - from};
                 const size_t i =
                     from + (per_query
-                                ? FindFirstSumGePairwise(
-                                      af, nuf, {bars.data() + from, n - from},
-                                      rho)
-                                : FindFirstSumGe(af, nuf, bar));
+                                ? FindFirstGe(af, nuf,
+                                              {bars.data() + from, n - from},
+                                              rho)
+                                : FindFirstGe(af, nuf, {}, bar));
                 if (i >= n) break;
                 ref_hits.push_back({i, nu[i]});
                 from = i + 1;

@@ -391,7 +391,7 @@ TEST(BatchRunnerTest, BatchOutputIndependentOfDispatchLevel) {
 }
 
 TEST(BatchRunnerTest, PerQueryThresholdNearThresholdAcrossDispatchLevels) {
-  // The per-query-threshold scan (FindFirst*Pairwise) in its target
+  // The per-query-threshold scan (FindFirstGe with bars) in its target
   // regime: every answer AND every bar within a few ν scales of zero, odd
   // tail sizes, ties near chunk boundaries. Batch must equal streaming
   // bit for bit at every dispatch level, with and without query noise.
@@ -442,7 +442,7 @@ TEST(BatchRunnerTest, PerQueryThresholdNearThresholdAcrossDispatchLevels) {
     }
   }
 
-  // The ν-free per-query path (pure FindFirstGePairwise): Alg. 5
+  // The ν-free per-query path (FindFirstGe with bars, no ν): Alg. 5
   // (Stoddard) has nu_scale == 0, so the scan compares raw answers to
   // per-query bars.
   const size_t n = BatchRunner::kChunkSize + 13;
