@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -416,6 +417,58 @@ void BM_SvtRunBatchExpNoisePerQueryNearThreshold(benchmark::State& state) {
 BENCHMARK(BM_SvtRunBatchExpNoisePerQueryNearThreshold)
     ->Arg(1 << 20)
     ->Arg(65536);
+
+void BM_SvtRunAppendServingMix(benchmark::State& state) {
+  // A served shard's engine load: one mechanism takes back-to-back calls of
+  // log-uniform 2^8-2^16 queries, 1 in 8 near the bar (cutoff 64, so those
+  // exhaust the run and it resets, as kAutoReset serving does), each
+  // into a cleared response vector, inside a one-slice ParallelFor like a
+  // drain slice (so every noise stage runs inline). A call inherits the ν
+  // phase the previous one left, so about half of them enter off a lane
+  // boundary: the only engine row that does.
+  Rng rng(5);
+  SvtOptions o;
+  o.epsilon = 0.1;
+  o.cutoff = 64;
+  o.monotonic = true;
+  auto mech = SparseVector::Create(o, &rng).value();
+  const double nu_scale = mech->query_noise_scale();
+  constexpr size_t kPool = size_t{1} << 17;
+  std::vector<double> far(kPool), near(kPool);
+  Rng gen(7);
+  for (size_t i = 0; i < kPool; ++i) {
+    far[i] = (-50.0 + gen.NextDouble()) * nu_scale;
+    near[i] = (-4.5 + gen.NextDouble()) * nu_scale;
+  }
+  std::vector<std::span<const double>> calls;
+  int64_t queries = 0;
+  for (int c = 0; c < 64; ++c) {
+    const size_t n =
+        static_cast<size_t>(std::exp2(8.0 + 8.0 * gen.NextDouble()));
+    const size_t offset = gen.NextBounded(kPool - n);
+    calls.push_back(
+        std::span<const double>(c % 8 == 0 ? near : far).subspan(offset, n));
+    queries += static_cast<int64_t>(n);
+  }
+  std::vector<Response> out;
+  out.reserve(size_t{1} << 16);
+  for (auto _ : state) {
+    ParallelFor(1, 1, [&](int64_t, int64_t, int) {
+      for (std::span<const double> answers : calls) {
+        out.clear();
+        for (size_t done = 0; done < answers.size();) {
+          if (mech->exhausted()) mech->Reset();
+          done += mech->RunAppend(answers.subspan(done), 0.0, &out);
+        }
+        benchmark::DoNotOptimize(out.data());
+      }
+    });
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * queries);
+  state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
+}
+BENCHMARK(BM_SvtRunAppendServingMix);
 
 void BM_VecLogBlock(benchmark::State& state) {
   Rng rng(11);

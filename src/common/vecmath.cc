@@ -826,9 +826,13 @@ size_t MegaFillMinScanSpans(BlockRng::State* state, size_t wpv, double b,
   for (size_t j = 0; j * span_elems < a.size(); ++j) {
     SVT_DCHECK(skip_words[j] <= kMegaNeverSkip + 1);
   }
-  // Chunks run whole from the chunk-entry stream position, which is always
-  // lane-aligned (chunks consume lane-multiple word counts), so an
-  // unaligned entry only needs a correctness fallback: the scalar lane
+  // The SIMD lanes step whole lockstep groups, so they need a lane-aligned
+  // entry position. Within one engine call every chunk but the last
+  // consumes a lane-multiple word count, so its chunks all share the
+  // call's entry phase; a call inherits the phase the previous call left.
+  // SpecDrivenSvt streams an alignment head to enter at phase 0
+  // (core/batch_runner.h), so an unaligned entry is the rare case — a
+  // prefiltered call that inherits a mid-lane phase — and the scalar lane
   // handles it exactly. A SIMD lane also needs every span but the last to
   // be a whole number of its groups; a narrower lane takes the call if it
   // fits.

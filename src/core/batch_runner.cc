@@ -81,20 +81,6 @@ class UninitArray {
   alignas(T) unsigned char bytes_[sizeof(T) * N];
 };
 
-// Makes room for `count` more responses and returns where they start. The
-// reserve grows the vector the way one resize by `count` would, to the
-// larger of the need and twice the size (an exact reserve would make
-// repeated appends quadratic); the caller then appends chunk by chunk
-// (AppendBelow), so the ⊥ fill of each chunk lands just before the chunk
-// is scanned.
-Response* ReserveAppend(std::vector<Response>* out, size_t count) {
-  const size_t need = out->size() + count;
-  if (need > out->capacity()) {
-    out->reserve(std::max(need, 2 * out->size()));
-  }
-  return out->data() + out->size();
-}
-
 // Appends n <= kChunkSize ⊥ responses. Copying them from a block of ⊥ is
 // a memmove; resize's value-initialization is a loop of 16-byte stores,
 // and at ~1 ns per response this fill is most of what a walk whose stage
@@ -738,6 +724,18 @@ void BatchRunner::CheckArgs(std::span<const double> answers,
   }
 }
 
+// The reserve grows the vector the way one resize by `count` would, to the
+// larger of the need and twice the size: an exact reserve would make
+// repeated appends quadratic.
+Response* BatchRunner::ReserveAppend(std::vector<Response>* out,
+                                     size_t count) {
+  const size_t need = out->size() + count;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->size()));
+  }
+  return out->data() + out->size();
+}
+
 BatchRunner::BatchRunner(const VariantSpec& spec, Rng* base_rng,
                          SvtRunState* state, size_t parallel_min_queries)
     : spec_(spec),
@@ -867,6 +865,7 @@ size_t BatchRunner::RunBars(std::span<const double> answers, Bars bars,
     ChunkNoise& rec = feed.Get(c, done, n);
     // The stage consumed the chunk's words, whichever way it took.
     state_->nu_rng.RestoreState(rec.end);
+    if (rec.entry.phase != 0) ++stats->unaligned_chunks;
     const double rho0 = state_->rho;
     // The stage's pipeline owns the bound chain (the tier-1 chunk and
     // tier-2 span tests): provably conservative, so a skip emits exactly

@@ -92,6 +92,19 @@
 // from which the runner wins on the geometric mean of those rows (see
 // kStreamingCutover).
 //
+// A longer call may stream an *alignment head* first. A call inherits the
+// ν stream phase the previous call left (an odd-length Laplace call leaves
+// it mid-lane), and the fused pass runs its SIMD lanes only from a lane
+// boundary: from anywhere else every chunk of the call takes the scalar
+// lane. So when a call draws ν, has no prefilter attached and enters off a
+// boundary, the loop answers the first h queries — the fewest that bring
+// the stream to the next boundary: 1 for Laplace ν, 4 − phase for
+// exponential ν — and the runner takes the rest, lane-aligned. A
+// prefiltered call keeps the misaligned entry: the prefilter's span grid
+// is anchored at the array start, and the shifted walk could not use it.
+// BatchRunStats::unaligned_chunks counts the chunks that still enter off a
+// boundary.
+//
 // Under the draw-order contract documented on SpecDrivenSvt (core/svt.h)
 // the emitted Response sequence is bit-for-bit the one the streaming
 // Process() loop would produce for the same seed — at every vecmath
@@ -160,6 +173,13 @@ class BatchRunner {
   static void CheckArgs(std::span<const double> answers,
                         std::span<const double> thresholds,
                         const BoundPrefilter* prefilter);
+
+  /// Makes room for `count` more responses in *out, growing it
+  /// geometrically, and returns where they start. Run appends chunk by
+  /// chunk after it, so each chunk's ⊥ fill lands just before the chunk is
+  /// scanned; SpecDrivenSvt reserves a whole call with it before streaming
+  /// the call's alignment head.
+  static Response* ReserveAppend(std::vector<Response>* out, size_t count);
 
   /// Runs over the state of a live mechanism; all three must outlive the
   /// runner. `state` is mutated exactly as the streaming path would.

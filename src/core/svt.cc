@@ -153,20 +153,40 @@ size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
   return RunAppend(answers, threshold, /*prefilter=*/nullptr, out);
 }
 
+size_t SpecDrivenSvt::StreamedHead(size_t n,
+                                   const BoundPrefilter* prefilter) const {
+  // Short-call rule (core/batch_runner.h): the streaming loop is cheaper
+  // here and emits the identical sequence.
+  if (n < BatchRunner::kStreamingCutover) return n;
+  // Alignment head: a call inherits the ν phase the previous one left, and
+  // the fused pass runs its SIMD lanes only from a lane boundary, so the
+  // loop draws the few variates up to the next one. A prefilter's span
+  // grid is anchored at the array start, so a prefiltered call keeps it.
+  if (spec_.nu_scale <= 0.0 || prefilter != nullptr) return 0;
+  const size_t wpv = spec_.nu_kind == NoiseKind::kExponential ? 1 : 2;
+  const size_t to_boundary =
+      (BlockRng::kLanes - state_.nu_rng.state().phase) % BlockRng::kLanes;
+  SVT_DCHECK(to_boundary % wpv == 0);
+  return to_boundary / wpv;
+}
+
 size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
                                 std::span<const double> thresholds,
                                 const BoundPrefilter* prefilter,
                                 std::vector<Response>* out) {
   BatchRunner::CheckArgs(answers, thresholds, prefilter);
-  if (answers.size() < BatchRunner::kStreamingCutover) {
-    // Short-call rule (core/batch_runner.h): the streaming loop is cheaper
-    // here and emits the identical sequence.
-    const size_t n = SvtMechanism::RunAppend(answers, thresholds, out);
-    state_.batch.streamed_queries += static_cast<int64_t>(n);
-    return n;
+  const size_t head = StreamedHead(answers.size(), prefilter);
+  if (head == 0) {
+    return BatchRunner(spec_, rng_, &state_)
+        .Run(answers, thresholds, prefilter, out);
   }
-  return BatchRunner(spec_, rng_, &state_)
-      .Run(answers, thresholds, prefilter, out);
+  BatchRunner::ReserveAppend(out, answers.size());
+  const size_t n = SvtMechanism::RunAppend(answers.first(head),
+                                           thresholds.first(head), out);
+  state_.batch.streamed_queries += static_cast<int64_t>(n);
+  if (head == answers.size() || state_.exhausted) return n;
+  return n + BatchRunner(spec_, rng_, &state_)
+                 .Run(answers.subspan(head), thresholds.subspan(head), out);
 }
 
 size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
@@ -174,13 +194,18 @@ size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
                                 const BoundPrefilter* prefilter,
                                 std::vector<Response>* out) {
   BatchRunner::CheckArgs(answers, prefilter);
-  if (answers.size() < BatchRunner::kStreamingCutover) {
-    const size_t n = SvtMechanism::RunAppend(answers, threshold, out);
-    state_.batch.streamed_queries += static_cast<int64_t>(n);
-    return n;
+  const size_t head = StreamedHead(answers.size(), prefilter);
+  if (head == 0) {
+    return BatchRunner(spec_, rng_, &state_)
+        .Run(answers, threshold, prefilter, out);
   }
-  return BatchRunner(spec_, rng_, &state_)
-      .Run(answers, threshold, prefilter, out);
+  BatchRunner::ReserveAppend(out, answers.size());
+  const size_t n =
+      SvtMechanism::RunAppend(answers.first(head), threshold, out);
+  state_.batch.streamed_queries += static_cast<int64_t>(n);
+  if (head == answers.size() || state_.exhausted) return n;
+  return n + BatchRunner(spec_, rng_, &state_)
+                 .Run(answers.subspan(head), threshold, out);
 }
 
 Status SvtOptions::Validate() const {

@@ -72,7 +72,7 @@ class SvtMechanism {
                             double threshold);
 
   /// Like Run(), but appends to *out instead of returning a fresh vector,
-  /// so batch servers can reuse one response buffer across calls instead of
+  /// so a caller can keep one response vector across calls instead of
   /// re-allocating (and re-faulting) megabytes per request. Returns the
   /// number of responses appended. The base implementation is the
   /// reference streaming loop; SpecDrivenSvt overrides it with the chunked
@@ -83,17 +83,21 @@ class SvtMechanism {
   /// same argument checks as a long call. Below that length the engine's
   /// fixed per-call cost exceeds the scalar draws it saves.
   /// bench_call_crossover measures the crossover (core/batch_runner.h).
-  /// The Monte-Carlo auditor's many short runs batch across runs instead:
-  /// see core/trial_walk.h.
+  /// A longer call that enters the ν stream off a lane boundary runs its
+  /// first few queries (at most 3) through this loop too, so the engine
+  /// starts lane-aligned: the alignment head (core/batch_runner.h). The
+  /// Monte-Carlo auditor's many short runs batch across runs instead: see
+  /// core/trial_walk.h.
   ///
-  /// Buffer-reuse contract (the serving layer depends on it): RunAppend
-  /// only appends — it never clears, shrinks, or reorders the elements
-  /// already in *out, and between calls the vector is an ordinary
-  /// std::vector the caller owns. clear() + RunAppend in a loop therefore
-  /// reuses one allocation for every batch once the capacity has grown to
-  /// the high-water mark. Appended elements may be invalidated by
-  /// reallocation on a later append, so take spans into *out only after the
-  /// last RunAppend of a cycle.
+  /// Buffer-reuse contract: RunAppend only appends — it never clears,
+  /// shrinks, or reorders the elements already in *out, and between calls
+  /// the vector is an ordinary std::vector the caller owns. clear() +
+  /// RunAppend in a loop therefore reuses one allocation for every batch
+  /// once the capacity has grown to the high-water mark. Appended elements
+  /// may be invalidated by reallocation on a later append, so take spans
+  /// into *out only after the last RunAppend of a cycle. (The serving
+  /// drain needs none of this: it clears each request's own vector and
+  /// appends straight into it, serving/sharded_server.h.)
   virtual size_t RunAppend(std::span<const double> answers,
                            std::span<const double> thresholds,
                            std::vector<Response>* out);
@@ -161,9 +165,17 @@ struct BatchRunStats {
   /// a raised ρ. Counted centrally at the resume site, so dispatch-level
   /// independent.
   int64_t replay_rederivations = 0;
-  /// Queries answered by the short-call path: RunAppend calls shorter than
-  /// BatchRunner::kStreamingCutover run the streaming Process() loop and
-  /// never enter the engine, so none of the counters above move for them.
+  /// Chunks whose noise stage entered the ν stream off a lane boundary:
+  /// their fused pass runs the scalar lane at every dispatch level. Through
+  /// SpecDrivenSvt::RunAppend only a prefiltered call that inherits a
+  /// mid-lane phase has them; every other call streams its alignment head
+  /// first (core/batch_runner.h).
+  int64_t unaligned_chunks = 0;
+  /// Queries answered by the streaming Process() loop instead of the
+  /// engine: every query of a RunAppend call shorter than
+  /// BatchRunner::kStreamingCutover, and the alignment head of a longer
+  /// call that enters the ν stream off a lane boundary (at most 3 queries;
+  /// core/batch_runner.h). None of the counters above move for them.
   int64_t streamed_queries = 0;
 
   /// Adds `other`'s counters to these (the engine counts each chunk apart
@@ -177,6 +189,7 @@ struct BatchRunStats {
     bound_bytes_touched += other.bound_bytes_touched;
     mega_words_skipped_q += other.mega_words_skipped_q;
     replay_rederivations += other.replay_rederivations;
+    unaligned_chunks += other.unaligned_chunks;
     streamed_queries += other.streamed_queries;
     return *this;
   }
@@ -364,6 +377,11 @@ class SpecDrivenSvt : public SvtMechanism {
  private:
   /// Draws ρ and derives the ν substream per the contract above.
   void InitRun();
+
+  /// How many leading queries of an n-query RunAppend call the streaming
+  /// loop answers before the engine takes the rest: all of a short call,
+  /// else the alignment head (core/batch_runner.h), usually 0.
+  size_t StreamedHead(size_t n, const BoundPrefilter* prefilter) const;
 
   VariantSpec spec_;
   Rng* rng_;  // base stream

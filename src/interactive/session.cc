@@ -66,10 +66,9 @@ size_t AboveThresholdSession::RunRounds(
   size_t consumed = 0;
   while (consumed < num_queries) {
     if (!EnsureActiveRound().ok()) break;  // budget cannot fund the round
+    const int before = current_->positives_emitted();
     consumed += run_round(consumed, out);
-  }
-  for (size_t i = start; i < out->size(); ++i) {
-    if ((*out)[i].is_positive()) ++positives_emitted_;
+    positives_emitted_ += current_->positives_emitted() - before;
   }
   queries_processed_ += static_cast<int64_t>(out->size() - start);
   return out->size() - start;

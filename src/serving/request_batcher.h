@@ -8,8 +8,9 @@
 // never executes anything itself — so a request handler thread is never
 // stalled by a slow shard. Drain() takes everything pending, groups it per
 // shard preserving the global submission order, and executes one
-// ParallelFor slice per shard with work, each feeding the shard's reusable
-// response buffer through RunAppend. Because each shard's work is totally
+// ParallelFor slice per shard with work, each running its requests in order
+// through RunAppend straight into the callers' own response vectors (no
+// shard-side buffer, no copy-out). Because each shard's work is totally
 // ordered by submission sequence, a fixed (seed, num_shards, per-shard
 // accepted-request order) reproduces every response bitwise, whatever the
 // thread count or schedule — and admission decisions (sheds, deadline

@@ -122,15 +122,22 @@ size_t ShardedSvtServer::ExecuteLocked(Shard& shard,
   }
   const int64_t exec_start = clock_->NowNanos();
   const size_t start = out->size();
+  // Positives are counted from the mechanisms' own counters, not by
+  // rescanning the appended responses.
+  int64_t positives = 0;
   if (options_.mode == ShardMode::kAutoReset) {
     size_t consumed = 0;
     while (consumed < answers.size()) {
       if (shard.mech->exhausted()) shard.mech->Reset();
+      const int before = shard.mech->positives_emitted();
       consumed +=
           shard.mech->RunAppend(answers.subspan(consumed), threshold, out);
+      positives += shard.mech->positives_emitted() - before;
     }
   } else {
+    const int64_t before = shard.session->positives_emitted();
     shard.session->RunAppend(answers, threshold, out);
+    positives = shard.session->positives_emitted() - before;
   }
   const size_t appended = out->size() - start;
   *outcome = RequestOutcome::kOk;
@@ -144,9 +151,7 @@ size_t ShardedSvtServer::ExecuteLocked(Shard& shard,
   }
   shard.stats.batches += 1;
   shard.stats.queries += static_cast<int64_t>(appended);
-  for (size_t i = start; i < out->size(); ++i) {
-    if ((*out)[i].is_positive()) ++shard.stats.positives;
-  }
+  shard.stats.positives += positives;
   const int64_t exec_nanos = clock_->NowNanos() - exec_start;
   shard.stats.exec_nanos += exec_nanos;
   shard.stats.exec_nanos_max =
@@ -159,14 +164,9 @@ void ShardedSvtServer::ExecuteBatchedOnShard(int shard,
                                              std::span<BatchItem* const> items) {
   Shard& s = CheckedShard(shard);
   std::lock_guard<std::mutex> lock(s.mu);
-  // One RunAppend-fed buffer for the whole drain: capacity converges to the
-  // per-drain high-water mark and stops re-allocating.
-  s.buffer.clear();
-  std::vector<size_t> ends;
-  std::vector<RequestOutcome> outcomes;
-  ends.reserve(items.size());
-  outcomes.reserve(items.size());
   for (BatchItem* item : items) {
+    // Each request's responses go straight into its own vector.
+    item->out->clear();
     RequestOutcome outcome = RequestOutcome::kOk;
     if (item->deadline_nanos > 0 && ExpiredAtDrain(*item)) {
       // Never execute an expired request: its shard stream stays
@@ -174,19 +174,9 @@ void ShardedSvtServer::ExecuteBatchedOnShard(int shard,
       s.deadline_misses.fetch_add(1, std::memory_order_relaxed);
       outcome = RequestOutcome::kDeadlineExceeded;
     } else {
-      ExecuteLocked(s, item->answers, item->threshold, &s.buffer, &outcome);
+      ExecuteLocked(s, item->answers, item->threshold, item->out, &outcome);
     }
-    outcomes.push_back(outcome);
-    ends.push_back(s.buffer.size());
-  }
-  // Copy out only after the last append: earlier spans into the buffer
-  // could be invalidated by growth.
-  size_t begin = 0;
-  for (size_t i = 0; i < items.size(); ++i) {
-    items[i]->out->assign(s.buffer.begin() + static_cast<ptrdiff_t>(begin),
-                          s.buffer.begin() + static_cast<ptrdiff_t>(ends[i]));
-    begin = ends[i];
-    if (items[i]->outcome != nullptr) *items[i]->outcome = outcomes[i];
+    if (item->outcome != nullptr) *item->outcome = outcome;
   }
 }
 

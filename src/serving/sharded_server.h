@@ -65,8 +65,8 @@ struct ServingOptions {
   /// Number of independent shards (>= 1, <= kMaxShards).
   int num_shards = 1;
   /// Upper bound on num_shards: each shard owns a mutex, an RNG and a
-  /// response buffer, so an absurd count is a configuration bug, not a
-  /// scaling request.
+  /// mechanism, so an absurd count is a configuration bug, not a scaling
+  /// request.
   static constexpr int kMaxShards = 1 << 20;
   /// Seed of the master stream the per-shard streams are forked from.
   uint64_t seed = 0;
@@ -184,23 +184,17 @@ class ShardedSvtServer {
   friend class RequestBatcher;
 
   /// Cache-line-aligned (and padded to whole lines by the alignas): a
-  /// shard's mutex, RNG state, stats and buffer *object* never share a
-  /// line with another shard's, so concurrent per-shard locking and stats
-  /// updates don't false-share across shards. Note the buffer's *element
-  /// storage* is a separate default-aligned heap allocation the alignas
-  /// cannot reach; isolating response elements across shards would need
-  /// an aligned allocator on a type that must stay std::vector<Response>
-  /// (the RunAppend API). Alignment is asserted at Create() in debug
-  /// builds.
+  /// shard's mutex, RNG state and stats never share a line with another
+  /// shard's, so concurrent per-shard locking and stats updates don't
+  /// false-share across shards. Responses live in the callers' own
+  /// vectors, outside the shard. Alignment is asserted at Create() in
+  /// debug builds.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     int index = 0;
     Rng rng{0};  ///< forked per-shard stream; mechanisms point into it
     std::unique_ptr<SparseVector> mech;              // kAutoReset
     std::unique_ptr<AboveThresholdSession> session;  // kBudgetMetered
-    /// Drain-scratch buffer, reused across drains (capacity persists; see
-    /// the buffer-reuse contract on SvtMechanism::RunAppend).
-    std::vector<Response> buffer;
     /// Guarded by mu (like stats): counts every execution attempt on this
     /// shard, the deterministic coordinate fault decisions are drawn at.
     uint64_t fault_attempts = 0;
@@ -217,15 +211,18 @@ class ShardedSvtServer {
 
   Shard& CheckedShard(int shard) const;
 
-  /// Executes one batch with shard.mu held; returns responses appended
-  /// and writes the structured outcome (never kPending) to *outcome.
+  /// Executes one batch with shard.mu held, appending to *out; returns
+  /// responses appended and writes the structured outcome (never kPending)
+  /// to *outcome. Adds the positives to the shard's stats from the
+  /// mechanism's (or session's) positives_emitted() before and after each
+  /// RunAppend, never by rescanning *out.
   size_t ExecuteLocked(Shard& shard, std::span<const double> answers,
                        double threshold, std::vector<Response>* out,
                        RequestOutcome* outcome);
 
-  /// Batcher entry point: runs `items` in order through the shard's
-  /// reusable buffer (skipping expired-deadline items), then copies each
-  /// item's slice into its *out.
+  /// Batcher entry point: runs `items` in order, each clear()ing its *out
+  /// and executing straight into it (an expired-deadline item is left
+  /// empty and never executed), and sets each item's outcome.
   void ExecuteBatchedOnShard(int shard, std::span<BatchItem* const> items);
 
   /// Drain-time deadline check: the injected clock, plus any injected

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -745,6 +746,7 @@ void ExpectSameStats(const BatchRunStats& a, const BatchRunStats& b,
   EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << context;
   EXPECT_EQ(a.mega_words_skipped_q, b.mega_words_skipped_q) << context;
   EXPECT_EQ(a.replay_rederivations, b.replay_rederivations) << context;
+  EXPECT_EQ(a.unaligned_chunks, b.unaligned_chunks) << context;
   EXPECT_EQ(a.streamed_queries, b.streamed_queries) << context;
 }
 
@@ -773,9 +775,11 @@ TEST(BatchRunnerTest, FusedPassesMatchStreamingExactly) {
   std::vector<double> near(n), bars(n);
   Rng gen(2718);
   for (size_t i = 0; i < n; ++i) {
-    // Near-threshold (tier-2, rare positives), with every third bound
-    // span far below so the hierarchical span-skip path runs too.
-    const bool far_span = (i / BatchRunner::kBoundSpan) % 3 == 0;
+    // Near-threshold (tier-2, rare positives), with every third pair of
+    // bound spans far below so the hierarchical span-skip path runs too.
+    // A far run is two spans long, so it still covers a whole span of a
+    // call whose grid an alignment head shifts by up to 3 queries.
+    const bool far_span = (i / (2 * BatchRunner::kBoundSpan)) % 3 == 0;
     near[i] = far_span ? -1e9 : -3.0 + (gen.NextDouble() - 0.5);
     bars[i] = gen.NextDouble() - 0.5;
   }
@@ -1162,6 +1166,178 @@ TEST(BatchRunnerTest, StreamedQueriesClearedOnReset) {
             static_cast<int64_t>(answers.size()));
   mech->Reset();
   EXPECT_EQ(mech->batch_stats().streamed_queries, 0);
+}
+
+// A spec drawing both noises from `kind` at unit scales, with `cutoff`.
+VariantSpec UnitSpec(NoiseKind kind, int cutoff) {
+  VariantSpec spec = AllExponentialSpec();
+  spec.rho_kind = kind;
+  spec.nu_kind = kind;
+  spec.cutoff = cutoff;
+  return spec;
+}
+
+// The ν stream's lane phase a call enters at, from the streaming twin.
+uint32_t NuPhase(const SpecDrivenSvt& mech) {
+  return mech.nu_stream_state().phase;
+}
+
+TEST(BatchRunnerTest, UnalignedEntryMatchesStreaming) {
+  // A call inherits the ν phase the previous call left. Back-to-back calls
+  // whose lengths reach every entry phase (Laplace 0 and 2, exponential
+  // 0-3), of kStreamingCutover and kStreamingCutover + 3 queries among
+  // them, for both bar forms, with and without a prefilter, at every
+  // dispatch level: responses and both streams must equal the streaming
+  // loop's. A call without a prefilter streams its alignment head, so no
+  // chunk enters off a lane boundary; a prefiltered call keeps its
+  // unaligned entry.
+  ScopedDispatchLevel restore_level;
+  constexpr size_t kCut = BatchRunner::kStreamingCutover;
+  const size_t lengths[] = {BatchRunner::kChunkSize + 1,
+                            kCut,
+                            kCut + 3,
+                            2 * BatchRunner::kChunkSize + 1,
+                            BatchRunner::kBoundSpan + 2,
+                            1027,
+                            kCut + 1,
+                            BatchRunner::kChunkSize + 2};
+  size_t total = 0;
+  for (size_t n : lengths) total += n;
+  std::vector<double> answers(total), bars(total);
+  Rng gen(606);
+  for (size_t i = 0; i < total; ++i) {
+    // Near-bar pairs of spans between far-below ones: positives, resumes
+    // and span skips in every call.
+    const bool far = (i / (2 * BatchRunner::kBoundSpan)) % 2 == 0;
+    answers[i] = far ? -1e9 : (gen.NextDouble() - 0.9) * 6.0;
+    bars[i] = gen.NextDouble() - 0.5;
+  }
+
+  for (NoiseKind kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
+    for (const bool per_query : {false, true}) {
+      for (const bool with_pf : {false, true}) {
+        std::optional<BatchRunStats> first_level;
+        std::set<uint32_t> phases;
+        for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+          if (!vec::SetDispatchLevel(level)) continue;
+          const std::string ctx =
+              std::string(vec::DispatchLevelName(level)) +
+              (kind == NoiseKind::kLaplace ? " lap" : " exp") +
+              (per_query ? " per-query" : " common") +
+              (with_pf ? " prefilter" : "");
+          Rng rng_batch(31), rng_stream(31);
+          CustomSvt batch(UnitSpec(kind, 1 << 20), &rng_batch);
+          CustomSvt stream(UnitSpec(kind, 1 << 20), &rng_stream);
+          size_t offset = 0;
+          for (size_t n : lengths) {
+            const std::string call = ctx + " n=" + std::to_string(n);
+            const std::span<const double> a(answers.data() + offset, n);
+            const std::span<const double> t(bars.data() + offset, n);
+            offset += n;
+            const uint32_t phase = NuPhase(stream);
+            phases.insert(phase);
+            const BoundPrefilter pf = per_query ? BoundPrefilter::Build(a, t)
+                                                : BoundPrefilter::Build(a);
+            const BatchRunStats before = batch.batch_stats();
+            std::vector<Response> got, want;
+            if (per_query) {
+              batch.RunAppend(a, t, with_pf ? &pf : nullptr, &got);
+              StreamAppend(&stream, a, t, &want);
+            } else {
+              batch.RunAppend(a, 0.0, with_pf ? &pf : nullptr, &got);
+              StreamAppend(&stream, a, 0.0, &want);
+            }
+            ExpectSameResponses(got, want, call);
+            ExpectSameRunState(batch, rng_batch, stream, rng_stream, call);
+            const BatchRunStats& st = batch.batch_stats();
+            const int64_t unaligned =
+                st.unaligned_chunks - before.unaligned_chunks;
+            const int64_t streamed =
+                st.streamed_queries - before.streamed_queries;
+            if (with_pf && phase != 0) {
+              const size_t chunks = (n + BatchRunner::kChunkSize - 1) /
+                                    BatchRunner::kChunkSize;
+              EXPECT_EQ(unaligned, static_cast<int64_t>(chunks)) << call;
+              EXPECT_EQ(streamed, 0) << call;
+            } else {
+              EXPECT_EQ(unaligned, 0) << call;
+              const uint32_t wpv = kind == NoiseKind::kLaplace ? 2 : 1;
+              EXPECT_EQ(streamed, with_pf ? 0 : (4 - phase) % 4 / wpv)
+                  << call;
+            }
+          }
+          EXPECT_GT(batch.positives_emitted(), 0) << ctx;
+          ExpectStatsMatchFirstLevel(batch.batch_stats(), &first_level, ctx);
+        }
+        // The lengths reach every phase the ν kind can enter at.
+        EXPECT_EQ(phases.size(), kind == NoiseKind::kLaplace ? 2u : 4u);
+      }
+    }
+  }
+}
+
+TEST(BatchRunnerTest, CutoffInsideTheAlignmentHeadMatchesStreaming) {
+  // A run whose cutoff exhausts inside the ≤3-query head, or on its last
+  // query, must stop there exactly like the streaming loop; one that
+  // exhausts after the head stops inside the engine. A first call of
+  // kStreamingCutover + 1 far-below queries leaves the ν phase at 2
+  // (Laplace: head 1) or 1 (exponential: head 3); the second call's first
+  // three answers always fire.
+  ScopedDispatchLevel restore_level;
+  constexpr size_t kFirst = BatchRunner::kStreamingCutover + 1;
+  const std::vector<double> below(kFirst, -1e9);
+  std::vector<double> second(4 * BatchRunner::kStreamingCutover, -1e9);
+  second[0] = second[1] = second[2] = 1e9;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    for (NoiseKind kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
+      for (int cutoff : {1, 2, 3}) {
+        for (const bool per_query : {false, true}) {
+          const std::string ctx =
+              std::string(vec::DispatchLevelName(level)) +
+              (kind == NoiseKind::kLaplace ? " lap" : " exp") +
+              " cutoff=" + std::to_string(cutoff) +
+              (per_query ? " per-query" : " common");
+          Rng rng_batch(47), rng_stream(47);
+          CustomSvt batch(UnitSpec(kind, cutoff), &rng_batch);
+          CustomSvt stream(UnitSpec(kind, cutoff), &rng_stream);
+          const std::vector<double> zeros(second.size(), 0.0);
+          std::vector<Response> got, want;
+          batch.RunAppend(below, 0.0, &got);
+          StreamAppend(&stream, below, 0.0, &want);
+          ASSERT_NE(NuPhase(stream), 0u) << ctx;
+          if (per_query) {
+            batch.RunAppend(second, zeros, &got);
+            StreamAppend(&stream, second, zeros, &want);
+          } else {
+            batch.RunAppend(second, 0.0, &got);
+            StreamAppend(&stream, second, 0.0, &want);
+          }
+          ExpectSameResponses(got, want, ctx);
+          EXPECT_TRUE(batch.exhausted()) << ctx;
+          EXPECT_EQ(got.size(), kFirst + static_cast<size_t>(cutoff)) << ctx;
+          EXPECT_EQ(batch.positives_emitted(), stream.positives_emitted())
+              << ctx;
+          EXPECT_EQ(batch.queries_processed(), stream.queries_processed())
+              << ctx;
+          EXPECT_TRUE(SameState(rng_batch.state(), rng_stream.state()))
+              << ctx;
+          // The first call entered aligned and ran in the engine.
+          const int head = kind == NoiseKind::kLaplace ? 1 : 3;
+          if (cutoff <= head) {
+            // The run ended in the head: the engine never ran, and the ν
+            // stream stands where the loop left it.
+            EXPECT_EQ(batch.batch_stats().streamed_queries, cutoff) << ctx;
+            EXPECT_TRUE(
+                SameState(batch.nu_stream_state(), stream.nu_stream_state()))
+                << ctx;
+          } else {
+            EXPECT_EQ(batch.batch_stats().streamed_queries, head) << ctx;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchRunnerTest, ResumeWalkMatchesStreaming) {

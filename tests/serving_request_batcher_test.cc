@@ -6,6 +6,7 @@
 
 #include "serving/request_batcher.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -72,8 +73,9 @@ TEST(RequestBatcherTest, DrainedResponsesMatchDirectExecution) {
 
 TEST(RequestBatcherTest, RepeatedDrainsReuseShardBuffers) {
   // Several drain cycles through the same batcher must keep matching the
-  // direct execution — the shard buffer is cleared (capacity kept), never
-  // carried over.
+  // direct execution. The drain writes each request straight into its
+  // caller's vector, so nothing of one cycle's requests (on the shard or
+  // in a vector) may carry over into the next.
   const std::vector<double> answers = MakeAnswers(500, 51);
   auto direct = ShardedSvtServer::Create(TestOptions(2, 22)).value();
   auto server = ShardedSvtServer::Create(TestOptions(2, 22)).value();
@@ -87,6 +89,79 @@ TEST(RequestBatcherTest, RepeatedDrainsReuseShardBuffers) {
     batcher.Drain();
     ASSERT_EQ(got_a, expect_a) << "cycle " << cycle;
     ASSERT_EQ(got_b, expect_b) << "cycle " << cycle;
+  }
+}
+
+ServingOptions MeteredOptions(int shards, uint64_t seed) {
+  ServingOptions o;
+  o.num_shards = shards;
+  o.seed = seed;
+  o.mode = ShardMode::kBudgetMetered;
+  o.session.total_epsilon = 1.0;
+  o.session.epsilon_per_round = 0.1;
+  o.session.round.cutoff = 2;
+  o.session.round.monotonic = true;
+  return o;
+}
+
+int64_t CountPositives(const std::vector<Response>& out) {
+  int64_t positives = 0;
+  for (const Response& r : out) positives += r.is_positive() ? 1 : 0;
+  return positives;
+}
+
+TEST(RequestBatcherTest, PositivesStatMatchesDeliveredPositives) {
+  // ServingStats::positives is counted from the mechanisms' own counters,
+  // not by rescanning responses. Over two drains it must still equal the
+  // positives the callers received: in kAutoReset, where runs exhaust and
+  // reset inside one request, and in kBudgetMetered, where the budget cuts
+  // one request short and later ones get nothing. Every caller vector
+  // starts with stale responses, which the drain must clear, not append
+  // to.
+  const std::vector<double> answers = MakeAnswers(2000, 56);
+  const std::vector<Response> stale(5, Response::Above());
+  const int kRequests = 12;
+  for (const bool metered : {false, true}) {
+    const ServingOptions o =
+        metered ? MeteredOptions(3, 28) : TestOptions(3, 28);
+    auto direct = ShardedSvtServer::Create(o).value();
+    auto server = ShardedSvtServer::Create(o).value();
+    RequestBatcher batcher(server.get());
+    std::vector<std::vector<Response>> got(kRequests, stale);
+    std::vector<RequestOutcome> outcomes(kRequests);
+    for (int drain = 0; drain < 2; ++drain) {
+      for (int r = drain * kRequests / 2; r < (drain + 1) * kRequests / 2;
+           ++r) {
+        ASSERT_TRUE(batcher
+                        .Submit(static_cast<uint64_t>(r), answers, 0.0,
+                                &got[r], SubmitOptions(), &outcomes[r])
+                        .ok());
+      }
+      batcher.Drain();
+    }
+    int64_t delivered = 0, most_in_one = 0;
+    int partial = 0;
+    for (int r = 0; r < kRequests; ++r) {
+      std::vector<Response> expect;
+      direct->Execute(static_cast<uint64_t>(r), answers, 0.0, &expect);
+      EXPECT_EQ(got[r], expect) << "request " << r;
+      const int64_t positives = CountPositives(got[r]);
+      delivered += positives;
+      most_in_one = std::max(most_in_one, positives);
+      partial += outcomes[r] == RequestOutcome::kBudgetExhausted &&
+                 !got[r].empty();
+    }
+    const ServingStats stats = server->TotalStats();
+    EXPECT_EQ(stats.positives, delivered) << (metered ? "metered" : "auto");
+    EXPECT_EQ(stats.positives, direct->TotalStats().positives);
+    if (metered) {
+      // Ten rounds of two positives each, one request funded in part.
+      EXPECT_EQ(delivered, 3 * 10 * 2);
+      EXPECT_GE(partial, 1);
+    } else {
+      // Some request spanned several runs.
+      EXPECT_GT(most_in_one, o.svt.cutoff);
+    }
   }
 }
 
