@@ -532,24 +532,59 @@ void BM_McParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_McParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-void BM_McParallelAlg2(benchmark::State& state) {
-  // Alg. 2 resamples ρ at every positive, so its trials take the trial
-  // walker's lockstep path rather than the fixed-stride one above.
-  Rng rng(15);
-  const VariantSpec spec = MakeAlg2Spec(1.0, 1.0, 2);
-  const NeighborInstance instance = ShiftInstance(4, "_T__");
+// Estimates the witnessing pattern of `instance` on D under `spec`, 2^15
+// trials per iteration on `workers` workers.
+void RunMcInstance(benchmark::State& state, const VariantSpec& spec,
+                   const NeighborInstance& instance, uint64_t seed,
+                   int workers) {
+  Rng rng(seed);
   std::string pattern;
   for (const OutputEvent& e : instance.pattern) {
     pattern += e.is_positive() ? 'T' : '_';
   }
   McOptions o;
   o.trials = 1 << 15;
-  o.num_workers = static_cast<int>(state.range(0));
+  o.num_workers = workers;
   for (auto _ : state) {
     benchmark::DoNotOptimize(EstimateOutputProbability(
         spec, instance.answers_d, instance.threshold, pattern, rng, o));
   }
   state.SetItemsProcessed(state.iterations() * o.trials);
+}
+
+// One-worker rows, one per trial-walker path (core/trial_walk.h), beside
+// BM_McSerial (Alg. 1, Laplace ν, window 4, fixed stride).
+void BM_McSerialAlg5(benchmark::State& state) {
+  // Fixed stride with no ν draw (Alg. 5, window 2).
+  RunMcInstance(state, MakeAlg5Spec(1.0, 1.0), Alg5Counterexample(), 16, 1);
+}
+BENCHMARK(BM_McSerialAlg5);
+
+void BM_McSerialExpNoise(benchmark::State& state) {
+  // Fixed stride with exponential ν (window 4).
+  RunMcInstance(state, MakeSpec(VariantId::kExpNoise, 1.0, 1.0, 2),
+                ShiftInstance(4, "_T__"), 17, 1);
+}
+BENCHMARK(BM_McSerialExpNoise);
+
+void BM_McSerialAlg3(benchmark::State& state) {
+  // Fixed stride with Laplace ν over a window of 5.
+  RunMcInstance(state, MakeAlg3Spec(1.0, 1.0, 1), Alg3Counterexample(4), 18,
+                1);
+}
+BENCHMARK(BM_McSerialAlg3);
+
+void BM_McSerialAlg2(benchmark::State& state) {
+  // The lockstep path: Alg. 2 resamples ρ at every positive.
+  RunMcInstance(state, MakeAlg2Spec(1.0, 1.0, 2), ShiftInstance(4, "_T__"),
+                15, 1);
+}
+BENCHMARK(BM_McSerialAlg2);
+
+void BM_McParallelAlg2(benchmark::State& state) {
+  // BM_McSerialAlg2's lockstep path on 1, 2 and 4 workers.
+  RunMcInstance(state, MakeAlg2Spec(1.0, 1.0, 2), ShiftInstance(4, "_T__"),
+                15, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_McParallelAlg2)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 

@@ -97,81 +97,6 @@ __attribute__((target("avx512f,avx512vl"))) void FillLockstepAvx512(
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + 12), s3);
 }
 
-constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
-
-// GCC's 512-bit intrinsic headers self-initialize their "undefined"
-// vectors, a header-internal false positive for these two warnings (see
-// the AVX-512 lane of common/vecmath.cc).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
-
-// SplitMix64's output mix for eight states at once (AVX-512DQ has the
-// 64-bit multiply): SplitMix64Next after its increment.
-__attribute__((target("avx512f,avx512dq,avx512vl"))) inline __m512i
-SplitMixMix8(__m512i z) {
-  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
-                         _mm512_set1_epi64(0xbf58476d1ce4e5b9ULL));
-  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
-                         _mm512_set1_epi64(0x94d049bb133111ebULL));
-  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
-}
-
-// BlockRng::FillSeeded over `count` seeds, a multiple of eight: each
-// 512-bit register holds one state word of one xoshiro lane for eight
-// seeds, seeded exactly as BlockRng(seed) does and stepped exactly as
-// StepLaneSoA does.
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void FillSeededAvx512(
-    const uint64_t* seeds, size_t count, size_t words, uint64_t* out) {
-  const __m512i gamma = _mm512_set1_epi64(kSplitMixGamma);
-  alignas(64) uint64_t step_out[BlockRng::kLanes][8];
-  for (size_t k = 0; k < count; k += 8) {
-    __m512i s[4][BlockRng::kLanes];
-    __m512i sm = _mm512_loadu_si512(seeds + k);
-    for (size_t lane = 0; lane < BlockRng::kLanes; ++lane) {
-      sm = _mm512_add_epi64(sm, gamma);
-      __m512i lane_sm = SplitMixMix8(sm);
-      for (int w = 0; w < 4; ++w) {
-        lane_sm = _mm512_add_epi64(lane_sm, gamma);
-        s[w][lane] = SplitMixMix8(lane_sm);
-      }
-      // BlockRng's guard against an all-zero lane state.
-      const __m512i any =
-          _mm512_or_si512(_mm512_or_si512(s[0][lane], s[1][lane]),
-                          _mm512_or_si512(s[2][lane], s[3][lane]));
-      s[0][lane] = _mm512_mask_mov_epi64(
-          s[0][lane], _mm512_testn_epi64_mask(any, any), gamma);
-    }
-    for (size_t j = 0; j < words; j += BlockRng::kLanes) {
-      for (size_t lane = 0; lane < BlockRng::kLanes; ++lane) {
-        __m512i& s0 = s[0][lane];
-        __m512i& s1 = s[1][lane];
-        __m512i& s2 = s[2][lane];
-        __m512i& s3 = s[3][lane];
-        _mm512_store_si512(
-            step_out[lane],
-            _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23),
-                             s0));
-        const __m512i t = _mm512_slli_epi64(s1, 17);
-        s2 = _mm512_xor_si512(s2, s0);
-        s3 = _mm512_xor_si512(s3, s1);
-        s1 = _mm512_xor_si512(s1, s2);
-        s0 = _mm512_xor_si512(s0, s3);
-        s2 = _mm512_xor_si512(s2, t);
-        s3 = _mm512_rol_epi64(s3, 45);
-      }
-      const size_t take = std::min(BlockRng::kLanes, words - j);
-      for (size_t i = 0; i < 8; ++i) {
-        for (size_t q = 0; q < take; ++q) {
-          out[(k + i) * words + j + q] = step_out[q][i];
-        }
-      }
-    }
-  }
-}
-
-#pragma GCC diagnostic pop
-
 #endif  // SVT_LOCKSTEP_HAVE_AVX512
 
 void FillLockstep(uint64_t* s, uint64_t* p, size_t steps) {
@@ -395,23 +320,6 @@ void BlockRng::Advance(uint64_t words) {
   }
   StepAllLanes(words / kLanes);
   for (uint64_t k = 0; k < words % kLanes; ++k) Next();
-}
-
-void BlockRng::FillSeeded(std::span<const uint64_t> seeds,
-                          size_t words_per_seed, std::span<uint64_t> out) {
-  SVT_CHECK(out.size() == seeds.size() * words_per_seed)
-      << "FillSeeded output holds " << out.size() << " words, not "
-      << seeds.size() << " x " << words_per_seed;
-  size_t done = 0;
-#if SVT_LOCKSTEP_HAVE_AVX512
-  if (vec::ActiveDispatchLevel() >= vec::DispatchLevel::kAvx512) {
-    done = seeds.size() / 8 * 8;
-    FillSeededAvx512(seeds.data(), done, words_per_seed, out.data());
-  }
-#endif
-  for (size_t k = done; k < seeds.size(); ++k) {
-    BlockRng(seeds[k]).Fill(out.subspan(k * words_per_seed, words_per_seed));
-  }
 }
 
 BlockRng::State BlockRng::state() const {

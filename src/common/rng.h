@@ -105,15 +105,6 @@ class BlockRng {
   /// constructor: phase < kLanes, every lane nonzero; checked).
   void Restore(const State& state);
 
-  /// Many fresh streams at once: for every k, writes the first
-  /// `words_per_seed` outputs of BlockRng(seeds[k]) to
-  /// out[k * words_per_seed, (k + 1) * words_per_seed). out.size() must be
-  /// seeds.size() * words_per_seed. At the AVX-512 dispatch level eight
-  /// seeds share each instruction, through the seeding expansion too;
-  /// every level writes exactly what the per-seed loop does.
-  static void FillSeeded(std::span<const uint64_t> seeds,
-                         size_t words_per_seed, std::span<uint64_t> out);
-
  private:
   uint64_t StepLane(size_t lane);
 

@@ -276,8 +276,16 @@ struct ScalarLane {
   static I SubI(I a, I b) { return a - b; }
   static I AndI(I a, I b) { return a & b; }
   static I AndNotI(I a, I b) { return ~a & b; }
+  static I OrI(I a, I b) { return a | b; }
+  static I XorI(I a, I b) { return a ^ b; }
+  static I MulLo(I a, uint64_t c) { return a * c; }
   template <int k>
   static I Srl(I v) { return v >> k; }
+  template <int k>
+  static I Sll(I v) { return v << k; }
+  template <int k>
+  static I Rotl(I v) { return lockstep::Rotl(v, k); }
+  static void StoreI(uint64_t* p, I v) { *p = v; }
   static D AsD(I v) { return std::bit_cast<double>(v); }
   static I AsI(D v) { return std::bit_cast<uint64_t>(v); }
   static D U53ToD(I v) { return static_cast<double>(v); }
@@ -289,6 +297,9 @@ struct ScalarLane {
   static I UnpackMags(I v0, I) { return v0; }
   static I MinU(I a, I b) { return std::min(a, b); }
   static unsigned CmpGe(D a, D b) { return a >= b; }
+  static I OrWhereGe(I acc, D a, D b, I bit) {
+    return acc | (bit & (0 - uint64_t{a >= b}));
+  }
   static unsigned BelowSkip(I w, I skip) { return (w >> 11) < skip; }
   static double HMax(D v) { return v; }
   static double HMin(D v) { return v; }
@@ -371,8 +382,26 @@ struct Avx2Lane {
   static I SubI(I a, I b) { return _mm256_sub_epi64(a, b); }
   static I AndI(I a, I b) { return _mm256_and_si256(a, b); }
   static I AndNotI(I a, I b) { return _mm256_andnot_si256(a, b); }
+  static I OrI(I a, I b) { return _mm256_or_si256(a, b); }
+  static I XorI(I a, I b) { return _mm256_xor_si256(a, b); }
+  // The low 64 bits of a * c without AVX-512DQ's mullo_epi64: three
+  // 32x32 -> 64 products, lo(a)lo(c) + ((hi(a)lo(c) + lo(a)hi(c)) << 32),
+  // exact mod 2^64.
+  static I MulLo(I a, uint64_t c) {
+    const I c_lo = Set1I(c & 0xFFFF'FFFFull);
+    const I cross = AddI(_mm256_mul_epu32(Srl<32>(a), c_lo),
+                         _mm256_mul_epu32(a, Set1I(c >> 32)));
+    return AddI(_mm256_mul_epu32(a, c_lo), Sll<32>(cross));
+  }
   template <int k>
   static I Srl(I v) { return _mm256_srli_epi64(v, k); }
+  template <int k>
+  static I Sll(I v) { return _mm256_slli_epi64(v, k); }
+  template <int k>
+  static I Rotl(I v) { return OrI(Sll<k>(v), Srl<64 - k>(v)); }
+  static void StoreI(uint64_t* p, I v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
   static D AsD(I v) { return _mm256_castsi256_pd(v); }
   static I AsI(D v) { return _mm256_castpd_si256(v); }
   // (double)v for v < 2^53 without AVX-512's cvtepu64_pd: split into
@@ -410,6 +439,9 @@ struct Avx2Lane {
   static unsigned CmpGe(D a, D b) {
     return static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GE_OQ)));
+  }
+  static I OrWhereGe(I acc, D a, D b, I bit) {
+    return OrI(acc, AndI(bit, AsI(_mm256_cmp_pd(a, b, _CMP_GE_OQ))));
   }
   // Skip words never exceed 2^53 + 1 (checked at the fused entry) and
   // w >> 11 is below 2^53, so the signed compare is an unsigned one.
@@ -533,8 +565,16 @@ struct Avx512Lane {
   static I SubI(I a, I b) { return _mm512_sub_epi64(a, b); }
   static I AndI(I a, I b) { return _mm512_and_si512(a, b); }
   static I AndNotI(I a, I b) { return _mm512_andnot_si512(a, b); }
+  static I OrI(I a, I b) { return _mm512_or_si512(a, b); }
+  static I XorI(I a, I b) { return _mm512_xor_si512(a, b); }
+  static I MulLo(I a, uint64_t c) { return _mm512_mullo_epi64(a, Set1I(c)); }
   template <int k>
   static I Srl(I v) { return _mm512_srli_epi64(v, k); }
+  template <int k>
+  static I Sll(I v) { return _mm512_slli_epi64(v, k); }
+  template <int k>
+  static I Rotl(I v) { return _mm512_rol_epi64(v, k); }
+  static void StoreI(uint64_t* p, I v) { _mm512_storeu_si512(p, v); }
   static D AsD(I v) { return _mm512_castsi512_pd(v); }
   static I AsI(D v) { return _mm512_castpd_si512(v); }
   // Exact: the values always fit in 53 bits (|k| <= ~1100).
@@ -550,6 +590,10 @@ struct Avx512Lane {
   static I MinU(I a, I b) { return _mm512_min_epu64(a, b); }
   static unsigned CmpGe(D a, D b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
+  }
+  static I OrWhereGe(I acc, D a, D b, I bit) {
+    return _mm512_mask_or_epi64(acc, _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ), acc,
+                                bit);
   }
   static unsigned BelowSkip(I w, I skip) {
     return _mm512_cmplt_epu64_mask(Srl<11>(w), skip);
@@ -867,6 +911,38 @@ size_t SkipWordCountBlock(std::span<const std::uint64_t> words, size_t wpv,
       return SkipWordCountKernel<decltype(two)::value ? 2 : 1>(
           lane, words.data(), words.size() / wpv, skip_word);
     });
+  });
+}
+
+void SeededFireMasks(std::span<const uint64_t> seeds, size_t wpv, double b,
+                     std::span<const double> window, size_t rows,
+                     std::span<const double> bars, std::span<uint64_t> fires) {
+  SVT_CHECK(wpv <= 2)
+      << "SeededFireMasks words-per-variate must be 0, 1 or 2, got " << wpv;
+  SVT_CHECK(rows >= 1 && rows <= kMaxFireRows && bars.size() % rows == 0 &&
+            fires.size() == bars.size())
+      << "SeededFireMasks needs 1-" << kMaxFireRows << " rows of bars, got "
+      << rows << " rows over " << bars.size() << " bars, " << fires.size()
+      << " fire masks";
+  const size_t runs = bars.size() / rows;
+  SVT_CHECK(wpv == 0 || seeds.size() == runs)
+      << "SeededFireMasks has " << seeds.size() << " seeds for " << runs
+      << " runs";
+  SVT_CHECK(window.size() <= 64)
+      << "SeededFireMasks window of " << window.size() << " queries exceeds 64";
+  AtActiveLevel([&](auto lane) {
+    const auto run = [&](auto words_per_variate) {
+      SeededFireKernel<decltype(words_per_variate)::value>(
+          lane, seeds.data(), b, window.data(), window.size(), bars.data(),
+          rows, fires.data(), 0, runs);
+    };
+    if (wpv == 2) {
+      run(std::integral_constant<size_t, 2>{});
+    } else if (wpv == 1) {
+      run(std::integral_constant<size_t, 1>{});
+    } else {
+      run(std::integral_constant<size_t, 0>{});
+    }
   });
 }
 

@@ -316,6 +316,35 @@ std::size_t MegaFillMinScanSpans(
 std::size_t SkipWordCountBlock(std::span<const std::uint64_t> words,
                                std::size_t wpv, std::uint64_t skip_word);
 
+// --- seeded fire masks ------------------------------------------------------
+//
+// The Monte-Carlo trial walker (core/trial_walk.h) runs many fresh runs of
+// one short window, each with its own ν substream. This kernel gives every
+// run one SIMD element: it seeds the run's substream, steps the generator,
+// transforms each variate and compares it against the run's bars, all in
+// registers, and emits one fire bitmask per (run, bar).
+
+/// Bars per run one SeededFireMasks call can take.
+inline constexpr std::size_t kMaxFireRows = 8;
+
+/// Fire masks of many runs over one window (window.size() <= 64). The
+/// runs number bars.size() / rows, and bars and fires hold `rows` rows of
+/// one entry per run: run r's bar j is bars[j * runs + r], and bit i of
+/// fires[j * runs + r] is set exactly when
+///   window[i] + ν_i >= bars[j * runs + r]
+/// in IEEE double arithmetic, evaluated in that form (so NaN never fires).
+/// Run r's ν_0, ν_1, ... are the variates of the stream Rng(seeds[r]) in
+/// order: with wpv = 2, Laplace::Centered(b).TransformBlock of its first
+/// 2 * window.size() words; with wpv = 1, Exponential::FromScale(b)'s of
+/// its first window.size() words; with wpv = 0 there is no ν (every ν_i is
+/// 0.0) and `seeds` may be empty. Otherwise seeds holds one seed per run.
+/// Bit-identical to that composition at every dispatch level. 1 <= rows
+/// <= kMaxFireRows; fires.size() must equal bars.size().
+void SeededFireMasks(std::span<const std::uint64_t> seeds, std::size_t wpv,
+                     double b, std::span<const double> window,
+                     std::size_t rows, std::span<const double> bars,
+                     std::span<std::uint64_t> fires);
+
 }  // namespace vec
 }  // namespace svt
 

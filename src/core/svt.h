@@ -302,11 +302,13 @@ struct SvtRunState {
 /// trial group g is the stream Rng(LaneSeed(key, 8g + L)). Each lane is
 /// held to the contract above exactly as `CustomSvt mech(spec,
 /// &lane_rng)` followed by Reset() + RunAppend per run would consume it:
-/// the TrialWalker fetches a lane's base words in bulk, seeds and fills
-/// every run's ν substream through BlockRng::FillSeeded, and transforms ρ,
-/// every resample a run can reach and ν through the kernels of step (4),
-/// so each run compares the variates the streaming loop would, draw for
-/// draw. tests/core_trial_walk_test.cc diffs every lane against that loop
+/// the TrialWalker fetches a lane's base words in bulk and transforms ρ
+/// and every resample a run can reach through the kernels of step (4);
+/// vec::SeededFireMasks seeds every run's ν substream as BlockRng(seed)
+/// does, transforms its variates with the same kernel bodies and compares
+/// `answer + ν_i >= threshold + ρ` (or + the resample in force) in that
+/// form, so each run compares the variates the streaming loop would, draw
+/// for draw. tests/core_trial_walk_test.cc diffs every lane against that loop
 /// at every dispatch level, and tests/audit_mc_parallel_test.cc pins the
 /// auditor's hits, one golden per instance at every worker count.
 ///

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/distributions.h"
+#include "common/vecmath.h"
 #include "core/batch_runner.h"
 #include "core/svt_variants.h"
 
@@ -44,17 +45,6 @@ void CopyVariate(const uint64_t* from, size_t words, uint64_t* to) {
   if (words == 2) to[1] = from[1];
 }
 
-// Bit i set when query i fires against `bar`, in Process()'s expression.
-[[gnu::always_inline]] inline uint64_t FireBits(
-    std::span<const double> window, const double* nu, double bar) {
-  uint64_t fires = 0;
-  for (size_t i = 0; i < window.size(); ++i) {
-    const double nu_i = nu != nullptr ? nu[i] : 0.0;
-    fires |= uint64_t{window[i] + nu_i >= bar} << i;
-  }
-  return fires;
-}
-
 // Positives the run can reach: one per query, and the cutoff-th ends it
 // (Process() exhausts at the first positive for a cutoff below 1).
 size_t Reach(std::optional<int> cutoff, size_t n) {
@@ -63,47 +53,42 @@ size_t Reach(std::optional<int> cutoff, size_t n) {
              : n;
 }
 
-struct RunOutcome {
-  uint64_t mask;
-  size_t processed;
-  size_t positives;
-};
-
-// Process() over one run. Its k-th positive is the first query after the
-// (k-1)-th that fires against the bar then in force: threshold + ρ until
-// the first positive, threshold + resampled[k - 2] after the (k-1)-th
-// (`resampled` is null for specs that keep ρ). The run stops after the
-// positive that exhausts the cutoff. Whether a query fires is a coin flip
-// no branch predictor can learn, so the walk is bit operations on fire
-// masks, with a trip count fixed by the spec and the window. Inlined into
-// both walks' loops: the call would cost as much as the compares.
-[[gnu::always_inline]] inline RunOutcome RunMask(
-    std::span<const double> window, const double* nu, double threshold,
-    double rho, const double* resampled, std::optional<int> cutoff) {
-  const size_t n = window.size();
-  const size_t reach = Reach(cutoff, n);
-  uint64_t fires = FireBits(window, nu, threshold + rho);
-  uint64_t mask = 0;
-  uint64_t later = ~uint64_t{0};  // queries after the last positive
-  uint64_t last = 0;
-  size_t positives = 0;
+// Process() over `runs` runs of a window of n < 64 queries, from their fire
+// masks: fires[k * runs + r] is run r's mask against the bar in force after
+// its k-th positive, for k < rows (row rows - 1 stays in force after that).
+// A run's next positive is the lowest query after its last one that fires
+// against the bar then in force, and the reach-th positive exhausts it
+// when `exhaust` is all ones. Run r's mask goes to masks[r] and its
+// processed count to processed[r]. Whether a query fires is a coin flip no
+// branch predictor can learn, so the walk is bit operations on the masks,
+// with a trip count fixed by the spec and the window, and each step runs
+// across all runs at once, which the compiler vectorizes.
+void ReduceRuns(const uint64_t* fires, size_t rows, size_t runs, size_t reach,
+                uint64_t exhaust, size_t n, uint64_t* masks,
+                size_t* processed) {
+  // Until the last step, processed[r] holds the mask of run r's queries
+  // after its last positive.
+  static_assert(sizeof(size_t) == sizeof(uint64_t));
+  size_t* later = processed;
+  std::fill_n(masks, runs, 0);
+  std::fill_n(later, runs, ~size_t{0});
   for (size_t k = 0; k < reach; ++k) {
-    if (k > 0 && resampled != nullptr) {
-      fires = FireBits(window, nu, threshold + resampled[k - 1]);
+    const uint64_t* row = fires + std::min(k, rows - 1) * runs;
+    for (size_t r = 0; r < runs; ++r) {
+      uint64_t last = row[r] & later[r];
+      last &= 0 - last;  // the lowest such query, or 0: no more positives
+      masks[r] |= last;
+      later[r] = 0 - (last << 1);
     }
-    last = fires & later;
-    last &= ~last + 1;  // the lowest such query, or 0: no more positives
-    mask |= last;
-    positives += last != 0;
-    later = 0 - (last << 1);
   }
-  // The run ends at its last positive if that one exhausted the cutoff.
-  // The high guard bit keeps countr_zero off zero, where GCC would branch.
-  const bool exhausted = cutoff.has_value() &&
-                         positives >= static_cast<size_t>(std::max(*cutoff, 1));
-  const uint64_t end = (last & (0 - uint64_t{exhausted})) | uint64_t{1} << 63;
-  return {mask, std::min(n, static_cast<size_t>(std::countr_zero(end)) + 1),
-          positives};
+  // Once a run finds no positive, its `later` stays 0; a run that found its
+  // reach-th positive at query i has `later` lowest bit i + 1, which is
+  // its processed count if that positive exhausted it. Bit n keeps the
+  // count at n otherwise.
+  for (size_t r = 0; r < runs; ++r) {
+    processed[r] = static_cast<size_t>(
+        std::countr_zero((later[r] & exhaust) | uint64_t{1} << n));
+  }
 }
 
 }  // namespace
@@ -124,17 +109,21 @@ TrialWalker::TrialWalker(const VariantSpec& spec,
       threshold_(threshold),
       rho_words_(WordsPerVariate(spec.rho_kind)),
       stride_(rho_words_ + 1),
-      nu_words_(spec.nu_scale > 0.0
-                    ? window.size() * WordsPerVariate(spec.nu_kind)
-                    : 0) {
+      nu_wpv_(spec.nu_scale > 0.0 ? WordsPerVariate(spec.nu_kind) : 0) {
   const size_t n = window.size();
+  reach_ = Reach(spec.cutoff, n);
+  // The reach-th positive exhausts a run when the cutoff fits the window.
+  if (spec.cutoff.has_value() &&
+      static_cast<size_t>(std::max(*spec.cutoff, 1)) <= n) {
+    exhaust_ = ~uint64_t{0};
+  }
   // Base words a positive draws (contract step 3): a resampled ρ, then an
   // ε₃ answer, which is always Laplace.
   const bool eps3 =
       !spec.output_query_value_on_positive && spec.numeric_scale > 0.0;
   positive_words_ =
       (spec.resample_rho_after_positive ? rho_words_ : 0) + (eps3 ? 2 : 0);
-  size_t runs_per_pass = 0;  // runs one set of transforms covers
+  size_t runs_per_pass = 0;  // runs one kernel call covers
   if (n >= BatchRunner::kStreamingCutover) {
     path_ = Path::kLoop;
   } else if (positive_words_ > 0) {
@@ -144,7 +133,7 @@ TrialWalker::TrialWalker(const VariantSpec& spec,
     // A run compares against the resample after each of its positives
     // but the last it can reach.
     if (spec.resample_rho_after_positive) {
-      resamples_ = std::max<size_t>(Reach(spec.cutoff, n), 1) - 1;
+      resamples_ = std::max<size_t>(reach_, 1) - 1;
     }
   } else {
     path_ = Path::kFixedStride;
@@ -155,11 +144,9 @@ TrialWalker::TrialWalker(const VariantSpec& spec,
   lane_words_.resize(kLanes * lane_capacity_);
   rho_w_.resize(runs_per_pass * rho_words_);
   seeds_.resize(runs_per_pass);
-  nu_w_.resize(runs_per_pass * nu_words_);
-  rho_.resize(runs_per_pass);
-  nu_.resize(runs_per_pass * n);
   resample_w_.resize(runs_per_pass * resamples_ * rho_words_);
-  resampled_.resize(runs_per_pass * resamples_);
+  bars_.resize(runs_per_pass * (resamples_ + 1));
+  fires_.resize(bars_.size());
 }
 
 void TrialWalker::WalkGroup(uint64_t key, int64_t group, size_t runs,
@@ -196,7 +183,6 @@ void TrialWalker::WalkGroup(uint64_t key, int64_t group, size_t runs,
 
 void TrialWalker::WalkFixedStride(std::span<uint64_t> masks,
                                   std::span<size_t> processed) {
-  const size_t n = window_.size();
   for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
     lane_rng_[lane].FillUint64({lane_words_.data() + lane * lane_capacity_,
                                 (lane_runs_[lane] + 1) * stride_});
@@ -209,23 +195,15 @@ void TrialWalker::WalkFixedStride(std::span<uint64_t> masks,
     CopyVariate(w, rho_words_, rho_w_.data() + t * rho_words_);
     seeds_[t] = w[rho_words_];
   }
+  // Each run's bar is threshold + ρ.
   TransformNoise(spec_.rho_kind, spec_.rho_scale,
-                 {rho_w_.data(), runs_ * rho_words_}, {rho_.data(), runs_});
-  if (nu_words_ > 0) {
-    // Each run's ν substream from its start, for the whole group at once.
-    BlockRng::FillSeeded({seeds_.data(), runs_}, nu_words_,
-                         {nu_w_.data(), runs_ * nu_words_});
-    TransformNoise(spec_.nu_kind, spec_.nu_scale,
-                   {nu_w_.data(), runs_ * nu_words_},
-                   {nu_.data(), runs_ * n});
-  }
-  for (size_t t = 0; t < runs_; ++t) {
-    const RunOutcome run =
-        RunMask(window_, nu_words_ > 0 ? nu_.data() + t * n : nullptr,
-                threshold_, rho_[t], nullptr, spec_.cutoff);
-    masks[t] = run.mask;
-    processed[t] = run.processed;
-  }
+                 {rho_w_.data(), runs_ * rho_words_}, {bars_.data(), runs_});
+  for (size_t t = 0; t < runs_; ++t) bars_[t] = threshold_ + bars_[t];
+  vec::SeededFireMasks({seeds_.data(), nu_wpv_ > 0 ? runs_ : 0}, nu_wpv_,
+                       spec_.nu_scale, window_, 1, {bars_.data(), runs_},
+                       {fires_.data(), runs_});
+  ReduceRuns(fires_.data(), 1, runs_, reach_, exhaust_, window_.size(),
+             masks.data(), processed.data());
 }
 
 void TrialWalker::Refill(size_t lane, size_t need) {
@@ -240,8 +218,8 @@ void TrialWalker::Refill(size_t lane, size_t need) {
 
 void TrialWalker::WalkLockstep(std::span<uint64_t> masks,
                                std::span<size_t> processed) {
-  const size_t n = window_.size();
-  const size_t run_words = stride_ + n * positive_words_;
+  const size_t run_words = stride_ + window_.size() * positive_words_;
+  const size_t rows = resamples_ + 1;
   for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
     // Skip the oracle's constructor draw.
     cursor_[lane] = 0;
@@ -253,7 +231,8 @@ void TrialWalker::WalkLockstep(std::span<uint64_t> masks,
     const size_t active = std::min(kLanes, runs_ - step * kLanes);
     // Each lane's run starts at its cursor: ρ, the ν seed, then the words
     // of its positives in order, so the resample after its k-th positive
-    // sits at a fixed offset whatever queries fire.
+    // sits at a fixed offset whatever queries fire. Resample k of every
+    // lane lands in bar row k + 1.
     for (size_t lane = 0; lane < active; ++lane) {
       Refill(lane, run_words);
       const uint64_t* w =
@@ -262,34 +241,32 @@ void TrialWalker::WalkLockstep(std::span<uint64_t> masks,
       seeds_[lane] = w[rho_words_];
       for (size_t k = 0; k < resamples_; ++k) {
         CopyVariate(w + stride_ + k * positive_words_, rho_words_,
-                    resample_w_.data() + (lane * resamples_ + k) * rho_words_);
+                    resample_w_.data() + (k * active + lane) * rho_words_);
       }
     }
     TransformNoise(spec_.rho_kind, spec_.rho_scale,
                    {rho_w_.data(), active * rho_words_},
-                   {rho_.data(), active});
+                   {bars_.data(), active});
     if (resamples_ > 0) {
       TransformNoise(spec_.rho_kind, spec_.rho_resample_scale,
                      {resample_w_.data(), active * resamples_ * rho_words_},
-                     {resampled_.data(), active * resamples_});
+                     {bars_.data() + active, active * resamples_});
     }
-    if (nu_words_ > 0) {
-      BlockRng::FillSeeded({seeds_.data(), active}, nu_words_,
-                           {nu_w_.data(), active * nu_words_});
-      TransformNoise(spec_.nu_kind, spec_.nu_scale,
-                     {nu_w_.data(), active * nu_words_},
-                     {nu_.data(), active * n});
+    for (size_t i = 0; i < rows * active; ++i) {
+      bars_[i] = threshold_ + bars_[i];
     }
+    vec::SeededFireMasks({seeds_.data(), nu_wpv_ > 0 ? active : 0}, nu_wpv_,
+                         spec_.nu_scale, window_, rows,
+                         {bars_.data(), rows * active},
+                         {fires_.data(), rows * active});
+    uint64_t* step_masks = masks.data() + step * kLanes;
+    ReduceRuns(fires_.data(), rows, active, reach_, exhaust_, window_.size(),
+               step_masks, processed.data() + step * kLanes);
+    // Every positive drew its words, the exhausting one included.
     for (size_t lane = 0; lane < active; ++lane) {
-      const RunOutcome run = RunMask(
-          window_, nu_words_ > 0 ? nu_.data() + lane * n : nullptr,
-          threshold_, rho_[lane],
-          resamples_ > 0 ? resampled_.data() + lane * resamples_ : nullptr,
-          spec_.cutoff);
-      masks[step * kLanes + lane] = run.mask;
-      processed[step * kLanes + lane] = run.processed;
-      // Every positive drew its words, the exhausting one included.
-      cursor_[lane] += stride_ + run.positives * positive_words_;
+      const size_t positives =
+          static_cast<size_t>(std::popcount(step_masks[lane]));
+      cursor_[lane] += stride_ + positives * positive_words_;
     }
   }
 }

@@ -30,8 +30,12 @@
 //     specs that draw nothing from the base stream at a positive): every
 //     run consumes the same base words, its ρ variate then its ν seed word
 //     (draw-order contract step 1, core/svt.h). The group is prefetched
-//     whole: one FillUint64 per lane, one ρ transform over the group's
-//     runs, one BlockRng::FillSeeded of their seeds and one ν transform.
+//     whole: one FillUint64 per lane and one ρ transform over the group's
+//     runs give each run its bar, threshold + ρ. Then one
+//     vec::SeededFireMasks call gives every run a SIMD element: it seeds
+//     the run's ν substream, draws and transforms its variates and
+//     compares them against the bar in registers, and emits the run's fire
+//     mask.
 //   * Lockstep (short windows of specs that resample ρ or answer positives
 //     with ε₃ noise: Alg. 2, RevSVT, ε₃ answers): a run's base words depend
 //     on how often it fired, so the eight lanes step one run at a time,
@@ -39,17 +43,21 @@
 //     its ρ and seed, then a fixed number per positive (the resample, then
 //     the ε₃ answer, which no mask depends on), so the resample after its
 //     k-th positive sits at a fixed offset from its start. A step gathers
-//     every lane's ρ, seed and reachable resamples for one ρ transform,
-//     one resample transform, one eight-seed FillSeeded and one ν
-//     transform, then walks each lane's run and moves its cursor past the
-//     words its positives drew. A lane's stream belongs to its group, so
-//     reading past its last run is harmless.
+//     every lane's ρ, seed and reachable resamples for one ρ transform and
+//     one resample transform, then makes one SeededFireMasks call with one
+//     bar per reachable resample: bar k is threshold + the resample after
+//     positive k (bar 0 threshold + ρ). It then moves each lane's cursor
+//     past the words its positives drew. A lane's stream belongs to its
+//     group, so reading past its last run is harmless.
 //   * Loop (windows of kStreamingCutover queries or more): the lane runs
 //     the oracle of (4) itself, Reset() + RunAppend on its stream.
-// Every variate goes through the dispatched Laplace / Exponential
-// TransformBlock kernels, which equal the scalar draws bit for bit at every
-// dispatch level (contract step 4), so neither the path nor the dispatch
-// level moves a mask.
+// Both short-window paths reduce the fire masks to Process()'s positives
+// with bit operations run across all runs at once: a run's next positive
+// is the lowest query after its last one that fires against the bar in
+// force, and its processed count is the exhausting positive's index + 1.
+// Every variate goes through the dispatched vecmath kernels, which equal
+// the scalar draws bit for bit at every dispatch level (contract step 4),
+// so neither the path nor the dispatch level moves a mask.
 
 #ifndef SPARSEVEC_CORE_TRIAL_WALK_H_
 #define SPARSEVEC_CORE_TRIAL_WALK_H_
@@ -68,8 +76,8 @@ namespace svt {
 
 class TrialWalker {
  public:
-  /// Lanes per trial group (contract step 2); one AVX-512 group of
-  /// FillSeeded seeds.
+  /// Lanes per trial group (contract step 2); one lockstep step fills one
+  /// AVX-512 vector of runs.
   static constexpr size_t kLanes = 8;
 
   /// Trials per group (contract step 1).
@@ -114,7 +122,9 @@ class TrialWalker {
   Path path_;
   size_t rho_words_;    ///< words per ρ variate
   size_t stride_;       ///< words every run draws first: ρ, then ν seed
-  size_t nu_words_;     ///< ν substream words per run (0 without ν)
+  size_t nu_wpv_;       ///< words per ν variate (0 without ν)
+  size_t reach_ = 0;    ///< positives a run can reach
+  uint64_t exhaust_ = 0;  ///< all ones when the reach-th positive exhausts
   size_t positive_words_ = 0;  ///< base words a positive draws
   size_t resamples_ = 0;  ///< resamples a lockstep run can compare against
 
@@ -130,14 +140,13 @@ class TrialWalker {
   std::array<size_t, kLanes> cursor_{};
   std::array<size_t, kLanes> filled_{};
 
-  // Per-run scratch, sized for a whole group.
+  // Per-run scratch for one kernel call: ρ and resample words, ν seeds,
+  // and one row of bars and fire masks per bar a run compares against.
   std::vector<uint64_t> rho_w_;
   std::vector<uint64_t> seeds_;
-  std::vector<uint64_t> nu_w_;
-  std::vector<double> rho_;
-  std::vector<double> nu_;
   std::vector<uint64_t> resample_w_;
-  std::vector<double> resampled_;
+  std::vector<double> bars_;
+  std::vector<uint64_t> fires_;
   std::vector<Response> responses_;
 };
 

@@ -365,33 +365,6 @@ TEST(RestoreTest, RoundTripsTheStreamAtEveryPhase) {
   }
 }
 
-TEST(FillSeededTest, EqualsOneFreshStreamPerSeedAtEveryLevel) {
-  // Seed counts on both sides of the AVX-512 kernel's groups of eight and
-  // stream lengths on both sides of a lockstep step, including 0 words.
-  ScopedDispatchLevel restore;
-  Rng gen(99);
-  std::vector<uint64_t> seeds(19);
-  gen.FillUint64(seeds);
-  seeds[3] = 0;
-  seeds[4] = ~uint64_t{0};
-  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
-    if (!vec::SetDispatchLevel(level)) continue;
-    for (size_t count : {size_t{0}, size_t{1}, size_t{8}, size_t{11},
-                         size_t{16}, size_t{19}}) {
-      for (size_t words = 0; words <= 13; ++words) {
-        const std::span<const uint64_t> some(seeds.data(), count);
-        std::vector<uint64_t> got(count * words, 0), want(count * words);
-        BlockRng::FillSeeded(some, words, got);
-        for (size_t k = 0; k < count; ++k) {
-          Rng(some[k]).FillUint64({want.data() + k * words, words});
-        }
-        EXPECT_EQ(got, want) << vec::DispatchLevelName(level)
-                             << " count=" << count << " words=" << words;
-      }
-    }
-  }
-}
-
 TEST(RestoreDeathTest, RejectsAnAllZeroLane) {
   Rng rng(1);
   Rng::State bad = rng.state();

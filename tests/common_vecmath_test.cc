@@ -833,6 +833,157 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
   }
 }
 
+// --- Seeded fire masks: in-register seeding vs fresh streams --------------
+
+// SeededFireMasks' composed definition: each run's stream through
+// Rng(seed).FillUint64, the noise kind's TransformBlock, then window[i] +
+// ν >= bar in that form.
+std::vector<uint64_t> ComposedFireMasks(const std::vector<uint64_t>& seeds,
+                                        size_t wpv, double b,
+                                        const std::vector<double>& window,
+                                        size_t rows,
+                                        const std::vector<double>& bars) {
+  const size_t runs = bars.size() / rows;
+  const size_t n = window.size();
+  std::vector<uint64_t> fires(bars.size(), 0);
+  std::vector<uint64_t> words(n * wpv);
+  std::vector<double> nu(n, 0.0);
+  for (size_t r = 0; r < runs; ++r) {
+    if (wpv > 0) {
+      Rng(seeds[r]).FillUint64(words);
+      if (wpv == 2) {
+        Laplace::Centered(b).TransformBlock(words, nu);
+      } else {
+        Exponential::FromScale(b).TransformBlock(words, nu);
+      }
+    }
+    for (size_t j = 0; j < rows; ++j) {
+      for (size_t i = 0; i < n; ++i) {
+        if (window[i] + nu[i] >= bars[j * runs + r]) {
+          fires[j * runs + r] |= uint64_t{1} << i;
+        }
+      }
+    }
+  }
+  return fires;
+}
+
+// The inverse of SplitMix64's output mix: undo each xorshift by iterating
+// it, and each odd multiply by the constant's inverse mod 2^64.
+uint64_t UnXorShift(uint64_t y, int k) {
+  uint64_t x = y;
+  for (int i = 0; i < 64 / k + 1; ++i) x = y ^ (x >> k);
+  return x;
+}
+
+uint64_t OddInverse(uint64_t c) {
+  uint64_t inv = c;  // correct to 3 bits; each Newton step doubles them
+  for (int i = 0; i < 5; ++i) inv *= 2 - c * inv;
+  return inv;
+}
+
+uint64_t UnMix(uint64_t z) {
+  z = UnXorShift(z, 31) * OddInverse(0x94d049bb133111ebULL);
+  z = UnXorShift(z, 27) * OddInverse(0xbf58476d1ce4e5b9ULL);
+  return UnXorShift(z, 30);
+}
+
+// A seed whose xoshiro lane 0 has state word w (0-3) zero: lane 0's key is
+// mix(seed + γ) and its word w is mix(key + (w + 1)γ), and mix(0) = 0.
+uint64_t SeedWithZeroLane0Word(int w) {
+  constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  const uint64_t key = 0 - (static_cast<uint64_t>(w) + 1) * kGamma;
+  return UnMix(key) - kGamma;
+}
+
+TEST(VecmathSeededFireTest, MatchesComposedDefinitionAtEveryLevel) {
+  // Run counts on both sides of every lane width and of the SIMD lanes'
+  // four-group blocks (45: a block, then single groups, then a tail);
+  // windows 0-7 with both words-per-variate (and no ν), so xoshiro lanes
+  // yield 0, 1, 2 and 3 or more words; one to three bars per run. Window
+  // and bars carry ±inf, NaN and ±0, and the seeds include 0 and ~0.
+  ScopedDispatchLevel restore;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Rng gen(2024);
+  int checked = 0, fired = 0;
+  for (size_t runs : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                      size_t{17}, size_t{45}, size_t{256}}) {
+    std::vector<uint64_t> seeds(runs);
+    gen.FillUint64(seeds);
+    if (runs > 1) seeds[1] = 0;
+    if (runs > 8) seeds[8] = ~uint64_t{0};
+    for (size_t n = 0; n <= 7; ++n) {
+      std::vector<double> window(n);
+      for (double& a : window) a = (gen.NextDouble() - 0.5) * 6.0;
+      const double edge[] = {kInf, -kInf, kNaN, 0.0, -0.0};
+      if (n > 0) window[(runs + n) % n] = edge[(runs + n) % 5];
+      if (n > 3) window[3] = edge[(runs + n + 2) % 5];
+      for (size_t rows = 1; rows <= 3; ++rows) {
+        std::vector<double> bars(rows * runs);
+        for (double& bar : bars) bar = (gen.NextDouble() - 0.5) * 4.0;
+        for (size_t k = 0; k < bars.size(); k += 5) {
+          bars[k] = edge[(k / 5 + n + rows) % 5];
+        }
+        for (size_t wpv = 0; wpv <= 2; ++wpv) {
+          const double b = wpv == 0 ? 0.0 : 1.5;
+          std::vector<uint64_t> want;
+          {
+            ScopedDispatchLevel pin;
+            SetDispatchLevel(DispatchLevel::kScalar);
+            want = ComposedFireMasks(seeds, wpv, b, window, rows, bars);
+          }
+          for (DispatchLevel level : kAllDispatchLevels) {
+            if (!SetDispatchLevel(level)) continue;
+            std::vector<uint64_t> got(bars.size(), ~uint64_t{0});
+            SeededFireMasks(wpv == 0 ? std::span<const uint64_t>() : seeds,
+                            wpv, b, window, rows, bars, got);
+            ASSERT_EQ(got, want)
+                << DispatchLevelName(level) << " runs=" << runs
+                << " n=" << n << " rows=" << rows << " wpv=" << wpv;
+            ++checked;
+          }
+          for (uint64_t f : want) fired += f != 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(fired, 0);
+}
+
+TEST(VecmathSeededFireTest, SeedsWithAZeroStateWordMatch) {
+  // The kernel seeds without BlockRng's all-zero guard, which cannot fire
+  // because at most one state word of a lane is zero. Pin seeds whose lane
+  // 0 has s0, then s3, zero: words the kernel reads from the first output.
+  ScopedDispatchLevel restore;
+  for (int w : {0, 3}) {
+    const uint64_t seed = SeedWithZeroLane0Word(w);
+    const Rng::State st = Rng(seed).state();
+    ASSERT_EQ(st.words[w * BlockRng::kLanes], 0u) << "w=" << w;
+    // A full lane width of the crafted seed, so the SIMD bodies see it.
+    const std::vector<uint64_t> seeds(9, seed);
+    for (size_t wpv : {size_t{1}, size_t{2}}) {
+      for (size_t n : {size_t{1}, size_t{4}, size_t{7}}) {
+        std::vector<double> window(n, 0.0);
+        std::vector<double> bars(seeds.size());
+        for (size_t r = 0; r < bars.size(); ++r) {
+          bars[r] = (static_cast<double>(r) - 4.0) * 0.5;
+        }
+        const std::vector<uint64_t> want =
+            ComposedFireMasks(seeds, wpv, 1.0, window, 1, bars);
+        for (DispatchLevel level : kAllDispatchLevels) {
+          if (!SetDispatchLevel(level)) continue;
+          std::vector<uint64_t> got(bars.size());
+          SeededFireMasks(seeds, wpv, 1.0, window, 1, bars, got);
+          ASSERT_EQ(got, want) << DispatchLevelName(level) << " w=" << w
+                               << " wpv=" << wpv << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vec
 }  // namespace svt
