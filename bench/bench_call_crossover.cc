@@ -1,8 +1,8 @@
 // Short-call crossover sweep: the cost of Reset + one call through the
 // batch engine (BatchRunner) against the streaming reference loop
-// (SvtMechanism::RunAppend), at call lengths 1-64. This is the sweep
-// behind BatchRunner::kStreamingCutover: SpecDrivenSvt::RunAppend streams
-// every call shorter than that constant.
+// (SparseVector::Process per query), at call lengths 1-64. This is the
+// sweep behind BatchRunner::kStreamingCutover: SparseVector::RunAppend
+// streams every call shorter than that constant.
 //
 // Every row is Alg. 1's noise at the Monte-Carlo audit's parameters
 // (ε = 1, Δ = 1, c = 2) with the cutoff removed, so each call processes
@@ -37,7 +37,6 @@
 #include "common/rng.h"
 #include "core/batch_runner.h"
 #include "core/svt.h"
-#include "core/svt_variants.h"
 #include "core/variant_spec.h"
 
 namespace {
@@ -81,7 +80,7 @@ void SweepRow(const Row& row, std::vector<double>* engine_ns,
   spec.resample_rho_after_positive = row.resample;
   spec.rho_resample_scale = spec.rho_scale;
   svt::Rng stream_rng(1), engine_rng(1);
-  svt::CustomSvt mech(spec, &stream_rng);
+  svt::SparseVector mech(spec, &stream_rng);
 
   std::vector<double> answers(kMaxLen);
   svt::Rng gen(7);
@@ -109,7 +108,9 @@ void SweepRow(const Row& row, std::vector<double>* engine_ns,
       const double s = NsPerCall([&] {
         mech.Reset();
         out.clear();
-        mech.SvtMechanism::RunAppend(window, 0.0, &out);
+        for (size_t i = 0; i < n && !mech.exhausted(); ++i) {
+          out.push_back(mech.Process(window[i], 0.0));
+        }
       });
       (*engine_ns)[n] = std::min((*engine_ns)[n], e);
       (*stream_ns)[n] = std::min((*stream_ns)[n], s);

@@ -1,7 +1,7 @@
 // Monte-Carlo estimation of SVT output probabilities.
 //
-// Simulates the actual mechanism (core/svt_variants.h CustomSvt's sampling
-// path, which the trial walker reproduces bit for bit) and counts how often
+// Simulates the actual mechanism (SparseVector's sampling path, core/svt.h,
+// which the trial walker reproduces bit for bit) and counts how often
 // it reproduces a target indicator pattern. Used to cross-validate the closed-form engine — the
 // two paths share no code beyond the Laplace sampler, so agreement is
 // strong evidence both are right.

@@ -874,7 +874,7 @@ size_t MegaFillMinScanSpans(BlockRng::State* state, size_t wpv, double b,
   // entry position. Within one engine call every chunk but the last
   // consumes a lane-multiple word count, so its chunks all share the
   // call's entry phase; a call inherits the phase the previous call left.
-  // SpecDrivenSvt streams an alignment head to enter at phase 0
+  // SparseVector streams an alignment head to enter at phase 0
   // (core/batch_runner.h), so an unaligned entry is the rare case — a
   // prefiltered call that inherits a mid-lane phase — and the scalar lane
   // handles it exactly. A SIMD lane also needs every span but the last to

@@ -14,7 +14,7 @@
 // selected by runtime CPUID dispatch and defined to produce *bit-identical*
 // doubles. That guarantee is what lets
 // the batch engine stay bitwise-equal to the streaming path (the pinned
-// per-role draw-order contract on SpecDrivenSvt, core/svt.h) while being
+// per-role draw-order contract on SparseVector, core/svt.h) while being
 // free to change dispatch level per host — results depend on the seed, not
 // on the CPU the process landed on.
 //

@@ -1,9 +1,9 @@
-// Chunked batch execution engine for spec-driven SVT mechanisms.
+// Chunked batch execution engine behind SparseVector::Run and RunAppend.
 //
-// SvtMechanism::Run's reference implementation pays, per query, a virtual
-// dispatch, a Laplace distribution construction, two scalar RNG calls and a
+// The streaming Process() loop pays, per query, two scalar RNG calls and a
 // log() stuck behind them. The experiments (Figs. 2–5) and the audit layer
-// push millions of queries through that loop. BatchRunner replaces it with:
+// push millions of queries through SVT. BatchRunner replaces that loop
+// with:
 //
 //   * per chunk, one pass generating the raw ν words from the mechanism's
 //     dedicated ν substream (in registers, or as one bulk fill);
@@ -75,12 +75,12 @@
 // decides how surviving spans get scanned.
 //
 // Which tier each chunk took is counted in SvtRunState::batch (exposed as
-// SpecDrivenSvt::batch_stats()) so tests and capacity planning can verify
+// SparseVector::batch_stats()) so tests and capacity planning can verify
 // a workload actually exercises the tier they target.
 //
-// Short calls never reach the chunk engine. SpecDrivenSvt::RunAppend sends
+// Short calls never reach the chunk engine. SparseVector::RunAppend sends
 // every call shorter than kStreamingCutover queries through the streaming
-// reference loop (SvtMechanism::RunAppend) and counts them in
+// Process() loop and counts them in
 // BatchRunStats::streamed_queries. Below that length the runner's fixed
 // per-call cost — the chunk set-up, a generate-and-bound pass over whole
 // lockstep groups, the bound pipeline — outweighs the handful of scalar
@@ -105,7 +105,7 @@
 // BatchRunStats::unaligned_chunks counts the chunks that still enter off a
 // boundary.
 //
-// Under the draw-order contract documented on SpecDrivenSvt (core/svt.h)
+// Under the draw-order contract documented on SparseVector (core/svt.h)
 // the emitted Response sequence is bit-for-bit the one the streaming
 // Process() loop would produce for the same seed — at every vecmath
 // dispatch level, since the kernels are bit-identical across levels.
@@ -166,7 +166,7 @@ class BatchRunner {
   /// Aborts unless the arguments of a run agree: per-query thresholds
   /// match the answers in size, and an attached `prefilter` (may be null)
   /// was built over arrays of this size — with bar-side codes for a
-  /// per-query run. Every Run applies it, and SpecDrivenSvt applies it
+  /// per-query run. Every Run applies it, and SparseVector applies it
   /// before its short-call branch, so short calls are checked alike.
   static void CheckArgs(std::span<const double> answers,
                         const BoundPrefilter* prefilter);
@@ -177,7 +177,7 @@ class BatchRunner {
   /// Makes room for `count` more responses in *out, growing it
   /// geometrically, and returns where they start. Run appends chunk by
   /// chunk after it, so each chunk's ⊥ fill lands just before the chunk is
-  /// scanned; SpecDrivenSvt reserves a whole call with it before streaming
+  /// scanned; SparseVector reserves a whole call with it before streaming
   /// the call's alignment head.
   static Response* ReserveAppend(std::vector<Response>* out, size_t count);
 

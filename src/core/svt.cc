@@ -26,71 +26,29 @@ double SampleNoise(Rng& rng, NoiseKind kind, double scale) {
   return 0.0;
 }
 
+// A call's bar for query i, and the bars of its queries from `head` on:
+// one common threshold, or one threshold per query.
+double BarAt(double threshold, size_t) { return threshold; }
+double BarAt(std::span<const double> thresholds, size_t i) {
+  return thresholds[i];
+}
+double Tail(double threshold, size_t) { return threshold; }
+std::span<const double> Tail(std::span<const double> thresholds,
+                             size_t head) {
+  return thresholds.subspan(head);
+}
+
 }  // namespace
 
-std::vector<Response> SvtMechanism::Run(std::span<const double> answers,
-                                        std::span<const double> thresholds) {
-  std::vector<Response> out;
-  RunAppend(answers, thresholds, &out);
-  return out;
-}
-
-std::vector<Response> SvtMechanism::Run(std::span<const double> answers,
-                                        double threshold) {
-  std::vector<Response> out;
-  RunAppend(answers, threshold, &out);
-  return out;
-}
-
-size_t SvtMechanism::RunAppend(std::span<const double> answers,
-                               std::span<const double> thresholds,
-                               std::vector<Response>* out) {
-  SVT_CHECK(answers.size() == thresholds.size())
-      << "answers/thresholds size mismatch: " << answers.size() << " vs "
-      << thresholds.size();
-  const size_t start = out->size();
-  out->reserve(start + answers.size());
-  for (size_t i = 0; i < answers.size(); ++i) {
-    if (exhausted()) break;
-    out->push_back(Process(answers[i], thresholds[i]));
-  }
-  return out->size() - start;
-}
-
-size_t SvtMechanism::RunAppend(std::span<const double> answers,
-                               double threshold, std::vector<Response>* out) {
-  const size_t start = out->size();
-  out->reserve(start + answers.size());
-  for (double a : answers) {
-    if (exhausted()) break;
-    out->push_back(Process(a, threshold));
-  }
-  return out->size() - start;
-}
-
-size_t SvtMechanism::RunAppend(std::span<const double> answers,
-                               std::span<const double> thresholds,
-                               const BoundPrefilter* /*prefilter*/,
-                               std::vector<Response>* out) {
-  // The streaming reference loop has no bound pass to accelerate; outputs
-  // are prefilter-independent by contract, so the base just drops it.
-  return RunAppend(answers, thresholds, out);
-}
-
-size_t SvtMechanism::RunAppend(std::span<const double> answers,
-                               double threshold,
-                               const BoundPrefilter* /*prefilter*/,
-                               std::vector<Response>* out) {
-  return RunAppend(answers, threshold, out);
-}
-
-SpecDrivenSvt::SpecDrivenSvt(VariantSpec spec, Rng* rng)
+SparseVector::SparseVector(VariantSpec spec, Rng* rng)
     : spec_(std::move(spec)), rng_(rng) {
   SVT_CHECK(rng_ != nullptr);
+  const Status valid = spec_.Validate();
+  SVT_CHECK(valid.ok()) << spec_.name << ": " << valid.message();
   InitRun();
 }
 
-void SpecDrivenSvt::InitRun() {
+void SparseVector::InitRun() {
   // Draw-order contract steps 1: ρ from the base stream, then one base
   // draw seeds the ν substream. The seeding always happens — even for
   // specs without query noise — so the base stream position is a function
@@ -99,7 +57,7 @@ void SpecDrivenSvt::InitRun() {
   state_.nu_rng = Rng(rng_->NextUint64());
 }
 
-Response SpecDrivenSvt::Process(double query_answer, double threshold) {
+Response SparseVector::Process(double query_answer, double threshold) {
   SVT_CHECK(!state_.exhausted)
       << spec_.name
       << "::Process called after the cutoff exhausted the run; check "
@@ -134,7 +92,7 @@ Response SpecDrivenSvt::Process(double query_answer, double threshold) {
   return Response::Below();
 }
 
-void SpecDrivenSvt::Reset() {
+void SparseVector::Reset() {
   InitRun();
   state_.positives = 0;
   state_.processed = 0;
@@ -142,19 +100,49 @@ void SpecDrivenSvt::Reset() {
   state_.batch = BatchRunStats{};
 }
 
-size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
-                                std::span<const double> thresholds,
-                                std::vector<Response>* out) {
+std::vector<Response> SparseVector::Run(std::span<const double> answers,
+                                        std::span<const double> thresholds) {
+  std::vector<Response> out;
+  RunAppend(answers, thresholds, &out);
+  return out;
+}
+
+std::vector<Response> SparseVector::Run(std::span<const double> answers,
+                                        double threshold) {
+  std::vector<Response> out;
+  RunAppend(answers, threshold, &out);
+  return out;
+}
+
+size_t SparseVector::RunAppend(std::span<const double> answers,
+                               std::span<const double> thresholds,
+                               std::vector<Response>* out) {
   return RunAppend(answers, thresholds, /*prefilter=*/nullptr, out);
 }
 
-size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
-                                double threshold, std::vector<Response>* out) {
+size_t SparseVector::RunAppend(std::span<const double> answers,
+                               double threshold, std::vector<Response>* out) {
   return RunAppend(answers, threshold, /*prefilter=*/nullptr, out);
 }
 
-size_t SpecDrivenSvt::StreamedHead(size_t n,
-                                   const BoundPrefilter* prefilter) const {
+size_t SparseVector::RunAppend(std::span<const double> answers,
+                               std::span<const double> thresholds,
+                               const BoundPrefilter* prefilter,
+                               std::vector<Response>* out) {
+  BatchRunner::CheckArgs(answers, thresholds, prefilter);
+  return RunBars(answers, thresholds, prefilter, out);
+}
+
+size_t SparseVector::RunAppend(std::span<const double> answers,
+                               double threshold,
+                               const BoundPrefilter* prefilter,
+                               std::vector<Response>* out) {
+  BatchRunner::CheckArgs(answers, prefilter);
+  return RunBars(answers, threshold, prefilter, out);
+}
+
+size_t SparseVector::StreamedHead(size_t n,
+                                  const BoundPrefilter* prefilter) const {
   // Short-call rule (core/batch_runner.h): the streaming loop is cheaper
   // here and emits the identical sequence.
   if (n < BatchRunner::kStreamingCutover) return n;
@@ -170,42 +158,32 @@ size_t SpecDrivenSvt::StreamedHead(size_t n,
   return to_boundary / wpv;
 }
 
-size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
-                                std::span<const double> thresholds,
-                                const BoundPrefilter* prefilter,
-                                std::vector<Response>* out) {
-  BatchRunner::CheckArgs(answers, thresholds, prefilter);
+template <typename Bars>
+size_t SparseVector::RunBars(std::span<const double> answers, Bars bars,
+                             const BoundPrefilter* prefilter,
+                             std::vector<Response>* out) {
   const size_t head = StreamedHead(answers.size(), prefilter);
   if (head == 0) {
     return BatchRunner(spec_, rng_, &state_)
-        .Run(answers, thresholds, prefilter, out);
+        .Run(answers, bars, prefilter, out);
   }
   BatchRunner::ReserveAppend(out, answers.size());
-  const size_t n = SvtMechanism::RunAppend(answers.first(head),
-                                           thresholds.first(head), out);
+  const size_t n = Stream(answers.first(head), bars, out);
   state_.batch.streamed_queries += static_cast<int64_t>(n);
   if (head == answers.size() || state_.exhausted) return n;
+  // Only an unprefiltered call has a head short of the whole call.
   return n + BatchRunner(spec_, rng_, &state_)
-                 .Run(answers.subspan(head), thresholds.subspan(head), out);
+                 .Run(answers.subspan(head), Tail(bars, head), out);
 }
 
-size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
-                                double threshold,
-                                const BoundPrefilter* prefilter,
-                                std::vector<Response>* out) {
-  BatchRunner::CheckArgs(answers, prefilter);
-  const size_t head = StreamedHead(answers.size(), prefilter);
-  if (head == 0) {
-    return BatchRunner(spec_, rng_, &state_)
-        .Run(answers, threshold, prefilter, out);
+template <typename Bars>
+size_t SparseVector::Stream(std::span<const double> answers, Bars bars,
+                            std::vector<Response>* out) {
+  size_t i = 0;
+  for (; i < answers.size() && !state_.exhausted; ++i) {
+    out->push_back(Process(answers[i], BarAt(bars, i)));
   }
-  BatchRunner::ReserveAppend(out, answers.size());
-  const size_t n =
-      SvtMechanism::RunAppend(answers.first(head), threshold, out);
-  state_.batch.streamed_queries += static_cast<int64_t>(n);
-  if (head == answers.size() || state_.exhausted) return n;
-  return n + BatchRunner(spec_, rng_, &state_)
-                 .Run(answers.subspan(head), threshold, out);
+  return i;
 }
 
 Status SvtOptions::Validate() const {
@@ -234,6 +212,10 @@ Result<std::unique_ptr<SparseVector>> SparseVector::Create(
   }
   const BudgetSplit split =
       options.allocation.Split(options.epsilon, options.numeric_output_fraction);
+  if (!(split.epsilon1 > 0.0) || !(split.epsilon2 > 0.0)) {
+    return Status::InvalidArgument(
+        "epsilon is too small to split between threshold and query noise");
+  }
   VariantSpec spec = MakeStandardSpec(split, options.sensitivity,
                                       options.cutoff, options.monotonic);
   spec.rho_kind = options.rho_kind;
@@ -242,8 +224,8 @@ Result<std::unique_ptr<SparseVector>> SparseVector::Create(
     spec.resample_rho_after_positive = true;
     spec.rho_resample_scale = spec.rho_scale;
   }
-  return std::unique_ptr<SparseVector>(
-      new SparseVector(std::move(spec), rng));
+  SVT_RETURN_NOT_OK(spec.Validate());
+  return std::make_unique<SparseVector>(std::move(spec), rng);
 }
 
 }  // namespace svt

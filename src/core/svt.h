@@ -4,10 +4,11 @@
 // The primary interface is *streaming*: Process(answer, threshold) returns
 // one Response. This is what makes SVT valuable in the interactive setting —
 // queries need not be known in advance, and negative outcomes consume no
-// privacy budget. Batch workloads go through Run(), which spec-driven
-// mechanisms execute with the vectorized engine in core/batch_runner.h; the
-// draw-order contract below guarantees both paths emit the identical
-// Response sequence for the same seed.
+// privacy budget. Batch workloads go through Run(), which executes with
+// the vectorized engine in core/batch_runner.h; the draw-order contract
+// below guarantees both paths emit the identical Response sequence for the
+// same seed. One class, SparseVector, runs every SVT variant in the
+// library: each is a VariantSpec (core/variant_spec.h).
 //
 // Privacy (Theorems 2, 4, 5 of the paper): with ρ ~ Lap(Δ/ε₁),
 // ν_i ~ Lap(2cΔ/ε₂) (Lap(cΔ/ε₂) for monotonic queries), at most c positive
@@ -31,94 +32,6 @@
 namespace svt {
 
 class BoundPrefilter;  // data/bound_prefilter.h
-
-/// Abstract interface shared by every SVT-family mechanism in the library
-/// (the proposed SparseVector and the six published variants), so the audit
-/// and evaluation layers can drive them uniformly.
-class SvtMechanism {
- public:
-  virtual ~SvtMechanism() = default;
-
-  /// Tests one query answer against `threshold`. Must not be called once
-  /// exhausted() is true (checked).
-  virtual Response Process(double query_answer, double threshold) = 0;
-
-  /// True once the mechanism has emitted its c-th positive outcome and
-  /// aborted. Always false for variants without a cutoff.
-  virtual bool exhausted() const = 0;
-
-  /// Re-draws the threshold noise and clears counters — a fresh run with a
-  /// fresh privacy budget.
-  virtual void Reset() = 0;
-
-  /// Declarative noise structure (drives the closed-form audit).
-  virtual const VariantSpec& spec() const = 0;
-
-  /// Number of positive outcomes emitted since the last Reset().
-  virtual int positives_emitted() const = 0;
-
-  /// Number of queries processed since the last Reset().
-  virtual int64_t queries_processed() const = 0;
-
-  /// Runs the mechanism over a batch with per-query thresholds, stopping at
-  /// the cutoff. Returns one Response per processed query (the result may be
-  /// shorter than `answers` if the cutoff hit early). Delegates to
-  /// RunAppend().
-  std::vector<Response> Run(std::span<const double> answers,
-                            std::span<const double> thresholds);
-
-  /// Single-threshold convenience overload.
-  std::vector<Response> Run(std::span<const double> answers,
-                            double threshold);
-
-  /// Like Run(), but appends to *out instead of returning a fresh vector,
-  /// so a caller can keep one response vector across calls instead of
-  /// re-allocating (and re-faulting) megabytes per request. Returns the
-  /// number of responses appended. The base implementation is the
-  /// reference streaming loop; SpecDrivenSvt overrides it with the chunked
-  /// batch engine, emitting the identical sequence.
-  ///
-  /// Short-call rule: SpecDrivenSvt still runs this base loop for calls
-  /// shorter than BatchRunner::kStreamingCutover queries (8), after the
-  /// same argument checks as a long call. Below that length the engine's
-  /// fixed per-call cost exceeds the scalar draws it saves.
-  /// bench_call_crossover measures the crossover (core/batch_runner.h).
-  /// A longer call that enters the ν stream off a lane boundary runs its
-  /// first few queries (at most 3) through this loop too, so the engine
-  /// starts lane-aligned: the alignment head (core/batch_runner.h). The
-  /// Monte-Carlo auditor's many short runs batch across runs instead: see
-  /// core/trial_walk.h.
-  ///
-  /// Buffer-reuse contract: RunAppend only appends — it never clears,
-  /// shrinks, or reorders the elements already in *out, and between calls
-  /// the vector is an ordinary std::vector the caller owns. clear() +
-  /// RunAppend in a loop therefore reuses one allocation for every batch
-  /// once the capacity has grown to the high-water mark. Appended elements
-  /// may be invalidated by reallocation on a later append, so take spans
-  /// into *out only after the last RunAppend of a cycle. (The serving
-  /// drain needs none of this: it clears each request's own vector and
-  /// appends straight into it, serving/sharded_server.h.)
-  virtual size_t RunAppend(std::span<const double> answers,
-                           std::span<const double> thresholds,
-                           std::vector<Response>* out);
-  virtual size_t RunAppend(std::span<const double> answers, double threshold,
-                           std::vector<Response>* out);
-
-  /// RunAppend with a quantized bound prefilter attached
-  /// (data/bound_prefilter.h): `prefilter` must have been built over
-  /// exactly these answers (and thresholds) arrays, or be nullptr. The
-  /// prefilter only accelerates the batch engine's conservative bound
-  /// pass — emitted Responses are bit-identical with it attached, absent,
-  /// or disabled (SVT_BOUND_PREFILTER=off). The base implementations
-  /// ignore it (the streaming loop has no bound pass).
-  virtual size_t RunAppend(std::span<const double> answers,
-                           std::span<const double> thresholds,
-                           const BoundPrefilter* prefilter,
-                           std::vector<Response>* out);
-  virtual size_t RunAppend(std::span<const double> answers, double threshold,
-                           const BoundPrefilter* prefilter,
-                           std::vector<Response>* out);
-};
 
 /// Execution counters of the batch engine, cleared on Reset(). They report
 /// *how* a batch executed (which tier), never *what* it produced — outputs
@@ -167,7 +80,7 @@ struct BatchRunStats {
   int64_t replay_rederivations = 0;
   /// Chunks whose noise stage entered the ν stream off a lane boundary:
   /// their fused pass runs the scalar lane at every dispatch level. Through
-  /// SpecDrivenSvt::RunAppend only a prefiltered call that inherits a
+  /// SparseVector::RunAppend only a prefiltered call that inherits a
   /// mid-lane phase has them; every other call streams its alignment head
   /// first (core/batch_runner.h).
   int64_t unaligned_chunks = 0;
@@ -206,9 +119,59 @@ struct SvtRunState {
   BatchRunStats batch;  ///< batch-engine tier counters (diagnostics)
 };
 
-/// Shared engine for every spec-driven SVT mechanism: a noisy threshold,
-/// optional query noise, optional cutoff, optional ρ resampling, optional
-/// numeric output. Concrete classes differ only in their VariantSpec.
+/// Configuration for SparseVector. Defaults give Alg. 1 at ε = 1.
+struct SvtOptions {
+  /// Total privacy budget ε = ε₁ + ε₂ + ε₃ (> 0).
+  double epsilon = 1.0;
+  /// Query sensitivity Δ (> 0).
+  double sensitivity = 1.0;
+  /// Maximum positive outcomes c (≥ 1).
+  int cutoff = 1;
+  /// How to divide the indicator budget between threshold and query noise.
+  /// §4.2 recommends BudgetAllocation::Optimal(cutoff, monotonic).
+  BudgetAllocation allocation = BudgetAllocation::Halves();
+  /// Fraction of ε reserved as ε₃ for numeric answers to positives
+  /// (Alg. 7 lines 5–6); 0 disables numeric output.
+  double numeric_output_fraction = 0.0;
+  /// Queries are monotonic (§4.3): all answers move the same direction
+  /// between neighboring datasets, e.g. counting queries. Halves the query
+  /// noise (Lap(cΔ/ε₂) instead of Lap(2cΔ/ε₂), Theorem 5).
+  bool monotonic = false;
+
+  /// Noise-distribution axis: the distribution each noise role draws from,
+  /// at the standard parameterization's scales. With the default Halves
+  /// allocation, rho_kind = kExponential reproduces the exponential-noise
+  /// SVT of arXiv 2407.20068 exactly (ρ ~ Exp(Δ/ε₁), ν ~ Lap(2cΔ/ε₂));
+  /// additionally setting nu_kind = kExponential and
+  /// resample_threshold_noise gives the ThresholdMonitor shape of arXiv
+  /// 2010.00917. Numeric answers (ε₃) always use Laplace. This is how the
+  /// session and serving layers, which template on SvtOptions, run the
+  /// exponential-noise variants.
+  NoiseKind rho_kind = NoiseKind::kLaplace;
+  NoiseKind nu_kind = NoiseKind::kLaplace;
+  /// Redraw ρ after every positive (Alg. 2 / ThresholdMonitor style), at
+  /// the same scale as the initial draw.
+  bool resample_threshold_noise = false;
+
+  /// Validates ranges; returned Status explains the first violation.
+  Status Validate() const;
+};
+
+/// The library's one SVT mechanism: a noisy threshold, optional query
+/// noise, optional cutoff, optional ρ resampling, optional numeric output,
+/// all read from a VariantSpec. The paper's Alg. 1-7, GPTT and the
+/// exponential-noise variants are specs (core/variant_spec.h); Create()
+/// builds the standard SVT (Alg. 7, Alg. 1 by default) from SvtOptions,
+/// and core/svt_variants.h builds the published variants by name.
+///
+/// Typical streaming use:
+///
+///   Rng rng(seed);
+///   auto svt = SparseVector::Create(options, &rng).value();
+///   for (...) {
+///     if (svt->exhausted()) break;
+///     Response r = svt->Process(query.Evaluate(db), threshold);
+///   }
 ///
 /// Noise draw-order contract (pinned — batch/streaming equivalence and the
 /// equivalence tests depend on it):
@@ -300,7 +263,7 @@ struct SvtRunState {
 /// Monte-Carlo trials run in key-split groups (core/trial_walk.h): the
 /// auditor takes one draw from the caller's stream as a key, and lane L of
 /// trial group g is the stream Rng(LaneSeed(key, 8g + L)). Each lane is
-/// held to the contract above exactly as `CustomSvt mech(spec,
+/// held to the contract above exactly as `SparseVector mech(spec,
 /// &lane_rng)` followed by Reset() + RunAppend per run would consume it:
 /// the TrialWalker fetches a lane's base words in bulk and transforms ρ
 /// and every resample a run can reach through the kernels of step (4);
@@ -315,8 +278,9 @@ struct SvtRunState {
 /// Non-finite answers and thresholds (a written contract, which every path
 /// — Process(), the batch engine and the trial walker — follows): query i fires
 /// exactly when `answer + ν_i >= threshold + ρ` holds in IEEE-754 double
-/// arithmetic, evaluated in that form. ν and ρ are always finite (the
-/// word→variate map of step 4 never yields ±inf or NaN), so when an
+/// arithmetic, evaluated in that form. ν and ρ are always finite (every
+/// scale is finite, VariantSpec::Validate(), and the word→variate map of
+/// step 4 never yields ±inf or NaN), so when an
 /// answer or a threshold is not finite the outcome is fixed:
 ///   * a NaN answer or a NaN threshold never fires (every NaN comparison
 ///     is false) — and still consumes its ν draw like any query;
@@ -336,28 +300,95 @@ struct SvtRunState {
 /// disturbing the base stream. After a cutoff abort the ν substream
 /// position is unspecified until the next Reset() re-derives it (no
 /// further draws can be requested from an exhausted run).
-class SpecDrivenSvt : public SvtMechanism {
+class SparseVector final {
  public:
-  Response Process(double query_answer, double threshold) override;
-  bool exhausted() const override { return state_.exhausted; }
-  void Reset() override;
-  const VariantSpec& spec() const override { return spec_; }
-  int positives_emitted() const override { return state_.positives; }
-  int64_t queries_processed() const override { return state_.processed; }
+  /// Runs `spec`, drawing the threshold noise from `rng`, which must
+  /// outlive the mechanism. Aborts unless spec.Validate() passes; the
+  /// factories return that failure as a Status instead.
+  SparseVector(VariantSpec spec, Rng* rng);
 
-  /// Batch execution via core/batch_runner.h (see class comment there).
+  /// Validates `options`, builds the standard spec and draws the threshold
+  /// noise from `rng`. `rng` must outlive the mechanism.
+  static Result<std::unique_ptr<SparseVector>> Create(
+      const SvtOptions& options, Rng* rng);
+
+  /// Tests one query answer against `threshold`. Must not be called once
+  /// exhausted() is true (checked).
+  Response Process(double query_answer, double threshold);
+
+  /// True once the mechanism has emitted its c-th positive outcome and
+  /// aborted. Always false for specs without a cutoff.
+  bool exhausted() const { return state_.exhausted; }
+
+  /// Re-draws the threshold noise and clears counters — a fresh run with a
+  /// fresh privacy budget.
+  void Reset();
+
+  /// Declarative noise structure (drives the closed-form audit).
+  const VariantSpec& spec() const { return spec_; }
+
+  /// Number of positive outcomes emitted since the last Reset().
+  int positives_emitted() const { return state_.positives; }
+
+  /// Number of queries processed since the last Reset().
+  int64_t queries_processed() const { return state_.processed; }
+
+  /// Runs the mechanism over a batch with per-query thresholds, stopping at
+  /// the cutoff. Returns one Response per processed query (the result may be
+  /// shorter than `answers` if the cutoff hit early). Delegates to
+  /// RunAppend().
+  std::vector<Response> Run(std::span<const double> answers,
+                            std::span<const double> thresholds);
+
+  /// Single-threshold convenience overload.
+  std::vector<Response> Run(std::span<const double> answers,
+                            double threshold);
+
+  /// Like Run(), but appends to *out instead of returning a fresh vector,
+  /// so a caller can keep one response vector across calls instead of
+  /// re-allocating (and re-faulting) megabytes per request. Returns the
+  /// number of responses appended. Runs the chunked batch engine
+  /// (core/batch_runner.h), emitting the sequence a Process() loop would.
+  ///
+  /// Short-call rule: a call shorter than BatchRunner::kStreamingCutover
+  /// queries (8) runs the streaming loop instead, after the same argument
+  /// checks as a long call. Below that length the engine's fixed per-call
+  /// cost exceeds the scalar draws it saves. bench_call_crossover measures
+  /// the crossover (core/batch_runner.h). A longer call that enters the ν
+  /// stream off a lane boundary runs its first few queries (at most 3)
+  /// through the loop too, so the engine starts lane-aligned: the
+  /// alignment head (core/batch_runner.h). The Monte-Carlo auditor's many
+  /// short runs batch across runs instead: see core/trial_walk.h.
+  ///
+  /// Buffer-reuse contract: RunAppend only appends — it never clears,
+  /// shrinks, or reorders the elements already in *out, and between calls
+  /// the vector is an ordinary std::vector the caller owns. clear() +
+  /// RunAppend in a loop therefore reuses one allocation for every batch
+  /// once the capacity has grown to the high-water mark. Appended elements
+  /// may be invalidated by reallocation on a later append, so take spans
+  /// into *out only after the last RunAppend of a cycle. (The serving
+  /// drain needs none of this: it clears each request's own vector and
+  /// appends straight into it, serving/sharded_server.h.)
   size_t RunAppend(std::span<const double> answers,
                    std::span<const double> thresholds,
-                   std::vector<Response>* out) override;
+                   std::vector<Response>* out);
   size_t RunAppend(std::span<const double> answers, double threshold,
-                   std::vector<Response>* out) override;
+                   std::vector<Response>* out);
+
+  /// RunAppend with a quantized bound prefilter attached
+  /// (data/bound_prefilter.h): `prefilter` must have been built over
+  /// exactly these answers (and thresholds) arrays, or be nullptr. The
+  /// prefilter only accelerates the batch engine's conservative bound
+  /// pass — emitted Responses are bit-identical with it attached, absent,
+  /// or disabled (SVT_BOUND_PREFILTER=off). Calls the streaming loop
+  /// answers whole ignore it (the loop has no bound pass).
   size_t RunAppend(std::span<const double> answers,
                    std::span<const double> thresholds,
                    const BoundPrefilter* prefilter,
-                   std::vector<Response>* out) override;
+                   std::vector<Response>* out);
   size_t RunAppend(std::span<const double> answers, double threshold,
                    const BoundPrefilter* prefilter,
-                   std::vector<Response>* out) override;
+                   std::vector<Response>* out);
 
   /// Batch-engine tier counters since the last Reset(): how many chunks the
   /// tier-1 bound skipped vs how many ran the tier-2 transform scan.
@@ -373,8 +404,11 @@ class SpecDrivenSvt : public SvtMechanism {
   /// voids the privacy guarantee.
   double threshold_noise() const { return state_.rho; }
 
- protected:
-  SpecDrivenSvt(VariantSpec spec, Rng* rng);
+  /// The realized (ε₁, ε₂, ε₃) split.
+  const BudgetSplit& budget() const { return spec_.budget; }
+
+  /// Scale of the per-query noise ν_i (used by SVT-ReTr's "kD" boosts).
+  double query_noise_scale() const { return spec_.nu_scale; }
 
  private:
   /// Draws ρ and derives the ν substream per the contract above.
@@ -385,76 +419,20 @@ class SpecDrivenSvt : public SvtMechanism {
   /// else the alignment head (core/batch_runner.h), usually 0.
   size_t StreamedHead(size_t n, const BoundPrefilter* prefilter) const;
 
+  /// Every RunAppend, over its bar form: one common threshold (double) or
+  /// one threshold per query (std::span<const double>).
+  template <typename Bars>
+  size_t RunBars(std::span<const double> answers, Bars bars,
+                 const BoundPrefilter* prefilter, std::vector<Response>* out);
+
+  /// The Process() loop behind the short-call rule and the alignment head.
+  template <typename Bars>
+  size_t Stream(std::span<const double> answers, Bars bars,
+                std::vector<Response>* out);
+
   VariantSpec spec_;
   Rng* rng_;  // base stream
   SvtRunState state_;
-};
-
-/// Configuration for SparseVector. Defaults give Alg. 1 at ε = 1.
-struct SvtOptions {
-  /// Total privacy budget ε = ε₁ + ε₂ + ε₃ (> 0).
-  double epsilon = 1.0;
-  /// Query sensitivity Δ (> 0).
-  double sensitivity = 1.0;
-  /// Maximum positive outcomes c (≥ 1).
-  int cutoff = 1;
-  /// How to divide the indicator budget between threshold and query noise.
-  /// §4.2 recommends BudgetAllocation::Optimal(cutoff, monotonic).
-  BudgetAllocation allocation = BudgetAllocation::Halves();
-  /// Fraction of ε reserved as ε₃ for numeric answers to positives
-  /// (Alg. 7 lines 5–6); 0 disables numeric output.
-  double numeric_output_fraction = 0.0;
-  /// Queries are monotonic (§4.3): all answers move the same direction
-  /// between neighboring datasets, e.g. counting queries. Halves the query
-  /// noise (Lap(cΔ/ε₂) instead of Lap(2cΔ/ε₂), Theorem 5).
-  bool monotonic = false;
-
-  /// Noise-distribution axis: the distribution each noise role draws from,
-  /// at the standard parameterization's scales. With the default Halves
-  /// allocation, rho_kind = kExponential reproduces the exponential-noise
-  /// SVT of arXiv 2407.20068 exactly (ρ ~ Exp(Δ/ε₁), ν ~ Lap(2cΔ/ε₂));
-  /// additionally setting nu_kind = kExponential and
-  /// resample_threshold_noise gives the ThresholdMonitor shape of arXiv
-  /// 2010.00917. Numeric answers (ε₃) always use Laplace. This is how the
-  /// session and serving layers, which template on SvtOptions, run the
-  /// exponential-noise variants.
-  NoiseKind rho_kind = NoiseKind::kLaplace;
-  NoiseKind nu_kind = NoiseKind::kLaplace;
-  /// Redraw ρ after every positive (Alg. 2 / ThresholdMonitor style), at
-  /// the same scale as the initial draw.
-  bool resample_threshold_noise = false;
-
-  /// Validates ranges; returned Status explains the first violation.
-  Status Validate() const;
-};
-
-/// The paper's standard SVT (Alg. 7; Alg. 1 by default parameterization),
-/// realized on the shared spec-driven engine.
-///
-/// Typical streaming use:
-///
-///   Rng rng(seed);
-///   auto svt = SparseVector::Create(options, &rng).value();
-///   for (...) {
-///     if (svt->exhausted()) break;
-///     Response r = svt->Process(query.Evaluate(db), threshold);
-///   }
-class SparseVector final : public SpecDrivenSvt {
- public:
-  /// Validates `options` and draws the threshold noise from `rng`.
-  /// `rng` must outlive the mechanism.
-  static Result<std::unique_ptr<SparseVector>> Create(
-      const SvtOptions& options, Rng* rng);
-
-  /// The realized (ε₁, ε₂, ε₃) split.
-  const BudgetSplit& budget() const { return spec().budget; }
-
-  /// Scale of the per-query noise ν_i (used by SVT-ReTr's "kD" boosts).
-  double query_noise_scale() const { return spec().nu_scale; }
-
- private:
-  SparseVector(VariantSpec spec, Rng* rng)
-      : SpecDrivenSvt(std::move(spec), rng) {}
 };
 
 }  // namespace svt

@@ -36,23 +36,26 @@ Result<RetraversalResult> SelectWithRetraversal(
   std::vector<size_t> candidates(scores.size());
   for (size_t i = 0; i < scores.size(); ++i) candidates[i] = i;
 
+  // Each pass gathers its candidates' scores and runs them as one engine
+  // call; the candidates past a cutoff abort stay unselected.
+  std::vector<double> pass_scores;
+  std::vector<Response> responses;
   const size_t want = static_cast<size_t>(options.svt.cutoff);
   while (result.selected.size() < want &&
          result.passes_used < options.max_passes && !candidates.empty()) {
     ++result.passes_used;
+    pass_scores.clear();
+    for (size_t idx : candidates) pass_scores.push_back(scores[idx]);
+    responses.clear();
+    const size_t count = mech->RunAppend(pass_scores, threshold, &responses);
+    result.comparisons += static_cast<int64_t>(count);
     std::vector<size_t> still_unselected;
     still_unselected.reserve(candidates.size());
-    for (size_t idx : candidates) {
-      if (mech->exhausted()) {
-        still_unselected.push_back(idx);
-        continue;
-      }
-      ++result.comparisons;
-      const Response r = mech->Process(scores[idx], threshold);
-      if (r.is_positive()) {
-        result.selected.push_back(idx);
+    for (size_t k = 0; k < candidates.size(); ++k) {
+      if (k < count && responses[k].is_positive()) {
+        result.selected.push_back(candidates[k]);
       } else {
-        still_unselected.push_back(idx);
+        still_unselected.push_back(candidates[k]);
       }
     }
     candidates.swap(still_unselected);

@@ -1,5 +1,6 @@
 #include "core/svt_variants.h"
 
+#include <cmath>
 #include <utility>
 
 namespace svt {
@@ -7,11 +8,11 @@ namespace svt {
 namespace {
 
 Status CheckArgs(double epsilon, double sensitivity, Rng* rng) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
-  if (!(sensitivity > 0.0)) {
-    return Status::InvalidArgument("sensitivity must be positive");
+  if (!(sensitivity > 0.0) || !std::isfinite(sensitivity)) {
+    return Status::InvalidArgument("sensitivity must be positive and finite");
   }
   if (rng == nullptr) {
     return Status::InvalidArgument("rng must not be null");
@@ -19,145 +20,92 @@ Status CheckArgs(double epsilon, double sensitivity, Rng* rng) {
   return Status::OK();
 }
 
+Status CheckCutoff(int cutoff) {
+  if (cutoff < 1) return Status::InvalidArgument("cutoff must be >= 1");
+  return Status::OK();
+}
+
+Result<std::unique_ptr<SparseVector>> Build(VariantSpec spec, Rng* rng) {
+  SVT_RETURN_NOT_OK(spec.Validate());
+  return std::make_unique<SparseVector>(std::move(spec), rng);
+}
+
 }  // namespace
 
-Result<std::unique_ptr<DworkRothSvt>> DworkRothSvt::Create(double epsilon,
-                                                           double sensitivity,
-                                                           int cutoff,
-                                                           Rng* rng) {
+Result<std::unique_ptr<SparseVector>> DworkRothSvt::Create(
+    double epsilon, double sensitivity, int cutoff, Rng* rng) {
   SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
-  if (cutoff < 1) return Status::InvalidArgument("cutoff must be >= 1");
-  return std::unique_ptr<DworkRothSvt>(
-      new DworkRothSvt(MakeAlg2Spec(epsilon, sensitivity, cutoff), rng));
+  SVT_RETURN_NOT_OK(CheckCutoff(cutoff));
+  return Build(MakeAlg2Spec(epsilon, sensitivity, cutoff), rng);
 }
 
-Result<std::unique_ptr<RothNotesSvt>> RothNotesSvt::Create(double epsilon,
-                                                           double sensitivity,
-                                                           int cutoff,
-                                                           Rng* rng) {
+Result<std::unique_ptr<SparseVector>> RothNotesSvt::Create(
+    double epsilon, double sensitivity, int cutoff, Rng* rng) {
   SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
-  if (cutoff < 1) return Status::InvalidArgument("cutoff must be >= 1");
-  return std::unique_ptr<RothNotesSvt>(
-      new RothNotesSvt(MakeAlg3Spec(epsilon, sensitivity, cutoff), rng));
+  SVT_RETURN_NOT_OK(CheckCutoff(cutoff));
+  return Build(MakeAlg3Spec(epsilon, sensitivity, cutoff), rng);
 }
 
-Result<std::unique_ptr<LeeCliftonSvt>> LeeCliftonSvt::Create(
+Result<std::unique_ptr<SparseVector>> LeeCliftonSvt::Create(
     double epsilon, double sensitivity, int cutoff, Rng* rng,
     bool monotonic) {
   SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
-  if (cutoff < 1) return Status::InvalidArgument("cutoff must be >= 1");
-  return std::unique_ptr<LeeCliftonSvt>(new LeeCliftonSvt(
-      MakeAlg4Spec(epsilon, sensitivity, cutoff, monotonic), rng));
+  SVT_RETURN_NOT_OK(CheckCutoff(cutoff));
+  return Build(MakeAlg4Spec(epsilon, sensitivity, cutoff, monotonic), rng);
 }
 
-Result<std::unique_ptr<StoddardSvt>> StoddardSvt::Create(double epsilon,
-                                                         double sensitivity,
-                                                         Rng* rng) {
+Result<std::unique_ptr<SparseVector>> StoddardSvt::Create(double epsilon,
+                                                          double sensitivity,
+                                                          Rng* rng) {
   SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
-  return std::unique_ptr<StoddardSvt>(
-      new StoddardSvt(MakeAlg5Spec(epsilon, sensitivity), rng));
+  return Build(MakeAlg5Spec(epsilon, sensitivity), rng);
 }
 
-Result<std::unique_ptr<ChenSvt>> ChenSvt::Create(double epsilon,
-                                                 double sensitivity,
-                                                 Rng* rng) {
+Result<std::unique_ptr<SparseVector>> ChenSvt::Create(double epsilon,
+                                                      double sensitivity,
+                                                      Rng* rng) {
   SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
-  return std::unique_ptr<ChenSvt>(
-      new ChenSvt(MakeAlg6Spec(epsilon, sensitivity), rng));
+  return Build(MakeAlg6Spec(epsilon, sensitivity), rng);
 }
 
-Result<std::unique_ptr<Gptt>> Gptt::Create(double epsilon1, double epsilon2,
-                                           double sensitivity, Rng* rng) {
+Result<std::unique_ptr<SparseVector>> Gptt::Create(double epsilon1,
+                                                   double epsilon2,
+                                                   double sensitivity,
+                                                   Rng* rng) {
   if (!(epsilon1 > 0.0) || !(epsilon2 > 0.0)) {
     return Status::InvalidArgument("epsilon1/epsilon2 must be positive");
   }
   SVT_RETURN_NOT_OK(CheckArgs(epsilon1 + epsilon2, sensitivity, rng));
-  return std::unique_ptr<Gptt>(
-      new Gptt(MakeGpttSpec(epsilon1, epsilon2, sensitivity), rng));
+  return Build(MakeGpttSpec(epsilon1, epsilon2, sensitivity), rng);
 }
 
-Result<std::unique_ptr<ExpNoiseSvt>> ExpNoiseSvt::Create(double epsilon,
-                                                         double sensitivity,
-                                                         int cutoff,
-                                                         Rng* rng) {
+Result<std::unique_ptr<SparseVector>> ExpNoiseSvt::Create(
+    double epsilon, double sensitivity, int cutoff, Rng* rng) {
   SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
-  if (cutoff < 1) return Status::InvalidArgument("cutoff must be >= 1");
-  return std::unique_ptr<ExpNoiseSvt>(
-      new ExpNoiseSvt(MakeExpNoiseSpec(epsilon, sensitivity, cutoff), rng));
+  SVT_RETURN_NOT_OK(CheckCutoff(cutoff));
+  return Build(MakeExpNoiseSpec(epsilon, sensitivity, cutoff), rng);
 }
 
-Result<std::unique_ptr<RevisitedSvt>> RevisitedSvt::Create(double epsilon,
-                                                           double sensitivity,
-                                                           int cutoff,
-                                                           Rng* rng) {
+Result<std::unique_ptr<SparseVector>> RevisitedSvt::Create(
+    double epsilon, double sensitivity, int cutoff, Rng* rng) {
   SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
-  if (cutoff < 1) return Status::InvalidArgument("cutoff must be >= 1");
-  return std::unique_ptr<RevisitedSvt>(
-      new RevisitedSvt(MakeRevisitedSpec(epsilon, sensitivity, cutoff), rng));
+  SVT_RETURN_NOT_OK(CheckCutoff(cutoff));
+  return Build(MakeRevisitedSpec(epsilon, sensitivity, cutoff), rng);
 }
 
-Result<std::unique_ptr<SvtMechanism>> MakeVariantMechanism(
+Result<std::unique_ptr<SparseVector>> MakeVariantMechanism(
     VariantId id, double epsilon, double sensitivity, int cutoff, Rng* rng) {
-  switch (id) {
-    case VariantId::kAlg1:
-    case VariantId::kStandard: {
-      SvtOptions options;
-      options.epsilon = epsilon;
-      options.sensitivity = sensitivity;
-      options.cutoff = cutoff;
-      options.allocation = BudgetAllocation::Halves();
-      SVT_ASSIGN_OR_RETURN(std::unique_ptr<SparseVector> sv,
-                           SparseVector::Create(options, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(sv));
-    }
-    case VariantId::kAlg2: {
-      SVT_ASSIGN_OR_RETURN(
-          std::unique_ptr<DworkRothSvt> m,
-          DworkRothSvt::Create(epsilon, sensitivity, cutoff, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
-    case VariantId::kAlg3: {
-      SVT_ASSIGN_OR_RETURN(
-          std::unique_ptr<RothNotesSvt> m,
-          RothNotesSvt::Create(epsilon, sensitivity, cutoff, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
-    case VariantId::kAlg4: {
-      SVT_ASSIGN_OR_RETURN(
-          std::unique_ptr<LeeCliftonSvt> m,
-          LeeCliftonSvt::Create(epsilon, sensitivity, cutoff, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
-    case VariantId::kAlg5: {
-      SVT_ASSIGN_OR_RETURN(std::unique_ptr<StoddardSvt> m,
-                           StoddardSvt::Create(epsilon, sensitivity, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
-    case VariantId::kAlg6: {
-      SVT_ASSIGN_OR_RETURN(std::unique_ptr<ChenSvt> m,
-                           ChenSvt::Create(epsilon, sensitivity, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
-    case VariantId::kGptt: {
-      SVT_ASSIGN_OR_RETURN(
-          std::unique_ptr<Gptt> m,
-          Gptt::Create(epsilon / 2.0, epsilon / 2.0, sensitivity, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
-    case VariantId::kExpNoise: {
-      SVT_ASSIGN_OR_RETURN(
-          std::unique_ptr<ExpNoiseSvt> m,
-          ExpNoiseSvt::Create(epsilon, sensitivity, cutoff, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
-    case VariantId::kRevisited: {
-      SVT_ASSIGN_OR_RETURN(
-          std::unique_ptr<RevisitedSvt> m,
-          RevisitedSvt::Create(epsilon, sensitivity, cutoff, rng));
-      return std::unique_ptr<SvtMechanism>(std::move(m));
-    }
+  SVT_RETURN_NOT_OK(CheckArgs(epsilon, sensitivity, rng));
+  // GPTT and Alg. 7 split ε in halves, and their spec makers abort on a
+  // zero half.
+  if (!(epsilon / 2.0 > 0.0)) {
+    return Status::InvalidArgument("epsilon is too small to split");
   }
-  return Status::InvalidArgument("unknown VariantId");
+  if (id != VariantId::kAlg5 && id != VariantId::kAlg6 &&
+      id != VariantId::kGptt) {
+    SVT_RETURN_NOT_OK(CheckCutoff(cutoff));
+  }
+  return Build(MakeSpec(id, epsilon, sensitivity, cutoff), rng);
 }
 
 }  // namespace svt

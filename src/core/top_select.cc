@@ -6,15 +6,13 @@
 
 namespace svt {
 
-std::vector<size_t> CollectPositives(SvtMechanism& mechanism,
+std::vector<size_t> CollectPositives(SparseVector& mechanism,
                                      std::span<const double> scores,
                                      double threshold) {
+  const std::vector<Response> responses = mechanism.Run(scores, threshold);
   std::vector<size_t> selected;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    if (mechanism.exhausted()) break;
-    if (mechanism.Process(scores[i], threshold).is_positive()) {
-      selected.push_back(i);
-    }
+  for (size_t i = 0; i < responses.size(); ++i) {
+    if (responses[i].is_positive()) selected.push_back(i);
   }
   return selected;
 }

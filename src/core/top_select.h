@@ -19,8 +19,9 @@ namespace svt {
 
 /// Runs any SVT-family mechanism over `scores` in order against a single
 /// threshold and returns the indices of positive outcomes. Stops at the
-/// cutoff (if the mechanism has one) or at the end of the scores.
-std::vector<size_t> CollectPositives(SvtMechanism& mechanism,
+/// cutoff (if the mechanism has one) or at the end of the scores. One
+/// RunAppend call, so the batch engine answers it.
+std::vector<size_t> CollectPositives(SparseVector& mechanism,
                                      std::span<const double> scores,
                                      double threshold);
 

@@ -8,7 +8,7 @@
 #include "common/distributions.h"
 #include "common/vecmath.h"
 #include "core/batch_runner.h"
-#include "core/svt_variants.h"
+#include "core/svt.h"
 
 namespace svt {
 
@@ -276,7 +276,7 @@ void TrialWalker::WalkLoop(std::span<uint64_t> masks,
   const size_t mask_words = MaskWords(window_.size());
   std::fill(masks.begin(), masks.end(), 0);
   for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
-    CustomSvt mech(spec_, &lane_rng_[lane]);
+    SparseVector mech(spec_, &lane_rng_[lane]);
     for (size_t t = lane; t < runs_; t += kLanes) {
       mech.Reset();
       responses_.clear();

@@ -16,7 +16,7 @@
 //   3. Lane L of group g under `key` is the stream Rng(LaneSeed(key,
 //      kLanes * g + L)): LaneSeed(key, s) is output s (counting from 0) of
 //      a SplitMix64 sequence started at `key`, a pure function.
-//   4. A lane's runs are bit for bit those of `CustomSvt mech(spec,
+//   4. A lane's runs are bit for bit those of `SparseVector mech(spec,
 //      &lane_rng)` followed by `mech.Reset(); mech.RunAppend(window,
 //      threshold, &out)` per run. Bit i of a run's mask is set exactly when
 //      query i of that run was positive, and its processed count is the

@@ -1,5 +1,7 @@
 #include "core/variant_spec.h"
 
+#include <limits>
+
 #include "common/check.h"
 
 namespace svt {
@@ -12,7 +14,37 @@ void CheckCommon(double epsilon, double sensitivity) {
       << "sensitivity must be positive, got " << sensitivity;
 }
 
+// A scale no larger than this keeps its largest variate finite: the
+// word→variate map (core/svt.h, step 4) yields at most 53·ln 2 ≈ 36.7
+// scales.
+constexpr double kMaxScale = std::numeric_limits<double>::max() / 64.0;
+
+Status CheckScale(const char* what, double scale, bool positive) {
+  if (!(scale <= kMaxScale) || !(positive ? scale > 0.0 : scale >= 0.0)) {
+    return Status::InvalidArgument(
+        std::string(what) + " must be " +
+        (positive ? "positive" : "non-negative") +
+        " and finite with a finite largest variate, got " +
+        std::to_string(scale));
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+Status VariantSpec::Validate() const {
+  SVT_RETURN_NOT_OK(CheckScale("rho_scale", rho_scale, /*positive=*/true));
+  SVT_RETURN_NOT_OK(CheckScale("nu_scale", nu_scale, /*positive=*/false));
+  SVT_RETURN_NOT_OK(CheckScale("rho_resample_scale", rho_resample_scale,
+                               /*positive=*/resample_rho_after_positive));
+  SVT_RETURN_NOT_OK(
+      CheckScale("numeric_scale", numeric_scale, /*positive=*/false));
+  if (cutoff.has_value() && *cutoff < 1) {
+    return Status::InvalidArgument("cutoff must be >= 1, got " +
+                                   std::to_string(*cutoff));
+  }
+  return Status::OK();
+}
 
 std::string_view PrivacyClassToString(PrivacyClass c) {
   switch (c) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/status.h"
 #include "core/budget.h"
 
 namespace svt {
@@ -118,6 +119,13 @@ struct VariantSpec {
   bool emits_numeric() const {
     return output_query_value_on_positive || numeric_scale > 0.0;
   }
+
+  /// Checks that the spec can run: rho_scale is positive, the ν, resample
+  /// and numeric scales are non-negative (the resample scale positive when
+  /// resampling is on), every scale is finite with a finite largest variate
+  /// (so ν and ρ are always finite, core/svt.h), and a set cutoff is >= 1.
+  /// Every SparseVector factory returns its failure as InvalidArgument.
+  Status Validate() const;
 };
 
 /// Factory functions reproducing Figure 1's parameterizations exactly.

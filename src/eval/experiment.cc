@@ -103,7 +103,7 @@ Result<std::vector<size_t>> RunMethodOnce(std::span<const double> scores,
   switch (method.kind) {
     case MethodKind::kSvtDpBook: {
       SVT_ASSIGN_OR_RETURN(
-          std::unique_ptr<DworkRothSvt> mech,
+          std::unique_ptr<SparseVector> mech,
           DworkRothSvt::Create(epsilon, /*sensitivity=*/1.0, c, &rng));
       return CollectPositives(*mech, scores, threshold);
     }

@@ -68,7 +68,7 @@ TEST(McParallelTest, HitsFollowTheTrialGroupContract) {
       for (size_t lane = 0; lane < TrialWalker::kLanes; ++lane) {
         Rng lane_rng(TrialWalker::LaneSeed(
             key, TrialWalker::kLanes * static_cast<uint64_t>(g) + lane));
-        CustomSvt mech(spec, &lane_rng);
+        SparseVector mech(spec, &lane_rng);
         for (int64_t t = g * TrialWalker::kGroupTrials +
                          static_cast<int64_t>(lane);
              t < std::min(kTrials, (g + 1) * TrialWalker::kGroupTrials);

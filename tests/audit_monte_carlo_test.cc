@@ -1,5 +1,5 @@
 // Cross-validation of the two independent probability paths: the sampled
-// mechanism (CustomSvt) vs. the closed-form quadrature.
+// mechanism (SparseVector) vs. the closed-form quadrature.
 
 #include "audit/monte_carlo.h"
 

@@ -1,5 +1,5 @@
 // Batch/streaming equivalence: under the draw-order contract pinned on
-// SpecDrivenSvt (core/svt.h), Run()/RunAppend() must emit bit-for-bit the
+// SparseVector (core/svt.h), Run()/RunAppend() must emit bit-for-bit the
 // Response sequence of a scalar Process() loop with the same seed — for
 // every variant's noise structure, at sizes that straddle the engine's
 // chunking, through positives, cutoff aborts, numeric outputs and Reset
@@ -72,7 +72,7 @@ void ExpectSameResponses(const std::vector<Response>& batch,
 // Runs mechanism `a` through the batch path and `b` (same seed) through a
 // manual streaming loop, over several Reset cycles, and demands identical
 // output plus identical counters.
-void CheckEquivalence(SvtMechanism* batch_mech, SvtMechanism* stream_mech,
+void CheckEquivalence(SparseVector* batch_mech, SparseVector* stream_mech,
                       const std::vector<double>& answers, double threshold,
                       const std::string& context) {
   for (int cycle = 0; cycle < 3; ++cycle) {
@@ -621,8 +621,8 @@ TEST(BatchRunnerTest, ExpNuOneSidedEnvelopeTierBehavior) {
   {
     // ρ ≥ 0 and ν ≤ envelope: answers at -1e9 are unreachable.
     Rng rng_batch(3), rng_stream(3);
-    CustomSvt batch(AllExponentialSpec(), &rng_batch);
-    CustomSvt stream(AllExponentialSpec(), &rng_stream);
+    SparseVector batch(AllExponentialSpec(), &rng_batch);
+    SparseVector stream(AllExponentialSpec(), &rng_stream);
     const std::vector<double> answers(n, -1e9);
     CheckEquivalence(&batch, &stream, answers, 0.0, "exp-nu far-below");
     batch.Reset();
@@ -640,8 +640,8 @@ TEST(BatchRunnerTest, ExpNuOneSidedEnvelopeTierBehavior) {
     Rng gen(99);
     for (double& a : answers) a = -3.0 + (gen.NextDouble() - 0.5);
     Rng rng_batch(5), rng_stream(5);
-    CustomSvt batch(AllExponentialSpec(), &rng_batch);
-    CustomSvt stream(AllExponentialSpec(), &rng_stream);
+    SparseVector batch(AllExponentialSpec(), &rng_batch);
+    SparseVector stream(AllExponentialSpec(), &rng_stream);
     CheckEquivalence(&batch, &stream, answers, 0.0, "exp-nu near-threshold");
     batch.Reset();
     batch.Run(answers, 0.0);
@@ -657,8 +657,8 @@ TEST(BatchRunnerTest, ExpNuOneSidedEnvelopeTierBehavior) {
     std::vector<double> answers(BatchRunner::kChunkSize, -1e9);
     answers[BatchRunner::kChunkSize - 1] = -0.5;
     Rng rng_batch(7), rng_stream(7);
-    CustomSvt batch(AllExponentialSpec(), &rng_batch);
-    CustomSvt stream(AllExponentialSpec(), &rng_stream);
+    SparseVector batch(AllExponentialSpec(), &rng_batch);
+    SparseVector stream(AllExponentialSpec(), &rng_stream);
     CheckEquivalence(&batch, &stream, answers, 0.0, "exp-nu hierarchical");
     batch.Reset();
     batch.Run(answers, 0.0);
@@ -684,7 +684,7 @@ TEST(BatchRunnerTest, ExpNuOneSidedEnvelopeTierBehavior) {
     }
     ASSERT_TRUE(vec::SetDispatchLevel(vec::DispatchLevel::kScalar));
     Rng rng_stream(23);
-    CustomSvt stream(AllExponentialSpec(), &rng_stream);
+    SparseVector stream(AllExponentialSpec(), &rng_stream);
     std::vector<Response> ref;
     for (size_t i = 0; i < pn; ++i) {
       if (stream.exhausted()) break;
@@ -693,7 +693,7 @@ TEST(BatchRunnerTest, ExpNuOneSidedEnvelopeTierBehavior) {
     for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
       if (!vec::SetDispatchLevel(level)) continue;
       Rng rng_batch(23);
-      CustomSvt batch(AllExponentialSpec(), &rng_batch);
+      SparseVector batch(AllExponentialSpec(), &rng_batch);
       ExpectSameResponses(batch.Run(answers, bars), ref,
                           std::string("exp-nu per-query ") +
                               vec::DispatchLevelName(level));
@@ -707,7 +707,7 @@ bool SameState(const Rng::State& a, const Rng::State& b) {
 
 // The streaming oracle: appends the Process() responses for `answers`
 // against one common bar, or per-query bars, until the run is exhausted.
-void StreamAppend(SvtMechanism* mech, std::span<const double> answers,
+void StreamAppend(SparseVector* mech, std::span<const double> answers,
                   double threshold, std::vector<Response>* out) {
   for (double a : answers) {
     if (mech->exhausted()) break;
@@ -715,7 +715,7 @@ void StreamAppend(SvtMechanism* mech, std::span<const double> answers,
   }
 }
 
-void StreamAppend(SvtMechanism* mech, std::span<const double> answers,
+void StreamAppend(SparseVector* mech, std::span<const double> answers,
                   std::span<const double> bars, std::vector<Response>* out) {
   for (size_t i = 0; i < answers.size() && !mech->exhausted(); ++i) {
     out->push_back(mech->Process(answers[i], bars[i]));
@@ -725,8 +725,8 @@ void StreamAppend(SvtMechanism* mech, std::span<const double> answers,
 // A batch mechanism agrees with its streaming twin on everything the
 // draw-order contract pins after a run that did not exhaust: the run
 // counters and the positions of both streams.
-void ExpectSameRunState(const SpecDrivenSvt& batch, const Rng& batch_rng,
-                        const SpecDrivenSvt& stream, const Rng& stream_rng,
+void ExpectSameRunState(const SparseVector& batch, const Rng& batch_rng,
+                        const SparseVector& stream, const Rng& stream_rng,
                         const std::string& context) {
   EXPECT_EQ(batch.positives_emitted(), stream.positives_emitted()) << context;
   EXPECT_EQ(batch.queries_processed(), stream.queries_processed())
@@ -786,8 +786,10 @@ TEST(BatchRunnerTest, FusedPassesMatchStreamingExactly) {
   const std::vector<double> far(n, -1e9);  // tier-1 skips every chunk
 
   const auto make = [](bool exp_nu,
-                       Rng* rng) -> std::unique_ptr<SpecDrivenSvt> {
-    if (exp_nu) return std::make_unique<CustomSvt>(AllExponentialSpec(), rng);
+                       Rng* rng) -> std::unique_ptr<SparseVector> {
+    if (exp_nu) {
+      return std::make_unique<SparseVector>(AllExponentialSpec(), rng);
+    }
     SvtOptions o;
     o.epsilon = 0.5;
     o.cutoff = 1 << 20;
@@ -905,12 +907,12 @@ TEST(BatchRunnerTest, PerQueryResamplingMatchesStreamingAtEveryLevel) {
   }
 
   const auto make = [](bool exp_noise,
-                       Rng* rng) -> std::unique_ptr<SpecDrivenSvt> {
+                       Rng* rng) -> std::unique_ptr<SparseVector> {
     if (exp_noise) {
       VariantSpec spec = AllExponentialSpec();
       spec.resample_rho_after_positive = true;
       spec.rho_resample_scale = 1.0;
-      return std::make_unique<CustomSvt>(spec, rng);
+      return std::make_unique<SparseVector>(spec, rng);
     }
     SvtOptions o;
     o.epsilon = 0.75;
@@ -1055,21 +1057,16 @@ TEST(BatchRunnerTest, TinyAndOddSizedBatchesMatchStreaming) {
 }
 
 // One of the ten variants with its ν drawn from `nu_kind`: the variant's
-// own class when that is its native kind, else a CustomSvt over its spec
-// (every SpecDrivenSvt class is fully described by its spec).
-std::unique_ptr<SpecDrivenSvt> MakeWithNuKind(VariantId id, NoiseKind nu_kind,
-                                              int cutoff, Rng* rng) {
+// own factory when that is its native kind, else a SparseVector over its
+// spec with the kind swapped.
+std::unique_ptr<SparseVector> MakeWithNuKind(VariantId id, NoiseKind nu_kind,
+                                             int cutoff, Rng* rng) {
   VariantSpec spec = MakeSpec(id, 1.0, 1.0, cutoff);
   if (spec.nu_kind != nu_kind) {
     spec.nu_kind = nu_kind;
-    return std::make_unique<CustomSvt>(std::move(spec), rng);
+    return std::make_unique<SparseVector>(std::move(spec), rng);
   }
-  std::unique_ptr<SvtMechanism> mech =
-      MakeVariantMechanism(id, 1.0, 1.0, cutoff, rng).value();
-  auto* spec_driven = dynamic_cast<SpecDrivenSvt*>(mech.get());
-  SVT_CHECK(spec_driven != nullptr);
-  mech.release();
-  return std::unique_ptr<SpecDrivenSvt>(spec_driven);
+  return MakeVariantMechanism(id, 1.0, 1.0, cutoff, rng).value();
 }
 
 TEST(BatchRunnerTest, ShortCallCutoverMatchesStreamingAtEveryLength) {
@@ -1178,7 +1175,7 @@ VariantSpec UnitSpec(NoiseKind kind, int cutoff) {
 }
 
 // The ν stream's lane phase a call enters at, from the streaming twin.
-uint32_t NuPhase(const SpecDrivenSvt& mech) {
+uint32_t NuPhase(const SparseVector& mech) {
   return mech.nu_stream_state().phase;
 }
 
@@ -1226,8 +1223,8 @@ TEST(BatchRunnerTest, UnalignedEntryMatchesStreaming) {
               (per_query ? " per-query" : " common") +
               (with_pf ? " prefilter" : "");
           Rng rng_batch(31), rng_stream(31);
-          CustomSvt batch(UnitSpec(kind, 1 << 20), &rng_batch);
-          CustomSvt stream(UnitSpec(kind, 1 << 20), &rng_stream);
+          SparseVector batch(UnitSpec(kind, 1 << 20), &rng_batch);
+          SparseVector stream(UnitSpec(kind, 1 << 20), &rng_stream);
           size_t offset = 0;
           for (size_t n : lengths) {
             const std::string call = ctx + " n=" + std::to_string(n);
@@ -1299,8 +1296,8 @@ TEST(BatchRunnerTest, CutoffInsideTheAlignmentHeadMatchesStreaming) {
               " cutoff=" + std::to_string(cutoff) +
               (per_query ? " per-query" : " common");
           Rng rng_batch(47), rng_stream(47);
-          CustomSvt batch(UnitSpec(kind, cutoff), &rng_batch);
-          CustomSvt stream(UnitSpec(kind, cutoff), &rng_stream);
+          SparseVector batch(UnitSpec(kind, cutoff), &rng_batch);
+          SparseVector stream(UnitSpec(kind, cutoff), &rng_stream);
           const std::vector<double> zeros(second.size(), 0.0);
           std::vector<Response> got, want;
           batch.RunAppend(below, 0.0, &got);
@@ -1392,7 +1389,7 @@ TEST(BatchRunnerTest, ResumeWalkMatchesStreaming) {
             spec.nu_kind = nu_kind;
             const double s = spec.nu_scale;
             Rng rng_batch(7), rng_stream(7), gen(11);
-            CustomSvt batch(spec, &rng_batch), stream(spec, &rng_stream);
+            SparseVector batch(spec, &rng_batch), stream(spec, &rng_stream);
             std::vector<Response> got, want;
             for (size_t len : sc.calls) {
               // Bars placed against the current ρ, so the entry bar sits
@@ -1518,7 +1515,7 @@ TEST(BatchRunnerTest, StageRunAheadMatchesInlineAndStreaming) {
           if (cs.numeric_scale > 0.0) spec.numeric_scale = cs.numeric_scale;
           const double s = spec.nu_scale > 0.0 ? spec.nu_scale : 1.0;
           Rng rng_ahead(17), rng_inline(17), rng_stream(17), gen(23);
-          CustomSvt ahead(spec, &rng_ahead), in_line(spec, &rng_inline),
+          SparseVector ahead(spec, &rng_ahead), in_line(spec, &rng_inline),
               stream(spec, &rng_stream);
           std::vector<Response> got_ahead, got_inline, want;
           for (size_t c = 0; c < std::size(calls); ++c) {
@@ -1544,7 +1541,8 @@ TEST(BatchRunnerTest, StageRunAheadMatchesInlineAndStreaming) {
                 cs.per_query ? BoundPrefilter::Build(answers, bars)
                              : BoundPrefilter::Build(answers);
             const BoundPrefilter* attached = cs.prefilter ? &pf : nullptr;
-            const auto run = [&](CustomSvt& mech, std::vector<Response>* out) {
+            const auto run = [&](SparseVector& mech,
+                                 std::vector<Response>* out) {
               if (cs.per_query) {
                 mech.RunAppend(answers, bars, attached, out);
               } else {
@@ -1615,7 +1613,7 @@ TEST(BatchRunnerTest, ConcurrentLongCallsMatchStreaming) {
   for (int k = 0; k < kThreads; ++k) {
     threads.emplace_back([&, k] {
       Rng rng(100 + k);
-      CustomSvt mech(spec, &rng);
+      SparseVector mech(spec, &rng);
       for (int call = 0; call < 4; ++call) {
         mech.RunAppend(answers, 0.0, &got[static_cast<size_t>(k)]);
       }
@@ -1625,7 +1623,7 @@ TEST(BatchRunnerTest, ConcurrentLongCallsMatchStreaming) {
   for (std::thread& t : threads) t.join();
   for (int k = 0; k < kThreads; ++k) {
     Rng rng(100 + k);
-    CustomSvt stream(spec, &rng);
+    SparseVector stream(spec, &rng);
     std::vector<Response> want;
     for (int call = 0; call < 4; ++call) {
       for (double a : answers) want.push_back(stream.Process(a, 0.0));

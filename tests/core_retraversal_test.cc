@@ -1,6 +1,9 @@
 #include "core/svt_retraversal.h"
 
+#include <cmath>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -129,6 +132,99 @@ TEST(RetraversalTest, PrefersHighScores) {
   }
   ASSERT_GT(total, 0);
   EXPECT_GT(high_hits / static_cast<double>(total), 0.9);
+}
+
+// The streaming oracle: SVT-ReTr written as a Process() loop, one query at
+// a time, with the candidates past a cutoff abort left unselected.
+RetraversalResult StreamRetraversal(std::span<const double> scores,
+                                    double base_threshold,
+                                    const RetraversalOptions& options,
+                                    Rng& rng) {
+  auto mech = SparseVector::Create(options.svt, &rng).value();
+  RetraversalResult result;
+  result.boosted_threshold = base_threshold + options.threshold_boost_devs *
+                                                  std::sqrt(2.0) *
+                                                  mech->query_noise_scale();
+  std::vector<size_t> candidates(scores.size());
+  for (size_t i = 0; i < scores.size(); ++i) candidates[i] = i;
+  const size_t want = static_cast<size_t>(options.svt.cutoff);
+  while (result.selected.size() < want &&
+         result.passes_used < options.max_passes && !candidates.empty()) {
+    ++result.passes_used;
+    std::vector<size_t> rest;
+    for (size_t idx : candidates) {
+      if (!mech->exhausted()) {
+        ++result.comparisons;
+        if (mech->Process(scores[idx], result.boosted_threshold)
+                .is_positive()) {
+          result.selected.push_back(idx);
+          continue;
+        }
+      }
+      rest.push_back(idx);
+    }
+    candidates.swap(rest);
+    if (mech->exhausted()) break;
+  }
+  return result;
+}
+
+TEST(RetraversalTest, MatchesProcessLoop) {
+  // Pass lengths on both sides of BatchRunner::kStreamingCutover and past
+  // one engine chunk; scores that exhaust the cutoff mid-pass (high), need
+  // several passes (near the bar) or hit the max_passes cap (far below).
+  struct Shape {
+    const char* name;
+    double center, spread;  // in units of the threshold's distance
+  };
+  const Shape shapes[] = {{"high", 50.0, 10.0},
+                          {"near", -1.0, 4.0},
+                          {"far", -1e6, 0.0}};
+  int mid_pass_cutoffs = 0, multi_pass = 0, capped = 0;
+  for (size_t n : {3, 9, 17, 100, 2500}) {
+    for (const Shape& shape : shapes) {
+      for (int c : {1, 3, 10}) {
+        for (double boost : {0.0, 1.0}) {
+          for (int max_passes : {1, 4, 256}) {
+            const uint64_t seed = n * 131 + static_cast<uint64_t>(c);
+            Rng gen(seed);
+            std::vector<double> scores(n);
+            for (double& x : scores) {
+              x = shape.center + (gen.NextDouble() - 0.5) * shape.spread;
+            }
+            RetraversalOptions o = BasicOptions(c, boost);
+            o.max_passes = max_passes;
+            Rng rng_a(seed), rng_b(seed);
+            const RetraversalResult got =
+                SelectWithRetraversal(scores, 0.0, o, rng_a).value();
+            const RetraversalResult want =
+                StreamRetraversal(scores, 0.0, o, rng_b);
+            const std::string context =
+                std::string(shape.name) + " n=" + std::to_string(n) +
+                " c=" + std::to_string(c) + " boost=" +
+                std::to_string(boost) +
+                " max_passes=" + std::to_string(max_passes);
+            EXPECT_EQ(got.selected, want.selected) << context;
+            EXPECT_EQ(got.passes_used, want.passes_used) << context;
+            EXPECT_EQ(got.comparisons, want.comparisons) << context;
+            EXPECT_EQ(got.boosted_threshold, want.boosted_threshold)
+                << context;
+            EXPECT_EQ(rng_a.state().words, rng_b.state().words) << context;
+            EXPECT_EQ(rng_a.state().phase, rng_b.state().phase) << context;
+            const bool full = want.selected.size() == static_cast<size_t>(c);
+            if (full && want.comparisons < static_cast<int64_t>(n)) {
+              ++mid_pass_cutoffs;
+            }
+            if (want.passes_used > 1) ++multi_pass;
+            if (!full && want.passes_used == max_passes) ++capped;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(mid_pass_cutoffs, 0);
+  EXPECT_GT(multi_pass, 0);
+  EXPECT_GT(capped, 0);
 }
 
 class BoostSweep : public ::testing::TestWithParam<double> {};

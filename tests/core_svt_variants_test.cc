@@ -1,6 +1,10 @@
 #include "core/svt_variants.h"
 
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +13,12 @@
 
 namespace svt {
 namespace {
+
+constexpr VariantId kAllVariantIds[] = {
+    VariantId::kAlg1,     VariantId::kAlg2,     VariantId::kAlg3,
+    VariantId::kAlg4,     VariantId::kAlg5,     VariantId::kAlg6,
+    VariantId::kStandard, VariantId::kGptt,     VariantId::kExpNoise,
+    VariantId::kRevisited};
 
 TEST(DworkRothSvtTest, RespectsCutoff) {
   Rng rng(1);
@@ -32,8 +42,8 @@ TEST(DworkRothSvtTest, ResamplesThresholdAfterPositive) {
   int diverged = 0;
   for (uint64_t seed = 0; seed < 32; ++seed) {
     Rng rng_a(seed), rng_b(seed);
-    CustomSvt a(resample, &rng_a);
-    CustomSvt b(no_resample, &rng_b);
+    SparseVector a(resample, &rng_a);
+    SparseVector b(no_resample, &rng_b);
     std::string pattern_a, pattern_b;
     for (int i = 0; i < 40; ++i) {
       if (a.exhausted() || b.exhausted()) break;
@@ -72,7 +82,7 @@ TEST(RothNotesSvtTest, EmittedValueExceedsNoisyThresholdImplicitly) {
   Rng rng(3);
   VariantSpec spec = MakeAlg3Spec(1.0, 1.0, 1);
   for (int trial = 0; trial < 200; ++trial) {
-    CustomSvt mech(spec, &rng);
+    SparseVector mech(spec, &rng);
     // Answer far above: positive on the first query almost surely.
     const Response r = mech.Process(1000.0, 999.0);
     if (r.is_positive()) {
@@ -168,12 +178,114 @@ TEST(VariantFactoryTest, RejectsBadArgs) {
   EXPECT_FALSE(MakeVariantMechanism(VariantId::kAlg3, 1.0, 1.0, 0, &rng).ok());
   EXPECT_FALSE(
       MakeVariantMechanism(VariantId::kAlg1, 1.0, 1.0, 3, nullptr).ok());
+
+  // (ε, Δ) pairs whose noise scales are not finite (or, at ε = +inf, a zero
+  // ρ scale): every factory must refuse them rather than build a mechanism
+  // that draws ρ = ±inf or aborts in the sampler. At ε = 5e-324 half of ε
+  // rounds to 0, which the Alg. 7 and GPTT spec makers abort on.
+  using Factory = std::function<Result<std::unique_ptr<SparseVector>>(
+      double epsilon, double sensitivity, Rng* rng)>;
+  std::vector<std::pair<std::string, Factory>> factories = {
+      {"SparseVector",
+       [](double e, double s, Rng* r) {
+         SvtOptions o;
+         o.epsilon = e;
+         o.sensitivity = s;
+         o.cutoff = 2;
+         return SparseVector::Create(o, r);
+       }},
+      {"DworkRothSvt",
+       [](double e, double s, Rng* r) {
+         return DworkRothSvt::Create(e, s, 2, r);
+       }},
+      {"RothNotesSvt",
+       [](double e, double s, Rng* r) {
+         return RothNotesSvt::Create(e, s, 2, r);
+       }},
+      {"LeeCliftonSvt",
+       [](double e, double s, Rng* r) {
+         return LeeCliftonSvt::Create(e, s, 2, r);
+       }},
+      {"StoddardSvt",
+       [](double e, double s, Rng* r) { return StoddardSvt::Create(e, s, r); }},
+      {"ChenSvt",
+       [](double e, double s, Rng* r) { return ChenSvt::Create(e, s, r); }},
+      {"Gptt",
+       [](double e, double s, Rng* r) {
+         return Gptt::Create(e / 2.0, e / 2.0, s, r);
+       }},
+      {"ExpNoiseSvt",
+       [](double e, double s, Rng* r) {
+         return ExpNoiseSvt::Create(e, s, 2, r);
+       }},
+      {"RevisitedSvt",
+       [](double e, double s, Rng* r) {
+         return RevisitedSvt::Create(e, s, 2, r);
+       }},
+  };
+  for (VariantId id : kAllVariantIds) {
+    factories.push_back(
+        {"MakeVariantMechanism " + std::string(VariantIdToString(id)),
+         [id](double e, double s, Rng* r) {
+           return MakeVariantMechanism(id, e, s, 2, r);
+         }});
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad[] = {
+      {inf, 1.0}, {1.0, inf}, {1e-310, 1.0}, {1.0, 1e308}, {5e-324, 1.0}};
+  for (const auto& [name, factory] : factories) {
+    ASSERT_TRUE(factory(1.0, 1.0, &rng).ok()) << name;
+    for (const auto& [epsilon, sensitivity] : bad) {
+      const auto mech = factory(epsilon, sensitivity, &rng);
+      ASSERT_FALSE(mech.ok()) << name << " eps=" << epsilon
+                              << " sens=" << sensitivity;
+      EXPECT_EQ(mech.status().code(), StatusCode::kInvalidArgument) << name;
+    }
+  }
 }
 
-TEST(CustomSvtTest, RunsArbitrarySpec) {
+TEST(VariantSpecTest, ValidateRejectsUnrunnableSpecs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const VariantSpec good = MakeAlg2Spec(1.0, 1.0, 2);
+  EXPECT_TRUE(good.Validate().ok());
+  EXPECT_TRUE(MakeAlg5Spec(1.0, 1.0).Validate().ok());  // ν scale 0
+
+  std::vector<std::pair<std::string, VariantSpec>> cases;
+  const auto with = [&](const std::string& what, auto edit) {
+    VariantSpec spec = good;
+    edit(spec);
+    cases.emplace_back(what, spec);
+  };
+  with("rho 0", [](VariantSpec& s) { s.rho_scale = 0.0; });
+  with("rho inf", [&](VariantSpec& s) { s.rho_scale = inf; });
+  with("rho nan", [&](VariantSpec& s) { s.rho_scale = nan; });
+  // Finite, but its largest variate (53 ln 2 scales) is not.
+  with("rho huge", [](VariantSpec& s) { s.rho_scale = 1e307; });
+  with("nu negative", [](VariantSpec& s) { s.nu_scale = -1.0; });
+  with("nu inf", [&](VariantSpec& s) { s.nu_scale = inf; });
+  with("resample 0", [](VariantSpec& s) { s.rho_resample_scale = 0.0; });
+  with("resample inf", [&](VariantSpec& s) { s.rho_resample_scale = inf; });
+  with("numeric inf", [&](VariantSpec& s) { s.numeric_scale = inf; });
+  with("numeric negative", [](VariantSpec& s) { s.numeric_scale = -1.0; });
+  with("cutoff 0", [](VariantSpec& s) { s.cutoff = 0; });
+  for (const auto& [what, spec] : cases) {
+    const Status status = spec.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+TEST(VariantSpecDeathTest, ConstructorChecksTheSpec) {
+  VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 2);
+  spec.nu_scale = std::numeric_limits<double>::infinity();
+  Rng rng(12);
+  EXPECT_DEATH({ SparseVector mech(spec, &rng); }, "nu_scale");
+}
+
+TEST(SparseVectorSpecTest, RunsArbitrarySpec) {
   Rng rng(12);
   VariantSpec spec = MakeAlg1Spec(2.0, 1.0, 2);
-  CustomSvt mech(spec, &rng);
+  SparseVector mech(spec, &rng);
   const std::vector<double> answers = {100.0, -100.0, 100.0, 100.0};
   const std::vector<Response> rs = mech.Run(answers, 0.0);
   int positives = 0;
@@ -181,10 +293,10 @@ TEST(CustomSvtTest, RunsArbitrarySpec) {
   EXPECT_LE(positives, 2);
 }
 
-TEST(CustomSvtTest, ResetRedrawsThreshold) {
+TEST(SparseVectorSpecTest, ResetRedrawsThreshold) {
   Rng rng(13);
   VariantSpec spec = MakeAlg5Spec(1.0, 1.0);  // ν = 0: output reveals rho side
-  CustomSvt mech(spec, &rng);
+  SparseVector mech(spec, &rng);
   // For answer 0 and threshold 0, output is ⊤ iff 0 >= rho, i.e. rho <= 0:
   // a fair coin across resets. Both outcomes must occur over many resets.
   int positives = 0;

@@ -1,6 +1,6 @@
 // The trial walker against its oracle (core/trial_walk.h): every lane of
 // every group must produce, run for run, the masks and processed counts of
-// `CustomSvt mech(spec, &lane_rng)` followed by Reset() + RunAppend per
+// `SparseVector mech(spec, &lane_rng)` followed by Reset() + RunAppend per
 // run on the lane's stream — for every variant, both ν kinds, with and
 // without a cutoff, windows on both sides of the short-call cutover,
 // non-finite answers and thresholds, and every dispatch level.
@@ -79,7 +79,7 @@ Walked OracleTrials(const VariantSpec& spec, const std::vector<double>& window,
     for (size_t lane = 0; lane < TrialWalker::kLanes; ++lane) {
       Rng lane_rng(TrialWalker::LaneSeed(
           key, TrialWalker::kLanes * static_cast<uint64_t>(g) + lane));
-      CustomSvt mech(spec, &lane_rng);
+      SparseVector mech(spec, &lane_rng);
       for (int64_t t = g * kGroup + static_cast<int64_t>(lane);
            t < std::min(trials, (g + 1) * kGroup);
            t += static_cast<int64_t>(TrialWalker::kLanes)) {
