@@ -37,6 +37,12 @@ int main(int argc, char** argv) {
   flags.AddDouble("epsilon", &epsilon, "privacy budget for every variant");
   flags.AddInt64("cutoff", &cutoff, "c (max positive outcomes)");
   SVT_CHECK_OK(flags.Parse(argc, argv));
+  if (!svt::CanSplitEpsilon(epsilon)) {
+    std::cerr << "--epsilon " << epsilon
+              << " is too small to split between threshold and query noise\n"
+              << flags.Usage(argv[0]);
+    return 2;
+  }
   const int c = static_cast<int>(cutoff);
 
   using svt::VariantId;

@@ -312,7 +312,7 @@ void BM_SvtRunBatchResampleNearThreshold(benchmark::State& state) {
   // RevSVT-style resample-heavy regime: ρ is redrawn after every positive,
   // so tier-2 resumes re-enter mid-chunk under a moved bar — many times
   // per chunk at this positive rate (~e⁻⁴/2 per query). Each resume
-  // compares against the chunk's ν block, transformed once per span.
+  // compares against the chunk's ν block, transformed whole once.
   Rng rng(5);
   SvtOptions o;
   o.epsilon = 0.1;

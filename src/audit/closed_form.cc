@@ -207,6 +207,8 @@ double LogOutputProbability(const VariantSpec& spec,
                             std::span<const double> thresholds,
                             std::span<const OutputEvent> pattern,
                             const IntegrationOptions& options) {
+  const Status valid = spec.Validate();
+  SVT_CHECK(valid.ok()) << spec.name << ": " << valid.message();
   SVT_CHECK(query_answers.size() >= pattern.size())
       << "answers/pattern length mismatch";
   SVT_CHECK(thresholds.size() >= pattern.size())

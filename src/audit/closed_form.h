@@ -69,7 +69,8 @@ std::vector<OutputEvent> PatternFromString(const std::string& pattern);
 ///
 /// Returns -infinity for impossible patterns (e.g. output continuing after
 /// the cutoff aborted, or a ⊤ under ν=0 with q strictly below every
-/// feasible noisy threshold).
+/// feasible noisy threshold). Aborts unless spec.Validate() passes, as the
+/// SparseVector constructor does.
 double LogOutputProbability(const VariantSpec& spec,
                             std::span<const double> query_answers,
                             std::span<const double> thresholds,

@@ -898,22 +898,6 @@ size_t MegaFillMinScanSpans(BlockRng::State* state, size_t wpv, double b,
       fits);
 }
 
-size_t SkipWordCountBlock(std::span<const std::uint64_t> words, size_t wpv,
-                          uint64_t skip_word) {
-  SVT_CHECK(wpv == 1 || wpv == 2)
-      << "SkipWordCountBlock words-per-variate must be 1 or 2, got " << wpv;
-  SVT_CHECK(words.size() % wpv == 0)
-      << "SkipWordCountBlock size not a words-per-variate multiple: "
-      << words.size();
-  if (skip_word >= kMegaNeverSkip) return 0;
-  return AtActiveLevel([&](auto lane) {
-    return Fork(wpv == 2, [&](auto two) {
-      return SkipWordCountKernel<decltype(two)::value ? 2 : 1>(
-          lane, words.data(), words.size() / wpv, skip_word);
-    });
-  });
-}
-
 void SeededFireMasks(std::span<const uint64_t> seeds, size_t wpv, double b,
                      std::span<const double> window, size_t rows,
                      std::span<const double> bars, std::span<uint64_t> fires) {

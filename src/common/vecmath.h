@@ -307,15 +307,6 @@ std::size_t MegaFillMinScanSpans(
     std::size_t span_elems, std::uint64_t* span_min, FusedScanHit* hits,
     std::size_t max_hits, std::uint64_t* skipped_out);
 
-/// The fused passes' skipped-element count over words already in memory:
-/// the number of element magnitude words (every wpv-th word, starting at
-/// the first) in `words` whose top 53 bits are at or above skip_word — 0
-/// for kMegaNeverSkipWord. The batch engine counts with it for per-query
-/// chunks whose noise stage ran ahead of the walk without ρ, so it could
-/// not derive their skip words itself.
-std::size_t SkipWordCountBlock(std::span<const std::uint64_t> words,
-                               std::size_t wpv, std::uint64_t skip_word);
-
 // --- seeded fire masks ------------------------------------------------------
 //
 // The Monte-Carlo trial walker (core/trial_walk.h) runs many fresh runs of

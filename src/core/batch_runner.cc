@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -13,7 +12,6 @@
 #include <type_traits>
 
 #include "common/check.h"
-#include "common/distributions.h"
 #include "common/thread_pool.h"
 #include "common/vecmath.h"
 #include "core/bound_pipeline.h"
@@ -30,41 +28,6 @@ static_assert(Response{}.outcome == Outcome::kBelow,
 static_assert(BatchRunner::kChunkSize / BatchRunner::kBoundSpan <=
                   BoundPipeline::kMaxSpans,
               "BoundPipeline's static span plan must cover a full chunk");
-
-// Streaming-identical single draw of a role's noise kind (the batch slow
-// path at positives must consume the base stream exactly as Process()
-// would — core/svt.h contract step 3).
-double SampleNoise(Rng& rng, NoiseKind kind, double scale) {
-  switch (kind) {
-    case NoiseKind::kLaplace:
-      return SampleLaplace(rng, scale);
-    case NoiseKind::kExponential:
-      return SampleExponential(rng, scale);
-  }
-  SVT_CHECK(false) << "unknown NoiseKind";
-  return 0.0;
-}
-
-// Raw 64-bit words one ν variate consumes — the distribution-traits knob
-// that threads the noise axis through the fill sizes, the bound pipeline's
-// word reduction stride, and the fused-kernel spans below. Laplace: 2
-// (magnitude word + sign word). Exponential: 1 (one-sided, no sign word).
-size_t WordsPerVariate(NoiseKind kind) {
-  return kind == NoiseKind::kExponential ? 1 : 2;
-}
-
-// Block form of SampleNoise: out[i] is the variate SampleNoise would draw
-// from words [i * WordsPerVariate(kind), ...), through the same
-// distribution's TransformBlock, which equals its Sample() loop bit for bit
-// (contract step 4).
-void TransformNoise(NoiseKind kind, std::span<const uint64_t> words,
-                    double scale, std::span<double> out) {
-  if (kind == NoiseKind::kExponential) {
-    Exponential::FromScale(scale).TransformBlock(words, out);
-  } else {
-    Laplace::Centered(scale).TransformBlock(words, out);
-  }
-}
 
 // Kernel scratch that is written before it is read. The element types
 // carry default member initializers, so a plain array would be zeroed on
@@ -128,7 +91,6 @@ vec::FusedScanHit WalkSpans(size_t from, size_t n, BatchRunStats* stats,
 
 constexpr size_t kChunkSpans =
     BatchRunner::kChunkSize / BatchRunner::kBoundSpan;
-static_assert(kChunkSpans <= 32, "one ν-block mask bit per span");
 // Hits a fused pass records per chunk before its record counts as
 // overflowed.
 constexpr size_t kMaxChunkHits = BatchRunner::kChunkSize / 16;
@@ -164,28 +126,18 @@ struct ChunkNoise {
     }
   }
 
-  // The chunk's ν block with span j transformed. A span is transformed the
-  // first time the walk needs it (or all at once by FillNu), and every
-  // later resume in the chunk, under whatever bar ρ has moved to, only
-  // compares. The transform is the streaming sampler's, so the ν are the
-  // ones a Process() loop draws from the same words (core/svt.h, contract
-  // step 4).
-  const double* Nu(size_t j) {
-    if ((nu_filled >> j & 1) == 0) {
+  // The chunk's ν block, transformed whole in one dispatched call the
+  // first time it is needed; every later resume in the chunk, under
+  // whatever bar ρ has moved to, only compares. The transform is the
+  // streaming sampler's, so the ν are the ones a Process() loop draws from
+  // the same words (core/svt.h, contract step 4).
+  const double* Nu() {
+    if (!nu_ready) {
       EnsureWords();
-      const size_t s = j * BatchRunner::kBoundSpan;
-      const size_t m = std::min(BatchRunner::kBoundSpan, n - s);
-      TransformNoise(kind, {words + wpv * s, wpv * m}, scale, {nu + s, m});
-      nu_filled |= uint32_t{1} << j;
+      TransformNoise(kind, scale, {words, wpv * n}, {nu, n});
+      nu_ready = true;
     }
     return nu;
-  }
-
-  // Transforms the whole ν block in one dispatched call.
-  void FillNu() {
-    EnsureWords();
-    TransformNoise(kind, {words, wpv * n}, scale, {nu, n});
-    nu_filled = ~uint32_t{0};
   }
 
   NoiseKind kind = NoiseKind::kLaplace;
@@ -198,12 +150,10 @@ struct ChunkNoise {
   size_t n = 0;           // queries in the chunk
   BlockRng::State entry;  // the ν stream at the chunk's first word
   BlockRng::State end;    // and after its last
-  // The ρ the stage derived skip words at, when it knew it.
-  std::optional<double> rho;
   bool fused = false;       // `hits` holds the fused pass's record
   size_t found = 0;         // hits the pass found (may exceed kMaxChunkHits)
   bool have_words = false;  // `words` holds the chunk's words
-  uint32_t nu_filled = 0;   // bit j: span j of `nu` is transformed
+  bool nu_ready = false;    // `nu` holds the chunk's transformed ν block
   uint64_t span_min[kChunkSpans];
   UninitArray<vec::FusedScanHit, kMaxChunkHits> hits;
   // Cache-line-aligned so the 512-bit loads of the word reductions and the
@@ -213,21 +163,18 @@ struct ChunkNoise {
 };
 
 // The per-chunk noise stage: a pure function of the chunk's
-// ν entry state, its answers (and thresholds) and, when the bar cannot
-// move, ρ — so it may run on any thread, ahead of the walk, and produce
-// bit for bit what it would inline.
+// ν entry state, its answers (and thresholds) and, when the spec never
+// moves it, ρ — so it may run on any thread, ahead of the walk, and
+// produce bit for bit what it would inline.
 struct NoiseStage {
   const VariantSpec& spec;
   std::span<const double> answers;
   const double* thresholds;  // null for a common bar
   double threshold;          // the common bar, before ρ
-  // Transform a chunk's whole ν block up front, for chunks the walk may
-  // resume under a moved bar: right when the stage runs on a worker,
-  // wasted work on the walk's own thread.
-  bool eager_nu;
 
   // Fills *rec for the n-element chunk at `offset` whose ν words start at
-  // `entry`; `rho` is the ρ the walk will enter the chunk with, when known.
+  // `entry`; `rho` is the call's ρ when the spec never moves it
+  // (ChunkFeed::StageRho).
   void Run(size_t offset, size_t n, const BlockRng::State& entry,
            std::optional<double> rho, ChunkNoise* rec) const {
     const size_t wpv = WordsPerVariate(spec.nu_kind);
@@ -237,37 +184,34 @@ struct NoiseStage {
     rec->stats = BatchRunStats{};
     rec->n = n;
     rec->entry = entry;
-    rec->rho = rho;
-    rec->nu_filled = 0;
+    rec->nu_ready = false;
     BoundPipeline& pipe = *rec->pipe;
     pipe.BeginChunk(a, t, offset, n);
     const size_t nspans = pipe.num_spans();
 
     // The fused pass generates the chunk's ν words in registers
     // (the lane-resident xoshiro step), reduces them to the per-span minima
-    // the bounds need and records every element that fires at the entry
-    // bar, transforming only the lockstep groups the skip words cannot
+    // the bounds need and records every element that fires at the bar,
+    // transforming only the lockstep groups the skip words cannot
     // discharge; the words never touch memory. It runs only where that
-    // record is valid and cheap: the bar is known (common bar: a spec
-    // that resamples ρ leaves the entry bar at its first positive; per
-    // query, a record stays valid while ρ does not fall below the entry
-    // ρ), and a sound skip word exists (without one — some answer at or
-    // above the bar — it would transform every word of a chunk a cutoff
-    // may never need). Any upper bound on the answers is a sound skip-word
-    // input (vec::MegaSkipWordThreshold), so the pipeline's uppers,
-    // quantized or exact, feed it directly; per query, each span pairs its
-    // answer upper with its bar lower at the entry ρ.
+    // record is valid and cheap: ρ is known (a spec that resamples it can
+    // move the bar at any positive, so its stage has no ρ and the record
+    // would go stale), and a sound skip word exists (without one — some
+    // answer at or above the bar — it would transform every word of a chunk
+    // a cutoff may never need). Any upper bound on the answers is a sound
+    // skip-word input (vec::MegaSkipWordThreshold), so the pipeline's
+    // uppers, quantized or exact, feed it directly; per query, each span
+    // pairs its answer upper with its bar lower at ρ.
     uint64_t skip_words[kChunkSpans];
-    const uint64_t common_skip =
-        t == nullptr && rho.has_value() && !spec.resample_rho_after_positive
-            ? pipe.ChunkSkipWord(threshold + *rho)
-            : vec::kMegaNeverSkipWord;
     uint64_t chunk_skip = vec::kMegaNeverSkipWord;
-    for (size_t k = 0; k < nspans; ++k) {
-      skip_words[k] = t != nullptr && rho.has_value()
-                          ? pipe.SpanSkipWordPerQuery(k, *rho)
-                          : common_skip;
-      chunk_skip = std::min(chunk_skip, skip_words[k]);
+    if (rho.has_value() && t == nullptr) {
+      chunk_skip = pipe.ChunkSkipWord(threshold + *rho);
+      std::fill_n(skip_words, nspans, chunk_skip);
+    } else if (rho.has_value()) {
+      for (size_t k = 0; k < nspans; ++k) {
+        skip_words[k] = pipe.SpanSkipWordPerQuery(k, *rho);
+        chunk_skip = std::min(chunk_skip, skip_words[k]);
+      }
     }
     rec->fused = chunk_skip < vec::kMegaNeverSkipWord;
     rec->found = 0;
@@ -291,8 +235,7 @@ struct NoiseStage {
       // — and reduce each span's magnitude words to its minimum: the same
       // minima the fused pass records (unsigned min is association-free),
       // so skip decisions and counters match between the ways bit for bit.
-      // Every skip word is never-skip here, so the stage counts no skipped
-      // word (a walk entering without the stage's ρ counts its own).
+      // No word is discharged here, so the stage counts no skipped word.
       BlockRng gen(entry);
       gen.Fill({rec->words, wpv * n});
       rec->end = gen.state();
@@ -305,16 +248,7 @@ struct NoiseStage {
             wpv);
       }
     }
-    if (t != nullptr) {
-      pipe.SetSpanNoiseMinima(rec->span_min, 0, nspans);
-    } else {
-      pipe.SetNoiseMinima(rec->span_min);
-    }
-
-    if (eager_nu) {
-      pipe.EnsureSpanNuBounds();
-      if (!rec->complete()) rec->FillNu();
-    }
+    pipe.SetNoiseMinima(rec->span_min);
   }
 };
 
@@ -559,6 +493,11 @@ class NoiseRing {
           ChunkNoise* rec = slots_[c % kSlots].get();
           stage_.Run(offset, n, gen.state(), rho_, rec);
           gen.Restore(rec->end);
+          // Off the walk's thread, also the work the walk would do first
+          // in the chunk: the span ν bounds, and the ν block of a chunk
+          // without a complete record.
+          rec->pipe->EnsureSpanNuBounds();
+          if (!rec->complete()) rec->Nu();
           std::lock_guard<std::mutex> lock(mu_);
           if (!FreeIfTaken(c, &wake)) turn_[c % kSlots].store(2 * c + 1);
         }
@@ -612,13 +551,8 @@ class ChunkFeed {
             size_t total, bool ahead, SvtRunState* state)
       : stage_(stage), state_(state) {
     if (ahead && NoiseRing::TryClaim()) {
-      // The bar can move only in specs that resample ρ; their stage works
-      // without it.
-      const std::optional<double> rho =
-          stage.spec.resample_rho_after_positive
-              ? std::nullopt
-              : std::optional<double>(state->rho);
-      ring_.emplace(stage, prefilter, total, state->nu_rng.state(), rho);
+      ring_.emplace(stage, prefilter, total, state->nu_rng.state(),
+                    StageRho());
     }
     local_.emplace();
     local_->Prepare(stage.spec, prefilter);
@@ -631,7 +565,7 @@ class ChunkFeed {
     if (ring_.has_value()) {
       if (ChunkNoise* rec = ring_->TryTake(c)) return *rec;
     }
-    stage_.Run(offset, n, state_->nu_rng.state(), state_->rho, &*local_);
+    stage_.Run(offset, n, state_->nu_rng.state(), StageRho(), &*local_);
     return *local_;
   }
 
@@ -642,6 +576,15 @@ class ChunkFeed {
   }
 
  private:
+  // The ρ the noise stage may fuse at: the run's, when the spec never
+  // moves it, so that it is the ρ of every chunk of the call, inline or run
+  // ahead, and a complete record replays exactly as recorded. A spec that
+  // resamples ρ runs its stage without it.
+  std::optional<double> StageRho() const {
+    if (stage_.spec.resample_rho_after_positive) return std::nullopt;
+    return state_->rho;
+  }
+
   const NoiseStage& stage_;
   SvtRunState* const state_;
   std::optional<NoiseRing> ring_;
@@ -667,7 +610,6 @@ struct CommonBar {
   bool SpanCanFire(BoundPipeline& pipe, size_t j, double rho) const {
     return pipe.SpanCanFire(j, threshold + rho);
   }
-  double Bar(size_t, double rho) const { return threshold + rho; }
   std::span<const double> Bars(size_t, size_t) const { return {}; }
   double BarOffset(double rho) const { return threshold + rho; }
 };
@@ -681,7 +623,6 @@ struct PerQueryBars {
   bool SpanCanFire(BoundPipeline& pipe, size_t j, double rho) const {
     return pipe.SpanCanFirePerQuery(j, rho);
   }
-  double Bar(size_t i, double rho) const { return thresholds[i] + rho; }
   std::span<const double> Bars(size_t lo, size_t hi) const {
     return {thresholds + lo, hi - lo};
   }
@@ -751,29 +692,6 @@ bool BatchRunner::RunStageAhead(size_t total) const {
          ThreadPool::Global().size() > 1;
 }
 
-// Builds the positive Response for `answer` whose comparison noise was
-// `nu_j`, updating counters, cutoff, and (for Alg. 2) ρ — in the exact
-// order of the streaming Process() slow path.
-Response BatchRunner::MakePositiveResponse(double answer, double nu_j) {
-  ++state_->processed;
-  ++state_->positives;
-  if (spec_.cutoff.has_value() && state_->positives >= *spec_.cutoff) {
-    state_->exhausted = true;
-  }
-  if (spec_.resample_rho_after_positive) {
-    state_->rho =
-        SampleNoise(*base_rng_, spec_.rho_kind, spec_.rho_resample_scale);
-  }
-  if (spec_.output_query_value_on_positive) {
-    return Response::AboveValue(answer + nu_j);
-  }
-  if (spec_.numeric_scale > 0.0) {
-    return Response::AboveValue(answer +
-                                SampleLaplace(*base_rng_, spec_.numeric_scale));
-  }
-  return Response::Above();
-}
-
 // Scans one span (all pointers span-local, res pre-zeroed to ⊥) and writes
 // positive responses in place. Returns the number of span elements
 // processed: n unless the cutoff exhausted the run inside the span.
@@ -788,16 +706,17 @@ size_t BatchRunner::ScanChunk(const double* answers, size_t n,
   const double rho0 = state_->rho;
   size_t i = 0;
   while (i < n) {
-    // Resume under a resampled ρ: whatever find_next does about it —
-    // cached-hit revalidation or a compare over the ν block — counts here,
-    // once, so the counter is independent of the stage's path and of the
-    // dispatch level.
+    // A resume under a resampled ρ (which compares against the ν block)
+    // counts here, once, so the counter is independent of the dispatch
+    // level.
     if (i > 0 && state_->rho != rho0) ++state_->batch.replay_rederivations;
     const vec::FusedScanHit hit = find_next(i, state_->rho);
     state_->processed += static_cast<int64_t>(hit.index - i);
     if (hit.index == n) return n;
 
-    res[hit.index] = MakePositiveResponse(answers[hit.index], hit.nu);
+    ++state_->processed;
+    res[hit.index] =
+        TakePositive(spec_, base_rng_, state_, answers[hit.index], hit.nu);
     i = hit.index + 1;
     if (state_->exhausted) return i;
   }
@@ -843,8 +762,7 @@ size_t BatchRunner::RunBars(std::span<const double> answers, Bars bars,
   // dispatched compare-scan applies the exact streaming test.
   const bool nu_free = spec_.nu_scale <= 0.0;
   const bool ahead = !nu_free && RunStageAhead(total);
-  const NoiseStage stage{spec_, answers, bars.thresholds, bars.threshold,
-                         ahead};
+  const NoiseStage stage{spec_, answers, bars.thresholds, bars.threshold};
   ChunkFeed feed(stage, prefilter, total, ahead, state_);
   BatchRunStats* const stats = &state_->batch;
 
@@ -866,12 +784,11 @@ size_t BatchRunner::RunBars(std::span<const double> answers, Bars bars,
     // The stage consumed the chunk's words, whichever way it took.
     state_->nu_rng.RestoreState(rec.end);
     if (rec.entry.phase != 0) ++stats->unaligned_chunks;
-    const double rho0 = state_->rho;
     // The stage's pipeline owns the bound chain (the tier-1 chunk and
     // tier-2 span tests): provably conservative, so a skip emits exactly
     // what the exact comparison would (proof in core/bound_pipeline.h),
     // and its decisions do not depend on which way the stage took.
-    if (!chunk_bars.ChunkCanFire(*rec.pipe, rho0)) {
+    if (!chunk_bars.ChunkCanFire(*rec.pipe, state_->rho)) {
       // The tier-1 bound dominates every computed positive test, so a
       // skipped chunk cannot have recorded hits.
       SVT_DCHECK(!rec.fused || rec.found == 0);
@@ -881,49 +798,28 @@ size_t BatchRunner::RunBars(std::span<const double> answers, Bars bars,
       continue;
     }
     ++stats->tier2_chunks_scanned;
-    if (bars.thresholds != nullptr && !rec.rho.has_value()) {
-      // A per-query stage that ran ahead without ρ could not count the
-      // words the chunk-entry skip words discharge; count them over its
-      // words now. (A common-bar stage runs without ρ only for a spec that
-      // resamples it, whose chunks never fuse: there is nothing to count.)
-      uint64_t skipped = 0;
-      for (size_t k = 0; k < rec.pipe->num_spans(); ++k) {
-        const size_t s = k * kBoundSpan;
-        skipped += vec::SkipWordCountBlock(
-            {rec.words + rec.wpv * s, rec.wpv * std::min(kBoundSpan, n - s)},
-            rec.wpv, rec.pipe->SpanSkipWordPerQuery(k, rho0));
-      }
-      stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
-    }
     // Tier 2: the ρ-free span bounds skip most spans of a near-threshold
-    // chunk. A surviving span replays a complete fused record while ρ is at
-    // or above the ρ it was recorded at (a common bar's record exists only
-    // when ρ cannot move): fl(t_i + ρ) is monotone in ρ, so an unrecorded
-    // element fails at ρ too, and a recorded hit carries the ν a rescan
-    // would compute, so re-testing it IS the rescan. Otherwise it compares
-    // against the chunk's ν block, each span transformed once, when first
-    // needed. A span holding a positive always passes its bound, so the
-    // counters do not depend on which way a span was scanned.
-    const bool cache_complete = rec.complete();
+    // chunk. A surviving span replays the chunk's complete fused record,
+    // which exists only while ρ cannot move, so its next recorded hit is
+    // the next positive. Otherwise it compares against the chunk's ν
+    // block, transformed whole when first needed. A span holding a
+    // positive always passes its bound, so the counters do not depend on
+    // which way a span was scanned.
+    const bool cached = rec.complete();
     size_t next = 0;  // first recorded hit not behind the walk
     const auto find_next = [&](size_t from, double rho) {
       const auto can_fire = [&](size_t j) {
         return chunk_bars.SpanCanFire(*rec.pipe, j, rho);
       };
-      const bool cached = cache_complete && rho >= *rec.rho;
       const auto scan = [&](size_t lo, size_t hi) -> vec::FusedScanHit {
         if (cached) {
           while (next < rec.found && rec.hits[next].index < lo) ++next;
-          for (size_t k = next; k < rec.found && rec.hits[k].index < hi; ++k) {
-            const size_t i = rec.hits[k].index;
-            if (rho == *rec.rho ||
-                a[i] + rec.hits[k].nu >= chunk_bars.Bar(i, rho)) {
-              return rec.hits[k];
-            }
+          if (next < rec.found && rec.hits[next].index < hi) {
+            return rec.hits[next];
           }
           return {hi, 0.0};
         }
-        const double* nu = rec.Nu(lo / kBoundSpan);
+        const double* nu = rec.Nu();
         const size_t i = FindFirst(chunk_bars, a, nu, lo, hi, rho);
         return {i, i < hi ? nu[i] : 0.0};
       };

@@ -20,30 +20,31 @@
 //     *threshold lower bound*, so spans that provably cannot fire under
 //     any of their bars skip the scan outright;
 //   * a slow path only at positives, handling the cutoff, Alg. 2's ρ
-//     resampling, Alg. 3's q+ν output and ε₃ numeric answers.
+//     resampling, Alg. 3's q+ν output and ε₃ numeric answers — the
+//     streaming loop's own (TakePositive, core/svt.h).
 //
-// A chunk whose bar cannot move and whose answers admit a sound skip word
-// never writes its raw words to memory: one lane-resident pass
+// A chunk of a spec that never moves ρ, whose answers admit a sound skip
+// word, never writes its raw words to memory: one lane-resident pass
 // (vec::MegaFillMinScanSpans steps the four lockstep xoshiro lanes in
 // registers) generates them, reduces them to the per-span minima the
-// bounds need, and records every element that fires under the chunk-entry
-// bar, transforming only the lockstep groups the skip word cannot
-// discharge. Resumes then replay the record, touching no word. Every other
-// chunk — one whose spec resamples ρ, one with an answer at or above the
-// bar, or one whose record overflowed — scans its surviving spans by
-// comparing against a ν block: each span's ν are transformed once, from
-// the chunk's words, the first time the walk needs the span, and every
-// later resume in the chunk, under whatever bar ρ has moved to, only
-// compares. Hit-dense calls are where this matters: a resume costs a
-// compare, not a regeneration. Either way the responses, statistics and
-// stream positions are the streaming loop's (core/svt.h).
+// bounds need, and records every element that fires under the call's bar,
+// transforming only the lockstep groups the skip word cannot discharge.
+// Resumes then replay the record, touching no word. Every other chunk —
+// one whose spec resamples ρ, one with an answer at or above the bar, or
+// one whose record overflowed — scans its surviving spans by comparing
+// against a ν block: the chunk's ν are transformed whole, from its words,
+// the first time the walk needs them, and every later resume in the
+// chunk, under whatever bar ρ has moved to, only compares. Hit-dense calls
+// are where this matters: a resume costs a compare, not a regeneration.
+// Either way the responses, statistics and stream positions are the
+// streaming loop's (core/svt.h).
 //
 // Both bar forms — one common threshold, or one threshold per query — run
 // one walk, a template over the bar source.
 //
 // Each call splits into two parts. The *noise stage* is a pure function of
-// a chunk's ν entry state, its answers (and thresholds) and, when the bar
-// cannot move, ρ: it builds the chunk's bound plan and either runs the
+// a chunk's ν entry state, its answers (and thresholds) and, when the spec
+// never moves it, ρ: it builds the chunk's bound plan and either runs the
 // fused pass (span minima, recorded hits, end state) or fills the chunk's
 // words. The serial *walk* does everything that depends on the run so far:
 // the bound decisions, replay and compares, positives, the cutoff, the ρ
@@ -55,8 +56,8 @@
 // of chunks, jumps a copy of the call's ν entry state to the group's first
 // word (BlockRng::Advance, exact because xoshiro is linear over GF(2)) and
 // writes the chunks' records into a bounded ring, which the walk consumes
-// in chunk order; a record the walk may resume under a moved bar also
-// carries its whole ν block, transformed on the worker. A chunk no worker
+// in chunk order; the worker also derives the span ν bounds and, for a
+// chunk without a complete record, transforms its ν block. A chunk no worker
 // has delivered within about one chunk's stage time the walk runs itself,
 // so a worker the scheduler preempts on a busy host costs the walk
 // microseconds, not a time slice; if that keeps happening the walk stops
@@ -213,8 +214,6 @@ class BatchRunner {
              const BoundPrefilter* prefilter, std::vector<Response>* out);
 
  private:
-  Response MakePositiveResponse(double answer, double nu_j);
-
   /// True when a call of `total` queries runs its noise stage ahead on
   /// the pool rather than inline.
   bool RunStageAhead(size_t total) const;

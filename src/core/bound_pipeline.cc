@@ -99,18 +99,6 @@ void BoundPipeline::SetNoiseMinima(const std::uint64_t* span_min) {
   span_nu_ready_ = false;
 }
 
-void BoundPipeline::SetSpanNoiseMinima(const std::uint64_t* span_min,
-                                       size_t first_span, size_t count) {
-  SVT_DCHECK(first_span + count <= nspans_);
-  for (size_t k = 0; k < count; ++k) {
-    span_min_[first_span + k] = span_min[k];
-    span_nu_bound_[first_span + k] = NuBound(span_min[k]);
-  }
-  // The per-query walks only query spans installed here (there is no
-  // chunk-level test to feed), so mark the bounds ready as installed.
-  span_nu_ready_ = true;
-}
-
 void BoundPipeline::EnsureSpanNuBounds() {
   if (span_nu_ready_) return;
   for (size_t j = 0; j < nspans_; ++j) {

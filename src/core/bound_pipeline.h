@@ -102,15 +102,9 @@ class BoundPipeline {
   /// megakernel fused pass or vec::MinWordBlock — bit-identical by the
   /// stream contract) and derives the padded chunk noise bound; per-span
   /// bounds are derived lazily on first span query so a chunk the tier-1
-  /// test discharges pays exactly one log. Call after BeginChunk, before
-  /// any *CanFire.
+  /// test discharges pays exactly one log. Both bar forms call it. Call
+  /// after BeginChunk, before any *CanFire.
   void SetNoiseMinima(const std::uint64_t* span_min);
-
-  /// Per-query form: installs minima (and eager ν bounds) for the `count`
-  /// spans starting at chunk span index `first_span` — the per-query walk
-  /// processes sub-blocks, and there is no chunk-level test to feed.
-  void SetSpanNoiseMinima(const std::uint64_t* span_min, size_t first_span,
-                          size_t count);
 
   /// Megakernel skip words, derived inside the pipeline so both kernel
   /// modes (and the quantized level, when attached) feed identical
@@ -120,9 +114,8 @@ class BoundPipeline {
   /// Per-query form: the span's bar-min folded with ρ. fl(dn + ρ) is a
   /// lower bound on every computed fl(t_i + ρ) in the span (monotone
   /// rounded add), so a word the threshold discharges at this bar cannot
-  /// fire any per-query test in the span — and, since fl(dn + ρ) is
-  /// non-decreasing in ρ, a skip word derived at the sub-block-entry ρ
-  /// stays sound for every later resampled ρ' >= ρ.
+  /// fire any per-query test in the span. The batch engine derives it only
+  /// for specs that never move ρ, so it holds for the whole call.
   std::uint64_t SpanSkipWordPerQuery(size_t j, double rho) const;
 
   /// Tier-1: false when the whole chunk provably cannot fire under the
@@ -138,7 +131,7 @@ class BoundPipeline {
 
   /// Derives the per-span ν bounds now rather than at the first span
   /// test — for a caller that builds the plan ahead of the walk that
-  /// tests it.
+  /// tests it (the batch engine's ring workers).
   void EnsureSpanNuBounds();
 
   /// True when the quantized level is active for this run.

@@ -11,21 +11,6 @@ namespace svt {
 
 namespace {
 
-// One noise variate of the given kind from `rng` — the streaming side of
-// the pluggable distribution axis. The draw cost is part of the draw-order
-// contract (core/svt.h step 1/2): two 64-bit draws for a Laplace variate,
-// one for an exponential variate.
-double SampleNoise(Rng& rng, NoiseKind kind, double scale) {
-  switch (kind) {
-    case NoiseKind::kLaplace:
-      return SampleLaplace(rng, scale);
-    case NoiseKind::kExponential:
-      return SampleExponential(rng, scale);
-  }
-  SVT_CHECK(false) << "unknown NoiseKind";
-  return 0.0;
-}
-
 // A call's bar for query i, and the bars of its queries from `head` on:
 // one common threshold, or one threshold per query.
 double BarAt(double threshold, size_t) { return threshold; }
@@ -68,28 +53,32 @@ Response SparseVector::Process(double query_answer, double threshold) {
           ? SampleNoise(state_.nu_rng, spec_.nu_kind, spec_.nu_scale)
           : 0.0;
   if (query_answer + nu >= threshold + state_.rho) {
-    ++state_.positives;
-    if (spec_.cutoff.has_value() && state_.positives >= *spec_.cutoff) {
-      state_.exhausted = true;
-    }
-    if (spec_.resample_rho_after_positive) {
-      state_.rho =
-          SampleNoise(*rng_, spec_.rho_kind, spec_.rho_resample_scale);
-    }
-    if (spec_.output_query_value_on_positive) {
-      // Alg. 3: emits the very noise used in the comparison — this is the
-      // leak that makes it non-private.
-      return Response::AboveValue(query_answer + nu);
-    }
-    if (spec_.numeric_scale > 0.0) {
-      // Alg. 7 line 6: answer the positive with a fresh Laplace draw funded
-      // by ε₃ (never the comparison noise ν — that is Alg. 3's mistake).
-      return Response::AboveValue(query_answer +
-                                  SampleLaplace(*rng_, spec_.numeric_scale));
-    }
-    return Response::Above();
+    return TakePositive(spec_, rng_, &state_, query_answer, nu);
   }
   return Response::Below();
+}
+
+Response TakePositive(const VariantSpec& spec, Rng* base_rng,
+                      SvtRunState* state, double answer, double nu) {
+  ++state->positives;
+  if (spec.cutoff.has_value() && state->positives >= *spec.cutoff) {
+    state->exhausted = true;
+  }
+  if (spec.resample_rho_after_positive) {
+    state->rho = SampleNoise(*base_rng, spec.rho_kind, spec.rho_resample_scale);
+  }
+  if (spec.output_query_value_on_positive) {
+    // Alg. 3: emits the very noise used in the comparison — this is the
+    // leak that makes it non-private.
+    return Response::AboveValue(answer + nu);
+  }
+  if (spec.numeric_scale > 0.0) {
+    // Alg. 7 line 6: answer the positive with a fresh Laplace draw funded
+    // by ε₃ (never the comparison noise ν — that is Alg. 3's mistake).
+    return Response::AboveValue(answer +
+                                SampleLaplace(*base_rng, spec.numeric_scale));
+  }
+  return Response::Above();
 }
 
 void SparseVector::Reset() {
@@ -151,7 +140,7 @@ size_t SparseVector::StreamedHead(size_t n,
   // loop draws the few variates up to the next one. A prefilter's span
   // grid is anchored at the array start, so a prefiltered call keeps it.
   if (spec_.nu_scale <= 0.0 || prefilter != nullptr) return 0;
-  const size_t wpv = spec_.nu_kind == NoiseKind::kExponential ? 1 : 2;
+  const size_t wpv = WordsPerVariate(spec_.nu_kind);
   const size_t to_boundary =
       (BlockRng::kLanes - state_.nu_rng.state().phase) % BlockRng::kLanes;
   SVT_DCHECK(to_boundary % wpv == 0);

@@ -66,17 +66,16 @@ struct BatchRunStats {
   int64_t bound_bytes_touched = 0;
   /// Elements of per-query chunks whose magnitude word's top 53 bits
   /// reached their span's conservative skip word (the span's answer-max
-  /// paired with its bar-min at the chunk-entry ρ): their transform is
+  /// paired with its bar-min at ρ) in the fused pass: their transform is
   /// provably discharged. Element-granular — a pure function of the words
   /// and the skip-word vector — so dispatch-level independent, and the
-  /// same whether the noise stage ran ahead or inline (a chunk whose stage
-  /// ran ahead without ρ counts its words with vec::SkipWordCountBlock).
+  /// same whether the noise stage ran ahead or inline. Always 0 for a spec
+  /// that resamples ρ: its chunks never take the fused pass.
   int64_t mega_words_skipped_q = 0;
   /// Resume scans entered under a ρ that differs from the ρ the chunk was
   /// entered with: the resumes that compare against the chunk's ν block
-  /// under a moved bar, or, per query, re-test recorded positives against
-  /// a raised ρ. Counted centrally at the resume site, so dispatch-level
-  /// independent.
+  /// under a moved bar. Counted centrally at the resume site, so
+  /// dispatch-level independent.
   int64_t replay_rederivations = 0;
   /// Chunks whose noise stage entered the ν stream off a lane boundary:
   /// their fused pass runs the scalar lane at every dispatch level. Through
@@ -118,6 +117,14 @@ struct SvtRunState {
   bool exhausted = false;
   BatchRunStats batch;  ///< batch-engine tier counters (diagnostics)
 };
+
+/// The slow path at a positive, shared by Process() and the batch engine:
+/// counts the positive, exhausts the run at the cutoff, redraws ρ (Alg. 2)
+/// and builds the Response — Alg. 3's q + ν, an ε₃ answer q + Lap, or ⊤ —
+/// drawing from `base_rng` in the order of contract step 3 below. `nu` is
+/// the comparison noise that fired. The caller counts the query processed.
+Response TakePositive(const VariantSpec& spec, Rng* base_rng,
+                      SvtRunState* state, double answer, double nu);
 
 /// Configuration for SparseVector. Defaults give Alg. 1 at ε = 1.
 struct SvtOptions {
@@ -222,16 +229,17 @@ struct SvtOptions {
 /// tests/core_batch_runner_test.cc diffs the engine against streaming, and
 /// no golden re-record accompanied the fused pass.
 ///
-/// Filling the ν block is draw-order-neutral: where the walk resumes
-/// under a moved bar (or without a complete hit record), it compares
-/// against a per-chunk block of ν instead of rescanning, each span
-/// transformed once, the first time the walk reaches it. The block
-/// is transformed from the chunk's own words — the ones the chunk fill
-/// consumed, or, when the fused pass consumed them in registers, the same
-/// words regenerated from the chunk-entry BlockRng::State — through the
-/// block kernels of step (4). The stream position after the chunk is the
-/// fused pass's or the fill's either way, so steps 1-5 are unchanged and
-/// no golden re-record accompanied it.
+/// Filling the ν block is draw-order-neutral: a chunk without a complete
+/// hit record (every chunk of a spec that resamples ρ, and any chunk whose
+/// record overflowed or that had no sound skip word) compares against a
+/// per-chunk block of ν instead of rescanning, transformed whole the first
+/// time the walk needs it. The block is transformed from the chunk's own
+/// words — the ones the chunk fill consumed, or, when the fused pass
+/// consumed them in registers, the same words regenerated from the
+/// chunk-entry BlockRng::State — through the block kernels of step (4).
+/// The stream position after the chunk is the fused pass's or the fill's
+/// either way, so steps 1-5 are unchanged and no golden re-record
+/// accompanied it.
 ///
 /// Running the noise stage ahead of the walk is draw-order-neutral: a long
 /// call's per-chunk noise stage (core/batch_runner.h) may run on pool

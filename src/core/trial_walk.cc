@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "common/check.h"
-#include "common/distributions.h"
 #include "common/vecmath.h"
 #include "core/batch_runner.h"
 #include "core/svt.h"
@@ -20,23 +19,6 @@ constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
 // ρ variate, a seed word and, at each of its fewer than kStreamingCutover
 // positives, a resampled ρ and an ε₃ answer: 3 + 7 * 4 = 31 words.
 constexpr size_t kLockstepLaneWords = 256;
-
-// Raw 64-bit words one variate of `kind` consumes (contract step 1/2,
-// core/svt.h): two for Laplace (magnitude, sign), one for exponential.
-size_t WordsPerVariate(NoiseKind kind) {
-  return kind == NoiseKind::kExponential ? 1 : 2;
-}
-
-// out[i] is the variate the scalar sampler draws from words
-// [i * WordsPerVariate(kind), ...) (contract step 4).
-void TransformNoise(NoiseKind kind, double scale,
-                    std::span<const uint64_t> words, std::span<double> out) {
-  if (kind == NoiseKind::kExponential) {
-    Exponential::FromScale(scale).TransformBlock(words, out);
-  } else {
-    Laplace::Centered(scale).TransformBlock(words, out);
-  }
-}
 
 // Copies one variate's words (one or two): a runtime-length copy_n would
 // call memmove for every run.
@@ -110,6 +92,8 @@ TrialWalker::TrialWalker(const VariantSpec& spec,
       rho_words_(WordsPerVariate(spec.rho_kind)),
       stride_(rho_words_ + 1),
       nu_wpv_(spec.nu_scale > 0.0 ? WordsPerVariate(spec.nu_kind) : 0) {
+  const Status valid = spec.Validate();
+  SVT_CHECK(valid.ok()) << spec.name << ": " << valid.message();
   const size_t n = window.size();
   reach_ = Reach(spec.cutoff, n);
   // The reach-th positive exhausts a run when the cutoff fits the window.

@@ -92,8 +92,9 @@ class TrialWalker {
   static size_t MaskWords(size_t window);
 
   /// A walker for `spec` over `window` against a common `threshold`. The
-  /// spec and the window must outlive it. Holds its scratch, so one walker
-  /// per thread.
+  /// spec and the window must outlive it. Aborts unless spec.Validate()
+  /// passes, as the SparseVector constructor does, whichever path the
+  /// window takes. Holds its scratch, so one walker per thread.
   TrialWalker(const VariantSpec& spec, std::span<const double> window,
               double threshold);
 

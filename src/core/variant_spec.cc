@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/distributions.h"
 
 namespace svt {
 
@@ -92,6 +93,30 @@ std::string_view NoiseKindToString(NoiseKind k) {
       return "exponential";
   }
   return "unknown";
+}
+
+size_t WordsPerVariate(NoiseKind kind) {
+  return kind == NoiseKind::kExponential ? 1 : 2;
+}
+
+double SampleNoise(Rng& rng, NoiseKind kind, double scale) {
+  switch (kind) {
+    case NoiseKind::kLaplace:
+      return SampleLaplace(rng, scale);
+    case NoiseKind::kExponential:
+      return SampleExponential(rng, scale);
+  }
+  SVT_CHECK(false) << "unknown NoiseKind";
+  return 0.0;
+}
+
+void TransformNoise(NoiseKind kind, double scale,
+                    std::span<const uint64_t> words, std::span<double> out) {
+  if (kind == NoiseKind::kExponential) {
+    Exponential::FromScale(scale).TransformBlock(words, out);
+  } else {
+    Laplace::Centered(scale).TransformBlock(words, out);
+  }
 }
 
 VariantSpec MakeAlg1Spec(double epsilon, double sensitivity, int cutoff) {
@@ -288,8 +313,13 @@ VariantSpec MakeRevisitedSpec(double epsilon, double sensitivity,
   return s;
 }
 
+bool CanSplitEpsilon(double epsilon) { return epsilon / 4.0 > 0.0; }
+
 VariantSpec MakeSpec(VariantId id, double epsilon, double sensitivity,
                      int cutoff) {
+  SVT_CHECK(CanSplitEpsilon(epsilon))
+      << "epsilon " << epsilon
+      << " is too small to split between threshold and query noise";
   switch (id) {
     case VariantId::kAlg1:
       return MakeAlg1Spec(epsilon, sensitivity, cutoff);

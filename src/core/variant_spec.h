@@ -13,10 +13,14 @@
 #ifndef SPARSEVEC_CORE_VARIANT_SPEC_H_
 #define SPARSEVEC_CORE_VARIANT_SPEC_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/budget.h"
 
@@ -66,6 +70,23 @@ enum class NoiseKind {
 };
 
 std::string_view NoiseKindToString(NoiseKind k);
+
+/// Raw 64-bit words one variate of `kind` consumes (draw-order contract
+/// steps 1 and 2, core/svt.h): 2 for Laplace (magnitude word, then sign
+/// word), 1 for exponential (one-sided, no sign word).
+std::size_t WordsPerVariate(NoiseKind kind);
+
+/// One variate of `kind` at `scale`, drawn from `rng` as the streaming
+/// Process() loop draws every ρ, ν and resample (contract steps 1-3).
+double SampleNoise(Rng& rng, NoiseKind kind, double scale);
+
+/// Block form of SampleNoise: out[i] is the variate SampleNoise draws from
+/// words [i * WordsPerVariate(kind), ...), through the distribution's
+/// TransformBlock, which equals its Sample() loop bit for bit (contract
+/// step 4).
+void TransformNoise(NoiseKind kind, double scale,
+                    std::span<const std::uint64_t> words,
+                    std::span<double> out);
 
 /// Noise structure of one SVT variant. Each scale is interpreted under its
 /// role's NoiseKind: b in Lap(b) for kLaplace, b in Exp(b) (the mean) for
@@ -182,7 +203,12 @@ VariantSpec MakeExpNoiseSpec(double epsilon, double sensitivity, int cutoff);
 /// outside this library's pure-ε auditor.
 VariantSpec MakeRevisitedSpec(double epsilon, double sensitivity, int cutoff);
 
-/// Spec for a variant id with the default paper parameterization.
+/// True when ε is large enough for every variant to split: ε > 0 and no
+/// share of it rounds to 0 (Alg. 4's ε/4 is the smallest share).
+bool CanSplitEpsilon(double epsilon);
+
+/// Spec for a variant id with the default paper parameterization. Aborts
+/// unless CanSplitEpsilon(epsilon).
 VariantSpec MakeSpec(VariantId id, double epsilon, double sensitivity,
                      int cutoff);
 

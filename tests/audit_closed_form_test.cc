@@ -258,6 +258,14 @@ TEST(ClosedFormTest, IndicatorPatternOnNumericVariantDies) {
       "emits numeric");
 }
 
+TEST(ClosedFormTest, UnrunnableSpecDies) {
+  VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 1);
+  spec.rho_scale = kInf;
+  const std::vector<double> q(4, 0.0);
+  EXPECT_DEATH(LogOutputProbability(spec, q, 0.0, PatternFromString("____")),
+               "Alg1-LyuSuLi: rho_scale must be positive");
+}
+
 // Alg. 2's resampling factorizes across segments: for patterns with no
 // positives it must agree with a no-resampling spec of the same scales.
 TEST(ClosedFormTest, Alg2AllNegativeMatchesNoResample) {

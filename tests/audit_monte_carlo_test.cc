@@ -4,6 +4,7 @@
 #include "audit/monte_carlo.h"
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,21 @@ TEST(McEstimateTest, RejectsBadPattern) {
   EXPECT_DEATH(
       EstimateOutputProbability(spec, one, 0.0, "X", rng, FastMc()),
       "invalid pattern");
+}
+
+TEST(McEstimateTest, RejectsAnUnrunnableSpecAtEveryWindowLength) {
+  // A 4-query window runs the trial walker's fixed-stride kernel and an
+  // 8-query one the SparseVector loop; both check the spec alike.
+  VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 1);
+  spec.rho_scale = std::numeric_limits<double>::infinity();
+  const std::vector<double> zeros(8, 0.0);
+  for (const char* pattern : {"____", "________"}) {
+    Rng rng(11);
+    EXPECT_DEATH(
+        EstimateOutputProbability(spec, zeros, 0.0, pattern, rng, FastMc()),
+        "Alg1-LyuSuLi: rho_scale must be positive")
+        << pattern;
+  }
 }
 
 TEST(McEstimateTest, RejectsBadConfidenceBeforeRunningTrials) {

@@ -838,10 +838,10 @@ TEST(BatchRunnerTest, FusedPassesMatchStreamingExactly) {
 }
 
 TEST(BatchRunnerTest, RhoResamplingMatchesStreaming) {
-  // ρ resampling moves the bar after every positive. Upward moves keep a
-  // chunk's recorded hits usable only while the bar is the chunk-entry
-  // bar; every other resume compares against the chunk's ν block. A
-  // hit-dense near-threshold workload forces many resumes per chunk;
+  // ρ resampling moves the bar after every positive, so such a spec's
+  // chunks keep no hit record: every resume compares against the chunk's
+  // ν block. A hit-dense near-threshold workload forces many resumes per
+  // chunk;
   // responses, run counters and stream positions must still match the
   // streaming loop exactly at every dispatch level.
   ScopedDispatchLevel restore_level;
@@ -887,14 +887,13 @@ TEST(BatchRunnerTest, RhoResamplingMatchesStreaming) {
 
 TEST(BatchRunnerTest, PerQueryResamplingMatchesStreamingAtEveryLevel) {
   // RevSVT-style workload: per-query thresholds with ρ resampled after
-  // every positive. Each positive moves ρ mid-chunk, so the walk must
-  // either re-test its recorded hits against the resampled ρ (upward
-  // moves — the span skip words derived at the entry ρ stay sound because
-  // fl(bar_min + ρ) is monotone in ρ) or compare against the chunk's ν
-  // block (downward moves). Every third span sits far below its bars so
-  // the skip-word vector actually bites. Responses, run counters and
-  // stream positions must match the streaming loop exactly at every
-  // dispatch level, and the counters must be identical across levels.
+  // every positive. Each positive moves ρ mid-chunk, so no chunk of such a
+  // spec takes the fused pass: every resume compares against the chunk's
+  // ν block, and no skip word discharges a word. Every third span sits far
+  // below its bars, so the span bounds skip spans all the same. Responses,
+  // run counters and stream positions must match the streaming loop
+  // exactly at every dispatch level, and the counters must be identical
+  // across levels.
   ScopedDispatchLevel restore_level;
 
   const size_t n = 2 * BatchRunner::kChunkSize + 57;
@@ -938,29 +937,45 @@ TEST(BatchRunnerTest, PerQueryResamplingMatchesStreamingAtEveryLevel) {
       EXPECT_GT(batch->positives_emitted(), 10)
           << ctx << " workload must resample repeatedly";
       const BatchRunStats& st = batch->batch_stats();
-      EXPECT_GT(st.mega_words_skipped_q, 0) << ctx;
+      EXPECT_GT(st.tier2_spans_skipped, 0) << ctx;
+      EXPECT_EQ(st.mega_words_skipped_q, 0) << ctx;
       EXPECT_GT(st.replay_rederivations, 0) << ctx;
       ExpectStatsMatchFirstLevel(st, &first_level, ctx);
     }
   }
 }
 
+// The most positives any kChunkSize consecutive responses of `responses`
+// hold, counted from its start.
+int64_t MostPositivesPerChunk(const std::vector<Response>& responses) {
+  int64_t most = 0;
+  for (size_t lo = 0; lo < responses.size(); lo += BatchRunner::kChunkSize) {
+    const size_t hi = std::min(lo + BatchRunner::kChunkSize, responses.size());
+    most = std::max<int64_t>(
+        most, std::count_if(responses.begin() + lo, responses.begin() + hi,
+                            [](const Response& r) { return r.is_positive(); }));
+  }
+  return most;
+}
+
 TEST(BatchRunnerTest, ResamplingHitOverflowMatchesStreaming) {
   // A chunk's recorded hits only serve its walk while they fit the fixed
-  // record (kChunkSize/16 entries). This workload defeats it on purpose:
+  // record (kChunkSize/16 entries). The overflow runs defeat it on purpose:
   // the answers sit close enough under the bar that the fused pass still
-  // runs (the skip word is finite) yet hundreds of elements fire, so the
-  // record overflows and every resume must compare against the chunk's ν
-  // block instead — in the common arm and, with half the spans far below
-  // to keep the skip-word vector live, in the per-query arm. Responses,
-  // run counters and stream positions must still match the streaming loop
+  // runs (the skip word is finite) yet hundreds of elements per chunk
+  // fire, so the record overflows and every resume must compare against
+  // the chunk's ν block instead — in the common arm and, with half the
+  // spans far below to keep the skip-word vector live, in the per-query
+  // arm. Only a spec that never moves ρ takes the fused pass, so the
+  // overflow runs use one. The same workloads under a spec that resamples
+  // ρ resume against the ν block with ρ moved at every positive. Responses,
+  // run counters and stream positions must match the streaming loop
   // exactly at every dispatch level.
   ScopedDispatchLevel restore_level;
 
   SvtOptions o;
   o.epsilon = 0.75;
   o.cutoff = 1 << 20;
-  o.resample_threshold_noise = true;
   Rng rng_probe(8);
   const double nu_scale =
       SparseVector::Create(o, &rng_probe).value()->query_noise_scale();
@@ -984,29 +999,42 @@ TEST(BatchRunnerTest, ResamplingHitOverflowMatchesStreaming) {
                               nu_scale;
   }
 
-  std::optional<BatchRunStats> first_level;
-  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
-    if (!vec::SetDispatchLevel(level)) continue;
-    const std::string ctx(vec::DispatchLevelName(level));
-    Rng rng_batch(9090), rng_stream(9090);
-    auto batch = SparseVector::Create(o, &rng_batch).value();
-    auto stream = SparseVector::Create(o, &rng_stream).value();
-    std::vector<Response> want;
-    StreamAppend(stream.get(), dense, 0.0, &want);
-    ExpectSameResponses(batch->Run(dense, 0.0), want, ctx + " overflow common");
-    want.clear();
-    StreamAppend(stream.get(), mixed, bars, &want);
-    ExpectSameResponses(batch->Run(mixed, bars), want,
-                        ctx + " overflow per-query");
-    ExpectSameRunState(*batch, rng_batch, *stream, rng_stream, ctx);
-    // Dense positives: far more than the record can hold per chunk.
-    EXPECT_GT(batch->positives_emitted(),
-              static_cast<int64_t>(BatchRunner::kChunkSize / 16))
-        << ctx;
-    const BatchRunStats& st = batch->batch_stats();
-    EXPECT_GT(st.replay_rederivations, 0) << ctx;
-    EXPECT_GT(st.mega_words_skipped_q, 0) << ctx;
-    ExpectStatsMatchFirstLevel(st, &first_level, ctx);
+  for (const bool resample : {false, true}) {
+    o.resample_threshold_noise = resample;
+    std::optional<BatchRunStats> first_level;
+    for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+      if (!vec::SetDispatchLevel(level)) continue;
+      const std::string ctx = std::string(vec::DispatchLevelName(level)) +
+                              (resample ? " resample" : " overflow");
+      Rng rng_batch(9090), rng_stream(9090);
+      auto batch = SparseVector::Create(o, &rng_batch).value();
+      auto stream = SparseVector::Create(o, &rng_stream).value();
+      std::vector<Response> want;
+      StreamAppend(stream.get(), dense, 0.0, &want);
+      const std::vector<Response> common = batch->Run(dense, 0.0);
+      ExpectSameResponses(common, want, ctx + " common");
+      want.clear();
+      StreamAppend(stream.get(), mixed, bars, &want);
+      const std::vector<Response> per_query = batch->Run(mixed, bars);
+      ExpectSameResponses(per_query, want, ctx + " per-query");
+      ExpectSameRunState(*batch, rng_batch, *stream, rng_stream, ctx);
+      // Dense positives: some chunk of each call holds more than its
+      // record can.
+      const int64_t record = BatchRunner::kChunkSize / 16;
+      EXPECT_GT(MostPositivesPerChunk(common), record) << ctx << " common";
+      EXPECT_GT(MostPositivesPerChunk(per_query), record)
+          << ctx << " per-query";
+      const BatchRunStats& st = batch->batch_stats();
+      if (resample) {
+        EXPECT_GT(st.replay_rederivations, 0) << ctx;
+        EXPECT_EQ(st.mega_words_skipped_q, 0) << ctx;
+      } else {
+        // The per-query fused pass ran, and ρ never moved.
+        EXPECT_GT(st.mega_words_skipped_q, 0) << ctx;
+        EXPECT_EQ(st.replay_rederivations, 0) << ctx;
+      }
+      ExpectStatsMatchFirstLevel(st, &first_level, ctx);
+    }
   }
 }
 
@@ -1338,11 +1366,11 @@ TEST(BatchRunnerTest, CutoffInsideTheAlignmentHeadMatchesStreaming) {
 }
 
 TEST(BatchRunnerTest, ResumeWalkMatchesStreaming) {
-  // The walk scans a surviving span from its fused pass's hit record while
-  // the bar stays at the chunk-entry bar, and otherwise by comparing
-  // against the chunk's ν block, each span transformed once. Every
-  // scenario below reaches the ν block: ρ resampled densely (the bar drops
-  // below the entry bar many times per chunk), a record that overflows,
+  // The walk scans a surviving span from its fused pass's complete hit
+  // record, which only a spec that never moves ρ keeps, and otherwise by
+  // comparing against the chunk's ν block, transformed whole. Every
+  // scenario below reaches the ν block: ρ resampled densely (the bar moves
+  // many times per chunk), a record that overflows,
   // chunks with no sound skip word, and a cutoff that exhausts the run
   // inside a span. Each runs as several calls that cross chunk boundaries,
   // for both arms, both ν kinds, the prefilter on and off, at every

@@ -282,6 +282,18 @@ TEST(VariantSpecDeathTest, ConstructorChecksTheSpec) {
   EXPECT_DEATH({ SparseVector mech(spec, &rng); }, "nu_scale");
 }
 
+TEST(VariantSpecDeathTest, MakeSpecRejectsAnEpsilonTooSmallToSplit) {
+  // Half (and a quarter) of the smallest subnormal rounds to 0.
+  for (VariantId id : kAllVariantIds) {
+    EXPECT_DEATH(MakeSpec(id, 5e-324, 1.0, 2),
+                 "epsilon 4.94066e-324 is too small to split")
+        << VariantIdToString(id);
+  }
+  EXPECT_FALSE(CanSplitEpsilon(5e-324));
+  EXPECT_FALSE(CanSplitEpsilon(0.0));
+  EXPECT_TRUE(CanSplitEpsilon(1e-300));
+}
+
 TEST(SparseVectorSpecTest, RunsArbitrarySpec) {
   Rng rng(12);
   VariantSpec spec = MakeAlg1Spec(2.0, 1.0, 2);
