@@ -30,6 +30,17 @@
 namespace svt {
 namespace {
 
+// n doubles from gen's next n words through `to_unit`
+// (Rng::ToUnitDouble or Rng::ToUnitDoublePositive).
+std::vector<double> UnitDoubles(Rng& gen, size_t n,
+                                double (*to_unit)(uint64_t)) {
+  std::vector<uint64_t> words(n);
+  gen.FillUint64(words);
+  std::vector<double> out(n);
+  std::transform(words.begin(), words.end(), out.begin(), to_unit);
+  return out;
+}
+
 void BM_RngNextDouble(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
@@ -250,9 +261,8 @@ void BM_FullPrecisionSpanBound(benchmark::State& state) {
   // The pre-refactor bound pass: vec::MaxBlock over the same spans at 8
   // bytes per element.
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> a(n);
   Rng gen(9);
-  gen.FillDouble(a);
+  const std::vector<double> a = UnitDoubles(gen, n, Rng::ToUnitDouble);
   double acc = 0.0;
   for (auto _ : state) {
     for (size_t s = 0; s < n; s += BatchRunner::kBoundSpan) {
@@ -472,9 +482,9 @@ BENCHMARK(BM_SvtRunAppendServingMix);
 
 void BM_VecLogBlock(benchmark::State& state) {
   Rng rng(11);
-  std::vector<double> in(static_cast<size_t>(state.range(0)));
+  const std::vector<double> in = UnitDoubles(
+      rng, static_cast<size_t>(state.range(0)), Rng::ToUnitDoublePositive);
   std::vector<double> out(in.size());
-  rng.FillDoublePositive(in);
   for (auto _ : state) {
     vec::LogBlock(in, out);
     benchmark::DoNotOptimize(out.data());
@@ -488,9 +498,9 @@ BENCHMARK(BM_VecLogBlock)->Arg(4096);
 void BM_LibmLogLoop(benchmark::State& state) {
   // The libm baseline BM_VecLogBlock is measured against.
   Rng rng(11);
-  std::vector<double> in(static_cast<size_t>(state.range(0)));
+  const std::vector<double> in = UnitDoubles(
+      rng, static_cast<size_t>(state.range(0)), Rng::ToUnitDoublePositive);
   std::vector<double> out(in.size());
-  rng.FillDoublePositive(in);
   for (auto _ : state) {
     for (size_t i = 0; i < in.size(); ++i) out[i] = std::log(in[i]);
     benchmark::DoNotOptimize(out.data());

@@ -57,7 +57,9 @@ int main() {
   Rng rng(1);
   std::vector<double> u(kN), out(kN);
   std::vector<uint64_t> words(2 * kN);
-  rng.FillDoublePositive(u);
+  rng.FillUint64({words.data(), kN});
+  std::transform(words.begin(), words.begin() + kN, u.begin(),
+                 Rng::ToUnitDoublePositive);
   rng.FillUint64(words);
 
   const double libm_log = BestNsPerElem(

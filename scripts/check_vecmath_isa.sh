@@ -12,24 +12,40 @@
 #     %ymm or %zmm register, or
 #   * a function in the avx2_lane namespace touches AVX-512 state: a %zmm
 #     register, %xmm16-31 / %ymm16-31, or a %k mask register.
-# The lockstep step helpers (common/rng_lockstep.h) count as lane code of
-# their ISA, should the compiler emit them out of line. The check needs a
-# build with the SIMD lanes compiled in and no -march flag (CI's plain
-# -O2 build); it fails when it finds no AVX2 lane function at all, so a
-# renamed namespace cannot make it pass vacuously.
+# The check needs a build with the SIMD lanes compiled in and no -march
+# flag (CI's plain -O2 build); it fails when it finds no AVX2 lane function
+# at all, so a renamed namespace cannot make it pass vacuously.
+#
+# With --no-lanes it checks that vecmath.cc stays the one home for SIMD
+# code: every function of the given objects counts as scalar code, so any
+# %ymm or %zmm register fails.
 #
 # Usage:
 #   scripts/check_vecmath_isa.sh [object]
 #     object  default build/CMakeFiles/svt.dir/src/common/vecmath.cc.o
+#   scripts/check_vecmath_isa.sh --no-lanes object...
 set -euo pipefail
 
-OBJ="${1:-build/CMakeFiles/svt.dir/src/common/vecmath.cc.o}"
-if [[ ! -f "$OBJ" ]]; then
-  echo "check_vecmath_isa: no object file at $OBJ" >&2
-  exit 2
+NO_LANES=0
+if [[ "${1:-}" == "--no-lanes" ]]; then
+  NO_LANES=1
+  shift
+  if [[ $# -eq 0 ]]; then
+    echo "check_vecmath_isa: --no-lanes needs at least one object" >&2
+    exit 2
+  fi
+  OBJS=("$@")
+else
+  OBJS=("${1:-build/CMakeFiles/svt.dir/src/common/vecmath.cc.o}")
 fi
+for obj in "${OBJS[@]}"; do
+  if [[ ! -f "$obj" ]]; then
+    echo "check_vecmath_isa: no object file at $obj" >&2
+    exit 2
+  fi
+done
 
-objdump -d --no-show-raw-insn -C "$OBJ" | awk '
+objdump -d --no-show-raw-insn -C "${OBJS[@]}" | awk -v no_lanes="$NO_LANES" '
   /^[0-9a-f]+ <.*>:$/ {
     fn = $0
     sub(/^[0-9a-f]+ </, "", fn)
@@ -38,9 +54,11 @@ objdump -d --no-show-raw-insn -C "$OBJ" | awk '
     head = fn
     gsub(/\(anonymous namespace\)/, "anon", head)
     sub(/[<(].*/, "", head)
-    if (head ~ /::avx512_lane::|lockstep::[A-Za-z0-9_]*Avx512$/) {
+    if (no_lanes) {
+      lane = "scalar"
+    } else if (head ~ /::avx512_lane::/) {
       lane = "avx512"
-    } else if (head ~ /::avx2_lane::|lockstep::[A-Za-z0-9_]*Avx2$/) {
+    } else if (head ~ /::avx2_lane::/) {
       lane = "avx2"
     } else {
       lane = "scalar"
@@ -64,8 +82,12 @@ objdump -d --no-show-raw-insn -C "$OBJ" | awk '
     }
     printf "check_vecmath_isa: %d scalar, %d AVX2-lane, %d AVX-512-lane " \
            "functions\n", count["scalar"], count["avx2"], count["avx512"]
-    if (count["avx2"] == 0) {
+    if (!no_lanes && count["avx2"] == 0) {
       print "check_vecmath_isa: no AVX2 lane function found" > "/dev/stderr"
+      exit 1
+    }
+    if (count["scalar"] + count["avx2"] + count["avx512"] == 0) {
+      print "check_vecmath_isa: no function found" > "/dev/stderr"
       exit 1
     }
     if (n > 0) exit 1

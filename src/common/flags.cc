@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -49,9 +51,13 @@ Status FlagSet::SetValue(const std::string& name, const std::string& value) {
     case Kind::kInt64: {
       errno = 0;
       const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (errno != 0 || end == value.c_str() || *end != '\0') {
+      if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("flag --" + name +
                                        ": not an integer: " + value);
+      }
+      if (errno == ERANGE) {
+        return Status::InvalidArgument("flag --" + name +
+                                       ": out of range: " + value);
       }
       *static_cast<int64_t*>(entry.target) = parsed;
       return Status::OK();
@@ -59,9 +65,15 @@ Status FlagSet::SetValue(const std::string& name, const std::string& value) {
     case Kind::kDouble: {
       errno = 0;
       const double parsed = std::strtod(value.c_str(), &end);
-      if (errno != 0 || end == value.c_str() || *end != '\0') {
+      if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("flag --" + name +
                                        ": not a number: " + value);
+      }
+      // strtod also sets ERANGE for an inexact subnormal result, which is
+      // a usable value; only overflow and underflow to zero lose it.
+      if (errno == ERANGE && (parsed == 0.0 || std::isinf(parsed))) {
+        return Status::InvalidArgument("flag --" + name +
+                                       ": out of range: " + value);
       }
       *static_cast<double*>(entry.target) = parsed;
       return Status::OK();

@@ -1,118 +1,43 @@
 #include "common/rng.h"
 
-#include <algorithm>
 #include <array>
+#include <bit>
 #include <bitset>
 
 #include "common/check.h"
-#include "common/rng_lockstep.h"
 #include "common/vecmath.h"
 
 namespace svt {
 
 namespace {
 
-// One lockstep step of all four lanes is pure integer arithmetic, so the
-// scalar loop and the SIMD kernels below are bit-identical by construction
-// (no rounding anywhere); the kernels differ only in how many lanes one
-// instruction advances. The step primitives themselves live in
-// common/rng_lockstep.h, shared with the lane-resident megakernels in
-// vecmath.cc — one implementation of the stream to audit. `s` points at
-// the SoA state block: s[w * 4 + lane] is state word w of lane `lane`, so
-// one 256-bit load covers one word of all four lanes.
+constexpr size_t kLanes = BlockRng::kLanes;
 
-void FillLockstepScalar(uint64_t* s, uint64_t* p, size_t steps) {
-  // Register-resident reference lane: lift the 16 state words out of
-  // memory for the whole span, exactly like the pre-lockstep block kernel.
-  uint64_t s0[4], s1[4], s2[4], s3[4];
-  for (int j = 0; j < 4; ++j) {
-    s0[j] = s[j];
-    s1[j] = s[4 + j];
-    s2[j] = s[8 + j];
-    s3[j] = s[12 + j];
-  }
-  for (size_t step = 0; step < steps; ++step) {
-    for (int j = 0; j < 4; ++j) {
-      p[j] = lockstep::Rotl(s0[j] + s3[j], 23) + s0[j];
-      const uint64_t t = s1[j] << 17;
-      s2[j] ^= s0[j];
-      s3[j] ^= s1[j];
-      s1[j] ^= s2[j];
-      s0[j] ^= s3[j];
-      s2[j] ^= t;
-      s3[j] = lockstep::Rotl(s3[j], 45);
-    }
-    p += 4;
-  }
-  for (int j = 0; j < 4; ++j) {
-    s[j] = s0[j];
-    s[4 + j] = s1[j];
-    s[8 + j] = s2[j];
-    s[12 + j] = s3[j];
-  }
+// One xoshiro256++ output and advance of lane `lane` of the flat state
+// words (words[w * kLanes + lane] is state word w of that lane): the scalar
+// step behind Next(), Advance() and the jump tables. Fill runs the same
+// step in the vecmath lanes (vec::FillStream).
+uint64_t StepLane(uint64_t* words, size_t lane) {
+  uint64_t* const s = words + lane;  // s[w * kLanes]: state word w
+  uint64_t s0 = s[0], s1 = s[kLanes], s2 = s[2 * kLanes], s3 = s[3 * kLanes];
+  const uint64_t result = std::rotl(s0 + s3, 23) + s0;
+  const uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = std::rotl(s3, 45);
+  s[0] = s0;
+  s[kLanes] = s1;
+  s[2 * kLanes] = s2;
+  s[3 * kLanes] = s3;
+  return result;
 }
 
-#if SVT_LOCKSTEP_HAVE_AVX2
-
-__attribute__((target("avx2"))) void FillLockstepAvx2(uint64_t* s,
-                                                      uint64_t* p,
-                                                      size_t steps) {
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 12));
-  for (size_t step = 0; step < steps; ++step) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
-                        lockstep::Step4Avx2(s0, s1, s2, s3));
-    p += 4;
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s), s0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + 4), s1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + 8), s2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + 12), s3);
-}
-
-#endif  // SVT_LOCKSTEP_HAVE_AVX2
-
-#if SVT_LOCKSTEP_HAVE_AVX512
-
-// AVX-512VL variant: same four 256-bit lanes, but the two rotates in the
-// shared step use the native 64-bit rotate instruction (vprolq) instead
-// of shift+shift+or — the rotation is exact either way, so outputs are
-// bit-identical.
-__attribute__((target("avx512f,avx512vl"))) void FillLockstepAvx512(
-    uint64_t* s, uint64_t* p, size_t steps) {
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 12));
-  for (size_t step = 0; step < steps; ++step) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
-                        lockstep::Step4Avx512(s0, s1, s2, s3));
-    p += 4;
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s), s0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + 4), s1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + 8), s2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + 12), s3);
-}
-
-#endif  // SVT_LOCKSTEP_HAVE_AVX512
-
-void FillLockstep(uint64_t* s, uint64_t* p, size_t steps) {
-#if SVT_LOCKSTEP_HAVE_AVX512
-  if (vec::ActiveDispatchLevel() >= vec::DispatchLevel::kAvx512) {
-    FillLockstepAvx512(s, p, steps);
-    return;
-  }
-#endif
-#if SVT_LOCKSTEP_HAVE_AVX2
-  if (vec::ActiveDispatchLevel() >= vec::DispatchLevel::kAvx2) {
-    FillLockstepAvx2(s, p, steps);
-    return;
-  }
-#endif
-  FillLockstepScalar(s, p, steps);
+bool LaneIsZero(const BlockRng::State& st, size_t lane) {
+  return (st.words[lane] | st.words[kLanes + lane] |
+          st.words[2 * kLanes + lane] | st.words[3 * kLanes + lane]) == 0;
 }
 
 // Jump-ahead over GF(2). A polynomial of degree < 256 is four words, bit b
@@ -176,7 +101,7 @@ JumpTables BuildJumpTables() {
   for (size_t n = 0; n < kTerms; ++n) {
     window <<= 1;
     window[0] = s[0] & 1;
-    lockstep::StepLaneSoA(s.data(), 0);
+    StepLane(s.data(), 0);
     const bool d = (c & window).count() % 2 != 0;
     if (!d) {
       ++shift;
@@ -226,13 +151,12 @@ BlockRng::BlockRng(uint64_t seed) {
   uint64_t sm = seed;
   for (size_t lane = 0; lane < kLanes; ++lane) {
     uint64_t lane_sm = SplitMix64Next(sm);
-    for (int w = 0; w < 4; ++w) s_[w][lane] = SplitMix64Next(lane_sm);
+    for (size_t w = 0; w < 4; ++w) {
+      state_.words[w * kLanes + lane] = SplitMix64Next(lane_sm);
+    }
     // xoshiro requires a nonzero state; SplitMix64 emits four zero words
     // with probability 2^-256 per lane, but guard anyway.
-    if (s_[0][lane] == 0 && s_[1][lane] == 0 && s_[2][lane] == 0 &&
-        s_[3][lane] == 0) {
-      s_[0][lane] = 0x9e3779b97f4a7c15ULL;
-    }
+    if (LaneIsZero(state_, lane)) state_.words[lane] = 0x9e3779b97f4a7c15ULL;
   }
 }
 
@@ -241,49 +165,30 @@ BlockRng::BlockRng(const State& state) { Restore(state); }
 void BlockRng::Restore(const State& state) {
   SVT_CHECK(state.phase < kLanes)
       << "BlockRng state phase out of range: " << state.phase;
-  phase_ = state.phase;
   for (size_t lane = 0; lane < kLanes; ++lane) {
-    for (int w = 0; w < 4; ++w) s_[w][lane] = state.words[w * kLanes + lane];
-    SVT_CHECK(s_[0][lane] != 0 || s_[1][lane] != 0 || s_[2][lane] != 0 ||
-              s_[3][lane] != 0)
+    SVT_CHECK(!LaneIsZero(state, lane))
         << "BlockRng lane " << lane << " restored to the all-zero state";
   }
-}
-
-uint64_t BlockRng::StepLane(size_t lane) {
-  return lockstep::StepLaneSoA(&s_[0][0], lane);
+  state_ = state;
 }
 
 uint64_t BlockRng::Next() {
-  const uint64_t result = StepLane(phase_);
-  phase_ = (phase_ + 1) & (kLanes - 1);
+  const uint64_t result = StepLane(state_.words.data(), state_.phase);
+  state_.phase = (state_.phase + 1) & (kLanes - 1);
   return result;
 }
 
 void BlockRng::Fill(std::span<uint64_t> out) {
-  // Scalar until the next output is lane 0's (a lane-aligned stream
-  // position), then whole lockstep steps, then a scalar tail for the
-  // trailing partial step. Lives exactly once so the "one identical stream
-  // at every level" contract has one implementation to audit. An empty
-  // span may carry a null data(); bail before the pointer arithmetic.
-  if (out.empty()) return;
-  uint64_t* p = out.data();
-  uint64_t* const end = p + out.size();
-  while (phase_ != 0 && p < end) *p++ = Next();
-  const size_t steps = static_cast<size_t>(end - p) / kLanes;
-  if (steps > 0) {
-    FillLockstep(&s_[0][0], p, steps);
-    p += steps * kLanes;
-  }
-  while (p < end) *p++ = Next();
+  vec::FillStream(&state_, out);
 }
 
 void BlockRng::StepAllLanes(uint64_t steps) {
+  uint64_t* const words = state_.words.data();
   // Below a few hundred steps, stepping beats the 256-step jump.
   constexpr uint64_t kStepOutright = 512;
   if (steps <= kStepOutright) {
     for (uint64_t k = 0; k < steps; ++k) {
-      for (size_t lane = 0; lane < kLanes; ++lane) StepLane(lane);
+      for (size_t lane = 0; lane < kLanes; ++lane) StepLane(words, lane);
     }
     return;
   }
@@ -295,40 +200,27 @@ void BlockRng::StepAllLanes(uint64_t steps) {
     if ((steps >> i & 1) != 0) r = MulMod(t, r, t.x_pow2[i]);
   }
   // r(T) s = sum over the coefficients of r of T^i s, for every lane at
-  // once: the SoA state steps in lockstep while the sum accumulates.
-  std::array<std::array<uint64_t, kLanes>, 4> acc{};
+  // once: the state steps in lockstep while the sum accumulates.
+  decltype(state_.words) acc{};
   for (size_t i = 0; i < 256; ++i) {
     if (Coefficient(r, i)) {
-      for (size_t w = 0; w < 4; ++w) {
-        for (size_t lane = 0; lane < kLanes; ++lane) {
-          acc[w][lane] ^= s_[w][lane];
-        }
-      }
+      for (size_t k = 0; k < acc.size(); ++k) acc[k] ^= words[k];
     }
-    for (size_t lane = 0; lane < kLanes; ++lane) StepLane(lane);
+    for (size_t lane = 0; lane < kLanes; ++lane) StepLane(words, lane);
   }
-  s_ = acc;
+  state_.words = acc;
 }
 
 void BlockRng::Advance(uint64_t words) {
   // Scalar up to a lane-aligned position, whole lockstep steps of all four
   // lanes, then the remaining lanes one output each — the stream walk of
   // Fill, with the middle jumped instead of generated.
-  while (phase_ != 0 && words > 0) {
+  while (state_.phase != 0 && words > 0) {
     Next();
     --words;
   }
   StepAllLanes(words / kLanes);
   for (uint64_t k = 0; k < words % kLanes; ++k) Next();
-}
-
-BlockRng::State BlockRng::state() const {
-  State st;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    for (int w = 0; w < 4; ++w) st.words[w * kLanes + lane] = s_[w][lane];
-  }
-  st.phase = phase_;
-  return st;
 }
 
 Rng::Rng(uint64_t seed) : core_(seed) {}
@@ -351,38 +243,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
 }
 
 void Rng::FillUint64(std::span<uint64_t> out) { core_.Fill(out); }
-
-namespace {
-
-// Stack block size for the uint64 -> double transforms: 4 KiB, well inside
-// L1 alongside the caller's output buffer.
-constexpr size_t kFillBlock = 512;
-
-}  // namespace
-
-void Rng::FillDouble(std::span<double> out) {
-  uint64_t words[kFillBlock];
-  size_t done = 0;
-  while (done < out.size()) {
-    const size_t n = std::min(kFillBlock, out.size() - done);
-    FillUint64({words, n});
-    for (size_t i = 0; i < n; ++i) out[done + i] = ToUnitDouble(words[i]);
-    done += n;
-  }
-}
-
-void Rng::FillDoublePositive(std::span<double> out) {
-  uint64_t words[kFillBlock];
-  size_t done = 0;
-  while (done < out.size()) {
-    const size_t n = std::min(kFillBlock, out.size() - done);
-    FillUint64({words, n});
-    for (size_t i = 0; i < n; ++i) {
-      out[done + i] = ToUnitDoublePositive(words[i]);
-    }
-    done += n;
-  }
-}
 
 double Rng::NextDouble() { return ToUnitDouble(NextUint64()); }
 

@@ -11,10 +11,10 @@
 // block generator (BlockRng below): the output stream is the round-robin
 // interleave of four independent xoshiro256++ lanes, each seeded through
 // SplitMix64 key-splitting. The interleaved definition is what lets the
-// bulk Fill* paths run all four lanes in SIMD registers (AVX2 / AVX-512
-// behind the vecmath runtime dispatch) while the scalar Next* calls walk
-// the exact same stream one word at a time — block and scalar draws are
-// interchangeable draw for draw at every dispatch level.
+// bulk FillUint64 path run all four lanes in SIMD registers (vecmath's
+// generator, behind its runtime dispatch) while the scalar Next* calls
+// walk the exact same stream one word at a time — block and scalar draws
+// are interchangeable draw for draw at every dispatch level.
 
 #ifndef SPARSEVEC_COMMON_RNG_H_
 #define SPARSEVEC_COMMON_RNG_H_
@@ -46,11 +46,11 @@ uint64_t SplitMix64Next(uint64_t& state);
 ///     step floor(k / 4) — lane-interleaved, so four consecutive outputs
 ///     at a lane-aligned position are one step of all four lanes.
 ///
-/// Next() and Fill() walk this one stream; Fill() executes lane-aligned
-/// spans as SIMD lockstep steps (AVX2, or AVX-512's native 64-bit rotate,
-/// per vecmath's runtime dispatch level) and is bit-identical to a Next()
-/// loop at every level — xoshiro is pure integer arithmetic, so lanes
-/// cannot diverge by rounding.
+/// Next() and Fill() walk this one stream. Next() is the scalar step;
+/// Fill() is vecmath's generator (vec::FillStream), which runs lane-aligned
+/// spans as SIMD lockstep steps at the active dispatch level and is
+/// bit-identical to a Next() loop at every level — xoshiro is pure integer
+/// arithmetic, so lanes cannot diverge by rounding.
 class BlockRng {
  public:
   /// Lane count. Fixed by the stream definition: changing it changes every
@@ -74,11 +74,11 @@ class BlockRng {
   /// Next output of the interleaved stream.
   uint64_t Next();
 
-  /// Fills `out` with the next out.size() Next() outputs. Lane-aligned
-  /// interior spans run as SIMD lockstep blocks at the active vecmath
-  /// dispatch level; leading (phase != 0) and trailing partial steps run
-  /// scalar. The sequence is identical to calling Next() out.size() times
-  /// at every dispatch level.
+  /// Fills `out` with the next out.size() Next() outputs, through
+  /// vec::FillStream: from a lane-aligned position on, whole lockstep steps
+  /// run at the active vecmath dispatch level; the words before it and
+  /// after the last whole step run scalar. The sequence is identical to
+  /// calling Next() out.size() times at every dispatch level.
   void Fill(std::span<uint64_t> out);
 
   /// Moves the stream `words` outputs ahead: afterwards the generator is
@@ -94,28 +94,24 @@ class BlockRng {
 
   /// Snapshot for serialization and tests. Together with Restore() this is
   /// the checkpoint seam the lane-resident megakernels (vecmath's Mega*
-  /// family) use: State::words is the SoA state flattened in the same
-  /// order, so a kernel can load the lanes into registers, advance them
-  /// in-kernel, and hand back a State that Restore() accepts — leaving
-  /// this generator exactly where a FillUint64 of the consumed words
-  /// would have.
-  State state() const;
+  /// family) use: a kernel loads the State's lanes into registers,
+  /// advances them in-kernel, and hands back a State that Restore()
+  /// accepts — leaving this generator exactly where a FillUint64 of the
+  /// consumed words would have.
+  State state() const { return state_; }
 
   /// Restores a snapshot in place (same validation as the State
   /// constructor: phase < kLanes, every lane nonzero; checked).
   void Restore(const State& state);
 
  private:
-  uint64_t StepLane(size_t lane);
-
   /// Advances every lane by `steps` state transitions.
   void StepAllLanes(uint64_t steps);
 
-  // Structure-of-arrays across lanes: s_[w][lane] is state word w of lane
-  // `lane`, so the SIMD kernels load state word w of all lanes with one
-  // 256-bit load.
-  std::array<std::array<uint64_t, kLanes>, 4> s_;
-  uint32_t phase_ = 0;
+  // The State's flat layout puts state word w of all four lanes side by
+  // side, so the SIMD lanes load each word of every lane with one 256-bit
+  // load.
+  State state_;
 };
 
 /// Interleaved four-lane xoshiro256++ generator (see BlockRng) with the
@@ -142,7 +138,7 @@ class Rng {
   uint64_t NextBounded(uint64_t bound);
 
   /// The uint64 -> double mappings behind NextDouble/NextDoublePositive,
-  /// exposed so every bulk transform (Fill*, the samplers' *Block paths,
+  /// exposed so every bulk transform (the samplers' *Block paths,
   /// the batch engine's bound computation) shares the one definition — the
   /// bitwise batch/streaming equivalence contract depends on these never
   /// diverging between call sites.
@@ -165,15 +161,10 @@ class Rng {
 
   /// Fills `out` with the next out.size() NextUint64() outputs, running
   /// the four xoshiro lanes in SIMD lockstep where the span is
-  /// lane-aligned (see BlockRng::Fill). The sequence is identical to
-  /// calling NextUint64() out.size() times, at every dispatch level.
+  /// lane-aligned (BlockRng::Fill). The sequence is identical to calling
+  /// NextUint64() out.size() times, at every dispatch level. Bulk doubles
+  /// are these words through ToUnitDouble or ToUnitDoublePositive.
   void FillUint64(std::span<uint64_t> out);
-
-  /// Fills `out` with the next out.size() NextDouble() outputs.
-  void FillDouble(std::span<double> out);
-
-  /// Fills `out` with the next out.size() NextDoublePositive() outputs.
-  void FillDoublePositive(std::span<double> out);
 
   /// Uniform double in [lo, hi).
   double NextUniform(double lo, double hi);

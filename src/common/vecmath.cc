@@ -16,8 +16,9 @@
 // -ffp-contract=off for this file, set in CMakeLists.txt), exact integer
 // ops, exact u53/k -> double conversions (the AVX-512 lane uses AVX-512DQ's
 // cvtepu64_pd / cvtepi64_pd where the AVX2 lane rebuilds them from 32-bit
-// halves), compares to bitmasks, horizontal reductions and the lockstep
-// generator step. So every lane computes, element for element, the scalar
+// halves), compares to bitmasks, horizontal reductions and the load, step
+// and store of the lockstep generator, whose step is XoshiroNext over the
+// lane's integer ops. So every lane computes, element for element, the scalar
 // lane's operation sequence, and bit-identity across dispatch levels is
 // structural. Lanes holding operands outside the log fast path's domain
 // (zero, subnormal, negative, non-finite) are patched with the scalar
@@ -56,7 +57,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/rng_lockstep.h"
 
 // The SIMD lanes are compiled under `#pragma GCC target` regions, which
 // only GCC implements; other compilers build the scalar lane alone.
@@ -181,8 +181,8 @@ bool DispatchLevelSupported(DispatchLevel level) {
     case DispatchLevel::kAvx512:
 #if SVT_VECMATH_HAVE_AVX512
       // F for the 512-bit kernels, DQ for the exact 64-bit int<->double
-      // conversions and the 512-bit pd logic ops, VL for BlockRng's
-      // 256-bit rotate variant. One predicate for the whole level keeps
+      // conversions and the 512-bit pd logic ops, VL for the generator's
+      // 256-bit rotate. One predicate for the whole level keeps
       // "kAvx512 is active" meaning the same thing everywhere.
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0 &&
@@ -250,12 +250,13 @@ inline void RecordHits(unsigned mask, const double* nus, size_t e,
 namespace scalar_lane {
 
 // One element per "vector". The generator is the State itself: a step is
-// BlockRng::Next() on it (lockstep::StepLaneSoA plus the phase advance),
+// BlockRng::Next() on it, one xoshiro lane's output and the phase advance,
 // so the scalar lane accepts an unaligned entry.
 struct ScalarLane {
   static constexpr size_t kW = 1;
   using D = double;
   using I = uint64_t;
+  using FillLane = ScalarLane;
   using Gen = BlockRng::State*;
 
   static D Set1(double x) { return x; }
@@ -284,7 +285,7 @@ struct ScalarLane {
   template <int k>
   static I Sll(I v) { return v << k; }
   template <int k>
-  static I Rotl(I v) { return lockstep::Rotl(v, k); }
+  static I Rotl(I v) { return std::rotl(v, k); }
   static void StoreI(uint64_t* p, I v) { *p = v; }
   static D AsD(I v) { return std::bit_cast<double>(v); }
   static I AsI(D v) { return std::bit_cast<uint64_t>(v); }
@@ -305,16 +306,22 @@ struct ScalarLane {
   static double HMin(D v) { return v; }
   static uint64_t HMinU(I v) { return v; }
   static Gen LoadState(BlockRng::State* st) { return st; }
-  static I Step(Gen& st) {
-    const uint64_t r = lockstep::StepLaneSoA(st->words.data(), st->phase);
-    st->phase = (st->phase + 1) & (BlockRng::kLanes - 1);
-    return r;
-  }
+  static I Step(Gen& st);
   static void StoreState(BlockRng::State*, Gen) {}
   static void ZeroUpper() {}
 };
 
 #include "common/vecmath_kernels.inc"
+
+// Each lane's Step follows the kernel bodies, which define XoshiroNext.
+inline uint64_t ScalarLane::Step(Gen& st) {
+  uint64_t* w = st->words.data() + st->phase;  // w[4 * k]: state word k
+  uint64_t s[4] = {w[0], w[4], w[8], w[12]};
+  const uint64_t r = XoshiroNext<ScalarLane>(s);
+  for (size_t k = 0; k < 4; ++k) w[4 * k] = s[k];
+  st->phase = (st->phase + 1) & (BlockRng::kLanes - 1);
+  return r;
+}
 
 }  // namespace scalar_lane
 
@@ -353,14 +360,15 @@ namespace {
 namespace avx2_lane {
 
 // Four doubles per vector. The generator is the four xoshiro lanes in
-// registers (one lockstep::Step4Avx2 yields the next four stream words);
-// it needs a lane-aligned entry (phase == 0).
+// registers, s[k] holding state word k of every lane, so one step yields
+// the next four stream words; it needs a lane-aligned entry (phase == 0).
 struct Avx2Lane {
   static constexpr size_t kW = 4;
   using D = __m256d;
   using I = __m256i;
+  using FillLane = Avx2Lane;
   struct Gen {
-    __m256i s0, s1, s2, s3;
+    I s[4];
   };
 
   static D Set1(double x) { return _mm256_set1_pd(x); }
@@ -466,21 +474,19 @@ struct Avx2Lane {
   }
   static Gen LoadState(const BlockRng::State* st) {
     const uint64_t* w = st->words.data();
-    return {LoadI(w), LoadI(w + 4), LoadI(w + 8), LoadI(w + 12)};
+    return {{LoadI(w), LoadI(w + 4), LoadI(w + 8), LoadI(w + 12)}};
   }
-  static I Step(Gen& g) { return lockstep::Step4Avx2(g.s0, g.s1, g.s2, g.s3); }
+  static I Step(Gen& g);
   static void StoreState(BlockRng::State* st, const Gen& g) {
-    __m256i* w = reinterpret_cast<__m256i*>(st->words.data());
-    _mm256_storeu_si256(w, g.s0);
-    _mm256_storeu_si256(w + 1, g.s1);
-    _mm256_storeu_si256(w + 2, g.s2);
-    _mm256_storeu_si256(w + 3, g.s3);
+    for (size_t k = 0; k < 4; ++k) StoreI(st->words.data() + 4 * k, g.s[k]);
     st->phase = 0;
   }
   static void ZeroUpper() { _mm256_zeroupper(); }
 };
 
 #include "common/vecmath_kernels.inc"
+
+inline __m256i Avx2Lane::Step(Gen& g) { return XoshiroNext<Avx2Lane>(g.s); }
 
 // Quantized bound-code reductions (AVX2 only, see vecmath.h): exact
 // unsigned integer max/min, 32 (u8) or 16 (u16) codes per 256-bit op.
@@ -536,17 +542,49 @@ Code QuantizedReduce(const Code* codes, size_t n) {
 namespace {
 namespace avx512_lane {
 
-// Eight doubles per vector. The generator is the AVX2 lane's four
-// registers stepped with lockstep::Step4Avx512 (the VL native rotate); two
-// steps are concatenated into one 512-bit vector in stream order (step k's
+// The AVX-512 lane's generator as a four-word lane of its own: the AVX2
+// lane's registers, stepped by XoshiroNext with AVX-512VL's native 64-bit
+// rotate. Avx512Lane::Step joins two of its steps. FillStream steps it
+// alone: with the join's 512-bit insert and store in the loop,
+// BM_RngFillUint64 ran about a fifth slower.
+struct Vl256 {
+  static constexpr size_t kW = 4;
+  using I = __m256i;
+  struct Gen {
+    I s[4];
+  };
+
+  static I AddI(I a, I b) { return _mm256_add_epi64(a, b); }
+  static I XorI(I a, I b) { return _mm256_xor_si256(a, b); }
+  template <int k>
+  static I Sll(I v) { return _mm256_slli_epi64(v, k); }
+  template <int k>
+  static I Rotl(I v) { return _mm256_rol_epi64(v, k); }
+  static void StoreI(uint64_t* p, I v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static Gen LoadState(const BlockRng::State* st) {
+    const __m256i* w = reinterpret_cast<const __m256i*>(st->words.data());
+    return {{_mm256_loadu_si256(w), _mm256_loadu_si256(w + 1),
+             _mm256_loadu_si256(w + 2), _mm256_loadu_si256(w + 3)}};
+  }
+  static I Step(Gen& g);
+  static void StoreState(BlockRng::State* st, const Gen& g) {
+    for (size_t k = 0; k < 4; ++k) StoreI(st->words.data() + 4 * k, g.s[k]);
+    st->phase = 0;
+  }
+  static void ZeroUpper() { _mm256_zeroupper(); }
+};
+
+// Eight doubles per vector. The generator is Vl256's; a step concatenates
+// two of its steps into one 512-bit vector in stream order (step k's
 // outputs are stream words 4k..4k+3). Needs phase == 0.
 struct Avx512Lane {
   static constexpr size_t kW = 8;
   using D = __m512d;
   using I = __m512i;
-  struct Gen {
-    __m256i s0, s1, s2, s3;
-  };
+  using FillLane = Vl256;
+  using Gen = Vl256::Gen;
 
   static D Set1(double x) { return _mm512_set1_pd(x); }
   static I Set1I(uint64_t x) {
@@ -620,27 +658,24 @@ struct Avx512Lane {
     return m;
   }
   static Gen LoadState(const BlockRng::State* st) {
-    const __m256i* w = reinterpret_cast<const __m256i*>(st->words.data());
-    return {_mm256_loadu_si256(w), _mm256_loadu_si256(w + 1),
-            _mm256_loadu_si256(w + 2), _mm256_loadu_si256(w + 3)};
+    return Vl256::LoadState(st);
   }
-  static I Step(Gen& g) {
-    const __m256i r0 = lockstep::Step4Avx512(g.s0, g.s1, g.s2, g.s3);
-    const __m256i r1 = lockstep::Step4Avx512(g.s0, g.s1, g.s2, g.s3);
-    return _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-  }
+  static I Step(Gen& g);
   static void StoreState(BlockRng::State* st, const Gen& g) {
-    __m256i* w = reinterpret_cast<__m256i*>(st->words.data());
-    _mm256_storeu_si256(w, g.s0);
-    _mm256_storeu_si256(w + 1, g.s1);
-    _mm256_storeu_si256(w + 2, g.s2);
-    _mm256_storeu_si256(w + 3, g.s3);
-    st->phase = 0;
+    Vl256::StoreState(st, g);
   }
   static void ZeroUpper() { _mm256_zeroupper(); }
 };
 
 #include "common/vecmath_kernels.inc"
+
+inline __m256i Vl256::Step(Gen& g) { return XoshiroNext<Vl256>(g.s); }
+
+inline __m512i Avx512Lane::Step(Gen& g) {
+  const __m256i r0 = Vl256::Step(g);
+  const __m256i r1 = Vl256::Step(g);
+  return _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
+}
 
 }  // namespace avx512_lane
 }  // namespace
@@ -739,6 +774,22 @@ uint64_t MinWordBlock(std::span<const uint64_t> words, size_t stride) {
           lane, words.data(), words.size() / stride);
     });
   });
+}
+
+void FillStream(BlockRng::State* state, std::span<uint64_t> out) {
+  if (out.empty()) return;
+  // The SIMD lanes step from a lane-aligned position, so the scalar lane
+  // takes the words before it, and the rest of a fill that ends first.
+  const size_t head = std::min<size_t>(
+      out.size(), (BlockRng::kLanes - state->phase) % BlockRng::kLanes);
+  scalar_lane::FillStreamKernel(scalar_lane::ScalarLane{}, state, out.data(),
+                                head);
+  AtActiveLevel(
+      [&](auto lane) {
+        FillStreamKernel(typename decltype(lane)::FillLane{}, state,
+                         out.data() + head, out.size() - head);
+      },
+      [&](size_t) { return state->phase == 0; });
 }
 
 namespace {

@@ -209,23 +209,39 @@ struct FusedScanHit {
   double nu = 0.0;
 };
 
+// --- the block generator ----------------------------------------------------
+//
+// The BlockRng stream's four xoshiro256++ lanes are stepped by one
+// generator per dispatch lane, written once over the lane traits: SIMD
+// lanes step all four in lockstep in registers, the scalar lane one word at
+// a time. BlockRng::Fill runs it through FillStream; the fused passes and
+// the seeded fire masks below step it inside their kernels.
+
+/// Writes the next out.size() words of the BlockRng stream at *state into
+/// `out` and advances *state past them: BlockRng::Fill's body. Words from
+/// a lane-aligned position on run as lockstep steps at the active dispatch
+/// level; the words before it and after the last whole step run on the
+/// scalar lane. Bit-identical to out.size() BlockRng::Next() calls at
+/// every level.
+void FillStream(BlockRng::State* state, std::span<std::uint64_t> out);
+
 // --- fused generate-bound-and-scan passes ----------------------------------
 //
 // The batch engine walks each chunk's ν words once, in registers, for two
 // purposes at once: the per-span minimum magnitude word the tier-1/tier-2
 // bounds need, and every element whose positive test fires. The passes
-// take a BlockRng::State*, step the four lockstep xoshiro256++ lanes
-// *inside* the kernel (common/rng_lockstep.h holds the shared step
-// primitives) and feed the freshly generated words straight into the
-// transform-and-test pipeline — words live only in registers.
+// take a BlockRng::State*, step the generator *inside* the kernel and feed
+// the freshly generated words straight into the transform-and-test
+// pipeline — words live only in registers.
 //
 // Stream contract (pinned; equivalence-tested at every dispatch level):
 // the in-kernel generator walks exactly the BlockRng stream. A pass
 // consuming k words from a given State produces word for word what
 // BlockRng::Fill of k words from that State would have, and leaves the
 // State at the exact position that Fill would have — in-kernel generation
-// is stream-neutral, so a pass and a FillUint64 of the same words are
-// interchangeable mid-stream in either direction.
+// is stream-neutral, since Fill runs the same generator (FillStream), so a
+// pass and a FillUint64 of the same words are interchangeable mid-stream
+// in either direction.
 //
 // State advance: a pass never stops early; it consumes exactly
 // a.size() * wpv words (wpv = 2 for Laplace, 1 for exponential), whatever

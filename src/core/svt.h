@@ -210,16 +210,22 @@ struct SvtOptions {
 ///      four-lane interleave (common/rng.h): word k of a stream is lane
 ///      (k mod 4)'s xoshiro256++ output at step ⌊k/4⌋, with the four
 ///      lanes seeded by SplitMix64 key-splitting in lane order. Scalar
-///      NextUint64() and the SIMD FillUint64() lockstep kernels walk this
-///      one stream, so block prefetch sizes and dispatch level never move
-///      a draw's position. Changing the lane count or layout changes
-///      every stream — a golden re-record, like (4).
+///      NextUint64() (BlockRng's one scalar step) and FillUint64() walk
+///      this one stream; FillUint64 runs vecmath's generator
+///      (vec::FillStream), whose step XoshiroNext is written once over
+///      the lane traits, like the kernels of (4). So block prefetch sizes
+///      and dispatch level never move a draw's position, and
+///      tests/common_rng_block_test.cc pins both walks at every dispatch
+///      level against an independent xoshiro256++ reference. Changing the
+///      lane count or layout changes every stream — a golden re-record,
+///      like (4).
 ///
 /// In-kernel generation is stream-neutral: the batch engine's fused
 /// pass (vec::MegaFillMinScanSpans, common/vecmath.h) steps the SAME
-/// four lockstep xoshiro256++ lanes of step (5) in registers instead of
-/// materializing FillUint64 blocks, and pushes each word through the
-/// identical word→variate lattice of step (4). A chunk consumes exactly
+/// generator FillUint64 runs — the four lockstep xoshiro256++ lanes of
+/// step (5), held in registers — without materializing the words, and
+/// pushes each word through the identical word→variate lattice of step
+/// (4). A chunk consumes exactly
 /// n · words-per-variate words whether it scans, skips, or records hits,
 /// so the stream position after any chunk is the one a FillUint64 of its
 /// words leaves — restoring the kernel's BlockRng::State moves the cursor,

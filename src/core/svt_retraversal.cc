@@ -1,6 +1,7 @@
 #include "core/svt_retraversal.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/check.h"
 #include "common/distributions.h"
@@ -33,32 +34,37 @@ Result<RetraversalResult> SelectWithRetraversal(
   RetraversalResult result;
   result.boosted_threshold = threshold;
 
+  // The pass buffer: the unselected candidates' scores in list order, and
+  // beside them their indices into `scores`. Each pass runs the buffer as
+  // one engine call; the candidates past a cutoff abort stay unselected.
+  std::vector<double> pass_scores(scores.begin(), scores.end());
   std::vector<size_t> candidates(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) candidates[i] = i;
-
-  // Each pass gathers its candidates' scores and runs them as one engine
-  // call; the candidates past a cutoff abort stay unselected.
-  std::vector<double> pass_scores;
+  std::iota(candidates.begin(), candidates.end(), size_t{0});
   std::vector<Response> responses;
   const size_t want = static_cast<size_t>(options.svt.cutoff);
   while (result.selected.size() < want &&
          result.passes_used < options.max_passes && !candidates.empty()) {
     ++result.passes_used;
-    pass_scores.clear();
-    for (size_t idx : candidates) pass_scores.push_back(scores[idx]);
     responses.clear();
     const size_t count = mech->RunAppend(pass_scores, threshold, &responses);
     result.comparisons += static_cast<int64_t>(count);
-    std::vector<size_t> still_unselected;
-    still_unselected.reserve(candidates.size());
-    for (size_t k = 0; k < candidates.size(); ++k) {
-      if (k < count && responses[k].is_positive()) {
-        result.selected.push_back(candidates[k]);
-      } else {
-        still_unselected.push_back(candidates[k]);
-      }
+    const size_t selected_before = result.selected.size();
+    for (size_t k = 0; k < count; ++k) {
+      if (responses[k].is_positive()) result.selected.push_back(candidates[k]);
     }
-    candidates.swap(still_unselected);
+    // Drop this pass's selections from the buffer in place, keeping order.
+    // Most passes select nothing and leave it as it is.
+    if (result.selected.size() > selected_before) {
+      size_t kept = 0;
+      for (size_t k = 0; k < candidates.size(); ++k) {
+        if (k < count && responses[k].is_positive()) continue;
+        pass_scores[kept] = pass_scores[k];
+        candidates[kept] = candidates[k];
+        ++kept;
+      }
+      pass_scores.resize(kept);
+      candidates.resize(kept);
+    }
     if (mech->exhausted()) break;
   }
   return result;

@@ -94,6 +94,54 @@ TEST(FlagsTest, BadDoubleFails) {
   EXPECT_FALSE(flags.Parse(args.argc(), args.argv()).ok());
 }
 
+// A subnormal is a value, not a range error: strtod flags the rounding
+// with ERANGE, but 5e-324 must land on the same double as 0x1p-1074.
+TEST(FlagsTest, SubnormalDoubleParses) {
+  FlagSet flags;
+  double decimal = 0, hex = 0;
+  flags.AddDouble("decimal", &decimal, "");
+  flags.AddDouble("hex", &hex, "");
+  ArgvBuilder args({"--decimal=5e-324", "--hex=0x1p-1074"});
+  ASSERT_TRUE(flags.Parse(args.argc(), args.argv()).ok());
+  EXPECT_EQ(decimal, 0x1p-1074);
+  EXPECT_EQ(hex, 0x1p-1074);
+}
+
+void ExpectOutOfRange(FlagSet& flags, const std::string& arg) {
+  ArgvBuilder args({arg});
+  const Status s = flags.Parse(args.argc(), args.argv());
+  ASSERT_FALSE(s.ok()) << arg;
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << arg;
+  EXPECT_NE(s.message().find("out of range"), std::string::npos)
+      << arg << ": " << s.message();
+}
+
+TEST(FlagsTest, DoubleUnderflowToZeroIsOutOfRange) {
+  FlagSet flags;
+  double x = 1.0;
+  flags.AddDouble("x", &x, "");
+  ExpectOutOfRange(flags, "--x=1e-400");
+  EXPECT_EQ(x, 1.0);
+}
+
+TEST(FlagsTest, DoubleOverflowIsOutOfRange) {
+  FlagSet flags;
+  double x = 1.0;
+  flags.AddDouble("x", &x, "");
+  ExpectOutOfRange(flags, "--x=1e999");
+  ExpectOutOfRange(flags, "--x=-1e999");
+  EXPECT_EQ(x, 1.0);
+}
+
+TEST(FlagsTest, IntOverflowIsOutOfRange) {
+  FlagSet flags;
+  int64_t x = 1;
+  flags.AddInt64("x", &x, "");
+  ExpectOutOfRange(flags, "--x=9223372036854775808");
+  ExpectOutOfRange(flags, "--x=-9223372036854775809");
+  EXPECT_EQ(x, 1);
+}
+
 TEST(FlagsTest, MissingValueFails) {
   FlagSet flags;
   int64_t x = 0;

@@ -103,50 +103,58 @@ struct RefXoshiro {
   }
 };
 
+// The documented stream, from the reference lanes: output k is lane
+// (k mod 4)'s xoshiro256++ output at step floor(k/4), lanes seeded by
+// SplitMix64 key-splitting in lane order.
+struct RefStream {
+  std::vector<RefXoshiro> lanes;
+  size_t k = 0;
+
+  explicit RefStream(uint64_t seed) {
+    uint64_t sm = seed;
+    for (int lane = 0; lane < 4; ++lane) {
+      lanes.emplace_back(SplitMix64Next(sm));
+    }
+  }
+
+  uint64_t Next() { return lanes[k++ % 4].Next(); }
+};
+
 TEST(RngBlockTest, StreamIsTheDocumentedFourLaneInterleave) {
-  // Draw-order contract step 5 (core/svt.h): output k is lane (k mod 4)'s
-  // xoshiro256++ output at step floor(k/4), lanes seeded by SplitMix64
-  // key-splitting in lane order. Pinned against the independent reference
-  // above, so the layout cannot drift silently.
+  // Draw-order contract step 5 (core/svt.h), pinned against the
+  // independent reference above at every dispatch level, so no fill lane
+  // and not the scalar step can drift silently. FillUint64 enters at every
+  // phase (after `pre` NextUint64 draws) and its lengths leave an odd
+  // number of whole 4-word steps after the head (4, 12, 255 from phase 0),
+  // which the AVX-512 lane's 8-word step hands to the scalar lane.
   const uint64_t seed = 20260731;
-  uint64_t sm = seed;
-  RefXoshiro lanes[4] = {
-      RefXoshiro(SplitMix64Next(sm)), RefXoshiro(SplitMix64Next(sm)),
-      RefXoshiro(SplitMix64Next(sm)), RefXoshiro(SplitMix64Next(sm))};
-
-  Rng rng(seed);
-  std::vector<uint64_t> block(64);
-  rng.FillUint64(block);
-  for (size_t k = 0; k < block.size(); k += 4) {
-    for (size_t lane = 0; lane < 4; ++lane) {
-      ASSERT_EQ(block[k + lane], lanes[lane].Next()) << "k=" << k
-                                                     << " lane=" << lane;
+  ScopedDispatchLevel restore;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    RefStream next_ref(seed);
+    Rng next_rng(seed);
+    for (int k = 0; k < 64; ++k) {
+      ASSERT_EQ(next_rng.NextUint64(), next_ref.Next())
+          << vec::DispatchLevelName(level) << " NextUint64 k=" << k;
     }
-  }
-}
-
-TEST(RngBlockTest, FillDoubleMatchesScalarStream) {
-  for (size_t size : kSizes) {
-    Rng block_rng(102), scalar_rng(102);
-    std::vector<double> block(size);
-    block_rng.FillDouble(block);
-    for (size_t i = 0; i < size; ++i) {
-      ASSERT_EQ(block[i], scalar_rng.NextDouble()) << "size=" << size;
-      ASSERT_GE(block[i], 0.0);
-      ASSERT_LT(block[i], 1.0);
-    }
-  }
-}
-
-TEST(RngBlockTest, FillDoublePositiveMatchesScalarStream) {
-  for (size_t size : kSizes) {
-    Rng block_rng(103), scalar_rng(103);
-    std::vector<double> block(size);
-    block_rng.FillDoublePositive(block);
-    for (size_t i = 0; i < size; ++i) {
-      ASSERT_EQ(block[i], scalar_rng.NextDoublePositive()) << "size=" << size;
-      ASSERT_GT(block[i], 0.0);
-      ASSERT_LE(block[i], 1.0);
+    for (size_t pre : {0u, 1u, 2u, 3u}) {
+      for (size_t len : {1u, 3u, 4u, 7u, 8u, 12u, 13u, 16u, 255u, 256u}) {
+        const std::string ctx = std::string(vec::DispatchLevelName(level)) +
+                                " pre=" + std::to_string(pre) +
+                                " len=" + std::to_string(len);
+        RefStream ref(seed);
+        Rng rng(seed);
+        for (size_t i = 0; i < pre; ++i) ASSERT_EQ(rng.NextUint64(), ref.Next());
+        std::vector<uint64_t> block(len);
+        rng.FillUint64(block);
+        for (size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(block[i], ref.Next()) << ctx << " i=" << i;
+        }
+        // The fill left the state where the stream continues.
+        for (int k = 0; k < 9; ++k) {
+          ASSERT_EQ(rng.NextUint64(), ref.Next()) << ctx << " after k=" << k;
+        }
+      }
     }
   }
 }
@@ -175,18 +183,6 @@ TEST(RngGoldenTest, FillUint64Seed42) {
       0x165093ad8e91298dULL, 0x16c758048460b512ULL, 0x1b035635de0f5d7fULL,
       0x6386aa34f6b9dd80ULL, 0x8898a0928396972eULL};
   for (int i = 0; i < 8; ++i) EXPECT_EQ(block[i], expected[i]) << i;
-}
-
-// Golden doubles: exact by construction (integer shift and one exact
-// multiply by a power of two), so EXPECT_EQ is portable.
-TEST(RngGoldenTest, FillDoubleSeed7) {
-  Rng rng(7);
-  double block[4];
-  rng.FillDouble(block);
-  EXPECT_EQ(block[0], 0x1.e1119f1b7fabp-1);
-  EXPECT_EQ(block[1], 0x1.e1e6b93c667f9p-1);
-  EXPECT_EQ(block[2], 0x1.f442938fa271p-5);
-  EXPECT_EQ(block[3], 0x1.871ed46d59698p-4);
 }
 
 TEST(SampleBlockTest, LaplaceBlockMatchesScalarSampleLoop) {

@@ -37,6 +37,11 @@ namespace svt {
 namespace vec {
 namespace {
 
+// Uniform [0, 1) test inputs, one NextDouble() draw each.
+void FillUnit(Rng& rng, std::span<double> out) {
+  for (double& x : out) x = rng.NextDouble();
+}
+
 // Measured max over the dense sweeps below is 1 ulp (an fdlibm-grade
 // polynomial); 2 leaves headroom for worst-case inputs the
 // sweeps miss, and is still far below any statistical relevance for noise
@@ -276,7 +281,7 @@ TEST(VecmathDispatchTest, ReductionsAcrossLevels) {
   ScopedDispatchLevel restore;
   Rng rng(7);
   std::vector<double> a(1000);
-  rng.FillDouble(a);
+  FillUnit(rng, a);
   a[777] = 3.0;
 
   SetDispatchLevel(DispatchLevel::kScalar);
@@ -307,7 +312,7 @@ TEST(VecmathDispatchTest, MinBlockBitIdenticalAcrossLevels) {
   ScopedDispatchLevel restore;
   Rng rng(11);
   std::vector<double> a(1000);
-  rng.FillDouble(a);
+  FillUnit(rng, a);
   // Adversarial splices: signed zeros, subnormals, infinities, max
   // magnitude — the values the bar-lower reduction meets in practice.
   a[0] = -0.0;
@@ -332,7 +337,7 @@ TEST(VecmathDispatchTest, MinBlockBitIdenticalAcrossLevels) {
   // Odd lengths exercise the scalar tails; finite values check the
   // non-sentinel path too.
   std::vector<double> b(64);
-  rng.FillDouble(b);
+  FillUnit(rng, b);
   for (size_t len : {1u, 2u, 3u, 5u, 7u, 9u, 15u, 31u, 33u, 64u}) {
     const std::span<const double> head(b.data(), len);
     SetDispatchLevel(DispatchLevel::kScalar);
@@ -463,9 +468,9 @@ TEST(VecmathDispatchTest, ScansAcrossLevels) {
   Rng rng(99);
   const size_t n = 1003;  // odd: exercises every lane tail
   std::vector<double> a(n), b(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(b);
-  rng.FillDouble(bars);
+  FillUnit(rng, a);
+  FillUnit(rng, b);
+  FillUnit(rng, bars);
   const double rho = 0.125;
   // Per-query ties: bars[i] + rho rounds back to exactly a[i].
   for (size_t i : {size_t{37}, size_t{512}, n - 1}) {
@@ -484,10 +489,10 @@ TEST(VecmathDispatchTest, ScansAcrossLevels) {
   // against 3.0, and its odd-length heads.
   Rng rng7(7);
   std::vector<double> a7(1000), b7(1000), bars7(1000);
-  rng7.FillDouble(a7);
-  rng7.FillDouble(b7);
+  FillUnit(rng7, a7);
+  FillUnit(rng7, b7);
   a7[777] = 3.0;
-  rng7.FillDouble(bars7);
+  FillUnit(rng7, bars7);
   ExpectScanWalks(a7, b7, bars7, {3.0, 2.5, 1e9, 0.5}, rho, "rng7");
   EXPECT_LE(FindFirstGe(a7, b7, {}, 3.0), 777u);
   EXPECT_EQ(FindFirstGe(a7, {}, {}, 1e9), a7.size());
@@ -733,7 +738,7 @@ TEST(VecmathMegaBoundedTest, FillMinScanSpansMatchesCompositionAtEveryLevel) {
                 ASSERT_TRUE(finite && never) << ctx << " needs both skip words";
               } else {
                 Rng setup(n * 7 + exp_nu);
-                setup.FillDouble(a);
+                FillUnit(setup, a);
                 double a_max = -1e300;
                 for (size_t i = 0; i < n; ++i) {
                   a[i] = bar - 10.0 * a[i];
