@@ -232,9 +232,8 @@ BENCHMARK(BM_SvtRunBatchNearThresholdPrefiltered)->Arg(1 << 20)->Arg(65536);
 
 void BM_QuantizedSpanBound(benchmark::State& state) {
   // The quantized span reduction in isolation: QuantizedSpanMax over
-  // kBoundSpan-sized uint16 code spans (the generic width; uint8 halves
-  // the traffic again). Pair with BM_FullPrecisionSpanBound on the same
-  // element count for the raw bound-pass traffic ratio.
+  // kBoundSpan-sized uint16 code spans. Pair with BM_FullPrecisionSpanBound
+  // on the same element count for the raw bound-pass traffic ratio.
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<uint16_t> codes(n);
   Rng gen(9);

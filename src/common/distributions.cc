@@ -269,29 +269,4 @@ double AliasSampler::Probability(uint32_t i) const {
   return norm_[i];
 }
 
-ZipfSampler::ZipfSampler(uint32_t n, double s) {
-  SVT_CHECK(n >= 1);
-  SVT_CHECK(s >= 0.0);
-  cdf_.resize(n);
-  double total = 0.0;
-  for (uint32_t k = 1; k <= n; ++k) {
-    total += std::pow(static_cast<double>(k), -s);
-    cdf_[k - 1] = total;
-  }
-  for (auto& v : cdf_) v /= total;
-  cdf_.back() = 1.0;  // guard against rounding drift
-}
-
-uint32_t ZipfSampler::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<uint32_t>(it - cdf_.begin()) + 1;
-}
-
-double ZipfSampler::Pmf(uint32_t k) const {
-  SVT_CHECK(k >= 1 && k <= cdf_.size());
-  if (k == 1) return cdf_[0];
-  return cdf_[k - 1] - cdf_[k - 2];
-}
-
 }  // namespace svt

@@ -211,26 +211,6 @@ class AliasSampler {
   std::vector<double> norm_;      // normalized input weights
 };
 
-/// Bounded Zipf(s) over ranks {1, ..., n}: P(k) proportional to k^-s.
-///
-/// Used by the synthetic transaction generator to draw item occurrences
-/// matching a target power-law frequency profile. Sampling is inverse-CDF
-/// over a precomputed cumulative table (exact, O(log n) per draw).
-class ZipfSampler {
- public:
-  /// n >= 1 ranks, exponent s >= 0 (s = 0 is uniform).
-  ZipfSampler(uint32_t n, double s);
-
-  /// Draws a rank in {1, ..., n}.
-  uint32_t Sample(Rng& rng) const;
-
-  /// Probability of rank k (1-based).
-  double Pmf(uint32_t k) const;
-
- private:
-  std::vector<double> cdf_;  // cdf_[k-1] = P(rank <= k)
-};
-
 }  // namespace svt
 
 #endif  // SPARSEVEC_COMMON_DISTRIBUTIONS_H_

@@ -45,27 +45,4 @@ void KahanAccumulator::Reset() {
   compensation_ = 0.0;
 }
 
-int Sgn(double x) {
-  if (x > 0.0) return 1;
-  if (x < 0.0) return -1;
-  return 0;
-}
-
-double Clamp(double x, double lo, double hi) {
-  return std::min(std::max(x, lo), hi);
-}
-
-double RelativeDifference(double a, double b, double floor) {
-  const double denom = std::max({std::abs(a), std::abs(b), floor});
-  return std::abs(a - b) / denom;
-}
-
-double GeneralizedHarmonic(size_t n, double s) {
-  KahanAccumulator acc;
-  for (size_t i = 1; i <= n; ++i) {
-    acc.Add(std::pow(static_cast<double>(i), -s));
-  }
-  return acc.sum();
-}
-
 }  // namespace svt

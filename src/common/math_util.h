@@ -3,7 +3,6 @@
 #ifndef SPARSEVEC_COMMON_MATH_UTIL_H_
 #define SPARSEVEC_COMMON_MATH_UTIL_H_
 
-#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,18 +33,6 @@ class KahanAccumulator {
   double sum_ = 0.0;
   double compensation_ = 0.0;
 };
-
-/// Sign of x in {-1, 0, +1}.
-int Sgn(double x);
-
-/// x clamped into [lo, hi].
-double Clamp(double x, double lo, double hi);
-
-/// Relative difference |a-b| / max(|a|, |b|, floor); 0 if both are ~0.
-double RelativeDifference(double a, double b, double floor = 1e-300);
-
-/// Harmonic-like partial sum: sum_{i=1}^{n} i^{-s}. (s = 1 gives H_n.)
-double GeneralizedHarmonic(size_t n, double s);
 
 }  // namespace svt
 

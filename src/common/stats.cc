@@ -108,12 +108,6 @@ double Mean(std::span<const double> values) {
   return s.mean();
 }
 
-double SampleStddev(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.Add(v);
-  return s.stddev();
-}
-
 namespace {
 
 // Inverse standard normal CDF (Acklam's rational approximation), accurate to

@@ -69,7 +69,6 @@ class LatencyHistogram {
 
 /// One-shot helpers.
 double Mean(std::span<const double> values);
-double SampleStddev(std::span<const double> values);
 
 /// Two-sided binomial (Clopper-Pearson style via normal approx + continuity)
 /// upper bound on a probability given `successes` out of `trials` at level

@@ -249,6 +249,8 @@ inline void RecordHits(unsigned mask, const double* nus, size_t e,
 
 namespace scalar_lane {
 
+struct Words4;
+
 // One element per "vector". The generator is the State itself: a step is
 // BlockRng::Next() on it, one xoshiro lane's output and the phase advance,
 // so the scalar lane accepts an unaligned entry.
@@ -256,7 +258,7 @@ struct ScalarLane {
   static constexpr size_t kW = 1;
   using D = double;
   using I = uint64_t;
-  using FillLane = ScalarLane;
+  using FillLane = Words4;
   using Gen = BlockRng::State*;
 
   static D Set1(double x) { return x; }
@@ -321,6 +323,38 @@ inline uint64_t ScalarLane::Step(Gen& st) {
   for (size_t k = 0; k < 4; ++k) w[4 * k] = s[k];
   st->phase = (st->phase + 1) & (BlockRng::kLanes - 1);
   return r;
+}
+
+// The scalar level's fill (ScalarLane::FillLane): the four xoshiro lanes'
+// state words held in locals and stepped in lockstep from a lane-aligned
+// position, like the SIMD fill lanes; whole steps keep the State's phase.
+// Each lane's word is stored before the lane advances. Stepping the State
+// one word at a time (ScalarLane::Step) took about 1.5x as long on
+// BM_RngFillUint64/4096, and holding a whole step's four words until one
+// joint store about 1.2x: either way the sixteen state words no longer fit
+// the registers.
+struct Words4 {};
+
+void FillStreamKernel(Words4, BlockRng::State* st, uint64_t* out, size_t n) {
+  const uint64_t* w = st->words.data();  // w[4 * k + j]: word k of lane j
+  uint64_t s0[4] = {w[0], w[1], w[2], w[3]};
+  uint64_t s1[4] = {w[4], w[5], w[6], w[7]};
+  uint64_t s2[4] = {w[8], w[9], w[10], w[11]};
+  uint64_t s3[4] = {w[12], w[13], w[14], w[15]};
+  const size_t steps = n / 4;
+  for (size_t step = 0; step < steps; ++step, out += 4) {
+    for (size_t j = 0; j < 4; ++j) {
+      out[j] = XoshiroOutput<ScalarLane>(s0[j], s3[j]);
+      XoshiroAdvance<ScalarLane>(s0[j], s1[j], s2[j], s3[j]);
+    }
+  }
+  for (size_t j = 0; j < 4; ++j) {
+    st->words[j] = s0[j];
+    st->words[4 + j] = s1[j];
+    st->words[8 + j] = s2[j];
+    st->words[12 + j] = s3[j];
+  }
+  FillStreamKernel(ScalarLane{}, st, out, n - 4 * steps);
 }
 
 }  // namespace scalar_lane
@@ -488,34 +522,22 @@ struct Avx2Lane {
 
 inline __m256i Avx2Lane::Step(Gen& g) { return XoshiroNext<Avx2Lane>(g.s); }
 
-// Quantized bound-code reductions (AVX2 only, see vecmath.h): exact
-// unsigned integer max/min, 32 (u8) or 16 (u16) codes per 256-bit op.
-// Association-free, so seeding the accumulator with codes[0] is harmless.
-template <class Code, bool kMax>
-__m256i QuantizedOp(__m256i a, __m256i b) {
-  if constexpr (sizeof(Code) == 1) {
-    return kMax ? _mm256_max_epu8(a, b) : _mm256_min_epu8(a, b);
-  } else {
-    return kMax ? _mm256_max_epu16(a, b) : _mm256_min_epu16(a, b);
-  }
-}
-
-template <class Code, bool kMax>
-Code QuantizedReduce(const Code* codes, size_t n) {
-  constexpr size_t kPer = 32 / sizeof(Code);
-  __m256i acc = sizeof(Code) == 1
-                    ? _mm256_set1_epi8(static_cast<char>(codes[0]))
-                    : _mm256_set1_epi16(static_cast<short>(codes[0]));
+// Quantized bound-code reduction (AVX2 only, see vecmath.h): exact
+// unsigned 16-bit max, 16 codes per 256-bit op. Association-free, so
+// seeding the accumulator with codes[0] is harmless.
+std::uint16_t QuantizedMax(const std::uint16_t* codes, size_t n) {
+  constexpr size_t kPer = 16;
+  __m256i acc = _mm256_set1_epi16(static_cast<short>(codes[0]));
   size_t i = 0;
   for (; i + kPer <= n; i += kPer) {
-    acc = QuantizedOp<Code, kMax>(
+    acc = _mm256_max_epu16(
         acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i)));
   }
-  alignas(32) Code lanes[kPer];
+  alignas(32) std::uint16_t lanes[kPer];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  Code m = lanes[0];
-  for (size_t k = 1; k < kPer; ++k) m = Pick<kMax>(m, lanes[k]);
-  for (; i < n; ++i) m = Pick<kMax>(m, codes[i]);
+  std::uint16_t m = lanes[0];
+  for (size_t k = 1; k < kPer; ++k) m = std::max(m, lanes[k]);
+  for (; i < n; ++i) m = std::max(m, codes[i]);
   return m;
 }
 
@@ -792,42 +814,18 @@ void FillStream(BlockRng::State* state, std::span<uint64_t> out) {
       [&](size_t) { return state->phase == 0; });
 }
 
-namespace {
-
-// The quantized reductions dispatch the AVX2 lane at every SIMD level:
-// 512-bit byte/word max needs AVX-512BW (outside the library's F+DQ+VL
-// gate), and the reduction is exact at any width, so the AVX-512 level
-// simply reuses the 256-bit lane (see vecmath.h).
-template <bool kMax, class Code>
-Code QuantizedSpanReduce(std::span<const Code> codes) {
-  SVT_CHECK(!codes.empty()) << (kMax ? "QuantizedSpanMax" : "QuantizedSpanMin")
-                            << " requires an element";
+// The quantized reduction dispatches the AVX2 lane at every SIMD level:
+// 512-bit word max needs AVX-512BW (outside the library's F+DQ+VL gate),
+// and the reduction is exact at any width, so the AVX-512 level simply
+// reuses the 256-bit lane (see vecmath.h).
+uint16_t QuantizedSpanMax(std::span<const uint16_t> codes) {
+  SVT_CHECK(!codes.empty()) << "QuantizedSpanMax requires an element";
 #if SVT_VECMATH_HAVE_AVX2
   if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return avx2_lane::QuantizedReduce<Code, kMax>(codes.data(), codes.size());
+    return avx2_lane::QuantizedMax(codes.data(), codes.size());
   }
 #endif
-  Code m = codes[0];
-  for (Code c : codes) m = Pick<kMax>(m, c);
-  return m;
-}
-
-}  // namespace
-
-uint16_t QuantizedSpanMax(std::span<const uint16_t> codes) {
-  return QuantizedSpanReduce<true>(codes);
-}
-
-uint16_t QuantizedSpanMin(std::span<const uint16_t> codes) {
-  return QuantizedSpanReduce<false>(codes);
-}
-
-uint8_t QuantizedSpanMax(std::span<const uint8_t> codes) {
-  return QuantizedSpanReduce<true>(codes);
-}
-
-uint8_t QuantizedSpanMin(std::span<const uint8_t> codes) {
-  return QuantizedSpanReduce<false>(codes);
+  return *std::max_element(codes.begin(), codes.end());
 }
 
 size_t FindFirstGe(std::span<const double> a, std::span<const double> nu,

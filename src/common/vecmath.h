@@ -165,25 +165,20 @@ double MinBlock(std::span<const double> in);
 std::uint64_t MinWordBlock(std::span<const std::uint64_t> words,
                            std::size_t stride);
 
-// --- Quantized bound reductions -------------------------------------------
+// --- Quantized bound reduction --------------------------------------------
 //
-// Integer max/min over the quantized bound codes of the two-level bound
-// prefilter (data/bound_prefilter.h): the primary bound level reduces
-// uint8/uint16 codes instead of doubles, touching 4-8x less memory per
-// span. Unsigned integer max/min is exact and association-free, so every
-// lane returns the identical code — no rounding contract needed. The
-// AVX-512 dispatch level reuses the AVX2 lane: 512-bit byte/word max
-// needs AVX-512BW, which is outside the library's F+DQ+VL gate, and an
-// exact integer reduction gains nothing from a wider accumulator that
-// the 256-bit lane doesn't already deliver from L1/L2.
+// Integer max over the 16-bit score codes of the bound prefilter
+// (data/bound_prefilter.h): the prefiltered bound level reduces uint16
+// codes instead of doubles, touching 4x less memory per span. Unsigned
+// integer max is exact and association-free, so every lane returns the
+// identical code — no rounding contract needed. The AVX-512 dispatch
+// level reuses the AVX2 lane: 512-bit word max needs AVX-512BW, which is
+// outside the library's F+DQ+VL gate, and an exact integer reduction
+// gains nothing from a wider accumulator that the 256-bit lane doesn't
+// already deliver from L1/L2.
 
 /// Max over a span of quantized bound codes (codes.size() >= 1).
-std::uint8_t QuantizedSpanMax(std::span<const std::uint8_t> codes);
 std::uint16_t QuantizedSpanMax(std::span<const std::uint16_t> codes);
-
-/// Min over a span of quantized bound codes (codes.size() >= 1).
-std::uint8_t QuantizedSpanMin(std::span<const std::uint8_t> codes);
-std::uint16_t QuantizedSpanMin(std::span<const std::uint16_t> codes);
 
 /// The SVT positive test as a compare-scan: the smallest i with
 ///   a[i] + nu[i] >= bar_i,

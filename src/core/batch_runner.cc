@@ -652,17 +652,10 @@ void BatchRunner::CheckArgs(std::span<const double> answers,
 }
 
 void BatchRunner::CheckArgs(std::span<const double> answers,
-                            std::span<const double> thresholds,
-                            const BoundPrefilter* prefilter) {
+                            std::span<const double> thresholds) {
   SVT_CHECK(answers.size() == thresholds.size())
       << "answers/thresholds size mismatch: " << answers.size() << " vs "
       << thresholds.size();
-  CheckArgs(answers, prefilter);
-  if (prefilter != nullptr) {
-    SVT_CHECK(prefilter->has_thresholds())
-        << "per-query-threshold runs need a prefilter built with the "
-           "two-array Build(answers, thresholds)";
-  }
 }
 
 // The reserve grows the vector the way one resize by `count` would, to the
@@ -731,7 +724,9 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
 size_t BatchRunner::Run(std::span<const double> answers,
                         std::span<const double> thresholds,
                         std::vector<Response>* out) {
-  return Run(answers, thresholds, /*prefilter=*/nullptr, out);
+  CheckArgs(answers, thresholds);
+  return RunBars(answers, PerQueryBars{thresholds.data()},
+                 /*prefilter=*/nullptr, out);
 }
 
 size_t BatchRunner::Run(std::span<const double> answers, double threshold,
@@ -739,14 +734,6 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
                         std::vector<Response>* out) {
   CheckArgs(answers, prefilter);
   return RunBars(answers, CommonBar{threshold}, prefilter, out);
-}
-
-size_t BatchRunner::Run(std::span<const double> answers,
-                        std::span<const double> thresholds,
-                        const BoundPrefilter* prefilter,
-                        std::vector<Response>* out) {
-  CheckArgs(answers, thresholds, prefilter);
-  return RunBars(answers, PerQueryBars{thresholds.data()}, prefilter, out);
 }
 
 template <typename Bars>

@@ -71,9 +71,9 @@
 // Every conservative skip decision above — tier-1 chunk tests, tier-2
 // span tests (common and per-query), and the fused passes' skip-word
 // inputs — is computed by a single BoundPipeline (core/bound_pipeline.h),
-// which optionally reads a quantized BoundPrefilter
-// (data/bound_prefilter.h) instead of the double arrays; the runner only
-// decides how surviving spans get scanned.
+// which, on a common-threshold call, optionally reads a quantized
+// BoundPrefilter (data/bound_prefilter.h) instead of the answers; the
+// runner only decides how surviving spans get scanned.
 //
 // Which tier each chunk took is counted in SvtRunState::batch (exposed as
 // SparseVector::batch_stats()) so tests and capacity planning can verify
@@ -166,14 +166,13 @@ class BatchRunner {
 
   /// Aborts unless the arguments of a run agree: per-query thresholds
   /// match the answers in size, and an attached `prefilter` (may be null)
-  /// was built over arrays of this size — with bar-side codes for a
-  /// per-query run. Every Run applies it, and SparseVector applies it
-  /// before its short-call branch, so short calls are checked alike.
+  /// was built over an answers array of this size. Every Run applies it,
+  /// and SparseVector applies it before its short-call branch, so short
+  /// calls are checked alike.
   static void CheckArgs(std::span<const double> answers,
                         const BoundPrefilter* prefilter);
   static void CheckArgs(std::span<const double> answers,
-                        std::span<const double> thresholds,
-                        const BoundPrefilter* prefilter);
+                        std::span<const double> thresholds);
 
   /// Makes room for `count` more responses in *out, growing it
   /// geometrically, and returns where they start. Run appends chunk by
@@ -201,15 +200,11 @@ class BatchRunner {
   size_t Run(std::span<const double> answers, double threshold,
              std::vector<Response>* out);
 
-  /// Prefiltered forms: `prefilter` (may be null) must be built over
-  /// exactly these answers (and, pairwise, thresholds) arrays — sizes are
-  /// checked. When attached and SVT_BOUND_PREFILTER is on, the
+  /// Prefiltered form: `prefilter` (may be null) must be built over
+  /// exactly these answers — sizes are checked. When attached, the
   /// BoundPipeline's skip decisions read the quantized codes instead of
   /// the doubles; responses, statistics beyond the bound counters, and
   /// stream positions are bit-identical either way (core/svt.h contract).
-  size_t Run(std::span<const double> answers,
-             std::span<const double> thresholds,
-             const BoundPrefilter* prefilter, std::vector<Response>* out);
   size_t Run(std::span<const double> answers, double threshold,
              const BoundPrefilter* prefilter, std::vector<Response>* out);
 

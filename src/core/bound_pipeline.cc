@@ -28,8 +28,7 @@ BoundPipeline::BoundPipeline(const BoundPrefilter* prefilter, double nu_scale,
     : prefilter_(prefilter),
       nu_scale_(nu_scale),
       span_elems_(span_elems),
-      stats_(stats),
-      quant_(prefilter != nullptr && BoundPrefilterEnabled()) {
+      stats_(stats) {
   SVT_CHECK(span_elems_ >= 1);
   SVT_CHECK(stats_ != nullptr);
 }
@@ -37,26 +36,19 @@ BoundPipeline::BoundPipeline(const BoundPrefilter* prefilter, double nu_scale,
 void BoundPipeline::BeginChunk(const double* answers, const double* thresholds,
                                size_t offset, size_t n) {
   SVT_DCHECK(n >= 1);
-  a_ = answers;
+  SVT_DCHECK(prefilter_ == nullptr || thresholds == nullptr);
   t_ = thresholds;
-  offset_ = offset;
-  n_ = n;
   nspans_ = (n + span_elems_ - 1) / span_elems_;
   SVT_DCHECK(nspans_ <= kMaxSpans);
   span_nu_ready_ = false;
   for (size_t j = 0; j < nspans_; ++j) {
     const size_t s = j * span_elems_;
     const size_t m = std::min(span_elems_, n - s);
-    if (quant_) {
-      span_upper_[j] = prefilter_->ScoreUpper(offset + s, m);
-      if (thresholds != nullptr) {
-        span_bar_lower_[j] = prefilter_->BarLower(offset + s, m);
-      }
-    } else {
-      span_upper_[j] = vec::MaxBlock({answers + s, m});
-      if (thresholds != nullptr) {
-        span_bar_lower_[j] = vec::MinBlock({thresholds + s, m});
-      }
+    span_upper_[j] = prefilter_ != nullptr
+                         ? prefilter_->ScoreUpper(offset + s, m)
+                         : vec::MaxBlock({answers + s, m});
+    if (thresholds != nullptr) {
+      span_bar_lower_[j] = vec::MinBlock({thresholds + s, m});
     }
   }
   // Max is exact, so the reduction over span uppers equals the whole-chunk
@@ -69,13 +61,12 @@ void BoundPipeline::BeginChunk(const double* answers, const double* thresholds,
   // The level's bound-pass read volume, charged once per chunk (chunk
   // granularity makes the counter dispatch-level independent: every span
   // of every chunk is reduced exactly once here).
-  const size_t score_bytes =
-      quant_ ? prefilter_->score_bytes_per_element() : sizeof(double);
+  const size_t score_bytes = prefilter_ != nullptr
+                                 ? BoundPrefilter::score_bytes_per_element()
+                                 : sizeof(double);
   stats_->bound_bytes_touched += static_cast<int64_t>(n * score_bytes);
   if (thresholds != nullptr) {
-    const size_t bar_bytes =
-        quant_ ? prefilter_->bar_bytes_per_element() : sizeof(double);
-    stats_->bound_bytes_touched += static_cast<int64_t>(n * bar_bytes);
+    stats_->bound_bytes_touched += static_cast<int64_t>(n * sizeof(double));
   }
 }
 
@@ -133,7 +124,7 @@ bool BoundPipeline::SpanCanFire(size_t j, double bar) {
   EnsureSpanNuBounds();
   if (span_upper_[j] + span_nu_bound_[j] < bar) {
     ++stats_->tier2_spans_skipped;
-    if (quant_) ++stats_->bound_spans_pruned_q;
+    if (prefilter_ != nullptr) ++stats_->bound_spans_pruned_q;
     return false;
   }
   return true;
@@ -146,7 +137,6 @@ bool BoundPipeline::SpanCanFirePerQuery(size_t j, double rho) {
   // whose padded upper stays below it cannot fire any per-query test.
   if (span_upper_[j] + span_nu_bound_[j] < span_bar_lower_[j] + rho) {
     ++stats_->tier2_spans_skipped;
-    if (quant_) ++stats_->bound_spans_pruned_q;
     return false;
   }
   return true;

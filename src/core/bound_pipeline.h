@@ -12,12 +12,12 @@
 // round-toward-pessimistic representation of the query-score/threshold
 // inputs, passing only surviving spans downward:
 //
-//   level 0 (optional, quantized): per-span score upper bounds and bar
-//     lower bounds dequantized from a BoundPrefilter's uint8/uint16 codes
-//     (data/bound_prefilter.h) — the bound pass touches 4-8x less memory;
+//   level 0 (optional, quantized, common-threshold calls only): per-span
+//     score upper bounds dequantized from a BoundPrefilter's uint16 codes
+//     (data/bound_prefilter.h) — the bound pass touches 4x less memory;
 //   level 1 (full precision): vec::MaxBlock / vec::MinBlock over the
-//     doubles themselves — used when no prefilter is attached or
-//     SVT_BOUND_PREFILTER=off;
+//     doubles themselves — the answers when no prefilter is attached, and
+//     always the per-query thresholds;
 //   final level (exact, in batch_runner): the fused sample-and-scan of
 //     surviving spans, which computes the exact streaming positive test —
 //     the "rerank at full precision" of the two-level pattern.
@@ -39,10 +39,10 @@
 //       fl(up + NB) < fl(dn + rho)    (common: the rhs is bar itself)
 //   where up >= a_i for every non-NaN a_i in the span (exact MaxBlock, or
 //   the prefilter's per-element round-up invariant), dn <= t_i for every
-//   non-NaN t_i (exact MinBlock, or the round-down invariant), and NB is
-//   the padded noise bound nu_scale * (-Log(u(w_min))) * kBoundSlack with
-//   w_min the span's minimum magnitude word: u is monotone in the word
-//   and -log anti-monotone, so NB >= nu_scale * (-Log(u(w_i))) >= nu_i
+//   non-NaN t_i (exact MinBlock), and NB is the padded noise bound
+//   nu_scale * (-Log(u(w_min))) * kBoundSlack with w_min the span's
+//   minimum magnitude word: u is monotone in the word and -log
+//   anti-monotone, so NB >= nu_scale * (-Log(u(w_i))) >= nu_i
 //   for every variate in the span on the side that can fire (Laplace:
 //   nu_i <= |nu_i| <= NB; exponential: 0 <= nu_i <= NB exactly —
 //   kBoundSlack absorbs the log kernel's sub-ulp wiggle, see
@@ -53,10 +53,10 @@
 //   dispatch level (each fl(·) and the Log kernel are bit-identical
 //   across levels) and whether the stage took the fused pass or the word
 //   fill (unsigned word minima are association-free, so both feed
-//   identical w_min). Elements with NaN answers or NaN thresholds compare
-//   false in the exact test and are excluded from up/dn by the
-//   prefilter's build rule (full-precision reductions are only used on
-//   NaN-free inputs — ScoreVector checks). Hence pruning is sound, outputs
+//   identical w_min). Elements with NaN answers compare false in the
+//   exact test and are excluded from up by the prefilter's build rule
+//   (full-precision reductions are only used on NaN-free inputs —
+//   ScoreVector checks). Hence pruning is sound, outputs
 //   are bit-identical to the bound-free scan, and — since the quantized
 //   level's decisions are themselves deterministic functions of the codes
 //   — tier counters are dispatch-level independent. This argument sits
@@ -84,13 +84,12 @@ class BoundPipeline {
 
   /// One pipeline per Run call. `prefilter` may be null (full precision);
   /// when non-null its size must cover every chunk offset passed to
-  /// BeginChunk. The quantized level engages only while the process-wide
-  /// gate (SVT_BOUND_PREFILTER) is on — latched here, once per run.
+  /// BeginChunk, and the run must be a common-threshold one.
   BoundPipeline(const BoundPrefilter* prefilter, double nu_scale,
                 size_t span_elems, BatchRunStats* stats);
 
   /// Builds the chunk's score-upper (and, per-query, bar-lower) plan for
-  /// answers[0, n) at absolute offset `offset` in the prefilter's arrays.
+  /// answers[0, n) at absolute offset `offset` in the prefilter's codes.
   /// `thresholds` is null for common-threshold runs. Charges the level's
   /// bytes to bound_bytes_touched.
   void BeginChunk(const double* answers, const double* thresholds,
@@ -134,22 +133,15 @@ class BoundPipeline {
   /// tests it (the batch engine's ring workers).
   void EnsureSpanNuBounds();
 
-  /// True when the quantized level is active for this run.
-  bool quantized() const { return quant_; }
-
  private:
   double NuBound(std::uint64_t w_min) const;
 
-  const BoundPrefilter* prefilter_;  // null or inactive when !quant_
+  const BoundPrefilter* prefilter_;  // null at full precision
   const double nu_scale_;
   const size_t span_elems_;
   BatchRunStats* const stats_;
-  const bool quant_;
 
-  const double* a_ = nullptr;
-  const double* t_ = nullptr;
-  size_t offset_ = 0;
-  size_t n_ = 0;
+  const double* t_ = nullptr;  // for the per-query DCHECKs
   size_t nspans_ = 0;
   bool span_nu_ready_ = false;
   double chunk_upper_ = 0.0;

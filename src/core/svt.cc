@@ -106,20 +106,13 @@ std::vector<Response> SparseVector::Run(std::span<const double> answers,
 size_t SparseVector::RunAppend(std::span<const double> answers,
                                std::span<const double> thresholds,
                                std::vector<Response>* out) {
-  return RunAppend(answers, thresholds, /*prefilter=*/nullptr, out);
+  BatchRunner::CheckArgs(answers, thresholds);
+  return RunBars(answers, thresholds, out);
 }
 
 size_t SparseVector::RunAppend(std::span<const double> answers,
                                double threshold, std::vector<Response>* out) {
-  return RunAppend(answers, threshold, /*prefilter=*/nullptr, out);
-}
-
-size_t SparseVector::RunAppend(std::span<const double> answers,
-                               std::span<const double> thresholds,
-                               const BoundPrefilter* prefilter,
-                               std::vector<Response>* out) {
-  BatchRunner::CheckArgs(answers, thresholds, prefilter);
-  return RunBars(answers, thresholds, prefilter, out);
+  return RunBars(answers, threshold, out);
 }
 
 size_t SparseVector::RunAppend(std::span<const double> answers,
@@ -127,19 +120,25 @@ size_t SparseVector::RunAppend(std::span<const double> answers,
                                const BoundPrefilter* prefilter,
                                std::vector<Response>* out) {
   BatchRunner::CheckArgs(answers, prefilter);
-  return RunBars(answers, threshold, prefilter, out);
+  // A prefilter's span grid is anchored at the array start, so a
+  // prefiltered call the engine takes keeps a misaligned entry rather than
+  // stream an alignment head; only a short call streams.
+  if (prefilter == nullptr ||
+      answers.size() < BatchRunner::kStreamingCutover) {
+    return RunBars(answers, threshold, out);
+  }
+  return BatchRunner(spec_, rng_, &state_)
+      .Run(answers, threshold, prefilter, out);
 }
 
-size_t SparseVector::StreamedHead(size_t n,
-                                  const BoundPrefilter* prefilter) const {
+size_t SparseVector::StreamedHead(size_t n) const {
   // Short-call rule (core/batch_runner.h): the streaming loop is cheaper
   // here and emits the identical sequence.
   if (n < BatchRunner::kStreamingCutover) return n;
   // Alignment head: a call inherits the ν phase the previous one left, and
   // the fused pass runs its SIMD lanes only from a lane boundary, so the
-  // loop draws the few variates up to the next one. A prefilter's span
-  // grid is anchored at the array start, so a prefiltered call keeps it.
-  if (spec_.nu_scale <= 0.0 || prefilter != nullptr) return 0;
+  // loop draws the few variates up to the next one.
+  if (spec_.nu_scale <= 0.0) return 0;
   const size_t wpv = WordsPerVariate(spec_.nu_kind);
   const size_t to_boundary =
       (BlockRng::kLanes - state_.nu_rng.state().phase) % BlockRng::kLanes;
@@ -149,18 +148,15 @@ size_t SparseVector::StreamedHead(size_t n,
 
 template <typename Bars>
 size_t SparseVector::RunBars(std::span<const double> answers, Bars bars,
-                             const BoundPrefilter* prefilter,
                              std::vector<Response>* out) {
-  const size_t head = StreamedHead(answers.size(), prefilter);
+  const size_t head = StreamedHead(answers.size());
   if (head == 0) {
-    return BatchRunner(spec_, rng_, &state_)
-        .Run(answers, bars, prefilter, out);
+    return BatchRunner(spec_, rng_, &state_).Run(answers, bars, out);
   }
   BatchRunner::ReserveAppend(out, answers.size());
   const size_t n = Stream(answers.first(head), bars, out);
   state_.batch.streamed_queries += static_cast<int64_t>(n);
   if (head == answers.size() || state_.exhausted) return n;
-  // Only an unprefiltered call has a head short of the whole call.
   return n + BatchRunner(spec_, rng_, &state_)
                  .Run(answers.subspan(head), Tail(bars, head), out);
 }

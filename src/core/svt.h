@@ -54,13 +54,13 @@ struct BatchRunStats {
   int64_t tier2_spans_skipped = 0;
   /// Span visits pruned by the QUANTIZED bound level (a subset of
   /// tier2_spans_skipped): only nonzero when a BoundPrefilter was attached
-  /// and SVT_BOUND_PREFILTER is on. Dispatch-level independent, like every
+  /// to a common-threshold call. Dispatch-level independent, like every
   /// counter here.
   int64_t bound_spans_pruned_q = 0;
   /// Bytes the bound pass's score/threshold-side span reductions read per
-  /// chunk: 8 per element and side at full precision, the prefilter's 1-2
-  /// per element and side when quantized — the two-level prefilter's whole
-  /// point. Counted once per chunk entering a bound-carrying path
+  /// chunk: 8 per element and side at full precision, the prefilter's 2
+  /// per element when quantized — the two-level prefilter's whole point.
+  /// Counted once per chunk entering a bound-carrying path
   /// (deterministic in the workload shape: dispatch-level independent;
   /// resume-head re-reductions after positives are not counted).
   int64_t bound_bytes_touched = 0;
@@ -261,16 +261,15 @@ struct SvtOptions {
 ///
 /// Quantized bound representations are BOUND-ONLY: the BoundPipeline's
 /// quantized prefilter level (core/bound_pipeline.h,
-/// data/bound_prefilter.h) reads uint8/uint16 codes instead of the
-/// full-precision answers/thresholds, but those codes feed exclusively
-/// the conservative skip decisions and skip-word derivation — never a
-/// draw, a word→variate transform, or an emitted value. Every chunk
-/// still consumes exactly n · words-per-variate ν words whether a span
-/// was pruned by the quantized level, the full-precision level, or not
-/// at all, so steps 1-5 are untouched and the emitted Response sequence
-/// is bit-identical with the prefilter attached, absent, or disabled
-/// (SVT_BOUND_PREFILTER=off — a CI equivalence leg). Tier counters may
-/// legitimately differ between prefilter-on and prefilter-off runs (the
+/// data/bound_prefilter.h) reads uint16 codes instead of the
+/// full-precision answers of a common-threshold call, but those codes
+/// feed exclusively the conservative skip decisions and skip-word
+/// derivation — never a draw, a word→variate transform, or an emitted
+/// value. Every chunk still consumes exactly n · words-per-variate ν words
+/// whether a span was pruned by the quantized level, the full-precision
+/// level, or not at all, so steps 1-5 are untouched and the emitted
+/// Response sequence is bit-identical with the prefilter attached or
+/// absent. Tier counters may legitimately differ between the two (the
 /// quantized bound is weaker, so it prunes a subset of what full precision
 /// would); they remain dispatch-level independent within either setting.
 ///
@@ -389,17 +388,12 @@ class SparseVector final {
   size_t RunAppend(std::span<const double> answers, double threshold,
                    std::vector<Response>* out);
 
-  /// RunAppend with a quantized bound prefilter attached
+  /// Common-threshold RunAppend with a quantized bound prefilter attached
   /// (data/bound_prefilter.h): `prefilter` must have been built over
-  /// exactly these answers (and thresholds) arrays, or be nullptr. The
-  /// prefilter only accelerates the batch engine's conservative bound
-  /// pass — emitted Responses are bit-identical with it attached, absent,
-  /// or disabled (SVT_BOUND_PREFILTER=off). Calls the streaming loop
+  /// exactly these answers, or be nullptr. The prefilter only accelerates
+  /// the batch engine's conservative bound pass — emitted Responses are
+  /// bit-identical with it attached or absent. Calls the streaming loop
   /// answers whole ignore it (the loop has no bound pass).
-  size_t RunAppend(std::span<const double> answers,
-                   std::span<const double> thresholds,
-                   const BoundPrefilter* prefilter,
-                   std::vector<Response>* out);
   size_t RunAppend(std::span<const double> answers, double threshold,
                    const BoundPrefilter* prefilter,
                    std::vector<Response>* out);
@@ -431,13 +425,14 @@ class SparseVector final {
   /// How many leading queries of an n-query RunAppend call the streaming
   /// loop answers before the engine takes the rest: all of a short call,
   /// else the alignment head (core/batch_runner.h), usually 0.
-  size_t StreamedHead(size_t n, const BoundPrefilter* prefilter) const;
+  size_t StreamedHead(size_t n) const;
 
-  /// Every RunAppend, over its bar form: one common threshold (double) or
-  /// one threshold per query (std::span<const double>).
+  /// Every RunAppend but a prefiltered one the engine takes whole, over
+  /// its bar form: one common threshold (double) or one threshold per
+  /// query (std::span<const double>).
   template <typename Bars>
   size_t RunBars(std::span<const double> answers, Bars bars,
-                 const BoundPrefilter* prefilter, std::vector<Response>* out);
+                 std::vector<Response>* out);
 
   /// The Process() loop behind the short-call rule and the alignment head.
   template <typename Bars>

@@ -45,11 +45,11 @@ class ScoreVector {
   /// [0, size())).
   ScoreVector Permuted(std::span<const uint32_t> permutation) const;
 
-  /// The vector's quantized bound companion (score side only), built
-  /// lazily on first use and cached — pass it to the batch engine's
-  /// prefiltered RunAppend so repeated runs over the same vector (the
+  /// The vector's quantized bound companion, built lazily on first use
+  /// and cached — pass it to the batch engine's prefiltered
+  /// common-threshold RunAppend so repeated runs over the same vector (the
   /// paper's sweep shape) pay the quantization once and the per-span
-  /// bound pass reads 1-2 bytes per element instead of 8. Shuffled() and
+  /// bound pass reads 2 bytes per element instead of 8. Shuffled() and
   /// Permuted() return fresh vectors with their own (unbuilt) cache.
   /// Codes are bound-only: attaching them never changes emitted
   /// responses (core/svt.h contract). Not thread-safe against concurrent

@@ -228,38 +228,6 @@ TEST(AliasSamplerTest, ProbabilityAccessorNormalizes) {
   EXPECT_DOUBLE_EQ(sampler.Probability(1), 0.75);
 }
 
-TEST(ZipfSamplerTest, PmfSumsToOne) {
-  ZipfSampler z(100, 1.0);
-  double total = 0.0;
-  for (uint32_t k = 1; k <= 100; ++k) total += z.Pmf(k);
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(ZipfSamplerTest, RankOneMostLikely) {
-  ZipfSampler z(50, 1.2);
-  for (uint32_t k = 2; k <= 50; ++k) {
-    EXPECT_GT(z.Pmf(1), z.Pmf(k));
-  }
-}
-
-TEST(ZipfSamplerTest, UniformWhenExponentZero) {
-  ZipfSampler z(10, 0.0);
-  for (uint32_t k = 1; k <= 10; ++k) {
-    EXPECT_NEAR(z.Pmf(k), 0.1, 1e-12);
-  }
-}
-
-TEST(ZipfSamplerTest, EmpiricalFrequenciesMatchPmf) {
-  Rng rng(10);
-  ZipfSampler z(20, 1.0);
-  std::vector<int> counts(21, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[z.Sample(rng)];
-  for (uint32_t k = 1; k <= 20; ++k) {
-    EXPECT_NEAR(counts[k] / static_cast<double>(n), z.Pmf(k), 0.005);
-  }
-}
-
 using ScaleParam = double;
 class LaplaceScaleSweep : public ::testing::TestWithParam<ScaleParam> {};
 

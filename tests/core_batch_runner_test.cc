@@ -1099,8 +1099,8 @@ std::unique_ptr<SparseVector> MakeWithNuKind(VariantId id, NoiseKind nu_kind,
 
 TEST(BatchRunnerTest, ShortCallCutoverMatchesStreamingAtEveryLength) {
   // Every call length on both sides of the short-call cutover, for all ten
-  // variants × both ν kinds × common and per-query bars (odd lengths with
-  // a prefilter attached): the responses, the base stream afterwards, and
+  // variants × both ν kinds × common and per-query bars (odd common-bar
+  // lengths with a prefilter attached): the responses, the base stream afterwards, and
   // — unless the cutoff exhausted the run — the ν substream must match the
   // Process() loop, and streamed_queries must say which path ran.
   constexpr int kCutoff = 2;
@@ -1128,12 +1128,10 @@ TEST(BatchRunnerTest, ShortCallCutoverMatchesStreamingAtEveryLength) {
               if (per_query) bars[i] = (gen.NextDouble() - 0.5) * scale;
             }
             const bool with_pf = n % 2 == 1;
-            const BoundPrefilter pf = per_query
-                                          ? BoundPrefilter::Build(answers, bars)
-                                          : BoundPrefilter::Build(answers);
+            const BoundPrefilter pf = BoundPrefilter::Build(answers);
             std::vector<Response> got, ref;
             if (per_query) {
-              batch->RunAppend(answers, bars, with_pf ? &pf : nullptr, &got);
+              batch->RunAppend(answers, bars, &got);
             } else {
               batch->RunAppend(answers, 0.0, with_pf ? &pf : nullptr, &got);
             }
@@ -1211,11 +1209,11 @@ TEST(BatchRunnerTest, UnalignedEntryMatchesStreaming) {
   // A call inherits the ν phase the previous call left. Back-to-back calls
   // whose lengths reach every entry phase (Laplace 0 and 2, exponential
   // 0-3), of kStreamingCutover and kStreamingCutover + 3 queries among
-  // them, for both bar forms, with and without a prefilter, at every
-  // dispatch level: responses and both streams must equal the streaming
-  // loop's. A call without a prefilter streams its alignment head, so no
-  // chunk enters off a lane boundary; a prefiltered call keeps its
-  // unaligned entry.
+  // them, for both bar forms, and for the common bar with and without a
+  // prefilter, at every dispatch level: responses and both streams must
+  // equal the streaming loop's. A call without a prefilter streams its
+  // alignment head, so no chunk enters off a lane boundary; a prefiltered
+  // call keeps its unaligned entry.
   ScopedDispatchLevel restore_level;
   constexpr size_t kCut = BatchRunner::kStreamingCutover;
   const size_t lengths[] = {BatchRunner::kChunkSize + 1,
@@ -1241,6 +1239,7 @@ TEST(BatchRunnerTest, UnalignedEntryMatchesStreaming) {
   for (NoiseKind kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
     for (const bool per_query : {false, true}) {
       for (const bool with_pf : {false, true}) {
+        if (per_query && with_pf) continue;  // prefilters are common-bar only
         std::optional<BatchRunStats> first_level;
         std::set<uint32_t> phases;
         for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
@@ -1261,12 +1260,11 @@ TEST(BatchRunnerTest, UnalignedEntryMatchesStreaming) {
             offset += n;
             const uint32_t phase = NuPhase(stream);
             phases.insert(phase);
-            const BoundPrefilter pf = per_query ? BoundPrefilter::Build(a, t)
-                                                : BoundPrefilter::Build(a);
+            const BoundPrefilter pf = BoundPrefilter::Build(a);
             const BatchRunStats before = batch.batch_stats();
             std::vector<Response> got, want;
             if (per_query) {
-              batch.RunAppend(a, t, with_pf ? &pf : nullptr, &got);
+              batch.RunAppend(a, t, &got);
               StreamAppend(&stream, a, t, &want);
             } else {
               batch.RunAppend(a, 0.0, with_pf ? &pf : nullptr, &got);
@@ -1373,11 +1371,11 @@ TEST(BatchRunnerTest, ResumeWalkMatchesStreaming) {
   // many times per chunk), a record that overflows,
   // chunks with no sound skip word, and a cutoff that exhausts the run
   // inside a span. Each runs as several calls that cross chunk boundaries,
-  // for both arms, both ν kinds, the prefilter on and off, at every
-  // dispatch level. Batch must equal streaming — responses and both
-  // streams — and the counters must be the same at every dispatch level.
+  // for both arms, both ν kinds, and on the common arm with a prefilter
+  // attached and without one, at every dispatch level. Batch must equal
+  // streaming — responses and both streams — and the counters must be the
+  // same at every dispatch level.
   ScopedDispatchLevel restore_level;
-  ScopedPrefilterGate restore_gate;
   constexpr size_t kChunk = BatchRunner::kChunkSize;
   constexpr size_t kSpan = BatchRunner::kBoundSpan;
   constexpr int kNoCutoff = 1 << 20;
@@ -1409,8 +1407,8 @@ TEST(BatchRunnerTest, ResumeWalkMatchesStreaming) {
     for (const Scenario& sc : scenarios) {
       for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
         for (const bool per_query : {false, true}) {
-          for (const bool prefilter_on : {true, false}) {
-            SetBoundPrefilterEnabled(prefilter_on);
+          for (const bool with_pf : {true, false}) {
+            if (per_query && with_pf) continue;  // common-bar only
             VariantSpec spec =
                 MakeSpec(sc.resample ? VariantId::kAlg2 : VariantId::kAlg1,
                          1.0, 1.0, sc.cutoff);
@@ -1432,13 +1430,11 @@ TEST(BatchRunnerTest, ResumeWalkMatchesStreaming) {
                     spike ? 3.0 : sc.lo + (sc.hi - sc.lo) * gen.NextDouble();
                 answers[i] = bars[i] + off * s;
               }
-              const BoundPrefilter pf =
-                  per_query ? BoundPrefilter::Build(answers, bars)
-                            : BoundPrefilter::Build(answers);
               if (per_query) {
-                batch.RunAppend(answers, bars, &pf, &got);
+                batch.RunAppend(answers, bars, &got);
               } else {
-                batch.RunAppend(answers, -rho, &pf, &got);
+                const BoundPrefilter pf = BoundPrefilter::Build(answers);
+                batch.RunAppend(answers, -rho, with_pf ? &pf : nullptr, &got);
               }
               for (size_t i = 0; i < len && !stream.exhausted(); ++i) {
                 want.push_back(stream.Process(answers[i], bars[i]));
@@ -1449,7 +1445,7 @@ TEST(BatchRunnerTest, ResumeWalkMatchesStreaming) {
                 std::string(sc.name) +
                 (nu_kind == NoiseKind::kLaplace ? " lap" : " exp") +
                 (per_query ? " per-query" : " common") +
-                (prefilter_on ? " prefilter" : " no-prefilter");
+                (with_pf ? " prefilter" : " no-prefilter");
             const std::string ctx =
                 name + " " + vec::DispatchLevelName(level);
             ExpectSameResponses(got, want, ctx);
@@ -1503,8 +1499,6 @@ TEST(BatchRunnerTest, StageRunAheadMatchesInlineAndStreaming) {
   // positive and the second fires densely from its 21st chunk on, so the
   // walk stops in a chunk the workers have long passed.
   ScopedDispatchLevel restore_level;
-  ScopedPrefilterGate restore_gate;
-  SetBoundPrefilterEnabled(true);
   constexpr size_t kChunk = BatchRunner::kChunkSize;
   constexpr size_t kMin = BatchRunner::kParallelMinQueries;
   const size_t calls[] = {5, kMin + 2 * kChunk + 77, kMin + 8 * kChunk + 1001};
@@ -1516,13 +1510,13 @@ TEST(BatchRunnerTest, StageRunAheadMatchesInlineAndStreaming) {
     const char* name;
     VariantId id;
     bool per_query;
-    bool prefilter;
+    bool prefilter;  // common bar only
     double numeric_scale;  // > 0: ε₃ answers
   };
   const Case cases[] = {
       {"alg1", VariantId::kAlg1, false, false, 0.0},
       {"alg1-prefilter", VariantId::kAlg1, false, true, 0.0},
-      {"alg1-per-query", VariantId::kAlg1, true, true, 0.0},
+      {"alg1-per-query", VariantId::kAlg1, true, false, 0.0},
       {"alg2", VariantId::kAlg2, false, false, 0.0},
       {"alg2-per-query", VariantId::kAlg2, true, false, 0.0},
       {"revisited", VariantId::kRevisited, false, true, 0.0},
@@ -1565,14 +1559,12 @@ TEST(BatchRunnerTest, StageRunAheadMatchesInlineAndStreaming) {
               }
               answers[i] = bars[i] + off * s;
             }
-            const BoundPrefilter pf =
-                cs.per_query ? BoundPrefilter::Build(answers, bars)
-                             : BoundPrefilter::Build(answers);
+            const BoundPrefilter pf = BoundPrefilter::Build(answers);
             const BoundPrefilter* attached = cs.prefilter ? &pf : nullptr;
             const auto run = [&](SparseVector& mech,
                                  std::vector<Response>* out) {
               if (cs.per_query) {
-                mech.RunAppend(answers, bars, attached, out);
+                mech.RunAppend(answers, bars, out);
               } else {
                 mech.RunAppend(answers, -rho, attached, out);
               }
@@ -1717,15 +1709,13 @@ TEST(BatchRunnerDeathTest, ShortCallsKeepTheArgumentChecks) {
   // A call short enough to stream is checked exactly like a long one.
   Rng rng(13);
   auto mech = SparseVector::Create(SvtOptions{}, &rng).value();
-  const std::vector<double> answers(3, 0.0), bars(3, 0.0), two_bars(2, 0.0);
+  const std::vector<double> answers(3, 0.0), two_bars(2, 0.0);
   const BoundPrefilter wrong_size =
       BoundPrefilter::Build(std::vector<double>(5, 0.0));
-  const BoundPrefilter no_bars = BoundPrefilter::Build(answers);
   std::vector<Response> out;
   EXPECT_DEATH(mech->RunAppend(answers, two_bars, &out), "size mismatch");
   EXPECT_DEATH(mech->RunAppend(answers, 0.0, &wrong_size, &out),
                "does not match");
-  EXPECT_DEATH(mech->RunAppend(answers, bars, &no_bars, &out), "two-array");
 }
 
 }  // namespace

@@ -2,13 +2,12 @@
 //
 // The quantized prefilter level is licensed by two claims (proofs in
 // data/bound_prefilter.h and core/bound_pipeline.h):
-//   1. per element, the dequantized code bounds the value from the
-//      pessimistic side (scores from above, bars from below) — so the
-//      quantized level can never prune a span the full-precision bound
+//   1. per element, the dequantized code bounds the score from above — so
+//      the quantized level can never prune a span the full-precision bound
 //      keeps, and
 //   2. codes are bound-only — so engine output is bit-identical with the
-//      prefilter attached, absent, or disabled — and to the streaming
-//      Process() loop — at every dispatch level, for both noise kinds.
+//      prefilter attached or absent — and to the streaming Process() loop
+//      — at every dispatch level, for both noise kinds.
 // This file attacks both with adversarial value sets: subnormals,
 // near-threshold ties, max-magnitude deltas, infinities, and (at the
 // prefilter unit level, where no NaN-unaware vector reduction is in the
@@ -55,7 +54,7 @@ std::vector<double> BoundaryValues(double center) {
       -0.0,
       std::numeric_limits<double>::max(),      // max-magnitude deltas
       -std::numeric_limits<double>::max(),
-      1e15,                                    // big integers (u8/u16 edges)
+      1e15,                                    // big integers
       -1e15,
   };
 }
@@ -78,20 +77,12 @@ std::vector<double> AdversarialVector(size_t n, double center, double spread,
   return v;
 }
 
-// Exact span extrema computed scalar-style, skipping NaN — the reference
-// the quantized reductions must dominate.
+// Exact span maximum computed scalar-style, skipping NaN — the reference
+// the quantized reduction must dominate.
 double ExactMaxSkipNaN(std::span<const double> v) {
   double m = -kInf;
   for (double x : v) {
     if (!std::isnan(x)) m = std::max(m, x);
-  }
-  return m;
-}
-
-double ExactMinSkipNaN(std::span<const double> v) {
-  double m = kInf;
-  for (double x : v) {
-    if (!std::isnan(x)) m = std::min(m, x);
   }
   return m;
 }
@@ -122,87 +113,31 @@ TEST(BoundPrefilterTest, ScoreUpperDominatesEveryElement) {
   }
 }
 
-TEST(BoundPrefilterTest, BarLowerDominatedByEveryElement) {
-  for (uint64_t seed : {4u, 5u, 6u}) {
-    for (double spread : {1.0, 1e-12, 1e8, 1e300}) {
-      const std::vector<double> a =
-          AdversarialVector(1000, -3.0, spread, seed, true, true);
-      const std::vector<double> t =
-          AdversarialVector(1000, 0.25, spread, seed + 100, true, true);
-      const BoundPrefilter pf = BoundPrefilter::Build(a, t);
-      for (size_t i = 0; i < t.size(); ++i) {
-        if (std::isnan(t[i])) continue;
-        ASSERT_LE(pf.BarLower(i, 1), t[i])
-            << "seed=" << seed << " spread=" << spread << " i=" << i;
-      }
-      for (size_t s = 0; s < t.size(); s += 128) {
-        const size_t m = std::min<size_t>(128, t.size() - s);
-        ASSERT_LE(pf.BarLower(s, m), ExactMinSkipNaN({t.data() + s, m}))
-            << "span at " << s;
-      }
-    }
-  }
-}
-
 TEST(BoundPrefilterTest, QuantizedNeverPrunesWhatExactKeeps) {
   // The engine prunes a span iff fl(up + NB) < bar; correctly-rounded add
   // is monotone in `up`, so quantized-prunes ⊆ exact-prunes follows from
-  // up_quant >= up_exact per span (and dually dn_quant <= dn_exact). This
-  // asserts exactly that dominance on adversarial spans — the direct
-  // prerequisite of "the quantized level never prunes a span the
-  // full-precision bound keeps", with no noise realization needed.
+  // up_quant >= up_exact per span. This asserts exactly that dominance on
+  // adversarial spans — the direct prerequisite of "the quantized level
+  // never prunes a span the full-precision bound keeps", with no noise
+  // realization needed.
   for (uint64_t seed : {7u, 8u}) {
     const std::vector<double> a =
         AdversarialVector(4096, -6.0, 2.0, seed, true, false);
-    const std::vector<double> t =
-        AdversarialVector(4096, 0.0, 2.0, seed + 1, true, false);
-    const BoundPrefilter pf = BoundPrefilter::Build(a, t);
+    const BoundPrefilter pf = BoundPrefilter::Build(a);
     for (size_t s = 0; s < a.size(); s += 128) {
       const size_t m = std::min<size_t>(128, a.size() - s);
       ASSERT_GE(pf.ScoreUpper(s, m), vec::MaxBlock({a.data() + s, m}));
-      ASSERT_LE(pf.BarLower(s, m), vec::MinBlock({t.data() + s, m}));
     }
   }
 }
 
-TEST(BoundPrefilterTest, SentinelsAndWidthSelection) {
+TEST(BoundPrefilterTest, SentinelPoisonsOnlyItsSpan) {
   // +inf scores land on the sentinel and poison only their own span.
-  {
-    std::vector<double> a(256, 1.0);
-    a[7] = kInf;
-    const BoundPrefilter pf = BoundPrefilter::Build(a);
-    EXPECT_EQ(pf.ScoreUpper(0, 128), kInf);
-    EXPECT_LT(pf.ScoreUpper(128, 128), kInf);
-  }
-  // -inf bars land on the bar sentinel; NaN bars never deflate a span.
-  {
-    const std::vector<double> a(256, 1.0);
-    std::vector<double> t(256, 5.0);
-    t[3] = -kInf;
-    t[200] = kNaN;
-    const BoundPrefilter pf = BoundPrefilter::Build(a, t);
-    EXPECT_EQ(pf.BarLower(0, 128), -kInf);
-    const double dn = pf.BarLower(128, 128);
-    EXPECT_GT(dn, -kInf);
-    EXPECT_LE(dn, 5.0);
-  }
-  // Small-range integer vectors embed exactly in uint8 (1 byte/element);
-  // fractional or wide ranges take uint16.
-  {
-    std::vector<double> small(300);
-    for (size_t i = 0; i < small.size(); ++i) {
-      small[i] = static_cast<double>(i % 200);
-    }
-    EXPECT_EQ(BoundPrefilter::Build(small).score_bytes_per_element(), 1u);
-    std::vector<double> frac = small;
-    frac[5] = 0.5;
-    EXPECT_EQ(BoundPrefilter::Build(frac).score_bytes_per_element(), 2u);
-    // u8 exactness: the dequantized per-element bound is the value itself.
-    const BoundPrefilter pf = BoundPrefilter::Build(small);
-    for (size_t i = 0; i < small.size(); ++i) {
-      EXPECT_EQ(pf.ScoreUpper(i, 1), small[i]) << i;
-    }
-  }
+  std::vector<double> a(256, 1.0);
+  a[7] = kInf;
+  const BoundPrefilter pf = BoundPrefilter::Build(a);
+  EXPECT_EQ(pf.ScoreUpper(0, 128), kInf);
+  EXPECT_LT(pf.ScoreUpper(128, 128), kInf);
 }
 
 // --- engine equivalence ----------------------------------------------------
@@ -231,6 +166,17 @@ std::vector<double> NearThresholdAnswers(size_t n, double nu_scale,
     answers[i] = 0.0;
     if (i + 1 < n) answers[i + 1] = std::nextafter(0.0, -1.0);
   }
+  return answers;
+}
+
+// Integer-valued answers (counting queries) in a 201-wide window at -6 ν
+// scales: inputs an exact 8-bit embedding would fit, which take the 16-bit
+// codes like any other.
+std::vector<double> IntegerAnswers(size_t n, double nu_scale, uint64_t seed) {
+  std::vector<double> answers(n);
+  Rng gen(seed);
+  const double base = std::round(-6.0 * nu_scale);
+  for (double& a : answers) a = base + std::floor(gen.NextDouble() * 201.0);
   return answers;
 }
 
@@ -271,12 +217,11 @@ EngineRun RunCommon(const SvtOptions& o, const std::vector<double>& answers,
 }
 
 EngineRun RunPerQuery(const SvtOptions& o, const std::vector<double>& answers,
-                      const std::vector<double>& thresholds,
-                      const BoundPrefilter* pf, uint64_t seed) {
+                      const std::vector<double>& thresholds, uint64_t seed) {
   Rng rng(seed);
   auto mech = SparseVector::Create(o, &rng).value();
   std::vector<Response> out;
-  mech->RunAppend(answers, thresholds, pf, &out);
+  mech->RunAppend(answers, thresholds, &out);
   return Finish(*mech, rng, std::move(out));
 }
 
@@ -316,12 +261,11 @@ void ExpectSameTierCounters(const BatchRunStats& a, const BatchRunStats& b,
 }
 
 TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
-  // Prefilter attached vs absent vs gate-disabled: bit-identical to the
-  // streaming loop at every dispatch level, for both noise kinds. And
-  // within each prefilter setting, all six counters are dispatch-level
-  // independent.
+  // Prefilter attached vs absent: bit-identical to the streaming loop at
+  // every dispatch level, for both noise kinds, over near-threshold
+  // doubles and integer-valued answers. And within each setting, all six
+  // counters are dispatch-level independent.
   ScopedDispatchLevel restore_level;
-  ScopedPrefilterGate restore_gate;
   const size_t n = 3 * BatchRunner::kChunkSize + 321;
 
   for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
@@ -329,64 +273,62 @@ TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
     Rng probe(21);
     const double nu_scale =
         SparseVector::Create(o, &probe).value()->query_noise_scale();
-    const std::vector<double> answers = NearThresholdAnswers(n, nu_scale, 99);
-    const BoundPrefilter pf = BoundPrefilter::Build(answers);
-    const EngineRun want = RunStreaming(o, answers, {}, 21);
+    for (bool integer : {false, true}) {
+      const std::vector<double> answers =
+          integer ? IntegerAnswers(n, nu_scale, 98)
+                  : NearThresholdAnswers(n, nu_scale, 99);
+      const BoundPrefilter pf = BoundPrefilter::Build(answers);
+      const EngineRun want = RunStreaming(o, answers, {}, 21);
 
-    EngineRun reference;       // plain run, first level
-    EngineRun quant_baseline;  // prefiltered run, first level
-    bool have_reference = false;
-    for (vec::DispatchLevel level :
-         {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
-          vec::DispatchLevel::kAvx512}) {
-      if (!vec::SetDispatchLevel(level)) continue;
-      const std::string ctx =
-          std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
-          " level=" + vec::DispatchLevelName(level);
+      EngineRun reference;       // plain run, first level
+      EngineRun quant_baseline;  // prefiltered run, first level
+      bool have_reference = false;
+      for (vec::DispatchLevel level :
+           {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
+            vec::DispatchLevel::kAvx512}) {
+        if (!vec::SetDispatchLevel(level)) continue;
+        const std::string ctx =
+            std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
+            (integer ? " integer" : " near") +
+            " level=" + vec::DispatchLevelName(level);
 
-      SetBoundPrefilterEnabled(true);
-      const EngineRun plain = RunCommon(o, answers, nullptr, 21);
-      const EngineRun quant = RunCommon(o, answers, &pf, 21);
-      SetBoundPrefilterEnabled(false);
-      const EngineRun gated = RunCommon(o, answers, &pf, 21);
-      SetBoundPrefilterEnabled(true);
+        const EngineRun plain = RunCommon(o, answers, nullptr, 21);
+        const EngineRun quant = RunCommon(o, answers, &pf, 21);
 
-      ExpectMatchesStreaming(plain, want, ctx + " plain");
-      ExpectMatchesStreaming(quant, want, ctx + " quant");
-      ExpectMatchesStreaming(gated, want, ctx + " gated");
-      // The disabled gate is full precision end to end.
-      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
+        ExpectMatchesStreaming(plain, want, ctx + " plain");
+        ExpectMatchesStreaming(quant, want, ctx + " quant");
 
-      if (!have_reference) {
-        reference = plain;
-        quant_baseline = quant;
-        have_reference = true;
-      } else {
-        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                               ctx + " quant");
+        if (!have_reference) {
+          reference = plain;
+          quant_baseline = quant;
+          have_reference = true;
+        } else {
+          ExpectSameTierCounters(plain.stats, reference.stats,
+                                 ctx + " plain");
+          ExpectSameTierCounters(quant.stats, quant_baseline.stats,
+                                 ctx + " quant");
+        }
+        // Prefilter engaged: quantized prunes happen and are flagged; the
+        // plain run flags none.
+        EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
+        EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
+        EXPECT_GT(quant.stats.tier2_spans_skipped, 0) << ctx;
+        // The quantized bound pass reads 2 bytes/element instead of 8.
+        EXPECT_EQ(plain.stats.bound_bytes_touched,
+                  4 * quant.stats.bound_bytes_touched)
+            << ctx;
       }
-      // Prefilter engaged: quantized prunes happen and are flagged; the
-      // plain run flags none.
-      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-      EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
-      EXPECT_GT(quant.stats.tier2_spans_skipped, 0) << ctx;
-      // The quantized bound pass reads 1-2 bytes/element instead of 8.
-      EXPECT_GE(plain.stats.bound_bytes_touched,
-                4 * quant.stats.bound_bytes_touched)
-          << ctx;
     }
   }
 }
 
-TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
-  // The per-query path's span bound: responses must stay bit-identical to
-  // the streaming loop with the prefilter attached, absent, or gated off,
-  // across dispatch levels and noise kinds — and the bound must actually
-  // prune (tier2_spans_skipped > 0) on a workload with far-below
-  // stretches.
+TEST(BoundPipelineEngineTest, PerQueryBoundIsOutputNeutral) {
+  // The per-query path's full-precision span bound: responses must stay
+  // bit-identical to the streaming loop across dispatch levels and noise
+  // kinds, the counters must be dispatch-level independent — and the
+  // bound must actually prune (tier2_spans_skipped > 0) on a workload
+  // with far-below stretches.
   ScopedDispatchLevel restore_level;
-  ScopedPrefilterGate restore_gate;
   const size_t n = 2 * BatchRunner::kChunkSize + 57;
 
   for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
@@ -407,10 +349,9 @@ TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
     }
     // Exact tie at a chunk boundary.
     thresholds[BatchRunner::kChunkSize] = answers[BatchRunner::kChunkSize];
-    const BoundPrefilter pf = BoundPrefilter::Build(answers, thresholds);
     const EngineRun want = RunStreaming(o, answers, thresholds, 4);
 
-    EngineRun reference, quant_baseline;
+    EngineRun reference;
     bool have_reference = false;
     for (vec::DispatchLevel level :
          {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
@@ -420,32 +361,21 @@ TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
           std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
           " level=" + vec::DispatchLevelName(level) + " per-query";
 
-      SetBoundPrefilterEnabled(true);
-      const EngineRun plain = RunPerQuery(o, answers, thresholds, nullptr, 4);
-      const EngineRun quant = RunPerQuery(o, answers, thresholds, &pf, 4);
-      SetBoundPrefilterEnabled(false);
-      const EngineRun gated = RunPerQuery(o, answers, thresholds, &pf, 4);
-      SetBoundPrefilterEnabled(true);
-
-      ExpectMatchesStreaming(plain, want, ctx + " plain");
-      ExpectMatchesStreaming(quant, want, ctx + " quant");
-      ExpectMatchesStreaming(gated, want, ctx + " gated");
-      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
+      const EngineRun plain = RunPerQuery(o, answers, thresholds, 4);
+      ExpectMatchesStreaming(plain, want, ctx);
 
       if (!have_reference) {
         reference = plain;
-        quant_baseline = quant;
         have_reference = true;
       } else {
-        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                               ctx + " quant");
+        ExpectSameTierCounters(plain.stats, reference.stats, ctx);
       }
-      // Per-query spans are actually bounded.
+      // Per-query spans are actually bounded, at full precision on both
+      // sides: 8 bytes per element and side.
       EXPECT_GT(plain.stats.tier2_spans_skipped, 0) << ctx;
-      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-      EXPECT_GE(plain.stats.bound_bytes_touched,
-                4 * quant.stats.bound_bytes_touched)
+      EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
+      EXPECT_EQ(plain.stats.bound_bytes_touched,
+                static_cast<int64_t>(2 * sizeof(double) * n))
           << ctx;
     }
   }
@@ -461,7 +391,7 @@ TEST(BoundPipelineEngineTest, ScoreVectorCachesItsPrefilter) {
   ASSERT_NE(pf, nullptr);
   EXPECT_EQ(pf, sv.bound_prefilter());  // cached, built once
   EXPECT_EQ(pf->size(), sv.size());
-  EXPECT_EQ(pf->score_bytes_per_element(), 1u);  // small-integer embedding
+  EXPECT_EQ(pf->score_bytes_per_element(), 2u);  // 16-bit codes
   // The companion is usable directly against the engine.
   SvtOptions o;
   o.epsilon = 1.0;
