@@ -70,6 +70,24 @@ void BM_RngFillUint64(benchmark::State& state) {
 }
 BENCHMARK(BM_RngFillUint64)->Arg(4096);
 
+void BM_FillLaneStreams(benchmark::State& state) {
+  // A Monte-Carlo trial group's eight lane streams, seeded and filled
+  // together: the fixed-stride walk's 33 runs of three words per lane.
+  std::vector<uint64_t> seeds(vec::kLaneStreams);
+  Rng(3).FillUint64(seeds);
+  const size_t words = static_cast<size_t>(state.range(0));
+  std::vector<uint64_t> out(vec::kLaneStreams * words);
+  for (auto _ : state) {
+    vec::FillLaneStreams(seeds, words, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++seeds[0];
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_FillLaneStreams)->Arg(99);
+
 void BM_LaplaceSampleBlock(benchmark::State& state) {
   Rng rng(2);
   std::vector<double> buf(static_cast<size_t>(state.range(0)));
@@ -589,6 +607,15 @@ void BM_McSerialAlg2(benchmark::State& state) {
                 15, 1);
 }
 BENCHMARK(BM_McSerialAlg2);
+
+void BM_McSerialEps3(benchmark::State& state) {
+  // The lockstep path's other trigger: Alg. 7 answering positives with ε₃
+  // noise, which draws the answer's words at every positive.
+  VariantSpec spec = MakeSpec(VariantId::kStandard, 1.0, 1.0, 2);
+  spec.numeric_scale = 2.0;
+  RunMcInstance(state, spec, ShiftInstance(4, "_T__"), 19, 1);
+}
+BENCHMARK(BM_McSerialEps3);
 
 void BM_McParallelAlg2(benchmark::State& state) {
   // BM_McSerialAlg2's lockstep path on 1, 2 and 4 workers.

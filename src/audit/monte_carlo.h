@@ -11,11 +11,13 @@
 // streams are key-split from that draw by the group's index, and the
 // TrialWalker reduces each run to a positive mask and a processed count
 // that the pattern test reads. Workers (McOptions::num_workers) claim
-// groups from a shared counter, so the hit count, and every estimate built
-// on it, is a function of (rng state, trials) alone: the same at every
-// worker count and under any schedule. A trial consumes its lane's stream
-// exactly as Reset() + RunAppend over the full pattern window does (match
-// checking happens after, not by breaking the query loop early).
+// groups from a shared counter (four at a time where the walker steps four
+// groups' lanes together, TrialWalker::GroupsPerWalk), so the hit count,
+// and every estimate built on it, is a function of (rng state, trials)
+// alone: the same at every worker count and under any schedule. A trial
+// consumes its lane's stream exactly as Reset() + RunAppend over the full
+// pattern window does (match checking happens after, not by breaking the
+// query loop early).
 
 #ifndef SPARSEVEC_AUDIT_MONTE_CARLO_H_
 #define SPARSEVEC_AUDIT_MONTE_CARLO_H_
@@ -30,13 +32,20 @@
 namespace svt {
 
 struct McOptions {
+  /// Largest `trials` accepted: far more than any run could finish, and
+  /// small enough that the group arithmetic (trials rounded up to whole
+  /// claims, the claim counter running past the last group) stays far
+  /// inside int64_t.
+  static constexpr int64_t kMaxTrials = int64_t{1} << 62;
+
+  /// Trials to run, 1 to kMaxTrials.
   int64_t trials = 100000;
   /// Confidence level of the reported interval (Wilson bounds).
   double confidence = 0.999;
   /// Threads that walk the trial groups: 1 (the default) walks them on
   /// the calling thread, 0 means one per hardware thread, and workers
-  /// beyond the number of groups are dropped. The hits do not depend on
-  /// it (header comment).
+  /// beyond the number of claims (the groups a worker takes at once) are
+  /// dropped. The hits do not depend on it (header comment).
   int num_workers = 1;
 };
 

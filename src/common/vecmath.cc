@@ -947,6 +947,17 @@ size_t MegaFillMinScanSpans(BlockRng::State* state, size_t wpv, double b,
       fits);
 }
 
+void FillLaneStreams(std::span<const uint64_t> seeds, size_t words,
+                     std::span<uint64_t> out) {
+  SVT_CHECK(seeds.size() == kLaneStreams && out.size() == kLaneStreams * words)
+      << "FillLaneStreams needs " << kLaneStreams << " seeds and "
+      << kLaneStreams << " * " << words << " words, got " << seeds.size()
+      << " seeds, " << out.size() << " words";
+  AtActiveLevel([&](auto lane) {
+    LaneStreamsKernel(lane, seeds.data(), words, out.data());
+  });
+}
+
 void SeededFireMasks(std::span<const uint64_t> seeds, size_t wpv, double b,
                      std::span<const double> window, size_t rows,
                      std::span<const double> bars, std::span<uint64_t> fires) {

@@ -318,13 +318,29 @@ std::size_t MegaFillMinScanSpans(
     std::size_t span_elems, std::uint64_t* span_min, FusedScanHit* hits,
     std::size_t max_hits, std::uint64_t* skipped_out);
 
-// --- seeded fire masks ------------------------------------------------------
+// --- seeded streams ---------------------------------------------------------
 //
 // The Monte-Carlo trial walker (core/trial_walk.h) runs many fresh runs of
-// one short window, each with its own ν substream. This kernel gives every
-// run one SIMD element: it seeds the run's substream, steps the generator,
-// transforms each variate and compares it against the run's bars, all in
-// registers, and emits one fire bitmask per (run, bar).
+// one short window. A trial group's runs draw their base words from eight
+// lane streams, and each run draws its ν from a substream of its own. Both
+// kernels below give every stream one SIMD element and seed it in
+// registers, BlockRng(seed)'s SplitMix64 expansion: FillLaneStreams steps
+// the lane streams and stores their words side by side, and
+// SeededFireMasks steps each run's substream, transforms each variate and
+// compares it against the run's bars, and emits one fire bitmask per (run,
+// bar).
+
+/// Streams one FillLaneStreams call steps together: a trial group's lanes.
+inline constexpr std::size_t kLaneStreams = 8;
+
+/// The first `words` words of each of the kLaneStreams streams
+/// Rng(seeds[L]), stepped together: word k of stream L goes to
+/// out[kLaneStreams * k + L], so the k-th words of all the streams sit side
+/// by side. seeds.size() must be kLaneStreams and out.size()
+/// kLaneStreams * words. Bit-identical at every dispatch level to
+/// Rng(seeds[L]).FillUint64 of `words` words for each L.
+void FillLaneStreams(std::span<const std::uint64_t> seeds, std::size_t words,
+                     std::span<std::uint64_t> out);
 
 /// Bars per run one SeededFireMasks call can take.
 inline constexpr std::size_t kMaxFireRows = 8;

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/vecmath.h"
 #include "core/batch_runner.h"
 #include "core/svt.h"
@@ -14,17 +15,25 @@ namespace svt {
 namespace {
 
 constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+constexpr size_t kLanes = TrialWalker::kLanes;
+constexpr size_t kLaneRuns = TrialWalker::kGroupTrials / kLanes;
+static_assert(kLanes == vec::kLaneStreams);
 
-// Words the lockstep path keeps prefetched per lane. A run draws at most a
-// ρ variate, a seed word and, at each of its fewer than kStreamingCutover
-// positives, a resampled ρ and an ε₃ answer: 3 + 7 * 4 = 31 words.
-constexpr size_t kLockstepLaneWords = 256;
-
-// Copies one variate's words (one or two): a runtime-length copy_n would
-// call memmove for every run.
+// Copies one variate's words (one or two) from a lane's column, whose
+// words lie kLanes apart: a runtime-length copy would call memmove for
+// every run.
 void CopyVariate(const uint64_t* from, size_t words, uint64_t* to) {
   to[0] = from[0];
-  if (words == 2) to[1] = from[1];
+  if (words == 2) to[1] = from[kLanes];
+}
+
+// Positives in a short window's mask: a byte's SWAR bit count. The
+// library targets baseline x86-64, where std::popcount is a libgcc call.
+size_t Positives(uint64_t mask) {
+  static_assert(BatchRunner::kStreamingCutover <= 8);
+  mask -= (mask >> 1) & 0x55;
+  mask = (mask & 0x33) + ((mask >> 2) & 0x33);
+  return static_cast<size_t>((mask + (mask >> 4)) & 0x0F);
 }
 
 // Positives the run can reach: one per query, and the cutoff-th ends it
@@ -75,6 +84,25 @@ void ReduceRuns(const uint64_t* fires, size_t rows, size_t runs, size_t reach,
 
 }  // namespace
 
+size_t TrialWalker::PositiveWords(const VariantSpec& spec) {
+  // Contract step 3: a resampled ρ, then an ε₃ answer, which is always
+  // Laplace.
+  const bool eps3 =
+      !spec.output_query_value_on_positive && spec.numeric_scale > 0.0;
+  return (spec.resample_rho_after_positive ? WordsPerVariate(spec.rho_kind)
+                                           : 0) +
+         (eps3 ? 2 : 0);
+}
+
+TrialWalker::Path TrialWalker::PathFor(const VariantSpec& spec, size_t n) {
+  if (n >= BatchRunner::kStreamingCutover) return Path::kLoop;
+  return PositiveWords(spec) > 0 ? Path::kLockstep : Path::kFixedStride;
+}
+
+size_t TrialWalker::GroupsPerWalk(const VariantSpec& spec, size_t window) {
+  return PathFor(spec, window) == Path::kLockstep ? kMaxWalkGroups : 1;
+}
+
 uint64_t TrialWalker::LaneSeed(uint64_t key, uint64_t stream) {
   uint64_t state = key + stream * kSplitMixGamma;
   return SplitMix64Next(state);
@@ -89,9 +117,11 @@ TrialWalker::TrialWalker(const VariantSpec& spec,
     : spec_(spec),
       window_(window),
       threshold_(threshold),
+      path_(PathFor(spec, window.size())),
       rho_words_(WordsPerVariate(spec.rho_kind)),
       stride_(rho_words_ + 1),
-      nu_wpv_(spec.nu_scale > 0.0 ? WordsPerVariate(spec.nu_kind) : 0) {
+      nu_wpv_(spec.nu_scale > 0.0 ? WordsPerVariate(spec.nu_kind) : 0),
+      positive_words_(PositiveWords(spec)) {
   const Status valid = spec.Validate();
   SVT_CHECK(valid.ok()) << spec.name << ": " << valid.message();
   const size_t n = window.size();
@@ -101,31 +131,24 @@ TrialWalker::TrialWalker(const VariantSpec& spec,
       static_cast<size_t>(std::max(*spec.cutoff, 1)) <= n) {
     exhaust_ = ~uint64_t{0};
   }
-  // Base words a positive draws (contract step 3): a resampled ρ, then an
-  // ε₃ answer, which is always Laplace.
-  const bool eps3 =
-      !spec.output_query_value_on_positive && spec.numeric_scale > 0.0;
-  positive_words_ =
-      (spec.resample_rho_after_positive ? rho_words_ : 0) + (eps3 ? 2 : 0);
   size_t runs_per_pass = 0;  // runs one kernel call covers
-  if (n >= BatchRunner::kStreamingCutover) {
-    path_ = Path::kLoop;
-  } else if (positive_words_ > 0) {
-    path_ = Path::kLockstep;
-    lane_capacity_ = kLockstepLaneWords;
-    runs_per_pass = kLanes;
+  if (path_ == Path::kLockstep) {
+    // The oracle's constructor draw, then every run of a lane at its most
+    // positives.
+    lane_rows_ = stride_ + kLaneRuns * (stride_ + reach_ * positive_words_);
+    lane_words_.resize(kMaxWalkGroups * kLanes * lane_rows_);
+    runs_per_pass = kMaxWalkGroups * kLanes;
     // A run compares against the resample after each of its positives
     // but the last it can reach.
     if (spec.resample_rho_after_positive) {
       resamples_ = std::max<size_t>(reach_, 1) - 1;
     }
-  } else {
-    path_ = Path::kFixedStride;
+  } else if (path_ == Path::kFixedStride) {
     // The oracle's constructor draw, then every run of the lane.
-    lane_capacity_ = (kGroupTrials / kLanes + 1) * stride_;
+    lane_rows_ = (kLaneRuns + 1) * stride_;
+    lane_words_.resize(kLanes * lane_rows_);
     runs_per_pass = kGroupTrials;
   }
-  lane_words_.resize(kLanes * lane_capacity_);
   rho_w_.resize(runs_per_pass * rho_words_);
   seeds_.resize(runs_per_pass);
   resample_w_.resize(runs_per_pass * resamples_ * rho_words_);
@@ -133,99 +156,121 @@ TrialWalker::TrialWalker(const VariantSpec& spec,
   fires_.resize(bars_.size());
 }
 
-void TrialWalker::WalkGroup(uint64_t key, int64_t group, size_t runs,
-                            std::span<uint64_t> masks,
-                            std::span<size_t> processed) {
-  SVT_CHECK(group >= 0 && runs > 0 &&
-            runs <= static_cast<size_t>(kGroupTrials))
-      << "WalkGroup needs group >= 0 and 0 < runs <= " << kGroupTrials
-      << ", got group " << group << ", runs " << runs;
-  SVT_CHECK(masks.size() == runs * MaskWords(window_.size()) &&
-            processed.size() == runs)
-      << "WalkGroup output sized " << masks.size() << " masks, "
+void TrialWalker::WalkGroups(uint64_t key, int64_t first_group, size_t runs,
+                             std::span<uint64_t> masks,
+                             std::span<size_t> processed) {
+  constexpr size_t kMaxRuns = kMaxWalkGroups * kGroupTrials;
+  SVT_CHECK(first_group >= 0 && runs > 0 && runs <= kMaxRuns)
+      << "WalkGroups needs first_group >= 0 and 0 < runs <= " << kMaxRuns
+      << ", got first_group " << first_group << ", runs " << runs;
+  const size_t mask_words = MaskWords(window_.size());
+  SVT_CHECK(masks.size() == runs * mask_words && processed.size() == runs)
+      << "WalkGroups output sized " << masks.size() << " masks, "
       << processed.size() << " counts for " << runs << " runs";
-  runs_ = runs;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    lane_runs_[lane] = (runs + kLanes - 1 - lane) / kLanes;
-    if (lane_runs_[lane] > 0) {
-      lane_rng_[lane] =
-          Rng(LaneSeed(key, kLanes * static_cast<uint64_t>(group) + lane));
-    }
+  const uint64_t first = static_cast<uint64_t>(first_group);
+  if (path_ == Path::kLockstep) {
+    WalkLockstep(key, first, runs, masks.data(), processed.data());
+    return;
   }
-  switch (path_) {
-    case Path::kFixedStride:
-      WalkFixedStride(masks, processed);
-      break;
-    case Path::kLockstep:
-      WalkLockstep(masks, processed);
-      break;
-    case Path::kLoop:
-      WalkLoop(masks, processed);
-      break;
+  for (size_t done = 0; done < runs; done += kGroupTrials) {
+    const uint64_t group = first + done / kGroupTrials;
+    const size_t group_runs =
+        std::min(runs - done, static_cast<size_t>(kGroupTrials));
+    if (path_ == Path::kFixedStride) {
+      WalkFixedStride(key, group, group_runs,
+                      masks.data() + done * mask_words,
+                      processed.data() + done);
+    } else {
+      WalkLoop(key, group, group_runs, masks.data() + done * mask_words,
+               processed.data() + done);
+    }
   }
 }
 
-void TrialWalker::WalkFixedStride(std::span<uint64_t> masks,
-                                  std::span<size_t> processed) {
-  for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
-    lane_rng_[lane].FillUint64({lane_words_.data() + lane * lane_capacity_,
-                                (lane_runs_[lane] + 1) * stride_});
+void TrialWalker::FillGroup(uint64_t key, uint64_t group, size_t words,
+                            uint64_t* at) {
+  std::array<uint64_t, kLanes> seeds;
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    seeds[lane] = LaneSeed(key, kLanes * group + lane);
   }
-  // Run t is lane t % kLanes's run t / kLanes, whose words follow the
-  // oracle's constructor draw (one stride) and the lane's earlier runs.
-  for (size_t t = 0; t < runs_; ++t) {
-    const uint64_t* w = lane_words_.data() + (t % kLanes) * lane_capacity_ +
-                        (t / kLanes + 1) * stride_;
-    CopyVariate(w, rho_words_, rho_w_.data() + t * rho_words_);
-    seeds_[t] = w[rho_words_];
+  vec::FillLaneStreams(seeds, words, {at, kLanes * words});
+}
+
+void TrialWalker::WalkFixedStride(uint64_t key, uint64_t group, size_t runs,
+                                  uint64_t* masks, size_t* processed) {
+  // Lane L's run i is run kLanes * i + L, and reads row (i + 1) * stride_
+  // on: the oracle's constructor draw and the lane's earlier runs precede
+  // it. So the kLanes runs of step i read whole rows.
+  const size_t steps = (runs + kLanes - 1) / kLanes;
+  FillGroup(key, group, (steps + 1) * stride_, lane_words_.data());
+  for (size_t i = 0; i < steps; ++i) {
+    const uint64_t* row = lane_words_.data() + (i + 1) * stride_ * kLanes;
+    uint64_t* rho = rho_w_.data() + i * kLanes * rho_words_;
+    if (rho_words_ == 2) {
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        rho[2 * lane] = row[lane];
+        rho[2 * lane + 1] = row[kLanes + lane];
+      }
+    } else {
+      std::copy_n(row, kLanes, rho);
+    }
+    std::copy_n(row + rho_words_ * kLanes, kLanes,
+                seeds_.data() + i * kLanes);
   }
   // Each run's bar is threshold + ρ.
   TransformNoise(spec_.rho_kind, spec_.rho_scale,
-                 {rho_w_.data(), runs_ * rho_words_}, {bars_.data(), runs_});
-  for (size_t t = 0; t < runs_; ++t) bars_[t] = threshold_ + bars_[t];
-  vec::SeededFireMasks({seeds_.data(), nu_wpv_ > 0 ? runs_ : 0}, nu_wpv_,
-                       spec_.nu_scale, window_, 1, {bars_.data(), runs_},
-                       {fires_.data(), runs_});
-  ReduceRuns(fires_.data(), 1, runs_, reach_, exhaust_, window_.size(),
-             masks.data(), processed.data());
+                 {rho_w_.data(), runs * rho_words_}, {bars_.data(), runs});
+  for (size_t t = 0; t < runs; ++t) bars_[t] = threshold_ + bars_[t];
+  vec::SeededFireMasks({seeds_.data(), nu_wpv_ > 0 ? runs : 0}, nu_wpv_,
+                       spec_.nu_scale, window_, 1, {bars_.data(), runs},
+                       {fires_.data(), runs});
+  ReduceRuns(fires_.data(), 1, runs, reach_, exhaust_, window_.size(), masks,
+             processed);
 }
 
-void TrialWalker::Refill(size_t lane, size_t need) {
-  uint64_t* words = lane_words_.data() + lane * lane_capacity_;
-  const size_t left = filled_[lane] - cursor_[lane];
-  if (left >= need) return;
-  std::copy(words + cursor_[lane], words + filled_[lane], words);
-  lane_rng_[lane].FillUint64({words + left, lane_capacity_ - left});
-  cursor_[lane] = 0;
-  filled_[lane] = lane_capacity_;
-}
-
-void TrialWalker::WalkLockstep(std::span<uint64_t> masks,
-                               std::span<size_t> processed) {
-  const size_t run_words = stride_ + window_.size() * positive_words_;
-  const size_t rows = resamples_ + 1;
-  for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
-    // Skip the oracle's constructor draw.
-    cursor_[lane] = 0;
-    filled_[lane] = 0;
-    Refill(lane, stride_ + run_words);
-    cursor_[lane] = stride_;
+void TrialWalker::WalkLockstep(uint64_t key, uint64_t first_group,
+                               size_t runs, uint64_t* masks,
+                               size_t* processed) {
+  // Lane s is lane s % kLanes of group first_group + s / kLanes; its
+  // column starts at column(s) and holds a word every kLanes.
+  const size_t groups = (runs + kGroupTrials - 1) / kGroupTrials;
+  const size_t last_runs = runs - (groups - 1) * kGroupTrials;
+  const size_t group_words = kLanes * lane_rows_;
+  const auto column = [&](size_t s) {
+    return lane_words_.data() + s / kLanes * group_words + s % kLanes;
+  };
+  // A group's first lane has the most runs: one per step.
+  const size_t steps =
+      (std::min(runs, static_cast<size_t>(kGroupTrials)) + kLanes - 1) /
+      kLanes;
+  const size_t fill_rows =
+      stride_ + steps * (stride_ + reach_ * positive_words_);
+  for (size_t g = 0; g < groups; ++g) {
+    FillGroup(key, first_group + g, fill_rows,
+              lane_words_.data() + g * group_words);
   }
-  for (size_t step = 0; step < lane_runs_[0]; ++step) {
-    const size_t active = std::min(kLanes, runs_ - step * kLanes);
+  // Skip the oracle's constructor draw.
+  std::fill_n(cursor_.begin(), groups * kLanes, stride_);
+  const size_t rows = resamples_ + 1;
+  for (size_t step = 0; step < steps; ++step) {
+    // Every group but the last is whole, so the lanes with a run at this
+    // step are a prefix.
+    const size_t last_active =
+        last_runs > step * kLanes
+            ? std::min(kLanes, last_runs - step * kLanes)
+            : 0;
+    const size_t active = (groups - 1) * kLanes + last_active;
     // Each lane's run starts at its cursor: ρ, the ν seed, then the words
     // of its positives in order, so the resample after its k-th positive
     // sits at a fixed offset whatever queries fire. Resample k of every
     // lane lands in bar row k + 1.
-    for (size_t lane = 0; lane < active; ++lane) {
-      Refill(lane, run_words);
-      const uint64_t* w =
-          lane_words_.data() + lane * lane_capacity_ + cursor_[lane];
-      CopyVariate(w, rho_words_, rho_w_.data() + lane * rho_words_);
-      seeds_[lane] = w[rho_words_];
+    for (size_t s = 0; s < active; ++s) {
+      const uint64_t* w = column(s) + cursor_[s] * kLanes;
+      CopyVariate(w, rho_words_, rho_w_.data() + s * rho_words_);
+      seeds_[s] = w[rho_words_ * kLanes];
       for (size_t k = 0; k < resamples_; ++k) {
-        CopyVariate(w + stride_ + k * positive_words_, rho_words_,
-                    resample_w_.data() + (k * active + lane) * rho_words_);
+        CopyVariate(w + (stride_ + k * positive_words_) * kLanes, rho_words_,
+                    resample_w_.data() + (k * active + s) * rho_words_);
       }
     }
     TransformNoise(spec_.rho_kind, spec_.rho_scale,
@@ -243,29 +288,32 @@ void TrialWalker::WalkLockstep(std::span<uint64_t> masks,
                          spec_.nu_scale, window_, rows,
                          {bars_.data(), rows * active},
                          {fires_.data(), rows * active});
-    uint64_t* step_masks = masks.data() + step * kLanes;
     ReduceRuns(fires_.data(), rows, active, reach_, exhaust_, window_.size(),
-               step_masks, processed.data() + step * kLanes);
-    // Every positive drew its words, the exhausting one included.
-    for (size_t lane = 0; lane < active; ++lane) {
-      const size_t positives =
-          static_cast<size_t>(std::popcount(step_masks[lane]));
-      cursor_[lane] += stride_ + positives * positive_words_;
+               step_masks_.data(), step_processed_.data());
+    // Lane s's run is trial s / kLanes * kGroupTrials + step * kLanes +
+    // s % kLanes of the call, and every positive drew its words, the
+    // exhausting one included.
+    for (size_t s = 0; s < active; ++s) {
+      const size_t t = s / kLanes * kGroupTrials + step * kLanes + s % kLanes;
+      masks[t] = step_masks_[s];
+      processed[t] = step_processed_[s];
+      cursor_[s] += stride_ + Positives(step_masks_[s]) * positive_words_;
     }
   }
 }
 
-void TrialWalker::WalkLoop(std::span<uint64_t> masks,
-                           std::span<size_t> processed) {
+void TrialWalker::WalkLoop(uint64_t key, uint64_t group, size_t runs,
+                           uint64_t* masks, size_t* processed) {
   const size_t mask_words = MaskWords(window_.size());
-  std::fill(masks.begin(), masks.end(), 0);
-  for (size_t lane = 0; lane < kLanes && lane_runs_[lane] > 0; ++lane) {
-    SparseVector mech(spec_, &lane_rng_[lane]);
-    for (size_t t = lane; t < runs_; t += kLanes) {
+  std::fill_n(masks, runs * mask_words, 0);
+  for (size_t lane = 0; lane < kLanes && lane < runs; ++lane) {
+    Rng lane_rng(LaneSeed(key, kLanes * group + lane));
+    SparseVector mech(spec_, &lane_rng);
+    for (size_t t = lane; t < runs; t += kLanes) {
       mech.Reset();
       responses_.clear();
       const size_t count = mech.RunAppend(window_, threshold_, &responses_);
-      uint64_t* mask = masks.data() + t * mask_words;
+      uint64_t* mask = masks + t * mask_words;
       for (size_t i = 0; i < count; ++i) {
         if (responses_[i].is_positive()) mask[i / 64] |= uint64_t{1} << i % 64;
       }

@@ -25,30 +25,36 @@
 // threshold) alone: which thread walks a group, and how many do, cannot
 // move a hit.
 //
-// The walker takes one of three paths, all held to (4):
+// The walker takes one of three paths, all held to (4). The two
+// short-window paths draw a group's base words up front: one
+// vec::FillLaneStreams call seeds the group's eight lane streams in
+// registers and stores their words row by row, word k of every lane in
+// row k, so the words one run of each lane draws sit side by side.
 //   * Fixed stride (windows shorter than BatchRunner::kStreamingCutover,
 //     specs that draw nothing from the base stream at a positive): every
 //     run consumes the same base words, its ρ variate then its ν seed word
-//     (draw-order contract step 1, core/svt.h). The group is prefetched
-//     whole: one FillUint64 per lane and one ρ transform over the group's
-//     runs give each run its bar, threshold + ρ. Then one
+//     (draw-order contract step 1, core/svt.h), so the group's runs read
+//     whole rows: lane L's run i reads lane L's column of the rows after
+//     the oracle's constructor draw and its i earlier runs. One ρ transform
+//     over the group's runs gives each run its bar, threshold + ρ. Then one
 //     vec::SeededFireMasks call gives every run a SIMD element: it seeds
 //     the run's ν substream, draws and transforms its variates and
 //     compares them against the bar in registers, and emits the run's fire
 //     mask.
 //   * Lockstep (short windows of specs that resample ρ or answer positives
 //     with ε₃ noise: Alg. 2, RevSVT, ε₃ answers): a run's base words depend
-//     on how often it fired, so the eight lanes step one run at a time,
-//     each from a cursor into its own prefetched words. A run's words are
-//     its ρ and seed, then a fixed number per positive (the resample, then
-//     the ε₃ answer, which no mask depends on), so the resample after its
-//     k-th positive sits at a fixed offset from its start. A step gathers
-//     every lane's ρ, seed and reachable resamples for one ρ transform and
-//     one resample transform, then makes one SeededFireMasks call with one
-//     bar per reachable resample: bar k is threshold + the resample after
-//     positive k (bar 0 threshold + ρ). It then moves each lane's cursor
-//     past the words its positives drew. A lane's stream belongs to its
-//     group, so reading past its last run is harmless.
+//     on how often it fired, so the lanes step one run at a time, each
+//     from a cursor into its own column. A step takes up to kMaxWalkGroups
+//     groups' lanes at once, so one kernel call covers their 32 runs. A
+//     run's words are its ρ and seed, then a fixed number per positive (the
+//     resample, then the ε₃ answer, which no mask depends on), so the
+//     resample after its k-th positive sits at a fixed offset from its
+//     start, and a lane's columns are filled for every run at its most
+//     positives. A step gathers every lane's ρ, seed and reachable
+//     resamples for one ρ transform and one resample transform, then makes
+//     one SeededFireMasks call with one bar per reachable resample: bar k
+//     is threshold + the resample after positive k (bar 0 threshold + ρ).
+//     It then moves each lane's cursor past the words its positives drew.
 //   * Loop (windows of kStreamingCutover queries or more): the lane runs
 //     the oracle of (4) itself, Reset() + RunAppend on its stream.
 // Both short-window paths reduce the fire masks to Process()'s positives
@@ -68,7 +74,6 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/response.h"
 #include "core/variant_spec.h"
 
@@ -76,12 +81,21 @@ namespace svt {
 
 class TrialWalker {
  public:
-  /// Lanes per trial group (contract step 2); one lockstep step fills one
-  /// AVX-512 vector of runs.
+  /// Lanes per trial group (contract step 2): one vec::FillLaneStreams
+  /// call's streams.
   static constexpr size_t kLanes = 8;
 
   /// Trials per group (contract step 1).
   static constexpr int64_t kGroupTrials = 256;
+
+  /// Groups one WalkGroups call can take. The lockstep path steps all
+  /// their lanes at once: 32 runs, four AVX-512 vectors, per kernel call.
+  static constexpr size_t kMaxWalkGroups = 4;
+
+  /// Groups a WalkGroups call on `spec` over a window of `window` queries
+  /// should take: kMaxWalkGroups on the lockstep path, 1 on the paths that
+  /// walk a group at a time. Any count gives the same masks.
+  static size_t GroupsPerWalk(const VariantSpec& spec, size_t window);
 
   /// Seed of lane stream `stream` = kLanes * group + lane under `key`
   /// (contract step 3).
@@ -98,24 +112,36 @@ class TrialWalker {
   TrialWalker(const VariantSpec& spec, std::span<const double> window,
               double threshold);
 
-  /// Walks trials [kGroupTrials * group, kGroupTrials * group + runs) of
-  /// the trial sequence under `key`, 0 < runs <= kGroupTrials. Run r's mask
-  /// goes to masks[r * MaskWords(window) ...] and its processed count to
+  /// Walks trials [kGroupTrials * first_group, kGroupTrials * first_group
+  /// + runs) of the trial sequence under `key`: the groups from
+  /// first_group on, every one whole but the last, 0 < runs <=
+  /// kMaxWalkGroups * kGroupTrials. Run r's mask goes to
+  /// masks[r * MaskWords(window) ...] and its processed count to
   /// processed[r]; masks holds runs * MaskWords(window) words and processed
   /// holds runs counts.
-  void WalkGroup(uint64_t key, int64_t group, size_t runs,
-                 std::span<uint64_t> masks, std::span<size_t> processed);
+  void WalkGroups(uint64_t key, int64_t first_group, size_t runs,
+                  std::span<uint64_t> masks, std::span<size_t> processed);
 
  private:
   enum class Path { kFixedStride, kLockstep, kLoop };
 
-  void WalkFixedStride(std::span<uint64_t> masks,
-                       std::span<size_t> processed);
-  void WalkLockstep(std::span<uint64_t> masks, std::span<size_t> processed);
-  void WalkLoop(std::span<uint64_t> masks, std::span<size_t> processed);
+  /// The path a window of n queries takes, and the base words a positive
+  /// of `spec` draws.
+  static Path PathFor(const VariantSpec& spec, size_t n);
+  static size_t PositiveWords(const VariantSpec& spec);
 
-  /// Makes at least `need` unread words available at lane L's cursor.
-  void Refill(size_t lane, size_t need);
+  // One group of `runs` runs from masks and processed on (the fixed-stride
+  // and loop paths), or up to kMaxWalkGroups groups (lockstep).
+  void WalkFixedStride(uint64_t key, uint64_t group, size_t runs,
+                       uint64_t* masks, size_t* processed);
+  void WalkLockstep(uint64_t key, uint64_t first_group, size_t runs,
+                    uint64_t* masks, size_t* processed);
+  void WalkLoop(uint64_t key, uint64_t group, size_t runs, uint64_t* masks,
+                size_t* processed);
+
+  /// The first `words` words of each of group `group`'s lane streams, at
+  /// `at` in FillLaneStreams' rows.
+  void FillGroup(uint64_t key, uint64_t group, size_t words, uint64_t* at);
 
   const VariantSpec& spec_;
   std::span<const double> window_;
@@ -129,17 +155,12 @@ class TrialWalker {
   size_t positive_words_ = 0;  ///< base words a positive draws
   size_t resamples_ = 0;  ///< resamples a lockstep run can compare against
 
-  // The group being walked: its lane streams and how many runs each has.
-  std::array<Rng, kLanes> lane_rng_;
-  std::array<size_t, kLanes> lane_runs_{};
-  size_t runs_ = 0;
-
-  // Lane words: kLanes buffers of lane_capacity_ words, each read from a
-  // cursor up to its filled end.
+  // The lane streams' words in FillLaneStreams' rows, one block of
+  // lane_rows_ rows per group a call walks at once. A lockstep lane reads
+  // its column from a cursor, in words.
   std::vector<uint64_t> lane_words_;
-  size_t lane_capacity_ = 0;
-  std::array<size_t, kLanes> cursor_{};
-  std::array<size_t, kLanes> filled_{};
+  size_t lane_rows_ = 0;
+  std::array<size_t, kMaxWalkGroups * kLanes> cursor_{};
 
   // Per-run scratch for one kernel call: ρ and resample words, ν seeds,
   // and one row of bars and fire masks per bar a run compares against.
@@ -148,6 +169,9 @@ class TrialWalker {
   std::vector<uint64_t> resample_w_;
   std::vector<double> bars_;
   std::vector<uint64_t> fires_;
+  // A lockstep step's masks and processed counts, lane by lane.
+  std::array<uint64_t, kMaxWalkGroups * kLanes> step_masks_{};
+  std::array<size_t, kMaxWalkGroups * kLanes> step_processed_{};
   std::vector<Response> responses_;
 };
 

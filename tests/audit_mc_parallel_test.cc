@@ -88,6 +88,34 @@ TEST(McParallelTest, HitsFollowTheTrialGroupContract) {
   }
 }
 
+TEST(McParallelTest, LockstepClaimsGiveTheSameHitsAtEveryWorkerCount) {
+  // The lockstep walk's workers claim four groups at a time. Trial counts
+  // that end the last claim on a partial group, on a lone run past whole
+  // claims and on a whole group give the same hits at 1-4 workers.
+  VariantSpec eps3 = MakeSpec(VariantId::kStandard, 1.0, 1.0, 2);
+  eps3.numeric_scale = 2.0;
+  const std::vector<double> answers = {0.5, -0.5, 0.2, 0.9};
+  constexpr int64_t kGroup = TrialWalker::kGroupTrials;
+  for (const VariantSpec& spec : {MakeAlg2Spec(1.0, 1.0, 2), eps3}) {
+    ASSERT_EQ(TrialWalker::GroupsPerWalk(spec, answers.size()),
+              TrialWalker::kMaxWalkGroups)
+        << spec.name;
+    for (int64_t trials : {3 * kGroup + 19, 4 * kGroup + 1, 5 * kGroup}) {
+      Rng serial_rng(23);
+      const McEstimate serial = EstimateOutputProbability(
+          spec, answers, 0.0, "_T_T", serial_rng, Opts(trials, 1));
+      EXPECT_GT(serial.hits, 0) << spec.name << " trials=" << trials;
+      for (int workers : {2, 3, 4}) {
+        Rng rng(23);
+        const McEstimate par = EstimateOutputProbability(
+            spec, answers, 0.0, "_T_T", rng, Opts(trials, workers));
+        EXPECT_EQ(par.hits, serial.hits)
+            << spec.name << " trials=" << trials << " workers=" << workers;
+      }
+    }
+  }
+}
+
 TEST(McParallelTest, FixedSeedAndWorkersReproduceIdenticalHits) {
   const VariantSpec spec = MakeAlg1Spec(1.0, 1.0, 2);
   const std::vector<double> answers = {0.5, -0.5, 0.2, 0.9};

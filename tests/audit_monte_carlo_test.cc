@@ -210,6 +210,24 @@ TEST(McEstimateTest, RejectsBadConfidenceBeforeRunningTrials) {
   }
 }
 
+TEST(McEstimateTest, RejectsTrialsPastTheCapBeforeRunningTrials) {
+  // Near INT64_MAX, rounding the trials up to whole groups would overflow;
+  // such a count is refused up front, so this runs no trials.
+  Rng rng(11);
+  const VariantSpec spec = MakeAlg2Spec(1.0, 1.0, 1);
+  const std::vector<double> one = {0.0};
+  McOptions options;
+  for (int64_t trials : {std::numeric_limits<int64_t>::max(),
+                         McOptions::kMaxTrials + 1, int64_t{0},
+                         int64_t{-1}}) {
+    options.trials = trials;
+    EXPECT_DEATH(
+        EstimateOutputProbability(spec, one, 0.0, "T", rng, options),
+        "trials must lie in")
+        << trials;
+  }
+}
+
 TEST(McEpsilonBoundTest, CertifiesAlg6ViolationBlackBox) {
   // Black-box certification: without any closed-form analysis, the MC
   // bound must certify that Alg. 6 is not eps-DP at its claimed eps = 1 on

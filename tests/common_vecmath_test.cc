@@ -872,6 +872,53 @@ uint64_t SeedWithZeroLane0Word(int w) {
   return UnMix(key) - kGamma;
 }
 
+TEST(VecmathLaneStreamsTest, MatchesEightFreshStreamsAtEveryLevel) {
+  // FillLaneStreams against Rng(seed).FillUint64 per stream, word k of
+  // stream L at out[8k + L], for word counts 0-300 (every count mod 4, so
+  // each xoshiro lane ends on every phase) and seeds 0, ~0, crafted seeds
+  // with a zero state word, trial-walker lane seeds and random ones.
+  ScopedDispatchLevel restore;
+  std::vector<std::vector<uint64_t>> seed_sets;
+  seed_sets.push_back({0, ~uint64_t{0}, SeedWithZeroLane0Word(0),
+                       SeedWithZeroLane0Word(3), 1, 2, 0x9e3779b97f4a7c15ULL,
+                       uint64_t{1} << 63});
+  std::vector<uint64_t> lane_seeds(kLaneStreams);
+  for (size_t lane = 0; lane < kLaneStreams; ++lane) {
+    uint64_t state = 2017 + (8 * 3 + lane) * 0x9e3779b97f4a7c15ULL;
+    lane_seeds[lane] = SplitMix64Next(state);  // TrialWalker::LaneSeed
+  }
+  seed_sets.push_back(lane_seeds);
+  Rng gen(31);
+  for (int i = 0; i < 3; ++i) {
+    std::vector<uint64_t> seeds(kLaneStreams);
+    gen.FillUint64(seeds);
+    seed_sets.push_back(seeds);
+  }
+  for (const std::vector<uint64_t>& seeds : seed_sets) {
+    for (size_t words = 0; words <= 300; ++words) {
+      std::vector<uint64_t> want(kLaneStreams * words);
+      {
+        ScopedDispatchLevel pin;
+        SetDispatchLevel(DispatchLevel::kScalar);
+        std::vector<uint64_t> stream(words);
+        for (size_t lane = 0; lane < kLaneStreams; ++lane) {
+          Rng(seeds[lane]).FillUint64(stream);
+          for (size_t k = 0; k < words; ++k) {
+            want[kLaneStreams * k + lane] = stream[k];
+          }
+        }
+      }
+      for (DispatchLevel level : kAllDispatchLevels) {
+        if (!SetDispatchLevel(level)) continue;
+        std::vector<uint64_t> got(want.size(), 0x5a5a5a5a5a5a5a5aULL);
+        FillLaneStreams(seeds, words, got);
+        ASSERT_EQ(got, want) << DispatchLevelName(level)
+                             << " words=" << words << " seed0=" << seeds[0];
+      }
+    }
+  }
+}
+
 TEST(VecmathSeededFireTest, MatchesComposedDefinitionAtEveryLevel) {
   // Run counts on both sides of every lane width and of the SIMD lanes'
   // four-group blocks (45: a block, then single groups, then a tail);

@@ -47,22 +47,26 @@ struct Walked {
   std::vector<size_t> processed;
 };
 
-// Every group of `trials` trials under `key`, walked in group order.
+// Every group of `trials` trials under `key`, walked in group order,
+// `claim` groups per WalkGroups call (0: TrialWalker::GroupsPerWalk).
 Walked WalkTrials(const VariantSpec& spec, const std::vector<double>& window,
-                  double threshold, uint64_t key, int64_t trials) {
+                  double threshold, uint64_t key, int64_t trials,
+                  size_t claim = 0) {
   const size_t mask_words = TrialWalker::MaskWords(window.size());
+  if (claim == 0) claim = TrialWalker::GroupsPerWalk(spec, window.size());
   TrialWalker walker(spec, window, threshold);
   Walked out;
   out.masks.resize(static_cast<size_t>(trials) * mask_words);
   out.processed.resize(static_cast<size_t>(trials));
-  for (int64_t g = 0; g * kGroup < trials; ++g) {
+  const int64_t step = static_cast<int64_t>(claim);
+  for (int64_t g = 0; g * kGroup < trials; g += step) {
     const size_t runs =
-        static_cast<size_t>(std::min(kGroup, trials - g * kGroup));
+        static_cast<size_t>(std::min(step * kGroup, trials - g * kGroup));
     const size_t first = static_cast<size_t>(g * kGroup);
-    walker.WalkGroup(key, g, runs,
-                     {out.masks.data() + first * mask_words,
-                      runs * mask_words},
-                     {out.processed.data() + first, runs});
+    walker.WalkGroups(key, g, runs,
+                      {out.masks.data() + first * mask_words,
+                       runs * mask_words},
+                      {out.processed.data() + first, runs});
   }
   return out;
 }
@@ -123,8 +127,11 @@ TEST(TrialWalkerTest, MatchesResetRunAppendOnEveryLane) {
   // 1 and 3 and none, windows 0-10 (fixed-stride, lockstep and loop runs
   // all appear, and the cutoff truncates some), with +inf, -inf and NaN
   // answers and thresholds, at every dispatch level. Trial counts leave
-  // empty lanes (1, 7), fill a group (256) and end on a partial group
-  // (2 * 256 + 19).
+  // empty lanes (1, 7), fill a group (256), end on a partial group
+  // (2 * 256 + 19), and give the lockstep walk's four-group claims a
+  // partial last group (3 * 256 + 19) and more than one claim, with a lone
+  // run (4 * 256 + 1) or a whole group (5 * 256) past the first. The other
+  // paths walk a group at a time, so only lockstep windows take those.
   std::vector<std::pair<std::string, VariantSpec>> specs;
   for (VariantId id :
        {VariantId::kAlg1, VariantId::kAlg2, VariantId::kAlg3,
@@ -140,7 +147,14 @@ TEST(TrialWalkerTest, MatchesResetRunAppendOnEveryLane) {
     specs.emplace_back(std::string(VariantIdToString(id)) + "+eps3", spec);
   }
   const double thresholds[] = {0.0, kInf, -kInf, kNaN};
-  const int64_t trial_counts[] = {1, 7, kGroup, 2 * kGroup + 19};
+  const int64_t trial_counts[] = {1,
+                                  7,
+                                  kGroup,
+                                  2 * kGroup + 19,
+                                  3 * kGroup + 19,
+                                  4 * kGroup + 1,
+                                  5 * kGroup};
+  const int64_t kMultiClaim = 3 * kGroup;
   ScopedDispatchLevel restore;
   int fixed_stride = 0, lockstep = 0, loop = 0, truncated = 0;
   int non_finite_checked = 0;
@@ -170,8 +184,11 @@ TEST(TrialWalkerTest, MatchesResetRunAppendOnEveryLane) {
             if (n > 2) window[2] = kNaN;
             if (n > 4) window[4] = kInf;
             if (n > 5) window[5] = -kInf;
+            const bool lockstep_window =
+                draws_at_positive && n < BatchRunner::kStreamingCutover;
             for (double threshold : thresholds) {
               for (int64_t trials : trial_counts) {
+                if (trials > kMultiClaim && !lockstep_window) continue;
                 const uint64_t key = 1000 + v * 31 + n * 7 +
                                      static_cast<uint64_t>(trials);
                 const Walked got =
@@ -203,7 +220,7 @@ TEST(TrialWalkerTest, MatchesResetRunAppendOnEveryLane) {
               }
               if (n >= BatchRunner::kStreamingCutover) {
                 ++loop;
-              } else if (draws_at_positive) {
+              } else if (lockstep_window) {
                 ++lockstep;
               } else {
                 ++fixed_stride;
@@ -219,6 +236,39 @@ TEST(TrialWalkerTest, MatchesResetRunAppendOnEveryLane) {
   EXPECT_GT(loop, 0);
   EXPECT_GT(truncated, 0);
   EXPECT_GT(non_finite_checked, 0);
+}
+
+TEST(TrialWalkerTest, AnyGroupsPerWalkGivesTheSameMasks) {
+  // A walk's masks depend on the trials alone, not on how many groups each
+  // WalkGroups call takes: the lockstep path (Alg. 2, and Alg. 7 with ε₃)
+  // steps all of a call's groups together, the others walk them in turn.
+  VariantSpec eps3 = MakeSpec(VariantId::kStandard, 1.0, 1.0, 2);
+  eps3.numeric_scale = 2.0;
+  const std::vector<double> window = {0.5, -0.5, 0.2, 0.9};
+  ScopedDispatchLevel restore;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    for (const VariantSpec& spec :
+         {MakeSpec(VariantId::kAlg2, 1.0, 1.0, 2), eps3,
+          MakeSpec(VariantId::kAlg1, 1.0, 1.0, 2)}) {
+      const int64_t trials = 5 * kGroup + 3;
+      const Walked want = OracleTrials(spec, window, 0.0, 9, trials);
+      for (size_t claim = 1; claim <= TrialWalker::kMaxWalkGroups; ++claim) {
+        const Walked got = WalkTrials(spec, window, 0.0, 9, trials, claim);
+        EXPECT_EQ(got.processed, want.processed)
+            << spec.name << " claim=" << claim << " "
+            << vec::DispatchLevelName(level);
+        EXPECT_EQ(got.masks, want.masks)
+            << spec.name << " claim=" << claim << " "
+            << vec::DispatchLevelName(level);
+      }
+    }
+  }
+  EXPECT_EQ(TrialWalker::GroupsPerWalk(eps3, window.size()),
+            TrialWalker::kMaxWalkGroups);
+  EXPECT_EQ(TrialWalker::GroupsPerWalk(MakeSpec(VariantId::kAlg1, 1.0, 1.0, 2),
+                                       window.size()),
+            1u);
 }
 
 TEST(TrialWalkerTest, MultiWordMasksMatchTheOracle) {
